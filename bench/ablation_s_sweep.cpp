@@ -12,34 +12,41 @@
 #include "circuit/sw_circuit.hpp"
 #include "encoding/batch.hpp"
 #include "encoding/random.hpp"
-#include "sw/affine.hpp"
 #include "sw/banded.hpp"
-#include "sw/bpbc.hpp"
+#include "sw/scheme_aligner.hpp"
 #include "sw/traceback.hpp"
 
 namespace {
 
 using namespace swbpbc;
 
-void BM_BpbcSwaBySliceCount(benchmark::State& state) {
-  const auto match = static_cast<std::uint32_t>(state.range(0));
-  const std::size_t m = 32, n = 256;
-  const sw::ScoreParams params{match, 1, 1};
-  util::Xoshiro256 rng(10);
+using View32 = encoding::PlanarGenericView<std::uint32_t>;
+
+// SWA of one 32-lane DNA group of m x n cells under `scheme`.
+void run_group_swa(benchmark::State& state, const sw::ScoringScheme& scheme,
+                   std::size_t m, std::size_t n, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
   const auto xs = encoding::random_sequences(rng, 32, m);
   const auto ys = encoding::random_sequences(rng, 32, n);
   const auto bx = encoding::transpose_strings<std::uint32_t>(xs);
   const auto by = encoding::transpose_strings<std::uint32_t>(ys);
-  const sw::BpbcAligner<std::uint32_t> aligner(params, m, n);
+  const sw::SchemeBpbcAligner<std::uint32_t> aligner(scheme, m, n);
   std::vector<std::uint32_t> slices(aligner.slices());
   for (auto _ : state) {
-    aligner.max_score_slices(bx.groups[0], by.groups[0],
+    aligner.max_score_slices(View32::from(bx.groups[0]),
+                             View32::from(by.groups[0]),
                              std::span<std::uint32_t>(slices));
     benchmark::DoNotOptimize(slices.data());
   }
   state.counters["s"] = aligner.slices();
   state.SetItemsProcessed(state.iterations() * 32 *
                           static_cast<std::int64_t>(m * n));
+}
+
+void BM_BpbcSwaBySliceCount(benchmark::State& state) {
+  const auto match = static_cast<std::uint32_t>(state.range(0));
+  run_group_swa(state, sw::ScoringScheme::from_params({match, 1, 1}), 32,
+                256, 10);
 }
 // match = 1, 3, 7, 15, 63 -> s = 6, 7, 8, 9, 11 for m = 32.
 BENCHMARK(BM_BpbcSwaBySliceCount)->Arg(1)->Arg(3)->Arg(7)->Arg(15)->Arg(63);
@@ -79,40 +86,17 @@ BENCHMARK(BM_CircuitCellConstBaked);
 // extra ssub/max stages, quantifying the price of the future-work
 // extension relative to the paper's linear recurrence.
 void BM_LinearGapSwa(benchmark::State& state) {
-  const std::size_t m = 32, n = 256;
-  util::Xoshiro256 rng(30);
-  const auto xs = encoding::random_sequences(rng, 32, m);
-  const auto ys = encoding::random_sequences(rng, 32, n);
-  const auto bx = encoding::transpose_strings<std::uint32_t>(xs);
-  const auto by = encoding::transpose_strings<std::uint32_t>(ys);
-  const sw::BpbcAligner<std::uint32_t> aligner({2, 1, 1}, m, n);
-  std::vector<std::uint32_t> slices(aligner.slices());
-  for (auto _ : state) {
-    aligner.max_score_slices(bx.groups[0], by.groups[0],
-                             std::span<std::uint32_t>(slices));
-    benchmark::DoNotOptimize(slices.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(32 * m * n));
+  run_group_swa(state, sw::ScoringScheme::from_params({2, 1, 1}), 32, 256,
+                30);
 }
 BENCHMARK(BM_LinearGapSwa);
 
 void BM_AffineGapSwa(benchmark::State& state) {
-  const std::size_t m = 32, n = 256;
-  util::Xoshiro256 rng(30);
-  const auto xs = encoding::random_sequences(rng, 32, m);
-  const auto ys = encoding::random_sequences(rng, 32, n);
-  const auto bx = encoding::transpose_strings<std::uint32_t>(xs);
-  const auto by = encoding::transpose_strings<std::uint32_t>(ys);
-  const sw::AffineBpbcAligner<std::uint32_t> aligner({2, 1, 3, 1}, m, n);
-  std::vector<std::uint32_t> slices(aligner.slices());
-  for (auto _ : state) {
-    aligner.max_score_slices(bx.groups[0], by.groups[0],
-                             std::span<std::uint32_t>(slices));
-    benchmark::DoNotOptimize(slices.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(32 * m * n));
+  sw::ScoringScheme scheme;
+  scheme.gap_model = sw::GapModel::kAffine;
+  scheme.gap_open = 3;
+  scheme.gap_extend = 1;
+  run_group_swa(state, scheme, 32, 256, 30);
 }
 BENCHMARK(BM_AffineGapSwa);
 

@@ -6,7 +6,7 @@
 
 #include "encoding/batch.hpp"
 #include "encoding/random.hpp"
-#include "sw/bpbc.hpp"
+#include "sw/scheme_aligner.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -22,14 +22,17 @@ void BM_GroupsAcrossThreads(benchmark::State& state) {
   const auto ys = encoding::random_sequences(rng, groups * 32, n);
   const auto bx = encoding::transpose_strings<std::uint32_t>(xs);
   const auto by = encoding::transpose_strings<std::uint32_t>(ys);
-  const sw::BpbcAligner<std::uint32_t> aligner(params, m, n);
+  const sw::SchemeBpbcAligner<std::uint32_t> aligner(
+      sw::ScoringScheme::from_params(params), m, n);
+  using View = encoding::PlanarGenericView<std::uint32_t>;
 
   util::ThreadPool pool(n_threads);
   std::vector<std::vector<std::uint32_t>> out(
       groups, std::vector<std::uint32_t>(aligner.slices()));
   for (auto _ : state) {
     pool.parallel_for(0, groups, [&](std::size_t g) {
-      aligner.max_score_slices(bx.groups[g], by.groups[g],
+      aligner.max_score_slices(View::from(bx.groups[g]),
+                               View::from(by.groups[g]),
                                std::span<std::uint32_t>(out[g]));
     });
     benchmark::DoNotOptimize(out.data());

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: the tier-1 build + full test suite under the release preset
 # (plus a telemetry smoke: RunReport and span-trace artifacts validated by
-# scripts/check_run_report.py, and a live observability drill: stats
+# scripts/check_run_report.py, the performance ledger's smoke test
+# (perfbench/tests/smoke_test.py), and a live observability drill: stats
 # scrapes, a merged client+server trace, and the crash flight recorder,
 # reconciled by scripts/check_stats.py), then the tier2-sanitize suites
 # (fault injection, cancellation, checkpoint streams, negative inputs)
@@ -173,6 +174,12 @@ EOF
   # gates stay armed; the timing-derived dispatcher-agreement gate is
   # skipped (--smoke regions are all noise).
   ./build/bench/ablation_crossover --smoke > /dev/null
+
+  echo "== tier 1: performance ledger smoke (build, metrics, score gate) =="
+  # perfbench/ builds its own copy of the libraries from src/, so a
+  # library change that breaks the ledger's build, drops a metric, or
+  # trips its correctness gate fails here, not in the next benchmark run.
+  python3 perfbench/tests/smoke_test.py
 
   echo "== tier 1: forced-lane-width negative smoke (typed rejection) =="
   # An unparsable override must be a loud typed error, never a silent

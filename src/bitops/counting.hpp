@@ -16,9 +16,9 @@
 namespace swbpbc::bitops {
 
 /// Lane-population count, generic over builtin and wide lane words. One
-/// set bit = one surviving instance, so screening code that counts
-/// threshold_mask survivors must come through here instead of assuming a
-/// builtin-sized word (std::popcount does not accept wide_word).
+/// set bit = one surviving instance, so code that counts ge_mask
+/// survivors must come through here instead of assuming a builtin-sized
+/// word (std::popcount does not accept wide_word).
 template <std::unsigned_integral W>
 [[nodiscard]] constexpr unsigned popcount(W w) {
   return static_cast<unsigned>(std::popcount(w));

@@ -66,10 +66,10 @@ util::Status build_generic_database(
 
   // The same W2B the in-memory path runs, at the 64-lane limb block
   // granularity every lane width decomposes into.
-  encoding::TransposedGenericBatch<std::uint64_t> batch;
+  encoding::PlanarGenericBatch<std::uint64_t> batch;
   if (count != 0)
-    batch = encoding::transpose_generic<std::uint64_t>(seqs, plane_bits,
-                                                       options.method);
+    batch = encoding::transpose_generic_planar<std::uint64_t>(
+        seqs, plane_bits, options.method);
 
   const std::uint64_t shards = shard_count_for(count);
   const std::uint64_t table_bytes = shards * sizeof(ShardEntry) + 8;
@@ -90,18 +90,12 @@ util::Status build_generic_database(
   std::vector<std::uint8_t> file(off, 0);
 
   // Planar payload per shard: plane 0's rows for all positions, then
-  // plane 1's, ... so a plane is one contiguous zero-copy span.
+  // plane 1's, ... so a plane is one contiguous zero-copy span. That is
+  // exactly a 64-lane planar group's row layout: one copy per shard.
   for (std::uint64_t s = 0; s < shards; ++s) {
     std::uint8_t* dst = file.data() + table[s].offset;
-    const auto& group = batch.groups[s];
-    for (unsigned p = 0; p < plane_bits; ++p) {
-      for (std::size_t i = 0; i < length; ++i) {
-        const std::uint64_t row = group.plane(i, p);
-        std::memcpy(dst + (static_cast<std::size_t>(p) * length + i) *
-                              sizeof(row),
-                    &row, sizeof(row));
-      }
-    }
+    const std::vector<std::uint64_t>& rows = batch.groups[s].rows;
+    std::memcpy(dst, rows.data(), rows.size() * sizeof(std::uint64_t));
     table[s].payload_fnv =
         util::fnv1a_bytes(dst, static_cast<std::size_t>(payload_bytes));
   }

@@ -247,7 +247,8 @@ class SwWavefrontKernel {
 
     if (consts_.affine) {
       // Gotoh three-state cell, the same ssub/max chains as the host
-      // AffineBpbcAligner so scores stay bit-identical across engines.
+      // kernel's affine cell (sw::scheme_cell) so scores stay
+      // bit-identical across engines.
       const std::span<W> e_row(e_row_.data() + tid * s, s);
       const std::span<const W> open(consts_.open);
       const std::span<const W> extend(consts_.extend);

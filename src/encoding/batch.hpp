@@ -35,27 +35,6 @@ struct TransposedStrings {
   static constexpr unsigned lanes() { return bitsim::word_bits_v<W>; }
 };
 
-/// Non-owning view of one transposed group. Lets consumers score slices
-/// that live outside a TransposedStrings — notably the pre-transposed
-/// database store, whose planes are mmap'd file bytes served zero-copy.
-/// Implicitly constructible from TransposedStrings so owning callers and
-/// view callers share one scoring core.
-template <bitsim::LaneWord W>
-struct TransposedView {
-  std::size_t length = 0;
-  std::span<const W> hi;
-  std::span<const W> lo;
-
-  TransposedView() = default;
-  TransposedView(std::size_t len, std::span<const W> hi_slices,
-                 std::span<const W> lo_slices)
-      : length(len), hi(hi_slices), lo(lo_slices) {}
-  TransposedView(const TransposedStrings<W>& g)  // NOLINT(runtime/explicit)
-      : length(g.length), hi(g.hi), lo(g.lo) {}
-
-  static constexpr unsigned lanes() { return bitsim::word_bits_v<W>; }
-};
-
 /// A batch of `count` equal-length strings, split into ceil(count/W)
 /// groups. Unused lanes of the final group read as base A (code 0) and
 /// must be ignored by consumers.

@@ -18,7 +18,7 @@ void check_batch(std::span<const GenericSequence> seqs, unsigned bits,
   for (const auto& s : seqs) {
     if (s.size() != length)
       throw std::invalid_argument(
-          "transpose_generic requires equal-length sequences");
+          "transpose_generic_planar requires equal-length sequences");
     for (std::uint8_t c : s) {
       if (c > max_code)
         throw std::invalid_argument("character code exceeds plane width");
@@ -29,11 +29,16 @@ void check_batch(std::span<const GenericSequence> seqs, unsigned bits,
 // Transposes one group's characters position by position: gathers one
 // epsilon-bit code per lane into a W-word scratch block, runs the Table I
 // payload transpose (64-bit limb decomposition for the wide words), and
-// hands the epsilon plane rows to `emit(i, planes)`.
-template <bitsim::LaneWord W, typename Emit>
+// stores the epsilon plane words of position i into the group's rows.
+template <bitsim::LaneWord W>
 void transpose_group(std::span<const GenericSequence> seqs,
-                     std::size_t first, std::size_t length, unsigned bits,
-                     TransposeMethod method, const Emit& emit) {
+                     std::size_t first, unsigned bits,
+                     TransposeMethod method, PlanarGeneric<W>& group) {
+  const std::size_t length = group.length;
+  const auto emit = [&](std::size_t i, std::span<const W> planes) {
+    for (unsigned p = 0; p < bits; ++p)
+      group.rows[p * length + i] = planes[p];
+  };
   constexpr unsigned kLanes = bitsim::word_bits_v<W>;
   const std::size_t lanes_used =
       first < seqs.size()
@@ -76,33 +81,6 @@ void transpose_group(std::span<const GenericSequence> seqs,
 }  // namespace
 
 template <bitsim::LaneWord W>
-TransposedGenericBatch<W> transpose_generic(
-    std::span<const GenericSequence> seqs, unsigned bits,
-    TransposeMethod method) {
-  constexpr unsigned kLanes = bitsim::word_bits_v<W>;
-  TransposedGenericBatch<W> batch;
-  batch.count = seqs.size();
-  batch.length = seqs.empty() ? 0 : seqs.front().size();
-  batch.planes = bits;
-  check_batch(seqs, bits, batch.length);
-
-  const std::size_t n_groups = (seqs.size() + kLanes - 1) / kLanes;
-  batch.groups.resize(n_groups);
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    auto& group = batch.groups[g];
-    group.length = batch.length;
-    group.planes = bits;
-    group.slices.assign(batch.length * bits, 0);
-    transpose_group<W>(seqs, g * kLanes, batch.length, bits, method,
-                       [&](std::size_t i, std::span<const W> planes) {
-                         for (unsigned p = 0; p < bits; ++p)
-                           group.slices[i * bits + p] = planes[p];
-                       });
-  }
-  return batch;
-}
-
-template <bitsim::LaneWord W>
 PlanarGenericBatch<W> transpose_generic_planar(
     std::span<const GenericSequence> seqs, unsigned bits,
     TransposeMethod method) {
@@ -120,19 +98,12 @@ PlanarGenericBatch<W> transpose_generic_planar(
     group.length = batch.length;
     group.planes = bits;
     group.rows.assign(batch.length * bits, 0);
-    transpose_group<W>(seqs, g * kLanes, batch.length, bits, method,
-                       [&](std::size_t i, std::span<const W> planes) {
-                         for (unsigned p = 0; p < bits; ++p)
-                           group.rows[p * batch.length + i] = planes[p];
-                       });
+    transpose_group<W>(seqs, g * kLanes, bits, method, group);
   }
   return batch;
 }
 
 #define SWBPBC_INSTANTIATE_GENERIC_BATCH(...)                         \
-  template TransposedGenericBatch<__VA_ARGS__>                        \
-  transpose_generic<__VA_ARGS__>(std::span<const GenericSequence>,    \
-                                 unsigned, TransposeMethod);          \
   template PlanarGenericBatch<__VA_ARGS__>                            \
   transpose_generic_planar<__VA_ARGS__>(                              \
       std::span<const GenericSequence>, unsigned, TransposeMethod);

@@ -7,17 +7,10 @@
 // 64-bit limb blocks for the wide SIMD lane words (PayloadTranspose) —
 // every lane width the DNA batch supports, the generic batch supports.
 //
-// Two layouts exist because two consumers exist:
-//
-//   TransposedGeneric   position-major (`slices[i * planes + p]`) — the
-//                       epsilon-slice "character" view bitops::
-//                       mismatch_mask consumes contiguously.
-//   PlanarGeneric       plane-major (all positions of plane p are one
-//                       contiguous row) — what the scheme kernels and
-//                       the pre-transposed db store serve: the db shard
-//                       format already stores plane rows back-to-back,
-//                       so a PlanarGenericView aliases a 64-bit shard
-//                       mapping zero-copy.
+// The layout is plane-major (all positions of plane p are one contiguous
+// row): what the bit-sliced kernel consumes and what the pre-transposed
+// db store serves — the db shard format stores plane rows back-to-back,
+// so a PlanarGenericView aliases a 64-bit shard mapping zero-copy.
 #pragma once
 
 #include <array>
@@ -34,45 +27,6 @@ namespace swbpbc::encoding {
 
 /// Upper bound on epsilon accepted by the transposes (codes are bytes).
 inline constexpr unsigned kMaxAlphabetPlanes = 8;
-
-/// One group of W equal-length generic strings: `slices[i * planes + p]`
-/// is plane p of character position i.
-template <bitsim::LaneWord W>
-struct TransposedGeneric {
-  std::size_t length = 0;
-  unsigned planes = 0;
-  std::vector<W> slices;
-
-  /// Plane p of position i.
-  [[nodiscard]] W plane(std::size_t i, unsigned p) const {
-    return slices[i * planes + p];
-  }
-  /// All planes of position i (the epsilon-slice character view used by
-  /// bitops::mismatch_mask).
-  [[nodiscard]] std::span<const W> character(std::size_t i) const {
-    return {slices.data() + i * planes, planes};
-  }
-
-  static constexpr unsigned lanes() { return bitsim::word_bits_v<W>; }
-};
-
-/// Batch of `count` strings split into ceil(count / W) groups; unused
-/// lanes of the tail group read as code 0.
-template <bitsim::LaneWord W>
-struct TransposedGenericBatch {
-  std::size_t count = 0;
-  std::size_t length = 0;
-  unsigned planes = 0;
-  std::vector<TransposedGeneric<W>> groups;
-};
-
-/// W2B for generic sequences; `bits` is epsilon (every character code
-/// must fit in it). Throws std::invalid_argument on unequal lengths or
-/// out-of-range codes.
-template <bitsim::LaneWord W>
-TransposedGenericBatch<W> transpose_generic(
-    std::span<const GenericSequence> seqs, unsigned bits,
-    TransposeMethod method = TransposeMethod::kPlanned);
 
 /// Non-owning plane-major view of one group of W strings: `row(p)[i]` is
 /// plane p of character position i. Aliases a PlanarGeneric, a
@@ -128,26 +82,16 @@ struct PlanarGenericBatch {
   std::vector<PlanarGeneric<W>> groups;
 };
 
-/// W2B into the plane-major layout (the scheme kernels' input format).
-/// Same contract as transpose_generic.
+/// W2B for generic sequences into the plane-major layout; `bits` is
+/// epsilon (every character code must fit in it). Unused lanes of the
+/// tail group read as code 0. Throws std::invalid_argument on unequal
+/// lengths or out-of-range codes.
 template <bitsim::LaneWord W>
 PlanarGenericBatch<W> transpose_generic_planar(
     std::span<const GenericSequence> seqs, unsigned bits,
     TransposeMethod method = TransposeMethod::kPlanned);
 
 /// Test/debug helper: reads character i of lane `lane` back out.
-template <bitsim::LaneWord W>
-std::uint8_t read_code(const TransposedGeneric<W>& group, std::size_t lane,
-                       std::size_t i) {
-  std::uint8_t c = 0;
-  for (unsigned p = 0; p < group.planes; ++p) {
-    const std::uint64_t limb =
-        bitsim::get_limb(group.plane(i, p), static_cast<unsigned>(lane / 64));
-    c = static_cast<std::uint8_t>(c | (((limb >> (lane % 64)) & 1u) << p));
-  }
-  return c;
-}
-
 template <bitsim::LaneWord W>
 std::uint8_t read_code(const PlanarGenericView<W>& group, std::size_t lane,
                        std::size_t i) {
@@ -161,9 +105,6 @@ std::uint8_t read_code(const PlanarGenericView<W>& group, std::size_t lane,
 }
 
 #define SWBPBC_DECLARE_GENERIC_BATCH(...)                             \
-  extern template TransposedGenericBatch<__VA_ARGS__>                 \
-  transpose_generic<__VA_ARGS__>(std::span<const GenericSequence>,    \
-                                 unsigned, TransposeMethod);          \
   extern template PlanarGenericBatch<__VA_ARGS__>                     \
   transpose_generic_planar<__VA_ARGS__>(                              \
       std::span<const GenericSequence>, unsigned, TransposeMethod);

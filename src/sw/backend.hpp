@@ -105,18 +105,18 @@ std::unique_ptr<Backend> adapt_score_backend(ScoreBackend backend);
 /// Wraps a v1 ChunkBackend (integrity + stop polling, no streams).
 std::unique_ptr<Backend> adapt_chunk_backend(ChunkBackend backend);
 
-/// The host BPBC path (bpbc_max_scores) as a Backend — what screen() runs
-/// when no backend is configured. Reports per-phase timings.
+/// The host BPBC path as a Backend — what screen() runs when no backend
+/// is configured: the bit-sliced kernel (SchemeBpbcAligner) over DNA
+/// groups at the resolved lane width, reporting per-phase timings.
+/// Defined with the DNA batch front end in bpbc.cpp.
 std::unique_ptr<Backend> make_host_backend(
     const ScoreParams& params, LaneWidth width, bulk::Mode mode,
     encoding::TransposeMethod method);
 
-/// Scheme-aware host path. A params-expressible scheme runs the legacy
-/// bpbc_max_scores kernels bit-identically; an affine uniform scheme runs
-/// the Gotoh bit-sliced kernels (SchemeBpbcAligner) at the same lane
-/// widths. The scheme must be uniform over DNA — matrix schemes screen
-/// protein batches through try_scheme_max_scores, not the DNA pipeline —
-/// and should have passed validate_scheme().
+/// The same host backend under a full scheme: linear or affine gaps,
+/// uniform substitution. The scheme must be uniform over DNA — matrix
+/// schemes screen protein batches through try_scheme_max_scores, not the
+/// DNA pipeline — and should have passed validate_scheme().
 std::unique_ptr<Backend> make_host_backend(
     const ScoringScheme& scheme, LaneWidth width, bulk::Mode mode,
     encoding::TransposeMethod method);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "bitops/arith.hpp"
+
 namespace swbpbc::sw {
 namespace {
 

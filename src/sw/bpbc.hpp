@@ -1,22 +1,18 @@
-// The BPBC Smith-Waterman (paper §IV.B) — the library's core contribution.
+// The BPBC Smith-Waterman batch front end for DNA (paper §IV.B) — the
+// library's core contribution.
 //
-// A `BpbcAligner<W>` scores one bit-transposed group (W instances, one per
-// bit lane) by running the SW cell circuit of bitops/arith.hpp over the
-// (m+1) x (n+1) DP grid in row-major order, keeping one bit-sliced row of
-// the matrix plus a running bit-sliced maximum. One pass therefore
-// advances W = 32 or 64 alignments simultaneously.
-//
-// `bpbc_max_scores` is the batch front end: it performs W2B (bit
-// transpose), the bulk DP over all groups (serially or on the thread
-// pool), and B2W (bit untranspose) — the exact Step 2/3/4 structure of the
-// paper's GPU pipeline, with per-phase timings for the Table IV harness.
+// `bpbc_max_scores` performs W2B (bit transpose of both sides), the bulk
+// DP over all groups (serially or on the thread pool) with the one
+// bit-sliced kernel, SchemeBpbcAligner (scheme_aligner.hpp), and B2W (bit
+// untranspose) — the exact Step 2/3/4 structure of the paper's GPU
+// pipeline, with per-phase timings for the Table IV harness. Each group's
+// hi/lo planes reach the kernel as character planes 1/0 without a copy.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "bitops/arith.hpp"
 #include "bulk/executor.hpp"
 #include "encoding/batch.hpp"
 #include "encoding/dna.hpp"
@@ -25,58 +21,6 @@
 #include "util/status.hpp"
 
 namespace swbpbc::sw {
-
-/// Scores bit-transposed groups of fixed (m, n, params). Stateless across
-/// calls except for precomputed constant slices: safe to share between
-/// threads.
-template <bitsim::LaneWord W>
-class BpbcAligner {
- public:
-  BpbcAligner(const ScoreParams& params, std::size_t m, std::size_t n);
-
-  [[nodiscard]] unsigned slices() const { return s_; }
-  [[nodiscard]] std::size_t m() const { return m_; }
-  [[nodiscard]] std::size_t n() const { return n_; }
-
-  /// Computes the per-lane maximum DP score of the group, leaving the
-  /// result in bit-sliced layout: out_slices[l] holds bit l of every
-  /// lane's score. out_slices.size() must equal slices().
-  void max_score_slices(const encoding::TransposedStrings<W>& x,
-                        const encoding::TransposedStrings<W>& y,
-                        std::span<W> out_slices) const;
-
-  /// View-based core of the above: the hi/lo slices may live anywhere
-  /// (e.g. mmap'd database payloads), not just in a TransposedStrings.
-  void max_score_slices(const encoding::TransposedView<W>& x,
-                        const encoding::TransposedView<W>& y,
-                        std::span<W> out_slices) const;
-
-  /// Convenience: scores untransposed to one integer per lane.
-  [[nodiscard]] std::vector<std::uint32_t> max_scores(
-      const encoding::TransposedStrings<W>& x,
-      const encoding::TransposedStrings<W>& y) const;
-
-  /// Per-lane mask of scores >= threshold, computed entirely in bit-sliced
-  /// form (ge_mask against broadcast threshold slices) — the screening
-  /// filter compare of §III.
-  [[nodiscard]] W threshold_mask(std::span<const W> score_slices,
-                                 std::uint32_t threshold) const;
-
-  /// Number of lanes scoring >= threshold: popcount of threshold_mask via
-  /// bitops::popcount, which is generic over builtin and wide lane words
-  /// (std::popcount on the mask would not compile past 64 lanes).
-  [[nodiscard]] unsigned threshold_count(std::span<const W> score_slices,
-                                         std::uint32_t threshold) const;
-
- private:
-  ScoreParams params_;
-  std::size_t m_;
-  std::size_t n_;
-  unsigned s_;
-  std::vector<W> gap_;
-  std::vector<W> c1_;
-  std::vector<W> c2_;
-};
 
 /// Phase timings in milliseconds (Table IV columns).
 struct PhaseTimings {
@@ -105,12 +49,5 @@ std::vector<std::uint32_t> bpbc_max_scores(
     LaneWidth width = LaneWidth::k64, bulk::Mode mode = bulk::Mode::kSerial,
     encoding::TransposeMethod method = encoding::TransposeMethod::kPlanned,
     PhaseTimings* timings = nullptr);
-
-extern template class BpbcAligner<std::uint32_t>;
-extern template class BpbcAligner<std::uint64_t>;
-extern template class BpbcAligner<bitsim::simd_word<128>>;
-extern template class BpbcAligner<bitsim::simd_word<256>>;
-extern template class BpbcAligner<bitsim::simd_word<512>>;
-extern template class BpbcAligner<bitsim::wide_word<256, false>>;
 
 }  // namespace swbpbc::sw

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bitsim/wide_word.hpp"
+#include "sw/scheme_aligner.hpp"
 #include "util/timer.hpp"
 
 namespace swbpbc::sw {
@@ -120,76 +121,61 @@ class DbBackend final : public Backend {
     // Only the query side is transposed — the point of the store.
     const auto bx = encoding::transpose_strings<W>(job.xs, method_);
     const std::size_t n_groups = bx.groups.size();
+    std::vector<encoding::PlanarGenericView<W>> xv, yv(n_groups);
+    for (const auto& group : bx.groups)
+      xv.push_back(encoding::PlanarGenericView<W>::from(group));
 
-    std::vector<encoding::TransposedView<W>> yv(n_groups);
-    std::vector<std::vector<W>> hi_scratch, lo_scratch;
+    // A shard's lo/hi rows are the kernel's character planes 0/1.
+    const auto planes = [n](std::span<const W> lo, std::span<const W> hi) {
+      encoding::PlanarGenericView<W> v;
+      v.length = n;
+      v.planes = encoding::kBitsPerBase;
+      v.rows[0] = lo;
+      v.rows[1] = hi;
+      return v;
+    };
+    std::vector<std::vector<W>> scratch;  // lo rows, then hi rows
     if constexpr (kLanes == 64) {
       // One group per shard: alias the mapping (or a cached re-ingest
       // block, which outlives the job) directly. Zero copies.
       for (std::size_t g = 0; g < n_groups; ++g) {
         const std::uint64_t* rows = rows_for_shard(job, n, first_shard + g, r);
-        yv[g] = {n, {rows + n, n}, {rows, n}};
+        yv[g] = planes({rows, n}, {rows + n, n});
       }
     } else if constexpr (kLanes < 64) {
       // Sub-word lanes: each group is half a shard's rows.
-      hi_scratch.assign(n_groups, std::vector<W>(n));
-      lo_scratch.assign(n_groups, std::vector<W>(n));
+      scratch.assign(n_groups, std::vector<W>(2 * n));
       for (std::size_t g = 0; g < n_groups; ++g) {
         const std::uint64_t* rows =
             rows_for_shard(job, n, first_shard + g / 2, r);
         const unsigned shift = kLanes * (g % 2);
-        for (std::size_t i = 0; i < n; ++i) {
-          lo_scratch[g][i] = static_cast<W>(rows[i] >> shift);
-          hi_scratch[g][i] = static_cast<W>(rows[n + i] >> shift);
-        }
-        yv[g] = {n, hi_scratch[g], lo_scratch[g]};
+        for (std::size_t i = 0; i < 2 * n; ++i)
+          scratch[g][i] = static_cast<W>(rows[i] >> shift);
+        yv[g] = planes({scratch[g].data(), n}, {scratch[g].data() + n, n});
       }
     } else {
       // Wide lanes: gather one shard per 64-bit limb (bit k of a wide
       // word is bit k%64 of limb k/64). Limbs past the job's tail stay
       // zero — code 0 lanes, matching the in-memory transpose.
       constexpr unsigned kLimbs = kLanes / 64;
-      hi_scratch.assign(n_groups, std::vector<W>(n, W{}));
-      lo_scratch.assign(n_groups, std::vector<W>(n, W{}));
+      scratch.assign(n_groups, std::vector<W>(2 * n, W{}));
       for (std::size_t g = 0; g < n_groups; ++g) {
         for (unsigned t = 0; t < kLimbs; ++t) {
           if (g * kLanes + t * std::size_t{64} >= count) break;
           const std::uint64_t* rows =
               rows_for_shard(job, n, first_shard + g * kLimbs + t, r);
-          for (std::size_t i = 0; i < n; ++i) {
-            bitsim::set_limb(lo_scratch[g][i], t, rows[i]);
-            bitsim::set_limb(hi_scratch[g][i], t, rows[n + i]);
-          }
+          for (std::size_t i = 0; i < 2 * n; ++i)
+            bitsim::set_limb(scratch[g][i], t, rows[i]);
         }
-        yv[g] = {n, hi_scratch[g], lo_scratch[g]};
+        yv[g] = planes({scratch[g].data(), n}, {scratch[g].data() + n, n});
       }
     }
     r.timings.w2b_ms = timer.elapsed_ms();
 
-    const BpbcAligner<W> aligner(params_, m, n);
-    const unsigned s = aligner.slices();
-    std::vector<std::vector<W>> group_slices(n_groups, std::vector<W>(s));
-    timer.reset();
-    bulk::for_each_instance(
-        n_groups, mode_,
-        [&](std::size_t g) {
-          aligner.max_score_slices(encoding::TransposedView<W>(bx.groups[g]),
-                                   yv[g], std::span<W>(group_slices[g]));
-        },
-        job.stop);
-    r.timings.swa_ms = timer.elapsed_ms();
-
-    timer.reset();
-    r.scores.assign(count, 0);
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      const auto lane_scores = encoding::untranspose_values<W>(
-          std::span<const W>(group_slices[g]), s, method_);
-      const std::size_t base = g * kLanes;
-      const std::size_t used = std::min<std::size_t>(kLanes, count - base);
-      std::copy_n(lane_scores.begin(), used,
-                  r.scores.begin() + static_cast<std::ptrdiff_t>(base));
-    }
-    r.timings.b2w_ms = timer.elapsed_ms();
+    const SchemeBpbcAligner<W> aligner(ScoringScheme::from_params(params_),
+                                       m, n);
+    r.scores = aligner.score_groups(xv, yv, count, mode_, method_,
+                                    &r.timings, job.stop);
     r.has_phase_timings = true;
 
     // First-touch shard verification folds into the screen's integrity

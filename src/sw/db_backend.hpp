@@ -33,8 +33,8 @@ namespace swbpbc::sw {
 struct DbBackendOptions {
   ScoreParams params;
   // Full scoring model; outranks `params` when set. The store backend
-  // drives the linear DNA kernels, so only ScoreParams-expressible
-  // schemes are accepted (they lower onto `params`, bit-identically);
+  // scores linear DNA only, so only ScoreParams-expressible schemes are
+  // accepted (they lower onto `params`, bit-identically);
   // make_db_backend rejects affine or matrix schemes with a typed
   // kInvalidInput StatusError — those screen a store through
   // sw::try_scheme_db_max_scores instead.

@@ -63,9 +63,9 @@ parse_forced_lane_width(const char* value);
 /// SWBPBC_FORCE_LANE_WIDTH is set to an unparsable value.
 [[nodiscard]] LaneWidth resolve_lane_width(LaneWidth requested);
 
-/// Nearest builtin width for code paths that only instantiate builtin lane
-/// words (detailed traceback, affine, banded, scan): wide widths clamp to
-/// k64 — scores are width-independent, so only throughput changes.
+/// Nearest builtin width for the code paths that only instantiate builtin
+/// lane words (detailed traceback, banded): wide widths clamp to k64 —
+/// scores are width-independent, so only throughput changes.
 [[nodiscard]] LaneWidth builtin_lane_width(LaneWidth width);
 
 }  // namespace swbpbc::sw

@@ -115,32 +115,66 @@ void SchemeBpbcAligner<W>::max_score_slices(
         "group planes do not match the scheme's alphabet bits");
   if (out_slices.size() != s_)
     throw std::invalid_argument("out_slices.size() must equal slices()");
+  if (matrix_) {
+    if (affine_) return sweep<true, true>(x, y, out_slices);
+    return sweep<true, false>(x, y, out_slices);
+  }
+  if (affine_) return sweep<false, true>(x, y, out_slices);
+  sweep<false, false>(x, y, out_slices);
+}
+
+template <bitsim::LaneWord W>
+template <bool kMatrix, bool kAffine>
+void SchemeBpbcAligner<W>::sweep(const encoding::PlanarGenericView<W>& x,
+                                 const encoding::PlanarGenericView<W>& y,
+                                 std::span<W> out_slices) const {
   const unsigned s = s_;
   const std::size_t n = n_;
   constexpr W kZero = bitops::word_traits<W>::zero();
 
   // Matrix mux column profiles (one pass over y per group).
   std::vector<W> leaf;
-  if (matrix_) build_profiles(y, leaf);
-  const std::size_t sigma = matrix_ ? scheme_.matrix->size() : 0;
+  if constexpr (kMatrix) build_profiles(y, leaf);
+  const std::size_t sigma = kMatrix ? scheme_.matrix->size() : 0;
   const unsigned mux_bits = wp_bits_ + wn_bits_;
 
   // Bit-sliced rows of H (and F for affine), boundary column at slot 0.
   std::vector<W> h_row((n + 1) * s, kZero);
-  std::vector<W> f_row(affine_ ? (n + 1) * s : 0, kZero);
-  std::vector<W> diag(s), old_up(s), e_col(s), f_cell(s);
+  std::vector<W> f_row(kAffine ? (n + 1) * s : 0, kZero);
+  std::vector<W> diag(s), old_up(s), e_run(kAffine ? s : 0);
   std::vector<W> t(s), u(s), r(s), t2(s), best(s, kZero);
   std::vector<W> wp_full(s, kZero), wn_full(s, kZero);
   std::vector<W> eq_x(sigma);
-  std::vector<W> xchar(matrix_ ? 0 : eps_);
+  // Uniform: the character planes of x_i (per row) and of every y_j,
+  // position-major, so each cell's operands are contiguous.
+  std::vector<W> xchar, ychars;
+  if constexpr (!kMatrix) {
+    xchar.resize(eps_);
+    ychars.resize(n * eps_);
+    for (std::size_t j = 0; j < n; ++j)
+      for (unsigned p = 0; p < eps_; ++p) ychars[j * eps_ + p] = y.plane(j, p);
+  }
 
-  const std::span<const W> open(open_);
-  const std::span<const W> extend(extend_);
-  const std::span<const W> c1(c1_);
-  const std::span<const W> c2(c2_);
+  SchemeCellOperands<W> k;
+  k.open = open_;
+  k.extend = extend_;
+  k.c1 = c1_;
+  k.c2 = c2_;
+  k.affine = kAffine;
+  k.matrix = kMatrix;
+  if constexpr (kMatrix) {
+    k.wp = wp_full;
+    k.wn = wn_full;
+  } else {
+    k.xc = xchar;
+  }
+  k.t = t;
+  k.u = u;
+  k.r = r;
+  k.t2 = t2;
 
   for (std::size_t i = 0; i < m_; ++i) {
-    if (matrix_) {
+    if constexpr (kMatrix) {
       // One-hot row selectors of the mux, hoisted per DP row.
       for (std::size_t a = 0; a < sigma; ++a)
         eq_x[a] = eq_code(x, i, eps_, static_cast<std::uint8_t>(a));
@@ -148,15 +182,14 @@ void SchemeBpbcAligner<W>::max_score_slices(
       for (unsigned p = 0; p < eps_; ++p) xchar[p] = x.plane(i, p);
     }
     std::fill(diag.begin(), diag.end(), kZero);
-    if (affine_) std::fill(e_col.begin(), e_col.end(), kZero);
+    std::fill(e_run.begin(), e_run.end(), kZero);
 
     for (std::size_t j = 1; j <= n; ++j) {
       const std::span<W> h_up(h_row.data() + j * s, s);
       const std::span<const W> h_left(h_row.data() + (j - 1) * s, s);
       std::copy(h_up.begin(), h_up.end(), old_up.begin());
 
-      // T = max(0, H_diag + w(x_i, y_j)) into t2.
-      if (matrix_) {
+      if constexpr (kMatrix) {
         // Per-bit mux: OR over the alphabet of (row selector AND column
         // profile) — the runtime form of circuit build_matrix_mux.
         for (unsigned l = 0; l < mux_bits; ++l) {
@@ -168,48 +201,12 @@ void SchemeBpbcAligner<W>::max_score_slices(
           else
             wn_full[l - wp_bits_] = acc;
         }
-        bitops::add_b<W>(std::span<const W>(diag),
-                         std::span<const W>(wp_full), std::span<W>(r));
-        bitops::ssub_b<W>(std::span<const W>(r),
-                          std::span<const W>(wn_full), std::span<W>(t2));
       } else {
-        W e = xchar[0] ^ y.plane(j - 1, 0);
-        for (unsigned p = 1; p < eps_; ++p)
-          e = e | (xchar[p] ^ y.plane(j - 1, p));
-        bitops::matching_b<W>(std::span<const W>(diag), e, c1, c2,
-                              std::span<W>(t2), std::span<W>(r),
-                              std::span<W>(t));
+        k.yc = {ychars.data() + (j - 1) * eps_, eps_};
       }
-
-      if (affine_) {
-        // E = max(H_left - open, E - extend); F = max(H_up - open,
-        // F_up - extend): the Gotoh carry chains.
-        bitops::ssub_b<W>(h_left, open, std::span<W>(t));
-        bitops::ssub_b<W>(std::span<const W>(e_col), extend,
-                          std::span<W>(u));
-        bitops::max_b<W>(std::span<const W>(t), std::span<const W>(u),
-                         std::span<W>(e_col));
-        const std::span<W> f_up(f_row.data() + j * s, s);
-        bitops::ssub_b<W>(std::span<const W>(old_up), open,
-                          std::span<W>(t));
-        bitops::ssub_b<W>(std::span<const W>(f_up), extend,
-                          std::span<W>(u));
-        bitops::max_b<W>(std::span<const W>(t), std::span<const W>(u),
-                         std::span<W>(f_cell));
-        std::copy(f_cell.begin(), f_cell.end(), f_up.begin());
-        bitops::max_b<W>(std::span<const W>(t2),
-                         std::span<const W>(e_col), std::span<W>(t));
-        bitops::max_b<W>(std::span<const W>(t),
-                         std::span<const W>(f_cell), h_up);
-      } else {
-        bitops::ssub_b<W>(std::span<const W>(old_up), open,
-                          std::span<W>(t));
-        bitops::ssub_b<W>(h_left, open, std::span<W>(u));
-        bitops::max_b<W>(std::span<const W>(t), std::span<const W>(u),
-                         std::span<W>(r));
-        bitops::max_b<W>(std::span<const W>(t2), std::span<const W>(r),
-                         h_up);
-      }
+      const std::span<W> f_up =
+          kAffine ? std::span<W>(f_row.data() + j * s, s) : std::span<W>();
+      scheme_cell<W>(k, old_up, h_left, diag, e_run, f_up, h_up);
       bitops::max_b<W>(std::span<const W>(best), std::span<const W>(h_up),
                        std::span<W>(best));
       std::copy(old_up.begin(), old_up.end(), diag.begin());
@@ -225,6 +222,38 @@ std::vector<std::uint32_t> SchemeBpbcAligner<W>::max_scores(
   std::vector<W> slices(s_);
   max_score_slices(x, y, std::span<W>(slices));
   return encoding::untranspose_values<W>(std::span<const W>(slices), s_);
+}
+
+template <bitsim::LaneWord W>
+std::vector<std::uint32_t> SchemeBpbcAligner<W>::score_groups(
+    std::span<const encoding::PlanarGenericView<W>> xs,
+    std::span<const encoding::PlanarGenericView<W>> ys, std::size_t count,
+    bulk::Mode mode, encoding::TransposeMethod method, PhaseTimings* timings,
+    const util::StopCondition* stop) const {
+  constexpr unsigned kLanes = bitsim::word_bits_v<W>;
+  const std::size_t n_groups = xs.size();
+  std::vector<std::vector<W>> group_slices(n_groups, std::vector<W>(s_));
+  util::WallTimer timer;
+  bulk::for_each_instance(
+      n_groups, mode,
+      [&](std::size_t g) {
+        max_score_slices(xs[g], ys[g], std::span<W>(group_slices[g]));
+      },
+      stop);
+  if (timings) timings->swa_ms = timer.elapsed_ms();
+
+  timer.reset();
+  std::vector<std::uint32_t> scores(count, 0);
+  for (std::size_t g = 0; g < n_groups; ++g) {
+    const auto lane_scores = encoding::untranspose_values<W>(
+        std::span<const W>(group_slices[g]), s_, method);
+    const std::size_t base = g * kLanes;
+    const std::size_t used = std::min<std::size_t>(kLanes, count - base);
+    std::copy_n(lane_scores.begin(), used,
+                scores.begin() + static_cast<std::ptrdiff_t>(base));
+  }
+  if (timings) timings->b2w_ms = timer.elapsed_ms();
+  return scores;
 }
 
 namespace {
@@ -250,38 +279,20 @@ std::vector<std::uint32_t> run_scheme(
     std::span<const encoding::GenericSequence> ys,
     const ScoringScheme& scheme, bulk::Mode mode,
     encoding::TransposeMethod method, PhaseTimings* timings) {
-  constexpr unsigned kLanes = bitsim::word_bits_v<W>;
-  const std::size_t count = xs.size();
   const unsigned eps = scheme.alphabet_bits();
 
   util::WallTimer timer;
   const auto bx = encoding::transpose_generic_planar<W>(xs, eps, method);
   const auto by = encoding::transpose_generic_planar<W>(ys, eps, method);
+  std::vector<encoding::PlanarGenericView<W>> xv, yv;
+  for (std::size_t g = 0; g < bx.groups.size(); ++g) {
+    xv.push_back(bx.groups[g].view());
+    yv.push_back(by.groups[g].view());
+  }
   if (timings) timings->w2b_ms = timer.elapsed_ms();
 
   const SchemeBpbcAligner<W> aligner(scheme, bx.length, by.length);
-  const unsigned s = aligner.slices();
-  const std::size_t n_groups = bx.groups.size();
-  std::vector<std::vector<W>> group_slices(n_groups, std::vector<W>(s));
-  timer.reset();
-  bulk::for_each_instance(n_groups, mode, [&](std::size_t g) {
-    aligner.max_score_slices(bx.groups[g].view(), by.groups[g].view(),
-                             std::span<W>(group_slices[g]));
-  });
-  if (timings) timings->swa_ms = timer.elapsed_ms();
-
-  timer.reset();
-  std::vector<std::uint32_t> scores(count, 0);
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    const auto lane_scores = encoding::untranspose_values<W>(
-        std::span<const W>(group_slices[g]), s, method);
-    const std::size_t base = g * kLanes;
-    const std::size_t used = std::min<std::size_t>(kLanes, count - base);
-    std::copy_n(lane_scores.begin(), used,
-                scores.begin() + static_cast<std::ptrdiff_t>(base));
-  }
-  if (timings) timings->b2w_ms = timer.elapsed_ms();
-  return scores;
+  return aligner.score_groups(xv, yv, xs.size(), mode, method, timings);
 }
 
 }  // namespace

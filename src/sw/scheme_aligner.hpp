@@ -1,6 +1,9 @@
-// Bit-sliced Smith-Waterman under the full ScoringScheme — the Gotoh
-// affine-gap recurrence and epsilon-bit substitution-matrix lookup as
-// bulk bitwise computation, at every lane width.
+// The bit-sliced Smith-Waterman kernel: one DP sweep per group of W lanes
+// under any ScoringScheme — linear or Gotoh affine gaps, uniform
+// match/mismatch or epsilon-bit substitution-matrix lookup — at every
+// lane width. Every host BPBC front end runs it: the DNA batch function
+// and host backend (bpbc.hpp, backend.hpp), the database-store backend
+// (db_backend.hpp), and the generic-alphabet front ends below.
 //
 // Gap model (Gotoh, paper §III generalized): three bit-sliced chains
 //
@@ -10,7 +13,9 @@
 //
 // with saturating SSub_B (values clamp at zero, which is exactly the
 // local-alignment max-with-0). A linear scheme collapses E/F to the
-// classic one-chain sw_cell.
+// paper's one-chain cell H = max(T, SSub(max(up, left), open)) — the
+// same value as max(SSub(up), SSub(left)) under saturating arithmetic,
+// one SSub_B and one max_B cheaper (DESIGN.md decision 19).
 //
 // Substitution lookup: a signed matrix entry w(a, b) is split into a
 // positive magnitude plane set wp (bit_width(max positive entry) planes)
@@ -25,21 +30,84 @@
 // per group), OR-reduced over the alphabet. circuit/sw_circuit.hpp
 // builds the same mux as a netlist for the op-count/verification tests.
 //
-// The uniform (match/mismatch) substitution model keeps the paper's
-// matching_B path bit-for-bit, so a ScoreParams-expressible scheme
-// scores identically to BpbcAligner.
+// The uniform substitution model runs the paper's matching_B, so a
+// uniform linear cell is exactly bitops::sw_cell plus the character
+// compare: ops_sw_cell(s, epsilon) operations, within Theorem 6's
+// 48s - 18 (asserted on CountingWord by tests/bitops/opcount_test.cpp).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "bitops/arith.hpp"
 #include "db/reader.hpp"
 #include "encoding/generic_batch.hpp"
 #include "sw/bpbc.hpp"
 #include "sw/scoring.hpp"
+#include "util/cancel.hpp"
 
 namespace swbpbc::sw {
+
+/// Operands of one kernel cell that stay fixed across a DP sweep.
+template <bitops::SliceWord W>
+struct SchemeCellOperands {
+  // Broadcast scheme constants, s slices each (c1/c2: uniform only).
+  std::span<const W> open, extend, c1, c2;
+  bool affine = false;
+  bool matrix = false;
+  // The cell's substitution: the epsilon character planes of x_i and y_j
+  // under a uniform scheme, or the mux's sign-split magnitudes of
+  // w(x_i, y_j) (s slices each) under a matrix scheme.
+  std::span<const W> xc, yc, wp, wn;
+  // Scratch, s slices each, distinct from every other operand.
+  std::span<W> t, u, r, t2;
+};
+
+/// One DP cell of the kernel: writes H[i][j] into `h` from up =
+/// H[i-1][j], left = H[i][j-1] and diag = H[i-1][j-1]. Under an affine
+/// scheme `e_run` (E along the row) and `f_up` (F[i-1][j], becoming
+/// F[i][j]) are updated in place; a linear scheme ignores both. `h` must
+/// not alias any other argument.
+template <bitops::SliceWord W>
+void scheme_cell(const SchemeCellOperands<W>& k, std::span<const W> up,
+                 std::span<const W> left, std::span<const W> diag,
+                 std::span<W> e_run, std::span<W> f_up, std::span<W> h) {
+  // Branch on the bools, not on span sizes: the kernel's sweep sets them
+  // from its template arguments, and unlike a std::size_t (which a
+  // uint64_t lane store may alias) they stay known constants in its loop.
+  const bool uniform = !k.matrix;
+  const W e = uniform ? bitops::mismatch_mask<W>(k.xc, k.yc)
+                      : bitops::word_traits<W>::zero();
+  if (uniform && !k.affine) {
+    // The paper's SW cell (Theorem 6).
+    bitops::sw_cell<W>(up, left, diag, e, k.open, k.c1, k.c2, h, k.t, k.u,
+                       k.r);
+    return;
+  }
+  // T = max(0, H_diag + w(x_i, y_j)) into t2.
+  if (uniform) {
+    bitops::matching_b<W>(diag, e, k.c1, k.c2, k.t2, k.r, k.t);
+  } else {
+    bitops::add_b<W>(diag, k.wp, k.r);
+    bitops::ssub_b<W>(std::span<const W>(k.r), k.wn, k.t2);
+  }
+  const std::span<const W> t(k.t), u(k.u), t2(k.t2);
+  if (k.affine) {
+    bitops::ssub_b<W>(left, k.open, k.t);
+    bitops::ssub_b<W>(std::span<const W>(e_run), k.extend, k.u);
+    bitops::max_b<W>(t, u, e_run);
+    bitops::ssub_b<W>(up, k.open, k.t);
+    bitops::ssub_b<W>(std::span<const W>(f_up), k.extend, k.u);
+    bitops::max_b<W>(t, u, f_up);
+    bitops::max_b<W>(t2, std::span<const W>(e_run), k.t);
+    bitops::max_b<W>(t, std::span<const W>(f_up), h);
+  } else {
+    bitops::max_b<W>(up, left, k.t);
+    bitops::ssub_b<W>(t, k.open, k.u);
+    bitops::max_b<W>(t2, u, h);
+  }
+}
 
 /// Scores one group of W lanes under an arbitrary ScoringScheme over
 /// plane-major epsilon-bit batches. The scheme must have passed
@@ -66,12 +134,29 @@ class SchemeBpbcAligner {
       const encoding::PlanarGenericView<W>& x,
       const encoding::PlanarGenericView<W>& y) const;
 
+  /// The SWA and B2W phases of a batch: group g pairs xs[g] with ys[g],
+  /// groups run on `mode` (polling `stop` between them), and the first
+  /// `count` lane scores come back in group-major order. Fills
+  /// timings->swa_ms / b2w_ms when `timings` is non-null.
+  [[nodiscard]] std::vector<std::uint32_t> score_groups(
+      std::span<const encoding::PlanarGenericView<W>> xs,
+      std::span<const encoding::PlanarGenericView<W>> ys, std::size_t count,
+      bulk::Mode mode, encoding::TransposeMethod method,
+      PhaseTimings* timings,
+      const util::StopCondition* stop = nullptr) const;
+
  private:
   // Column profiles of the matrix mux: leaf[(a * (wp_bits_ + wn_bits_) +
   // l) * n + j] is the OR of eq_y[b][j] over the symbols b in set l of
   // symbol a (positive planes first, then negative).
   void build_profiles(const encoding::PlanarGenericView<W>& y,
                       std::vector<W>& leaf) const;
+  // The DP sweep behind max_score_slices, compiled once per (substitution
+  // model, gap model) so each combination gets its own branch-free loop.
+  template <bool kMatrix, bool kAffine>
+  void sweep(const encoding::PlanarGenericView<W>& x,
+             const encoding::PlanarGenericView<W>& y,
+             std::span<W> out_slices) const;
 
   ScoringScheme scheme_;
   std::size_t m_ = 0;

@@ -126,7 +126,7 @@ struct ScoringScheme {
     return gap_model == GapModel::kAffine;
   }
   /// True when the scheme is exactly a ScoreParams (linear + uniform) —
-  /// such schemes run the legacy kernels and fingerprint identically.
+  /// such schemes fingerprint identically to fingerprint_params.
   [[nodiscard]] bool params_expressible() const {
     return uniform() && gap_model == GapModel::kLinear;
   }

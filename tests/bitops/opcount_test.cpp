@@ -1,5 +1,6 @@
-// Measures the operation counts of the Section IV.A arithmetic with
-// CountingWord and asserts the paper's Lemmas 2-5 and Theorem 6.
+// Measures the operation counts of the Section IV.A arithmetic, and of the
+// production kernel's DP cell, with CountingWord and asserts the paper's
+// Lemmas 2-5 and Theorem 6.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -8,6 +9,7 @@
 #include "bitops/arith.hpp"
 #include "bitops/counting.hpp"
 #include "bitops/slices.hpp"
+#include "sw/scheme_aligner.hpp"
 
 namespace swbpbc::bitops {
 namespace {
@@ -105,6 +107,62 @@ TEST_P(OpCount, SwCellWithinTheorem6Bound) {
     // s >= 3.)
     EXPECT_LE(CW::ops(), ops_sw_cell_bound(s));
   }
+}
+
+// The production kernel's cell (sw::scheme_cell, what SchemeBpbcAligner
+// runs per DP cell) on CountingWord. The uniform linear DNA cell must be
+// exactly the paper's SW cell: same value as bitops::sw_cell and
+// ops_sw_cell(s, 2) operations, within Theorem 6's 48s - 18.
+struct KernelCell {
+  explicit KernelCell(unsigned s, bool affine)
+      : up(cw_slices(s, 3)), left(cw_slices(s, 5)), diag(cw_slices(s, 7)),
+        gap(cw_slices(s, 11)), c1(cw_slices(s, 13)), c2(cw_slices(s, 17)),
+        x(cw_slices(2, 19)), y(cw_slices(2, 23)), e_run(cw_slices(s, 29)),
+        f_up(cw_slices(s, 31)), h(s), t(s), u(s), r(s), t2(s) {
+    k.open = gap;
+    k.extend = gap;
+    k.c1 = c1;
+    k.c2 = c2;
+    k.affine = affine;
+    k.xc = x;
+    k.yc = y;
+    k.t = t;
+    k.u = u;
+    k.r = r;
+    k.t2 = t2;
+  }
+  void run() { sw::scheme_cell<CW>(k, up, left, diag, e_run, f_up, h); }
+
+  std::vector<CW> up, left, diag, gap, c1, c2, x, y, e_run, f_up;
+  std::vector<CW> h, t, u, r, t2;
+  sw::SchemeCellOperands<CW> k;
+};
+
+TEST_P(OpCount, KernelUniformLinearDnaCellIsTheSwCell) {
+  const unsigned s = GetParam();
+  KernelCell cell(s, /*affine=*/false);
+  CW::reset_ops();
+  cell.run();
+  EXPECT_EQ(CW::ops(), ops_sw_cell(s, 2));
+  if (s >= 3) {
+    EXPECT_LE(CW::ops(), ops_sw_cell_bound(s));  // Theorem 6
+  }
+
+  std::vector<CW> want(s), t(s), u(s), r(s);
+  const CW e = mismatch_mask<CW>(cell.x, cell.y);
+  sw_cell<CW>(cell.up, cell.left, cell.diag, e, cell.gap, cell.c1, cell.c2,
+              want, t, u, r);
+  EXPECT_EQ(cell.h, want);
+}
+
+TEST_P(OpCount, KernelUniformAffineDnaCellCost) {
+  // Gotoh: matching_B plus two SSub_B and one max_B per gap chain (E, F)
+  // and two max_B for H = max(T, E, F).
+  const unsigned s = GetParam();
+  KernelCell cell(s, /*affine=*/true);
+  CW::reset_ops();
+  cell.run();
+  EXPECT_EQ(CW::ops(), ops_matching(s, 2) + 4 * ops_ssub(s) + 4 * ops_max(s));
 }
 
 INSTANTIATE_TEST_SUITE_P(SliceWidths, OpCount,

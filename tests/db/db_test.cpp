@@ -139,6 +139,34 @@ TEST(DbStore, GenericEpsilonFiveRoundTrips) {
   std::remove(path.c_str());
 }
 
+// The on-disk format is a compatibility contract: stores built by any
+// earlier release must keep opening and serving. Pin the whole-file
+// FNV-1a of one seeded DNA store and one epsilon = 5 store, so a builder
+// change that moves a byte fails here instead of in the field.
+TEST(DbStore, FileBytesArePinned) {
+  const std::string dna_path = temp_path("pinned_dna.swdb");
+  ASSERT_TRUE(build_database(make_batch(130, 40), dna_path).ok());
+  const std::vector<char> dna = slurp(dna_path);
+  EXPECT_EQ(dna.size(), 2112u);
+  EXPECT_EQ(util::fnv1a_bytes(dna.data(), dna.size()),
+            0x5967b628abd20c6eull);
+  std::remove(dna_path.c_str());
+
+  const std::string protein_path = temp_path("pinned_eps5.swdb");
+  util::Xoshiro256 rng(5);
+  std::vector<encoding::GenericSequence> seqs(70);
+  for (auto& s : seqs) {
+    s.resize(33);
+    for (auto& c : s) c = static_cast<std::uint8_t>(rng.below(20));
+  }
+  ASSERT_TRUE(build_generic_database(seqs, 5, protein_path).ok());
+  const std::vector<char> protein = slurp(protein_path);
+  EXPECT_EQ(protein.size(), 2880u);
+  EXPECT_EQ(util::fnv1a_bytes(protein.data(), protein.size()),
+            0xf1c73b67aa539e82ull);
+  std::remove(protein_path.c_str());
+}
+
 TEST(DbStore, BuilderRejectsRaggedAndOversizedCodes) {
   std::vector<encoding::GenericSequence> ragged = {{1, 2, 3}, {1, 2}};
   EXPECT_EQ(build_generic_database(ragged, 2, temp_path("ragged.swdb"))

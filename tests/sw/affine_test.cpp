@@ -1,15 +1,53 @@
-// Affine-gap (Gotoh) extension: scalar reference vs the bit-sliced
-// implementation, plus the degeneration property open == extend ==
-// linear gap.
+// Affine-gap (Gotoh) scoring over DNA: the scalar reference against the
+// bit-sliced kernel behind the DNA host backend, plus the degeneration
+// property open == extend == linear gap.
 #include <gtest/gtest.h>
 
 #include "encoding/random.hpp"
-#include "sw/affine.hpp"
+#include "sw/backend.hpp"
 #include "sw/bpbc.hpp"
 #include "sw/scalar.hpp"
+#include "sw/scoring.hpp"
 
 namespace swbpbc::sw {
 namespace {
+
+struct AffineCosts {
+  std::uint32_t match = 2;
+  std::uint32_t mismatch = 1;
+  std::uint32_t gap_open = 3;
+  std::uint32_t gap_extend = 1;
+};
+
+ScoringScheme affine(const AffineCosts& c) {
+  ScoringScheme s;
+  s.match = c.match;
+  s.mismatch = c.mismatch;
+  s.gap_model = GapModel::kAffine;
+  s.gap_open = c.gap_open;
+  s.gap_extend = c.gap_extend;
+  return s;
+}
+
+std::uint32_t affine_max_score(const encoding::Sequence& x,
+                               const encoding::Sequence& y,
+                               const AffineCosts& c) {
+  return scheme_max_score(x, y, affine(c));
+}
+
+// The DNA host backend: the path the screening pipeline runs for affine
+// schemes.
+std::vector<std::uint32_t> affine_bpbc_scores(
+    const std::vector<encoding::Sequence>& xs,
+    const std::vector<encoding::Sequence>& ys, const AffineCosts& c,
+    LaneWidth width = LaneWidth::k64) {
+  const auto backend = make_host_backend(affine(c), width, bulk::Mode::kSerial,
+                                         encoding::TransposeMethod::kPlanned);
+  ChunkJob job;
+  job.xs = xs;
+  job.ys = ys;
+  return backend->run(job).scores;
+}
 
 TEST(AffineScalar, PerfectMatch) {
   const auto x = encoding::sequence_from_string("ACGTACGT");
@@ -17,9 +55,7 @@ TEST(AffineScalar, PerfectMatch) {
 }
 
 TEST(AffineScalar, LongGapCheaperThanRepeatedOpens) {
-  // x = AAAATTTT...TTTTAAAA-like: one long gap should cost
-  // open + (k-1) * extend, not k * open.
-  // x matches y with one 5-column gap (the TTTTT run); no contiguous
+  // x matches y with one 5-column gap (the AAAAA run); no contiguous
   // region of x scores higher than the two 4-match halves (8 each).
   const auto x = encoding::sequence_from_string("GGGGCCCC");
   const auto y = encoding::sequence_from_string("GGGGAAAAACCCC");
@@ -38,9 +74,8 @@ TEST(AffineScalar, OpenEqualsExtendDegeneratesToLinear) {
     const auto x = encoding::random_sequence(rng, 6 + rng.below(12));
     const auto y = encoding::random_sequence(rng, 12 + rng.below(30));
     const auto g = static_cast<std::uint32_t>(1 + rng.below(3));
-    const AffineParams affine{2, 1, g, g};
     const ScoreParams linear{2, 1, g};
-    EXPECT_EQ(affine_max_score(x, y, affine), max_score(x, y, linear))
+    EXPECT_EQ(affine_max_score(x, y, {2, 1, g, g}), max_score(x, y, linear))
         << "trial " << trial;
   }
 }
@@ -53,7 +88,7 @@ TEST(AffineScalar, EmptyInputs) {
 
 struct AffineCase {
   std::size_t count, m, n;
-  AffineParams params;
+  AffineCosts params;
   std::uint64_t seed;
 };
 
@@ -67,8 +102,7 @@ TEST_P(AffineBpbcVsScalar, Lane32) {
   for (std::size_t k = 0; k < c.count; k += 4) {
     encoding::plant_motif(ys[k], xs[k], k % (c.n - c.m));
   }
-  const auto scores =
-      affine_bpbc_max_scores(xs, ys, c.params, LaneWidth::k32);
+  const auto scores = affine_bpbc_scores(xs, ys, c.params, LaneWidth::k32);
   for (std::size_t k = 0; k < c.count; ++k) {
     EXPECT_EQ(scores[k], affine_max_score(xs[k], ys[k], c.params))
         << "instance " << k;
@@ -80,8 +114,7 @@ TEST_P(AffineBpbcVsScalar, Lane64) {
   util::Xoshiro256 rng(c.seed + 100);
   const auto xs = encoding::random_sequences(rng, c.count, c.m);
   const auto ys = encoding::random_sequences(rng, c.count, c.n);
-  const auto scores =
-      affine_bpbc_max_scores(xs, ys, c.params, LaneWidth::k64);
+  const auto scores = affine_bpbc_scores(xs, ys, c.params, LaneWidth::k64);
   for (std::size_t k = 0; k < c.count; ++k) {
     EXPECT_EQ(scores[k], affine_max_score(xs[k], ys[k], c.params))
         << "instance " << k;
@@ -100,16 +133,14 @@ TEST(AffineBpbc, AgreesWithLinearPathWhenDegenerate) {
   util::Xoshiro256 rng(9);
   const auto xs = encoding::random_sequences(rng, 32, 9);
   const auto ys = encoding::random_sequences(rng, 32, 30);
-  const AffineParams affine{2, 1, 1, 1};
-  const ScoreParams linear{2, 1, 1};
-  EXPECT_EQ(affine_bpbc_max_scores(xs, ys, affine),
-            bpbc_max_scores(xs, ys, linear));
+  EXPECT_EQ(affine_bpbc_scores(xs, ys, {2, 1, 1, 1}),
+            bpbc_max_scores(xs, ys, {2, 1, 1}));
 }
 
 TEST(AffineBpbc, SliceSizing) {
-  EXPECT_GE(affine_required_slices({2, 1, 3, 1}, 128, 1024), 9u);
+  EXPECT_GE(scheme_required_slices(affine({2, 1, 3, 1}), 128, 1024), 9u);
   // The open cost must be representable even if the score range is tiny.
-  EXPECT_GE(affine_required_slices({1, 1, 7, 7}, 1, 2), 3u);
+  EXPECT_GE(scheme_required_slices(affine({1, 1, 7, 7}), 1, 2), 3u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "encoding/random.hpp"
 #include "sw/bpbc.hpp"
 #include "sw/scalar.hpp"
+#include "sw/scheme_aligner.hpp"
 
 namespace swbpbc::sw {
 namespace {
@@ -101,31 +102,10 @@ TEST(Bpbc, IdenticalStringsSaturateToFullScore) {
   for (auto sc : scores) EXPECT_GE(sc, 32u);  // full 16-char match
 }
 
-TEST(Bpbc, ThresholdMaskSelectsLanesInSliceDomain) {
-  util::Xoshiro256 rng(45);
-  const auto xs = encoding::random_sequences(rng, 32, 8);
-  const auto ys = encoding::random_sequences(rng, 32, 24);
-  const ScoreParams params{2, 1, 1};
-  const BpbcAligner<std::uint32_t> aligner(params, 8, 24);
-  const auto bx = encoding::transpose_strings<std::uint32_t>(xs);
-  const auto by = encoding::transpose_strings<std::uint32_t>(ys);
-  std::vector<std::uint32_t> slices(aligner.slices());
-  aligner.max_score_slices(bx.groups[0], by.groups[0],
-                           std::span<std::uint32_t>(slices));
-  const auto scores = aligner.max_scores(bx.groups[0], by.groups[0]);
-  for (std::uint32_t tau : {0u, 5u, 9u, 14u}) {
-    const std::uint32_t mask = aligner.threshold_mask(
-        std::span<const std::uint32_t>(slices), tau);
-    for (unsigned lane = 0; lane < 32; ++lane) {
-      EXPECT_EQ((mask >> lane) & 1u, scores[lane] >= tau ? 1u : 0u)
-          << "tau=" << tau << " lane=" << lane;
-    }
-  }
-}
-
 TEST(Bpbc, AlignerValidatesShapes) {
-  const ScoreParams params{2, 1, 1};
-  const BpbcAligner<std::uint32_t> aligner(params, 8, 16);
+  using View = encoding::PlanarGenericView<std::uint32_t>;
+  const SchemeBpbcAligner<std::uint32_t> aligner(
+      ScoringScheme::from_params({2, 1, 1}), 8, 16);
   EXPECT_EQ(aligner.m(), 8u);
   EXPECT_EQ(aligner.n(), 16u);
   util::Xoshiro256 rng(50);
@@ -134,7 +114,8 @@ TEST(Bpbc, AlignerValidatesShapes) {
   const auto bx = encoding::transpose_strings<std::uint32_t>(xs);
   const auto by = encoding::transpose_strings<std::uint32_t>(ys);
   std::vector<std::uint32_t> slices(aligner.slices());
-  EXPECT_THROW(aligner.max_score_slices(bx.groups[0], by.groups[0],
+  EXPECT_THROW(aligner.max_score_slices(View::from(bx.groups[0]),
+                                        View::from(by.groups[0]),
                                         std::span<std::uint32_t>(slices)),
                std::invalid_argument);
 }

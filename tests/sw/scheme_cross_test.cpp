@@ -1,14 +1,17 @@
 // Randomized cross-checks of the bitwise ScoringScheme kernels against
 // the scalar Gotoh references: affine gaps and substitution-matrix lookup
-// over DNA and protein alphabets, at every lane width (64/128/256/512 and
-// the forced-scalar wide representation), through the host backend, the
+// over DNA and protein alphabets, at every lane width (32/64/128/256/512
+// and the forced-scalar wide representation) and on sequence lengths at
+// each width's lane-count boundaries, through the host backend, the
 // chunked screening pipeline, the database-store serve path (including
 // corruption quarantine + re-ingest), and the device wavefront engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "db/builder.hpp"
@@ -29,9 +32,9 @@ namespace {
 using encoding::GenericSequence;
 using encoding::Sequence;
 
-const LaneWidth kAllWidths[] = {LaneWidth::k64, LaneWidth::k128,
-                                LaneWidth::k256, LaneWidth::k512,
-                                LaneWidth::kScalarWide};
+const LaneWidth kAllWidths[] = {LaneWidth::k32,  LaneWidth::k64,
+                                LaneWidth::k128, LaneWidth::k256,
+                                LaneWidth::k512, LaneWidth::kScalarWide};
 
 GenericSequence random_generic(util::Xoshiro256& rng, std::size_t len,
                                std::size_t sigma) {
@@ -90,6 +93,52 @@ void expect_cross_width_identity(const std::vector<GenericSequence>& xs,
   }
 }
 
+encoding::Sequence as_dna(const GenericSequence& seq) {
+  encoding::Sequence out;
+  out.reserve(seq.size());
+  for (std::uint8_t c : seq) out.push_back(encoding::base_from_code(c));
+  return out;
+}
+
+// Every width on lengths at its own lane-count boundaries: m or n in
+// {1, lanes - 1, lanes, lanes + 1} against a short other side. Pair 0
+// carries a planted diagonal so high scores (long carry chains) occur.
+// A ScoreParams-expressible scheme also runs the DNA batch front end
+// against the linear scalar reference.
+void expect_boundary_shapes(const ScoringScheme& scheme, std::size_t sigma,
+                            std::uint64_t seed, const std::string& what) {
+  util::Xoshiro256 rng(seed);
+  const auto params = scheme.to_params();
+  for (LaneWidth width : kAllWidths) {
+    const std::size_t lanes = lane_width_bits(width);
+    for (std::size_t len : {std::size_t{1}, lanes - 1, lanes, lanes + 1}) {
+      for (const auto& [m, n] : {std::pair{len, std::size_t{7}},
+                                 std::pair{std::size_t{7}, len}}) {
+        const auto xs = random_batch(rng, 5, m, sigma);
+        auto ys = random_batch(rng, 5, n, sigma);
+        std::copy_n(xs[0].begin(), std::min(m, n), ys[0].begin());
+        const std::string where = what + " @ " + lane_width_name(width) +
+                                  " m=" + std::to_string(m) +
+                                  " n=" + std::to_string(n);
+        auto got = try_scheme_max_scores(xs, ys, scheme, width);
+        ASSERT_TRUE(got.has_value()) << where << ": "
+                                     << got.status().to_string();
+        EXPECT_EQ(*got, scalar_reference(xs, ys, scheme)) << where;
+        if (!params) continue;
+        std::vector<Sequence> dx, dy;
+        for (std::size_t k = 0; k < xs.size(); ++k) {
+          dx.push_back(as_dna(xs[k]));
+          dy.push_back(as_dna(ys[k]));
+        }
+        const auto dna = bpbc_max_scores(dx, dy, *params, width);
+        for (std::size_t k = 0; k < dx.size(); ++k)
+          EXPECT_EQ(dna[k], max_score(dx[k], dy[k], *params))
+              << where << " (DNA front end) pair " << k;
+      }
+    }
+  }
+}
+
 TEST(SchemeCross, DnaAffineMatchesScalarGotohAtEveryWidth) {
   util::Xoshiro256 rng(101);
   // 70 pairs spans two 32-lane groups even at k32 and a partial group at
@@ -100,6 +149,7 @@ TEST(SchemeCross, DnaAffineMatchesScalarGotohAtEveryWidth) {
   expect_cross_width_identity(xs, ys, dna_affine(5, 2), "dna affine 5/2");
   // open == extend degenerates to linear costs; still the Gotoh circuit.
   expect_cross_width_identity(xs, ys, dna_affine(2, 2), "dna affine 2/2");
+  expect_boundary_shapes(dna_affine(3, 1), 4, 102, "dna affine 3/1");
 }
 
 TEST(SchemeCross, ProteinBlosum62MatchesScalarAtEveryWidth) {
@@ -110,6 +160,8 @@ TEST(SchemeCross, ProteinBlosum62MatchesScalarAtEveryWidth) {
                               "blosum62 affine");
   expect_cross_width_identity(xs, ys, protein_blosum62(GapModel::kLinear),
                               "blosum62 linear");
+  expect_boundary_shapes(protein_blosum62(GapModel::kAffine), 20, 203,
+                         "blosum62 affine");
 }
 
 TEST(SchemeCross, ExpressibleSchemeIsBitIdenticalToLegacyKernels) {
@@ -137,6 +189,26 @@ TEST(SchemeCross, ExpressibleSchemeIsBitIdenticalToLegacyKernels) {
     EXPECT_EQ(*got, bpbc_max_scores(xs_dna, ys_dna, params, width))
         << lane_width_name(width);
   }
+  expect_boundary_shapes(scheme, 4, 304, "dna linear 2/1/1");
+
+  // A score of exactly 2^s - 1, the largest the slices hold: match 3 over
+  // an identical 21-mer pair is 63 at s = 6.
+  const ScoreParams top{3, 1, 1};
+  ASSERT_EQ(scheme_required_slices(ScoringScheme::from_params(top), 21, 21),
+            6u);
+  const std::vector<Sequence> same(3, encoding::random_sequence(rng, 21));
+  const std::vector<GenericSequence> same_generic(3, as_generic(same[0]));
+  for (LaneWidth width : kAllWidths) {
+    EXPECT_EQ(bpbc_max_scores(same, same, top, width),
+              std::vector<std::uint32_t>(3, 63u))
+        << lane_width_name(width);
+    auto got = try_scheme_max_scores(same_generic, same_generic,
+                                     ScoringScheme::from_params(top), width);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, std::vector<std::uint32_t>(3, 63u))
+        << lane_width_name(width);
+  }
+  EXPECT_EQ(max_score(same[0], same[0], top), 63u);
 }
 
 TEST(SchemeCross, ParallelModeMatchesSerial) {

@@ -1,4 +1,4 @@
-// Wide-lane BPBC bit-identity: the ISSUE's central property. One
+// Wide-lane BPBC bit-identity: the central wide-lane property. One
 // wide_word<256> group is the concatenation of four uint64 lane groups, so
 // a 256-lane run must reproduce four independent 64-lane runs bit for bit
 // — scores, threshold masks, survivor counts, and the transposed input
@@ -11,6 +11,8 @@
 #include <span>
 #include <vector>
 
+#include "bitops/arith.hpp"
+#include "bitops/counting.hpp"
 #include "bitsim/wide_word.hpp"
 #include "device/engine.hpp"
 #include "device/fault.hpp"
@@ -20,6 +22,7 @@
 #include "sw/bpbc.hpp"
 #include "sw/lane.hpp"
 #include "sw/scalar.hpp"
+#include "sw/scheme_aligner.hpp"
 #include "util/status.hpp"
 
 namespace swbpbc::sw {
@@ -28,6 +31,14 @@ namespace {
 using W256 = bitsim::simd_word<256>;
 
 constexpr ScoreParams kParams{2, 1, 1};
+
+// Per-lane mask of scores >= tau, compared in bit-sliced form.
+template <bitsim::LaneWord W>
+W threshold_mask(const std::vector<W>& score_slices, std::uint32_t tau) {
+  const auto s = static_cast<unsigned>(score_slices.size());
+  const std::vector<W> tau_slices = bitops::broadcast_constant<W>(tau, s);
+  return bitops::ge_mask<W>(score_slices, tau_slices);
+}
 
 const std::vector<LaneWidth> kAllWidths = {
     LaneWidth::k32,  LaneWidth::k64,         LaneWidth::k128,
@@ -75,14 +86,17 @@ TEST(WideLane, Wide256RunDecomposesIntoFourUint64LaneGroups) {
   const auto wide_y = encoding::transpose_strings<W256>(ys);
   ASSERT_EQ(wide_x.groups.size(), 1u);
 
-  const BpbcAligner<W256> wide(kParams, m, n);
+  using WideView = encoding::PlanarGenericView<W256>;
+  using NarrowView = encoding::PlanarGenericView<std::uint64_t>;
+  const ScoringScheme scheme = ScoringScheme::from_params(kParams);
+  const SchemeBpbcAligner<W256> wide(scheme, m, n);
+  const WideView wx = WideView::from(wide_x.groups[0]);
+  const WideView wy = WideView::from(wide_y.groups[0]);
   std::vector<W256> wide_slices(wide.slices());
-  wide.max_score_slices(wide_x.groups[0], wide_y.groups[0],
-                        std::span<W256>(wide_slices));
-  const auto wide_scores =
-      wide.max_scores(wide_x.groups[0], wide_y.groups[0]);
+  wide.max_score_slices(wx, wy, std::span<W256>(wide_slices));
+  const auto wide_scores = wide.max_scores(wx, wy);
 
-  const BpbcAligner<std::uint64_t> narrow(kParams, m, n);
+  const SchemeBpbcAligner<std::uint64_t> narrow(scheme, m, n);
   for (unsigned t = 0; t < 4; ++t) {
     const std::span<const encoding::Sequence> sub_x(xs.data() + 64 * t, 64);
     const std::span<const encoding::Sequence> sub_y(ys.data() + 64 * t, 64);
@@ -98,8 +112,10 @@ TEST(WideLane, Wide256RunDecomposesIntoFourUint64LaneGroups) {
                 nx.groups[0].lo[i]);
     }
 
+    const NarrowView nxv = NarrowView::from(nx.groups[0]);
+    const NarrowView nyv = NarrowView::from(ny.groups[0]);
     std::vector<std::uint64_t> narrow_slices(narrow.slices());
-    narrow.max_score_slices(nx.groups[0], ny.groups[0],
+    narrow.max_score_slices(nxv, nyv,
                             std::span<std::uint64_t>(narrow_slices));
     ASSERT_EQ(narrow.slices(), wide.slices());
     for (unsigned l = 0; l < narrow.slices(); ++l) {
@@ -107,30 +123,25 @@ TEST(WideLane, Wide256RunDecomposesIntoFourUint64LaneGroups) {
           << "slice " << l << " limb " << t;
     }
 
-    const auto narrow_scores =
-        narrow.max_scores(nx.groups[0], ny.groups[0]);
+    const auto narrow_scores = narrow.max_scores(nxv, nyv);
     for (unsigned lane = 0; lane < 64; ++lane) {
       ASSERT_EQ(wide_scores[64 * t + lane], narrow_scores[lane]);
     }
 
     for (std::uint32_t tau : {0u, 7u, 13u, 20u}) {
-      const W256 wide_mask = wide.threshold_mask(
-          std::span<const W256>(wide_slices), tau);
-      const std::uint64_t narrow_mask = narrow.threshold_mask(
-          std::span<const std::uint64_t>(narrow_slices), tau);
-      EXPECT_EQ(bitsim::get_limb(wide_mask, t), narrow_mask)
+      EXPECT_EQ(bitsim::get_limb(threshold_mask<W256>(wide_slices, tau), t),
+                threshold_mask<std::uint64_t>(narrow_slices, tau))
           << "tau " << tau << " limb " << t;
     }
   }
 
-  // Survivor counting stays generic past 64 lanes (satellite b): the wide
-  // popcount equals the sum over sub-groups, checked via the scores.
+  // Survivor counting stays generic past 64 lanes: the wide popcount
+  // equals the count of scores at or above the threshold.
   for (std::uint32_t tau : {0u, 7u, 13u, 20u}) {
     unsigned expected = 0;
     for (auto sc : wide_scores) expected += sc >= tau ? 1u : 0u;
-    EXPECT_EQ(
-        wide.threshold_count(std::span<const W256>(wide_slices), tau),
-        expected)
+    EXPECT_EQ(bitops::popcount(threshold_mask<W256>(wide_slices, tau)),
+              expected)
         << "tau " << tau;
   }
 }
