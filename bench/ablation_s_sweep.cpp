@@ -14,7 +14,6 @@
 #include "encoding/random.hpp"
 #include "sw/banded.hpp"
 #include "sw/scheme_aligner.hpp"
-#include "sw/traceback.hpp"
 
 namespace {
 
@@ -99,24 +98,6 @@ void BM_AffineGapSwa(benchmark::State& state) {
   run_group_swa(state, scheme, 32, 256, 30);
 }
 BENCHMARK(BM_AffineGapSwa);
-
-// Traceback-enabled pass vs score-only pass (direction planes + argmax).
-void BM_TracebackSwa(benchmark::State& state) {
-  const std::size_t m = 32, n = 256;
-  util::Xoshiro256 rng(30);
-  const auto xs = encoding::random_sequences(rng, 32, m);
-  const auto ys = encoding::random_sequences(rng, 32, n);
-  const auto bx = encoding::transpose_strings<std::uint32_t>(xs);
-  const auto by = encoding::transpose_strings<std::uint32_t>(ys);
-  for (auto _ : state) {
-    auto tb = sw::bpbc_traceback_matrices<std::uint32_t>(
-        bx.groups[0], by.groups[0], {2, 1, 1});
-    benchmark::DoNotOptimize(tb.best_score.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(32 * m * n));
-}
-BENCHMARK(BM_TracebackSwa);
 
 // Banded pruning: cells drop from m*n to ~m*(2*band+1); wall time should
 // follow the cell count.

@@ -145,11 +145,11 @@ int main(int argc, char** argv) {
               "simulator-scale (see DESIGN.md substitutions).\n");
 
   // --- overlapped chunk execution (--overlap) ----------------------------
-  // Compares the chunked device screen three ways over one workload:
-  // the v1 per-chunk backend (fresh device buffers every chunk), the
-  // PipelineEngine run serially (persistent arenas, cached transpose
-  // plans), and the PipelineEngine overlapped across --overlap-depth
-  // stream slots. Scores must be bit-identical across all three.
+  // Compares the chunked screen three ways over one workload: the
+  // PipelineEngine run serially (depth 1: persistent arenas, cached
+  // transpose plans), the PipelineEngine overlapped across
+  // --overlap-depth stream slots, and the host default sw::screen path
+  // (no explicit backend). Scores must be bit-identical across all three.
   // --overlap-trace=path exports the overlapped run's Chrome trace with
   // the per-stream lanes (adjacent chunks' H2G/G2H under another's SWA).
   const std::string overlap_trace = opt.get("overlap-trace", "");
@@ -179,10 +179,6 @@ int main(int argc, char** argv) {
                                                  std::move(rpt));
     };
 
-    sw::ScreenConfig v1 = base;
-    v1.chunk_backend = device::make_chunk_backend(params, base.width);
-    const auto [v1_ms, v1_rpt] = timed(v1);
-
     device::EngineOptions eng;
     eng.params = params;
     eng.width = base.width;
@@ -190,7 +186,7 @@ int main(int argc, char** argv) {
 
     device::PipelineEngine serial_engine(eng);
     sw::ScreenConfig serial = base;
-    serial.backend_v2 = &serial_engine;
+    serial.backend = &serial_engine;
     serial.overlap_depth = 1;
     const auto [serial_ms, serial_rpt] = timed(serial);
 
@@ -200,28 +196,30 @@ int main(int argc, char** argv) {
     eng.telemetry = osession.sink();
     device::PipelineEngine overlap_engine(eng);
     sw::ScreenConfig overlapped = base;
-    overlapped.backend_v2 = &overlap_engine;
+    overlapped.backend = &overlap_engine;
     overlapped.overlap_depth = depth;
     overlapped.telemetry = osession.sink();
     const auto [overlap_ms, overlap_rpt] = timed(overlapped);
 
-    if (v1_rpt.scores != serial_rpt.scores ||
-        serial_rpt.scores != overlap_rpt.scores) {
+    const auto [host_ms, host_rpt] = timed(base);
+
+    if (serial_rpt.scores != overlap_rpt.scores ||
+        serial_rpt.scores != host_rpt.scores) {
       std::fprintf(stderr, "FAIL: chunk execution modes disagree on "
                            "scores — bit-identity is broken\n");
       return 1;
     }
-    util::TextTable otable({"chunk loop", "wall ms", "speedup vs v1"});
+    util::TextTable otable({"chunk loop", "wall ms", "speedup vs depth 1"});
     const auto orow = [&](const char* name, double ms) {
       otable.add_row({name, util::TextTable::num(ms, 2),
-                      util::TextTable::num(v1_ms / ms, 2)});
+                      util::TextTable::num(serial_ms / ms, 2)});
     };
-    orow("v1 chunk backend (per-chunk alloc)", v1_ms);
     orow("engine, serial (depth 1)", serial_ms);
     orow("engine, overlapped", overlap_ms);
+    orow("host default path (no device)", host_ms);
     std::fputs(otable.render().c_str(), stdout);
     std::printf("scores bit-identical across all three runs (%zu pairs)\n",
-                v1_rpt.scores.size());
+                serial_rpt.scores.size());
     if (!overlap_trace.empty()) {
       if (util::Status s = osession.tracer()->write_chrome_trace(
               overlap_trace);

@@ -1,4 +1,4 @@
-// Fault drill: hammer the device-simulator screening backend with seeded
+// Fault drill: hammer the device-simulator PipelineEngine with seeded
 // fault campaigns (bit flips, dropped phase syncs, stalled blocks, flipped
 // copy words) and show the survivable pipeline detecting, quarantining,
 // and recovering every corrupted lane. The batch streams through in
@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "device/fault.hpp"
-#include "device/sw_kernels.hpp"
+#include "device/engine.hpp"
 #include "encoding/random.hpp"
 #include "sw/pipeline.hpp"
 #include "sw/scalar.hpp"
@@ -83,12 +83,16 @@ int main(int argc, char** argv) {
 
     fault.seed = seed * 1000003 + c;
     device::FaultInjector injector(fault);
-    device::GpuRunOptions run;
-    run.faults = &injector;
-    run.watchdog_phases = m + n + 16;
-    run.integrity.enabled = integrity;
-    run.integrity.sample_every = 1;
-    run.telemetry = session.sink();
+    device::EngineOptions eng;
+    eng.params = params;
+    eng.width = sw::LaneWidth::k32;
+    eng.faults = &injector;
+    eng.watchdog_phases = m + n + 16;
+    eng.integrity.enabled = integrity;
+    eng.integrity.sample_every = 1;
+    eng.telemetry = session.sink();
+    eng.overlap_depth = 1;
+    device::PipelineEngine engine(eng);
 
     sw::ScreenConfig cfg;
     cfg.params = params;
@@ -97,8 +101,7 @@ int main(int argc, char** argv) {
     cfg.traceback = false;
     cfg.chunk_pairs = chunk;
     cfg.chunk_retry_limit = 3;
-    cfg.chunk_backend =
-        device::make_chunk_backend(params, sw::LaneWidth::k32, run);
+    cfg.backend = &engine;
     cfg.check.enabled = true;
     cfg.check.sample_every = 1;  // verify every lane against the scalar ref
     cfg.check.max_retries = 4;

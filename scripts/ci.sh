@@ -59,8 +59,33 @@ if [[ $run_tier1 -eq 1 ]]; then
       "$smoke_dir/table4.json" "$smoke_dir/drill.trace.json"
 
   echo "== tier 1: overlapped chunk engine smoke (bit-identity gate) =="
+  # Engine at depth 1, engine overlapped, and the host default screen
+  # path must agree on every score (table4_runtime exits nonzero if not).
   ./build/bench/table4_runtime --pairs=128 --m=16 --n=64 \
       --overlap --chunk-pairs=16 --overlap-depth=3 > /dev/null
+
+  echo "== tier 1: Table V traffic counters (committed-artifact gate) =="
+  # The simulator's memory traffic is deterministic: at table5_gcups'
+  # default config (512 pairs, m = 64, n = 256/512/1024) every device.*
+  # counter — global reads/writes/transactions, shared accesses, bank
+  # conflicts and device.runs; not the .ms histograms — must equal the
+  # committed BENCH_table5.json exactly.
+  ./build/bench/table5_gcups --json="$smoke_dir/table5.json" > /dev/null
+  python3 - BENCH_table5.json "$smoke_dir/table5.json" <<'EOF'
+import json, sys
+def device_counters(path):
+    counters = json.load(open(path))["metrics"]["counters"]
+    return {k: v for k, v in counters.items() if k.startswith("device.")}
+want, got = device_counters(sys.argv[1]), device_counters(sys.argv[2])
+assert len(want) == 19, f"committed artifact has {len(want)} device counters"
+bad = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+for k in bad:
+    print(f"  {k}: committed {want.get(k)}, measured {got.get(k)}",
+          file=sys.stderr)
+if bad:
+    sys.exit("Table V device counters drifted from BENCH_table5.json")
+print(f"  {len(want)} device counters match BENCH_table5.json")
+EOF
 
   echo "== tier 1: lane-width dispatch matrix (score fingerprint gate) =="
   # SWBPBC_FORCE_LANE_WIDTH drives the whole dispatch through one binary:

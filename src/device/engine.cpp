@@ -5,6 +5,7 @@
 #include <exception>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,10 +21,11 @@ namespace {
 
 using encoding::Sequence;
 
-// Fault campaign of a job: a pure function of the (chunk, attempt) tag, so
-// the pattern a chunk observes is independent of how many other chunks
-// were in flight first. The high bit keeps the derived campaigns clear of
-// the injector's shared counter, which the one-shot drivers still use.
+// Fault campaign of an engine job: a pure function of the (chunk, attempt)
+// tag, so the pattern a chunk observes is independent of how many other
+// chunks were in flight first. The high bit keeps the derived campaigns
+// clear of the injector's shared counter, which the one-shot
+// gpu_bpbc_max_scores draws from.
 std::uint64_t job_campaign(const sw::ChunkJob& job) {
   std::uint64_t h = util::fnv1a_value<std::uint64_t>(
       static_cast<std::uint64_t>(job.chunk));
@@ -106,15 +108,30 @@ sw::ChunkResult to_chunk_result(GpuRunResult&& run) {
   return out;
 }
 
-// Width-erased interface over Core<W>: PipelineEngine holds one CoreBase
-// built for the resolved lane width, so adding a width is one factory case
-// instead of another member/forwarder pair.
+// Width-erased interface over Core<W>: PipelineEngine and the one-shot
+// gpu_bpbc_max_scores each hold one CoreBase built for the resolved lane
+// width, so adding a width is one factory case instead of another
+// member/forwarder pair.
 class CoreBase {
  public:
   virtual ~CoreBase() = default;
-  virtual sw::ChunkResult run(const sw::ChunkJob& job) = 0;
+  /// The synchronous five-stage pipeline for one validated, non-empty job
+  /// under an explicit fault campaign, on the dedicated arena.
+  virtual GpuRunResult run_device(const sw::ChunkJob& job,
+                                  std::uint64_t campaign) = 0;
   virtual void submit(const sw::ChunkJob& job) = 0;
   virtual sw::ChunkResult collect() = 0;
+
+  sw::ChunkResult run(const sw::ChunkJob& job) {
+    validate(job);
+    if (job.xs.empty()) return {};
+    return to_chunk_result(run_device(job, job_campaign(job)));
+  }
+
+  static void validate(const sw::ChunkJob& job) {
+    if (job.xs.size() != job.ys.size())
+      throw std::invalid_argument("pattern/text count mismatch");
+  }
 };
 
 template <bitsim::LaneWord W>
@@ -124,29 +141,18 @@ class Core final : public CoreBase {
 
   explicit Core(const EngineOptions& opts)
       : opts_(opts),
-        depth_(std::clamp<std::size_t>(opts.overlap_depth, 1, 8)),
-        slots_(depth_) {
-    if (opts_.telemetry != nullptr) {
-      telemetry::Tracer* tr = opts_.telemetry->tracer();
-      if (tr != nullptr) {
-        tr->set_track_name(telemetry::kTrackStreamBase + 0, "stream.copy-in");
-        tr->set_track_name(telemetry::kTrackStreamBase + 1, "stream.compute");
-        tr->set_track_name(telemetry::kTrackStreamBase + 2, "stream.copy-out");
-      }
-    }
-  }
+        depth_(std::clamp<std::size_t>(opts.overlap_depth, 1, 8)) {}
 
-  sw::ChunkResult run(const sw::ChunkJob& job) override {
-    validate(job);
-    if (job.xs.empty()) return {};
+  GpuRunResult run_device(const sw::ChunkJob& job,
+                          std::uint64_t campaign) override {
     ensure_shape(job);
     JobState<W> st;
-    init_job(st, job, &sync_arena_);
+    init_job(st, job, campaign, &sync_arena_);
     prep(&st, telemetry::kTrackDevice);
     swa(&st, telemetry::kTrackDevice);
     post(&st, telemetry::kTrackDevice);
     if (st.error != nullptr) std::rethrow_exception(st.error);
-    return to_chunk_result(std::move(st.run));
+    return std::move(st.run);
   }
 
   void submit(const sw::ChunkJob& job) override {
@@ -154,26 +160,28 @@ class Core final : public CoreBase {
     if (job.xs.empty())
       throw std::invalid_argument("empty chunk submitted to engine");
     ensure_shape(job);
+    if (streams_ == nullptr) start_streams();
     auto st = std::make_shared<JobState<W>>();
     Arena<W>& arena = slots_[next_slot_];
     next_slot_ = (next_slot_ + 1) % depth_;
-    init_job(*st, job, &arena);
+    init_job(*st, job, job_campaign(job), &arena);
 
     // Chain the job's three stages across the streams. The copy-in stream
     // first stalls until the arena's previous occupant has fully retired,
     // which is what bounds the pipeline at `depth_` chunks in flight.
-    copy_in_.wait(arena.retire);
-    copy_in_.enqueue(
+    Streams& s = *streams_;
+    s.copy_in.wait(arena.retire);
+    s.copy_in.enqueue(
         [this, st] { prep(st.get(), telemetry::kTrackStreamBase + 0); });
-    const Event prep_done = copy_in_.record();
-    compute_.wait(prep_done);
-    compute_.enqueue(
+    const Event prep_done = s.copy_in.record();
+    s.compute.wait(prep_done);
+    s.compute.enqueue(
         [this, st] { swa(st.get(), telemetry::kTrackStreamBase + 1); });
-    const Event swa_done = compute_.record();
-    copy_out_.wait(swa_done);
-    copy_out_.enqueue(
+    const Event swa_done = s.compute.record();
+    s.copy_out.wait(swa_done);
+    s.copy_out.enqueue(
         [this, st] { post(st.get(), telemetry::kTrackStreamBase + 2); });
-    st->done = copy_out_.record();
+    st->done = s.copy_out.record();
     arena.retire = st->done;
     pending_.push_back(std::move(st));
   }
@@ -193,14 +201,29 @@ class Core final : public CoreBase {
   }
 
  private:
-  static void validate(const sw::ChunkJob& job) {
-    if (job.xs.size() != job.ys.size())
-      throw std::invalid_argument("pattern/text count mismatch");
+  // The arena ring and the three stream workers exist only once a job is
+  // submitted: synchronous use (run(), the one-shot driver) spawns no
+  // threads and names no stream tracks.
+  struct Streams {
+    Stream copy_in{"copy-in"};
+    Stream compute{"compute"};
+    Stream copy_out{"copy-out"};
+  };
+
+  void start_streams() {
+    slots_.resize(depth_);
+    streams_ = std::make_unique<Streams>();
+    if (telemetry::Tracer* tr = tracer(); tr != nullptr) {
+      tr->set_track_name(telemetry::kTrackStreamBase + 0, "stream.copy-in");
+      tr->set_track_name(telemetry::kTrackStreamBase + 1, "stream.compute");
+      tr->set_track_name(telemetry::kTrackStreamBase + 2, "stream.copy-out");
+    }
   }
 
-  void init_job(JobState<W>& st, const sw::ChunkJob& job, Arena<W>* arena) {
+  static void init_job(JobState<W>& st, const sw::ChunkJob& job,
+                       std::uint64_t campaign, Arena<W>* arena) {
     st.job = job;
-    st.campaign = job_campaign(job);
+    st.campaign = campaign;
     st.arena = arena;
     st.count = job.xs.size();
     st.n_groups = (st.count + kLanes - 1) / kLanes;
@@ -375,7 +398,10 @@ class Core final : public CoreBase {
     w2b_span.finish();
     st->run.timings.w2b_ms = timer.elapsed_ms();
 
-    // Transpose round-trip after W2B (see sw_kernels.cpp for rationale).
+    // Transpose round-trip after W2B: re-transpose sampled positions of
+    // the device wordwise input on the host and compare with the device
+    // bit planes. The source is d_*_words (not host_*), so a flipped H2G
+    // copy is not double-reported here.
     if (integ.enabled) {
       integ_timer.reset();
       const std::size_t stride = std::max<std::size_t>(1, integ.sample_every);
@@ -422,7 +448,10 @@ class Core final : public CoreBase {
     util::WallTimer timer, integ_timer;
 
     const ArenaBounds<W> b = bind_arena(a);
-    a.killed.assign(integ.enabled ? n_groups : 0, 0);
+    // Kills are only possible with an injector attached (without one the
+    // launch throws kKernelTimeout instead); they are tracked per job so
+    // the status below never reads another in-flight job's trips.
+    a.killed.assign(opts_.faults != nullptr ? n_groups : 0, 0);
     LaunchConfig swa_cfg;
     swa_cfg.grid_dim = n_groups;
     swa_cfg.record_metrics = opts_.record_metrics;
@@ -430,7 +459,7 @@ class Core final : public CoreBase {
     swa_cfg.faults = opts_.faults;
     swa_cfg.watchdog_phases = opts_.watchdog_phases;
     swa_cfg.stop = job.stop;
-    swa_cfg.killed = integ.enabled ? &a.killed : nullptr;
+    swa_cfg.killed = opts_.faults != nullptr ? &a.killed : nullptr;
     swa_cfg.campaign = st->campaign;
     timer.reset();
     telemetry::Span swa_span(tr, "SWA", "device", track);
@@ -445,7 +474,15 @@ class Core final : public CoreBase {
         });
     swa_span.finish();
     st->run.timings.swa_ms = timer.elapsed_ms();
+    const auto kills = static_cast<std::size_t>(
+        std::count(a.killed.begin(), a.killed.end(), char{1}));
+    if (kills != 0)
+      st->run.status = util::Status::kernel_timeout(
+          std::to_string(kills) + " block(s) killed by the watchdog");
 
+    // Canary comparison on the bit-sliced scores: the lane bits of a
+    // canary must equal its source lane's in every slice word. Checked
+    // before B2W so a B2W fault cannot masquerade as an SWA one.
     if (integ.enabled) {
       integ_timer.reset();
       if (!a.canary_src.empty()) {
@@ -513,6 +550,9 @@ class Core final : public CoreBase {
     b2w_span.finish();
     st->run.timings.b2w_ms = timer.elapsed_ms();
 
+    // Untranspose round-trip after B2W: redo each group's untranspose on
+    // the host from the device score slices and compare the wordwise
+    // scores.
     if (integ.enabled) {
       integ_timer.reset();
       const std::uint32_t mask =
@@ -586,15 +626,13 @@ class Core final : public CoreBase {
   bitsim::PayloadTranspose<W> char_plan_, score_plan_;
   detail::SwConstants<W> consts_;
   std::vector<Arena<W>> slots_;
-  Arena<W> sync_arena_;  // run()'s arena, never shared with the pipeline
+  Arena<W> sync_arena_;  // run_device()'s arena, never shared with streams
   std::deque<std::shared_ptr<JobState<W>>> pending_;
   std::size_t next_slot_ = 0;
   // Streams are declared last so they are destroyed first: their
   // destructors drain every queued closure while the arenas and caches
   // above are still alive.
-  Stream copy_in_{"copy-in"};
-  Stream compute_{"compute"};
-  Stream copy_out_{"copy-out"};
+  std::unique_ptr<Streams> streams_;
 };
 
 std::unique_ptr<CoreBase> make_core(sw::LaneWidth width,
@@ -662,6 +700,36 @@ sw::BackendCaps PipelineEngine::caps() const {
   caps.streams = true;
   caps.lane_width = impl_->opts.width;
   return caps;
+}
+
+GpuRunResult gpu_bpbc_max_scores(std::span<const Sequence> xs,
+                                 std::span<const Sequence> ys,
+                                 const sw::ScoreParams& params,
+                                 sw::LaneWidth width,
+                                 const GpuRunOptions& options) {
+  sw::ChunkJob job;
+  job.xs = xs;
+  job.ys = ys;
+  CoreBase::validate(job);
+  if (xs.empty()) return {};
+  job.stop = options.stop;
+  job.trace_id = telemetry::current_trace_context();
+
+  EngineOptions eopts;
+  eopts.params = params;
+  eopts.width = sw::resolve_lane_width(width);
+  eopts.record_metrics = options.record_metrics;
+  eopts.mode = options.mode;
+  eopts.w2b_block_dim = options.w2b_block_dim;
+  eopts.faults = options.faults;
+  eopts.watchdog_phases = options.watchdog_phases;
+  eopts.integrity = options.integrity;
+  eopts.telemetry = options.telemetry;
+  // One fault campaign per call, in call order: a retry of the same batch
+  // observes a fresh (still seed-deterministic) fault pattern.
+  const std::uint64_t campaign =
+      options.faults != nullptr ? options.faults->begin_run() : 0;
+  return make_core(eopts.width, eopts)->run_device(job, campaign);
 }
 
 sw::ChunkResult PipelineEngine::run(const sw::ChunkJob& job) {

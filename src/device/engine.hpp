@@ -1,11 +1,12 @@
-// Stream-based overlapped execution engine for the §V pipeline.
+// The execution engine of the §V pipeline — the one place H2G, W2B, SWA,
+// B2W and G2H are sequenced.
 //
-// The one-shot drivers in sw_kernels.hpp run H2G/W2B/SWA/B2W/G2H strictly
-// in sequence and allocate every device buffer per run, so the simulated
-// SMs idle through every copy stage of a chunked screen. PipelineEngine
-// keeps a ring of `overlap_depth` persistent device arenas (allocated
-// once, reused across chunks) and three device::Stream queues — copy-in,
-// compute, copy-out — chained per chunk with events:
+// run() executes the five stages synchronously on a dedicated arena; the
+// one-shot gpu_bpbc_max_scores (sw_kernels.hpp) is that same path on a
+// fresh engine core. For chunked screens, PipelineEngine keeps a ring of
+// `overlap_depth` persistent device arenas (allocated once, reused across
+// chunks) and three device::Stream queues — copy-in, compute, copy-out —
+// chained per chunk with events:
 //
 //   copy-in : [wait slot free] H2G + W2B (+ copy/transpose checks)
 //   compute : [wait prep done] SWA (+ canary / watchdog checks)
@@ -14,8 +15,9 @@
 // so chunk k+1's H2G/W2B overlaps chunk k's SWA while chunk k-1's B2W/G2H
 // drains — the classic CUDA double-buffered screener structure (cf.
 // CUDASW++). Kernel launches issued from the stream workers fan their
-// blocks out over the shared host thread pool exactly as the serial
-// drivers do.
+// blocks out over the shared host thread pool exactly as synchronous runs
+// do. The streams start with the first submit(), so synchronous use
+// spawns no threads.
 //
 // Determinism: the fault campaign of a job is derived from its (chunk,
 // attempt) tag, never from submission or completion order, so an
@@ -25,7 +27,7 @@
 // observes the same launch-time buffer contents a fresh allocation would.
 //
 // The engine is an sw::Backend (caps: integrity, stop polling, streams):
-// plug it into ScreenConfig::backend_v2 with overlap_depth >= 2 and
+// plug it into ScreenConfig::backend with overlap_depth >= 2 and
 // sw::try_screen runs its chunk loop as a software pipeline over it.
 // Host-side use is single-threaded (one submitter/collector), matching
 // the screen loop; run() may interleave with in-flight submissions (the

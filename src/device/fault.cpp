@@ -48,10 +48,6 @@ void BlockFaults::record_sync_drop() {
   owner_->syncs_dropped_.fetch_add(1, std::memory_order_relaxed);
 }
 
-BlockFaults FaultInjector::block_faults(std::size_t block) {
-  return block_faults_at(campaign_.load(std::memory_order_relaxed), block);
-}
-
 BlockFaults FaultInjector::block_faults_at(std::uint64_t campaign,
                                            std::size_t block) {
   // Expand (seed, campaign, block) into an independent, well-mixed stream

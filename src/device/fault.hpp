@@ -8,12 +8,13 @@
 // single user seed, so a failing campaign replays bit-for-bit regardless
 // of how blocks were scheduled across the host thread pool.
 //
-// Wiring: LaunchConfig carries an optional FaultInjector*. device::launch
-// derives one BlockFaults per block and attaches it to the block's
-// BlockRecorder; GlobalSpan/SharedArray consult it on every access.
-// Campaign numbering advances on begin_run(), so a retry of the same batch
-// observes a fresh fault pattern — the property the verify-quarantine-
-// retry loop in sw::screen relies on.
+// Wiring: LaunchConfig carries an optional FaultInjector* and a campaign.
+// device::launch derives one BlockFaults per block and attaches it to the
+// block's BlockRecorder; GlobalSpan/SharedArray consult it on every
+// access. Every retry draws a fresh campaign — the property the
+// verify-quarantine-retry loop in sw::screen relies on: one-shot runs take
+// the next begin_run() number, engine jobs derive theirs from (chunk,
+// attempt).
 #pragma once
 
 #include <atomic>
@@ -138,22 +139,19 @@ class FaultInjector {
 
   [[nodiscard]] const FaultConfig& config() const { return config_; }
 
-  /// Advances the campaign counter: subsequent block_faults() draws come
-  /// from a fresh deterministic stream. Called once per device run.
-  /// Returns the new campaign number.
+  /// Advances the campaign counter and returns the new campaign number:
+  /// the one-shot device drivers draw one fresh, deterministic campaign
+  /// per run from it.
   std::uint64_t begin_run() {
     return campaign_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// Fault state for one block of the current campaign.
-  [[nodiscard]] BlockFaults block_faults(std::size_t block);
-
-  /// Fault state for one block of an explicitly named campaign. The
-  /// overlapped execution engine derives its campaign from (chunk,
-  /// attempt) instead of the shared counter, so the draw a block observes
-  /// does not depend on how many other chunks were in flight first —
-  /// the property that keeps overlapped and serial execution bit-identical
-  /// under fault injection.
+  /// Fault state for one block of a named campaign. The overlapped
+  /// execution engine derives its campaign from (chunk, attempt) instead
+  /// of the shared counter, so the draw a block observes does not depend
+  /// on how many other chunks were in flight first — the property that
+  /// keeps overlapped and serial execution bit-identical under fault
+  /// injection.
   [[nodiscard]] BlockFaults block_faults_at(std::uint64_t campaign,
                                             std::size_t block);
 

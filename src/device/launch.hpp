@@ -50,13 +50,11 @@ struct LaunchConfig {
   // When non-null (size >= grid_dim), watchdog-killed blocks set their
   // flag so the caller can attribute the stale outputs to a block.
   std::vector<char>* killed = nullptr;
-  // Explicit fault campaign for this launch. When set, block fault streams
-  // are drawn from block_faults_at(campaign, block) instead of the
-  // injector's shared counter — required by the overlapped engine, where
-  // several chunks are in flight and the counter's value would otherwise
-  // depend on completion order. kNoCampaign keeps the legacy behaviour.
-  static constexpr std::uint64_t kNoCampaign = ~std::uint64_t{0};
-  std::uint64_t campaign = kNoCampaign;
+  // Fault campaign of this launch: block fault streams are drawn from
+  // block_faults_at(campaign, block). The caller names it — the one-shot
+  // driver from the injector's counter, the engine from (chunk, attempt) —
+  // so the pattern never depends on how launches interleave.
+  std::uint64_t campaign = 0;
 };
 
 /// Launches `factory(block_idx, recorder)` for every block and returns the
@@ -70,9 +68,7 @@ MetricTotals launch(const LaunchConfig& cfg, Factory&& factory) {
         BlockRecorder recorder(cfg.record_metrics);
         BlockFaults faults;
         if (cfg.faults != nullptr) {
-          faults = cfg.campaign == LaunchConfig::kNoCampaign
-                       ? cfg.faults->block_faults(b)
-                       : cfg.faults->block_faults_at(cfg.campaign, b);
+          faults = cfg.faults->block_faults_at(cfg.campaign, b);
           recorder.set_faults(&faults);
         }
         auto kernel = factory(b, recorder);

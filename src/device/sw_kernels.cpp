@@ -1,358 +1,16 @@
 #include "device/sw_kernels.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 #include <string>
 
-#include "bitops/arith.hpp"
-#include "bitsim/wide_transpose.hpp"
 #include "device/launch.hpp"
-#include "device/memory.hpp"
 #include "device/sw_stage_kernels.hpp"
-#include "util/checksum.hpp"
 #include "util/timer.hpp"
 
 namespace swbpbc::device {
-namespace {
 
 using encoding::Sequence;
-
-// The stage kernels and buffer helpers live in sw_stage_kernels.hpp,
-// shared with the overlapped execution engine (engine.cpp).
-using detail::Allocator;
-using detail::B2wKernel;
-using detail::Bound;
-using detail::kG2hFaultBlock;
-using detail::kH2gFaultBlock;
-using detail::pack_wordwise;
-using detail::SwConstants;
-using detail::SwWavefrontKernel;
-using detail::W2bKernel;
-using detail::WordwiseKernel;
-
-// ---------------------------------------------------------------------------
-// Pipeline drivers
-
-template <bitsim::LaneWord W>
-GpuRunResult run_bpbc(std::span<const Sequence> xs,
-                      std::span<const Sequence> ys,
-                      const sw::ScoreParams& params,
-                      const GpuRunOptions& options) {
-  constexpr unsigned kLanes = bitsim::word_bits_v<W>;
-  const std::size_t count = xs.size();
-  const std::size_t m = xs.front().size();
-  const std::size_t n = ys.front().size();
-  const std::size_t n_groups = (count + kLanes - 1) / kLanes;
-  const unsigned s = sw::required_slices(params, m, n);
-  const IntegrityConfig& integ = options.integrity;
-
-  GpuRunResult result;
-  util::WallTimer timer;
-  util::WallTimer integ_timer;
-  telemetry::Tracer* const tr =
-      options.telemetry != nullptr ? options.telemetry->tracer() : nullptr;
-  const auto note_fault = [&result](sw::PipelineStage stage,
-                                    std::size_t block) {
-    for (const sw::StageFault& f : result.integrity_faults)
-      if (f.stage == stage && f.block == block) return;
-    sw::StageFault fault;
-    fault.stage = stage;
-    fault.block = block;
-    result.integrity_faults.push_back(fault);
-  };
-
-  // Each device run is one fault campaign: retries of a failing batch
-  // observe a fresh (still seed-deterministic) fault pattern.
-  const std::uint64_t trips_before =
-      options.faults != nullptr ? options.faults->log().watchdog_trips : 0;
-  if (options.faults != nullptr) options.faults->begin_run();
-  BlockFaults h2g_faults, g2h_faults;
-  if (options.faults != nullptr) {
-    h2g_faults = options.faults->block_faults(kH2gFaultBlock);
-    g2h_faults = options.faults->block_faults(kG2hFaultBlock);
-  }
-
-  // Host wordwise packing (the paper's assumed host format).
-  std::vector<std::uint32_t> host_x = pack_wordwise(xs, m);
-  std::vector<std::uint32_t> host_y = pack_wordwise(ys, n);
-
-  // Canary lanes: replicate instances of the last group into its spare
-  // lanes. The duplicates ride through W2B and SWA in the same machine
-  // words as their sources, so any in-kernel corruption of the group has
-  // a chance of splitting a canary from its source.
-  std::size_t padded_count = count;
-  std::vector<std::size_t> canary_src;  // source instance per canary lane
-  if (integ.enabled && integ.canary_lanes) {
-    const std::size_t last_first = (n_groups - 1) * kLanes;
-    const std::size_t lanes_used = count - last_first;
-    const std::size_t spare = kLanes - lanes_used;
-    canary_src.reserve(spare);
-    host_x.reserve((count + spare) * m);
-    host_y.reserve((count + spare) * n);
-    for (std::size_t c = 0; c < spare; ++c) {
-      const std::size_t src = last_first + (c % lanes_used);
-      canary_src.push_back(src);
-      for (std::size_t i = 0; i < m; ++i)
-        host_x.push_back(host_x[src * m + i]);
-      for (std::size_t i = 0; i < n; ++i)
-        host_y.push_back(host_y[src * n + i]);
-    }
-    padded_count = count + spare;
-  }
-
-  // Step 1 (H2G): transfer to device buffers (the copy-fault stream can
-  // flip bits in flight; the checksum below catches that).
-  timer.reset();
-  telemetry::Span h2g_span(tr, "H2G", "device", telemetry::kTrackDevice);
-  std::vector<std::uint32_t> d_x_words(host_x);
-  std::vector<std::uint32_t> d_y_words(host_y);
-  if (options.faults != nullptr) {
-    for (std::uint32_t& w : d_x_words) w = h2g_faults.mutate_copy(w);
-    for (std::uint32_t& w : d_y_words) w = h2g_faults.mutate_copy(w);
-  }
-  const std::uint64_t h2g_words = d_x_words.size() + d_y_words.size();
-  h2g_span.arg("words", static_cast<std::int64_t>(h2g_words));
-  h2g_span.finish();
-  result.timings.h2g_ms = timer.elapsed_ms();
-  if (options.record_metrics) {
-    MetricTotals& t = result.stage_metrics[sw::PipelineStage::kH2G];
-    t.global_writes += h2g_words;
-    t.global_write_transactions +=
-        (h2g_words * sizeof(std::uint32_t) + kSegmentBytes - 1) /
-        kSegmentBytes;
-  }
-
-  if (integ.enabled && integ.checksum_copies) {
-    integ_timer.reset();
-    const std::uint64_t sent = util::fnv1a_span<std::uint32_t>(
-        host_y, util::fnv1a_span<std::uint32_t>(host_x));
-    const std::uint64_t landed = util::fnv1a_span<std::uint32_t>(
-        d_y_words, util::fnv1a_span<std::uint32_t>(d_x_words));
-    ++result.integrity_checks;
-    if (sent != landed)
-      note_fault(sw::PipelineStage::kH2G, sw::StageFault::kNoBlock);
-    result.integrity_ms += integ_timer.elapsed_ms();
-  }
-
-  std::vector<W> d_x_hi(n_groups * m), d_x_lo(n_groups * m);
-  std::vector<W> d_y_hi(n_groups * n), d_y_lo(n_groups * n);
-  std::vector<W> d_score_slices(n_groups * s, 0);
-  std::vector<std::uint32_t> d_scores(n_groups * kLanes, 0);
-
-  Allocator alloc;
-  const Bound<std::uint32_t> b_x_words = alloc.alloc(d_x_words);
-  const Bound<std::uint32_t> b_y_words = alloc.alloc(d_y_words);
-  const Bound<W> b_x_hi = alloc.alloc(d_x_hi);
-  const Bound<W> b_x_lo = alloc.alloc(d_x_lo);
-  const Bound<W> b_y_hi = alloc.alloc(d_y_hi);
-  const Bound<W> b_y_lo = alloc.alloc(d_y_lo);
-  const Bound<W> b_slices = alloc.alloc(d_score_slices);
-  const Bound<std::uint32_t> b_scores = alloc.alloc(d_scores);
-
-  // Step 2 (W2B). PayloadTranspose wraps the process-wide plan cache and
-  // decomposes wide lane words into 64-bit limb blocks.
-  const bitsim::PayloadTranspose<W> char_plan =
-      bitsim::PayloadTranspose<W>::forward(encoding::kBitsPerBase);
-  LaunchConfig w2b_cfg;
-  w2b_cfg.grid_dim = n_groups;
-  w2b_cfg.record_metrics = options.record_metrics;
-  w2b_cfg.mode = options.mode;
-  w2b_cfg.faults = options.faults;
-  w2b_cfg.stop = options.stop;
-  timer.reset();
-  telemetry::Span w2b_span(tr, "W2B", "device", telemetry::kTrackDevice);
-  w2b_span.arg("blocks", static_cast<std::int64_t>(n_groups));
-  result.stage_metrics[sw::PipelineStage::kW2B] = launch(
-      w2b_cfg,
-      [&](std::size_t g, BlockRecorder& rec) {
-        return W2bKernel<W>(g, rec, options.w2b_block_dim, char_plan,
-                            padded_count, m, n, b_x_words, b_y_words, b_x_hi,
-                            b_x_lo, b_y_hi, b_y_lo);
-      });
-  w2b_span.finish();
-  result.timings.w2b_ms = timer.elapsed_ms();
-
-  // Transpose round-trip after W2B: re-transpose sampled positions of the
-  // device wordwise input on the host and compare with the device bit
-  // planes. Source is d_*_words (not host_*), so a flipped H2G copy is not
-  // double-reported here.
-  if (integ.enabled) {
-    integ_timer.reset();
-    const std::size_t stride = std::max<std::size_t>(1, integ.sample_every);
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      const std::size_t first = g * kLanes;
-      const std::size_t lanes_used =
-          first < padded_count
-              ? std::min<std::size_t>(kLanes, padded_count - first)
-              : 0;
-      bool bad = false;
-      for (std::size_t pos = 0; pos < m + n; pos += stride) {
-        const bool is_x = pos < m;
-        const std::size_t i = is_x ? pos : pos - m;
-        const std::size_t len = is_x ? m : n;
-        const std::vector<std::uint32_t>& src = is_x ? d_x_words : d_y_words;
-        std::array<W, kLanes> scratch{};
-        for (std::size_t lane = 0; lane < lanes_used; ++lane)
-          scratch[lane] = static_cast<W>(src[(first + lane) * len + i]);
-        char_plan.apply(std::span<W>(scratch));
-        const W lo = is_x ? d_x_lo[g * m + i] : d_y_lo[g * n + i];
-        const W hi = is_x ? d_x_hi[g * m + i] : d_y_hi[g * n + i];
-        ++result.integrity_checks;
-        if (scratch[0] != lo || scratch[1] != hi) bad = true;
-      }
-      if (bad) note_fault(sw::PipelineStage::kW2B, g);
-    }
-    result.integrity_ms += integ_timer.elapsed_ms();
-  }
-
-  // Step 3 (SWA).
-  SwConstants<W> consts;
-  consts.s = s;
-  consts.gap = bitops::broadcast_constant<W>(params.gap, s);
-  consts.c1 = bitops::broadcast_constant<W>(params.match, s);
-  consts.c2 = bitops::broadcast_constant<W>(params.mismatch, s);
-  std::vector<char> killed(integ.enabled ? n_groups : 0, 0);
-  LaunchConfig swa_cfg;
-  swa_cfg.grid_dim = n_groups;
-  swa_cfg.record_metrics = options.record_metrics;
-  swa_cfg.mode = options.mode;
-  swa_cfg.faults = options.faults;
-  swa_cfg.watchdog_phases = options.watchdog_phases;
-  swa_cfg.stop = options.stop;
-  swa_cfg.killed = integ.enabled ? &killed : nullptr;
-  timer.reset();
-  telemetry::Span swa_span(tr, "SWA", "device", telemetry::kTrackDevice);
-  swa_span.arg("blocks", static_cast<std::int64_t>(n_groups));
-  result.stage_metrics[sw::PipelineStage::kSWA] = launch(
-      swa_cfg,
-      [&](std::size_t g, BlockRecorder& rec) {
-        return SwWavefrontKernel<W>(g, rec, consts, m, n, b_x_hi, b_x_lo,
-                                    b_y_hi, b_y_lo, b_slices);
-      });
-  swa_span.finish();
-  result.timings.swa_ms = timer.elapsed_ms();
-
-  // Canary comparison after SWA, on the bit-sliced scores: lane bits of a
-  // canary must equal its source lane in every slice word. Checked before
-  // B2W so a B2W fault cannot masquerade as an SWA one.
-  if (integ.enabled) {
-    integ_timer.reset();
-    if (!canary_src.empty()) {
-      const std::size_t g = n_groups - 1;
-      bool bad = false;
-      for (std::size_t c = 0; c < canary_src.size(); ++c) {
-        const std::size_t src_lane = canary_src[c] - g * kLanes;
-        const std::size_t can_lane = count - g * kLanes + c;
-        ++result.integrity_checks;
-        for (unsigned k = 0; k < s; ++k) {
-          const W word = d_score_slices[g * s + k];
-          if (((word >> src_lane) & W{1}) != ((word >> can_lane) & W{1})) {
-            bad = true;
-            break;
-          }
-        }
-      }
-      if (bad) note_fault(sw::PipelineStage::kSWA, g);
-    }
-    for (std::size_t g = 0; g < killed.size(); ++g)
-      if (killed[g] != 0) note_fault(sw::PipelineStage::kSWA, g);
-    result.integrity_ms += integ_timer.elapsed_ms();
-  }
-
-  // Step 4 (B2W).
-  const bitsim::PayloadTranspose<W> score_plan =
-      bitsim::PayloadTranspose<W>::inverse(s);
-  LaunchConfig b2w_cfg;
-  b2w_cfg.grid_dim = n_groups;
-  b2w_cfg.record_metrics = options.record_metrics;
-  b2w_cfg.mode = options.mode;
-  b2w_cfg.faults = options.faults;
-  b2w_cfg.stop = options.stop;
-  timer.reset();
-  telemetry::Span b2w_span(tr, "B2W", "device", telemetry::kTrackDevice);
-  b2w_span.arg("blocks", static_cast<std::int64_t>(n_groups));
-  result.stage_metrics[sw::PipelineStage::kB2W] = launch(
-      b2w_cfg,
-      [&](std::size_t g, BlockRecorder& rec) {
-        return B2wKernel<W>(g, rec, score_plan, s, padded_count, b_slices,
-                            b_scores);
-      });
-  b2w_span.finish();
-  result.timings.b2w_ms = timer.elapsed_ms();
-
-  // Untranspose round-trip after B2W: redo each group's untranspose on the
-  // host from the device score slices and compare the wordwise scores.
-  if (integ.enabled) {
-    integ_timer.reset();
-    const std::uint32_t mask =
-        s >= 32 ? ~std::uint32_t{0} : ((std::uint32_t{1} << s) - 1);
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      std::array<W, kLanes> scratch{};
-      for (unsigned k = 0; k < s; ++k) scratch[k] = d_score_slices[g * s + k];
-      score_plan.apply(std::span<W>(scratch));
-      const std::size_t first = g * kLanes;
-      const std::size_t lanes_used =
-          first < padded_count
-              ? std::min<std::size_t>(kLanes, padded_count - first)
-              : 0;
-      ++result.integrity_checks;
-      for (std::size_t lane = 0; lane < lanes_used; ++lane) {
-        const std::uint32_t want =
-            static_cast<std::uint32_t>(bitsim::get_limb(scratch[lane], 0)) &
-            mask;
-        if (d_scores[first + lane] != want) {
-          note_fault(sw::PipelineStage::kB2W, g);
-          break;
-        }
-      }
-    }
-    result.integrity_ms += integ_timer.elapsed_ms();
-  }
-
-  // Step 5 (G2H): canary lanes are dropped here — only the caller's
-  // `count` scores come back to the host.
-  timer.reset();
-  telemetry::Span g2h_span(tr, "G2H", "device", telemetry::kTrackDevice);
-  result.scores.assign(d_scores.begin(),
-                       d_scores.begin() + static_cast<std::ptrdiff_t>(count));
-  if (options.faults != nullptr) {
-    for (std::uint32_t& w : result.scores) w = g2h_faults.mutate_copy(w);
-  }
-  g2h_span.arg("words", static_cast<std::int64_t>(count));
-  g2h_span.finish();
-  result.timings.g2h_ms = timer.elapsed_ms();
-  if (options.record_metrics) {
-    MetricTotals& t = result.stage_metrics[sw::PipelineStage::kG2H];
-    t.global_reads += count;
-    t.global_read_transactions +=
-        (count * sizeof(std::uint32_t) + kSegmentBytes - 1) / kSegmentBytes;
-  }
-
-  if (integ.enabled && integ.checksum_copies) {
-    integ_timer.reset();
-    const std::uint64_t sent = util::fnv1a_bytes(
-        d_scores.data(), count * sizeof(std::uint32_t));
-    const std::uint64_t landed = util::fnv1a_span<std::uint32_t>(
-        std::span<const std::uint32_t>(result.scores));
-    ++result.integrity_checks;
-    if (sent != landed)
-      note_fault(sw::PipelineStage::kG2H, sw::StageFault::kNoBlock);
-    result.integrity_ms += integ_timer.elapsed_ms();
-  }
-
-  if (options.faults != nullptr) {
-    const std::uint64_t trips =
-        options.faults->log().watchdog_trips - trips_before;
-    if (trips != 0)
-      result.status = util::Status::kernel_timeout(
-          std::to_string(trips) + " block(s) killed by the watchdog");
-  }
-  absorb_device_run(options.telemetry, result);
-  return result;
-}
-
-}  // namespace
 
 void absorb_device_run(telemetry::Telemetry* telemetry,
                        const GpuRunResult& run) {
@@ -421,33 +79,6 @@ void absorb_device_run(telemetry::Telemetry* telemetry,
   if (!run.status.ok()) reg.counter("device.watchdog_runs").add(1);
 }
 
-GpuRunResult gpu_bpbc_max_scores(std::span<const Sequence> xs,
-                                 std::span<const Sequence> ys,
-                                 const sw::ScoreParams& params,
-                                 sw::LaneWidth width,
-                                 const GpuRunOptions& options) {
-  if (xs.size() != ys.size())
-    throw std::invalid_argument("pattern/text count mismatch");
-  if (xs.empty()) return {};
-  switch (sw::resolve_lane_width(width)) {
-    case sw::LaneWidth::k32:
-      return run_bpbc<std::uint32_t>(xs, ys, params, options);
-    case sw::LaneWidth::k64:
-      return run_bpbc<std::uint64_t>(xs, ys, params, options);
-    case sw::LaneWidth::k128:
-      return run_bpbc<bitsim::simd_word<128>>(xs, ys, params, options);
-    case sw::LaneWidth::k256:
-      return run_bpbc<bitsim::simd_word<256>>(xs, ys, params, options);
-    case sw::LaneWidth::k512:
-      return run_bpbc<bitsim::simd_word<512>>(xs, ys, params, options);
-    case sw::LaneWidth::kScalarWide:
-      return run_bpbc<bitsim::wide_word<256, false>>(xs, ys, params, options);
-    case sw::LaneWidth::kAuto:
-      break;  // resolve_lane_width never returns kAuto
-  }
-  throw std::invalid_argument("unresolvable lane width");
-}
-
 GpuRunResult gpu_wordwise_max_scores(std::span<const Sequence> xs,
                                      std::span<const Sequence> ys,
                                      const sw::ScoreParams& params,
@@ -460,15 +91,14 @@ GpuRunResult gpu_wordwise_max_scores(std::span<const Sequence> xs,
   const std::size_t m = xs.front().size();
   const std::size_t n = ys.front().size();
 
-  const std::uint64_t trips_before =
-      options.faults != nullptr ? options.faults->log().watchdog_trips : 0;
-  if (options.faults != nullptr) options.faults->begin_run();
+  const std::uint64_t campaign =
+      options.faults != nullptr ? options.faults->begin_run() : 0;
 
   util::WallTimer timer;
   telemetry::Tracer* const tr =
       options.telemetry != nullptr ? options.telemetry->tracer() : nullptr;
-  const std::vector<std::uint32_t> host_x = pack_wordwise(xs, m);
-  const std::vector<std::uint32_t> host_y = pack_wordwise(ys, n);
+  const std::vector<std::uint32_t> host_x = detail::pack_wordwise(xs, m);
+  const std::vector<std::uint32_t> host_y = detail::pack_wordwise(ys, n);
 
   timer.reset();
   telemetry::Span h2g_span(tr, "H2G", "device", telemetry::kTrackDevice);
@@ -478,11 +108,12 @@ GpuRunResult gpu_wordwise_max_scores(std::span<const Sequence> xs,
   result.timings.h2g_ms = timer.elapsed_ms();
 
   std::vector<std::uint32_t> d_scores(count, 0);
-  Allocator alloc;
-  const Bound<std::uint32_t> b_x = alloc.alloc(d_x);
-  const Bound<std::uint32_t> b_y = alloc.alloc(d_y);
-  const Bound<std::uint32_t> b_scores = alloc.alloc(d_scores);
+  detail::Allocator alloc;
+  const detail::Bound<std::uint32_t> b_x = alloc.alloc(d_x);
+  const detail::Bound<std::uint32_t> b_y = alloc.alloc(d_y);
+  const detail::Bound<std::uint32_t> b_scores = alloc.alloc(d_scores);
 
+  std::vector<char> killed(options.faults != nullptr ? count : 0, 0);
   LaunchConfig swa_cfg;
   swa_cfg.grid_dim = count;
   swa_cfg.record_metrics = options.record_metrics;
@@ -490,13 +121,16 @@ GpuRunResult gpu_wordwise_max_scores(std::span<const Sequence> xs,
   swa_cfg.faults = options.faults;
   swa_cfg.watchdog_phases = options.watchdog_phases;
   swa_cfg.stop = options.stop;
+  swa_cfg.killed = options.faults != nullptr ? &killed : nullptr;
+  swa_cfg.campaign = campaign;
   timer.reset();
   telemetry::Span swa_span(tr, "SWA", "device", telemetry::kTrackDevice);
   swa_span.arg("blocks", static_cast<std::int64_t>(count));
   result.stage_metrics[sw::PipelineStage::kSWA] = launch(
       swa_cfg,
       [&](std::size_t pair, BlockRecorder& rec) {
-        return WordwiseKernel(pair, rec, params, m, n, b_x, b_y, b_scores);
+        return detail::WordwiseKernel(pair, rec, params, m, n, b_x, b_y,
+                                      b_scores);
       });
   swa_span.finish();
   result.timings.swa_ms = timer.elapsed_ms();
@@ -507,44 +141,13 @@ GpuRunResult gpu_wordwise_max_scores(std::span<const Sequence> xs,
   g2h_span.finish();
   result.timings.g2h_ms = timer.elapsed_ms();
 
-  if (options.faults != nullptr) {
-    const std::uint64_t trips =
-        options.faults->log().watchdog_trips - trips_before;
-    if (trips != 0)
-      result.status = util::Status::kernel_timeout(
-          std::to_string(trips) + " block(s) killed by the watchdog");
-  }
+  const auto kills = static_cast<std::size_t>(
+      std::count(killed.begin(), killed.end(), char{1}));
+  if (kills != 0)
+    result.status = util::Status::kernel_timeout(
+        std::to_string(kills) + " block(s) killed by the watchdog");
   absorb_device_run(options.telemetry, result);
   return result;
-}
-
-sw::ScoreBackend make_screen_backend(const sw::ScoreParams& params,
-                                     sw::LaneWidth width,
-                                     GpuRunOptions options) {
-  return [params, width, options](std::span<const Sequence> xs,
-                                  std::span<const Sequence> ys) {
-    // Watchdog kills and injected faults surface as corrupted scores; the
-    // screening pipeline's self-check is responsible for catching them.
-    return gpu_bpbc_max_scores(xs, ys, params, width, options).scores;
-  };
-}
-
-sw::ChunkBackend make_chunk_backend(const sw::ScoreParams& params,
-                                    sw::LaneWidth width,
-                                    GpuRunOptions options) {
-  return [params, width, options](std::span<const Sequence> xs,
-                                  std::span<const Sequence> ys,
-                                  const util::StopCondition* stop) {
-    GpuRunOptions opts = options;
-    opts.stop = stop;  // the screen layer's stop reaches every launch
-    GpuRunResult run = gpu_bpbc_max_scores(xs, ys, params, width, opts);
-    sw::ChunkResult out;
-    out.scores = std::move(run.scores);
-    out.faults = std::move(run.integrity_faults);
-    out.integrity_checks = run.integrity_checks;
-    out.integrity_ms = run.integrity_ms;
-    return out;
-  };
 }
 
 }  // namespace swbpbc::device

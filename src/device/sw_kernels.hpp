@@ -8,6 +8,12 @@
 //   Step 4 (B2W): kernel — bit-untranspose the per-lane max scores.
 //   Step 5 (G2H): copy wordwise scores back to the host.
 //
+// The stage kernels live in sw_stage_kernels.hpp and the five steps are
+// sequenced in exactly one place, the PipelineEngine core (engine.cpp).
+// gpu_bpbc_max_scores below is that core's synchronous path for one batch;
+// PipelineEngine (engine.hpp) adds persistent arenas and overlapped
+// streams on top of it.
+//
 // A wordwise wavefront kernel (one block per pair, plain integer cells) is
 // provided as the GPU baseline of Table IV's "Wordwise 32-bits" rows.
 #pragma once
@@ -21,9 +27,8 @@
 #include "device/fault.hpp"
 #include "device/metrics.hpp"
 #include "encoding/dna.hpp"
-#include "sw/bpbc.hpp"
+#include "sw/lane.hpp"
 #include "sw/params.hpp"
-#include "sw/pipeline.hpp"
 #include "sw/reliability.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/status.hpp"
@@ -132,8 +137,11 @@ struct GpuRunResult {
 void absorb_device_run(telemetry::Telemetry* telemetry,
                        const GpuRunResult& run);
 
-/// Full BPBC pipeline on the simulated device. All xs share one length m,
-/// all ys one length n (the bit-transpose batch requirement).
+/// Full BPBC pipeline on the simulated device: one synchronous run of the
+/// PipelineEngine core on a fresh arena. All xs share one length m, all ys
+/// one length n (the bit-transpose batch requirement). With an injector in
+/// `options.faults`, each call draws one fault campaign in call order
+/// (FaultInjector::begin_run), so a retry observes a fresh pattern.
 GpuRunResult gpu_bpbc_max_scores(std::span<const encoding::Sequence> xs,
                                  std::span<const encoding::Sequence> ys,
                                  const sw::ScoreParams& params,
@@ -146,30 +154,5 @@ GpuRunResult gpu_wordwise_max_scores(std::span<const encoding::Sequence> xs,
                                      std::span<const encoding::Sequence> ys,
                                      const sw::ScoreParams& params,
                                      const GpuRunOptions& options = {});
-
-/// Adapts the device-sim BPBC pipeline (optionally fault-injected via
-/// `options.faults`) to sw::ScreenConfig::backend, turning sw::screen into
-/// a correctness-under-fault harness: faults corrupt scores here, and the
-/// pipeline's self-check must detect and recover every one.
-///
-/// Deprecated (v1): prefer device::PipelineEngine (device/engine.hpp), an
-/// sw::Backend with persistent arenas and overlapped streams; this
-/// adapter remains supported and allocates per run.
-sw::ScoreBackend make_screen_backend(const sw::ScoreParams& params,
-                                     sw::LaneWidth width,
-                                     GpuRunOptions options = {});
-
-/// Integrity-aware adapter for sw::ScreenConfig::chunk_backend: runs the
-/// device pipeline per chunk, forwards the screen layer's StopCondition
-/// into every launch, and surfaces the stage-integrity findings so the
-/// chunked screen can quarantine and retry just that chunk.
-///
-/// Deprecated (v1): prefer device::PipelineEngine (device/engine.hpp),
-/// which adds persistent arenas and overlapped submit()/collect()
-/// execution on top of the same integrity checks; this adapter remains
-/// supported and allocates per chunk.
-sw::ChunkBackend make_chunk_backend(const sw::ScoreParams& params,
-                                    sw::LaneWidth width,
-                                    GpuRunOptions options = {});
 
 }  // namespace swbpbc::device

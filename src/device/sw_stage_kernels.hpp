@@ -1,9 +1,9 @@
-// Stage kernels of the paper's §V pipeline, shared by the one-shot run
-// drivers (sw_kernels.cpp) and the overlapped execution engine
-// (engine.cpp). Everything here is an internal building block — the
-// kernels are duck-typed launch() factories over bound device buffers —
-// and lives in device::detail; the public entry points stay in
-// sw_kernels.hpp / engine.hpp.
+// Stage kernels of the paper's §V pipeline, sequenced by the engine core
+// (engine.cpp), plus the wordwise baseline kernel run by
+// gpu_wordwise_max_scores (sw_kernels.cpp). Everything here is an
+// internal building block — the kernels are duck-typed launch() factories
+// over bound device buffers — and lives in device::detail; the public
+// entry points stay in sw_kernels.hpp / engine.hpp.
 #pragma once
 
 #include <algorithm>

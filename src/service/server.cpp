@@ -578,11 +578,11 @@ void ScreenServer::Impl::run_batch(const BatchPlan& plan) {
   screen_config.threshold = ~std::uint32_t{0};
   screen_config.telemetry = config.telemetry;
   if (engine != nullptr) {
-    // Persistent engine backend: per-batch H2G..G2H stage spans land on
-    // the engine's stream tracks. Scores are bit-identical to the host
+    // Persistent engine backend: each batch runs the engine's five
+    // stages synchronously, with H2G..G2H stage spans. Scores are bit-identical to the host
     // path (the identity gates), so this is purely an observability and
     // throughput choice.
-    screen_config.backend_v2 = engine.get();
+    screen_config.backend = engine.get();
   }
   const auto t0 = std::chrono::steady_clock::now();
   auto report = sw::try_screen(xs, ys, screen_config);

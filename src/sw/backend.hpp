@@ -1,25 +1,19 @@
-// The v2 unified screening backend interface.
+// The screening backend interface.
 //
-// v1 accreted two std::function backend shapes on ScreenConfig — a bare
-// ScoreBackend and an integrity-aware ChunkBackend — plus implicit
-// conventions about which one the loop prefers and how its wall time is
-// attributed. Backend collapses them into one interface: a backend scores
-// one ChunkJob (a pair range tagged with its chunk index and retry
-// attempt) into a ChunkResult, declares its capabilities, and may
-// optionally accept overlapped submit()/collect() execution (the device
-// engine does; see device/engine.hpp).
+// A backend scores one ChunkJob (a pair range tagged with its chunk index
+// and retry attempt) into a ChunkResult, declares its capabilities, and
+// may accept overlapped submit()/collect() execution (the device engine
+// does; see device/engine.hpp). sw::try_screen runs every chunk — first
+// attempts, whole-chunk retries and quarantine rescores — through this one
+// interface, whichever engine it resolves: an explicit
+// ScreenConfig::backend, the database store, or the host engine picked by
+// backend_choice.
 //
 // The (chunk, attempt) tag exists for determinism: a backend that injects
 // faults derives its fault campaign from the tag, never from call order,
 // so serial and overlapped execution of the same screen are bit-identical.
-//
-// Legacy call sites keep compiling: adapt_score_backend() and
-// adapt_chunk_backend() wrap the v1 function types, and the loop in
-// sw::try_screen still accepts the v1 ScreenConfig fields (it adapts them
-// internally through these same wrappers).
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <span>
 
@@ -74,9 +68,9 @@ struct ChunkJob {
   std::uint64_t trace_id = 0;
 };
 
-/// Unified scoring backend (v2). Implementations must accept any
-/// uniform-length subset of the batch: the quarantine-retry path
-/// re-submits subsets as fresh jobs.
+/// Scoring backend. Implementations must accept any uniform-length subset
+/// of the batch: the quarantine-retry path re-submits subsets as fresh
+/// jobs.
 class Backend {
  public:
   virtual ~Backend();
@@ -87,23 +81,12 @@ class Backend {
   virtual ChunkResult run(const ChunkJob& job) = 0;
 
   /// Overlapped execution: enqueue a job now, collect results strictly in
-  /// submission order later. The base implementation degrades to a
-  /// deferred run() (no overlap), so every backend supports the calling
-  /// convention; stream-capable backends override both and do real
-  /// asynchronous work between submit and collect.
+  /// submission order later. Only backends that declare caps().streams
+  /// implement it (try_screen calls it on no other); the base versions
+  /// throw a typed kInternal StatusError.
   virtual void submit(const ChunkJob& job);
   virtual ChunkResult collect();
-
- private:
-  std::deque<ChunkJob> deferred_;  // base-class submit/collect queue
 };
-
-/// Wraps a v1 ScoreBackend. caps() are all false: no integrity findings,
-/// no stop polling, no streams — exactly the v1 contract.
-std::unique_ptr<Backend> adapt_score_backend(ScoreBackend backend);
-
-/// Wraps a v1 ChunkBackend (integrity + stop polling, no streams).
-std::unique_ptr<Backend> adapt_chunk_backend(ChunkBackend backend);
 
 /// The host BPBC path as a Backend — what screen() runs when no backend
 /// is configured: the bit-sliced kernel (SchemeBpbcAligner) over DNA

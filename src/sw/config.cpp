@@ -29,8 +29,6 @@ ScreenConfig ScreenSpec::flatten() const {
   cfg.traceback = scoring.traceback;
   cfg.backend_choice = resolved_backend(scoring);
   cfg.backend = scoring.backend;
-  cfg.chunk_backend = scoring.chunk_backend;
-  cfg.backend_v2 = scoring.backend_v2;
   cfg.database = scoring.database;
   cfg.db_verify_content = scoring.db_verify_content;
   cfg.check = survival.check;
@@ -99,8 +97,7 @@ util::Status validate(const ScreenSpec& spec) {
                      "kernels; requesting the striped or wordwise-naive "
                      "host engine conflicts — clear one (auto and bpbc "
                      "defer to the store)");
-    if (spec.scoring.backend_v2 != nullptr || spec.scoring.backend ||
-        spec.scoring.chunk_backend)
+    if (spec.scoring.backend != nullptr)
       return invalid("scoring.database is unused when an explicit backend "
                      "is set (backends outrank the store); clear one");
     if (spec.scoring.scheme.has_value() &&
@@ -133,9 +130,9 @@ util::Status validate(const ScreenSpec& spec) {
     if (sv.chunk_pairs == 0)
       return invalid("survival.overlap_depth >= 2 requires chunk_pairs > 0 "
                      "(overlap needs at least two chunks in flight)");
-    if (spec.scoring.backend_v2 == nullptr)
+    if (spec.scoring.backend == nullptr)
       return invalid("survival.overlap_depth >= 2 requires a stream-capable "
-                     "scoring.backend_v2 (function backends run serially)");
+                     "scoring.backend (the host engines run serially)");
   }
   if (sv.check.enabled && sv.check.backoff_base_ms < 0.0)
     return invalid("survival.check.backoff_base_ms must be >= 0");
@@ -175,10 +172,9 @@ util::Status validate(const ScanSpec& spec) {
     return invalid("scan supports ScoreParams-expressible schemes only "
                    "(linear gaps, uniform substitution); ScanConfig has no "
                    "affine path");
-  if (spec.scoring.backend_v2 != nullptr || spec.scoring.backend != nullptr ||
-      spec.scoring.chunk_backend != nullptr)
-    return invalid("scan ignores scoring backends (it always runs the host "
-                   "BPBC path); clear them rather than relying on that");
+  if (spec.scoring.backend != nullptr)
+    return invalid("scan ignores scoring.backend (it always runs the host "
+                   "engines); clear it rather than relying on that");
   if (spec.windows.window == 0)
     return invalid("windows.window must be positive");
   if (spec.windows.overlap != 0 && spec.windows.window <= spec.windows.overlap)

@@ -56,12 +56,10 @@ struct ScoringConfig {
   // the builders reject unknown names with a typed kInvalidInput instead
   // of silently defaulting.
   std::string backend_name;
-  // Engine selection, same precedence as ScreenConfig: backend_v2 (not
-  // owned, must outlive the run) over chunk_backend over backend over the
-  // database store over the backend_choice host path.
-  ScoreBackend backend;
-  ChunkBackend chunk_backend;
-  Backend* backend_v2 = nullptr;
+  // Engine selection, same precedence as ScreenConfig: an explicit
+  // backend (not owned, must outlive the run) over the database store over
+  // the backend_choice host path.
+  Backend* backend = nullptr;
   // Pre-transposed database store serving the ys side (not owned; must
   // outlive the run). The builder rejects combining it with an explicit
   // backend, and requires chunk_pairs to be shard-aligned (a multiple of

@@ -1,6 +1,7 @@
 #include "sw/dispatch.hpp"
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 #include "sw/backend.hpp"
@@ -122,6 +123,31 @@ BackendChoice resolve_backend_choice(BackendChoice requested,
              : BackendChoice::kBpbc;
 }
 
+namespace {
+
+// The naive wordwise reference as a screening backend: no integrity
+// findings, no stop polling, no phase split (the screen loop books its
+// wall time on SWA).
+class WordwiseBackend final : public Backend {
+ public:
+  WordwiseBackend(const ScoreParams& params, bulk::Mode mode)
+      : params_(params), mode_(mode) {}
+
+  [[nodiscard]] BackendCaps caps() const override { return {}; }
+
+  ChunkResult run(const ChunkJob& job) override {
+    ChunkResult r;
+    r.scores = wordwise_max_scores(job.xs, job.ys, params_, mode_);
+    return r;
+  }
+
+ private:
+  ScoreParams params_;
+  bulk::Mode mode_;
+};
+
+}  // namespace
+
 util::Expected<DispatchedBackend> make_dispatch_backend(
     const ScoringScheme& scheme, LaneWidth width, bulk::Mode mode,
     encoding::TransposeMethod method, BackendChoice requested,
@@ -142,12 +168,7 @@ util::Expected<DispatchedBackend> make_dispatch_backend(
             "backend wordwise-naive scores ScoreParams-expressible schemes "
             "only (linear gaps, uniform substitution); use bpbc, striped, "
             "or auto for this scheme");
-      const ScoreParams p = *params;
-      out.backend = adapt_score_backend(
-          [p, mode](std::span<const encoding::Sequence> xs,
-                    std::span<const encoding::Sequence> ys) {
-            return wordwise_max_scores(xs, ys, p, mode);
-          });
+      out.backend = std::make_unique<WordwiseBackend>(*params, mode);
       break;
     }
     case BackendChoice::kAuto:

@@ -82,13 +82,15 @@ std::uint64_t batch_fingerprint(std::span<const Sequence> xs,
 // are the chunk's spans). Returns non-ok only if even the wordwise CPU
 // fallback disagrees with the scalar reference (a library invariant
 // violation, not a transient fault). A triggered `stop` unwinds out of the
-// verify loop as the stop's StatusError.
+// verify loop as the stop's StatusError. `rescore(qx, qy)` re-scores the
+// quarantined lanes through the screen's backend.
+template <typename Rescore>
 util::Status self_check(std::span<const Sequence> xs,
                         std::span<const Sequence> ys,
                         const ScreenConfig& config,
                         const ScoringScheme& scheme,
                         const ScoreParams& eff_params,
-                        const ScoreBackend& rescore,
+                        const Rescore& rescore,
                         std::span<std::uint32_t> scores,
                         const util::StopCondition* stop,
                         ReliabilityReport& rel) {
@@ -278,21 +280,16 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
     report.chunks[c].end = std::min(count, (c + 1) * chunk_pairs);
   }
 
-  // Backend resolution (v2): an explicit Backend wins; the v1 function
-  // backends are wrapped through the compat adapters; a configured
-  // database store serves ys from disk; otherwise the host engine is
-  // picked by backend_choice (BPBC / striped / naive reference / the
-  // measured cost-model auto-dispatch). One interface runs every chunk
-  // from here on, and the selection is observable: a span arg plus a
+  // Backend resolution: an explicit Backend wins; a configured database
+  // store serves ys from disk; otherwise the host engine is picked by
+  // backend_choice (BPBC / striped / naive reference / the measured
+  // cost-model auto-dispatch). One interface runs every chunk from here
+  // on, and the host selection is observable: a span arg plus a
   // backend_selected.<engine> counter.
   std::unique_ptr<Backend> owned_backend;
-  Backend* backend = config.backend_v2;
+  Backend* backend = config.backend;
   if (backend == nullptr) {
-    if (config.chunk_backend) {
-      owned_backend = adapt_chunk_backend(config.chunk_backend);
-    } else if (config.backend) {
-      owned_backend = adapt_score_backend(config.backend);
-    } else if (config.database != nullptr) {
+    if (config.database != nullptr) {
       DbBackendOptions options;
       options.params = eff_params;
       options.width = config.width;
@@ -324,28 +321,24 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
     backend = owned_backend.get();
   }
 
-  // Quarantine rescoring backend for the per-chunk self-check. Rescore
-  // jobs are tagged (chunk, attempt) past the whole-chunk retry budget so
-  // a deterministic backend draws reproducible campaigns regardless of
-  // overlap; when a legacy ScoreBackend was configured it stays the
-  // rescore path verbatim (the v1 precedence).
+  // Quarantine rescoring for the per-chunk self-check. Rescore jobs are
+  // tagged (chunk, attempt) past the whole-chunk retry budget so a
+  // deterministic backend draws reproducible campaigns regardless of
+  // overlap.
   std::size_t rescore_chunk = 0;
   unsigned rescore_calls = 0;
-  const ScoreBackend rescore =
-      config.backend_v2 == nullptr && config.backend
-          ? config.backend
-          : ScoreBackend([&config, &rescore_chunk, &rescore_calls, backend,
-                          stop_ptr](std::span<const Sequence> qx,
-                                    std::span<const Sequence> qy) {
-              ChunkJob job;
-              job.chunk = rescore_chunk;
-              job.attempt = config.chunk_retry_limit + 1 + rescore_calls++;
-              job.xs = qx;
-              job.ys = qy;
-              job.stop = stop_ptr;
-              job.trace_id = telemetry::current_trace_context();
-              return backend->run(job).scores;
-            });
+  const auto rescore = [&config, &rescore_chunk, &rescore_calls, backend,
+                        stop_ptr](std::span<const Sequence> qx,
+                                  std::span<const Sequence> qy) {
+    ChunkJob job;
+    job.chunk = rescore_chunk;
+    job.attempt = config.chunk_retry_limit + 1 + rescore_calls++;
+    job.xs = qx;
+    job.ys = qy;
+    job.stop = stop_ptr;
+    job.trace_id = telemetry::current_trace_context();
+    return backend->run(job).scores;
+  };
 
   // Resume source: load and validate before the writer may truncate it
   // (resume_path and checkpoint_path can name the same file).
@@ -487,8 +480,8 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
                 "backend returned " + std::to_string(r.scores.size()) +
                 " scores for a chunk of " + std::to_string(len) + " pairs");
           // Phase attribution: backends that know their split report it;
-          // for opaque (function-adapter) backends the measured call wall
-          // time lands on the SWA phase, as in v1.
+          // for opaque backends the measured call wall time lands on the
+          // SWA phase.
           if (r.has_phase_timings) {
             report.bpbc.w2b_ms += r.timings.w2b_ms;
             report.bpbc.swa_ms += r.timings.swa_ms;

@@ -31,19 +31,7 @@ class Reader;  // db/reader.hpp — the pre-transposed database store
 
 namespace swbpbc::sw {
 
-class Backend;  // sw/backend.hpp — the v2 unified backend interface
-
-/// Pluggable scoring backend: maps pairs (xs[k], ys[k]) to their max DP
-/// scores. Lets screen() run on an alternative engine — notably the
-/// device simulator with fault injection (device::make_screen_backend) —
-/// without sw depending on device. Must accept any uniform-length subset
-/// of the batch (the quarantine-retry path re-submits subsets).
-///
-/// Deprecated (v1): new code should implement sw::Backend (sw/backend.hpp)
-/// and set ScreenConfig::backend_v2; adapt_score_backend() wraps an
-/// existing ScoreBackend losslessly. This typedef remains supported.
-using ScoreBackend = std::function<std::vector<std::uint32_t>(
-    std::span<const encoding::Sequence>, std::span<const encoding::Sequence>)>;
+class Backend;  // sw/backend.hpp — the screening backend interface
 
 /// One chunk's worth of backend output, with in-band integrity findings.
 /// `faults` carries (stage, block); screen() fills in the chunk index.
@@ -54,9 +42,8 @@ struct ChunkResult {
   double integrity_ms = 0.0;
   // Per-phase attribution of the chunk's compute time. Backends that know
   // their phase split (the host BPBC path, the device engine) set
-  // has_phase_timings and fill `timings`; function-adapter backends leave
-  // it false and screen() attributes the measured call wall time to the
-  // SWA phase, matching the pre-v2 behaviour exactly.
+  // has_phase_timings and fill `timings`; opaque backends leave it false
+  // and screen() attributes the measured call wall time to the SWA phase.
   PhaseTimings timings;
   bool has_phase_timings = false;
   // Database-store serving counters (sw/db_backend.hpp); zero for every
@@ -68,18 +55,6 @@ struct ChunkResult {
   std::uint64_t db_pairs_reingested = 0;    // pairs scored from re-ingest
   std::uint64_t db_pairs_fallback = 0;      // whole-job in-memory fallback
 };
-
-/// Integrity-aware chunk backend (device::make_chunk_backend adapts the
-/// simulator). The StopCondition, when non-null, must be polled so a
-/// cancellation or deadline interrupts the chunk mid-kernel (the backend
-/// signals that by throwing the stop's StatusError).
-///
-/// Deprecated (v1): new code should implement sw::Backend (sw/backend.hpp)
-/// and set ScreenConfig::backend_v2; adapt_chunk_backend() wraps an
-/// existing ChunkBackend losslessly. This typedef remains supported.
-using ChunkBackend = std::function<ChunkResult(
-    std::span<const encoding::Sequence>, std::span<const encoding::Sequence>,
-    const util::StopCondition*)>;
 
 /// Per-chunk progress notification (invoked after a chunk completes, is
 /// satisfied from a checkpoint, or exhausts its retries).
@@ -113,7 +88,11 @@ struct ScreenConfig {
   // sw/dispatch.hpp. Scores are bit-identical whichever engine runs;
   // SWBPBC_FORCE_BACKEND outranks this field.
   BackendChoice backend_choice = BackendChoice::kAuto;
-  ScoreBackend backend;   // empty: host path per backend_choice
+  // Explicit scoring backend (sw/backend.hpp), e.g. the device
+  // PipelineEngine; outranks the database and backend_choice. Not owned —
+  // must outlive the screen call. A backend whose caps().streams is true
+  // unlocks the overlapped chunk pipeline (see overlap_depth).
+  Backend* backend = nullptr;
   SelfCheckConfig check;  // verify-quarantine-retry; disabled by default
 
   // --- survivability (chunked streaming) -------------------------------
@@ -124,13 +103,6 @@ struct ScreenConfig {
   // Whole-chunk backend re-runs when in-band integrity checks detect
   // corruption (each re-run observes a fresh fault campaign).
   unsigned chunk_retry_limit = 2;
-  // Integrity-aware backend; preferred over `backend` when set.
-  ChunkBackend chunk_backend;
-  // v2 unified backend (sw/backend.hpp); preferred over both function
-  // backends when set. Not owned — must outlive the screen call. A
-  // backend whose caps().streams is true unlocks the overlapped chunk
-  // pipeline (see overlap_depth).
-  Backend* backend_v2 = nullptr;
   // Pre-transposed database store holding the ys side (sw/db_backend.hpp
   // serves it; only the query side pays W2B at serve time). Not owned —
   // must outlive the screen call. Used when no explicit backend is set;
@@ -142,11 +114,11 @@ struct ScreenConfig {
   // one FNV pass over ys. On by default — stale databases otherwise score
   // the wrong sequences bit-perfectly.
   bool db_verify_content = true;
-  // In-flight chunk window for stream-capable v2 backends: while chunk k
-  // is computing, chunks k+1 .. k+overlap_depth-1 are already submitted,
-  // so their H2G/W2B overlaps k's SWA and k-1's B2W/G2H. 1 = serial (the
-  // pre-v2 loop); values >= 2 enable the software pipeline. Ignored
-  // unless backend_v2 is set, declares caps().streams, and chunking is on.
+  // In-flight chunk window for stream-capable backends: while chunk k is
+  // computing, chunks k+1 .. k+overlap_depth-1 are already submitted, so
+  // their H2G/W2B overlaps k's SWA and k-1's B2W/G2H. 1 = serial; values
+  // >= 2 enable the software pipeline. Ignored unless `backend` is set,
+  // declares caps().streams, and chunking is on.
   std::size_t overlap_depth = 1;
   // Invoked after every chunk settles; may call cancel->cancel(). A
   // throwing observer does not unwind out of screen(): the run stops and

@@ -500,7 +500,7 @@ util::Expected<std::vector<std::uint32_t>> try_striped_max_scores(
 }
 
 // ---------------------------------------------------------------------
-// The v2 Backend adapter (DNA batch boundary).
+// The screening Backend adapter (DNA batch boundary).
 // ---------------------------------------------------------------------
 
 namespace {

@@ -157,7 +157,7 @@ util::Expected<std::vector<std::uint32_t>> try_striped_max_scores(
     StripedProfileCache* cache = nullptr, PhaseTimings* timings = nullptr,
     StripedRepr repr = StripedRepr::kAuto);
 
-/// The striped engine as a first-class v2 screening Backend (DNA batch
+/// The striped engine as a first-class screening Backend (DNA batch
 /// boundary, any uniform scheme incl. affine). Polls ChunkJob::stop
 /// between pairs; reports profile/DP phase timings. Holds its own
 /// profile cache unless `cache` is supplied (not owned, must outlive the

@@ -262,5 +262,41 @@ TEST(PipelineEngine, ShapeChangeRequiresEmptyPipeline) {
   EXPECT_EQ(r.scores, ref.scores);
 }
 
+// A job whose SWA blocks the watchdog killed is a watchdog run in the
+// telemetry registry, synchronous or streamed alike; the count comes from
+// each job's own killed blocks, and a clean run adds nothing.
+TEST(PipelineEngine, WatchdogKillsCountAsWatchdogRuns) {
+  const Batch b = make_batch(9, 64, 8, 16);
+  telemetry::TelemetryConfig tcfg;
+  tcfg.enabled = true;
+  telemetry::Telemetry session(tcfg);
+
+  FaultConfig fc;
+  fc.seed = 31;
+  fc.stall_probability = 1.0;
+  FaultInjector injector(fc);
+  EngineOptions opts;
+  opts.params = kParams;
+  opts.faults = &injector;
+  opts.watchdog_phases = 8 + 16 + 8;  // SWA needs m+n-1; a stall adds 2^20
+  opts.telemetry = session.sink();
+  opts.overlap_depth = 2;
+  PipelineEngine stalled(opts);
+  stalled.run(make_job(b, 0, 0, 32));
+  stalled.submit(make_job(b, 1, 32, 32));
+  stalled.collect();
+  EXPECT_EQ(injector.log().watchdog_trips, 2u);
+
+  EngineOptions clean_opts = opts;
+  clean_opts.faults = nullptr;
+  PipelineEngine clean(clean_opts);
+  clean.run(make_job(b, 0, 0, 32));
+
+  const telemetry::MetricsRegistry::Snapshot s =
+      session.registry().snapshot();
+  EXPECT_EQ(s.counters.at("device.runs"), 3u);
+  EXPECT_EQ(s.counters.at("device.watchdog_runs"), 2u);
+}
+
 }  // namespace
 }  // namespace swbpbc::device

@@ -1,8 +1,9 @@
-// sw::Backend (v2) — adapter equivalence with the v1 function backends,
-// base-class submit/collect semantics, and the overlapped screen loop:
-// an engine-backed try_screen at overlap_depth >= 2 must be bit-identical
-// to its serial execution, including under fault injection with the full
-// self-check/quarantine machinery enabled.
+// sw::Backend — the one screening backend interface: opaque and host
+// backends against the default path, the base-class submit/collect
+// contract, and the overlapped screen loop: an engine-backed try_screen at
+// overlap_depth >= 2 must be bit-identical to its serial execution,
+// including under fault injection with the full self-check/quarantine
+// machinery enabled.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,13 +14,13 @@
 
 #include "device/engine.hpp"
 #include "device/fault.hpp"
-#include "device/sw_kernels.hpp"
 #include "encoding/random.hpp"
 #include "sw/backend.hpp"
 #include "sw/bpbc.hpp"
 #include "sw/pipeline.hpp"
 #include "util/cancel.hpp"
 #include "util/status.hpp"
+#include "fn_backend.hpp"
 
 namespace swbpbc::sw {
 namespace {
@@ -93,27 +94,29 @@ device::IntegrityConfig full_integrity() {
   return ic;
 }
 
-// --- compat adapters reproduce the v1 paths exactly ----------------------
+// --- explicit backends against the default path --------------------------
 
-TEST(BackendV2, ScoreBackendAdapterMatchesLegacyField) {
+TEST(BackendV2, OpaqueBackendMatchesDefaultPath) {
+  // A backend without a phase split: scores match the default host path,
+  // and the screen loop books the whole call on SWA.
   const Batch b = make_batch(21, 48, 8, 16);
-  const ScoreBackend f = [](std::span<const Sequence> xs,
-                            std::span<const Sequence> ys) {
-    return bpbc_max_scores(xs, ys, kParams, LaneWidth::k32);
-  };
-  ScreenConfig legacy;
-  legacy.params = kParams;
-  legacy.threshold = 14;
-  legacy.backend = f;
-  legacy.chunk_pairs = 16;
-  const ScreenReport want = screen(b.xs, b.ys, legacy);
+  ScreenConfig host;
+  host.params = kParams;
+  host.threshold = 14;
+  host.chunk_pairs = 16;
+  const ScreenReport want = screen(b.xs, b.ys, host);
 
-  ScreenConfig v2 = legacy;
-  v2.backend = nullptr;
-  const std::unique_ptr<Backend> adapted = adapt_score_backend(f);
-  v2.backend_v2 = adapted.get();
-  const ScreenReport got = screen(b.xs, b.ys, v2);
-  expect_same_report(got, want, "score adapter");
+  auto opaque = test_support::scores_backend(
+      [](std::span<const Sequence> xs, std::span<const Sequence> ys) {
+        return bpbc_max_scores(xs, ys, kParams, LaneWidth::k32);
+      });
+  ScreenConfig cfg = host;
+  cfg.backend = &opaque;
+  const ScreenReport got = screen(b.xs, b.ys, cfg);
+  expect_same_report(got, want, "opaque backend");
+  EXPECT_EQ(got.bpbc.w2b_ms, 0.0);
+  EXPECT_EQ(got.bpbc.b2w_ms, 0.0);
+  EXPECT_GT(got.bpbc.swa_ms, 0.0);
 }
 
 TEST(BackendV2, HostBackendMatchesDefaultPath) {
@@ -124,108 +127,72 @@ TEST(BackendV2, HostBackendMatchesDefaultPath) {
   legacy.chunk_pairs = 10;
   const ScreenReport want = screen(b.xs, b.ys, legacy);
 
-  ScreenConfig v2 = legacy;
+  ScreenConfig cfg = legacy;
   const std::unique_ptr<Backend> host = make_host_backend(
-      kParams, v2.width, v2.mode, v2.method);
-  v2.backend_v2 = host.get();
-  const ScreenReport got = screen(b.xs, b.ys, v2);
+      kParams, cfg.width, cfg.mode, cfg.method);
+  cfg.backend = host.get();
+  const ScreenReport got = screen(b.xs, b.ys, cfg);
   expect_same_report(got, want, "host backend");
   // Both paths attribute per-phase timings (not everything on SWA).
   EXPECT_GT(got.bpbc.w2b_ms + got.bpbc.b2w_ms, 0.0);
 }
 
-TEST(BackendV2, ChunkBackendAdapterMatchesLegacyUnderFaultInjection) {
-  // The same device chunk backend, reached through the v1 field and
-  // through adapt_chunk_backend, with twin same-seed injectors: the two
-  // screens must agree on every score, fault finding, and recovery count.
-  const Batch b = make_batch(23, 96, 8, 12);
-  device::FaultInjector faults_legacy(noisy_faults());
-  device::FaultInjector faults_v2(noisy_faults());
-
-  const auto configure = [&](device::FaultInjector* inj) {
-    device::GpuRunOptions gpu;
-    gpu.faults = inj;
-    gpu.integrity = full_integrity();
-    ScreenConfig cfg;
-    cfg.params = kParams;
-    cfg.threshold = 12;
-    cfg.width = LaneWidth::k32;
-    cfg.chunk_pairs = 16;
-    cfg.chunk_retry_limit = 2;
-    cfg.check.enabled = true;
-    cfg.check.sample_every = 3;
-    cfg.chunk_backend = device::make_chunk_backend(kParams, cfg.width, gpu);
-    return cfg;
-  };
-
-  ScreenConfig legacy = configure(&faults_legacy);
-  const ScreenReport want = screen(b.xs, b.ys, legacy);
-
-  ScreenConfig v2 = configure(&faults_v2);
-  const std::unique_ptr<Backend> adapted =
-      adapt_chunk_backend(v2.chunk_backend);
-  v2.chunk_backend = nullptr;
-  v2.backend_v2 = adapted.get();
-  const ScreenReport got = screen(b.xs, b.ys, v2);
-
-  expect_same_report(got, want, "chunk adapter");
-  expect_same_reliability(got.reliability, want.reliability, "chunk adapter");
-  EXPECT_GT(want.reliability.integrity_faults, 0u)
-      << "fault rates too low to exercise the recovery machinery";
-}
-
-TEST(BackendV2, CancellationEquivalentThroughAdapter) {
+TEST(BackendV2, CancellationThroughSerialEngine) {
+  // A depth-1 engine stopped after chunk 1: the settled chunks carry the
+  // full run's scores, the rest read zero.
   const Batch b = make_batch(24, 64, 8, 12);
-  const auto run_with = [&](bool use_v2) {
-    device::GpuRunOptions gpu;
-    ScreenConfig cfg;
-    cfg.params = kParams;
-    cfg.threshold = 10;
-    cfg.chunk_pairs = 16;
-    const ChunkBackend chunk =
-        device::make_chunk_backend(kParams, cfg.width, gpu);
-    std::unique_ptr<Backend> adapted;
-    if (use_v2) {
-      adapted = adapt_chunk_backend(chunk);
-      cfg.backend_v2 = adapted.get();
-    } else {
-      cfg.chunk_backend = chunk;
-    }
-    util::CancellationToken cancel;
-    cfg.cancel = &cancel;
-    cfg.progress = [&cancel](const ChunkProgress& p) {
-      if (p.chunk == 1) cancel.cancel();
-    };
-    return screen(b.xs, b.ys, cfg);
+  device::EngineOptions eopts;
+  eopts.params = kParams;
+  eopts.overlap_depth = 1;
+  device::PipelineEngine engine(eopts);
+  ScreenConfig cfg;
+  cfg.params = kParams;
+  cfg.threshold = 10;
+  cfg.chunk_pairs = 16;
+  cfg.backend = &engine;
+  const ScreenReport full = screen(b.xs, b.ys, cfg);
+
+  util::CancellationToken cancel;
+  cfg.cancel = &cancel;
+  cfg.progress = [&cancel](const ChunkProgress& p) {
+    if (p.chunk == 1) cancel.cancel();
   };
-  const ScreenReport want = run_with(false);
-  const ScreenReport got = run_with(true);
-  EXPECT_EQ(want.status.code(), util::ErrorCode::kCancelled);
-  expect_same_report(got, want, "cancelled run");
-  EXPECT_FALSE(want.complete());
+  const ScreenReport report = screen(b.xs, b.ys, cfg);
+  EXPECT_EQ(report.status.code(), util::ErrorCode::kCancelled);
+  EXPECT_FALSE(report.complete());
+  for (const ChunkOutcome& outcome : report.chunks) {
+    EXPECT_EQ(outcome.completed, outcome.end <= 32) << outcome.begin;
+    for (std::size_t k = outcome.begin; k < outcome.end; ++k)
+      EXPECT_EQ(report.scores[k], outcome.completed ? full.scores[k] : 0u)
+          << "pair " << k;
+  }
 }
 
 // --- base-class submit/collect -------------------------------------------
 
-TEST(BackendV2, BaseSubmitCollectDegradesToDeferredRuns) {
-  const Batch b = make_batch(25, 32, 8, 12);
+TEST(BackendV2, BaseSubmitCollectThrowInternal) {
+  // Only stream-capable backends overlap; the screen loop never calls
+  // submit/collect on any other, and a direct call is a typed error.
+  const Batch b = make_batch(25, 16, 8, 12);
   const std::unique_ptr<Backend> host = make_host_backend(
       kParams, LaneWidth::k32, bulk::Mode::kSerial,
       encoding::TransposeMethod::kPlanned);
   EXPECT_FALSE(host->caps().streams);
-  ChunkJob first;
-  first.xs = std::span<const Sequence>(b.xs).subspan(0, 16);
-  first.ys = std::span<const Sequence>(b.ys).subspan(0, 16);
-  ChunkJob second;
-  second.xs = std::span<const Sequence>(b.xs).subspan(16, 16);
-  second.ys = std::span<const Sequence>(b.ys).subspan(16, 16);
-  host->submit(first);
-  host->submit(second);
-  const ChunkResult r1 = host->collect();
-  const ChunkResult r2 = host->collect();
-  EXPECT_EQ(r1.scores, host->run(first).scores);
-  EXPECT_EQ(r2.scores, host->run(second).scores);
-  EXPECT_THROW(host->collect(), util::StatusError);
+  ChunkJob job;
+  job.xs = b.xs;
+  job.ys = b.ys;
+  try {
+    host->submit(job);
+    FAIL() << "expected StatusError from submit";
+  } catch (const util::StatusError& e) {
+    EXPECT_EQ(e.status().code(), util::ErrorCode::kInternal);
+  }
+  try {
+    (void)host->collect();
+    FAIL() << "expected StatusError from collect";
+  } catch (const util::StatusError& e) {
+    EXPECT_EQ(e.status().code(), util::ErrorCode::kInternal);
+  }
 }
 
 // --- the overlapped screen loop ------------------------------------------
@@ -246,7 +213,7 @@ ScreenReport engine_screen(const Batch& b, std::size_t overlap_depth,
   cfg.width = LaneWidth::k32;
   cfg.chunk_pairs = 16;
   cfg.chunk_retry_limit = 2;
-  cfg.backend_v2 = &engine;
+  cfg.backend = &engine;
   cfg.overlap_depth = overlap_depth;
   if (check) {
     cfg.check.enabled = true;
@@ -289,7 +256,7 @@ TEST(OverlappedScreen, CancellationLeavesWellFormedPartialReport) {
   cfg.params = kParams;
   cfg.threshold = 10;
   cfg.chunk_pairs = 16;
-  cfg.backend_v2 = &engine;
+  cfg.backend = &engine;
   cfg.overlap_depth = 3;
   cfg.cancel = &cancel;
   cfg.progress = [&cancel](const ChunkProgress& p) {

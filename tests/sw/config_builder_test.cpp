@@ -45,7 +45,7 @@ TEST(ScreenSpecBuilder, FlattensEverySectionIntoTheV1Config) {
   scoring.width = LaneWidth::k32;
   scoring.mode = bulk::Mode::kParallel;
   scoring.traceback = false;
-  scoring.backend_v2 = &engine;
+  scoring.backend = &engine;
   SurvivalConfig survival;
   survival.chunk_pairs = 256;
   survival.chunk_retry_limit = 5;
@@ -68,7 +68,7 @@ TEST(ScreenSpecBuilder, FlattensEverySectionIntoTheV1Config) {
   EXPECT_EQ(cfg.width, LaneWidth::k32);
   EXPECT_EQ(cfg.mode, bulk::Mode::kParallel);
   EXPECT_FALSE(cfg.traceback);
-  EXPECT_EQ(cfg.backend_v2, &engine);
+  EXPECT_EQ(cfg.backend, &engine);
   EXPECT_EQ(cfg.chunk_pairs, 256u);
   EXPECT_EQ(cfg.chunk_retry_limit, 5u);
   EXPECT_EQ(cfg.overlap_depth, 3u);
@@ -189,7 +189,7 @@ TEST(ScreenSpecBuilder, RejectsOverlapBeyondTheArenaRing) {
   device::PipelineEngine engine(eopts);
   ScoringConfig scoring;
   scoring.params = kParams;
-  scoring.backend_v2 = &engine;
+  scoring.backend = &engine;
   SurvivalConfig survival;
   survival.chunk_pairs = 64;
   survival.overlap_depth = 9;
@@ -204,7 +204,7 @@ TEST(ScreenSpecBuilder, RejectsOverlapWithoutChunking) {
   device::PipelineEngine engine(eopts);
   ScoringConfig scoring;
   scoring.params = kParams;
-  scoring.backend_v2 = &engine;
+  scoring.backend = &engine;
   SurvivalConfig survival;
   survival.overlap_depth = 2;  // chunk_pairs left 0
   expect_invalid(
@@ -217,7 +217,7 @@ TEST(ScreenSpecBuilder, RejectsOverlapWithoutStreamBackend) {
   survival.chunk_pairs = 64;
   survival.overlap_depth = 2;
   expect_invalid(ScreenSpecBuilder().survival(survival).build(),
-                 "backend_v2");
+                 "scoring.backend");
 }
 
 TEST(ScreenSpecBuilder, RejectsDatabaseCombinedWithExplicitBackend) {
@@ -230,7 +230,7 @@ TEST(ScreenSpecBuilder, RejectsDatabaseCombinedWithExplicitBackend) {
   ScoringConfig scoring;
   scoring.params = kParams;
   scoring.database = fake_db;
-  scoring.backend_v2 = &engine;
+  scoring.backend = &engine;
   expect_invalid(ScreenSpecBuilder().scoring(scoring).build(),
                  "scoring.database");
 }
@@ -299,7 +299,7 @@ TEST(ScreenSpecBuilder, BuiltConfigRunsAnOverlappedScreen) {
   scoring.params = kParams;
   scoring.threshold = 12;
   scoring.width = LaneWidth::k32;
-  scoring.backend_v2 = &engine;
+  scoring.backend = &engine;
   SurvivalConfig survival;
   survival.chunk_pairs = 16;
   survival.overlap_depth = 3;
@@ -372,10 +372,10 @@ TEST(ScanSpecBuilder, RejectsWindowNotExceedingOverlap) {
 TEST(ScanSpecBuilder, RejectsConfiguredBackends) {
   ScoringConfig scoring;
   scoring.params = kParams;
-  scoring.backend = [](std::span<const Sequence>,
-                       std::span<const Sequence>) {
-    return std::vector<std::uint32_t>{};
-  };
+  device::EngineOptions eopts;
+  eopts.params = kParams;
+  device::PipelineEngine engine(eopts);
+  scoring.backend = &engine;
   expect_scan_invalid(ScanSpecBuilder().scoring(scoring).build(),
                       "backend");
 }

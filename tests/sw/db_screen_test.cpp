@@ -17,6 +17,7 @@
 #include "sw/db_backend.hpp"
 #include "sw/pipeline.hpp"
 #include "util/status.hpp"
+#include "fn_backend.hpp"
 
 namespace swbpbc::sw {
 namespace {
@@ -256,13 +257,15 @@ TEST(DbScreen, ExplicitBackendOutranksDatabase) {
   ScreenConfig cfg = base_config();
   cfg.database = &*reader;
   std::size_t backend_calls = 0;
-  cfg.backend = [&backend_calls](std::span<const Sequence> xs,
-                                 std::span<const Sequence> ys) {
-    ++backend_calls;
-    std::vector<std::uint32_t> scores(xs.size(), 0);
-    (void)ys;
-    return scores;
-  };
+  auto backend = test_support::scores_backend(
+      [&backend_calls](std::span<const Sequence> xs,
+                       std::span<const Sequence> ys) {
+        ++backend_calls;
+        std::vector<std::uint32_t> scores(xs.size(), 0);
+        (void)ys;
+        return scores;
+      });
+  cfg.backend = &backend;
   const ScreenReport got = screen(f.xs, f.ys, cfg);
   EXPECT_GT(backend_calls, 0u);
   EXPECT_EQ(got.reliability.db_shards_served, 0u);

@@ -6,17 +6,19 @@
 #include <span>
 #include <vector>
 
+#include "device/engine.hpp"
 #include "device/fault.hpp"
-#include "device/sw_kernels.hpp"
 #include "encoding/random.hpp"
 #include "sw/pipeline.hpp"
 #include "sw/scalar.hpp"
 #include "util/status.hpp"
+#include "fn_backend.hpp"
 
 namespace swbpbc::sw {
 namespace {
 
 using encoding::Sequence;
+using test_support::scores_backend;
 
 constexpr ScoreParams kParams{2, 1, 1};
 
@@ -125,13 +127,14 @@ TEST(SelfCheck, PersistentlyWrongBackendFallsBackToWordwise) {
   cfg.check.max_retries = 2;
   // A backend that is always off by one: every retry fails, so every lane
   // must be settled by the wordwise CPU fallback.
-  cfg.backend = [](std::span<const Sequence> xs,
-                   std::span<const Sequence> ys) {
+  auto backend = scores_backend([](std::span<const Sequence> xs,
+                                   std::span<const Sequence> ys) {
     std::vector<std::uint32_t> scores;
     for (std::size_t k = 0; k < xs.size(); ++k)
       scores.push_back(max_score(xs[k], ys[k], kParams) + 1);
     return scores;
-  };
+  });
+  cfg.backend = &backend;
   const ScreenReport report = screen(b.xs, b.ys, cfg);
 
   const auto& rel = report.reliability;
@@ -155,14 +158,15 @@ TEST(SelfCheck, TransientFaultRecoveredByRetry) {
   // First call corrupts lane 0; every later (quarantine) call is clean —
   // a transient fault that one retry fixes.
   auto calls = std::make_shared<int>(0);
-  cfg.backend = [calls](std::span<const Sequence> xs,
-                        std::span<const Sequence> ys) {
+  auto backend = scores_backend([calls](std::span<const Sequence> xs,
+                                        std::span<const Sequence> ys) {
     std::vector<std::uint32_t> scores;
     for (std::size_t k = 0; k < xs.size(); ++k)
       scores.push_back(max_score(xs[k], ys[k], kParams));
     if ((*calls)++ == 0 && !scores.empty()) scores[0] += 100;
     return scores;
-  };
+  });
+  cfg.backend = &backend;
   const ScreenReport report = screen(b.xs, b.ys, cfg);
 
   const auto& rel = report.reliability;
@@ -189,14 +193,15 @@ TEST(SelfCheck, FabricatedHitIsCaughtWithoutSampling) {
   cfg.check.sample_every = 0;
   cfg.check.max_retries = 3;
   auto calls = std::make_shared<int>(0);
-  cfg.backend = [calls](std::span<const Sequence> xs,
-                        std::span<const Sequence> ys) {
+  auto backend = scores_backend([calls](std::span<const Sequence> xs,
+                                        std::span<const Sequence> ys) {
     std::vector<std::uint32_t> scores;
     for (std::size_t k = 0; k < xs.size(); ++k)
       scores.push_back(max_score(xs[k], ys[k], kParams));
     if ((*calls)++ == 0 && scores.size() > 5) scores[5] += 1000;
     return scores;
-  };
+  });
+  cfg.backend = &backend;
   const ScreenReport report = screen(b.xs, b.ys, cfg);
 
   EXPECT_EQ(report.reliability.lanes_verified, 1u);  // just the fake hit
@@ -209,9 +214,9 @@ TEST(SelfCheck, FabricatedHitIsCaughtWithoutSampling) {
 
 // --- the fault drill (ISSUE acceptance criterion) -----------------------
 //
-// >= 100 seeded campaigns drive the device backend through the full fault
-// model (bit flips in global and shared words, dropped phase syncs, block
-// stalls past the watchdog). With sample_every = 1 the self-check verifies
+// >= 100 seeded campaigns drive the device PipelineEngine through the full
+// fault model (bit flips in global and shared words, dropped phase syncs,
+// block stalls past the watchdog). With sample_every = 1 the self-check verifies
 // every lane, so the drill asserts total detection: after recovery every
 // reported score equals the scalar reference and the ReliabilityReport
 // accounts for every quarantined lane.
@@ -232,18 +237,21 @@ TEST(FaultDrill, HundredSeededCampaignsFullyRecovered) {
     fault.stall_probability = 0.05;
     device::FaultInjector injector(fault);
 
-    device::GpuRunOptions opt;
-    opt.mode = bulk::Mode::kSerial;
-    opt.faults = &injector;
-    opt.watchdog_phases = kM + kN + 16;
+    device::EngineOptions eopts;
+    eopts.params = kParams;
+    eopts.width = LaneWidth::k32;
+    eopts.mode = bulk::Mode::kSerial;
+    eopts.faults = &injector;
+    eopts.watchdog_phases = kM + kN + 16;
+    eopts.overlap_depth = 1;
+    device::PipelineEngine engine(eopts);
 
     ScreenConfig cfg;
     cfg.params = kParams;
     cfg.threshold = 12;
     cfg.width = LaneWidth::k32;
     cfg.traceback = false;
-    cfg.backend =
-        device::make_screen_backend(kParams, LaneWidth::k32, opt);
+    cfg.backend = &engine;
     cfg.check.enabled = true;
     cfg.check.sample_every = 1;  // verify every lane: total detection
     cfg.check.max_retries = 4;

@@ -456,7 +456,7 @@ TEST(SchemeEngine, OverlappedAffineIsBitIdenticalUnderFaults) {
     device::PipelineEngine engine(options);
     ScreenConfig cfg;
     cfg.scheme = scheme;
-    cfg.backend_v2 = &engine;
+    cfg.backend = &engine;
     cfg.chunk_pairs = 64;
     cfg.overlap_depth = depth;
     cfg.traceback = false;

@@ -1,7 +1,7 @@
 // Survivable long-run screening: chunked streaming, cooperative
 // cancellation/deadlines with well-formed partial reports, in-band stage
 // integrity with per-chunk quarantine/retry, and checkpoint/resume
-// (including the ISSUE's chunked 100-campaign fault drill).
+// (including the chunked 100-campaign fault drill).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,14 +13,15 @@
 #include <string>
 #include <vector>
 
+#include "device/engine.hpp"
 #include "device/fault.hpp"
-#include "device/sw_kernels.hpp"
 #include "encoding/random.hpp"
 #include "sw/pipeline.hpp"
 #include "sw/scalar.hpp"
 #include "util/cancel.hpp"
 #include "util/checkpoint.hpp"
 #include "util/status.hpp"
+#include "fn_backend.hpp"
 
 namespace swbpbc::sw {
 namespace {
@@ -145,18 +146,28 @@ TEST(ScreenCancel, ExpiredDeadlineCompletesNothing) {
 }
 
 // Cancellation raised *inside* the device pipeline (between lock-step
-// phases) must unwind through launch -> chunk backend -> screen and still
+// phases) must unwind through launch -> engine -> screen and still
 // produce a typed partial report, not a torn one.
 TEST(ScreenCancel, CancelBetweenDevicePhasesYieldsPartialReport) {
   const Batch b = make_batch(15, 24, 8, 16);
   const std::vector<std::uint32_t> refs = scalar_refs(b, kParams);
   util::CancellationToken token;
 
-  device::GpuRunOptions opt;
-  opt.mode = bulk::Mode::kSerial;
-  const ChunkBackend device_backend =
-      device::make_chunk_backend(kParams, LaneWidth::k32, opt);
+  device::EngineOptions eopts;
+  eopts.params = kParams;
+  eopts.width = LaneWidth::k32;
+  eopts.mode = bulk::Mode::kSerial;
+  eopts.overlap_depth = 1;
+  device::PipelineEngine engine(eopts);
   auto chunks_run = std::make_shared<int>(0);
+  test_support::FnBackend backend(
+      [&token, &engine, chunks_run](const ChunkJob& job) {
+        // Second chunk: trip the token after the backend has started, so
+        // the stop is observed at a device phase boundary, not the chunk
+        // boundary.
+        if ((*chunks_run)++ == 1) token.cancel();
+        return engine.run(job);
+      });
 
   ScreenConfig cfg;
   cfg.params = kParams;
@@ -164,15 +175,7 @@ TEST(ScreenCancel, CancelBetweenDevicePhasesYieldsPartialReport) {
   cfg.width = LaneWidth::k32;
   cfg.chunk_pairs = 8;
   cfg.cancel = &token;
-  cfg.chunk_backend = [&token, device_backend, chunks_run](
-                          std::span<const Sequence> xs,
-                          std::span<const Sequence> ys,
-                          const util::StopCondition* stop) {
-    // Second chunk: trip the token after the backend has started, so the
-    // stop is observed at a device phase boundary, not the chunk boundary.
-    if ((*chunks_run)++ == 1) token.cancel();
-    return device_backend(xs, ys, stop);
-  };
+  cfg.backend = &backend;
   const ScreenReport report = screen(b.xs, b.ys, cfg);
 
   EXPECT_EQ(report.status.code(), util::ErrorCode::kCancelled);
@@ -197,16 +200,18 @@ TEST(ScreenCancel, CancelDuringVerifyKeepsReportBalanced) {
   cfg.cancel = &token;
   cfg.check.enabled = true;
   cfg.check.sample_every = 1;
-  cfg.backend = [&token, chunks_run](std::span<const Sequence> xs,
-                                     std::span<const Sequence> ys) {
-    std::vector<std::uint32_t> scores;
-    for (std::size_t k = 0; k < xs.size(); ++k)
-      scores.push_back(max_score(xs[k], ys[k], kParams));
-    // After producing the second chunk's scores, cancel: the stop fires
-    // inside that chunk's verify loop.
-    if ((*chunks_run)++ == 1) token.cancel();
-    return scores;
-  };
+  auto backend = test_support::scores_backend(
+      [&token, chunks_run](std::span<const Sequence> xs,
+                           std::span<const Sequence> ys) {
+        std::vector<std::uint32_t> scores;
+        for (std::size_t k = 0; k < xs.size(); ++k)
+          scores.push_back(max_score(xs[k], ys[k], kParams));
+        // After producing the second chunk's scores, cancel: the stop
+        // fires inside that chunk's verify loop.
+        if ((*chunks_run)++ == 1) token.cancel();
+        return scores;
+      });
+  cfg.backend = &backend;
   const ScreenReport report = screen(b.xs, b.ys, cfg);
 
   EXPECT_EQ(report.status.code(), util::ErrorCode::kCancelled);
@@ -466,10 +471,10 @@ TEST(ScreenResume, TornTailSalvageResumesCleanPrefix) {
 
 // --- the chunked + in-band-integrity fault drill -------------------------
 //
-// The ISSUE acceptance criterion: 100 seeded campaigns through the
-// device backend with the full fault model (including flipped copy words),
-// chunked execution and in-band stage integrity on. Every campaign must
-// recover to the scalar reference; every in-band detection is attributed
+// 100 seeded campaigns through the device PipelineEngine with the full
+// fault model (including flipped copy words), chunked execution and
+// in-band stage integrity on. Every campaign must recover to the scalar
+// reference; every in-band detection is attributed
 // to a (chunk, stage); and a chunk retry resubmits only that chunk's
 // lanes — never the whole batch.
 TEST(FaultDrill, ChunkedIntegrityCampaignsRecoverAndAttribute) {
@@ -491,12 +496,16 @@ TEST(FaultDrill, ChunkedIntegrityCampaignsRecoverAndAttribute) {
     fault.copy_flip_probability = 2e-3;
     device::FaultInjector injector(fault);
 
-    device::GpuRunOptions opt;
-    opt.mode = bulk::Mode::kSerial;
-    opt.faults = &injector;
-    opt.watchdog_phases = kM + kN + 16;
-    opt.integrity.enabled = true;
-    opt.integrity.sample_every = 1;
+    device::EngineOptions eopts;
+    eopts.params = kParams;
+    eopts.width = LaneWidth::k32;
+    eopts.mode = bulk::Mode::kSerial;
+    eopts.faults = &injector;
+    eopts.watchdog_phases = kM + kN + 16;
+    eopts.integrity.enabled = true;
+    eopts.integrity.sample_every = 1;
+    eopts.overlap_depth = 1;
+    device::PipelineEngine engine(eopts);
 
     ScreenConfig cfg;
     cfg.params = kParams;
@@ -505,8 +514,7 @@ TEST(FaultDrill, ChunkedIntegrityCampaignsRecoverAndAttribute) {
     cfg.traceback = false;
     cfg.chunk_pairs = kChunk;
     cfg.chunk_retry_limit = 3;
-    cfg.chunk_backend =
-        device::make_chunk_backend(kParams, LaneWidth::k32, opt);
+    cfg.backend = &engine;
     cfg.check.enabled = true;
     cfg.check.sample_every = 1;  // self-check backstop: total detection
     cfg.check.max_retries = 4;
@@ -554,17 +562,21 @@ TEST(FaultDrill, ChunkedIntegrityCampaignsRecoverAndAttribute) {
 // equal the reference, and the checks report being evaluated.
 TEST(Integrity, CleanDeviceRunDetectsNothing) {
   const Batch b = make_batch(23, 40, 8, 16);
-  device::GpuRunOptions opt;
-  opt.mode = bulk::Mode::kSerial;
-  opt.integrity.enabled = true;
-  opt.integrity.sample_every = 1;
+  device::EngineOptions eopts;
+  eopts.params = kParams;
+  eopts.width = LaneWidth::k32;
+  eopts.mode = bulk::Mode::kSerial;
+  eopts.integrity.enabled = true;
+  eopts.integrity.sample_every = 1;
+  eopts.overlap_depth = 1;
+  device::PipelineEngine engine(eopts);
 
   ScreenConfig cfg;
   cfg.params = kParams;
   cfg.threshold = 10;
   cfg.width = LaneWidth::k32;
   cfg.chunk_pairs = 16;
-  cfg.chunk_backend = device::make_chunk_backend(kParams, LaneWidth::k32, opt);
+  cfg.backend = &engine;
   const ScreenReport report = screen(b.xs, b.ys, cfg);
 
   EXPECT_EQ(report.scores, scalar_refs(b, kParams));

@@ -259,7 +259,7 @@ TEST(StripedBackendTest, ChunkedScreenBitIdenticalToBpbc) {
     ScreenConfig cfg;
     cfg.scheme = scheme;
     cfg.traceback = false;
-    cfg.backend_v2 = striped.get();
+    cfg.backend = striped.get();
     cfg.chunk_pairs = 32;
     const auto got = try_screen(xs, ys, cfg);
     ASSERT_TRUE(got.has_value()) << got.status().to_string();

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "device/engine.hpp"
 #include "device/fault.hpp"
 #include "device/sw_kernels.hpp"
 #include "encoding/random.hpp"
@@ -115,14 +116,21 @@ TEST(TelemetryPipeline, ScreenResultsIdenticalWithTelemetryOnAndOff) {
 
 // --- fault injection: quarantine spans, bit-identical recovery -----------
 
-sw::ScreenConfig fault_config(device::FaultInjector& injector,
-                              telemetry::Telemetry* sink, std::size_t m,
-                              std::size_t n) {
-  device::GpuRunOptions run;
-  run.faults = &injector;
-  run.watchdog_phases = m + n + 16;
-  run.telemetry = sink;
+device::EngineOptions fault_engine(device::FaultInjector& injector,
+                                   telemetry::Telemetry* sink, std::size_t m,
+                                   std::size_t n) {
+  device::EngineOptions eopts;
+  eopts.params = kParams;
+  eopts.width = sw::LaneWidth::k32;
+  eopts.faults = &injector;
+  eopts.watchdog_phases = m + n + 16;
+  eopts.telemetry = sink;
+  eopts.overlap_depth = 1;
+  return eopts;
+}
 
+sw::ScreenConfig fault_config(sw::Backend& backend,
+                              telemetry::Telemetry* sink) {
   sw::ScreenConfig cfg;
   cfg.params = kParams;
   cfg.threshold = 12;
@@ -130,8 +138,7 @@ sw::ScreenConfig fault_config(device::FaultInjector& injector,
   cfg.traceback = false;
   cfg.chunk_pairs = 8;
   cfg.chunk_retry_limit = 3;
-  cfg.chunk_backend = device::make_chunk_backend(kParams, sw::LaneWidth::k32,
-                                                 run);
+  cfg.backend = &backend;
   cfg.check.enabled = true;
   cfg.check.sample_every = 1;  // verify every lane -> catches every flip
   cfg.check.max_retries = 4;
@@ -156,14 +163,17 @@ TEST(TelemetryPipeline, FaultInjectedScreenTracesQuarantineBitIdentically) {
     tcfg.enabled = true;
     telemetry::Telemetry session(tcfg);
     device::FaultInjector traced_injector(fault);
+    device::PipelineEngine traced_engine(
+        fault_engine(traced_injector, session.sink(), kM, kN));
     const auto traced = sw::try_screen(
-        b.xs, b.ys,
-        fault_config(traced_injector, session.sink(), kM, kN));
+        b.xs, b.ys, fault_config(traced_engine, session.sink()));
     ASSERT_TRUE(traced.has_value()) << traced.status().to_string();
 
     device::FaultInjector plain_injector(fault);
+    device::PipelineEngine plain_engine(
+        fault_engine(plain_injector, nullptr, kM, kN));
     const auto plain = sw::try_screen(
-        b.xs, b.ys, fault_config(plain_injector, nullptr, kM, kN));
+        b.xs, b.ys, fault_config(plain_engine, nullptr));
     ASSERT_TRUE(plain.has_value()) << plain.status().to_string();
 
     // Recovery must reconcile both runs with the scalar reference, so the
