@@ -42,7 +42,6 @@
 #include "device/sw_kernels.hpp"
 #include "encoding/fasta.hpp"
 #include "encoding/random.hpp"
-#include "sw/config.hpp"
 #include "sw/pipeline.hpp"
 #include "telemetry/run_report.hpp"
 #include "util/checksum.hpp"
@@ -100,7 +99,8 @@ int main(int argc, char** argv) {
               width_name.c_str());
 
   const std::string backend_name = opt.get("backend", "auto");
-  if (!sw::parse_backend_choice(backend_name)) {
+  const auto backend_choice = sw::parse_backend_choice(backend_name);
+  if (!backend_choice) {
     std::fprintf(stderr,
                  "unknown --backend=%s (expected "
                  "bpbc|striped|wordwise-naive|auto)\n",
@@ -164,20 +164,19 @@ int main(int argc, char** argv) {
                 reader->entry_length(), reader->shard_count());
   }
 
-  sw::ScoringConfig scoring;
-  scoring.params = {2, 1, 1};
-  scoring.threshold = tau;
-  scoring.width = *width;
-  scoring.mode = bulk::Mode::kParallel;
-  scoring.backend_name = backend_name;
-  if (reader) scoring.database = &*reader;
-  const auto config = sw::ScreenSpecBuilder().scoring(scoring).build();
-  if (!config) {
+  sw::ScreenConfig config;
+  config.params = {2, 1, 1};
+  config.threshold = tau;
+  config.width = *width;
+  config.mode = bulk::Mode::kParallel;
+  config.backend_choice = *backend_choice;
+  if (reader) config.database = &*reader;
+  if (const util::Status valid = sw::validate(config); !valid.ok()) {
     std::fprintf(stderr, "bad screen config: %s\n",
-                 config.status().to_string().c_str());
+                 valid.to_string().c_str());
     return 1;
   }
-  const auto screened = sw::try_screen(queries, database, *config);
+  const auto screened = sw::try_screen(queries, database, config);
   if (!screened.has_value()) {
     // Typed rejection: a corrupt or mismatched store is refused up front
     // (kDbCorrupt / kDbMismatch), never screened against.

@@ -288,6 +288,22 @@ EOF
     exit 1
   }
 
+  # A config the validator refuses: the store serves the BPBC kernels, so
+  # forcing the striped engine on it must be a typed INVALID_INPUT naming
+  # the database field before anything is screened.
+  if ./build/examples/database_filter --entries=96 \
+      --db="$smoke_dir/seqs.swdb" --backend=striped \
+      > "$smoke_dir/dbstriped.out" 2>&1; then
+    echo "--db with --backend=striped was silently accepted" >&2
+    exit 1
+  fi
+  grep "INVALID_INPUT" "$smoke_dir/dbstriped.out" | grep -q "database" || {
+    echo "--db with --backend=striped not rejected with INVALID_INPUT" \
+         "naming database" >&2
+    cat "$smoke_dir/dbstriped.out" >&2
+    exit 1
+  }
+
   echo "== tier 1: daemon smoke (fault-injected serve, drain, shed) =="
   sock="$smoke_dir/daemon.sock"
   journal="$smoke_dir/daemon.journal"

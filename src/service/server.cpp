@@ -554,11 +554,17 @@ void ScreenServer::Impl::run_batch(const BatchPlan& plan) {
   // every hinted request in the batch agrees, the batch follows the hint
   // (decoded values are 1 + sw::BackendChoice); mixed or unhinted batches
   // run the server's configured choice. Advisory either way — the
-  // engines score bit-identically.
+  // engines score bit-identically. A hint the daemon's scheme cannot
+  // honour (wordwise-naive under an affine scheme) counts as unhinted, so
+  // one tenant's hint never fails a co-batched tenant's request.
   std::uint8_t batch_hint = 0;
   for (const std::size_t i : plan.take) {
     const std::uint8_t hint = queue[i].request.backend_hint;
     if (hint == 0 || hint == batch_hint) continue;
+    if (config.scheme.has_value() &&
+        !sw::backend_choice_serves(static_cast<sw::BackendChoice>(hint - 1),
+                                   *config.scheme))
+      continue;
     if (batch_hint != 0) {
       batch_hint = 0;  // two distinct hints: no single owner
       break;

@@ -20,6 +20,12 @@ const char* backend_choice_name(BackendChoice choice) {
   return "?";
 }
 
+bool backend_choice_serves(BackendChoice choice,
+                           const ScoringScheme& scheme) {
+  return choice != BackendChoice::kWordwiseNaive ||
+         scheme.params_expressible();
+}
+
 std::optional<BackendChoice> parse_backend_choice(std::string_view s) {
   if (s == "auto") return BackendChoice::kAuto;
   if (s == "bpbc") return BackendChoice::kBpbc;

@@ -49,6 +49,12 @@ enum class BackendChoice : std::uint8_t {
 [[nodiscard]] std::optional<BackendChoice> parse_backend_choice(
     std::string_view s);
 
+/// Whether `choice` can score `scheme`: wordwise-naive runs on
+/// ScoreParams, so it needs a params-expressible scheme; every other
+/// choice scores any uniform scheme.
+[[nodiscard]] bool backend_choice_serves(BackendChoice choice,
+                                         const ScoringScheme& scheme);
+
 /// SWBPBC_FORCE_BACKEND policy as a pure function: nullopt when `value`
 /// is null/empty (not forced), the parsed choice, or a typed
 /// kInvalidInput naming the variable and the accepted spellings.

@@ -201,7 +201,92 @@ util::Status self_check(std::span<const Sequence> xs,
   return {};
 }
 
+util::Status invalid(std::string what) {
+  return util::Status::invalid_input(std::move(what));
+}
+
+// The scheme rules: the one part of validate() that try_screen enforces
+// itself, so both report the same message.
+util::Status check_scheme(const ScreenConfig& config) {
+  if (!config.scheme.has_value()) return {};
+  const ScoringScheme& scheme = *config.scheme;
+  if (util::Status s = validate_scheme(scheme, "config.scheme"); !s.ok())
+    return s;
+  if (scheme.matrix != nullptr)
+    return invalid(
+        "config.scheme.matrix scores an epsilon-bit protein alphabet; "
+        "try_screen's DNA pipeline cannot consume it — screen protein "
+        "batches through try_scheme_max_scores or "
+        "try_scheme_db_max_scores");
+  if (config.database != nullptr && !scheme.params_expressible())
+    return invalid(
+        "config.database serves the linear DNA kernels; an affine "
+        "config.scheme screens a store through try_scheme_db_max_scores "
+        "instead");
+  return {};
+}
+
 }  // namespace
+
+util::Status validate(const ScreenConfig& config) {
+  if (util::Status s = check_scheme(config); !s.ok()) return s;
+  if (!config.scheme.has_value()) {
+    if (config.params.match == 0)
+      return invalid("config.params.match must be positive (a zero match "
+                     "reward scores every alignment 0)");
+    if (config.params.gap == 0)
+      return invalid("config.params.gap must be positive (the BPBC "
+                     "recurrence requires a gap penalty)");
+  }
+  if (config.scheme.has_value() &&
+      !backend_choice_serves(config.backend_choice, *config.scheme))
+    return invalid("config.backend_choice wordwise-naive scores "
+                   "ScoreParams-expressible schemes only (linear gaps, "
+                   "uniform substitution); pick bpbc, striped, or auto for "
+                   "this scheme");
+  if (config.database != nullptr) {
+    if (config.backend_choice == BackendChoice::kStriped ||
+        config.backend_choice == BackendChoice::kWordwiseNaive)
+      return invalid("config.database serves chunks through the BPBC "
+                     "kernels; requesting the striped or wordwise-naive "
+                     "host engine conflicts — clear one (auto and bpbc "
+                     "defer to the store)");
+    if (config.backend != nullptr)
+      return invalid("config.database is unused when an explicit backend "
+                     "is set (backends outrank the store); clear one");
+    if (config.chunk_pairs % 64 != 0)
+      return invalid("config.database requires shard-aligned chunks: "
+                     "config.chunk_pairs must be a multiple of 64 "
+                     "(misaligned chunks fall back to in-memory scoring)");
+  }
+  if (config.resume_salvage_torn_tail && config.resume_path.empty())
+    return invalid("config.resume_salvage_torn_tail requires a "
+                   "config.resume_path to salvage");
+  if (config.chunk_pairs == 0) {
+    if (!config.checkpoint_path.empty())
+      return invalid("config.checkpoint_path requires chunk_pairs > 0 "
+                     "(checkpoints are written per completed chunk)");
+    if (!config.resume_path.empty())
+      return invalid("config.resume_path requires chunk_pairs > 0 "
+                     "(a resume stream is keyed by chunk geometry)");
+  }
+  if (config.overlap_depth == 0)
+    return invalid("config.overlap_depth must be >= 1 (1 = serial)");
+  if (config.overlap_depth > 8)
+    return invalid("config.overlap_depth > 8 exceeds the engine's arena "
+                   "ring (device::EngineOptions clamps at 8)");
+  if (config.overlap_depth >= 2) {
+    if (config.chunk_pairs == 0)
+      return invalid("config.overlap_depth >= 2 requires chunk_pairs > 0 "
+                     "(overlap needs at least two chunks in flight)");
+    if (config.backend == nullptr)
+      return invalid("config.overlap_depth >= 2 requires a stream-capable "
+                     "config.backend (the host engines run serially)");
+  }
+  if (config.check.enabled && config.check.backoff_base_ms < 0.0)
+    return invalid("config.check.backoff_base_ms must be >= 0");
+  return {};
+}
 
 util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
                                         std::span<const Sequence> ys,
@@ -212,24 +297,10 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
   // deprecated params (losslessly lifted otherwise). The DNA pipeline
   // accepts uniform schemes only; matrix schemes are typed errors here
   // and screen through the scheme front ends.
+  if (util::Status s = check_scheme(config); !s.ok()) return s;
   const ScoringScheme scheme = config.scheme.has_value()
                                    ? *config.scheme
                                    : ScoringScheme::from_params(config.params);
-  if (config.scheme.has_value()) {
-    if (util::Status s = validate_scheme(scheme, "config.scheme"); !s.ok())
-      return s;
-    if (scheme.matrix != nullptr)
-      return util::Status::invalid_input(
-          "config.scheme.matrix scores an epsilon-bit protein alphabet; "
-          "try_screen's DNA pipeline cannot consume it — screen protein "
-          "batches through try_scheme_max_scores or "
-          "try_scheme_db_max_scores");
-    if (config.database != nullptr && !scheme.params_expressible())
-      return util::Status::invalid_input(
-          "config.database serves the linear DNA kernels; an affine "
-          "config.scheme screens a store through try_scheme_db_max_scores "
-          "instead");
-  }
   const ScoreParams eff_params = scheme.to_params().value_or(config.params);
 
   // A configured database must actually describe this batch: shape

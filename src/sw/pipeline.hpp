@@ -187,6 +187,19 @@ struct ScreenReport {
   }
 };
 
+/// Cross-field checks on `config`: kOk when the fields are coherent, a
+/// typed kInvalidInput naming the offending `config.` fields otherwise.
+/// Rejects an invalid or matrix scheme, an affine scheme or a striped /
+/// wordwise-naive / explicit backend with a database, wordwise-naive with
+/// a non-expressible scheme, a database with chunk_pairs not a multiple
+/// of 64, checkpoint / resume / salvage without chunking, overlap_depth
+/// outside [1, 8] or >= 2 without chunking or a backend, and a negative
+/// backoff. try_screen enforces only the scheme rules (same messages);
+/// the rest it tolerates, e.g. misaligned database chunks fall back to
+/// in-memory scoring. Callers assembling a config from user input run
+/// this first.
+[[nodiscard]] util::Status validate(const ScreenConfig& config);
+
 /// Screens pairs (xs[k], ys[k]) and re-aligns the hits. All xs must share
 /// one length and all ys one length (the BPBC batch requirement).
 /// Returns kInvalidInput for empty batches, mismatched xs/ys counts,

@@ -55,7 +55,7 @@ util::Expected<ScanReport> try_scan_text(const encoding::Sequence& query,
     const DispatchWorkload workload = DispatchWorkload::from(
         scheme, spans.size(), m, spans.front().second - spans.front().first,
         resolve_lane_width(config.width));
-    engine = resolve_backend_choice(config.backend, workload);
+    engine = resolve_backend_choice(config.backend_choice, workload);
   } catch (const std::invalid_argument& e) {
     return util::Status::invalid_input(e.what());
   }

@@ -36,7 +36,7 @@ struct ScanConfig {
   // auto-dispatch — see sw/dispatch.hpp. Resolved once per scan (every
   // batch shares the workload shape); scores are bit-identical whichever
   // engine runs, and SWBPBC_FORCE_BACKEND outranks this field.
-  BackendChoice backend = BackendChoice::kAuto;
+  BackendChoice backend_choice = BackendChoice::kAuto;
   bool traceback = false;  // align hits in detail (coordinates mapped back)
 
   // --- survivability -------------------------------------------------

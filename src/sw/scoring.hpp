@@ -13,8 +13,7 @@
 //                  the 20 amino acids is the canonical preset)
 //
 // ScoringScheme carries both choices through every user-facing boundary
-// (ScoringConfig, the spec builders, the backends, the db serve path,
-// the service journal). ScoreParams remains as a deprecated shim:
+// (ScreenConfig, the backends, the db serve path, the service journal). ScoreParams remains as a deprecated shim:
 // ScoringScheme::from_params() is lossless, and a scheme that is
 // ScoreParams-expressible fingerprints identically to the old
 // fingerprint_params(), so existing checkpoint streams and request

@@ -3,7 +3,6 @@
 #include <numeric>
 
 #include "bulk/executor.hpp"
-#include "bulk/fft.hpp"
 #include "bulk/prefix.hpp"
 #include "util/rng.hpp"
 
@@ -44,99 +43,6 @@ TEST(Prefix, BulkOverManyArrays) {
   }
   bulk_prefix_sums(std::span<std::vector<long>>(arrays), Mode::kParallel);
   EXPECT_EQ(arrays, reference);
-}
-
-TEST(Fft, MatchesNaiveDft) {
-  util::Xoshiro256 rng(2);
-  for (std::size_t n : {1u, 2u, 8u, 64u}) {
-    std::vector<Complex> data(n);
-    for (auto& v : data) {
-      v = Complex(static_cast<double>(rng.below(100)) / 10.0,
-                  static_cast<double>(rng.below(100)) / 10.0 - 5.0);
-    }
-    const auto reference = naive_dft(data);
-    auto fast = data;
-    fft(std::span<Complex>(fast));
-    for (std::size_t k = 0; k < n; ++k) {
-      EXPECT_NEAR(fast[k].real(), reference[k].real(), 1e-6)
-          << "n=" << n << " k=" << k;
-      EXPECT_NEAR(fast[k].imag(), reference[k].imag(), 1e-6)
-          << "n=" << n << " k=" << k;
-    }
-  }
-}
-
-TEST(Fft, RoundTripThroughInverse) {
-  util::Xoshiro256 rng(3);
-  std::vector<Complex> data(128);
-  for (auto& v : data) {
-    v = Complex(static_cast<double>(rng.below(1000)) / 100.0, 0.0);
-  }
-  auto transformed = data;
-  fft(std::span<Complex>(transformed));
-  ifft(std::span<Complex>(transformed));
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_NEAR(transformed[i].real(), data[i].real(), 1e-9);
-    EXPECT_NEAR(transformed[i].imag(), 0.0, 1e-9);
-  }
-}
-
-TEST(Fft, RejectsNonPowerOfTwo) {
-  std::vector<Complex> data(12);
-  EXPECT_THROW(fft(std::span<Complex>(data)), std::invalid_argument);
-  std::vector<Complex> empty;
-  EXPECT_THROW(fft(std::span<Complex>(empty)), std::invalid_argument);
-}
-
-TEST(Fft, PureToneLandsInOneBin) {
-  const std::size_t n = 64;
-  std::vector<Complex> data(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    const double angle =
-        2.0 * 3.14159265358979323846 * 5.0 * static_cast<double>(t) /
-        static_cast<double>(n);
-    data[t] = Complex(std::cos(angle), 0.0);
-  }
-  fft(std::span<Complex>(data));
-  // A real cosine splits between bins 5 and n-5.
-  EXPECT_NEAR(std::abs(data[5]), static_cast<double>(n) / 2.0, 1e-6);
-  EXPECT_NEAR(std::abs(data[n - 5]), static_cast<double>(n) / 2.0, 1e-6);
-  for (std::size_t k = 0; k < n; ++k) {
-    if (k != 5 && k != n - 5) {
-      EXPECT_LT(std::abs(data[k]), 1e-6);
-    }
-  }
-}
-
-TEST(Fft, StreamPartitioningPadsAndTransforms) {
-  util::Xoshiro256 rng(4);
-  std::vector<double> stream(100);
-  for (auto& v : stream) v = static_cast<double>(rng.below(100));
-  const auto blocks =
-      stream_fft(std::span<const double>(stream), 32, Mode::kSerial);
-  ASSERT_EQ(blocks.size(), 4u);  // 100 samples -> 4 blocks of 32
-  for (const auto& b : blocks) EXPECT_EQ(b.size(), 32u);
-
-  // DC bin of block 0 equals the sum of its 32 samples.
-  double sum = 0.0;
-  for (std::size_t i = 0; i < 32; ++i) sum += stream[i];
-  EXPECT_NEAR(blocks[0][0].real(), sum, 1e-9);
-
-  // Parallel bulk execution agrees.
-  const auto parallel =
-      stream_fft(std::span<const double>(stream), 32, Mode::kParallel);
-  for (std::size_t b = 0; b < 4; ++b) {
-    for (std::size_t k = 0; k < 32; ++k) {
-      EXPECT_NEAR(std::abs(blocks[b][k] - parallel[b][k]), 0.0, 1e-12);
-    }
-  }
-}
-
-TEST(Fft, StreamRejectsBadBlockSize) {
-  const std::vector<double> stream(10, 1.0);
-  EXPECT_THROW(stream_fft(std::span<const double>(stream), 12,
-                          Mode::kSerial),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -255,6 +255,58 @@ TEST(ServiceE2E, PinnedSchemeFingerprintIsEnforced) {
   EXPECT_EQ(harness.stats().completed, 2u);
 }
 
+TEST(ServiceE2E, UnhonourableHintDoesNotFailACoBatchedTenant) {
+  // An affine daemon cannot run the wordwise-naive engine. Hints are
+  // advisory, so one tenant's wordwise-naive hint must count as unhinted
+  // rather than fail the whole batch — including the other tenant's
+  // request packed beside it. A two-request lane group with a linger
+  // that never expires forces both requests into one batch.
+  auto cfg = base_config("hintmix");
+  sw::ScoringScheme affine;
+  affine.gap_model = sw::GapModel::kAffine;
+  affine.gap_open = 3;
+  affine.gap_extend = 1;
+  cfg.scheme = affine;
+  cfg.lane_group = 4;
+  cfg.linger_ms = 1e6;
+  ServerHarness harness(cfg);
+  ASSERT_TRUE(harness.started()) << harness.create_status().to_string();
+  ScreenClient probe(client_config(cfg));
+  ASSERT_TRUE(probe.wait_ready().ok());
+
+  auto hinted = make_request("hint-naive", 2, 94);
+  hinted.tenant = "tenant-hinted";
+  hinted.backend_hint = static_cast<std::uint8_t>(
+      1 + static_cast<unsigned>(sw::BackendChoice::kWordwiseNaive));
+  auto unhinted = make_request("hint-none", 2, 95);
+  unhinted.tenant = "tenant-plain";
+
+  util::Expected<ScreenResponse> hinted_resp =
+      util::Status::internal("not run");
+  std::thread sender(
+      [&] { hinted_resp = raw_exchange(cfg.socket_path, hinted); });
+  util::Expected<ScreenResponse> unhinted_resp =
+      raw_exchange(cfg.socket_path, unhinted);
+  sender.join();
+
+  for (const auto* exchange : {&hinted_resp, &unhinted_resp}) {
+    ASSERT_TRUE(exchange->has_value()) << exchange->status().to_string();
+    const ScreenResponse& resp = **exchange;
+    EXPECT_EQ(resp.code, util::ErrorCode::kOk) << resp.id << ": "
+                                               << resp.message;
+    const ScreenRequest& req = resp.id == hinted.id ? hinted : unhinted;
+    ASSERT_EQ(resp.scores.size(), req.xs.size()) << resp.id;
+    for (std::size_t k = 0; k < req.xs.size(); ++k)
+      EXPECT_EQ(resp.scores[k],
+                sw::scheme_max_score(req.xs[k], req.ys[k], affine))
+          << resp.id << " pair " << k;
+  }
+
+  EXPECT_TRUE(harness.stop().ok());
+  EXPECT_EQ(harness.stats().batches, 1u);
+  EXPECT_EQ(harness.stats().completed, 2u);
+}
+
 TEST(ServiceE2E, ClientGivesUpTypedAfterRetryExhaustion) {
   auto cfg = base_config("exhaust");
   cfg.admission.tenant_quota_pairs = 4;

@@ -312,7 +312,7 @@ TEST(DispatchScan, HitsBitIdenticalAcrossEveryChoice) {
   base.threshold = 18;
   base.window = 256;
   base.overlap = 24;
-  base.backend = BackendChoice::kBpbc;
+  base.backend_choice = BackendChoice::kBpbc;
   const auto want = try_scan_text(query, text, base);
   ASSERT_TRUE(want.has_value()) << want.status().to_string();
   ASSERT_FALSE(want->hits.empty());
@@ -320,7 +320,7 @@ TEST(DispatchScan, HitsBitIdenticalAcrossEveryChoice) {
        {BackendChoice::kStriped, BackendChoice::kWordwiseNaive,
         BackendChoice::kAuto}) {
     ScanConfig cfg = base;
-    cfg.backend = c;
+    cfg.backend_choice = c;
     cfg.chunk_windows = 3;
     const auto got = try_scan_text(query, text, cfg);
     ASSERT_TRUE(got.has_value())
