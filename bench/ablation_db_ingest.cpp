@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   const auto n = static_cast<std::size_t>(opt.get_int("n", 1024));
   const auto reps = static_cast<std::size_t>(opt.get_int("reps", 3));
   const std::string db_path = opt.get("db-path", "bench_db_ingest.swdb");
-  const sw::ScoreParams params{2, 1, 1};
+  const sw::ScoringScheme scheme;  // 2/1/1 linear
   const bench::Workload w = bench::make_workload(pairs, m, n, 20260808);
 
   if (util::Status s = db::build_database(w.ys, db_path); !s.ok()) {
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       sw::PhaseTimings best;
       for (std::size_t r = 0; r < reps; ++r) {
         sw::ScreenConfig cfg;
-        cfg.params = params;
+        cfg.scheme = scheme;
         cfg.threshold = ~0u;  // phase timing only: no hits, no traceback
         cfg.width = width;
 

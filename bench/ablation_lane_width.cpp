@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   const auto m = static_cast<std::size_t>(opt.get_int("m", 64));
   const auto n = static_cast<std::size_t>(opt.get_int("n", 1024));
   const auto reps = static_cast<std::size_t>(opt.get_int("reps", 3));
-  const sw::ScoreParams params{2, 1, 1};
+  const sw::ScoringScheme linear;  // 2/1/1
   const bench::Workload w = bench::make_workload(pairs, m, n, 20260807);
 
   const sw::LaneWidth auto_width =
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
     for (std::size_t r = 0; r < reps; ++r) {
       sw::PhaseTimings t;
       const auto scores = sw::bpbc_max_scores(
-          w.xs, w.ys, params, row.width, bulk::Mode::kSerial,
+          w.xs, w.ys, linear, row.width, bulk::Mode::kSerial,
           encoding::TransposeMethod::kPlanned, &t);
       if (row.width == sw::LaneWidth::k64 && baseline_scores.empty()) {
         baseline_scores = scores;

@@ -12,7 +12,6 @@
 #include "circuit/sw_circuit.hpp"
 #include "encoding/batch.hpp"
 #include "encoding/random.hpp"
-#include "sw/banded.hpp"
 #include "sw/scheme_aligner.hpp"
 
 namespace {
@@ -98,27 +97,5 @@ void BM_AffineGapSwa(benchmark::State& state) {
   run_group_swa(state, scheme, 32, 256, 30);
 }
 BENCHMARK(BM_AffineGapSwa);
-
-// Banded pruning: cells drop from m*n to ~m*(2*band+1); wall time should
-// follow the cell count.
-void BM_BandedSwa(benchmark::State& state) {
-  const auto band = static_cast<std::size_t>(state.range(0));
-  const std::size_t m = 32, n = 256;
-  util::Xoshiro256 rng(31);
-  const auto xs = encoding::random_sequences(rng, 32, m);
-  const auto ys = encoding::random_sequences(rng, 32, n);
-  const auto bx = encoding::transpose_strings<std::uint32_t>(xs);
-  const auto by = encoding::transpose_strings<std::uint32_t>(ys);
-  const sw::BandedBpbcAligner<std::uint32_t> aligner({2, 1, 1}, m, n,
-                                                     band);
-  std::vector<std::uint32_t> slices(aligner.slices());
-  for (auto _ : state) {
-    aligner.max_score_slices(bx.groups[0], by.groups[0],
-                             std::span<std::uint32_t>(slices));
-    benchmark::DoNotOptimize(slices.data());
-  }
-  state.counters["band"] = static_cast<double>(band);
-}
-BENCHMARK(BM_BandedSwa)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 }  // namespace

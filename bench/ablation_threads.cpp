@@ -16,14 +16,13 @@ using namespace swbpbc;
 void BM_GroupsAcrossThreads(benchmark::State& state) {
   const auto n_threads = static_cast<std::size_t>(state.range(0));
   const std::size_t groups = 16, m = 32, n = 128;
-  const sw::ScoreParams params{2, 1, 1};
   util::Xoshiro256 rng(20);
   const auto xs = encoding::random_sequences(rng, groups * 32, m);
   const auto ys = encoding::random_sequences(rng, groups * 32, n);
   const auto bx = encoding::transpose_strings<std::uint32_t>(xs);
   const auto by = encoding::transpose_strings<std::uint32_t>(ys);
-  const sw::SchemeBpbcAligner<std::uint32_t> aligner(
-      sw::ScoringScheme::from_params(params), m, n);
+  const sw::SchemeBpbcAligner<std::uint32_t> aligner(sw::ScoringScheme{},
+                                                     m, n);
   using View = encoding::PlanarGenericView<std::uint32_t>;
 
   util::ThreadPool pool(n_threads);

@@ -74,11 +74,11 @@ sw::LaneWidth bitwise_width(Impl impl) {
   }
 }
 
-void verify_prefix(const Workload& w, const sw::ScoreParams& params,
+void verify_prefix(const Workload& w, const sw::ScoringScheme& scheme,
                    const std::vector<std::uint32_t>& scores) {
   const std::size_t check = std::min<std::size_t>(w.pairs, 4);
   for (std::size_t k = 0; k < check; ++k) {
-    if (scores[k] != sw::max_score(w.xs[k], w.ys[k], params)) {
+    if (scores[k] != sw::scheme_max_score(w.xs[k], w.ys[k], scheme)) {
       throw std::runtime_error("benchmark implementation miscomputed pair " +
                                std::to_string(k));
     }
@@ -87,8 +87,8 @@ void verify_prefix(const Workload& w, const sw::ScoreParams& params,
 
 }  // namespace
 
-RowTimes run_impl(Impl impl, const Workload& w, const sw::ScoreParams& params,
-                  const RunOptions& run) {
+RowTimes run_impl(Impl impl, const Workload& w,
+                  const sw::ScoringScheme& scheme, const RunOptions& run) {
   RowTimes row;
   switch (impl) {
     case Impl::kCpuBitwise32:
@@ -100,9 +100,9 @@ RowTimes run_impl(Impl impl, const Workload& w, const sw::ScoreParams& params,
       const sw::LaneWidth width = bitwise_width(impl);
       sw::PhaseTimings t;
       const auto scores = sw::bpbc_max_scores(
-          w.xs, w.ys, params, width, bulk::Mode::kSerial,
+          w.xs, w.ys, scheme, width, bulk::Mode::kSerial,
           encoding::TransposeMethod::kPlanned, &t);
-      verify_prefix(w, params, scores);
+      verify_prefix(w, scheme, scores);
       row.w2b = t.w2b_ms;
       row.swa = t.swa_ms;
       row.b2w = t.b2w_ms;
@@ -111,10 +111,10 @@ RowTimes run_impl(Impl impl, const Workload& w, const sw::ScoreParams& params,
     }
     case Impl::kCpuWordwise: {
       util::WallTimer timer;
-      const auto scores =
-          sw::wordwise_max_scores(w.xs, w.ys, params, bulk::Mode::kSerial);
+      const auto scores = sw::wordwise_max_scores(
+          w.xs, w.ys, scheme.to_params().value(), bulk::Mode::kSerial);
       row.swa = timer.elapsed_ms();
-      verify_prefix(w, params, scores);
+      verify_prefix(w, scheme, scores);
       row.total = row.swa;
       return row;
     }
@@ -129,8 +129,8 @@ RowTimes run_impl(Impl impl, const Workload& w, const sw::ScoreParams& params,
       options.record_metrics = run.record_metrics;
       options.telemetry = run.telemetry;
       const auto result =
-          device::gpu_bpbc_max_scores(w.xs, w.ys, params, width, options);
-      verify_prefix(w, params, result.scores);
+          device::gpu_bpbc_max_scores(w.xs, w.ys, scheme, width, options);
+      verify_prefix(w, scheme, result.scores);
       row.h2g = result.timings.h2g_ms;
       row.w2b = result.timings.w2b_ms;
       row.swa = result.timings.swa_ms;
@@ -152,9 +152,9 @@ RowTimes run_impl(Impl impl, const Workload& w, const sw::ScoreParams& params,
       options.mode = bulk::Mode::kParallel;
       options.record_metrics = run.record_metrics;
       options.telemetry = run.telemetry;
-      const auto result =
-          device::gpu_wordwise_max_scores(w.xs, w.ys, params, options);
-      verify_prefix(w, params, result.scores);
+      const auto result = device::gpu_wordwise_max_scores(
+          w.xs, w.ys, scheme.to_params().value(), options);
+      verify_prefix(w, scheme, result.scores);
       row.h2g = result.timings.h2g_ms;
       row.swa = result.timings.swa_ms;
       row.g2h = result.timings.g2h_ms;

@@ -10,7 +10,7 @@
 
 #include "device/sw_kernels.hpp"
 #include "encoding/dna.hpp"
-#include "sw/params.hpp"
+#include "sw/scoring.hpp"
 #include "telemetry/run_report.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -78,7 +78,9 @@ struct RunOptions {
 
 /// Runs one implementation over the workload and checks the scores against
 /// the scalar reference on a small prefix (fail fast on miscomputation).
-RowTimes run_impl(Impl impl, const Workload& w, const sw::ScoreParams& params,
+/// The wordwise rows need a linear-uniform scheme (the paper's triple).
+RowTimes run_impl(Impl impl, const Workload& w,
+                  const sw::ScoringScheme& scheme,
                   const RunOptions& run = {});
 
 /// Billion cell updates per second for a measured row (pairs * m * n DP

@@ -52,10 +52,11 @@ int main(int argc, char** argv) {
       "n", full ? std::vector<std::int64_t>{1024, 2048, 4096, 8192, 16384,
                                             32768, 65536}
                 : std::vector<std::int64_t>{256, 512, 1024});
-  const sw::ScoreParams params{
-      static_cast<std::uint32_t>(opt.get_int("match", 2)),
-      static_cast<std::uint32_t>(opt.get_int("mismatch", 1)),
-      static_cast<std::uint32_t>(opt.get_int("gap", 1))};
+  // The paper's linear (c1, c2, gap) scoring rules.
+  sw::ScoringScheme scheme;
+  scheme.match = static_cast<std::uint32_t>(opt.get_int("match", 2));
+  scheme.mismatch = static_cast<std::uint32_t>(opt.get_int("mismatch", 1));
+  scheme.gap_open = static_cast<std::uint32_t>(opt.get_int("gap", 1));
   bench::RunOptions run;
   run.integrity = opt.get_bool("integrity", false);
   run.integrity_sample_every =
@@ -84,9 +85,9 @@ int main(int argc, char** argv) {
     }
     rep.config["n"] = ns;
   }
-  rep.config["match"] = std::to_string(params.match);
-  rep.config["mismatch"] = std::to_string(params.mismatch);
-  rep.config["gap"] = std::to_string(params.gap);
+  rep.config["match"] = std::to_string(scheme.match);
+  rep.config["mismatch"] = std::to_string(scheme.mismatch);
+  rep.config["gap"] = std::to_string(scheme.gap_open);
   rep.config["integrity"] = run.integrity ? "1" : "0";
 
   std::printf("Table IV reproduction: running time in ms for the SWA, "
@@ -125,7 +126,7 @@ int main(int argc, char** argv) {
     for (const std::int64_t n : n_list) {
       const bench::Workload w = bench::make_workload(
           pairs, m, static_cast<std::size_t>(n), 20260705);
-      const bench::RowTimes row = bench::run_impl(impl, w, params, run);
+      const bench::RowTimes row = bench::run_impl(impl, w, scheme, run);
       if (!json_path.empty())
         rep.rows.push_back(bench::report_row(impl, w, row));
       std::vector<std::string> cells = {
@@ -165,7 +166,7 @@ int main(int argc, char** argv) {
                 pairs, m, n0, chunk_pairs, depth);
 
     sw::ScreenConfig base;
-    base.params = params;
+    base.scheme = scheme;
     base.threshold = ~std::uint32_t{0};  // screen only; no traceback work
     base.width = sw::LaneWidth::k32;
     base.mode = bulk::Mode::kParallel;
@@ -180,7 +181,7 @@ int main(int argc, char** argv) {
     };
 
     device::EngineOptions eng;
-    eng.params = params;
+    eng.scheme = scheme;
     eng.width = base.width;
     eng.overlap_depth = depth;
 

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       "n", full ? std::vector<std::int64_t>{1024, 2048, 4096, 8192, 16384,
                                             32768, 65536}
                 : std::vector<std::int64_t>{256, 512, 1024});
-  const sw::ScoreParams params{2, 1, 1};
+  const sw::ScoringScheme scheme;  // 2/1/1 linear
 
   const std::string json_path = opt.get("json", "");
   telemetry::TelemetryConfig tcfg;
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
       const char* best_word = "?";
       bool first = true;
       for (const auto& [impl, word] : candidates) {
-        const auto row = bench::run_impl(impl, w, params, run);
+        const auto row = bench::run_impl(impl, w, scheme, run);
         if (!json_path.empty())
           rep.rows.push_back(bench::report_row(impl, w, row));
         if (first || row.total < best_row.total) {

@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
   if (opt.get_bool("gpu", false)) {
     // Same screening pass through the simulated-GPU pipeline (§V).
     const auto result = device::gpu_bpbc_max_scores(
-        queries, database, {2, 1, 1}, *width);
+        queries, database, sw::ScoringScheme{}, *width);
     std::size_t hits = 0;
     for (auto sc : result.scores) hits += sc >= tau ? 1 : 0;
     std::printf("[device] H2G %.2fms W2B %.2fms SWA %.2fms B2W %.2fms "

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   const auto chunk = static_cast<std::size_t>(opt.get_int("chunk", 16));
   const auto seed = static_cast<std::uint64_t>(opt.get_int("seed", 42));
   const bool integrity = opt.get_int("integrity", 1) != 0;
-  const sw::ScoreParams params{2, 1, 1};
+  const sw::ScoringScheme scheme;  // 2/1/1 linear
 
   // --trace=path: record every campaign's screen/chunk/device-stage/
   // quarantine spans into one Chrome-trace file (open in Perfetto).
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
     fault.seed = seed * 1000003 + c;
     device::FaultInjector injector(fault);
     device::EngineOptions eng;
-    eng.params = params;
+    eng.scheme = scheme;
     eng.width = sw::LaneWidth::k32;
     eng.faults = &injector;
     eng.watchdog_phases = m + n + 16;
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     device::PipelineEngine engine(eng);
 
     sw::ScreenConfig cfg;
-    cfg.params = params;
+    cfg.scheme = scheme;
     cfg.threshold = 12;
     cfg.width = sw::LaneWidth::k32;
     cfg.traceback = false;
@@ -127,7 +127,8 @@ int main(int argc, char** argv) {
     // Independent audit: every reported score must equal the scalar DP.
     std::size_t wrong = 0;
     for (std::size_t k = 0; k < count; ++k) {
-      if (report.scores[k] != sw::max_score(xs[k], ys[k], params)) ++wrong;
+      if (report.scores[k] != sw::scheme_max_score(xs[k], ys[k], scheme))
+        ++wrong;
     }
     if (wrong != 0 || !report.reliability.balanced()) ++failed;
 

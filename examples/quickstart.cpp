@@ -6,7 +6,8 @@
 // Walks through the three core API layers:
 //   1. encoding::  — strings and the bit-transpose batch format,
 //   2. sw::bpbc_max_scores — the bulk BPBC screening pass,
-//   3. sw::align — the detailed scalar alignment for interesting pairs.
+//   3. sw::align_scheme — the detailed scalar alignment for interesting
+//      pairs.
 #include <cstdio>
 
 #include "encoding/random.hpp"
@@ -27,9 +28,9 @@ int main() {
 
   // Bulk BPBC pass: 64 alignments advanced simultaneously in one
   // 64-bit-lane group (use LaneWidth::k32 for two 32-lane groups).
-  const sw::ScoreParams params{2, 1, 1};  // +2 match, -1 mismatch, -1 gap
+  const sw::ScoringScheme scheme;  // +2 match, -1 mismatch, -1 linear gap
   const auto scores =
-      sw::bpbc_max_scores(patterns, texts, params, sw::LaneWidth::k64);
+      sw::bpbc_max_scores(patterns, texts, scheme, sw::LaneWidth::k64);
 
   std::size_t best = 0;
   for (std::size_t k = 1; k < scores.size(); ++k) {
@@ -39,7 +40,8 @@ int main() {
               scores.size(), best, scores[best]);
 
   // Detailed alignment (score matrix + traceback) for the winner only.
-  const sw::Alignment aln = sw::align(patterns[best], texts[best], params);
+  const sw::Alignment aln =
+      sw::align_scheme(patterns[best], texts[best], scheme);
   std::printf("local alignment (x[%zu..%zu) vs y[%zu..%zu)):\n",
               aln.x_begin, aln.x_end, aln.y_begin, aln.y_end);
   std::printf("  %s\n  %s\n  %s\n", aln.x_row.c_str(), aln.mid_row.c_str(),

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: the tier-1 build + full test suite under the release preset
-# (plus a telemetry smoke: RunReport and span-trace artifacts validated by
+# (plus a ScoreParams fence over src/, a telemetry smoke: RunReport and
+# span-trace artifacts validated by
 # scripts/check_run_report.py, the performance ledger's smoke test
 # (perfbench/tests/smoke_test.py), and a live observability drill: stats
 # scrapes, a merged client+server trace, and the crash flight recorder,
@@ -40,8 +41,29 @@ header_check() {
   [[ $failed -eq 0 ]] || exit 1
 }
 
+# The legacy ScoreParams triple is fenced in: it may appear only in the
+# scalar references, the wordwise baselines, the entry configs and their
+# boundary conversion, and the circuit netlist. Every engine below the
+# configs takes sw::ScoringScheme, so a new src/ file naming ScoreParams
+# fails tier 1.
+score_params_fence() {
+  echo "== tier 1: ScoreParams fence (allow-listed src/ files only) =="
+  local allowed='^src/(sw/(params|scoring|scalar|wordwise|dispatch|pipeline)'
+  allowed+='\.[ch]pp|service/server\.hpp|device/sw_kernels\.[ch]pp'
+  allowed+='|device/sw_stage_kernels\.hpp|circuit/sw_circuit\.[ch]pp)$'
+  local stray
+  stray=$(grep -rl ScoreParams src | sort | grep -Ev "$allowed" || true)
+  if [[ -n $stray ]]; then
+    echo "ScoreParams named outside the allow-list:" >&2
+    echo "$stray" >&2
+    exit 1
+  fi
+  echo "  $(grep -rl ScoreParams src | wc -l) allow-listed files name it"
+}
+
 if [[ $run_tier1 -eq 1 ]]; then
   header_check
+  score_params_fence
   echo "== tier 1: release build + full test suite =="
   cmake --preset default
   cmake --build --preset default -j"$(nproc)"

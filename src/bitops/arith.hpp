@@ -47,7 +47,7 @@ void max_b(std::span<const W> a, std::span<const W> b, std::span<W> q) {
 }
 
 /// Paper's `add_B(A, B)`: per-lane sum, modulo 2^s (callers must size s so
-/// that no lane overflows; see sw/params.hpp).
+/// that no lane overflows; see scheme_required_slices in sw/scoring.hpp).
 ///
 /// Erratum: the paper initializes the carry as `p <- q0 <- a0 xor b0`,
 /// which is not the carry out of bit 0 (consider a0 = 1, b0 = 0: the

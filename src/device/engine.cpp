@@ -242,29 +242,22 @@ class Core final : public CoreBase {
           "engine batch shape changed with chunks in flight"));
     m_ = m;
     n_ = n;
-    // Impl lowered any expressible scheme onto `params`, so a surviving
-    // scheme here is exactly the affine-uniform case.
-    const bool affine = opts_.scheme.has_value();
-    s_ = affine ? sw::scheme_required_slices(*opts_.scheme, m, n)
-                : sw::required_slices(opts_.params, m, n);
+    const sw::ScoringScheme& scheme = opts_.scheme;
+    s_ = sw::scheme_required_slices(scheme, m, n);
     char_plan_ = bitsim::PayloadTranspose<W>::forward(encoding::kBitsPerBase);
     score_plan_ = bitsim::PayloadTranspose<W>::inverse(s_);
     consts_.s = s_;
-    consts_.affine = affine;
-    if (affine) {
+    consts_.affine = scheme.affine();
+    consts_.c1 = bitops::broadcast_constant<W>(scheme.match, s_);
+    consts_.c2 = bitops::broadcast_constant<W>(scheme.mismatch, s_);
+    if (consts_.affine) {
       consts_.gap.clear();
-      consts_.open =
-          bitops::broadcast_constant<W>(opts_.scheme->gap_open, s_);
-      consts_.extend =
-          bitops::broadcast_constant<W>(opts_.scheme->gap_extend, s_);
-      consts_.c1 = bitops::broadcast_constant<W>(opts_.scheme->match, s_);
-      consts_.c2 = bitops::broadcast_constant<W>(opts_.scheme->mismatch, s_);
+      consts_.open = bitops::broadcast_constant<W>(scheme.gap_open, s_);
+      consts_.extend = bitops::broadcast_constant<W>(scheme.gap_extend, s_);
     } else {
       consts_.open.clear();
       consts_.extend.clear();
-      consts_.gap = bitops::broadcast_constant<W>(opts_.params.gap, s_);
-      consts_.c1 = bitops::broadcast_constant<W>(opts_.params.match, s_);
-      consts_.c2 = bitops::broadcast_constant<W>(opts_.params.mismatch, s_);
+      consts_.gap = bitops::broadcast_constant<W>(scheme.gap_open, s_);
     }
     shaped_ = true;
   }
@@ -656,33 +649,31 @@ std::unique_ptr<CoreBase> make_core(sw::LaneWidth width,
   throw std::invalid_argument("unresolvable lane width");
 }
 
+// The engine's scheme rules, shared by the engine and the one-shot
+// gpu_bpbc_max_scores: a valid scheme over the 2-bit DNA alphabet.
+void validate_engine_scheme(const sw::ScoringScheme& scheme) {
+  if (util::Status s = sw::validate_scheme(scheme, "EngineOptions::scheme");
+      !s.ok())
+    throw util::StatusError(std::move(s));
+  if (scheme.matrix != nullptr)
+    throw util::StatusError(util::Status::invalid_input(
+        "EngineOptions::scheme.matrix scores an epsilon-bit protein "
+        "alphabet; the device pipeline packs 2-bit DNA characters — "
+        "screen such batches through sw::try_scheme_max_scores"));
+}
+
 }  // namespace
 
 struct PipelineEngine::Impl {
   EngineOptions opts;
   std::unique_ptr<CoreBase> core;
 
-  // The width resolves once here (kAuto probe + env override), so every
-  // chunk of the engine's lifetime runs at the same width and caps()
-  // reports what will actually execute. The scheme normalizes here too:
-  // expressible schemes lower onto `params` (the exact legacy path),
-  // matrix schemes reject before any arena exists.
+  // The scheme is checked and the width resolved once here (kAuto probe +
+  // env override), so every chunk of the engine's lifetime runs at the
+  // same width and caps() reports what will actually execute; invalid
+  // schemes reject before any arena exists.
   explicit Impl(const EngineOptions& options) : opts(options) {
-    if (opts.scheme.has_value()) {
-      if (util::Status s =
-              sw::validate_scheme(*opts.scheme, "EngineOptions::scheme");
-          !s.ok())
-        throw util::StatusError(std::move(s));
-      if (opts.scheme->matrix != nullptr)
-        throw util::StatusError(util::Status::invalid_input(
-            "EngineOptions::scheme.matrix scores an epsilon-bit protein "
-            "alphabet; the device pipeline packs 2-bit DNA characters — "
-            "screen such batches through sw::try_scheme_max_scores"));
-      if (const auto params = opts.scheme->to_params()) {
-        opts.params = *params;
-        opts.scheme.reset();
-      }
-    }
+    validate_engine_scheme(opts.scheme);
     opts.width = sw::resolve_lane_width(options.width);
     core = make_core(opts.width, opts);
   }
@@ -704,9 +695,10 @@ sw::BackendCaps PipelineEngine::caps() const {
 
 GpuRunResult gpu_bpbc_max_scores(std::span<const Sequence> xs,
                                  std::span<const Sequence> ys,
-                                 const sw::ScoreParams& params,
+                                 const sw::ScoringScheme& scheme,
                                  sw::LaneWidth width,
                                  const GpuRunOptions& options) {
+  validate_engine_scheme(scheme);
   sw::ChunkJob job;
   job.xs = xs;
   job.ys = ys;
@@ -716,7 +708,7 @@ GpuRunResult gpu_bpbc_max_scores(std::span<const Sequence> xs,
   job.trace_id = telemetry::current_trace_context();
 
   EngineOptions eopts;
-  eopts.params = params;
+  eopts.scheme = scheme;
   eopts.width = sw::resolve_lane_width(width);
   eopts.record_metrics = options.record_metrics;
   eopts.mode = options.mode;

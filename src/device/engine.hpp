@@ -35,7 +35,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "device/sw_kernels.hpp"
 #include "sw/backend.hpp"
@@ -43,14 +42,13 @@
 namespace swbpbc::device {
 
 struct EngineOptions {
-  sw::ScoreParams params;
-  // Full scoring model; outranks `params` when set. The device pipeline
-  // packs 2-bit DNA characters, so uniform schemes only: an expressible
-  // scheme lowers onto `params` at construction (bit-identical to setting
-  // them directly), an affine scheme runs the Gotoh wavefront kernel, and
-  // a matrix scheme is rejected with a typed kInvalidInput (protein
-  // batches screen through sw::try_scheme_max_scores).
-  std::optional<sw::ScoringScheme> scheme;
+  // Scoring model. The device pipeline packs 2-bit DNA characters, so
+  // uniform schemes only: a linear scheme runs the Theorem 6 cell, an
+  // affine one the Gotoh three-state cell, and a matrix or otherwise
+  // invalid scheme is rejected with a typed kInvalidInput at
+  // construction (protein batches screen through
+  // sw::try_scheme_max_scores).
+  sw::ScoringScheme scheme;
   // Lane width of the BPBC core: any concrete width or kAuto. Resolved
   // once at engine construction (kAuto probe + SWBPBC_FORCE_LANE_WIDTH
   // override, sw/lane.hpp); caps().lane_width reports the result.

@@ -30,6 +30,7 @@
 #include "sw/lane.hpp"
 #include "sw/params.hpp"
 #include "sw/reliability.hpp"
+#include "sw/scoring.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/status.hpp"
 
@@ -139,12 +140,14 @@ void absorb_device_run(telemetry::Telemetry* telemetry,
 
 /// Full BPBC pipeline on the simulated device: one synchronous run of the
 /// PipelineEngine core on a fresh arena. All xs share one length m, all ys
-/// one length n (the bit-transpose batch requirement). With an injector in
+/// one length n (the bit-transpose batch requirement). `scheme` follows
+/// EngineOptions::scheme's rules (uniform, linear or affine; anything else
+/// throws a kInvalidInput StatusError). With an injector in
 /// `options.faults`, each call draws one fault campaign in call order
 /// (FaultInjector::begin_run), so a retry observes a fresh pattern.
 GpuRunResult gpu_bpbc_max_scores(std::span<const encoding::Sequence> xs,
                                  std::span<const encoding::Sequence> ys,
-                                 const sw::ScoreParams& params,
+                                 const sw::ScoringScheme& scheme,
                                  sw::LaneWidth width,
                                  const GpuRunOptions& options = {});
 

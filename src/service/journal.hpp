@@ -33,7 +33,7 @@ class RequestJournal {
  public:
   /// Opens (or creates) the journal at `path`, replaying every valid
   /// record. `fingerprint` must cover the scoring configuration
-  /// (sw::fingerprint_params + lane width); a journal written under a
+  /// (sw::fingerprint_scheme + lane width); a journal written under a
   /// different fingerprint is rejected kCheckpointMismatch. A torn tail
   /// record (crash mid-append) is dropped and physically truncated.
   static util::Expected<RequestJournal> open(const std::string& path,

@@ -127,6 +127,7 @@ struct ScreenServer::Impl {
   std::optional<RequestJournal> journal;
   std::unique_ptr<device::PipelineEngine> engine;
   std::uint64_t journal_fingerprint = 0;
+  sw::ScoringScheme scheme;     // the serving scheme, resolved at setup()
   std::uint64_t scheme_fp = 0;  // fingerprint_scheme of the serving scheme
   std::uint64_t campaign = 0;
   std::uint64_t frame_index = 0;
@@ -158,28 +159,24 @@ util::Status ScreenServer::Impl::setup() {
                    : sw::lane_width_bits(sw::resolve_lane_width(config.width));
   campaign = faults.begin_run();
 
-  // The effective scheme the daemon scores with: the configured one, or
-  // the legacy params lifted losslessly. Matrix schemes cannot even ride
-  // the wire (the codec transports 2-bit DNA codes), so refuse to serve.
-  const sw::ScoringScheme effective_scheme =
-      config.scheme.has_value() ? *config.scheme
-                                : sw::ScoringScheme::from_params(config.params);
-  if (config.scheme.has_value()) {
-    if (util::Status s = sw::validate_scheme(*config.scheme, "config.scheme");
-        !s.ok())
-      return s;
-    if (config.scheme->matrix != nullptr)
-      return util::Status::invalid_input(
-          "config.scheme.matrix scores an epsilon-bit protein alphabet; the "
-          "daemon's wire codec transports 2-bit DNA — screen protein "
-          "batches in-process through sw::try_scheme_max_scores");
-  }
-  scheme_fp = sw::fingerprint_scheme(effective_scheme);
+  // The scheme the daemon scores with, resolved and checked once: the
+  // configured one, or the params lifted losslessly. Every layer below —
+  // the engine, each batch's screen, the journal — takes only this
+  // scheme. Matrix schemes cannot even ride the wire (the codec
+  // transports 2-bit DNA codes), so refuse to serve.
+  auto resolved = sw::resolve_scheme(config.params, config.scheme);
+  if (!resolved.has_value()) return resolved.status();
+  scheme = std::move(resolved).value();
+  if (scheme.matrix != nullptr)
+    return util::Status::invalid_input(
+        "config.scheme.matrix scores an epsilon-bit protein alphabet; the "
+        "daemon's wire codec transports 2-bit DNA — screen protein "
+        "batches in-process through sw::try_scheme_max_scores");
+  scheme_fp = sw::fingerprint_scheme(scheme);
 
   if (config.use_engine) {
     device::EngineOptions engine_options;
-    engine_options.params = config.params;
-    engine_options.scheme = config.scheme;
+    engine_options.scheme = scheme;
     engine_options.width = config.width;
     engine_options.telemetry = config.telemetry;
     engine = std::make_unique<device::PipelineEngine>(engine_options);
@@ -192,8 +189,9 @@ util::Status ScreenServer::Impl::setup() {
 
   // The journal is keyed to the scoring configuration: scheme + lane
   // width. A restart under different rules refuses to serve old scores.
-  // fingerprint_scheme hashes params-expressible configs exactly like the
-  // old fingerprint_params, so pre-scheme journals still replay.
+  // fingerprint_scheme hashes params-expressible configs with the bytes
+  // the params triple always hashed to, so pre-scheme journals still
+  // replay.
   journal_fingerprint = util::fnv1a_value(
       static_cast<std::uint64_t>(
           sw::lane_width_bits(sw::resolve_lane_width(config.width))),
@@ -561,9 +559,8 @@ void ScreenServer::Impl::run_batch(const BatchPlan& plan) {
   for (const std::size_t i : plan.take) {
     const std::uint8_t hint = queue[i].request.backend_hint;
     if (hint == 0 || hint == batch_hint) continue;
-    if (config.scheme.has_value() &&
-        !sw::backend_choice_serves(static_cast<sw::BackendChoice>(hint - 1),
-                                   *config.scheme))
+    if (!sw::backend_choice_serves(static_cast<sw::BackendChoice>(hint - 1),
+                                   scheme))
       continue;
     if (batch_hint != 0) {
       batch_hint = 0;  // two distinct hints: no single owner
@@ -573,8 +570,7 @@ void ScreenServer::Impl::run_batch(const BatchPlan& plan) {
   }
 
   sw::ScreenConfig screen_config;
-  screen_config.params = config.params;
-  screen_config.scheme = config.scheme;
+  screen_config.scheme = scheme;
   screen_config.width = config.width;
   screen_config.backend_choice =
       batch_hint != 0 ? static_cast<sw::BackendChoice>(batch_hint - 1)

@@ -49,9 +49,12 @@ namespace swbpbc::service {
 struct ServerConfig {
   std::string socket_path;  // UDS endpoint; an existing file is replaced
   sw::ScoreParams params{};
-  // Full scoring model; outranks `params` when set. Uniform schemes only
-  // (linear or affine): the wire codec transports 2-bit DNA, so matrix
-  // schemes are rejected at create(). The journal fingerprint covers the
+  // Full scoring model; outranks `params` when set. create() resolves the
+  // two into one scheme (sw::resolve_scheme), rejecting a zero
+  // params.match or params.gap with kInvalidInput, and passes only that
+  // scheme to the engine and every batch. Uniform schemes only (linear
+  // or affine): the wire codec transports 2-bit DNA, so matrix schemes
+  // are rejected at create(). The journal fingerprint covers the
   // scheme (sw::fingerprint_scheme — params-expressible configs hash
   // exactly as before, so existing journals replay), and a request that
   // pins a different scheme fingerprint is rejected kInvalidInput.

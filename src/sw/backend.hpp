@@ -88,18 +88,13 @@ class Backend {
   virtual ChunkResult collect();
 };
 
-/// The host BPBC path as a Backend — what screen() runs when no backend
-/// is configured: the bit-sliced kernel (SchemeBpbcAligner) over DNA
-/// groups at the resolved lane width, reporting per-phase timings.
+/// The host BPBC path as a Backend — what screen() runs when it picks the
+/// bpbc engine: the bit-sliced kernel (SchemeBpbcAligner) over DNA groups
+/// at the resolved lane width, reporting per-phase timings. Linear or
+/// affine gaps, uniform substitution: the scheme must be uniform over DNA
+/// — matrix schemes screen protein batches through try_scheme_max_scores,
+/// not the DNA pipeline — and should have passed validate_scheme().
 /// Defined with the DNA batch front end in bpbc.cpp.
-std::unique_ptr<Backend> make_host_backend(
-    const ScoreParams& params, LaneWidth width, bulk::Mode mode,
-    encoding::TransposeMethod method);
-
-/// The same host backend under a full scheme: linear or affine gaps,
-/// uniform substitution. The scheme must be uniform over DNA — matrix
-/// schemes screen protein batches through try_scheme_max_scores, not the
-/// DNA pipeline — and should have passed validate_scheme().
 std::unique_ptr<Backend> make_host_backend(
     const ScoringScheme& scheme, LaneWidth width, bulk::Mode mode,
     encoding::TransposeMethod method);

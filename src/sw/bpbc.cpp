@@ -134,29 +134,27 @@ class HostBackend final : public Backend {
 
 util::Expected<std::vector<std::uint32_t>> try_bpbc_max_scores(
     std::span<const encoding::Sequence> xs,
-    std::span<const encoding::Sequence> ys, const ScoreParams& params,
+    std::span<const encoding::Sequence> ys, const ScoringScheme& scheme,
     LaneWidth width, bulk::Mode mode, encoding::TransposeMethod method,
     PhaseTimings* timings) {
+  if (util::Status s = validate_scheme(scheme); !s.ok()) return s;
+  if (scheme.matrix != nullptr)
+    return util::Status::invalid_input(
+        "scoring.scheme.matrix scores an epsilon-bit protein alphabet; the "
+        "DNA front end packs 2-bit characters — score protein batches "
+        "through try_scheme_max_scores");
   if (util::Status s = validate_dna_batch(xs, ys); !s.ok()) return s;
   if (xs.empty()) return std::vector<std::uint32_t>{};
-  return score_dna(xs, ys, ScoringScheme::from_params(params), width, mode,
-                   method, timings);
+  return score_dna(xs, ys, scheme, width, mode, method, timings);
 }
 
 std::vector<std::uint32_t> bpbc_max_scores(
     std::span<const encoding::Sequence> xs,
-    std::span<const encoding::Sequence> ys, const ScoreParams& params,
+    std::span<const encoding::Sequence> ys, const ScoringScheme& scheme,
     LaneWidth width, bulk::Mode mode, encoding::TransposeMethod method,
     PhaseTimings* timings) {
-  return try_bpbc_max_scores(xs, ys, params, width, mode, method, timings)
+  return try_bpbc_max_scores(xs, ys, scheme, width, mode, method, timings)
       .value();
-}
-
-std::unique_ptr<Backend> make_host_backend(
-    const ScoreParams& params, LaneWidth width, bulk::Mode mode,
-    encoding::TransposeMethod method) {
-  return make_host_backend(ScoringScheme::from_params(params), width, mode,
-                           method);
 }
 
 std::unique_ptr<Backend> make_host_backend(

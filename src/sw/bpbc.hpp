@@ -17,7 +17,7 @@
 #include "encoding/batch.hpp"
 #include "encoding/dna.hpp"
 #include "sw/lane.hpp"
-#include "sw/params.hpp"
+#include "sw/scoring.hpp"
 #include "util/status.hpp"
 
 namespace swbpbc::sw {
@@ -30,14 +30,16 @@ struct PhaseTimings {
   [[nodiscard]] double total_ms() const { return w2b_ms + swa_ms + b2w_ms; }
 };
 
-/// Scores all pairs (xs[k], ys[k]) with the BPBC technique. All xs must
-/// share one length m and all ys one length n; violations are reported as
-/// kInvalidInput (with the offending index) instead of failing mid-batch.
+/// Scores all pairs (xs[k], ys[k]) with the BPBC technique under a
+/// uniform (linear or affine) DNA scheme. All xs must share one length m
+/// and all ys one length n; violations, an invalid scheme and a matrix
+/// scheme (protein batches score through try_scheme_max_scores) are
+/// reported as kInvalidInput instead of failing mid-batch.
 /// An empty batch scores to an empty vector. `timings`, when non-null,
 /// receives per-phase wall times.
 util::Expected<std::vector<std::uint32_t>> try_bpbc_max_scores(
     std::span<const encoding::Sequence> xs,
-    std::span<const encoding::Sequence> ys, const ScoreParams& params,
+    std::span<const encoding::Sequence> ys, const ScoringScheme& scheme,
     LaneWidth width = LaneWidth::k64, bulk::Mode mode = bulk::Mode::kSerial,
     encoding::TransposeMethod method = encoding::TransposeMethod::kPlanned,
     PhaseTimings* timings = nullptr);
@@ -45,7 +47,7 @@ util::Expected<std::vector<std::uint32_t>> try_bpbc_max_scores(
 /// Throwing convenience wrapper around try_bpbc_max_scores (StatusError).
 std::vector<std::uint32_t> bpbc_max_scores(
     std::span<const encoding::Sequence> xs,
-    std::span<const encoding::Sequence> ys, const ScoreParams& params,
+    std::span<const encoding::Sequence> ys, const ScoringScheme& scheme,
     LaneWidth width = LaneWidth::k64, bulk::Mode mode = bulk::Mode::kSerial,
     encoding::TransposeMethod method = encoding::TransposeMethod::kPlanned,
     PhaseTimings* timings = nullptr);

@@ -18,7 +18,7 @@ class DbBackend final : public Backend {
  public:
   DbBackend(db::Reader& reader, const DbBackendOptions& options)
       : reader_(reader),
-        params_(options.params),
+        scheme_(options.scheme),
         width_(resolve_lane_width(options.width)),
         mode_(options.mode),
         method_(options.method) {}
@@ -68,7 +68,7 @@ class DbBackend final : public Backend {
     ChunkResult r;
     PhaseTimings t;
     r.scores =
-        bpbc_max_scores(job.xs, job.ys, params_, width_, mode_, method_, &t);
+        bpbc_max_scores(job.xs, job.ys, scheme_, width_, mode_, method_, &t);
     r.timings = t;
     r.has_phase_timings = true;
     r.db_pairs_fallback = job.xs.size();
@@ -172,8 +172,7 @@ class DbBackend final : public Backend {
     }
     r.timings.w2b_ms = timer.elapsed_ms();
 
-    const SchemeBpbcAligner<W> aligner(ScoringScheme::from_params(params_),
-                                       m, n);
+    const SchemeBpbcAligner<W> aligner(scheme_, m, n);
     r.scores = aligner.score_groups(xv, yv, count, mode_, method_,
                                     &r.timings, job.stop);
     r.has_phase_timings = true;
@@ -188,7 +187,7 @@ class DbBackend final : public Backend {
   }
 
   db::Reader& reader_;
-  ScoreParams params_;
+  ScoringScheme scheme_;
   LaneWidth width_;
   bulk::Mode mode_;
   encoding::TransposeMethod method_;
@@ -202,23 +201,16 @@ class DbBackend final : public Backend {
 
 std::unique_ptr<Backend> make_db_backend(db::Reader& reader,
                                          const DbBackendOptions& options) {
-  DbBackendOptions opts = options;
-  if (opts.scheme.has_value()) {
-    if (util::Status s =
-            validate_scheme(*opts.scheme, "DbBackendOptions::scheme");
-        !s.ok())
-      throw util::StatusError(std::move(s));
-    const auto params = opts.scheme->to_params();
-    if (!params.has_value())
-      throw util::StatusError(util::Status::invalid_input(
-          "DbBackendOptions::scheme is not ScoreParams-expressible; the "
-          "store backend drives the linear DNA kernels — screen a store "
-          "with an affine or matrix scheme through "
-          "sw::try_scheme_db_max_scores"));
-    opts.params = *params;
-    opts.scheme.reset();
-  }
-  return std::make_unique<DbBackend>(reader, opts);
+  if (util::Status s =
+          validate_scheme(options.scheme, "DbBackendOptions::scheme");
+      !s.ok())
+    throw util::StatusError(std::move(s));
+  if (!options.scheme.params_expressible())
+    throw util::StatusError(util::Status::invalid_input(
+        "DbBackendOptions::scheme is not linear-uniform; the store backend "
+        "drives the linear DNA kernels — screen a store with an affine or "
+        "matrix scheme through sw::try_scheme_db_max_scores"));
+  return std::make_unique<DbBackend>(reader, options);
 }
 
 }  // namespace swbpbc::sw

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "bulk/executor.hpp"
 #include "db/reader.hpp"
@@ -31,14 +30,11 @@
 namespace swbpbc::sw {
 
 struct DbBackendOptions {
-  ScoreParams params;
-  // Full scoring model; outranks `params` when set. The store backend
-  // scores linear DNA only, so only ScoreParams-expressible schemes are
-  // accepted (they lower onto `params`, bit-identically);
-  // make_db_backend rejects affine or matrix schemes with a typed
-  // kInvalidInput StatusError — those screen a store through
+  // Scoring model. The store backend scores linear DNA only, so
+  // make_db_backend rejects an invalid, affine or matrix scheme with a
+  // typed kInvalidInput StatusError — those screen a store through
   // sw::try_scheme_db_max_scores instead.
-  std::optional<ScoringScheme> scheme;
+  ScoringScheme scheme;
   LaneWidth width = LaneWidth::k64;
   bulk::Mode mode = bulk::Mode::kSerial;
   // W2B method for the query side and for shard re-ingest.

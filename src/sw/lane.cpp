@@ -109,12 +109,4 @@ LaneWidth resolve_lane_width(LaneWidth requested) {
   return auto_lane_width();
 }
 
-LaneWidth builtin_lane_width(LaneWidth width) {
-  switch (resolve_lane_width(width)) {
-    case LaneWidth::k32: return LaneWidth::k32;
-    case LaneWidth::k64:
-    default: return LaneWidth::k64;
-  }
-}
-
 }  // namespace swbpbc::sw

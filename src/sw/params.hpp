@@ -4,17 +4,13 @@
 //                 d[i-1][j-1] + w(x_i, y_j))
 //   w = +match on x_i == y_j, -mismatch otherwise.
 //
-// All three costs are stored as non-negative magnitudes; the BPBC kernels
-// subtract them with saturating arithmetic, which is exactly the
-// clamp-at-zero the recurrence performs.
+// All three costs are stored as non-negative magnitudes. This linear
+// triple is what the scalar references and the wordwise baselines run;
+// every BPBC engine takes the full sw::ScoringScheme (scoring.hpp), whose
+// scheme_required_slices() budgets the slice count.
 #pragma once
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <stdexcept>
-
-#include "util/checksum.hpp"
 
 namespace swbpbc::sw {
 
@@ -23,41 +19,5 @@ struct ScoreParams {
   std::uint32_t mismatch = 1;  // c2 magnitude (Table II example: 1)
   std::uint32_t gap = 1;       // gap magnitude (Table II example: 1)
 };
-
-/// Number of bit slices `s` needed to hold every value of the scoring
-/// matrix for pattern length m and text length n.
-///
-/// The maximum score is match * min(m, n) (a full match of the shorter
-/// string), which needs bit_width(match * min(m, n)) bits. Note: the paper
-/// states ceil(log2(c1*m)), which is one bit short when c1*m is a power of
-/// two (e.g. m = 128, c1 = 2 -> score 256 needs 9 bits); see DESIGN.md.
-inline unsigned required_slices(const ScoreParams& p, std::size_t m,
-                                std::size_t n) {
-  const std::size_t shorter = m < n ? m : n;
-  const std::uint64_t max_score =
-      static_cast<std::uint64_t>(p.match) * shorter;
-  unsigned s = max_score == 0 ? 1 : static_cast<unsigned>(
-                                        std::bit_width(max_score));
-  // Every constant must also be representable.
-  const std::uint32_t max_const =
-      std::max({p.match, p.mismatch, p.gap});
-  const auto const_bits = static_cast<unsigned>(std::bit_width(
-      static_cast<std::uint64_t>(max_const)));
-  if (const_bits > s) s = const_bits;
-  if (s > 32)
-    throw std::invalid_argument("score range exceeds 32 bit slices");
-  return s;
-}
-
-/// Chains the scoring parameters into a running FNV hash — the shared
-/// "same scoring scheme" identity used by checkpoint-stream fingerprints
-/// and the service request journal (a stream written under different
-/// parameters must never resume/replay).
-inline std::uint64_t fingerprint_params(const ScoreParams& p,
-                                        std::uint64_t h = util::kFnvOffset) {
-  h = util::fnv1a_value(p.match, h);
-  h = util::fnv1a_value(p.mismatch, h);
-  return util::fnv1a_value(p.gap, h);
-}
 
 }  // namespace swbpbc::sw

@@ -66,7 +66,7 @@ std::uint64_t batch_fingerprint(std::span<const Sequence> xs,
   h = util::fnv1a_value<std::uint64_t>(xs.front().size(), h);
   h = util::fnv1a_value<std::uint64_t>(ys.front().size(), h);
   // Covers the full scheme (gap model + matrix bytes); a params-
-  // expressible scheme hashes exactly like the old fingerprint_params, so
+  // expressible scheme hashes with the params triple's bytes, so
   // pre-redesign checkpoint streams still resume.
   h = fingerprint_scheme(scheme, h);
   h = util::fnv1a_value<std::uint64_t>(chunk_pairs, h);
@@ -83,18 +83,19 @@ std::uint64_t batch_fingerprint(std::span<const Sequence> xs,
 // fallback disagrees with the scalar reference (a library invariant
 // violation, not a transient fault). A triggered `stop` unwinds out of the
 // verify loop as the stop's StatusError. `rescore(qx, qy)` re-scores the
-// quarantined lanes through the screen's backend.
+// quarantined lanes through the screen's backend. The references follow
+// the scheme: the linear triple's scalar and wordwise kernels when it is
+// params-expressible, scalar Gotoh and the traceback aligner otherwise.
 template <typename Rescore>
 util::Status self_check(std::span<const Sequence> xs,
                         std::span<const Sequence> ys,
                         const ScreenConfig& config,
                         const ScoringScheme& scheme,
-                        const ScoreParams& eff_params,
                         const Rescore& rescore,
                         std::span<std::uint32_t> scores,
                         const util::StopCondition* stop,
                         ReliabilityReport& rel) {
-  const bool expressible = scheme.params_expressible();
+  const std::optional<ScoreParams> params = scheme.to_params();
   const std::size_t count = xs.size();
   telemetry::Tracer* const tr =
       config.telemetry != nullptr ? config.telemetry->tracer() : nullptr;
@@ -122,8 +123,8 @@ util::Status self_check(std::span<const Sequence> xs,
       verify.size(), config.mode,
       [&](std::size_t v) {
         const std::size_t k = verify[v];
-        refs[k] = expressible ? max_score(xs[k], ys[k], eff_params)
-                              : scheme_max_score(xs[k], ys[k], scheme);
+        refs[k] = params ? max_score(xs[k], ys[k], *params)
+                         : scheme_max_score(xs[k], ys[k], scheme);
       },
       stop);
 
@@ -186,9 +187,9 @@ util::Status self_check(std::span<const Sequence> xs,
     // Independent second implementation: the wordwise kernel for linear
     // schemes, the full-matrix traceback aligner (O(mn) memory, separate
     // code path from the O(n)-row reference) for affine ones.
-    const std::uint32_t w =
-        expressible ? wordwise_max_score(xs[k], ys[k], eff_params)
-                    : align_scheme(xs[k], ys[k], scheme).score;
+    const std::uint32_t w = params
+                                ? wordwise_max_score(xs[k], ys[k], *params)
+                                : align_scheme(xs[k], ys[k], scheme).score;
     if (w != refs[k])
       return util::Status::lane_corrupt(
           "lane " + std::to_string(k) + ": wordwise fallback score " +
@@ -206,40 +207,47 @@ util::Status invalid(std::string what) {
 }
 
 // The scheme rules: the one part of validate() that try_screen enforces
-// itself, so both report the same message.
-util::Status check_scheme(const ScreenConfig& config) {
-  if (!config.scheme.has_value()) return {};
-  const ScoringScheme& scheme = *config.scheme;
-  if (util::Status s = validate_scheme(scheme, "config.scheme"); !s.ok())
-    return s;
-  if (scheme.matrix != nullptr)
+// itself, so both report the same message. Returns the scheme the screen
+// scores with.
+util::Expected<ScoringScheme> check_scheme(const ScreenConfig& config) {
+  auto scheme = resolve_scheme(config.params, config.scheme);
+  if (!scheme.has_value()) return scheme;
+  if (scheme->matrix != nullptr)
     return invalid(
         "config.scheme.matrix scores an epsilon-bit protein alphabet; "
         "try_screen's DNA pipeline cannot consume it — screen protein "
         "batches through try_scheme_max_scores or "
         "try_scheme_db_max_scores");
-  if (config.database != nullptr && !scheme.params_expressible())
+  if (config.database != nullptr && !scheme->params_expressible())
     return invalid(
         "config.database serves the linear DNA kernels; an affine "
         "config.scheme screens a store through try_scheme_db_max_scores "
         "instead");
-  return {};
+  return scheme;
 }
 
 }  // namespace
 
-util::Status validate(const ScreenConfig& config) {
-  if (util::Status s = check_scheme(config); !s.ok()) return s;
-  if (!config.scheme.has_value()) {
-    if (config.params.match == 0)
-      return invalid("config.params.match must be positive (a zero match "
-                     "reward scores every alignment 0)");
-    if (config.params.gap == 0)
-      return invalid("config.params.gap must be positive (the BPBC "
-                     "recurrence requires a gap penalty)");
+util::Expected<ScoringScheme> resolve_scheme(
+    const ScoreParams& params, const std::optional<ScoringScheme>& scheme) {
+  if (scheme.has_value()) {
+    if (util::Status s = validate_scheme(*scheme, "config.scheme"); !s.ok())
+      return s;
+    return *scheme;
   }
-  if (config.scheme.has_value() &&
-      !backend_choice_serves(config.backend_choice, *config.scheme))
+  if (params.match == 0)
+    return invalid("config.params.match must be positive (a zero match "
+                   "reward scores every alignment 0)");
+  if (params.gap == 0)
+    return invalid("config.params.gap must be positive (the BPBC "
+                   "recurrence requires a gap penalty)");
+  return ScoringScheme::from_params(params);
+}
+
+util::Status validate(const ScreenConfig& config) {
+  const auto scheme = check_scheme(config);
+  if (!scheme.has_value()) return scheme.status();
+  if (!backend_choice_serves(config.backend_choice, *scheme))
     return invalid("config.backend_choice wordwise-naive scores "
                    "ScoreParams-expressible schemes only (linear gaps, "
                    "uniform substitution); pick bpbc, striped, or auto for "
@@ -293,15 +301,13 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
                                         const ScreenConfig& config) {
   if (util::Status s = validate_batch(xs, ys); !s.ok()) return s;
 
-  // Resolve the scoring model once: an explicit scheme outranks the
-  // deprecated params (losslessly lifted otherwise). The DNA pipeline
-  // accepts uniform schemes only; matrix schemes are typed errors here
-  // and screen through the scheme front ends.
-  if (util::Status s = check_scheme(config); !s.ok()) return s;
-  const ScoringScheme scheme = config.scheme.has_value()
-                                   ? *config.scheme
-                                   : ScoringScheme::from_params(config.params);
-  const ScoreParams eff_params = scheme.to_params().value_or(config.params);
+  // Resolve the scoring model once, at the boundary: an explicit scheme
+  // outranks params (lifted losslessly otherwise). Every layer below takes
+  // only this scheme; matrix schemes are typed errors here and screen
+  // through the scheme front ends.
+  const auto resolved = check_scheme(config);
+  if (!resolved.has_value()) return resolved.status();
+  const ScoringScheme& scheme = *resolved;
 
   // A configured database must actually describe this batch: shape
   // disagreement or (unless disabled) a content-fingerprint mismatch is a
@@ -362,7 +368,7 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
   if (backend == nullptr) {
     if (config.database != nullptr) {
       DbBackendOptions options;
-      options.params = eff_params;
+      options.scheme = scheme;
       options.width = config.width;
       options.mode = config.mode;
       options.method = config.method;
@@ -586,7 +592,7 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
         if (config.check.enabled) {
           rescore_chunk = c;
           rescore_calls = 0;
-          if (util::Status s = self_check(cx, cy, config, scheme, eff_params,
+          if (util::Status s = self_check(cx, cy, config, scheme,
                                           rescore, cscores, stop_ptr,
                                           report.reliability);
               !s.ok())

@@ -70,12 +70,14 @@ struct ChunkProgress {
 
 struct ScreenConfig {
   ScoreParams params;
-  // Full scoring model; outranks `params` when set. The DNA screening
-  // pipeline accepts uniform schemes (linear or affine); matrix schemes
-  // score protein batches through try_scheme_max_scores /
-  // try_scheme_db_max_scores and are rejected here with a typed error.
-  // A params-expressible scheme screens bit-identically to setting
-  // `params` (same kernels, same checkpoint fingerprint).
+  // Full scoring model; outranks `params` when set. try_screen resolves
+  // the two into one ScoringScheme at entry (resolve_scheme) and passes
+  // only that scheme below. The DNA screening pipeline accepts uniform
+  // schemes (linear or affine); matrix schemes score protein batches
+  // through try_scheme_max_scores / try_scheme_db_max_scores and are
+  // rejected here with a typed error. A params-expressible scheme screens
+  // bit-identically to setting `params` (same kernels, same checkpoint
+  // fingerprint).
   std::optional<ScoringScheme> scheme;
   std::uint32_t threshold = 0;  // tau: select pairs with max score >= tau
   LaneWidth width = LaneWidth::k64;
@@ -186,6 +188,15 @@ struct ScreenReport {
     return true;
   }
 };
+
+/// The entry configs' scoring boundary: `scheme` when set (validated by
+/// validate_scheme, messages prefixed "config.scheme"), otherwise
+/// `params` lifted by ScoringScheme::from_params after a positive
+/// config.params.match and config.params.gap check. ScreenConfig and
+/// service::ServerConfig resolve through it once; every layer below takes
+/// only the returned scheme.
+[[nodiscard]] util::Expected<ScoringScheme> resolve_scheme(
+    const ScoreParams& params, const std::optional<ScoringScheme>& scheme);
 
 /// Cross-field checks on `config`: kOk when the fields are coherent, a
 /// typed kInvalidInput naming the offending `config.` fields otherwise.

@@ -191,10 +191,13 @@ unsigned scheme_required_slices(const ScoringScheme& scheme, std::size_t m,
 
 std::uint64_t fingerprint_scheme(const ScoringScheme& scheme,
                                  std::uint64_t h) {
-  if (const auto params = scheme.to_params())
-    return fingerprint_params(*params, h);
-  // Non-ScoreParams schemes get a domain tag so they can never collide
-  // with a legacy params fingerprint of coincidentally equal fields.
+  if (scheme.params_expressible()) {
+    h = util::fnv1a_value(scheme.match, h);
+    h = util::fnv1a_value(scheme.mismatch, h);
+    return util::fnv1a_value(scheme.gap_open, h);
+  }
+  // Every other scheme gets a domain tag so it can never collide with a
+  // linear-uniform fingerprint of coincidentally equal fields.
   h = util::fnv1a_value(std::uint64_t{0x5343484d}, h);  // "SCHM"
   h = util::fnv1a_value(static_cast<std::uint32_t>(scheme.gap_model), h);
   h = util::fnv1a_value(scheme.gap_open, h);

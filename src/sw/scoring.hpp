@@ -12,12 +12,14 @@
 //                  over an epsilon-bit encoding::Alphabet (BLOSUM62 over
 //                  the 20 amino acids is the canonical preset)
 //
-// ScoringScheme carries both choices through every user-facing boundary
-// (ScreenConfig, the backends, the db serve path, the service journal). ScoreParams remains as a deprecated shim:
-// ScoringScheme::from_params() is lossless, and a scheme that is
-// ScoreParams-expressible fingerprints identically to the old
-// fingerprint_params(), so existing checkpoint streams and request
-// journals keep resuming.
+// ScoringScheme is the one scoring type below the entry configs: every
+// BPBC engine, backend, the db serve path and the service journal take
+// it. ScoreParams (params.hpp) remains for the scalar references and the
+// wordwise baselines, and as ScreenConfig::params / ServerConfig::params,
+// which those configs lift once through ScoringScheme::from_params()
+// (lossless). A scheme that is ScoreParams-expressible fingerprints with
+// the same bytes the params triple always hashed to, so existing
+// checkpoint streams and request journals keep resuming.
 //
 // Signed matrix entries and saturating bit-sliced arithmetic: an entry
 // w(a, b) is split into a positive magnitude wp = max(w, 0) and a
@@ -38,6 +40,7 @@
 
 #include "encoding/alphabet.hpp"
 #include "sw/params.hpp"
+#include "util/checksum.hpp"
 #include "util/status.hpp"
 
 namespace swbpbc::sw {
@@ -109,7 +112,7 @@ struct ScoringScheme {
   std::uint32_t gap_open = 1;
   std::uint32_t gap_extend = 1;
 
-  /// Lossless shim from the deprecated ScoreParams.
+  /// Lossless lift of a ScoreParams triple (the entry configs' `params`).
   [[nodiscard]] static ScoringScheme from_params(const ScoreParams& p) {
     ScoringScheme s;
     s.match = p.match;
@@ -125,11 +128,12 @@ struct ScoringScheme {
     return gap_model == GapModel::kAffine;
   }
   /// True when the scheme is exactly a ScoreParams (linear + uniform) —
-  /// such schemes fingerprint identically to fingerprint_params.
+  /// such schemes keep the params triple's fingerprint bytes.
   [[nodiscard]] bool params_expressible() const {
     return uniform() && gap_model == GapModel::kLinear;
   }
-  /// The shim back out; empty unless params_expressible().
+  /// The triple back out, for the scalar and wordwise references; empty
+  /// unless params_expressible().
   [[nodiscard]] std::optional<ScoreParams> to_params() const {
     if (!params_expressible()) return std::nullopt;
     return ScoreParams{match, mismatch, gap_open};
@@ -168,16 +172,20 @@ struct ScoringScheme {
 /// Number of bit slices `s` for pattern length m and text length n under
 /// `scheme` — bit_width(max_positive * min(m, n)), floored so every
 /// constant (gaps, wp, wn) is representable. Throws std::invalid_argument
-/// above 32 slices (same budget as required_slices).
+/// above 32 slices. Note: the paper states ceil(log2(c1*m)), which is one
+/// bit short when c1*m is a power of two (m = 128, c1 = 2 -> score 256
+/// needs 9 bits); see DESIGN.md.
 [[nodiscard]] unsigned scheme_required_slices(const ScoringScheme& scheme,
                                               std::size_t m, std::size_t n);
 
 /// The "same scoring scheme" identity used by checkpoint-stream
-/// fingerprints and the service request journal. ScoreParams-expressible
-/// schemes hash exactly like fingerprint_params(to_params()) so streams
-/// written before the redesign still resume; anything else chains the
-/// gap model, both gap magnitudes, and the full matrix bytes (symbols +
-/// entries) — a changed matrix cell is a different scheme.
+/// fingerprints and the service request journal (a stream written under
+/// a different scheme must never resume/replay). ScoreParams-expressible
+/// schemes chain just match, mismatch and gap_open — the bytes every
+/// stream written before the redesign carries; anything else chains a
+/// domain tag, the gap model, both gap magnitudes, and the full matrix
+/// bytes (symbols + entries) — a changed matrix cell is a different
+/// scheme.
 [[nodiscard]] std::uint64_t fingerprint_scheme(
     const ScoringScheme& scheme, std::uint64_t h = util::kFnvOffset);
 

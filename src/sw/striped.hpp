@@ -65,7 +65,7 @@ enum class StripedRepr : std::uint8_t { kAuto = 0, kVector = 1, kScalar = 2 };
 /// one-off W2B transpose.
 ///
 /// Throws std::invalid_argument when the score bound max_positive * m
-/// overflows 32-bit cells (the same budget style as required_slices) or
+/// overflows 32-bit cells (the same budget style as scheme_required_slices) or
 /// a query code falls outside the scheme's alphabet.
 class StripedProfile {
  public:

@@ -14,11 +14,11 @@ TEST(DeviceEdge, SingleRowPattern) {
   util::Xoshiro256 rng(1);
   const auto xs = encoding::random_sequences(rng, 33, 1);
   const auto ys = encoding::random_sequences(rng, 33, 17);
-  const sw::ScoreParams params{2, 1, 1};
-  const auto result = gpu_bpbc_max_scores(xs, ys, params,
+  const sw::ScoringScheme scheme;  // 2/1/1 linear
+  const auto result = gpu_bpbc_max_scores(xs, ys, scheme,
                                           sw::LaneWidth::k32);
   for (std::size_t k = 0; k < xs.size(); ++k) {
-    EXPECT_EQ(result.scores[k], sw::max_score(xs[k], ys[k], params));
+    EXPECT_EQ(result.scores[k], sw::scheme_max_score(xs[k], ys[k], scheme));
   }
 }
 
@@ -26,11 +26,11 @@ TEST(DeviceEdge, SingleColumnText) {
   util::Xoshiro256 rng(2);
   const auto xs = encoding::random_sequences(rng, 32, 9);
   const auto ys = encoding::random_sequences(rng, 32, 1);
-  const sw::ScoreParams params{2, 1, 1};
-  const auto result = gpu_bpbc_max_scores(xs, ys, params,
+  const sw::ScoringScheme scheme;  // 2/1/1 linear
+  const auto result = gpu_bpbc_max_scores(xs, ys, scheme,
                                           sw::LaneWidth::k64);
   for (std::size_t k = 0; k < xs.size(); ++k) {
-    EXPECT_EQ(result.scores[k], sw::max_score(xs[k], ys[k], params));
+    EXPECT_EQ(result.scores[k], sw::scheme_max_score(xs[k], ys[k], scheme));
   }
 }
 
@@ -38,11 +38,13 @@ TEST(DeviceEdge, SquareProblem) {
   util::Xoshiro256 rng(3);
   const auto xs = encoding::random_sequences(rng, 40, 13);
   const auto ys = encoding::random_sequences(rng, 40, 13);
-  const sw::ScoreParams params{3, 2, 1};
-  const auto result = gpu_bpbc_max_scores(xs, ys, params,
+  sw::ScoringScheme scheme;
+  scheme.match = 3;
+  scheme.mismatch = 2;
+  const auto result = gpu_bpbc_max_scores(xs, ys, scheme,
                                           sw::LaneWidth::k32);
   for (std::size_t k = 0; k < xs.size(); ++k) {
-    EXPECT_EQ(result.scores[k], sw::max_score(xs[k], ys[k], params));
+    EXPECT_EQ(result.scores[k], sw::scheme_max_score(xs[k], ys[k], scheme));
   }
 }
 
@@ -62,8 +64,8 @@ TEST(DeviceEdge, IdenticalPairsSaturate) {
   const auto x = encoding::random_sequence(rng, 12);
   const std::vector<encoding::Sequence> xs(64, x);
   const std::vector<encoding::Sequence> ys(64, x);
-  const sw::ScoreParams params{2, 1, 1};
-  const auto result = gpu_bpbc_max_scores(xs, ys, params,
+  const sw::ScoringScheme scheme;  // 2/1/1 linear
+  const auto result = gpu_bpbc_max_scores(xs, ys, scheme,
                                           sw::LaneWidth::k64);
   for (auto sc : result.scores) EXPECT_EQ(sc, 24u);
 }
@@ -74,14 +76,14 @@ TEST(DeviceEdge, SmallW2bBlockDim) {
   util::Xoshiro256 rng(6);
   const auto xs = encoding::random_sequences(rng, 32, 8);
   const auto ys = encoding::random_sequences(rng, 32, 24);
-  const sw::ScoreParams params{2, 1, 1};
+  const sw::ScoringScheme scheme;  // 2/1/1 linear
   GpuRunOptions options;
   options.w2b_block_dim = 4;
   options.mode = bulk::Mode::kSerial;
   const auto result =
-      gpu_bpbc_max_scores(xs, ys, params, sw::LaneWidth::k32, options);
+      gpu_bpbc_max_scores(xs, ys, scheme, sw::LaneWidth::k32, options);
   for (std::size_t k = 0; k < xs.size(); ++k) {
-    EXPECT_EQ(result.scores[k], sw::max_score(xs[k], ys[k], params));
+    EXPECT_EQ(result.scores[k], sw::scheme_max_score(xs[k], ys[k], scheme));
   }
 }
 

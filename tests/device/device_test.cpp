@@ -126,14 +126,14 @@ TEST_P(GpuPipeline, MatchesScalarReference) {
   const std::size_t count = 70, m = 9, n = 33;
   const auto xs = encoding::random_sequences(rng, count, m);
   const auto ys = encoding::random_sequences(rng, count, n);
-  const sw::ScoreParams params{2, 1, 1};
+  const sw::ScoringScheme scheme;  // 2/1/1 linear
   GpuRunOptions options;
   options.mode = bulk::Mode::kSerial;
   const GpuRunResult result =
-      gpu_bpbc_max_scores(xs, ys, params, GetParam(), options);
+      gpu_bpbc_max_scores(xs, ys, scheme, GetParam(), options);
   ASSERT_EQ(result.scores.size(), count);
   for (std::size_t k = 0; k < count; ++k) {
-    EXPECT_EQ(result.scores[k], sw::max_score(xs[k], ys[k], params))
+    EXPECT_EQ(result.scores[k], sw::scheme_max_score(xs[k], ys[k], scheme))
         << "instance " << k;
   }
 }
@@ -163,15 +163,15 @@ TEST(GpuPipelineMisc, ParallelBlocksMatchSerial) {
   const std::size_t count = 96, m = 7, n = 19;
   const auto xs = encoding::random_sequences(rng, count, m);
   const auto ys = encoding::random_sequences(rng, count, n);
-  const sw::ScoreParams params{2, 1, 1};
+  const sw::ScoringScheme scheme;  // 2/1/1 linear
   GpuRunOptions serial;
   serial.mode = bulk::Mode::kSerial;
   GpuRunOptions parallel;
   parallel.mode = bulk::Mode::kParallel;
   const auto a =
-      gpu_bpbc_max_scores(xs, ys, params, sw::LaneWidth::k32, serial);
+      gpu_bpbc_max_scores(xs, ys, scheme, sw::LaneWidth::k32, serial);
   const auto b =
-      gpu_bpbc_max_scores(xs, ys, params, sw::LaneWidth::k32, parallel);
+      gpu_bpbc_max_scores(xs, ys, scheme, sw::LaneWidth::k32, parallel);
   EXPECT_EQ(a.scores, b.scores);
 }
 
@@ -180,12 +180,12 @@ TEST(GpuPipelineMisc, MetricsShowStridedW2bReads) {
   const std::size_t count = 32, m = 8, n = 16;
   const auto xs = encoding::random_sequences(rng, count, m);
   const auto ys = encoding::random_sequences(rng, count, n);
-  const sw::ScoreParams params{2, 1, 1};
+  const sw::ScoringScheme scheme;  // 2/1/1 linear
   GpuRunOptions options;
   options.record_metrics = true;
   options.mode = bulk::Mode::kSerial;
   const GpuRunResult result =
-      gpu_bpbc_max_scores(xs, ys, params, sw::LaneWidth::k32, options);
+      gpu_bpbc_max_scores(xs, ys, scheme, sw::LaneWidth::k32, options);
 
   const MetricTotals& w2b = result.stage_metrics[sw::PipelineStage::kW2B];
   const MetricTotals& swa = result.stage_metrics[sw::PipelineStage::kSWA];
@@ -216,7 +216,7 @@ TEST(GpuPipelineMisc, TimingsArePopulated) {
   util::Xoshiro256 rng(7005);
   const auto xs = encoding::random_sequences(rng, 32, 8);
   const auto ys = encoding::random_sequences(rng, 32, 32);
-  const auto result = gpu_bpbc_max_scores(xs, ys, {2, 1, 1},
+  const auto result = gpu_bpbc_max_scores(xs, ys, sw::ScoringScheme{},
                                           sw::LaneWidth::k32);
   EXPECT_GT(result.timings.swa_ms, 0.0);
   EXPECT_GE(result.timings.total_ms(), result.timings.swa_ms);
@@ -227,14 +227,14 @@ TEST(GpuPipelineMisc, RejectsMismatchedBatches) {
   const auto xs = encoding::random_sequences(rng, 3, 8);
   const auto ys = encoding::random_sequences(rng, 4, 16);
   EXPECT_THROW(
-      gpu_bpbc_max_scores(xs, ys, {2, 1, 1}, sw::LaneWidth::k32),
+      gpu_bpbc_max_scores(xs, ys, sw::ScoringScheme{}, sw::LaneWidth::k32),
       std::invalid_argument);
 }
 
 TEST(GpuPipelineMisc, EmptyBatch) {
   const std::vector<encoding::Sequence> none;
   const auto result =
-      gpu_bpbc_max_scores(none, none, {2, 1, 1}, sw::LaneWidth::k32);
+      gpu_bpbc_max_scores(none, none, sw::ScoringScheme{}, sw::LaneWidth::k32);
   EXPECT_TRUE(result.scores.empty());
 }
 

@@ -24,7 +24,7 @@ namespace {
 
 using encoding::Sequence;
 
-constexpr sw::ScoreParams kParams{2, 1, 1};
+const sw::ScoringScheme kScheme;  // 2/1/1 linear
 
 struct Batch {
   std::vector<Sequence> xs;
@@ -81,12 +81,12 @@ TEST(PipelineEngine, RunMatchesOneShotDriver) {
   const Batch b = make_batch(1, 37, 8, 16);
   for (const sw::LaneWidth width : {sw::LaneWidth::k32, sw::LaneWidth::k64}) {
     EngineOptions opts;
-    opts.params = kParams;
+    opts.scheme = kScheme;
     opts.width = width;
     PipelineEngine engine(opts);
     const sw::ChunkResult r = engine.run(make_job(b, 0, 0, b.xs.size()));
     const GpuRunResult ref =
-        gpu_bpbc_max_scores(b.xs, b.ys, kParams, width);
+        gpu_bpbc_max_scores(b.xs, b.ys, kScheme, width);
     EXPECT_EQ(r.scores, ref.scores);
     EXPECT_TRUE(r.has_phase_timings);
   }
@@ -94,7 +94,7 @@ TEST(PipelineEngine, RunMatchesOneShotDriver) {
 
 TEST(PipelineEngine, DeclaresStreamCaps) {
   EngineOptions opts;
-  opts.params = kParams;
+  opts.scheme = kScheme;
   opts.integrity = full_integrity();
   const PipelineEngine engine(opts);
   EXPECT_TRUE(engine.caps().streams);
@@ -107,7 +107,7 @@ TEST(PipelineEngine, SubmitCollectMatchesRunAcrossArenaReuse) {
   // the FIFO results must equal fresh synchronous runs of the same jobs.
   const Batch b = make_batch(2, 96, 8, 12);
   EngineOptions opts;
-  opts.params = kParams;
+  opts.scheme = kScheme;
   opts.overlap_depth = 3;
   PipelineEngine overlapped(opts);
   PipelineEngine serial(opts);
@@ -135,7 +135,7 @@ TEST(PipelineEngine, OverlapDepthBitIdenticalUnderFaultInjection) {
   for (const std::size_t depth : {std::size_t{1}, std::size_t{4}}) {
     FaultInjector faults(noisy_faults());
     EngineOptions opts;
-    opts.params = kParams;
+    opts.scheme = kScheme;
     opts.faults = &faults;
     opts.integrity = full_integrity();
     opts.overlap_depth = depth;
@@ -162,7 +162,7 @@ TEST(PipelineEngine, FaultCampaignIndependentOfSubmissionOrder) {
   FaultInjector faults_a(noisy_faults());
   FaultInjector faults_b(noisy_faults());
   EngineOptions opts;
-  opts.params = kParams;
+  opts.scheme = kScheme;
   opts.integrity = full_integrity();
   opts.overlap_depth = 3;
 
@@ -186,7 +186,7 @@ TEST(PipelineEngine, TraceShowsStageSpansOnPerStreamTracks) {
   telemetry::Telemetry session(tcfg);
   const Batch b = make_batch(5, 48, 8, 12);
   EngineOptions opts;
-  opts.params = kParams;
+  opts.scheme = kScheme;
   opts.telemetry = session.sink();
   opts.overlap_depth = 3;
   PipelineEngine engine(opts);
@@ -220,7 +220,7 @@ TEST(PipelineEngine, StopErrorSurfacesAtCollect) {
   cancel.cancel();
   const util::StopCondition stop(&cancel, {});
   EngineOptions opts;
-  opts.params = kParams;
+  opts.scheme = kScheme;
   PipelineEngine engine(opts);
   sw::ChunkJob job = make_job(b, 0, 0, 16);
   job.stop = &stop;
@@ -238,7 +238,7 @@ TEST(PipelineEngine, StopErrorSurfacesAtCollect) {
 
 TEST(PipelineEngine, CollectWithoutSubmitThrows) {
   EngineOptions opts;
-  opts.params = kParams;
+  opts.scheme = kScheme;
   PipelineEngine engine(opts);
   EXPECT_THROW(engine.collect(), util::StatusError);
 }
@@ -247,7 +247,7 @@ TEST(PipelineEngine, ShapeChangeRequiresEmptyPipeline) {
   const Batch small = make_batch(7, 32, 8, 12);
   const Batch wide = make_batch(8, 32, 8, 24);
   EngineOptions opts;
-  opts.params = kParams;
+  opts.scheme = kScheme;
   opts.overlap_depth = 2;
   PipelineEngine engine(opts);
   engine.submit(make_job(small, 0, 0, 16));
@@ -257,7 +257,7 @@ TEST(PipelineEngine, ShapeChangeRequiresEmptyPipeline) {
   const sw::ChunkResult r = engine.run(make_job(wide, 1, 0, 16));
   const GpuRunResult ref = gpu_bpbc_max_scores(
       std::span<const Sequence>(wide.xs).subspan(0, 16),
-      std::span<const Sequence>(wide.ys).subspan(0, 16), kParams,
+      std::span<const Sequence>(wide.ys).subspan(0, 16), kScheme,
       sw::LaneWidth::k32);
   EXPECT_EQ(r.scores, ref.scores);
 }
@@ -276,7 +276,7 @@ TEST(PipelineEngine, WatchdogKillsCountAsWatchdogRuns) {
   fc.stall_probability = 1.0;
   FaultInjector injector(fc);
   EngineOptions opts;
-  opts.params = kParams;
+  opts.scheme = kScheme;
   opts.faults = &injector;
   opts.watchdog_phases = 8 + 16 + 8;  // SWA needs m+n-1; a stall adds 2^20
   opts.telemetry = session.sink();

@@ -16,6 +16,7 @@ namespace swbpbc::device {
 namespace {
 
 constexpr sw::ScoreParams kParams{2, 1, 1};
+const sw::ScoringScheme kScheme;  // 2/1/1 linear
 
 struct Batch {
   std::vector<encoding::Sequence> xs;
@@ -38,14 +39,14 @@ GpuRunOptions serial_options() {
 TEST(FaultInjector, ZeroConfigMatchesCleanRun) {
   const Batch b = make_batch(1, 40, 8, 20);
   const auto clean =
-      gpu_bpbc_max_scores(b.xs, b.ys, kParams, sw::LaneWidth::k32,
+      gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32,
                           serial_options());
 
   FaultInjector injector{FaultConfig{}};  // all probabilities zero
   GpuRunOptions opt = serial_options();
   opt.faults = &injector;
   const auto faulty =
-      gpu_bpbc_max_scores(b.xs, b.ys, kParams, sw::LaneWidth::k32, opt);
+      gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32, opt);
 
   EXPECT_EQ(clean.scores, faulty.scores);
   EXPECT_TRUE(faulty.status.ok());
@@ -66,7 +67,7 @@ TEST(FaultInjector, SameSeedSameFaultsSameScores) {
     GpuRunOptions opt = serial_options();
     opt.faults = &injector;
     scores[run] =
-        gpu_bpbc_max_scores(b.xs, b.ys, kParams, sw::LaneWidth::k32, opt)
+        gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32, opt)
             .scores;
     logs[run] = injector.log();
   }
@@ -88,11 +89,11 @@ TEST(FaultInjector, RetryCampaignsDiffer) {
   opt.faults = &injector;
 
   const auto first =
-      gpu_bpbc_max_scores(b.xs, b.ys, kParams, sw::LaneWidth::k32, opt)
+      gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32, opt)
           .scores;
   const std::uint64_t flips_first = injector.log().bit_flips;
   const auto second =
-      gpu_bpbc_max_scores(b.xs, b.ys, kParams, sw::LaneWidth::k32, opt)
+      gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32, opt)
           .scores;
   const std::uint64_t flips_second =
       injector.log().bit_flips - flips_first;
@@ -106,7 +107,7 @@ TEST(FaultInjector, RetryCampaignsDiffer) {
 TEST(FaultInjector, BitFlipsCorruptScoresAndAreLogged) {
   const Batch b = make_batch(4, 64, 10, 24);
   const auto clean =
-      gpu_bpbc_max_scores(b.xs, b.ys, kParams, sw::LaneWidth::k32,
+      gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32,
                           serial_options());
 
   FaultConfig config;
@@ -116,7 +117,7 @@ TEST(FaultInjector, BitFlipsCorruptScoresAndAreLogged) {
   GpuRunOptions opt = serial_options();
   opt.faults = &injector;
   const auto faulty =
-      gpu_bpbc_max_scores(b.xs, b.ys, kParams, sw::LaneWidth::k32, opt);
+      gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32, opt);
 
   EXPECT_GT(injector.log().bit_flips, 0u);
   EXPECT_NE(clean.scores, faulty.scores);
@@ -130,7 +131,7 @@ TEST(FaultInjector, DroppedSyncIsLoggedOncePerBlock) {
   FaultInjector injector(config);
   GpuRunOptions opt = serial_options();
   opt.faults = &injector;
-  gpu_bpbc_max_scores(b.xs, b.ys, kParams, sw::LaneWidth::k32, opt);
+  gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32, opt);
   // Only the SWA kernel issues shared-memory stores; with p = 1 each of
   // its blocks loses exactly one phase's stores, counted once per block.
   const std::size_t n_groups = (64 + 31) / 32;
@@ -148,7 +149,7 @@ TEST(FaultInjector, WatchdogKillsStalledBlocks) {
   opt.faults = &injector;
   opt.watchdog_phases = m + n + 8;  // SWA needs m+n-1; stall adds 2^20
   const auto result =
-      gpu_bpbc_max_scores(b.xs, b.ys, kParams, sw::LaneWidth::k32, opt);
+      gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32, opt);
 
   const std::size_t n_groups = (count + 31) / 32;
   EXPECT_EQ(injector.log().watchdog_trips, n_groups);
@@ -162,7 +163,7 @@ TEST(FaultInjector, WatchdogWithoutInjectorThrowsTyped) {
   GpuRunOptions opt = serial_options();
   opt.watchdog_phases = 2;  // SWA legitimately needs m+n-1 = 23 phases
   try {
-    gpu_bpbc_max_scores(b.xs, b.ys, kParams, sw::LaneWidth::k32, opt);
+    gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32, opt);
     FAIL() << "expected StatusError";
   } catch (const util::StatusError& e) {
     EXPECT_EQ(e.status().code(), util::ErrorCode::kKernelTimeout);

@@ -20,7 +20,7 @@
 namespace swbpbc::device {
 namespace {
 
-constexpr sw::ScoreParams kParams{2, 1, 1};
+const sw::ScoringScheme kScheme;  // 2/1/1 linear
 constexpr std::size_t kCount = 100, kM = 12, kN = 40;
 
 // {global_reads, global_writes, global_read_transactions,
@@ -52,7 +52,7 @@ void expect_pinned(const Pinned& want) {
   opt.record_metrics = true;
   opt.mode = bulk::Mode::kSerial;
   const GpuRunResult run =
-      gpu_bpbc_max_scores(xs, ys, kParams, want.width, opt);
+      gpu_bpbc_max_scores(xs, ys, kScheme, want.width, opt);
 
   ASSERT_EQ(run.scores.size(), kCount);
   EXPECT_TRUE(run.status.ok());
@@ -131,7 +131,7 @@ TEST(TrafficPin, CallOrderFaultCampaigns) {
   };
   for (const Campaign& c : want) {
     const GpuRunResult r =
-        gpu_bpbc_max_scores(xs, ys, kParams, sw::LaneWidth::k32, opt);
+        gpu_bpbc_max_scores(xs, ys, kScheme, sw::LaneWidth::k32, opt);
     EXPECT_EQ(util::fnv1a_span<std::uint32_t>(r.scores), c.scores_fnv);
     EXPECT_EQ(r.status.code(), util::ErrorCode::kKernelTimeout);
     EXPECT_EQ(r.integrity_checks, 86u);

@@ -25,18 +25,21 @@ TEST(Integration, AllExecutionPathsAgree) {
   for (std::size_t k = 0; k < count; k += 7) {
     encoding::plant_motif(ys[k], xs[k], k % (n - m));
   }
+  // The wordwise baselines run the paper's linear triple; the BPBC
+  // engines take the same rules as a ScoringScheme.
   const sw::ScoreParams params{2, 1, 1};
+  const sw::ScoringScheme scheme;  // 2/1/1 linear
 
   const auto scalar = sw::wordwise_max_scores(xs, ys, params);
   const auto bpbc32 =
-      sw::bpbc_max_scores(xs, ys, params, sw::LaneWidth::k32);
+      sw::bpbc_max_scores(xs, ys, scheme, sw::LaneWidth::k32);
   const auto bpbc64 =
-      sw::bpbc_max_scores(xs, ys, params, sw::LaneWidth::k64,
+      sw::bpbc_max_scores(xs, ys, scheme, sw::LaneWidth::k64,
                           bulk::Mode::kParallel);
   device::GpuRunOptions options;
   options.mode = bulk::Mode::kSerial;
   const auto gpu32 =
-      device::gpu_bpbc_max_scores(xs, ys, params, sw::LaneWidth::k32,
+      device::gpu_bpbc_max_scores(xs, ys, scheme, sw::LaneWidth::k32,
                                   options);
   const auto gpu_word = device::gpu_wordwise_max_scores(xs, ys, params,
                                                         options);
@@ -55,7 +58,7 @@ TEST(Integration, CircuitSimulatedSwaMatchesBpbc) {
   util::Xoshiro256 rng(424242);
   const std::size_t m = 6, n = 14;
   const sw::ScoreParams params{2, 1, 1};
-  const unsigned s = sw::required_slices(params, m, n);
+  const unsigned s = sw::scheme_required_slices(sw::ScoringScheme{}, m, n);
   const auto xs = encoding::random_sequences(rng, 32, m);
   const auto ys = encoding::random_sequences(rng, 32, n);
   const auto bx = encoding::transpose_strings<std::uint32_t>(xs);

@@ -16,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "encoding/random.hpp"
@@ -394,6 +395,27 @@ TEST(ServiceE2E, RestartRefusesAJournalFromOtherScoringRules) {
   ASSERT_FALSE(created.has_value());
   EXPECT_EQ(created.status().code(),
             util::ErrorCode::kCheckpointMismatch);
+}
+
+TEST(ServiceE2E, CreateRejectsZeroMatchOrGapParams) {
+  // create() lifts params into the serving scheme and validates it there,
+  // naming the params field: a zero gap or match never serves a request
+  // (with or without the device engine).
+  const std::pair<sw::ScoreParams, const char*> cases[] = {
+      {sw::ScoreParams{2, 1, 0}, "config.params.gap"},
+      {sw::ScoreParams{0, 1, 1}, "config.params.match"}};
+  for (const auto& [params, field] : cases) {
+    for (const bool use_engine : {false, true}) {
+      ServerConfig cfg = base_config("zero_params");
+      cfg.params = params;
+      cfg.use_engine = use_engine;
+      auto created = ScreenServer::create(std::move(cfg));
+      ASSERT_FALSE(created.has_value()) << field;
+      EXPECT_EQ(created.status().code(), util::ErrorCode::kInvalidInput);
+      EXPECT_NE(created.status().message().find(field), std::string::npos)
+          << created.status().to_string();
+    }
+  }
 }
 
 TEST(ServiceE2E, FaultInjectedTransportStillConvergesBitIdentical) {

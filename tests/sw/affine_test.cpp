@@ -134,7 +134,7 @@ TEST(AffineBpbc, AgreesWithLinearPathWhenDegenerate) {
   const auto xs = encoding::random_sequences(rng, 32, 9);
   const auto ys = encoding::random_sequences(rng, 32, 30);
   EXPECT_EQ(affine_bpbc_scores(xs, ys, {2, 1, 1, 1}),
-            bpbc_max_scores(xs, ys, {2, 1, 1}));
+            bpbc_max_scores(xs, ys, ScoringScheme{}));
 }
 
 TEST(AffineBpbc, SliceSizing) {

@@ -28,6 +28,7 @@ namespace {
 using encoding::Sequence;
 
 constexpr ScoreParams kParams{2, 1, 1};
+const ScoringScheme kScheme;  // 2/1/1 linear
 
 struct Batch {
   std::vector<Sequence> xs;
@@ -108,7 +109,7 @@ TEST(BackendV2, OpaqueBackendMatchesDefaultPath) {
 
   auto opaque = test_support::scores_backend(
       [](std::span<const Sequence> xs, std::span<const Sequence> ys) {
-        return bpbc_max_scores(xs, ys, kParams, LaneWidth::k32);
+        return bpbc_max_scores(xs, ys, kScheme, LaneWidth::k32);
       });
   ScreenConfig cfg = host;
   cfg.backend = &opaque;
@@ -129,7 +130,7 @@ TEST(BackendV2, HostBackendMatchesDefaultPath) {
 
   ScreenConfig cfg = legacy;
   const std::unique_ptr<Backend> host = make_host_backend(
-      kParams, cfg.width, cfg.mode, cfg.method);
+      kScheme, cfg.width, cfg.mode, cfg.method);
   cfg.backend = host.get();
   const ScreenReport got = screen(b.xs, b.ys, cfg);
   expect_same_report(got, want, "host backend");
@@ -142,7 +143,7 @@ TEST(BackendV2, CancellationThroughSerialEngine) {
   // full run's scores, the rest read zero.
   const Batch b = make_batch(24, 64, 8, 12);
   device::EngineOptions eopts;
-  eopts.params = kParams;
+  eopts.scheme = kScheme;
   eopts.overlap_depth = 1;
   device::PipelineEngine engine(eopts);
   ScreenConfig cfg;
@@ -175,7 +176,7 @@ TEST(BackendV2, BaseSubmitCollectThrowInternal) {
   // submit/collect on any other, and a direct call is a typed error.
   const Batch b = make_batch(25, 16, 8, 12);
   const std::unique_ptr<Backend> host = make_host_backend(
-      kParams, LaneWidth::k32, bulk::Mode::kSerial,
+      kScheme, LaneWidth::k32, bulk::Mode::kSerial,
       encoding::TransposeMethod::kPlanned);
   EXPECT_FALSE(host->caps().streams);
   ChunkJob job;
@@ -200,7 +201,7 @@ TEST(BackendV2, BaseSubmitCollectThrowInternal) {
 ScreenReport engine_screen(const Batch& b, std::size_t overlap_depth,
                            device::FaultInjector* faults, bool check) {
   device::EngineOptions eopts;
-  eopts.params = kParams;
+  eopts.scheme = kScheme;
   eopts.width = LaneWidth::k32;
   eopts.faults = faults;
   if (faults != nullptr) eopts.integrity = full_integrity();
@@ -248,7 +249,7 @@ TEST(OverlappedScreen, BitIdenticalToSerialUnderFaultsWithSelfCheck) {
 TEST(OverlappedScreen, CancellationLeavesWellFormedPartialReport) {
   const Batch b = make_batch(28, 96, 8, 12);
   device::EngineOptions eopts;
-  eopts.params = kParams;
+  eopts.scheme = kScheme;
   eopts.overlap_depth = 3;
   device::PipelineEngine engine(eopts);
   util::CancellationToken cancel;

@@ -26,7 +26,8 @@ TEST_P(BpbcVsScalar, Lane32MatchesScalar) {
   util::Xoshiro256 rng(c.seed);
   const auto xs = encoding::random_sequences(rng, c.count, c.m);
   const auto ys = encoding::random_sequences(rng, c.count, c.n);
-  const auto scores = bpbc_max_scores(xs, ys, c.params, LaneWidth::k32);
+  const auto scores = bpbc_max_scores(
+      xs, ys, ScoringScheme::from_params(c.params), LaneWidth::k32);
   ASSERT_EQ(scores.size(), c.count);
   for (std::size_t k = 0; k < c.count; ++k) {
     EXPECT_EQ(scores[k], max_score(xs[k], ys[k], c.params))
@@ -39,7 +40,8 @@ TEST_P(BpbcVsScalar, Lane64MatchesScalar) {
   util::Xoshiro256 rng(c.seed + 1);
   const auto xs = encoding::random_sequences(rng, c.count, c.m);
   const auto ys = encoding::random_sequences(rng, c.count, c.n);
-  const auto scores = bpbc_max_scores(xs, ys, c.params, LaneWidth::k64);
+  const auto scores = bpbc_max_scores(
+      xs, ys, ScoringScheme::from_params(c.params), LaneWidth::k64);
   ASSERT_EQ(scores.size(), c.count);
   for (std::size_t k = 0; k < c.count; ++k) {
     EXPECT_EQ(scores[k], max_score(xs[k], ys[k], c.params))
@@ -65,11 +67,11 @@ TEST(Bpbc, ParallelModeMatchesSerial) {
   util::Xoshiro256 rng(42);
   const auto xs = encoding::random_sequences(rng, 96, 10);
   const auto ys = encoding::random_sequences(rng, 96, 30);
-  const ScoreParams params{2, 1, 1};
+  const ScoringScheme scheme;  // 2/1/1 linear
   const auto serial =
-      bpbc_max_scores(xs, ys, params, LaneWidth::k32, bulk::Mode::kSerial);
+      bpbc_max_scores(xs, ys, scheme, LaneWidth::k32, bulk::Mode::kSerial);
   const auto parallel =
-      bpbc_max_scores(xs, ys, params, LaneWidth::k32, bulk::Mode::kParallel);
+      bpbc_max_scores(xs, ys, scheme, LaneWidth::k32, bulk::Mode::kParallel);
   EXPECT_EQ(serial, parallel);
 }
 
@@ -77,12 +79,12 @@ TEST(Bpbc, NaiveTransposeGivesSameScores) {
   util::Xoshiro256 rng(43);
   const auto xs = encoding::random_sequences(rng, 40, 8);
   const auto ys = encoding::random_sequences(rng, 40, 20);
-  const ScoreParams params{2, 1, 1};
+  const ScoringScheme scheme;  // 2/1/1 linear
   const auto planned =
-      bpbc_max_scores(xs, ys, params, LaneWidth::k32, bulk::Mode::kSerial,
+      bpbc_max_scores(xs, ys, scheme, LaneWidth::k32, bulk::Mode::kSerial,
                       encoding::TransposeMethod::kPlanned);
   const auto naive =
-      bpbc_max_scores(xs, ys, params, LaneWidth::k32, bulk::Mode::kSerial,
+      bpbc_max_scores(xs, ys, scheme, LaneWidth::k32, bulk::Mode::kSerial,
                       encoding::TransposeMethod::kNaive);
   EXPECT_EQ(planned, naive);
 }
@@ -97,15 +99,14 @@ TEST(Bpbc, IdenticalStringsSaturateToFullScore) {
     encoding::plant_motif(y, x, 4);
     ys.push_back(std::move(y));
   }
-  const ScoreParams params{2, 1, 1};
-  const auto scores = bpbc_max_scores(xs, ys, params);
+  const ScoringScheme scheme;  // 2/1/1 linear
+  const auto scores = bpbc_max_scores(xs, ys, scheme);
   for (auto sc : scores) EXPECT_GE(sc, 32u);  // full 16-char match
 }
 
 TEST(Bpbc, AlignerValidatesShapes) {
   using View = encoding::PlanarGenericView<std::uint32_t>;
-  const SchemeBpbcAligner<std::uint32_t> aligner(
-      ScoringScheme::from_params({2, 1, 1}), 8, 16);
+  const SchemeBpbcAligner<std::uint32_t> aligner(ScoringScheme{}, 8, 16);
   EXPECT_EQ(aligner.m(), 8u);
   EXPECT_EQ(aligner.n(), 16u);
   util::Xoshiro256 rng(50);
@@ -124,12 +125,27 @@ TEST(Bpbc, MismatchedBatchSizesRejected) {
   util::Xoshiro256 rng(51);
   const auto xs = encoding::random_sequences(rng, 4, 8);
   const auto ys = encoding::random_sequences(rng, 5, 16);
-  EXPECT_THROW(bpbc_max_scores(xs, ys, {2, 1, 1}), std::invalid_argument);
+  EXPECT_THROW(bpbc_max_scores(xs, ys, ScoringScheme{}), std::invalid_argument);
+}
+
+TEST(Bpbc, InvalidOrMatrixSchemeIsATypedError) {
+  util::Xoshiro256 rng(54);
+  const auto xs = encoding::random_sequences(rng, 4, 8);
+  const auto ys = encoding::random_sequences(rng, 4, 16);
+  ScoringScheme zero_gap;
+  zero_gap.gap_open = 0;
+  ScoringScheme protein;
+  protein.matrix = blosum62();
+  for (const ScoringScheme& bad : {zero_gap, protein}) {
+    const auto got = try_bpbc_max_scores(xs, ys, bad);
+    ASSERT_FALSE(got.has_value());
+    EXPECT_EQ(got.status().code(), util::ErrorCode::kInvalidInput);
+  }
 }
 
 TEST(Bpbc, EmptyBatchGivesEmptyScores) {
   const std::vector<encoding::Sequence> none;
-  EXPECT_TRUE(bpbc_max_scores(none, none, {2, 1, 1}).empty());
+  EXPECT_TRUE(bpbc_max_scores(none, none, ScoringScheme{}).empty());
 }
 
 TEST(Bpbc, TimingsArePopulated) {
@@ -137,7 +153,7 @@ TEST(Bpbc, TimingsArePopulated) {
   const auto xs = encoding::random_sequences(rng, 32, 8);
   const auto ys = encoding::random_sequences(rng, 32, 64);
   PhaseTimings t;
-  (void)bpbc_max_scores(xs, ys, {2, 1, 1}, LaneWidth::k32,
+  (void)bpbc_max_scores(xs, ys, ScoringScheme{}, LaneWidth::k32,
                         bulk::Mode::kSerial,
                         encoding::TransposeMethod::kPlanned, &t);
   EXPECT_GT(t.swa_ms, 0.0);
@@ -148,11 +164,11 @@ TEST(Bpbc, ScoreNeverExceedsSliceCapacity) {
   // Saturation/headroom check: scores fit in s bits by construction.
   util::Xoshiro256 rng(53);
   const std::size_t m = 16;
-  const ScoreParams params{2, 1, 1};
-  const unsigned s = required_slices(params, m, 64);
+  const ScoringScheme scheme;  // 2/1/1 linear
+  const unsigned s = scheme_required_slices(scheme, m, 64);
   const auto xs = encoding::random_sequences(rng, 32, m);
   const auto ys = encoding::random_sequences(rng, 32, 64);
-  const auto scores = bpbc_max_scores(xs, ys, params);
+  const auto scores = bpbc_max_scores(xs, ys, scheme);
   for (auto sc : scores) EXPECT_LT(sc, 1u << s);
 }
 

@@ -1,10 +1,8 @@
 // sw::validate(const ScreenConfig&) — one table-driven case per
 // cross-field rejection rule (typed kInvalidInput naming the offending
-// `config.` field, never an exception), the configs it accepts, and the
-// try_scan_text window checks that stand in for a scan-side validator.
+// `config.` field, never an exception) and the configs it accepts.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -12,7 +10,6 @@
 #include "encoding/random.hpp"
 #include "fn_backend.hpp"
 #include "sw/pipeline.hpp"
-#include "sw/scan.hpp"
 #include "sw/scoring.hpp"
 #include "util/status.hpp"
 
@@ -22,6 +19,7 @@ namespace {
 using encoding::Sequence;
 
 constexpr ScoreParams kParams{2, 1, 1};
+const ScoringScheme kScheme;  // 2/1/1 linear
 
 ScoringScheme affine_scheme() {
   ScoringScheme affine;
@@ -214,7 +212,7 @@ TEST(ScreenConfigValidation, ValidatedOverlappedEngineScreenRuns) {
   const std::vector<Sequence> xs = encoding::random_sequences(rng, 48, 8);
   const std::vector<Sequence> ys = encoding::random_sequences(rng, 48, 12);
   device::EngineOptions eopts;
-  eopts.params = kParams;
+  eopts.scheme = kScheme;
   eopts.width = LaneWidth::k32;
   eopts.overlap_depth = 3;
   device::PipelineEngine engine(eopts);
@@ -254,75 +252,6 @@ TEST(ScreenConfigValidation, TryScreenSharesTheSchemeMessage) {
   ASSERT_FALSE(screened.has_value());
   EXPECT_EQ(screened.status().code(), validated.code());
   EXPECT_EQ(screened.status().message(), validated.message());
-}
-
-// --- try_scan_text -------------------------------------------------------
-
-TEST(TryScanText, EmptyQueryIsATypedError) {
-  const auto result = try_scan_text({}, Sequence(4, encoding::Base{}), ScanConfig{});
-  ASSERT_FALSE(result.has_value());
-  EXPECT_EQ(result.status().code(), util::ErrorCode::kInvalidInput);
-}
-
-// try_scan_text rejects a window that does not advance; the ScanSpecBuilder
-// IDs are the ones these inputs had when a builder checked them.
-void expect_window_rejected(std::size_t window, std::size_t overlap) {
-  util::Xoshiro256 rng(32);
-  const Sequence query = encoding::random_sequences(rng, 1, 8).front();
-  const Sequence text = encoding::random_sequences(rng, 1, 256).front();
-  ScanConfig cfg;
-  cfg.params = kParams;
-  cfg.window = window;
-  cfg.overlap = overlap;
-  const auto result = try_scan_text(query, text, cfg);
-  ASSERT_FALSE(result.has_value())
-      << "window " << window << ", overlap " << overlap;
-  EXPECT_EQ(result.status().code(), util::ErrorCode::kInvalidInput);
-  EXPECT_NE(result.status().message().find("overlap"), std::string::npos)
-      << result.status().message();
-}
-
-TEST(TryScanText, WindowNotExceedingOverlapIsATypedError) {
-  expect_window_rejected(16, 0);  // default overlap = 2 * |query| = 16
-}
-
-TEST(ScanSpecBuilder, RejectsZeroWindow) { expect_window_rejected(0, 0); }
-
-TEST(ScanSpecBuilder, RejectsWindowNotExceedingOverlap) {
-  expect_window_rejected(64, 64);
-}
-
-TEST(TryScanText, ThrowingWrapperRoutesThroughIt) {
-  // scan_text = try_scan_text(...).value(): same typed status, thrown as
-  // StatusError (which still is-a std::invalid_argument).
-  try {
-    scan_text({}, Sequence(4, encoding::Base{}), ScanConfig{});
-    FAIL() << "scan_text accepted an empty query";
-  } catch (const util::StatusError& e) {
-    EXPECT_EQ(e.status().code(), util::ErrorCode::kInvalidInput);
-  }
-  EXPECT_THROW(scan_text({}, Sequence(4, encoding::Base{}), ScanConfig{}),
-               std::invalid_argument);
-}
-
-TEST(TryScanText, WindowedScanFindsThePlantedHit) {
-  util::Xoshiro256 rng(33);
-  const Sequence query = encoding::random_sequences(rng, 1, 8).front();
-  Sequence text = encoding::random_sequences(rng, 1, 300).front();
-  std::copy(query.begin(), query.end(),
-            text.begin() + 150);  // plant an exact match
-  ScanConfig cfg;
-  cfg.params = kParams;
-  cfg.threshold = 16;  // 8 matches * 2
-  cfg.window = 64;
-  cfg.overlap = 16;
-  const auto report = try_scan_text(query, text, cfg);
-  ASSERT_TRUE(report.has_value()) << report.status().to_string();
-  EXPECT_TRUE(report->status.ok());
-  bool found = false;
-  for (const ScanHit& hit : report->hits)
-    if (hit.text_begin <= 150 && 158 <= hit.text_end) found = true;
-  EXPECT_TRUE(found);
 }
 
 }  // namespace

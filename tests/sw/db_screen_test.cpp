@@ -25,6 +25,7 @@ namespace {
 using encoding::Sequence;
 
 constexpr ScoreParams kParams{2, 1, 1};
+const ScoringScheme kScheme;  // 2/1/1 linear
 
 struct Fixture {
   std::vector<Sequence> xs;
@@ -158,7 +159,7 @@ TEST(DbScreen, ReingestCountsDistinctShardsAcrossRepeatTouches) {
   ASSERT_TRUE(reader.has_value());
 
   DbBackendOptions opts;
-  opts.params = kParams;
+  opts.scheme = kScheme;
   const auto backend = make_db_backend(*reader, opts);
   ChunkJob job;
   job.xs = f.xs;
@@ -180,7 +181,7 @@ TEST(DbScreen, UnknownFirstPairFallsBackInMemory) {
   auto reader = db::Reader::open(f.db_path);
   ASSERT_TRUE(reader.has_value());
   DbBackendOptions opts;
-  opts.params = kParams;
+  opts.scheme = kScheme;
   const auto backend = make_db_backend(*reader, opts);
   ChunkJob job;
   job.xs = f.xs;

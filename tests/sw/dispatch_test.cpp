@@ -12,7 +12,6 @@
 #include "sw/backend.hpp"
 #include "sw/dispatch.hpp"
 #include "sw/pipeline.hpp"
-#include "sw/scan.hpp"
 #include "sw/scoring.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -295,41 +294,6 @@ TEST(DispatchScreen, ScoresBitIdenticalAcrossEveryChoice) {
           << backend_choice_name(c) << ": " << got.status().to_string();
       EXPECT_EQ(got->scores, want->scores)
           << backend_choice_name(c) << " affine=" << affine;
-    }
-  }
-}
-
-// The text scan resolves its engine per run the same way: every backend
-// choice reports the same windows at the same scores.
-TEST(DispatchScan, HitsBitIdenticalAcrossEveryChoice) {
-  util::Xoshiro256 rng(47);
-  Sequence query(12), text(2000);
-  for (auto& b : query) b = static_cast<encoding::Base>(rng.below(4));
-  for (auto& b : text) b = static_cast<encoding::Base>(rng.below(4));
-  for (std::size_t i = 0; i < query.size(); ++i) text[700 + i] = query[i];
-  ScanConfig base;
-  base.params = ScoreParams{2, 1, 1};
-  base.threshold = 18;
-  base.window = 256;
-  base.overlap = 24;
-  base.backend_choice = BackendChoice::kBpbc;
-  const auto want = try_scan_text(query, text, base);
-  ASSERT_TRUE(want.has_value()) << want.status().to_string();
-  ASSERT_FALSE(want->hits.empty());
-  for (const BackendChoice c :
-       {BackendChoice::kStriped, BackendChoice::kWordwiseNaive,
-        BackendChoice::kAuto}) {
-    ScanConfig cfg = base;
-    cfg.backend_choice = c;
-    cfg.chunk_windows = 3;
-    const auto got = try_scan_text(query, text, cfg);
-    ASSERT_TRUE(got.has_value())
-        << backend_choice_name(c) << ": " << got.status().to_string();
-    ASSERT_EQ(got->hits.size(), want->hits.size()) << backend_choice_name(c);
-    for (std::size_t i = 0; i < want->hits.size(); ++i) {
-      EXPECT_EQ(got->hits[i].text_begin, want->hits[i].text_begin);
-      EXPECT_EQ(got->hits[i].score, want->hits[i].score)
-          << backend_choice_name(c) << " hit " << i;
     }
   }
 }

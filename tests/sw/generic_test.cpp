@@ -168,10 +168,11 @@ TEST(GenericBpbc, DnaViaGenericPathMatchesSpecializedPath) {
     gen_ys.push_back(std::move(gy));
   }
   const ScoreParams params{2, 1, 1};
-  const auto generic = try_scheme_max_scores(
-      gen_xs, gen_ys, ScoringScheme::from_params(params), LaneWidth::k32);
+  const ScoringScheme scheme;  // the same 2/1/1 linear rules
+  const auto generic =
+      try_scheme_max_scores(gen_xs, gen_ys, scheme, LaneWidth::k32);
   ASSERT_TRUE(generic.has_value());
-  EXPECT_EQ(*generic, bpbc_max_scores(dna_xs, dna_ys, params, LaneWidth::k32));
+  EXPECT_EQ(*generic, bpbc_max_scores(dna_xs, dna_ys, scheme, LaneWidth::k32));
   for (std::size_t k = 0; k < 32; ++k) {
     EXPECT_EQ((*generic)[k], max_score(dna_xs[k], dna_ys[k], params));
   }

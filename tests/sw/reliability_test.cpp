@@ -21,6 +21,7 @@ using encoding::Sequence;
 using test_support::scores_backend;
 
 constexpr ScoreParams kParams{2, 1, 1};
+const ScoringScheme kScheme;  // 2/1/1 linear
 
 struct Batch {
   std::vector<Sequence> xs;
@@ -91,7 +92,7 @@ TEST(TryBpbc, NonUniformTextsAreTypedError) {
   Batch b = make_batch(4, 5, 8, 12);
   util::Xoshiro256 rng(5);
   b.ys[2] = encoding::random_sequence(rng, 7);
-  const auto result = try_bpbc_max_scores(b.xs, b.ys, kParams);
+  const auto result = try_bpbc_max_scores(b.xs, b.ys, kScheme);
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.status().code(), util::ErrorCode::kInvalidInput);
   EXPECT_NE(result.status().message().find("[2]"), std::string::npos);
@@ -238,7 +239,7 @@ TEST(FaultDrill, HundredSeededCampaignsFullyRecovered) {
     device::FaultInjector injector(fault);
 
     device::EngineOptions eopts;
-    eopts.params = kParams;
+    eopts.scheme = kScheme;
     eopts.width = LaneWidth::k32;
     eopts.mode = bulk::Mode::kSerial;
     eopts.faults = &injector;

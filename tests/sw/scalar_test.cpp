@@ -155,18 +155,29 @@ TEST(ScalarSw, AlignmentScoreConsistentWithRows) {
   }
 }
 
+// A linear-gap uniform scheme: the paper's (c1, c2, gap) triple.
+ScoringScheme linear(std::uint32_t match, std::uint32_t mismatch,
+                     std::uint32_t gap) {
+  ScoringScheme s;
+  s.match = match;
+  s.mismatch = mismatch;
+  s.gap_open = gap;
+  return s;
+}
+
 TEST(Params, RequiredSlicesBounds) {
   // m = 128, c1 = 2 -> max score 256 -> 9 bits (the paper's ceil(log2)
   // formula would say 8; see DESIGN.md).
-  EXPECT_EQ(required_slices({2, 1, 1}, 128, 1024), 9u);
-  EXPECT_EQ(required_slices({2, 1, 1}, 5, 7), 4u);    // max 10 -> 4 bits
-  EXPECT_EQ(required_slices({1, 1, 1}, 3, 100), 2u);  // max 3 -> 2 bits
+  EXPECT_EQ(scheme_required_slices(linear(2, 1, 1), 128, 1024), 9u);
+  EXPECT_EQ(scheme_required_slices(linear(2, 1, 1), 5, 7), 4u);  // max 10
+  EXPECT_EQ(scheme_required_slices(linear(1, 1, 1), 3, 100), 2u);  // max 3
   // Constants must fit even when the score range is tiny.
-  EXPECT_GE(required_slices({1, 7, 1}, 1, 1), 3u);
+  EXPECT_GE(scheme_required_slices(linear(1, 7, 1), 1, 1), 3u);
 }
 
 TEST(Params, RequiredSlicesRejectsHugeRange) {
-  EXPECT_THROW(required_slices({1u << 30, 1, 1}, 1u << 10, 1u << 10),
+  EXPECT_THROW((void)scheme_required_slices(linear(1u << 30, 1, 1), 1u << 10,
+                                            1u << 10),
                std::invalid_argument);
 }
 

@@ -130,7 +130,7 @@ void expect_boundary_shapes(const ScoringScheme& scheme, std::size_t sigma,
           dx.push_back(as_dna(xs[k]));
           dy.push_back(as_dna(ys[k]));
         }
-        const auto dna = bpbc_max_scores(dx, dy, *params, width);
+        const auto dna = bpbc_max_scores(dx, dy, scheme, width);
         for (std::size_t k = 0; k < dx.size(); ++k)
           EXPECT_EQ(dna[k], max_score(dx[k], dy[k], *params))
               << where << " (DNA front end) pair " << k;
@@ -181,34 +181,32 @@ TEST(SchemeCross, ExpressibleSchemeIsBitIdenticalToLegacyKernels) {
     xs.push_back(as_generic(xs_dna[k]));
     ys.push_back(as_generic(ys_dna[k]));
   }
-  const ScoreParams params{2, 1, 1};
-  const ScoringScheme scheme = ScoringScheme::from_params(params);
+  const ScoringScheme scheme;  // 2/1/1 linear
   for (LaneWidth width : kAllWidths) {
     auto got = try_scheme_max_scores(xs, ys, scheme, width);
     ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, bpbc_max_scores(xs_dna, ys_dna, params, width))
+    EXPECT_EQ(*got, bpbc_max_scores(xs_dna, ys_dna, scheme, width))
         << lane_width_name(width);
   }
   expect_boundary_shapes(scheme, 4, 304, "dna linear 2/1/1");
 
   // A score of exactly 2^s - 1, the largest the slices hold: match 3 over
   // an identical 21-mer pair is 63 at s = 6.
-  const ScoreParams top{3, 1, 1};
-  ASSERT_EQ(scheme_required_slices(ScoringScheme::from_params(top), 21, 21),
-            6u);
+  ScoringScheme top;
+  top.match = 3;
+  ASSERT_EQ(scheme_required_slices(top, 21, 21), 6u);
   const std::vector<Sequence> same(3, encoding::random_sequence(rng, 21));
   const std::vector<GenericSequence> same_generic(3, as_generic(same[0]));
   for (LaneWidth width : kAllWidths) {
     EXPECT_EQ(bpbc_max_scores(same, same, top, width),
               std::vector<std::uint32_t>(3, 63u))
         << lane_width_name(width);
-    auto got = try_scheme_max_scores(same_generic, same_generic,
-                                     ScoringScheme::from_params(top), width);
+    auto got = try_scheme_max_scores(same_generic, same_generic, top, width);
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, std::vector<std::uint32_t>(3, 63u))
         << lane_width_name(width);
   }
-  EXPECT_EQ(max_score(same[0], same[0], top), 63u);
+  EXPECT_EQ(scheme_max_score(same[0], same[0], top), 63u);
 }
 
 TEST(SchemeCross, ParallelModeMatchesSerial) {
@@ -484,24 +482,38 @@ TEST(SchemeEngine, OverlappedAffineIsBitIdenticalUnderFaults) {
         << "pair " << k;
 }
 
-TEST(SchemeEngine, ExpressibleSchemeLowersOntoLegacyEnginePath) {
+TEST(SchemeEngine, LinearSchemeMatchesWordwiseBaseline) {
+  // The engine's linear cell under a scheme and the device wordwise
+  // baseline under the paper's (c1, c2, gap) triple score alike.
   util::Xoshiro256 rng(333);
   const auto xs = encoding::random_sequences(rng, 70, 8);
   const auto ys = encoding::random_sequences(rng, 70, 20);
-  const ScoreParams params{2, 1, 1};
 
-  device::EngineOptions legacy;
-  legacy.params = params;
-  device::PipelineEngine a(legacy);
-
-  device::EngineOptions scheme_opts;
-  scheme_opts.scheme = ScoringScheme::from_params(params);
-  device::PipelineEngine b(scheme_opts);
+  device::EngineOptions options;
+  options.scheme.match = 3;
+  options.scheme.mismatch = 2;
+  device::PipelineEngine engine(options);
 
   sw::ChunkJob job;
   job.xs = xs;
   job.ys = ys;
-  EXPECT_EQ(a.run(job).scores, b.run(job).scores);
+  EXPECT_EQ(engine.run(job).scores,
+            device::gpu_wordwise_max_scores(xs, ys, ScoreParams{3, 2, 1})
+                .scores);
+}
+
+TEST(SchemeEngine, RejectsZeroGapSchemeTyped) {
+  device::EngineOptions options;
+  options.scheme.gap_open = 0;
+  try {
+    device::PipelineEngine engine(options);
+    FAIL() << "a zero gap must not construct a device engine";
+  } catch (const util::StatusError& e) {
+    EXPECT_EQ(e.status().code(), util::ErrorCode::kInvalidInput);
+    EXPECT_NE(e.status().message().find("EngineOptions::scheme.gap_open"),
+              std::string::npos)
+        << e.status().to_string();
+  }
 }
 
 TEST(SchemeEngine, RejectsMatrixSchemeTyped) {

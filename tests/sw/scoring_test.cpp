@@ -1,8 +1,8 @@
-// The redesigned ScoringScheme API: the ScoreParams shim (lossless in
+// The redesigned ScoringScheme API: the ScoreParams lift (lossless in
 // both directions), field-naming validation, the BLOSUM62 preset, scheme
 // naming, slice budgeting, and the fingerprint compatibility contract
-// (expressible schemes hash exactly like fingerprint_params so existing
-// checkpoint streams and request journals keep resuming).
+// (the scheme fingerprints are pinned literally so existing checkpoint
+// streams and request journals keep resuming).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -128,10 +128,10 @@ TEST(ScoringScheme, SchemeNameIsHumanReadable) {
 }
 
 TEST(ScoringScheme, RequiredSlicesCoverScoreRangeAndConstants) {
-  // Uniform DNA: match drives the growth bound, same as required_slices.
+  // Uniform DNA: match drives the growth bound, 2 * min(8, 100) = 16
+  // needs 5 bits.
   ScoringScheme uniform;  // match = 2
-  EXPECT_EQ(scheme_required_slices(uniform, 8, 100),
-            required_slices(ScoreParams{2, 1, 1}, 8, 100));
+  EXPECT_EQ(scheme_required_slices(uniform, 8, 100), 5u);
   // BLOSUM62: growth bound 11 * min(m, n); gap/entry constants fit too.
   const ScoringScheme protein = blosum62_affine();
   const unsigned s = scheme_required_slices(protein, 10, 50);
@@ -143,10 +143,14 @@ TEST(ScoringScheme, RequiredSlicesCoverScoreRangeAndConstants) {
 
 TEST(SchemeFingerprint, ExpressibleSchemesHashLikeParams) {
   // The resume-compatibility contract: checkpoint streams and request
-  // journals written under plain ScoreParams must keep replaying.
-  const ScoreParams params{2, 1, 3};
-  EXPECT_EQ(fingerprint_scheme(ScoringScheme::from_params(params)),
-            fingerprint_params(params));
+  // journals already written must keep replaying, so the fingerprints are
+  // pinned to the values every earlier build produced. DNA 2/1/1 linear
+  // hashes the bare (match, mismatch, gap) triple, as ScoreParams always
+  // did.
+  EXPECT_EQ(fingerprint_scheme(ScoringScheme{}), 0xbfee9d1a1df34867ull);
+  EXPECT_EQ(fingerprint_scheme(affine_scheme(3, 1)), 0xd403db540b77edaeull);
+  EXPECT_EQ(fingerprint_scheme(blosum62_affine(11, 1)),
+            0x4ff5551c5fbd5ac9ull);
 }
 
 TEST(SchemeFingerprint, DistinguishesGapModelsAndMatrixBytes) {

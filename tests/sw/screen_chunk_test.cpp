@@ -29,6 +29,7 @@ namespace {
 using encoding::Sequence;
 
 constexpr ScoreParams kParams{2, 1, 1};
+const ScoringScheme kScheme;  // 2/1/1 linear
 
 struct Batch {
   std::vector<Sequence> xs;
@@ -154,7 +155,7 @@ TEST(ScreenCancel, CancelBetweenDevicePhasesYieldsPartialReport) {
   util::CancellationToken token;
 
   device::EngineOptions eopts;
-  eopts.params = kParams;
+  eopts.scheme = kScheme;
   eopts.width = LaneWidth::k32;
   eopts.mode = bulk::Mode::kSerial;
   eopts.overlap_depth = 1;
@@ -497,7 +498,7 @@ TEST(FaultDrill, ChunkedIntegrityCampaignsRecoverAndAttribute) {
     device::FaultInjector injector(fault);
 
     device::EngineOptions eopts;
-    eopts.params = kParams;
+    eopts.scheme = kScheme;
     eopts.width = LaneWidth::k32;
     eopts.mode = bulk::Mode::kSerial;
     eopts.faults = &injector;
@@ -563,7 +564,7 @@ TEST(FaultDrill, ChunkedIntegrityCampaignsRecoverAndAttribute) {
 TEST(Integrity, CleanDeviceRunDetectsNothing) {
   const Batch b = make_batch(23, 40, 8, 16);
   device::EngineOptions eopts;
-  eopts.params = kParams;
+  eopts.scheme = kScheme;
   eopts.width = LaneWidth::k32;
   eopts.mode = bulk::Mode::kSerial;
   eopts.integrity.enabled = true;

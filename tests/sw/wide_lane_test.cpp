@@ -31,6 +31,7 @@ namespace {
 using W256 = bitsim::simd_word<256>;
 
 constexpr ScoreParams kParams{2, 1, 1};
+const ScoringScheme kScheme;  // 2/1/1 linear
 
 // Per-lane mask of scores >= tau, compared in bit-sliced form.
 template <bitsim::LaneWord W>
@@ -51,7 +52,7 @@ TEST(WideLane, AllWidthsMatchScalarReference) {
   const auto xs = encoding::random_sequences(rng, count, 9);
   const auto ys = encoding::random_sequences(rng, count, 27);
   for (const LaneWidth width : kAllWidths) {
-    const auto scores = bpbc_max_scores(xs, ys, kParams, width);
+    const auto scores = bpbc_max_scores(xs, ys, kScheme, width);
     ASSERT_EQ(scores.size(), count) << lane_width_name(width);
     for (std::size_t k = 0; k < count; ++k) {
       ASSERT_EQ(scores[k], max_score(xs[k], ys[k], kParams))
@@ -66,9 +67,9 @@ TEST(WideLane, AllWidthsProduceIdenticalScoreVectors) {
   // masking at every width.
   const auto fxs = encoding::random_sequences(rng, 517, 12);
   const auto fys = encoding::random_sequences(rng, 517, 31);
-  const auto base = bpbc_max_scores(fxs, fys, kParams, LaneWidth::k64);
+  const auto base = bpbc_max_scores(fxs, fys, kScheme, LaneWidth::k64);
   for (const LaneWidth width : kAllWidths) {
-    EXPECT_EQ(bpbc_max_scores(fxs, fys, kParams, width), base)
+    EXPECT_EQ(bpbc_max_scores(fxs, fys, kScheme, width), base)
         << lane_width_name(width);
   }
 }
@@ -88,15 +89,14 @@ TEST(WideLane, Wide256RunDecomposesIntoFourUint64LaneGroups) {
 
   using WideView = encoding::PlanarGenericView<W256>;
   using NarrowView = encoding::PlanarGenericView<std::uint64_t>;
-  const ScoringScheme scheme = ScoringScheme::from_params(kParams);
-  const SchemeBpbcAligner<W256> wide(scheme, m, n);
+  const SchemeBpbcAligner<W256> wide(kScheme, m, n);
   const WideView wx = WideView::from(wide_x.groups[0]);
   const WideView wy = WideView::from(wide_y.groups[0]);
   std::vector<W256> wide_slices(wide.slices());
   wide.max_score_slices(wx, wy, std::span<W256>(wide_slices));
   const auto wide_scores = wide.max_scores(wx, wy);
 
-  const SchemeBpbcAligner<std::uint64_t> narrow(scheme, m, n);
+  const SchemeBpbcAligner<std::uint64_t> narrow(kScheme, m, n);
   for (unsigned t = 0; t < 4; ++t) {
     const std::span<const encoding::Sequence> sub_x(xs.data() + 64 * t, 64);
     const std::span<const encoding::Sequence> sub_y(ys.data() + 64 * t, 64);
@@ -150,8 +150,8 @@ TEST(WideLane, ScalarWideFallbackMatchesSimd) {
   util::Xoshiro256 rng(103);
   const auto xs = encoding::random_sequences(rng, 130, 7);
   const auto ys = encoding::random_sequences(rng, 130, 19);
-  EXPECT_EQ(bpbc_max_scores(xs, ys, kParams, LaneWidth::kScalarWide),
-            bpbc_max_scores(xs, ys, kParams, LaneWidth::k256));
+  EXPECT_EQ(bpbc_max_scores(xs, ys, kScheme, LaneWidth::kScalarWide),
+            bpbc_max_scores(xs, ys, kScheme, LaneWidth::k256));
 }
 
 TEST(WideLane, ResolveAndParse) {
@@ -176,13 +176,13 @@ TEST(WideLane, DevicePipelineWide256MatchesHost) {
   util::Xoshiro256 rng(104);
   const auto xs = encoding::random_sequences(rng, 300, 8);
   const auto ys = encoding::random_sequences(rng, 300, 16);
-  const auto host = bpbc_max_scores(xs, ys, kParams, LaneWidth::k256);
+  const auto host = bpbc_max_scores(xs, ys, kScheme, LaneWidth::k256);
   const auto gpu =
-      device::gpu_bpbc_max_scores(xs, ys, kParams, LaneWidth::k256);
+      device::gpu_bpbc_max_scores(xs, ys, kScheme, LaneWidth::k256);
   EXPECT_EQ(gpu.scores, host);
 
   device::EngineOptions opts;
-  opts.params = kParams;
+  opts.scheme = kScheme;
   opts.width = LaneWidth::k256;
   device::PipelineEngine engine(opts);
   EXPECT_EQ(engine.caps().lane_width, LaneWidth::k256);
@@ -205,7 +205,7 @@ TEST(WideLane, OverlappedWide256BitIdenticalToSerialUnderFaults) {
   const auto run_chunks = [&](bool overlapped) {
     device::FaultInjector faults(fc);
     device::EngineOptions opts;
-    opts.params = kParams;
+    opts.scheme = kScheme;
     opts.width = LaneWidth::k256;
     opts.faults = &faults;
     opts.integrity.enabled = true;

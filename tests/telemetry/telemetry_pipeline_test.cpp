@@ -28,6 +28,7 @@ namespace {
 using encoding::Sequence;
 
 constexpr sw::ScoreParams kParams{2, 1, 1};
+const sw::ScoringScheme kScheme;  // 2/1/1 linear
 
 struct Batch {
   std::vector<Sequence> xs;
@@ -120,7 +121,7 @@ device::EngineOptions fault_engine(device::FaultInjector& injector,
                                    telemetry::Telemetry* sink, std::size_t m,
                                    std::size_t n) {
   device::EngineOptions eopts;
-  eopts.params = kParams;
+  eopts.scheme = kScheme;
   eopts.width = sw::LaneWidth::k32;
   eopts.faults = &injector;
   eopts.watchdog_phases = m + n + 16;
@@ -319,7 +320,7 @@ TEST(TelemetryPipeline, DeviceRunFeedsStageKeyedMetricsIntoRegistry) {
   options.record_metrics = true;
   options.telemetry = session.sink();
   const device::GpuRunResult result = device::gpu_bpbc_max_scores(
-      b.xs, b.ys, kParams, sw::LaneWidth::k32, options);
+      b.xs, b.ys, kScheme, sw::LaneWidth::k32, options);
   EXPECT_EQ(result.scores, scalar_refs(b));
 
   // Every stage carries traffic, kernels and copies alike.
