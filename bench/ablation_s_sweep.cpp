@@ -18,8 +18,6 @@ namespace {
 
 using namespace swbpbc;
 
-using View32 = encoding::PlanarGenericView<std::uint32_t>;
-
 // SWA of one 32-lane DNA group of m x n cells under `scheme`.
 void run_group_swa(benchmark::State& state, const sw::ScoringScheme& scheme,
                    std::size_t m, std::size_t n, std::uint64_t seed) {
@@ -31,8 +29,7 @@ void run_group_swa(benchmark::State& state, const sw::ScoringScheme& scheme,
   const sw::SchemeBpbcAligner<std::uint32_t> aligner(scheme, m, n);
   std::vector<std::uint32_t> slices(aligner.slices());
   for (auto _ : state) {
-    aligner.max_score_slices(View32::from(bx.groups[0]),
-                             View32::from(by.groups[0]),
+    aligner.max_score_slices(bx.groups[0].view(), by.groups[0].view(),
                              std::span<std::uint32_t>(slices));
     benchmark::DoNotOptimize(slices.data());
   }

@@ -23,15 +23,13 @@ void BM_GroupsAcrossThreads(benchmark::State& state) {
   const auto by = encoding::transpose_strings<std::uint32_t>(ys);
   const sw::SchemeBpbcAligner<std::uint32_t> aligner(sw::ScoringScheme{},
                                                      m, n);
-  using View = encoding::PlanarGenericView<std::uint32_t>;
 
   util::ThreadPool pool(n_threads);
   std::vector<std::vector<std::uint32_t>> out(
       groups, std::vector<std::uint32_t>(aligner.slices()));
   for (auto _ : state) {
     pool.parallel_for(0, groups, [&](std::size_t g) {
-      aligner.max_score_slices(View::from(bx.groups[g]),
-                               View::from(by.groups[g]),
+      aligner.max_score_slices(bx.groups[g].view(), by.groups[g].view(),
                                std::span<std::uint32_t>(out[g]));
     });
     benchmark::DoNotOptimize(out.data());

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: the tier-1 build + full test suite under the release preset
-# (plus a ScoreParams fence over src/, a telemetry smoke: RunReport and
-# span-trace artifacts validated by
+# (plus a ScoreParams fence and a lane-dispatch fence over src/, a
+# telemetry smoke: RunReport and span-trace artifacts validated by
 # scripts/check_run_report.py, the performance ledger's smoke test
 # (perfbench/tests/smoke_test.py), and a live observability drill: stats
 # scrapes, a merged client+server trace, and the crash flight recorder,
@@ -61,9 +61,27 @@ score_params_fence() {
   echo "  $(grep -rl ScoreParams src | wc -l) allow-listed files name it"
 }
 
+# One lane-width dispatch: sw::with_lane_word (sw/lane.hpp) is the only
+# place a LaneWidth becomes a lane-word type, so a src/ file outside
+# sw/lane.{hpp,cpp} with a `case` on LaneWidth::k512 — a hand-written
+# width switch — fails tier 1.
+lane_dispatch_fence() {
+  echo "== tier 1: lane-dispatch fence (width switches in sw/lane only) =="
+  local stray
+  stray=$(grep -rlE 'case[[:space:]]+(sw::)?LaneWidth::k512' src | sort |
+          grep -Ev '^src/sw/lane\.[ch]pp$' || true)
+  if [[ -n $stray ]]; then
+    echo "LaneWidth switched on outside sw/lane (use sw::with_lane_word):" >&2
+    echo "$stray" >&2
+    exit 1
+  fi
+  echo "  only sw/lane.{hpp,cpp} switch on LaneWidth"
+}
+
 if [[ $run_tier1 -eq 1 ]]; then
   header_check
   score_params_fence
+  lane_dispatch_fence
   echo "== tier 1: release build + full test suite =="
   cmake --preset default
   cmake --build --preset default -j"$(nproc)"

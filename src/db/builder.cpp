@@ -39,7 +39,7 @@ std::uint64_t content_fingerprint(std::span<const encoding::Sequence> seqs) {
 
 util::Status build_generic_database(
     std::span<const encoding::GenericSequence> seqs, unsigned plane_bits,
-    const std::string& path, const BuildOptions& options) {
+    const std::string& path) {
   if (plane_bits == 0 || plane_bits > 8)
     return util::Status::invalid_input(
         "database plane_bits must be in [1, 8], got " +
@@ -68,8 +68,8 @@ util::Status build_generic_database(
   // granularity every lane width decomposes into.
   encoding::PlanarGenericBatch<std::uint64_t> batch;
   if (count != 0)
-    batch = encoding::transpose_generic_planar<std::uint64_t>(
-        seqs, plane_bits, options.method);
+    batch = encoding::transpose_generic_planar<std::uint64_t>(seqs,
+                                                              plane_bits);
 
   const std::uint64_t shards = shard_count_for(count);
   const std::uint64_t table_bytes = shards * sizeof(ShardEntry) + 8;
@@ -131,8 +131,7 @@ util::Status build_generic_database(
 }
 
 util::Status build_database(std::span<const encoding::Sequence> seqs,
-                            const std::string& path,
-                            const BuildOptions& options) {
+                            const std::string& path) {
   std::vector<encoding::GenericSequence> generic;
   generic.reserve(seqs.size());
   for (const encoding::Sequence& s : seqs) {
@@ -140,8 +139,7 @@ util::Status build_database(std::span<const encoding::Sequence> seqs,
     for (std::size_t i = 0; i < s.size(); ++i) g[i] = encoding::code(s[i]);
     generic.push_back(std::move(g));
   }
-  return build_generic_database(generic, encoding::kBitsPerBase, path,
-                                options);
+  return build_generic_database(generic, encoding::kBitsPerBase, path);
 }
 
 util::Status corrupt_shard_for_testing(const std::string& path,

@@ -18,17 +18,10 @@
 #include <string>
 
 #include "encoding/alphabet.hpp"
-#include "encoding/batch.hpp"
 #include "encoding/dna.hpp"
 #include "util/status.hpp"
 
 namespace swbpbc::db {
-
-struct BuildOptions {
-  // W2B implementation used to slice the payloads (kNaive is the
-  // cross-check reference; both produce identical planes).
-  encoding::TransposeMethod method = encoding::TransposeMethod::kPlanned;
-};
 
 /// FNV-1a fingerprint of raw sequence codes, entry order — the value the
 /// file header's content_fnv carries and serve-time verification compares
@@ -44,12 +37,11 @@ struct BuildOptions {
 /// batch builds a valid empty database.
 util::Status build_generic_database(
     std::span<const encoding::GenericSequence> seqs, unsigned plane_bits,
-    const std::string& path, const BuildOptions& options = {});
+    const std::string& path);
 
 /// DNA front end: 2 bit planes, codes from encoding::code().
 util::Status build_database(std::span<const encoding::Sequence> seqs,
-                            const std::string& path,
-                            const BuildOptions& options = {});
+                            const std::string& path);
 
 /// Test/drill helper: flips bit `bit` of byte `byte_offset` inside shard
 /// `shard`'s payload of an existing database file, in place — simulated

@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -630,23 +631,10 @@ class Core final : public CoreBase {
 
 std::unique_ptr<CoreBase> make_core(sw::LaneWidth width,
                                     const EngineOptions& opts) {
-  switch (width) {
-    case sw::LaneWidth::k32:
-      return std::make_unique<Core<std::uint32_t>>(opts);
-    case sw::LaneWidth::k64:
-      return std::make_unique<Core<std::uint64_t>>(opts);
-    case sw::LaneWidth::k128:
-      return std::make_unique<Core<bitsim::simd_word<128>>>(opts);
-    case sw::LaneWidth::k256:
-      return std::make_unique<Core<bitsim::simd_word<256>>>(opts);
-    case sw::LaneWidth::k512:
-      return std::make_unique<Core<bitsim::simd_word<512>>>(opts);
-    case sw::LaneWidth::kScalarWide:
-      return std::make_unique<Core<bitsim::wide_word<256, false>>>(opts);
-    case sw::LaneWidth::kAuto:
-      break;  // resolve_lane_width never returns kAuto
-  }
-  throw std::invalid_argument("unresolvable lane width");
+  return sw::with_lane_word(
+      width, [&]<class W>(std::type_identity<W>) -> std::unique_ptr<CoreBase> {
+        return std::make_unique<Core<W>>(opts);
+      });
 }
 
 // The engine's scheme rules, shared by the engine and the one-shot

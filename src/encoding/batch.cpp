@@ -1,89 +1,13 @@
+// B2W of bit-sliced score values. The DNA string W2B shares the generic
+// per-group transpose and lives with it in generic_batch.cpp.
 #include "encoding/batch.hpp"
 
-#include <algorithm>
 #include <array>
 #include <stdexcept>
 
 #include "bitsim/wide_transpose.hpp"
 
 namespace swbpbc::encoding {
-namespace {
-
-// Payload transposes wrap the process-wide plan cache
-// (bitsim::cached_plan) and decompose wide lane words into 64-bit limb
-// blocks; callers may run on pool threads.
-template <bitsim::LaneWord W>
-const bitsim::PayloadTranspose<W>& char_transpose() {
-  static const bitsim::PayloadTranspose<W> pt =
-      bitsim::PayloadTranspose<W>::forward(kBitsPerBase);
-  return pt;
-}
-
-}  // namespace
-
-template <bitsim::LaneWord W>
-util::Expected<TransposedBatch<W>> try_transpose_strings(
-    std::span<const Sequence> seqs, TransposeMethod method) {
-  constexpr unsigned kLanes = bitsim::word_bits_v<W>;
-  TransposedBatch<W> batch;
-  batch.count = seqs.size();
-  batch.length = seqs.empty() ? 0 : seqs.front().size();
-  for (std::size_t k = 0; k < seqs.size(); ++k) {
-    if (seqs[k].size() != batch.length)
-      return util::Status::invalid_input(
-          "transpose_strings requires equal-length sequences: seqs[" +
-          std::to_string(k) + "] has length " +
-          std::to_string(seqs[k].size()) + ", batch requires " +
-          std::to_string(batch.length));
-  }
-
-  const std::size_t n_groups = (seqs.size() + kLanes - 1) / kLanes;
-  batch.groups.resize(n_groups);
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    auto& group = batch.groups[g];
-    group.length = batch.length;
-    group.hi.assign(batch.length, 0);
-    group.lo.assign(batch.length, 0);
-    const std::size_t base_idx = g * kLanes;
-    const std::size_t lanes_used =
-        std::min<std::size_t>(kLanes, seqs.size() - base_idx);
-
-    if (method == TransposeMethod::kNaive) {
-      for (std::size_t lane = 0; lane < lanes_used; ++lane) {
-        const Sequence& seq = seqs[base_idx + lane];
-        for (std::size_t i = 0; i < batch.length; ++i) {
-          group.hi[i] |= static_cast<W>(static_cast<W>(high_bit(seq[i]))
-                                        << lane);
-          group.lo[i] |= static_cast<W>(static_cast<W>(low_bit(seq[i]))
-                                        << lane);
-        }
-      }
-      continue;
-    }
-
-    // Planned path (paper's W2B): for each character position, gather one
-    // 2-bit code per lane into a W-word scratch block and run the s=2
-    // specialized transpose; row 0 is the L slice, row 1 the H slice.
-    const bitsim::PayloadTranspose<W>& pt = char_transpose<W>();
-    std::array<W, kLanes> scratch;
-    for (std::size_t i = 0; i < batch.length; ++i) {
-      scratch.fill(0);
-      for (std::size_t lane = 0; lane < lanes_used; ++lane) {
-        scratch[lane] = static_cast<W>(code(seqs[base_idx + lane][i]));
-      }
-      pt.apply(std::span<W>(scratch));
-      group.lo[i] = scratch[0];
-      group.hi[i] = scratch[1];
-    }
-  }
-  return batch;
-}
-
-template <bitsim::LaneWord W>
-TransposedBatch<W> transpose_strings(std::span<const Sequence> seqs,
-                                     TransposeMethod method) {
-  return try_transpose_strings<W>(seqs, method).value();
-}
 
 template <bitsim::LaneWord W>
 std::vector<std::uint32_t> untranspose_values(std::span<const W> slices,
@@ -139,10 +63,6 @@ std::vector<W> transpose_values(std::span<const std::uint32_t> values,
 // Explicit instantiations for every lane width the library dispatches:
 // builtin 32/64 plus the SIMD wide words and the forced-scalar fallback.
 #define SWBPBC_INSTANTIATE_BATCH(W)                                         \
-  template util::Expected<TransposedBatch<W>> try_transpose_strings<W>(     \
-      std::span<const Sequence>, TransposeMethod);                          \
-  template TransposedBatch<W> transpose_strings<W>(std::span<const Sequence>, \
-                                                   TransposeMethod);        \
   template std::vector<std::uint32_t> untranspose_values<W>(                \
       std::span<const W>, unsigned, TransposeMethod);                       \
   template std::vector<W> transpose_values<W>(                              \

@@ -1,10 +1,16 @@
+// W2B for every alphabet: generic epsilon-bit batches and DNA batches
+// (the epsilon = 2 instance, declared in batch.hpp) run one per-group
+// transpose, templated on the sequence element type so Base codes are
+// read in place.
 #include "encoding/generic_batch.hpp"
 
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <string>
 
 #include "bitsim/wide_transpose.hpp"
+#include "encoding/batch.hpp"
 
 namespace swbpbc::encoding {
 namespace {
@@ -26,14 +32,19 @@ void check_batch(std::span<const GenericSequence> seqs, unsigned bits,
   }
 }
 
+// Character code of one sequence element: a Base is its 2-bit code.
+std::uint8_t code_of(std::uint8_t c) { return c; }
+std::uint8_t code_of(Base b) { return code(b); }
+
 // Transposes one group's characters position by position: gathers one
 // epsilon-bit code per lane into a W-word scratch block, runs the Table I
-// payload transpose (64-bit limb decomposition for the wide words), and
-// stores the epsilon plane words of position i into the group's rows.
-template <bitsim::LaneWord W>
-void transpose_group(std::span<const GenericSequence> seqs,
-                     std::size_t first, unsigned bits,
-                     TransposeMethod method, PlanarGeneric<W>& group) {
+// payload transpose `pt` (64-bit limb decomposition for the wide words),
+// and stores the epsilon plane words of position i into the group's rows.
+template <bitsim::LaneWord W, class Seq>
+void transpose_group(std::span<const Seq> seqs, std::size_t first,
+                     unsigned bits, TransposeMethod method,
+                     const bitsim::PayloadTranspose<W>& pt,
+                     PlanarGeneric<W>& group) {
   const std::size_t length = group.length;
   const auto emit = [&](std::size_t i, std::span<const W> planes) {
     for (unsigned p = 0; p < bits; ++p)
@@ -41,16 +52,14 @@ void transpose_group(std::span<const GenericSequence> seqs,
   };
   constexpr unsigned kLanes = bitsim::word_bits_v<W>;
   const std::size_t lanes_used =
-      first < seqs.size()
-          ? std::min<std::size_t>(kLanes, seqs.size() - first)
-          : 0;
+      std::min<std::size_t>(kLanes, seqs.size() - first);
   std::array<W, kLanes> scratch;
 
   if (method == TransposeMethod::kNaive) {
     for (std::size_t i = 0; i < length; ++i) {
       scratch.fill(0);
       for (std::size_t lane = 0; lane < lanes_used; ++lane) {
-        const std::uint8_t c = seqs[first + lane][i];
+        const std::uint8_t c = code_of(seqs[first + lane][i]);
         for (unsigned p = 0; p < bits; ++p) {
           if ((c >> p) & 1u) {
             W& w = scratch[p];
@@ -66,30 +75,29 @@ void transpose_group(std::span<const GenericSequence> seqs,
     return;
   }
 
-  const bitsim::PayloadTranspose<W> pt =
-      bitsim::PayloadTranspose<W>::forward(bits);
   for (std::size_t i = 0; i < length; ++i) {
     scratch.fill(0);
     for (std::size_t lane = 0; lane < lanes_used; ++lane) {
-      scratch[lane] = static_cast<W>(seqs[first + lane][i]);
+      scratch[lane] = static_cast<W>(code_of(seqs[first + lane][i]));
     }
     pt.apply(std::span<W>(scratch));
     emit(i, std::span<const W>(scratch.data(), bits));
   }
 }
 
-}  // namespace
-
-template <bitsim::LaneWord W>
-PlanarGenericBatch<W> transpose_generic_planar(
-    std::span<const GenericSequence> seqs, unsigned bits,
-    TransposeMethod method) {
+// The batch W2B behind both front ends; `seqs` must share one length and
+// every code must fit in `bits`.
+template <bitsim::LaneWord W, class Seq>
+PlanarGenericBatch<W> transpose_batch(std::span<const Seq> seqs,
+                                      unsigned bits, TransposeMethod method) {
   constexpr unsigned kLanes = bitsim::word_bits_v<W>;
   PlanarGenericBatch<W> batch;
   batch.count = seqs.size();
   batch.length = seqs.empty() ? 0 : seqs.front().size();
   batch.planes = bits;
-  check_batch(seqs, bits, batch.length);
+  const auto pt = method == TransposeMethod::kPlanned
+                      ? bitsim::PayloadTranspose<W>::forward(bits)
+                      : bitsim::PayloadTranspose<W>();
 
   const std::size_t n_groups = (seqs.size() + kLanes - 1) / kLanes;
   batch.groups.resize(n_groups);
@@ -98,15 +106,53 @@ PlanarGenericBatch<W> transpose_generic_planar(
     group.length = batch.length;
     group.planes = bits;
     group.rows.assign(batch.length * bits, 0);
-    transpose_group<W>(seqs, g * kLanes, bits, method, group);
+    transpose_group<W>(seqs, g * kLanes, bits, method, pt, group);
   }
   return batch;
 }
 
-#define SWBPBC_INSTANTIATE_GENERIC_BATCH(...)                         \
-  template PlanarGenericBatch<__VA_ARGS__>                            \
-  transpose_generic_planar<__VA_ARGS__>(                              \
-      std::span<const GenericSequence>, unsigned, TransposeMethod);
+}  // namespace
+
+template <bitsim::LaneWord W>
+PlanarGenericBatch<W> transpose_generic_planar(
+    std::span<const GenericSequence> seqs, unsigned bits,
+    TransposeMethod method) {
+  check_batch(seqs, bits, seqs.empty() ? 0 : seqs.front().size());
+  return transpose_batch<W>(seqs, bits, method);
+}
+
+template <bitsim::LaneWord W>
+util::Expected<PlanarGenericBatch<W>> try_transpose_strings(
+    std::span<const Sequence> seqs, TransposeMethod method) {
+  const std::size_t length = seqs.empty() ? 0 : seqs.front().size();
+  for (std::size_t k = 0; k < seqs.size(); ++k) {
+    if (seqs[k].size() != length)
+      return util::Status::invalid_input(
+          "transpose_strings requires equal-length sequences: seqs[" +
+          std::to_string(k) + "] has length " +
+          std::to_string(seqs[k].size()) + ", batch requires " +
+          std::to_string(length));
+  }
+  return transpose_batch<W>(seqs, kBitsPerBase, method);
+}
+
+template <bitsim::LaneWord W>
+PlanarGenericBatch<W> transpose_strings(std::span<const Sequence> seqs,
+                                        TransposeMethod method) {
+  return try_transpose_strings<W>(seqs, method).value();
+}
+
+// Explicit instantiations for every lane width the library dispatches:
+// builtin 32/64 plus the SIMD wide words and the forced-scalar fallback.
+#define SWBPBC_INSTANTIATE_GENERIC_BATCH(...)                              \
+  template PlanarGenericBatch<__VA_ARGS__>                                 \
+  transpose_generic_planar<__VA_ARGS__>(                                   \
+      std::span<const GenericSequence>, unsigned, TransposeMethod);        \
+  template util::Expected<PlanarGenericBatch<__VA_ARGS__>>                 \
+  try_transpose_strings<__VA_ARGS__>(std::span<const Sequence>,            \
+                                     TransposeMethod);                     \
+  template PlanarGenericBatch<__VA_ARGS__> transpose_strings<__VA_ARGS__>( \
+      std::span<const Sequence>, TransposeMethod);
 
 SWBPBC_INSTANTIATE_GENERIC_BATCH(std::uint32_t)
 SWBPBC_INSTANTIATE_GENERIC_BATCH(std::uint64_t)

@@ -1,11 +1,15 @@
-// Bit-transpose storage for arbitrary epsilon-bit alphabets.
+// Bit-transpose ("bit-sliced") storage of string batches over an
+// epsilon-bit alphabet — the BPBC input format of paper §II, generalized
+// over epsilon as in §IV.
 //
-// Generalizes batch.hpp's hi/lo (epsilon = 2) layout to `planes`
-// bit-planes per character position: plane p of position i holds bit p
-// of character i of all W lanes. The W2B conversion runs the Table I
-// transpose plans with the payload width set to epsilon, decomposed into
-// 64-bit limb blocks for the wide SIMD lane words (PayloadTranspose) —
-// every lane width the DNA batch supports, the generic batch supports.
+// A group packs one string from each of W instances (W = lane-word
+// width): plane p of position i holds bit p of character i of all W
+// lanes, one instance per bit lane. DNA is the epsilon = 2 instance
+// (batch.hpp: plane 0 is the L bit, plane 1 the H bit); the protein
+// alphabet is epsilon = 5. The W2B conversion runs the Table I transpose
+// plans with the payload width set to epsilon, decomposed into 64-bit
+// limb blocks for the wide SIMD lane words (PayloadTranspose), or naively
+// bit-by-bit for cross-checking.
 //
 // The layout is plane-major (all positions of plane p are one contiguous
 // row): what the bit-sliced kernel consumes and what the pre-transposed
@@ -21,17 +25,21 @@
 #include "bitsim/plan.hpp"
 #include "bitsim/swapcopy.hpp"
 #include "encoding/alphabet.hpp"
-#include "encoding/batch.hpp"
 
 namespace swbpbc::encoding {
+
+/// How W2B/B2W conversions are implemented.
+enum class TransposeMethod {
+  kPlanned,  // specialized swap/copy plan (paper's method, Table I)
+  kNaive,    // bit-by-bit extraction (reference for tests)
+};
 
 /// Upper bound on epsilon accepted by the transposes (codes are bytes).
 inline constexpr unsigned kMaxAlphabetPlanes = 8;
 
 /// Non-owning plane-major view of one group of W strings: `row(p)[i]` is
-/// plane p of character position i. Aliases a PlanarGeneric, a
-/// TransposedStrings (lo = plane 0, hi = plane 1), or a 64-bit db shard
-/// mapping without copying.
+/// plane p of character position i. Aliases a PlanarGeneric or a 64-bit
+/// db shard mapping without copying.
 template <bitsim::LaneWord W>
 struct PlanarGenericView {
   std::size_t length = 0;
@@ -41,16 +49,6 @@ struct PlanarGenericView {
   [[nodiscard]] std::span<const W> row(unsigned p) const { return rows[p]; }
   [[nodiscard]] W plane(std::size_t i, unsigned p) const {
     return rows[p][i];
-  }
-
-  [[nodiscard]] static PlanarGenericView from(
-      const TransposedStrings<W>& g) {
-    PlanarGenericView v;
-    v.length = g.length;
-    v.planes = kBitsPerBase;
-    v.rows[0] = std::span<const W>(g.lo);
-    v.rows[1] = std::span<const W>(g.hi);
-    return v;
   }
 };
 
@@ -74,6 +72,9 @@ struct PlanarGeneric {
   }
 };
 
+/// A batch of `count` equal-length strings, split into ceil(count/W)
+/// groups. Unused lanes of the final group read as code 0 and must be
+/// ignored by consumers.
 template <bitsim::LaneWord W>
 struct PlanarGenericBatch {
   std::size_t count = 0;
@@ -83,9 +84,8 @@ struct PlanarGenericBatch {
 };
 
 /// W2B for generic sequences into the plane-major layout; `bits` is
-/// epsilon (every character code must fit in it). Unused lanes of the
-/// tail group read as code 0. Throws std::invalid_argument on unequal
-/// lengths or out-of-range codes.
+/// epsilon (every character code must fit in it). Throws
+/// std::invalid_argument on unequal lengths or out-of-range codes.
 template <bitsim::LaneWord W>
 PlanarGenericBatch<W> transpose_generic_planar(
     std::span<const GenericSequence> seqs, unsigned bits,

@@ -94,9 +94,8 @@ class Backend {
 /// affine gaps, uniform substitution: the scheme must be uniform over DNA
 /// — matrix schemes screen protein batches through try_scheme_max_scores,
 /// not the DNA pipeline — and should have passed validate_scheme().
-/// Defined with the DNA batch front end in bpbc.cpp.
-std::unique_ptr<Backend> make_host_backend(
-    const ScoringScheme& scheme, LaneWidth width, bulk::Mode mode,
-    encoding::TransposeMethod method);
+/// Defined with the batch front ends in bpbc.cpp.
+std::unique_ptr<Backend> make_host_backend(const ScoringScheme& scheme,
+                                           LaneWidth width, bulk::Mode mode);
 
 }  // namespace swbpbc::sw

@@ -1,13 +1,18 @@
-// The DNA front ends of the bit-sliced kernel: try_bpbc_max_scores and
-// the host screening backend (make_host_backend, declared in
-// backend.hpp). Both transpose DNA directly into hi/lo groups and hand
-// them to SchemeBpbcAligner as character planes 1/0.
+// The host batch front ends of the bit-sliced kernel: try_bpbc_max_scores
+// (DNA), try_scheme_max_scores (any alphabet; declared in
+// scheme_aligner.hpp) and the host screening backend (make_host_backend,
+// declared in backend.hpp). DNA is the epsilon = 2 alphabet, so all three
+// run one routine: a shape check, then W2B of both sides into plane-major
+// groups, SchemeBpbcAligner::score_groups (SWA + B2W) at the resolved lane
+// width.
 #include "sw/bpbc.hpp"
 
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "encoding/generic_batch.hpp"
 #include "sw/backend.hpp"
 #include "sw/scheme_aligner.hpp"
 #include "util/timer.hpp"
@@ -16,10 +21,10 @@ namespace swbpbc::sw {
 
 namespace {
 
-// Typed shape check shared by both front ends: equal counts, one
-// non-zero length per side.
-util::Status validate_dna_batch(std::span<const encoding::Sequence> xs,
-                                std::span<const encoding::Sequence> ys) {
+// Typed shape check: equal counts, one non-zero length per side.
+template <class Seq>
+util::Status validate_batch(std::span<const Seq> xs,
+                            std::span<const Seq> ys) {
   if (xs.size() != ys.size())
     return util::Status::invalid_input(
         "pattern/text count mismatch: " + std::to_string(xs.size()) +
@@ -44,55 +49,50 @@ util::Status validate_dna_batch(std::span<const encoding::Sequence> xs,
   return {};
 }
 
-template <bitsim::LaneWord W>
-std::vector<std::uint32_t> run_dna(std::span<const encoding::Sequence> xs,
-                                   std::span<const encoding::Sequence> ys,
-                                   const ScoringScheme& scheme,
-                                   bulk::Mode mode,
-                                   encoding::TransposeMethod method,
-                                   PhaseTimings* timings) {
+// W2B of one side: a DNA batch is the 2-plane instance.
+template <bitsim::LaneWord W, class Seq>
+encoding::PlanarGenericBatch<W> transpose(std::span<const Seq> seqs,
+                                          const ScoringScheme& scheme,
+                                          encoding::TransposeMethod method) {
+  if constexpr (std::is_same_v<Seq, encoding::Sequence>)
+    return encoding::transpose_strings<W>(seqs, method);
+  else
+    return encoding::transpose_generic_planar<W>(
+        seqs, scheme.alphabet_bits(), method);
+}
+
+template <bitsim::LaneWord W, class Seq>
+std::vector<std::uint32_t> run(std::span<const Seq> xs,
+                               std::span<const Seq> ys,
+                               const ScoringScheme& scheme, bulk::Mode mode,
+                               encoding::TransposeMethod method,
+                               PhaseTimings* timings) {
   util::WallTimer timer;
-  const auto bx = encoding::transpose_strings<W>(xs, method);
-  const auto by = encoding::transpose_strings<W>(ys, method);
+  const auto bx = transpose<W>(xs, scheme, method);
+  const auto by = transpose<W>(ys, scheme, method);
   std::vector<encoding::PlanarGenericView<W>> xv, yv;
   for (std::size_t g = 0; g < bx.groups.size(); ++g) {
-    xv.push_back(encoding::PlanarGenericView<W>::from(bx.groups[g]));
-    yv.push_back(encoding::PlanarGenericView<W>::from(by.groups[g]));
+    xv.push_back(bx.groups[g].view());
+    yv.push_back(by.groups[g].view());
   }
   if (timings) timings->w2b_ms = timer.elapsed_ms();
 
   const SchemeBpbcAligner<W> aligner(scheme, bx.length, by.length);
-  return aligner.score_groups(xv, yv, xs.size(), mode, method, timings);
+  return aligner.score_groups(xv, yv, xs.size(), mode, timings);
 }
 
-// Scores a validated DNA batch under a uniform scheme.
-std::vector<std::uint32_t> score_dna(std::span<const encoding::Sequence> xs,
-                                     std::span<const encoding::Sequence> ys,
-                                     const ScoringScheme& scheme,
-                                     LaneWidth width, bulk::Mode mode,
-                                     encoding::TransposeMethod method,
-                                     PhaseTimings* timings) {
-  switch (resolve_lane_width(width)) {
-    case LaneWidth::k32:
-      return run_dna<std::uint32_t>(xs, ys, scheme, mode, method, timings);
-    case LaneWidth::k64:
-      break;
-    case LaneWidth::k128:
-      return run_dna<bitsim::simd_word<128>>(xs, ys, scheme, mode, method,
-                                             timings);
-    case LaneWidth::k256:
-      return run_dna<bitsim::simd_word<256>>(xs, ys, scheme, mode, method,
-                                             timings);
-    case LaneWidth::k512:
-      return run_dna<bitsim::simd_word<512>>(xs, ys, scheme, mode, method,
-                                             timings);
-    case LaneWidth::kScalarWide:
-      return run_dna<bitsim::wide_word<256, false>>(xs, ys, scheme, mode,
-                                                    method, timings);
-    case LaneWidth::kAuto:
-      break;  // resolve_lane_width never returns kAuto
-  }
-  return run_dna<std::uint64_t>(xs, ys, scheme, mode, method, timings);
+// Scores a validated batch at `width` (resolved here).
+template <class Seq>
+std::vector<std::uint32_t> score_batch(std::span<const Seq> xs,
+                                       std::span<const Seq> ys,
+                                       const ScoringScheme& scheme,
+                                       LaneWidth width, bulk::Mode mode,
+                                       encoding::TransposeMethod method,
+                                       PhaseTimings* timings) {
+  return with_lane_word(
+      resolve_lane_width(width), [&]<class W>(std::type_identity<W>) {
+        return run<W>(xs, ys, scheme, mode, method, timings);
+      });
 }
 
 class HostBackend final : public Backend {
@@ -100,12 +100,8 @@ class HostBackend final : public Backend {
   // The width resolves once at construction (kAuto probe + env override),
   // so every chunk of a screen runs at the same width and caps() reports
   // what will actually execute.
-  HostBackend(const ScoringScheme& scheme, LaneWidth width, bulk::Mode mode,
-              encoding::TransposeMethod method)
-      : scheme_(scheme),
-        width_(resolve_lane_width(width)),
-        mode_(mode),
-        method_(method) {}
+  HostBackend(const ScoringScheme& scheme, LaneWidth width, bulk::Mode mode)
+      : scheme_(scheme), width_(resolve_lane_width(width)), mode_(mode) {}
 
   [[nodiscard]] BackendCaps caps() const override {
     BackendCaps caps;
@@ -114,11 +110,11 @@ class HostBackend final : public Backend {
   }
 
   ChunkResult run(const ChunkJob& job) override {
-    if (util::Status s = validate_dna_batch(job.xs, job.ys); !s.ok())
+    if (util::Status s = validate_batch(job.xs, job.ys); !s.ok())
       throw util::StatusError(std::move(s));
     ChunkResult r;
-    r.scores = score_dna(job.xs, job.ys, scheme_, width_, mode_, method_,
-                         &r.timings);
+    r.scores = score_batch(job.xs, job.ys, scheme_, width_, mode_,
+                           encoding::TransposeMethod::kPlanned, &r.timings);
     r.has_phase_timings = true;
     return r;
   }
@@ -127,7 +123,6 @@ class HostBackend final : public Backend {
   ScoringScheme scheme_;
   LaneWidth width_;
   bulk::Mode mode_;
-  encoding::TransposeMethod method_;
 };
 
 }  // namespace
@@ -143,9 +138,9 @@ util::Expected<std::vector<std::uint32_t>> try_bpbc_max_scores(
         "scoring.scheme.matrix scores an epsilon-bit protein alphabet; the "
         "DNA front end packs 2-bit characters — score protein batches "
         "through try_scheme_max_scores");
-  if (util::Status s = validate_dna_batch(xs, ys); !s.ok()) return s;
+  if (util::Status s = validate_batch(xs, ys); !s.ok()) return s;
   if (xs.empty()) return std::vector<std::uint32_t>{};
-  return score_dna(xs, ys, scheme, width, mode, method, timings);
+  return score_batch(xs, ys, scheme, width, mode, method, timings);
 }
 
 std::vector<std::uint32_t> bpbc_max_scores(
@@ -157,10 +152,23 @@ std::vector<std::uint32_t> bpbc_max_scores(
       .value();
 }
 
-std::unique_ptr<Backend> make_host_backend(
+util::Expected<std::vector<std::uint32_t>> try_scheme_max_scores(
+    std::span<const encoding::GenericSequence> xs,
+    std::span<const encoding::GenericSequence> ys,
     const ScoringScheme& scheme, LaneWidth width, bulk::Mode mode,
-    encoding::TransposeMethod method) {
-  return std::make_unique<HostBackend>(scheme, width, mode, method);
+    encoding::TransposeMethod method, PhaseTimings* timings) {
+  if (util::Status s = validate_scheme(scheme); !s.ok()) return s;
+  if (util::Status s = validate_batch(xs, ys); !s.ok()) return s;
+  if (xs.empty()) return std::vector<std::uint32_t>{};
+  if (util::Status s = validate_codes(xs, scheme, "xs"); !s.ok()) return s;
+  if (util::Status s = validate_codes(ys, scheme, "ys"); !s.ok()) return s;
+  return score_batch(xs, ys, scheme, width, mode, method, timings);
+}
+
+std::unique_ptr<Backend> make_host_backend(const ScoringScheme& scheme,
+                                           LaneWidth width,
+                                           bulk::Mode mode) {
+  return std::make_unique<HostBackend>(scheme, width, mode);
 }
 
 }  // namespace swbpbc::sw

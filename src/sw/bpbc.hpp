@@ -5,8 +5,9 @@
 // DP over all groups (serially or on the thread pool) with the one
 // bit-sliced kernel, SchemeBpbcAligner (scheme_aligner.hpp), and B2W (bit
 // untranspose) — the exact Step 2/3/4 structure of the paper's GPU
-// pipeline, with per-phase timings for the Table IV harness. Each group's
-// hi/lo planes reach the kernel as character planes 1/0 without a copy.
+// pipeline, with per-phase timings for the Table IV harness. DNA is the
+// epsilon = 2 alphabet: its batches transpose into 2-plane groups and run
+// the same routine as the generic try_scheme_max_scores (bpbc.cpp).
 #pragma once
 
 #include <cstdint>

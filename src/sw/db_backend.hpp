@@ -2,12 +2,13 @@
 // database store (db/reader.hpp), so only the query side pays W2B at
 // serve time.
 //
-// Shards hold 64-lane bit-plane rows. At 64-bit lanes a group's hi/lo
-// slices alias the mmap directly (zero-copy); wide lane words gather one
-// 64-bit limb per shard (bit k of a wide word is bit k%64 of limb k/64 —
-// the bitsim contract), and 32-bit lanes take half a shard row. All
-// widths therefore score bit-identically to the in-memory path, from one
-// on-disk artifact.
+// Shards hold 64-lane bit-plane rows. One shard-to-lane routine (shared
+// with try_scheme_db_max_scores in db_backend.cpp) turns them into lane
+// groups: at 64-bit lanes a group's planes alias the mmap directly
+// (zero-copy); wide lane words gather one 64-bit limb per shard (bit k of
+// a wide word is bit k%64 of limb k/64 — the bitsim contract), and 32-bit
+// lanes take half a shard row. All widths therefore score bit-identically
+// to the in-memory path, from one on-disk artifact.
 //
 // Robustness: a shard that fails its first-touch checksum (bit rot,
 // truncation, injected fault) is quarantined and re-ingested from the raw
@@ -37,8 +38,6 @@ struct DbBackendOptions {
   ScoringScheme scheme;
   LaneWidth width = LaneWidth::k64;
   bulk::Mode mode = bulk::Mode::kSerial;
-  // W2B method for the query side and for shard re-ingest.
-  encoding::TransposeMethod method = encoding::TransposeMethod::kPlanned;
 };
 
 /// Backend serving `reader` (not owned; must outlive the backend). Jobs

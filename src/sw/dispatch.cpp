@@ -156,13 +156,12 @@ class WordwiseBackend final : public Backend {
 
 util::Expected<DispatchedBackend> make_dispatch_backend(
     const ScoringScheme& scheme, LaneWidth width, bulk::Mode mode,
-    encoding::TransposeMethod method, BackendChoice requested,
-    const DispatchWorkload& workload) {
+    BackendChoice requested, const DispatchWorkload& workload) {
   DispatchedBackend out;
   out.choice = resolve_backend_choice(requested, workload);
   switch (out.choice) {
     case BackendChoice::kBpbc:
-      out.backend = make_host_backend(scheme, width, mode, method);
+      out.backend = make_host_backend(scheme, width, mode);
       break;
     case BackendChoice::kStriped:
       out.backend = make_striped_backend(scheme, mode);

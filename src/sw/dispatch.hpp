@@ -29,7 +29,6 @@
 #include <string_view>
 
 #include "bulk/executor.hpp"
-#include "encoding/batch.hpp"
 #include "sw/lane.hpp"
 #include "sw/scoring.hpp"
 #include "util/status.hpp"
@@ -140,7 +139,6 @@ struct DispatchedBackend {
 /// reference path never grew affine or matrix support).
 [[nodiscard]] util::Expected<DispatchedBackend> make_dispatch_backend(
     const ScoringScheme& scheme, LaneWidth width, bulk::Mode mode,
-    encoding::TransposeMethod method, BackendChoice requested,
-    const DispatchWorkload& workload);
+    BackendChoice requested, const DispatchWorkload& workload);
 
 }  // namespace swbpbc::sw

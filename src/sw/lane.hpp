@@ -17,11 +17,19 @@
 //
 // Scores are bit-identical across widths (asserted by tests and the CI
 // dispatch-matrix smoke), so the choice is purely a throughput knob.
+//
+// with_lane_word is the one place a LaneWidth becomes a lane-word type:
+// every template front end dispatches through it (a CI fence keeps other
+// src/ files from switching on the widths themselves).
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string_view>
+#include <type_traits>
 
+#include "bitsim/wide_word.hpp"
 #include "util/status.hpp"
 
 namespace swbpbc::sw {
@@ -62,5 +70,30 @@ parse_forced_lane_width(const char* value);
 /// kAuto. Throws util::StatusError(kInvalidInput) if
 /// SWBPBC_FORCE_LANE_WIDTH is set to an unparsable value.
 [[nodiscard]] LaneWidth resolve_lane_width(LaneWidth requested);
+
+/// Calls `f(std::type_identity<W>{})` with the lane-word type W of a
+/// concrete `width` (resolve_lane_width's output) and returns its result;
+/// kAuto throws std::invalid_argument. Callers pass a generic lambda, e.g.
+/// `[&]<class W>(std::type_identity<W>) { return run<W>(...); }`.
+template <class F>
+decltype(auto) with_lane_word(LaneWidth width, F&& f) {
+  switch (width) {
+    case LaneWidth::k32:
+      return f(std::type_identity<std::uint32_t>{});
+    case LaneWidth::k64:
+      return f(std::type_identity<std::uint64_t>{});
+    case LaneWidth::k128:
+      return f(std::type_identity<bitsim::simd_word<128>>{});
+    case LaneWidth::k256:
+      return f(std::type_identity<bitsim::simd_word<256>>{});
+    case LaneWidth::k512:
+      return f(std::type_identity<bitsim::simd_word<512>>{});
+    case LaneWidth::kScalarWide:
+      return f(std::type_identity<bitsim::wide_word<256, false>>{});
+    case LaneWidth::kAuto:
+      break;
+  }
+  throw std::invalid_argument("with_lane_word needs a resolved lane width");
+}
 
 }  // namespace swbpbc::sw

@@ -371,7 +371,6 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
       options.scheme = scheme;
       options.width = config.width;
       options.mode = config.mode;
-      options.method = config.method;
       owned_backend = make_db_backend(*config.database, options);
     } else {
       DispatchWorkload workload;
@@ -384,7 +383,7 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
       }
       auto dispatched =
           make_dispatch_backend(scheme, config.width, config.mode,
-                                config.method, config.backend_choice, workload);
+                                config.backend_choice, workload);
       if (!dispatched.has_value()) return dispatched.status();
       owned_backend = std::move(dispatched->backend);
       screen_span.arg("backend",

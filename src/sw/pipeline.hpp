@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bulk/executor.hpp"
-#include "encoding/batch.hpp"
 #include "encoding/dna.hpp"
 #include "sw/bpbc.hpp"
 #include "sw/dispatch.hpp"
@@ -82,7 +81,6 @@ struct ScreenConfig {
   std::uint32_t threshold = 0;  // tau: select pairs with max score >= tau
   LaneWidth width = LaneWidth::k64;
   bulk::Mode mode = bulk::Mode::kSerial;
-  encoding::TransposeMethod method = encoding::TransposeMethod::kPlanned;
   bool traceback = true;  // run the detailed CPU alignment on hits
   // Host engine selection when no explicit backend (and no database) is
   // configured: BPBC, the striped-SIMD rival, the naive wordwise

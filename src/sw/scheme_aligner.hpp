@@ -1,9 +1,10 @@
 // The bit-sliced Smith-Waterman kernel: one DP sweep per group of W lanes
 // under any ScoringScheme — linear or Gotoh affine gaps, uniform
 // match/mismatch or epsilon-bit substitution-matrix lookup — at every
-// lane width. Every host BPBC front end runs it: the DNA batch function
-// and host backend (bpbc.hpp, backend.hpp), the database-store backend
-// (db_backend.hpp), and the generic-alphabet front ends below.
+// lane width. Every host BPBC front end runs it: the in-memory batch
+// front ends and host backend (bpbc.cpp: DNA batches are its 2-plane
+// instance) and the database-store front ends (db_backend.cpp), declared
+// in bpbc.hpp, backend.hpp, db_backend.hpp and below.
 //
 // Gap model (Gotoh, paper §III generalized): three bit-sliced chains
 //
@@ -141,8 +142,7 @@ class SchemeBpbcAligner {
   [[nodiscard]] std::vector<std::uint32_t> score_groups(
       std::span<const encoding::PlanarGenericView<W>> xs,
       std::span<const encoding::PlanarGenericView<W>> ys, std::size_t count,
-      bulk::Mode mode, encoding::TransposeMethod method,
-      PhaseTimings* timings,
+      bulk::Mode mode, PhaseTimings* timings,
       const util::StopCondition* stop = nullptr) const;
 
  private:
@@ -178,7 +178,8 @@ class SchemeBpbcAligner {
 /// dispatch (k32..k512, kScalarWide, kAuto + SWBPBC_FORCE_LANE_WIDTH).
 /// Character codes must be dense codes of scheme.alphabet(). Typed
 /// kInvalidInput on shape violations, out-of-alphabet codes, or an
-/// invalid scheme.
+/// invalid scheme. Defined with the DNA front end in bpbc.cpp: both run
+/// one batch routine.
 util::Expected<std::vector<std::uint32_t>> try_scheme_max_scores(
     std::span<const encoding::GenericSequence> xs,
     std::span<const encoding::GenericSequence> ys,
@@ -198,15 +199,18 @@ struct SchemeDbStats {
 /// Screens one query against every entry of a pre-transposed database
 /// store under `scheme`: the query is broadcast across all lanes (no
 /// query-side W2B), shard plane rows are served zero-copy at 64-bit
-/// lanes and limb-gathered into wide lane words otherwise, exactly like
-/// the DNA db backend. Returns one score per database entry.
+/// lanes and limb-gathered into wide lane words otherwise, by the same
+/// shard-to-lane routine as the DNA db backend (both in db_backend.cpp).
+/// A 32-bit lane request is served at 64. Returns one score per database
+/// entry.
 ///
 /// The store's plane_bits must equal scheme.alphabet_bits() and its
 /// entry_length the batch length. A shard that fails its first-touch
 /// checksum is quarantined: if `corpus` (the original sequences, indexed
 /// like the store) is non-empty, that 64-entry slice is re-ingested in
 /// memory and rescored bit-identically; otherwise the shard's kDbCorrupt
-/// surfaces.
+/// surfaces. A non-empty corpus whose content fingerprint disagrees with
+/// the store's is a typed kDbMismatch up front.
 util::Expected<std::vector<std::uint32_t>> try_scheme_db_max_scores(
     const encoding::GenericSequence& query, db::Reader& reader,
     const ScoringScheme& scheme, LaneWidth width = LaneWidth::kAuto,

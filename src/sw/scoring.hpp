@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -168,6 +169,13 @@ struct ScoringScheme {
 /// alphabet (2..256 symbols).
 [[nodiscard]] util::Status validate_scheme(
     const ScoringScheme& scheme, std::string_view field = "scoring.scheme");
+
+/// Typed kInvalidInput naming `side`[k][i] when a code of `seqs` falls
+/// outside scheme.alphabet() — what the generic-alphabet front ends check
+/// before W2B.
+[[nodiscard]] util::Status validate_codes(
+    std::span<const encoding::GenericSequence> seqs,
+    const ScoringScheme& scheme, const char* side);
 
 /// Number of bit slices `s` for pattern length m and text length n under
 /// `scheme` — bit_width(max_positive * min(m, n)), floored so every

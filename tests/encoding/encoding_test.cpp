@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "encoding/batch.hpp"
 #include "encoding/dna.hpp"
@@ -70,23 +71,50 @@ TEST(Random, PlantMotif) {
   EXPECT_THROW(plant_motif(host, motif, 95), std::out_of_range);
 }
 
+// Row-by-row equality through the 64-bit limbs (wide words have no
+// scalar operator==).
+template <bitsim::LaneWord W>
+bool same_rows(const std::vector<W>& a, const std::vector<W>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    for (unsigned t = 0; t < bitsim::lane_limbs_v<W>; ++t) {
+      if (bitsim::get_limb(a[i], t) != bitsim::get_limb(b[i], t))
+        return false;
+    }
+  }
+  return true;
+}
+
 template <bitsim::LaneWord W>
 void check_transpose_roundtrip(std::size_t count, std::size_t length) {
   util::Xoshiro256 rng(count * 131 + length);
   const auto seqs = random_sequences(rng, count, length);
   const auto planned = transpose_strings<W>(seqs, TransposeMethod::kPlanned);
   const auto naive = transpose_strings<W>(seqs, TransposeMethod::kNaive);
+  // DNA is the epsilon = 2 alphabet: the batch equals the generic
+  // 2-plane transpose of the base codes.
+  std::vector<GenericSequence> codes;
+  for (const Sequence& seq : seqs) {
+    GenericSequence c;
+    for (Base b : seq) c.push_back(code(b));
+    codes.push_back(std::move(c));
+  }
+  const auto generic = transpose_generic_planar<W>(codes, kBitsPerBase);
+  EXPECT_EQ(planned.planes, kBitsPerBase);
   ASSERT_EQ(planned.groups.size(), naive.groups.size());
+  ASSERT_EQ(planned.groups.size(), generic.groups.size());
   for (std::size_t g = 0; g < planned.groups.size(); ++g) {
-    EXPECT_EQ(planned.groups[g].hi, naive.groups[g].hi) << "group " << g;
-    EXPECT_EQ(planned.groups[g].lo, naive.groups[g].lo) << "group " << g;
+    EXPECT_TRUE(same_rows(planned.groups[g].rows, naive.groups[g].rows))
+        << "group " << g;
+    EXPECT_TRUE(same_rows(planned.groups[g].rows, generic.groups[g].rows))
+        << "group " << g;
   }
   // Read back every character.
   constexpr unsigned kLanes = bitsim::word_bits_v<W>;
   for (std::size_t k = 0; k < count; ++k) {
-    const auto& group = planned.groups[k / kLanes];
+    const auto group = planned.groups[k / kLanes].view();
     for (std::size_t i = 0; i < length; ++i) {
-      ASSERT_EQ(read_base(group, k % kLanes, i), seqs[k][i])
+      ASSERT_EQ(read_code(group, k % kLanes, i), code(seqs[k][i]))
           << "instance " << k << " pos " << i;
     }
   }
@@ -98,6 +126,23 @@ TEST(Batch, TransposePlannedEqualsNaive32) {
 
 TEST(Batch, TransposePlannedEqualsNaive64) {
   check_transpose_roundtrip<std::uint64_t>(64, 17);
+}
+
+// The wide lane words, each with a partially used tail group.
+TEST(Batch, TransposePlannedEqualsNaive128) {
+  check_transpose_roundtrip<bitsim::simd_word<128>>(130, 9);
+}
+
+TEST(Batch, TransposePlannedEqualsNaive256) {
+  check_transpose_roundtrip<bitsim::simd_word<256>>(300, 7);
+}
+
+TEST(Batch, TransposePlannedEqualsNaive512) {
+  check_transpose_roundtrip<bitsim::simd_word<512>>(520, 5);
+}
+
+TEST(Batch, TransposePlannedEqualsNaiveScalarWide) {
+  check_transpose_roundtrip<bitsim::wide_word<256, false>>(257, 6);
 }
 
 TEST(Batch, TailGroupHandling) {

@@ -87,10 +87,10 @@ TEST(Integration, CircuitSimulatedSwaMatchesBpbc) {
                 inputs.begin() + static_cast<long>(s));
       std::copy(diag.begin(), diag.end(),
                 inputs.begin() + static_cast<long>(2 * s));
-      inputs[3 * s + 0] = bx.groups[0].lo[i];
-      inputs[3 * s + 1] = bx.groups[0].hi[i];
-      inputs[3 * s + 2] = by.groups[0].lo[j - 1];
-      inputs[3 * s + 3] = by.groups[0].hi[j - 1];
+      inputs[3 * s + 0] = bx.groups[0].row(0)[i];
+      inputs[3 * s + 1] = bx.groups[0].row(1)[i];
+      inputs[3 * s + 2] = by.groups[0].row(0)[j - 1];
+      inputs[3 * s + 3] = by.groups[0].row(1)[j - 1];
       circuit::evaluate_into<std::uint32_t>(cell, inputs, value, out);
       std::copy(out.begin(), out.end(),
                 row.begin() + static_cast<long>(j * s));

@@ -41,8 +41,8 @@ std::vector<std::uint32_t> affine_bpbc_scores(
     const std::vector<encoding::Sequence>& xs,
     const std::vector<encoding::Sequence>& ys, const AffineCosts& c,
     LaneWidth width = LaneWidth::k64) {
-  const auto backend = make_host_backend(affine(c), width, bulk::Mode::kSerial,
-                                         encoding::TransposeMethod::kPlanned);
+  const auto backend =
+      make_host_backend(affine(c), width, bulk::Mode::kSerial);
   ChunkJob job;
   job.xs = xs;
   job.ys = ys;

@@ -130,7 +130,7 @@ TEST(BackendV2, HostBackendMatchesDefaultPath) {
 
   ScreenConfig cfg = legacy;
   const std::unique_ptr<Backend> host = make_host_backend(
-      kScheme, cfg.width, cfg.mode, cfg.method);
+      kScheme, cfg.width, cfg.mode);
   cfg.backend = host.get();
   const ScreenReport got = screen(b.xs, b.ys, cfg);
   expect_same_report(got, want, "host backend");
@@ -176,8 +176,7 @@ TEST(BackendV2, BaseSubmitCollectThrowInternal) {
   // submit/collect on any other, and a direct call is a typed error.
   const Batch b = make_batch(25, 16, 8, 12);
   const std::unique_ptr<Backend> host = make_host_backend(
-      kScheme, LaneWidth::k32, bulk::Mode::kSerial,
-      encoding::TransposeMethod::kPlanned);
+      kScheme, LaneWidth::k32, bulk::Mode::kSerial);
   EXPECT_FALSE(host->caps().streams);
   ChunkJob job;
   job.xs = b.xs;

@@ -105,7 +105,6 @@ TEST(Bpbc, IdenticalStringsSaturateToFullScore) {
 }
 
 TEST(Bpbc, AlignerValidatesShapes) {
-  using View = encoding::PlanarGenericView<std::uint32_t>;
   const SchemeBpbcAligner<std::uint32_t> aligner(ScoringScheme{}, 8, 16);
   EXPECT_EQ(aligner.m(), 8u);
   EXPECT_EQ(aligner.n(), 16u);
@@ -115,8 +114,8 @@ TEST(Bpbc, AlignerValidatesShapes) {
   const auto bx = encoding::transpose_strings<std::uint32_t>(xs);
   const auto by = encoding::transpose_strings<std::uint32_t>(ys);
   std::vector<std::uint32_t> slices(aligner.slices());
-  EXPECT_THROW(aligner.max_score_slices(View::from(bx.groups[0]),
-                                        View::from(by.groups[0]),
+  EXPECT_THROW(aligner.max_score_slices(bx.groups[0].view(),
+                                        by.groups[0].view(),
                                         std::span<std::uint32_t>(slices)),
                std::invalid_argument);
 }

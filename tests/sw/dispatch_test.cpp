@@ -226,7 +226,6 @@ TEST(MakeDispatchBackend, NaiveReferenceRequiresExpressibleScheme) {
       DispatchWorkload::from(affine, 4, 16, 32, LaneWidth::k64);
   const auto made =
       make_dispatch_backend(affine, LaneWidth::k64, bulk::Mode::kSerial,
-                            encoding::TransposeMethod::kPlanned,
                             BackendChoice::kWordwiseNaive, w);
   ASSERT_FALSE(made.has_value());
   EXPECT_EQ(made.status().code(), util::ErrorCode::kInvalidInput);
@@ -241,9 +240,8 @@ TEST(MakeDispatchBackend, BuildsEveryHostEngine) {
   for (const BackendChoice c :
        {BackendChoice::kAuto, BackendChoice::kBpbc, BackendChoice::kStriped,
         BackendChoice::kWordwiseNaive}) {
-    const auto made = make_dispatch_backend(
-        s, LaneWidth::k64, bulk::Mode::kSerial,
-        encoding::TransposeMethod::kPlanned, c, w);
+    const auto made =
+        make_dispatch_backend(s, LaneWidth::k64, bulk::Mode::kSerial, c, w);
     ASSERT_TRUE(made.has_value()) << backend_choice_name(c);
     EXPECT_NE(made->backend, nullptr);
     EXPECT_NE(made->choice, BackendChoice::kAuto);

@@ -389,6 +389,26 @@ TEST(SchemeDb, QuarantinesCorruptShardAndReingestsFromCorpus) {
   std::remove(f.path.c_str());
 }
 
+TEST(SchemeDb, StaleCorpusIsTypedRejection) {
+  // A quarantined shard re-ingests from the corpus, so a corpus that is
+  // not the store's content must not be rescored silently.
+  const DbFixture f = make_protein_db("stale.swdb", 130, 10, 30);
+  ASSERT_TRUE(db::corrupt_shard_for_testing(f.path, 0, 5, 2).ok());
+  std::vector<GenericSequence> stale = f.entries;
+  for (std::uint8_t& c : stale[0]) c = static_cast<std::uint8_t>((c + 1) % 20);
+
+  auto reader = db::Reader::open(f.path);
+  ASSERT_TRUE(reader.has_value());
+  SchemeDbStats stats;
+  auto got = try_scheme_db_max_scores(f.query, *reader, protein_blosum62(),
+                                      LaneWidth::k64, bulk::Mode::kSerial,
+                                      stale, &stats);
+  ASSERT_FALSE(got.has_value());
+  EXPECT_EQ(got.status().code(), util::ErrorCode::kDbMismatch);
+  EXPECT_EQ(stats.shards_reingested, 0u);
+  std::remove(f.path.c_str());
+}
+
 TEST(SchemeDb, RejectsPlaneCountMismatchTyped) {
   // A 2-plane DNA store cannot serve a 5-plane protein scheme.
   util::Xoshiro256 rng(909);

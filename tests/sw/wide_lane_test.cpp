@@ -87,11 +87,9 @@ TEST(WideLane, Wide256RunDecomposesIntoFourUint64LaneGroups) {
   const auto wide_y = encoding::transpose_strings<W256>(ys);
   ASSERT_EQ(wide_x.groups.size(), 1u);
 
-  using WideView = encoding::PlanarGenericView<W256>;
-  using NarrowView = encoding::PlanarGenericView<std::uint64_t>;
   const SchemeBpbcAligner<W256> wide(kScheme, m, n);
-  const WideView wx = WideView::from(wide_x.groups[0]);
-  const WideView wy = WideView::from(wide_y.groups[0]);
+  const auto wx = wide_x.groups[0].view();
+  const auto wy = wide_y.groups[0].view();
   std::vector<W256> wide_slices(wide.slices());
   wide.max_score_slices(wx, wy, std::span<W256>(wide_slices));
   const auto wide_scores = wide.max_scores(wx, wy);
@@ -104,16 +102,14 @@ TEST(WideLane, Wide256RunDecomposesIntoFourUint64LaneGroups) {
     const auto ny = encoding::transpose_strings<std::uint64_t>(sub_y);
 
     // W2B decomposition: limb t of the wide planes is the sub-group.
-    for (std::size_t i = 0; i < m; ++i) {
-      ASSERT_EQ(bitsim::get_limb(wide_x.groups[0].hi[i], t),
-                nx.groups[0].hi[i])
-          << "x hi limb " << t << " char " << i;
-      ASSERT_EQ(bitsim::get_limb(wide_x.groups[0].lo[i], t),
-                nx.groups[0].lo[i]);
+    for (std::size_t i = 0; i < wide_x.groups[0].rows.size(); ++i) {
+      ASSERT_EQ(bitsim::get_limb(wide_x.groups[0].rows[i], t),
+                nx.groups[0].rows[i])
+          << "x plane row " << i << " limb " << t;
     }
 
-    const NarrowView nxv = NarrowView::from(nx.groups[0]);
-    const NarrowView nyv = NarrowView::from(ny.groups[0]);
+    const auto nxv = nx.groups[0].view();
+    const auto nyv = ny.groups[0].view();
     std::vector<std::uint64_t> narrow_slices(narrow.slices());
     narrow.max_score_slices(nxv, nyv,
                             std::span<std::uint64_t>(narrow_slices));
