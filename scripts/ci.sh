@@ -129,11 +129,12 @@ EOF
 
   echo "== tier 1: lane-width dispatch matrix (score fingerprint gate) =="
   # SWBPBC_FORCE_LANE_WIDTH drives the whole dispatch through one binary:
-  # 64 (the baseline), scalar-wide (the no-SIMD wide fallback, dispatchable
-  # on any host), and auto (whatever this CPU probes widest). Scores are
-  # bit-identical across widths, so the RunReport fingerprints must match.
+  # every lane word the kernel's cell runs at (32..512), scalar-wide (the
+  # no-SIMD wide fallback, dispatchable on any host), and auto (whatever
+  # this CPU probes widest). Scores are bit-identical across widths, so
+  # the RunReport fingerprints must match.
   ref_fnv=""
-  for lane_width in 64 scalar-wide auto; do
+  for lane_width in 32 64 128 256 512 scalar-wide auto; do
     SWBPBC_FORCE_LANE_WIDTH=$lane_width ./build/examples/database_filter \
         --entries=96 --json="$smoke_dir/filter_$lane_width.json" > /dev/null
     fnv=$(python3 - "$smoke_dir/filter_$lane_width.json" <<'EOF'
@@ -156,10 +157,11 @@ EOF
   # BLOSUM62 substitution + Gotoh affine gaps, served both in memory and
   # from the pre-transposed store (protein_screen exits nonzero unless the
   # store serve is bit-identical and a scalar-Gotoh spot check passes).
-  # Fingerprints must agree across 64-bit lanes, the forced-scalar wide
-  # fallback, and whatever auto probes widest on this host.
+  # Fingerprints must agree across every lane word (32..512), the
+  # forced-scalar wide fallback, and whatever auto probes widest on this
+  # host.
   protein_ref=""
-  for lane_width in 64 scalar-wide auto; do
+  for lane_width in 32 64 128 256 512 scalar-wide auto; do
     SWBPBC_FORCE_LANE_WIDTH=$lane_width ./build/examples/protein_screen \
         --count=96 --db="$smoke_dir/protein_$lane_width.swdb" \
         --json="$smoke_dir/protein_$lane_width.json" > /dev/null

@@ -251,15 +251,9 @@ class Core final : public CoreBase {
     consts_.affine = scheme.affine();
     consts_.c1 = bitops::broadcast_constant<W>(scheme.match, s_);
     consts_.c2 = bitops::broadcast_constant<W>(scheme.mismatch, s_);
-    if (consts_.affine) {
-      consts_.gap.clear();
-      consts_.open = bitops::broadcast_constant<W>(scheme.gap_open, s_);
-      consts_.extend = bitops::broadcast_constant<W>(scheme.gap_extend, s_);
-    } else {
-      consts_.open.clear();
-      consts_.extend.clear();
-      consts_.gap = bitops::broadcast_constant<W>(scheme.gap_open, s_);
-    }
+    consts_.open = bitops::broadcast_constant<W>(scheme.gap_open, s_);
+    consts_.extend = bitops::broadcast_constant<W>(
+        consts_.affine ? scheme.gap_extend : scheme.gap_open, s_);
     shaped_ = true;
   }
 

@@ -3,7 +3,11 @@
 // gpu_wordwise_max_scores (sw_kernels.cpp). Everything here is an
 // internal building block — the kernels are duck-typed launch() factories
 // over bound device buffers — and lives in device::detail; the public
-// entry points stay in sw_kernels.hpp / engine.hpp.
+// entry points stay in sw_kernels.hpp / engine.hpp. The BPBC wavefront
+// kernel's cell arithmetic is the host kernel's cell, sw::scheme_cell
+// (sw/scheme_aligner.hpp), for both gap models; it runs on per-thread
+// registers, so only the relay, character and score traffic around it
+// reaches the Table V memory counters.
 #pragma once
 
 #include <algorithm>
@@ -19,6 +23,7 @@
 #include "device/memory.hpp"
 #include "encoding/dna.hpp"
 #include "sw/params.hpp"
+#include "sw/scheme_aligner.hpp"
 
 namespace swbpbc::device::detail {
 
@@ -155,17 +160,17 @@ class W2bKernel {
 // ---------------------------------------------------------------------------
 // Step 3: BPBC wavefront kernel (paper Fig. 2). One block per group of W
 // pairs, one thread per pattern row. At phase t thread i computes cell
-// (i, j = t - i); the cell value moves to thread i+1 through a
+// (i, j = t - i) with the host kernel's fused cell, sw::scheme_cell, in
+// per-thread registers; the cell value moves to thread i+1 through a
 // double-buffered shared-memory slot, and the running maxima are folded
 // down the block in a pipelined pass as each thread finishes its row.
 
+/// Broadcast scheme constants of the cell, s slices each: gap open and
+/// extend (a linear scheme sets both to its gap) and the uniform
+/// match/mismatch magnitudes.
 template <bitsim::LaneWord W>
 struct SwConstants {
-  std::vector<W> gap, c1, c2;
-  // Affine (Gotoh) gap model: when `affine` is set the kernel runs the
-  // three-state H/E/F recurrence with `open`/`extend` instead of the
-  // linear sw_cell circuit (`gap` is then unused).
-  std::vector<W> open, extend;
+  std::vector<W> open, extend, c1, c2;
   bool affine = false;
   unsigned s = 0;
 };
@@ -197,11 +202,11 @@ class SwWavefrontKernel {
         xl_(m, 0),
         up_(consts.s),
         fup_(consts.affine ? consts.s : 0),
-        fcell_(consts.affine ? consts.s : 0),
         rin_(consts.s),
         t_(consts.s),
         u_(consts.s),
         r_(consts.s),
+        t2_(consts.s),
         cell_(consts.s) {}
 
   [[nodiscard]] unsigned block_dim() const {
@@ -215,15 +220,14 @@ class SwWavefrontKernel {
     if (j >= n_) return;
     const unsigned s = s_;
 
-    // Character slices: x is read once per thread, y once per cell.
+    // Character slices: x is read once per thread, y once per cell; the
+    // cell compares them as 2-plane (lo, hi) characters.
     if (j == 0) {
       xh_[tid] = x_hi_.load(tid, tid);
       xl_[tid] = x_lo_.load(tid, tid);
     }
-    const W yh = y_hi_.load(j, tid);
-    const W yl = y_lo_.load(j, tid);
-    const W e =
-        static_cast<W>((xh_[tid] ^ yh) | (xl_[tid] ^ yl));
+    const std::array<W, 2> yc{y_lo_.load(j, tid), y_hi_.load(j, tid)};
+    const std::array<W, 2> xc{xl_[tid], xh_[tid]};
 
     // up = H[i-1][j], published by thread i-1 in the previous phase. The
     // affine recurrence additionally needs F[i-1][j], which travels down
@@ -244,44 +248,24 @@ class SwWavefrontKernel {
     const std::span<W> left(left_.data() + tid * s, s);
     const std::span<W> diag(prev_up_.data() + tid * s, s);
     const std::span<W> rmax(rmax_.data() + tid * s, s);
-
-    if (consts_.affine) {
-      // Gotoh three-state cell, the same ssub/max chains as the host
-      // kernel's affine cell (sw::scheme_cell) so scores stay
-      // bit-identical across engines.
-      const std::span<W> e_row(e_row_.data() + tid * s, s);
-      const std::span<const W> open(consts_.open);
-      const std::span<const W> extend(consts_.extend);
-      // E[i][j] = max(H[i][j-1] - open, E[i][j-1] - extend); E runs along
-      // the row, so it lives in a per-thread register like `left`.
-      bitops::ssub_b<W>(std::span<const W>(left), open, std::span<W>(t_));
-      bitops::ssub_b<W>(std::span<const W>(e_row), extend, std::span<W>(u_));
-      bitops::max_b<W>(std::span<const W>(t_), std::span<const W>(u_), e_row);
-      // F[i][j] = max(H[i-1][j] - open, F[i-1][j] - extend).
-      bitops::ssub_b<W>(std::span<const W>(up_), open, std::span<W>(t_));
-      bitops::ssub_b<W>(std::span<const W>(fup_), extend, std::span<W>(u_));
-      bitops::max_b<W>(std::span<const W>(t_), std::span<const W>(u_),
-                       std::span<W>(fcell_));
-      // H[i][j] = max(diag + w, E, F) (non-negativity is implicit).
-      bitops::matching_b<W>(std::span<const W>(diag), e,
-                            std::span<const W>(consts_.c1),
-                            std::span<const W>(consts_.c2), std::span<W>(r_),
-                            std::span<W>(t_), std::span<W>(u_));
-      bitops::max_b<W>(std::span<const W>(r_), std::span<const W>(e_row),
-                       std::span<W>(t_));
-      bitops::max_b<W>(std::span<const W>(t_), std::span<const W>(fcell_),
-                       std::span<W>(cell_));
-    } else {
-      bitops::sw_cell<W>(std::span<const W>(up_), std::span<const W>(left),
-                         std::span<const W>(diag), e,
-                         std::span<const W>(consts_.gap),
-                         std::span<const W>(consts_.c1),
-                         std::span<const W>(consts_.c2), std::span<W>(cell_),
-                         std::span<W>(t_), std::span<W>(u_),
-                         std::span<W>(r_));
-    }
-    bitops::max_b<W>(std::span<const W>(rmax), std::span<const W>(cell_),
-                     rmax);
+    // E runs along the row, so it lives in a per-thread register like
+    // `left`; fup_ becomes F[i][j] in place.
+    const std::span<W> e_row(
+        consts_.affine ? e_row_.data() + tid * s : nullptr,
+        consts_.affine ? s : 0);
+    sw::SchemeCellOperands<W> k;
+    k.open = consts_.open;
+    k.extend = consts_.extend;
+    k.c1 = consts_.c1;
+    k.c2 = consts_.c2;
+    k.affine = consts_.affine;
+    k.xc = xc;
+    k.yc = yc;
+    k.t = t_;
+    k.u = u_;
+    k.r = r_;
+    k.t2 = t2_;
+    sw::scheme_cell<W>(k, up_, left, diag, e_row, fup_, cell_, rmax);
 
     // Publish d[i][j] (and, affine, F[i][j]) for thread i+1.
     const std::size_t out_slot = (phase % 2) * m_ * s +
@@ -290,7 +274,7 @@ class SwWavefrontKernel {
       handoff_.store(out_slot + l, cell_[l], tid);
     if (consts_.affine)
       for (unsigned l = 0; l < s; ++l)
-        fhand_.store(out_slot + l, fcell_[l], tid);
+        fhand_.store(out_slot + l, fup_[l], tid);
 
     // Register rotation for the next phase.
     std::copy(up_.begin(), up_.end(), diag.begin());
@@ -338,11 +322,11 @@ class SwWavefrontKernel {
   // Block-local scratch (safe: threads run sequentially within a phase).
   std::vector<W> up_;
   std::vector<W> fup_;
-  std::vector<W> fcell_;
   std::vector<W> rin_;
   std::vector<W> t_;
   std::vector<W> u_;
   std::vector<W> r_;
+  std::vector<W> t2_;
   std::vector<W> cell_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 #include "bitops/arith.hpp"
 #include "bitops/slices.hpp"
@@ -134,13 +135,20 @@ void SchemeBpbcAligner<W>::sweep(const encoding::PlanarGenericView<W>& x,
   const std::size_t sigma = kMatrix ? scheme_.matrix->size() : 0;
   const unsigned mux_bits = wp_bits_ + wn_bits_;
 
-  // Bit-sliced rows of H (and F for affine), boundary column at slot 0.
-  std::vector<W> h_row((n + 1) * s, kZero);
+  // Two bit-sliced rows of H, swapped per DP row so that up = prev[j],
+  // diag = prev[j-1] and left = cur[j-1] need no copies; the boundary
+  // column sits at slot 0 and stays zero. The affine F row is updated in
+  // place (f_up = F[i-1][j] becomes F[i][j]), E runs along the row. The
+  // running maximum accumulates straight into out_slices.
+  std::vector<W> rows(2 * (n + 1) * s, kZero);
+  W* prev = rows.data();
+  W* cur = rows.data() + (n + 1) * s;
   std::vector<W> f_row(kAffine ? (n + 1) * s : 0, kZero);
-  std::vector<W> diag(s), old_up(s), e_run(kAffine ? s : 0);
-  std::vector<W> t(s), u(s), r(s), t2(s), best(s, kZero);
+  std::vector<W> e_run(kAffine ? s : 0);
+  std::vector<W> t(s), u(s), r(s), t2(s);
   std::vector<W> wp_full(s, kZero), wn_full(s, kZero);
   std::vector<W> eq_x(sigma);
+  std::fill(out_slices.begin(), out_slices.end(), kZero);
   // Uniform: the character planes of x_i (per row) and of every y_j,
   // position-major, so each cell's operands are contiguous.
   std::vector<W> xchar, ychars;
@@ -177,14 +185,9 @@ void SchemeBpbcAligner<W>::sweep(const encoding::PlanarGenericView<W>& x,
     } else {
       for (unsigned p = 0; p < eps_; ++p) xchar[p] = x.plane(i, p);
     }
-    std::fill(diag.begin(), diag.end(), kZero);
     std::fill(e_run.begin(), e_run.end(), kZero);
 
     for (std::size_t j = 1; j <= n; ++j) {
-      const std::span<W> h_up(h_row.data() + j * s, s);
-      const std::span<const W> h_left(h_row.data() + (j - 1) * s, s);
-      std::copy(h_up.begin(), h_up.end(), old_up.begin());
-
       if constexpr (kMatrix) {
         // Per-bit mux: OR over the alphabet of (row selector AND column
         // profile) — the runtime form of circuit build_matrix_mux.
@@ -202,13 +205,12 @@ void SchemeBpbcAligner<W>::sweep(const encoding::PlanarGenericView<W>& x,
       }
       const std::span<W> f_up =
           kAffine ? std::span<W>(f_row.data() + j * s, s) : std::span<W>();
-      scheme_cell<W>(k, old_up, h_left, diag, e_run, f_up, h_up);
-      bitops::max_b<W>(std::span<const W>(best), std::span<const W>(h_up),
-                       std::span<W>(best));
-      std::copy(old_up.begin(), old_up.end(), diag.begin());
+      scheme_cell<W>(k, {prev + j * s, s}, {cur + (j - 1) * s, s},
+                     {prev + (j - 1) * s, s}, e_run, f_up, {cur + j * s, s},
+                     out_slices);
     }
+    std::swap(prev, cur);
   }
-  std::copy(best.begin(), best.end(), out_slices.begin());
 }
 
 template <bitsim::LaneWord W>
@@ -228,6 +230,14 @@ std::vector<std::uint32_t> SchemeBpbcAligner<W>::score_groups(
     const util::StopCondition* stop) const {
   constexpr unsigned kLanes = bitsim::word_bits_v<W>;
   const std::size_t n_groups = xs.size();
+  if (ys.size() != n_groups)
+    throw std::invalid_argument("score_groups: xs and ys differ in size");
+  // Every group must hold at least one of the `count` lanes, and the
+  // groups must hold all of them.
+  if (count > n_groups * kLanes ||
+      (n_groups > 0 && count <= (n_groups - 1) * kLanes))
+    throw std::invalid_argument(
+        "score_groups: count does not fit the number of groups");
   std::vector<std::vector<W>> group_slices(n_groups, std::vector<W>(s_));
   util::WallTimer timer;
   bulk::for_each_instance(

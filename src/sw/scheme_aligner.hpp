@@ -34,11 +34,18 @@
 // The uniform substitution model runs the paper's matching_B, so a
 // uniform linear cell is exactly bitops::sw_cell plus the character
 // compare: ops_sw_cell(s, epsilon) operations, within Theorem 6's
-// 48s - 18 (asserted on CountingWord by tests/bitops/opcount_test.cpp).
+// 48s - 18, plus one max_B for the running maximum it folds in.
+//
+// Execution (DESIGN.md decision 24): scheme_cell below fuses those
+// primitives into one slice pass per dependency level, and the sweep
+// swaps two rows of H slices per DP row instead of copying per cell. The
+// device simulator's SWA stage (device/sw_stage_kernels.hpp) runs the
+// same cell.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "bitops/arith.hpp"
@@ -65,49 +72,224 @@ struct SchemeCellOperands {
   std::span<W> t, u, r, t2;
 };
 
+namespace detail {
+
+// Ripple-chain steps of the Lemma 2-4 primitives at slice l, with the
+// carry (or borrow) of slice l-1 in `p`. kFirst is slice 0, where no
+// carry enters, so it costs the primitives' cheaper slice-0 form. Forced
+// inline, like slice_pass below: a multi-limb word is otherwise passed
+// through memory on every step.
+
+/// a ^ b (^ p): the sum bit of a + b and the difference bit of a - b.
+template <bool kFirst, class W>
+[[gnu::always_inline]] inline W sum_bit(W a, W b, W p) {
+  if constexpr (kFirst) return a ^ b;
+  else return a ^ b ^ p;
+}
+/// Carry out of a + b (add_b).
+template <bool kFirst, class W>
+[[gnu::always_inline]] inline W carry_bit(W a, W b, W p) {
+  if constexpr (kFirst) return a & b;
+  else return (a & (b ^ p)) | (b & p);
+}
+/// Borrow out of a - b (ge_mask, ssub_b): after the last slice, 1 on the
+/// lanes where a < b.
+template <bool kFirst, class W>
+[[gnu::always_inline]] inline W borrow_bit(W a, W b, W p) {
+  if constexpr (kFirst) return ~a & b;
+  else return (b & p) | (~a & (b ^ p));
+}
+
+/// Runs `step(l, first)` over slices 0..s-1, with `first` a
+/// std::bool_constant that is true only at slice 0. Forced inline: the
+/// chains' carries are locals captured by `step`, and they stay in
+/// registers only once the pass is inlined into the cell.
+template <class Step>
+[[gnu::always_inline]] inline void slice_pass(std::size_t s, Step&& step) {
+  step(std::size_t{0}, std::true_type{});
+  for (std::size_t l = 1; l < s; ++l) step(l, std::false_type{});
+}
+
+/// The cell under one (substitution, gap) model; see scheme_cell.
+template <bool kMatrix, bool kAffine, bitops::SliceWord W>
+void fused_cell(const SchemeCellOperands<W>& k, std::span<const W> up_s,
+                std::span<const W> left_s, std::span<const W> diag_s,
+                std::span<W> e_run_s, std::span<W> f_up_s, std::span<W> h_s,
+                std::span<W> best_s) {
+  constexpr W kZero = bitops::word_traits<W>::zero();
+  // Local copies: a lane store may alias the operand struct or a span
+  // size (std::uint64_t is std::size_t here), and these must stay in
+  // registers across the passes.
+  const std::size_t s = h_s.size();
+  const W* up = up_s.data();
+  const W* left = left_s.data();
+  const W* diag = diag_s.data();
+  W* e_run = e_run_s.data();
+  W* f_up = f_up_s.data();
+  W* h = h_s.data();
+  W* best = best_s.data();
+  const W* open = k.open.data();
+  const W* extend = k.extend.data();
+  const W* c1 = k.c1.data();
+  const W* c2 = k.c2.data();
+  const W* wp = k.wp.data();
+  const W* wn = k.wn.data();
+  W* t = k.t.data();
+  W* u = k.u.data();
+  W* r = k.r.data();
+  W* t2 = k.t2.data();
+  const W e = kMatrix ? kZero : bitops::mismatch_mask<W>(k.xc, k.yc);
+
+  // Pass 1: every chain that reads only the cell's inputs. Diagonal:
+  // diag + c1 into r and diag - c2 into t (uniform), or diag + wp rippling
+  // into - wn bit by bit into t (matrix). Linear: ge-borrow of (up, left).
+  // Affine: the four gap chains left - open (u), E - extend (e_run),
+  // up - open (t2) and F - extend (f_up), unclamped.
+  W pa = kZero, ps = kZero, pm = kZero;
+  W pe1 = kZero, pe2 = kZero, pf1 = kZero, pf2 = kZero;
+  slice_pass(s, [&](std::size_t l, auto first) {
+    constexpr bool f = decltype(first)::value;
+    const W d = diag[l];
+    if constexpr (kMatrix) {
+      const W sum = sum_bit<f>(d, wp[l], pa);
+      pa = carry_bit<f>(d, wp[l], pa);
+      t[l] = sum_bit<f>(sum, wn[l], ps);
+      ps = borrow_bit<f>(sum, wn[l], ps);
+    } else {
+      r[l] = sum_bit<f>(d, c1[l], pa);
+      pa = carry_bit<f>(d, c1[l], pa);
+      t[l] = sum_bit<f>(d, c2[l], ps);
+      ps = borrow_bit<f>(d, c2[l], ps);
+    }
+    const W a = up[l];
+    const W b = left[l];
+    if constexpr (kAffine) {
+      const W ev = e_run[l];
+      const W fv = f_up[l];
+      u[l] = sum_bit<f>(b, open[l], pe1);
+      pe1 = borrow_bit<f>(b, open[l], pe1);
+      e_run[l] = sum_bit<f>(ev, extend[l], pe2);
+      pe2 = borrow_bit<f>(ev, extend[l], pe2);
+      t2[l] = sum_bit<f>(a, open[l], pf1);
+      pf1 = borrow_bit<f>(a, open[l], pf1);
+      f_up[l] = sum_bit<f>(fv, extend[l], pf2);
+      pf2 = borrow_bit<f>(fv, extend[l], pf2);
+    } else {
+      pm = borrow_bit<f>(a, b, pm);
+    }
+  });
+
+  // Pass 2: T = max(0, diag + w) into r (the mismatch select with the
+  // c2 clamp folded in, or the matrix clamp). Linear: max(up, left) and
+  // its - open chain into u. Affine: clamp the gap chains and run the
+  // ge-borrows of E and F.
+  const W gm = kAffine ? kZero : ~pm;  // linear: up >= left
+  W pg = kZero, pe = kZero, pf = kZero;
+  slice_pass(s, [&](std::size_t l, auto first) {
+    constexpr bool f = decltype(first)::value;
+    if constexpr (kMatrix) {
+      r[l] = t[l] & ~ps;
+    } else {
+      r[l] = (r[l] & ~e) | ((t[l] & ~ps) & e);
+    }
+    if constexpr (kAffine) {
+      const W e1 = u[l] & ~pe1;
+      const W e2 = e_run[l] & ~pe2;
+      const W f1 = t2[l] & ~pf1;
+      const W f2 = f_up[l] & ~pf2;
+      u[l] = e1;
+      e_run[l] = e2;
+      t2[l] = f1;
+      f_up[l] = f2;
+      pe = borrow_bit<f>(e1, e2, pe);
+      pf = borrow_bit<f>(f1, f2, pf);
+    } else {
+      const W mx = (up[l] & gm) | (left[l] & ~gm);
+      u[l] = sum_bit<f>(mx, open[l], pg);
+      pg = borrow_bit<f>(mx, open[l], pg);
+    }
+  });
+
+  // Pass 3. Linear: clamp U = max(max(up, left) - open, 0) and run the
+  // ge-borrow of (T, U). Affine: select E and F (into e_run and f_up)
+  // and run the ge-borrow of (T, E).
+  const W ge = kAffine ? ~pe : kZero;
+  const W gf = kAffine ? ~pf : kZero;
+  W pt = kZero;
+  slice_pass(s, [&](std::size_t l, auto first) {
+    constexpr bool f = decltype(first)::value;
+    if constexpr (kAffine) {
+      const W ev = (u[l] & ge) | (e_run[l] & ~ge);
+      e_run[l] = ev;
+      f_up[l] = (t2[l] & gf) | (f_up[l] & ~gf);
+      pt = borrow_bit<f>(r[l], ev, pt);
+    } else {
+      const W uc = u[l] & ~pg;
+      u[l] = uc;
+      pt = borrow_bit<f>(r[l], uc, pt);
+    }
+  });
+
+  // H = max(a, b) with the ge-borrow of (a, b) in pt: linear (T, U),
+  // affine (max(T, E), F) after one more pass.
+  const W* hb = u;
+  if constexpr (kAffine) {
+    const W gt = ~pt;
+    pt = kZero;
+    slice_pass(s, [&](std::size_t l, auto first) {
+      constexpr bool f = decltype(first)::value;
+      const W te = (r[l] & gt) | (e_run[l] & ~gt);
+      r[l] = te;
+      pt = borrow_bit<f>(te, f_up[l], pt);
+    });
+    hb = f_up;
+  }
+  // Select H and run the ge-borrow of (best, H); then fold H into best.
+  const W gh = ~pt;
+  W pb = kZero;
+  slice_pass(s, [&](std::size_t l, auto first) {
+    constexpr bool f = decltype(first)::value;
+    const W hv = (r[l] & gh) | (hb[l] & ~gh);
+    h[l] = hv;
+    pb = borrow_bit<f>(best[l], hv, pb);
+  });
+  const W gb = ~pb;
+  for (std::size_t l = 0; l < s; ++l) best[l] = (best[l] & gb) | (h[l] & ~gb);
+}
+
+}  // namespace detail
+
 /// One DP cell of the kernel: writes H[i][j] into `h` from up =
-/// H[i-1][j], left = H[i][j-1] and diag = H[i-1][j-1]. Under an affine
-/// scheme `e_run` (E along the row) and `f_up` (F[i-1][j], becoming
-/// F[i][j]) are updated in place; a linear scheme ignores both. `h` must
-/// not alias any other argument.
+/// H[i-1][j], left = H[i][j-1] and diag = H[i-1][j-1], and folds it into
+/// the running maximum: best = max(best, H[i][j]). Under an affine scheme
+/// `e_run` (E along the row) and `f_up` (F[i-1][j], becoming F[i][j]) are
+/// updated in place; a linear scheme ignores both. `h` and `best` must
+/// not alias each other or any other argument.
+///
+/// The cell is the Lemma 2-5 primitives of bitops (arith.hpp) fused into
+/// a few passes over the s slices, one per dependency level: each pass
+/// advances every carry or borrow chain whose operands are ready, so the
+/// independent chains of one cell overlap instead of running back to
+/// back (DESIGN.md decision 24). The fusion reorders the primitives'
+/// bitwise operations and adds none: the uniform linear cell is exactly
+/// bitops::sw_cell plus one max_b, ops_sw_cell(s, epsilon) + ops_max(s)
+/// operations.
 template <bitops::SliceWord W>
 void scheme_cell(const SchemeCellOperands<W>& k, std::span<const W> up,
                  std::span<const W> left, std::span<const W> diag,
-                 std::span<W> e_run, std::span<W> f_up, std::span<W> h) {
+                 std::span<W> e_run, std::span<W> f_up, std::span<W> h,
+                 std::span<W> best) {
   // Branch on the bools, not on span sizes: the kernel's sweep sets them
-  // from its template arguments, and unlike a std::size_t (which a
-  // uint64_t lane store may alias) they stay known constants in its loop.
-  const bool uniform = !k.matrix;
-  const W e = uniform ? bitops::mismatch_mask<W>(k.xc, k.yc)
-                      : bitops::word_traits<W>::zero();
-  if (uniform && !k.affine) {
-    // The paper's SW cell (Theorem 6).
-    bitops::sw_cell<W>(up, left, diag, e, k.open, k.c1, k.c2, h, k.t, k.u,
-                       k.r);
-    return;
-  }
-  // T = max(0, H_diag + w(x_i, y_j)) into t2.
-  if (uniform) {
-    bitops::matching_b<W>(diag, e, k.c1, k.c2, k.t2, k.r, k.t);
-  } else {
-    bitops::add_b<W>(diag, k.wp, k.r);
-    bitops::ssub_b<W>(std::span<const W>(k.r), k.wn, k.t2);
-  }
-  const std::span<const W> t(k.t), u(k.u), t2(k.t2);
-  if (k.affine) {
-    bitops::ssub_b<W>(left, k.open, k.t);
-    bitops::ssub_b<W>(std::span<const W>(e_run), k.extend, k.u);
-    bitops::max_b<W>(t, u, e_run);
-    bitops::ssub_b<W>(up, k.open, k.t);
-    bitops::ssub_b<W>(std::span<const W>(f_up), k.extend, k.u);
-    bitops::max_b<W>(t, u, f_up);
-    bitops::max_b<W>(t2, std::span<const W>(e_run), k.t);
-    bitops::max_b<W>(t, std::span<const W>(f_up), h);
-  } else {
-    bitops::max_b<W>(up, left, k.t);
-    bitops::ssub_b<W>(t, k.open, k.u);
-    bitops::max_b<W>(t2, u, h);
-  }
+  // from its template arguments, so they stay known constants in its loop.
+  using detail::fused_cell;
+  if (k.matrix && k.affine)
+    fused_cell<true, true, W>(k, up, left, diag, e_run, f_up, h, best);
+  else if (k.matrix)
+    fused_cell<true, false, W>(k, up, left, diag, e_run, f_up, h, best);
+  else if (k.affine)
+    fused_cell<false, true, W>(k, up, left, diag, e_run, f_up, h, best);
+  else
+    fused_cell<false, false, W>(k, up, left, diag, e_run, f_up, h, best);
 }
 
 /// Scores one group of W lanes under an arbitrary ScoringScheme over

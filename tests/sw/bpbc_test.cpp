@@ -120,6 +120,45 @@ TEST(Bpbc, AlignerValidatesShapes) {
                std::invalid_argument);
 }
 
+TEST(Bpbc, ScoreGroupsValidatesShapes) {
+  // Two 32-lane groups hold 33..64 lanes. A count outside that range, or
+  // unequal group lists, must throw instead of reading or writing past
+  // the groups or the score vector.
+  const SchemeBpbcAligner<std::uint32_t> aligner(ScoringScheme{}, 8, 16);
+  util::Xoshiro256 rng(52);
+  const auto xs = encoding::random_sequences(rng, 64, 8);
+  const auto ys = encoding::random_sequences(rng, 64, 16);
+  const auto bx = encoding::transpose_strings<std::uint32_t>(xs);
+  const auto by = encoding::transpose_strings<std::uint32_t>(ys);
+  std::vector<encoding::PlanarGenericView<std::uint32_t>> xv, yv;
+  for (std::size_t g = 0; g < bx.groups.size(); ++g) {
+    xv.push_back(bx.groups[g].view());
+    yv.push_back(by.groups[g].view());
+  }
+  ASSERT_EQ(xv.size(), 2u);
+  const auto score = [&](std::size_t x_groups, std::size_t y_groups,
+                         std::size_t count) {
+    return aligner.score_groups(
+        std::span(xv).first(x_groups), std::span(yv).first(y_groups), count,
+        bulk::Mode::kSerial, nullptr);
+  };
+  EXPECT_THROW(score(2, 2, 10), std::invalid_argument);
+  EXPECT_THROW(score(2, 2, 32), std::invalid_argument);
+  EXPECT_THROW(score(2, 2, 65), std::invalid_argument);
+  EXPECT_THROW(score(2, 1, 33), std::invalid_argument);
+  EXPECT_THROW(score(1, 2, 32), std::invalid_argument);
+  EXPECT_THROW(score(0, 0, 1), std::invalid_argument);
+  EXPECT_TRUE(score(0, 0, 0).empty());
+
+  const auto want = bpbc_max_scores(xs, ys, ScoringScheme{});
+  for (const std::size_t count : {std::size_t{33}, std::size_t{64}}) {
+    const auto got = score(2, 2, count);
+    EXPECT_EQ(got, std::vector<std::uint32_t>(
+                       want.begin(),
+                       want.begin() + static_cast<std::ptrdiff_t>(count)));
+  }
+}
+
 TEST(Bpbc, MismatchedBatchSizesRejected) {
   util::Xoshiro256 rng(51);
   const auto xs = encoding::random_sequences(rng, 4, 8);
