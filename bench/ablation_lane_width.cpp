@@ -5,9 +5,10 @@
 // the 64-bit baseline on every run. The table reports per-phase times,
 // SWA-phase GCUPS (per-instance throughput: wider words carry more lanes
 // per word-op, so the whole-batch SWA time should fall), and the SWA
-// speed-up vs the uint64 baseline. See EXPERIMENTS.md for measured
-// numbers and the honest ISA caveats (no -march flags: vector codegen is
-// baseline SSE2 unless the toolchain says otherwise).
+// speed-up vs the uint64 baseline; its "kernel" column names the build
+// each width ran (the 256/512 rows run the AVX2/AVX-512 kernel TUs when
+// the CPU has them, DESIGN.md decision 25). See EXPERIMENTS.md for
+// measured numbers.
 //
 //   ./ablation_lane_width [--pairs=N] [--m=M] [--n=N] [--reps=R]
 //                         [--json=path] [--affine]
@@ -63,9 +64,13 @@ int main(int argc, char** argv) {
 
   const sw::LaneWidth auto_width =
       sw::resolve_lane_width(sw::LaneWidth::kAuto);
+  const auto isa_of = [](sw::LaneWidth width) {
+    return sw::isa_name(sw::kernel_isa(width, sw::host_cpu_features()));
+  };
   std::printf("Lane-width ablation: %zu pairs, m = %zu, n = %zu, best of "
-              "%zu reps (kAuto resolves to %s on this host)\n\n",
-              pairs, m, n, reps, sw::lane_width_name(auto_width));
+              "%zu reps (kAuto resolves to %s, kernel %s, on this host)\n\n",
+              pairs, m, n, reps, sw::lane_width_name(auto_width),
+              isa_of(auto_width));
 
   struct Row {
     Impl impl;
@@ -89,14 +94,15 @@ int main(int argc, char** argv) {
   rep.config["n"] = std::to_string(n);
   rep.config["reps"] = std::to_string(reps);
   rep.config["auto_resolves"] = sw::lane_width_name(auto_width);
+  rep.config["kernel_isa"] = isa_of(auto_width);
 
   // The 64-bit baseline runs first: its scores anchor the bit-identity
   // gate and its SWA time anchors the speed-up column.
   std::vector<std::uint32_t> baseline_scores;
   double baseline_swa = 0.0;
 
-  util::TextTable table({"lane word", "W2B", "SWA", "B2W", "Total",
-                         "SWA GCUPS", "SWA speedup vs 64"});
+  util::TextTable table({"lane word", "kernel", "W2B", "SWA", "B2W",
+                         "Total", "SWA GCUPS", "SWA speedup vs 64"});
   const double cells = static_cast<double>(pairs) *
                        static_cast<double>(m) * static_cast<double>(n);
 
@@ -131,7 +137,7 @@ int main(int argc, char** argv) {
   std::swap(measured[0], measured[1]);
 
   for (const auto& [row, best] : measured) {
-    table.add_row({bench::impl_name(row.impl),
+    table.add_row({bench::impl_name(row.impl), isa_of(row.width),
                    util::TextTable::num(best.w2b, 2),
                    util::TextTable::num(best.swa, 2),
                    util::TextTable::num(best.b2w, 2),
@@ -170,8 +176,8 @@ int main(int argc, char** argv) {
     for (const auto& y : w.ys) gy.push_back(as_generic(y));
 
     double affine_baseline_swa = 0.0;
-    util::TextTable affine_table({"lane word (affine)", "W2B", "SWA",
-                                  "B2W", "Total", "SWA GCUPS",
+    util::TextTable affine_table({"lane word (affine)", "kernel", "W2B",
+                                  "SWA", "B2W", "Total", "SWA GCUPS",
                                   "SWA speedup vs 64"});
     std::printf("\nAffine (Gotoh) sweep: %s, open %u / extend %u\n\n",
                 sw::scheme_name(scheme).c_str(), scheme.gap_open,
@@ -207,7 +213,7 @@ int main(int argc, char** argv) {
       }
       if (row.width == sw::LaneWidth::k64) affine_baseline_swa = best.swa;
       affine_table.add_row(
-          {bench::impl_name(row.impl),
+          {bench::impl_name(row.impl), isa_of(row.width),
            util::TextTable::num(best.w2b, 2),
            util::TextTable::num(best.swa, 2),
            util::TextTable::num(best.b2w, 2),

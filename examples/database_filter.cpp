@@ -95,8 +95,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const sw::LaneWidth resolved = sw::resolve_lane_width(*width);
-  std::printf("lane width: %s (requested %s)\n", sw::lane_width_name(resolved),
-              width_name.c_str());
+  const char* isa =
+      sw::isa_name(sw::kernel_isa(resolved, sw::host_cpu_features()));
+  std::printf("lane width: %s (requested %s, kernel %s)\n",
+              sw::lane_width_name(resolved), width_name.c_str(), isa);
 
   const std::string backend_name = opt.get("backend", "auto");
   const auto backend_choice = sw::parse_backend_choice(backend_name);
@@ -212,6 +214,7 @@ int main(int argc, char** argv) {
     rep.config["tau"] = std::to_string(tau);
     rep.config["width_requested"] = width_name;
     rep.config["width_resolved"] = sw::lane_width_name(resolved);
+    rep.config["kernel_isa"] = isa;
     rep.config["backend_requested"] = backend_name;
     rep.config["hits"] = std::to_string(report.hits.size());
     rep.config["scores_fnv"] = std::to_string(

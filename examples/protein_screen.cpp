@@ -124,8 +124,10 @@ int main(int argc, char** argv) {
   std::printf("scheme: %s (epsilon = %u bit planes, slices = %u)\n",
               sw::scheme_name(scheme).c_str(), scheme.alphabet_bits(),
               sw::scheme_required_slices(scheme, m, n));
-  std::printf("lane width: %s (requested %s)\n",
-              sw::lane_width_name(resolved), width_name.c_str());
+  const char* isa =
+      sw::isa_name(sw::kernel_isa(resolved, sw::host_cpu_features()));
+  std::printf("lane width: %s (requested %s, kernel %s)\n",
+              sw::lane_width_name(resolved), width_name.c_str(), isa);
 
   // Resolve the host engine (auto = measured cost model; the environment
   // override outranks the flag, same as the lane width).
@@ -259,6 +261,7 @@ int main(int argc, char** argv) {
     rep.config["plane_bits"] = std::to_string(scheme.alphabet_bits());
     rep.config["width_requested"] = width_name;
     rep.config["width_resolved"] = sw::lane_width_name(resolved);
+    rep.config["kernel_isa"] = isa;
     rep.config["backend_requested"] = backend_name;
     rep.config["backend_resolved"] = sw::backend_choice_name(engine);
     rep.config["pairs"] = std::to_string(count);

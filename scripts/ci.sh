@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: the tier-1 build + full test suite under the release preset
-# (plus a ScoreParams fence and a lane-dispatch fence over src/, a
+# (plus a ScoreParams fence and a lane-dispatch fence over src/, an ISA
+# containment fence over the AVX2/AVX-512 kernel objects and binaries, a
 # telemetry smoke: RunReport and span-trace artifacts validated by
 # scripts/check_run_report.py, the performance ledger's smoke test
 # (perfbench/tests/smoke_test.py), and a live observability drill: stats
@@ -78,6 +79,48 @@ lane_dispatch_fence() {
   echo "  only sw/lane.{hpp,cpp} switch on LaneWidth"
 }
 
+# ISA containment (DESIGN.md decision 25): only sw/kernel_avx2.cpp and
+# sw/kernel_avx512.cpp are compiled for AVX2 / AVX-512, and only for their
+# ISA-tagged lane words, bitsim::isa_word<Bits, Isa>, whose name every
+# function compiled for them carries. Any other function with a ymm/zmm
+# operand or a VEX/EVEX (v-prefixed) instruction would run on CPUs that
+# lack the ISA, so it fails tier 1. Checked in the two kernel objects —
+# where an untagged inline function could be compiled for the ISA, however
+# the linker later resolves it — and in a linked example and test binary.
+# The kernel objects must also really hold ymm/zmm code, so a dropped
+# compile flag cannot pass unnoticed.
+isa_containment_fence() {
+  echo "== tier 1: ISA containment fence (AVX code in tagged functions only) =="
+  local obj=build/src/sw/CMakeFiles/swbpbc_sw.dir
+  local file stray
+  for file in build/examples/database_filter build/tests/wide_lane_test \
+              "$obj/kernel_avx2.cpp.o" "$obj/kernel_avx512.cpp.o"; do
+    stray=$(objdump -d -C --no-show-raw-insn "$file" | awk '
+      /^[0-9a-f]+ <.*>:$/ { fn = $0; tagged = fn ~ /bitsim::isa_word</; next }
+      !tagged && (/%[yz]mm/ || /\tv[a-z]/) { bad[fn] = 1 }
+      END { for (f in bad) print f }')
+    if [[ -n $stray ]]; then
+      echo "$file: AVX code in functions without the ISA tag:" >&2
+      echo "$stray" >&2
+      exit 1
+    fi
+  done
+  if [[ $(uname -m) == x86_64 ]]; then
+    # grep -c reads all of objdump's output (-q would SIGPIPE it).
+    local isa reg
+    for isa in avx2:ymm avx512:zmm; do
+      reg=${isa#*:}
+      isa=${isa%:*}
+      if [[ $(objdump -d "$obj/kernel_$isa.cpp.o" | grep -c "%$reg") -eq 0 ]]
+      then
+        echo "kernel_$isa.cpp.o holds no $reg code" >&2
+        exit 1
+      fi
+    done
+  fi
+  echo "  AVX2/AVX-512 code only in ISA-tagged functions"
+}
+
 if [[ $run_tier1 -eq 1 ]]; then
   header_check
   score_params_fence
@@ -86,6 +129,7 @@ if [[ $run_tier1 -eq 1 ]]; then
   cmake --preset default
   cmake --build --preset default -j"$(nproc)"
   ctest --preset default
+  isa_containment_fence
 
   echo "== tier 1: telemetry smoke (run report + span trace) =="
   smoke_dir=$(mktemp -d)

@@ -23,10 +23,11 @@ template <std::unsigned_integral W>
 [[nodiscard]] constexpr unsigned popcount(W w) {
   return static_cast<unsigned>(std::popcount(w));
 }
-template <unsigned Bits, bool Simd>
-[[nodiscard]] inline unsigned popcount(const bitsim::wide_word<Bits, Simd>& w) {
+template <class W>
+  requires bitsim::is_wide_word_v<W>
+[[nodiscard]] inline unsigned popcount(const W& w) {
   unsigned n = 0;
-  for (unsigned t = 0; t < bitsim::wide_word<Bits, Simd>::kLimbs; ++t)
+  for (unsigned t = 0; t < W::kLimbs; ++t)
     n += static_cast<unsigned>(std::popcount(w.limb(t)));
   return n;
 }

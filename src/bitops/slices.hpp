@@ -25,9 +25,9 @@ struct word_traits<W> {
   static constexpr W ones() { return static_cast<W>(~W{0}); }
 };
 
-template <unsigned Bits, bool Simd>
-struct word_traits<bitsim::wide_word<Bits, Simd>> {
-  using W = bitsim::wide_word<Bits, Simd>;
+template <class W>
+  requires bitsim::is_wide_word_v<W>
+struct word_traits<W> {
   static constexpr W zero() { return W{}; }
   static constexpr W ones() { return ~W{}; }
 };

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace swbpbc::bitsim {
@@ -67,20 +68,134 @@ struct wide_repr<Bits, true> {
 
 }  // namespace detail
 
-/// An unsigned-integer-like word of Bits lanes (Bits in {128, 256, 512}).
-/// Simd selects the representation; both have identical bit semantics, so
-/// results are bit-identical between them (asserted by tests).
-template <unsigned Bits, bool Simd = true>
-class wide_word {
+/// Instruction set a lane word's code is compiled for. The per-ISA kernel
+/// translation units (sw/kernel_avx2.cpp, sw/kernel_avx512.cpp) build the
+/// kernel templates under -mavx2 / -mavx512f for isa_word<Bits, Isa>:
+/// the same bits as simd_word<Bits>, but a type of its own, so every
+/// symbol those TUs emit for it is theirs alone and the linker never
+/// merges an AVX copy of a template with the baseline one (DESIGN.md
+/// decision 25).
+enum class Isa : unsigned char { kBaseline, kAvx2, kAvx512 };
+
+namespace detail {
+
+/// The operations of wide_word and isa_word, written once. Word is the
+/// derived type (CRTP): every operator takes and returns Word itself, and
+/// Word holds the representation `v_` — this base stays empty, because
+/// GCC copies a base-class subobject through a stack temporary, which
+/// made every wide-word store a store-forwarding stall.
+template <class Word, unsigned Bits, bool Simd>
+class wide_word_ops {
   static_assert(Bits >= 128 && (Bits & (Bits - 1)) == 0,
                 "wide_word: Bits must be a power of two >= 128");
 
  public:
   static constexpr unsigned kBits = Bits;
   static constexpr unsigned kLimbs = Bits / 64;
-  static constexpr bool kVectorRepr = detail::wide_repr<Bits, Simd>::kVector;
-  using repr_type = typename detail::wide_repr<Bits, Simd>::type;
+  static constexpr bool kVectorRepr = wide_repr<Bits, Simd>::kVector;
+  using repr_type = typename wide_repr<Bits, Simd>::type;
 
+  /// Truncating view of limb 0 (the low 64 bits). Explicit: narrowing a
+  /// wide word silently would hide lane loss.
+  explicit constexpr operator std::uint64_t() const { return v(self())[0]; }
+
+  [[nodiscard]] std::uint64_t limb(unsigned t) const { return v(self())[t]; }
+  void set_limb(unsigned t, std::uint64_t x) { v(self())[t] = x; }
+
+  friend constexpr Word operator&(const Word& a, const Word& b) {
+    Word r{};
+    if constexpr (kVectorRepr) {
+      v(r) = v(a) & v(b);
+    } else {
+      for (unsigned i = 0; i < kLimbs; ++i) v(r)[i] = v(a)[i] & v(b)[i];
+    }
+    return r;
+  }
+  friend constexpr Word operator|(const Word& a, const Word& b) {
+    Word r{};
+    if constexpr (kVectorRepr) {
+      v(r) = v(a) | v(b);
+    } else {
+      for (unsigned i = 0; i < kLimbs; ++i) v(r)[i] = v(a)[i] | v(b)[i];
+    }
+    return r;
+  }
+  friend constexpr Word operator^(const Word& a, const Word& b) {
+    Word r{};
+    if constexpr (kVectorRepr) {
+      v(r) = v(a) ^ v(b);
+    } else {
+      for (unsigned i = 0; i < kLimbs; ++i) v(r)[i] = v(a)[i] ^ v(b)[i];
+    }
+    return r;
+  }
+  friend constexpr Word operator~(const Word& a) {
+    Word r{};
+    if constexpr (kVectorRepr) {
+      v(r) = ~v(a);
+    } else {
+      for (unsigned i = 0; i < kLimbs; ++i) v(r)[i] = ~v(a)[i];
+    }
+    return r;
+  }
+
+  /// Cross-limb funnel shifts. Shift counts >= kBits yield zero (unlike
+  /// builtin words, where that is UB — generic code never relies on it,
+  /// but defined beats undefined).
+  friend Word operator<<(const Word& w, std::size_t k) {
+    Word r{};
+    if (k >= kBits) return r;
+    const std::size_t ls = k / 64, bs = k % 64;
+    for (std::size_t i = ls; i < kLimbs; ++i) {
+      std::uint64_t x = v(w)[i - ls] << bs;
+      if (bs != 0 && i - ls > 0) x |= v(w)[i - ls - 1] >> (64 - bs);
+      v(r)[i] = x;
+    }
+    return r;
+  }
+  friend Word operator>>(const Word& w, std::size_t k) {
+    Word r{};
+    if (k >= kBits) return r;
+    const std::size_t ls = k / 64, bs = k % 64;
+    for (std::size_t i = 0; i + ls < kLimbs; ++i) {
+      std::uint64_t x = v(w)[i + ls] >> bs;
+      if (bs != 0 && i + ls + 1 < kLimbs) x |= v(w)[i + ls + 1] << (64 - bs);
+      v(r)[i] = x;
+    }
+    return r;
+  }
+
+  constexpr Word& operator&=(const Word& o) { return self() = self() & o; }
+  constexpr Word& operator|=(const Word& o) { return self() = self() | o; }
+  constexpr Word& operator^=(const Word& o) { return self() = self() ^ o; }
+  Word& operator<<=(std::size_t k) { return self() = self() << k; }
+  Word& operator>>=(std::size_t k) { return self() = self() >> k; }
+
+  friend constexpr bool operator==(const Word& a, const Word& b) {
+    for (unsigned i = 0; i < kLimbs; ++i) {
+      if (v(a)[i] != v(b)[i]) return false;
+    }
+    return true;
+  }
+
+ private:
+  constexpr Word& self() { return static_cast<Word&>(*this); }
+  constexpr const Word& self() const {
+    return static_cast<const Word&>(*this);
+  }
+  static constexpr repr_type& v(Word& w) { return w.v_; }
+  static constexpr const repr_type& v(const Word& w) { return w.v_; }
+};
+
+}  // namespace detail
+
+/// An unsigned-integer-like word of Bits lanes (Bits in {128, 256, 512}).
+/// Simd selects the representation; both have identical bit semantics, so
+/// results are bit-identical between them (asserted by tests).
+template <unsigned Bits, bool Simd = true>
+class wide_word
+    : public detail::wide_word_ops<wide_word<Bits, Simd>, Bits, Simd> {
+ public:
   // Not user-provided, so value-init (`W{}`, `W w{};`) zero-initializes —
   // which is what lets `constexpr W kZero = word_traits<W>::zero()` work.
   wide_word() = default;
@@ -90,100 +205,23 @@ class wide_word {
   /// `scratch.fill(0)` — all of which must keep compiling at wide widths.
   constexpr wide_word(std::uint64_t x) : v_{x} {}  // NOLINT(runtime/explicit)
 
-  /// Truncating view of limb 0 (the low 64 bits). Explicit: narrowing a
-  /// wide word silently would hide lane loss.
-  explicit constexpr operator std::uint64_t() const { return v_[0]; }
+ private:
+  friend detail::wide_word_ops<wide_word, Bits, Simd>;
+  typename detail::wide_repr<Bits, Simd>::type v_;
+};
 
-  [[nodiscard]] std::uint64_t limb(unsigned t) const { return v_[t]; }
-  void set_limb(unsigned t, std::uint64_t x) { v_[t] = x; }
-
-  friend constexpr wide_word operator&(const wide_word& a,
-                                       const wide_word& b) {
-    wide_word r{};
-    if constexpr (kVectorRepr) {
-      r.v_ = a.v_ & b.v_;
-    } else {
-      for (unsigned i = 0; i < kLimbs; ++i) r.v_[i] = a.v_[i] & b.v_[i];
-    }
-    return r;
-  }
-  friend constexpr wide_word operator|(const wide_word& a,
-                                       const wide_word& b) {
-    wide_word r{};
-    if constexpr (kVectorRepr) {
-      r.v_ = a.v_ | b.v_;
-    } else {
-      for (unsigned i = 0; i < kLimbs; ++i) r.v_[i] = a.v_[i] | b.v_[i];
-    }
-    return r;
-  }
-  friend constexpr wide_word operator^(const wide_word& a,
-                                       const wide_word& b) {
-    wide_word r{};
-    if constexpr (kVectorRepr) {
-      r.v_ = a.v_ ^ b.v_;
-    } else {
-      for (unsigned i = 0; i < kLimbs; ++i) r.v_[i] = a.v_[i] ^ b.v_[i];
-    }
-    return r;
-  }
-  friend constexpr wide_word operator~(const wide_word& a) {
-    wide_word r{};
-    if constexpr (kVectorRepr) {
-      r.v_ = ~a.v_;
-    } else {
-      for (unsigned i = 0; i < kLimbs; ++i) r.v_[i] = ~a.v_[i];
-    }
-    return r;
-  }
-
-  /// Cross-limb funnel shifts. Shift counts >= kBits yield zero (unlike
-  /// builtin words, where that is UB — generic code never relies on it,
-  /// but defined beats undefined).
-  friend wide_word operator<<(const wide_word& w, std::size_t k) {
-    wide_word r{};
-    if (k >= kBits) return r;
-    const std::size_t ls = k / 64, bs = k % 64;
-    for (std::size_t i = ls; i < kLimbs; ++i) {
-      std::uint64_t x = w.v_[i - ls] << bs;
-      if (bs != 0 && i - ls > 0) x |= w.v_[i - ls - 1] >> (64 - bs);
-      r.v_[i] = x;
-    }
-    return r;
-  }
-  friend wide_word operator>>(const wide_word& w, std::size_t k) {
-    wide_word r{};
-    if (k >= kBits) return r;
-    const std::size_t ls = k / 64, bs = k % 64;
-    for (std::size_t i = 0; i + ls < kLimbs; ++i) {
-      std::uint64_t x = w.v_[i + ls] >> bs;
-      if (bs != 0 && i + ls + 1 < kLimbs) x |= w.v_[i + ls + 1] << (64 - bs);
-      r.v_[i] = x;
-    }
-    return r;
-  }
-
-  constexpr wide_word& operator&=(const wide_word& o) {
-    return *this = *this & o;
-  }
-  constexpr wide_word& operator|=(const wide_word& o) {
-    return *this = *this | o;
-  }
-  constexpr wide_word& operator^=(const wide_word& o) {
-    return *this = *this ^ o;
-  }
-  wide_word& operator<<=(std::size_t k) { return *this = *this << k; }
-  wide_word& operator>>=(std::size_t k) { return *this = *this >> k; }
-
-  friend constexpr bool operator==(const wide_word& a, const wide_word& b) {
-    for (unsigned i = 0; i < kLimbs; ++i) {
-      if (a.v_[i] != b.v_[i]) return false;
-    }
-    return true;
-  }
+/// The SIMD wide word of a per-ISA kernel build: bit-identical to
+/// simd_word<Bits>, distinct in type (and so in every symbol) per Target.
+template <unsigned Bits, Isa Target>
+class isa_word
+    : public detail::wide_word_ops<isa_word<Bits, Target>, Bits, true> {
+ public:
+  isa_word() = default;
+  constexpr isa_word(std::uint64_t x) : v_{x} {}  // NOLINT(runtime/explicit)
 
  private:
-  repr_type v_;
+  friend detail::wide_word_ops<isa_word, Bits, true>;
+  typename detail::wide_repr<Bits, true>::type v_;
 };
 
 /// The SIMD-backed wide word (scalar representation when the compiler has
@@ -196,24 +234,27 @@ template <class W>
 inline constexpr bool is_wide_word_v = false;
 template <unsigned Bits, bool Simd>
 inline constexpr bool is_wide_word_v<wide_word<Bits, Simd>> = true;
+template <unsigned Bits, Isa Target>
+inline constexpr bool is_wide_word_v<isa_word<Bits, Target>> = true;
 
 /// Limb count: wide words decompose into uint64 lane groups; builtin lane
 /// words count as a single (possibly partial) limb.
 template <class W>
 inline constexpr unsigned lane_limbs_v = 1;
-template <unsigned Bits, bool Simd>
-inline constexpr unsigned lane_limbs_v<wide_word<Bits, Simd>> =
-    wide_word<Bits, Simd>::kLimbs;
+template <class W>
+  requires is_wide_word_v<W>
+inline constexpr unsigned lane_limbs_v<W> = W::kLimbs;
 
 /// Uniform limb access over builtin and wide lane words (limb t = bits
 /// [64t, 64t+64) — for a builtin word only limb 0 exists).
-template <unsigned Bits, bool Simd>
-[[nodiscard]] inline std::uint64_t get_limb(const wide_word<Bits, Simd>& w,
-                                            unsigned t) {
+template <class W>
+  requires is_wide_word_v<W>
+[[nodiscard]] inline std::uint64_t get_limb(const W& w, unsigned t) {
   return w.limb(t);
 }
-template <unsigned Bits, bool Simd>
-inline void set_limb(wide_word<Bits, Simd>& w, unsigned t, std::uint64_t x) {
+template <class W>
+  requires is_wide_word_v<W>
+inline void set_limb(W& w, unsigned t, std::uint64_t x) {
   w.set_limb(t, x);
 }
 [[nodiscard]] constexpr std::uint64_t get_limb(std::uint64_t w, unsigned) {

@@ -17,6 +17,7 @@
 // so a PlanarGenericView aliases a 64-bit shard mapping zero-copy.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
@@ -24,7 +25,9 @@
 
 #include "bitsim/plan.hpp"
 #include "bitsim/swapcopy.hpp"
+#include "bitsim/wide_transpose.hpp"
 #include "encoding/alphabet.hpp"
+#include "encoding/dna.hpp"
 
 namespace swbpbc::encoding {
 
@@ -83,13 +86,104 @@ struct PlanarGenericBatch {
   std::vector<PlanarGeneric<W>> groups;
 };
 
+namespace detail {
+
+/// Throws std::invalid_argument unless `bits` is in [1, 8] and every
+/// sequence has `length` codes that fit in it (generic_batch.cpp).
+void check_batch(std::span<const GenericSequence> seqs, unsigned bits,
+                 std::size_t length);
+
+// Character code of one sequence element: a Base is its 2-bit code.
+inline std::uint8_t code_of(std::uint8_t c) { return c; }
+inline std::uint8_t code_of(Base b) { return code(b); }
+
+// Transposes one group's characters position by position: gathers one
+// epsilon-bit code per lane into a W-word scratch block, runs the Table I
+// payload transpose `pt` (64-bit limb decomposition for the wide words),
+// and stores the epsilon plane words of position i into the group's rows.
+template <bitsim::LaneWord W, class Seq>
+void transpose_group(std::span<const Seq> seqs, std::size_t first,
+                     unsigned bits, TransposeMethod method,
+                     const bitsim::PayloadTranspose<W>& pt,
+                     PlanarGeneric<W>& group) {
+  const std::size_t length = group.length;
+  const auto emit = [&](std::size_t i, std::span<const W> planes) {
+    for (unsigned p = 0; p < bits; ++p)
+      group.rows[p * length + i] = planes[p];
+  };
+  constexpr unsigned kLanes = bitsim::word_bits_v<W>;
+  const std::size_t lanes_used =
+      std::min<std::size_t>(kLanes, seqs.size() - first);
+  std::array<W, kLanes> scratch;
+
+  if (method == TransposeMethod::kNaive) {
+    for (std::size_t i = 0; i < length; ++i) {
+      scratch.fill(0);
+      for (std::size_t lane = 0; lane < lanes_used; ++lane) {
+        const std::uint8_t c = code_of(seqs[first + lane][i]);
+        for (unsigned p = 0; p < bits; ++p) {
+          if ((c >> p) & 1u) {
+            W& w = scratch[p];
+            bitsim::set_limb(
+                w, static_cast<unsigned>(lane / 64),
+                bitsim::get_limb(w, static_cast<unsigned>(lane / 64)) |
+                    (std::uint64_t{1} << (lane % 64)));
+          }
+        }
+      }
+      emit(i, std::span<const W>(scratch.data(), bits));
+    }
+    return;
+  }
+
+  for (std::size_t i = 0; i < length; ++i) {
+    scratch.fill(0);
+    for (std::size_t lane = 0; lane < lanes_used; ++lane) {
+      scratch[lane] = static_cast<W>(code_of(seqs[first + lane][i]));
+    }
+    pt.apply(std::span<W>(scratch));
+    emit(i, std::span<const W>(scratch.data(), bits));
+  }
+}
+
+// The batch W2B behind the generic and DNA front ends; `seqs` must share
+// one length and every code must fit in `bits`.
+template <bitsim::LaneWord W, class Seq>
+PlanarGenericBatch<W> transpose_batch(std::span<const Seq> seqs,
+                                      unsigned bits, TransposeMethod method) {
+  constexpr unsigned kLanes = bitsim::word_bits_v<W>;
+  PlanarGenericBatch<W> batch;
+  batch.count = seqs.size();
+  batch.length = seqs.empty() ? 0 : seqs.front().size();
+  batch.planes = bits;
+  const auto pt = method == TransposeMethod::kPlanned
+                      ? bitsim::PayloadTranspose<W>::forward(bits)
+                      : bitsim::PayloadTranspose<W>();
+
+  const std::size_t n_groups = (seqs.size() + kLanes - 1) / kLanes;
+  batch.groups.resize(n_groups);
+  for (std::size_t g = 0; g < n_groups; ++g) {
+    auto& group = batch.groups[g];
+    group.length = batch.length;
+    group.planes = bits;
+    group.rows.assign(batch.length * bits, 0);
+    transpose_group<W>(seqs, g * kLanes, bits, method, pt, group);
+  }
+  return batch;
+}
+
+}  // namespace detail
+
 /// W2B for generic sequences into the plane-major layout; `bits` is
 /// epsilon (every character code must fit in it). Throws
 /// std::invalid_argument on unequal lengths or out-of-range codes.
 template <bitsim::LaneWord W>
 PlanarGenericBatch<W> transpose_generic_planar(
     std::span<const GenericSequence> seqs, unsigned bits,
-    TransposeMethod method = TransposeMethod::kPlanned);
+    TransposeMethod method = TransposeMethod::kPlanned) {
+  detail::check_batch(seqs, bits, seqs.empty() ? 0 : seqs.front().size());
+  return detail::transpose_batch<W>(seqs, bits, method);
+}
 
 /// Test/debug helper: reads character i of lane `lane` back out.
 template <bitsim::LaneWord W>

@@ -38,6 +38,11 @@ struct BackendCaps {
   // scores are bit-identical across widths, so callers may log it but must
   // not branch on it for correctness.
   LaneWidth lane_width = LaneWidth::k64;
+  // Instruction set the kernel runs lane_width with: kAvx2 / kAvx512 when
+  // a host BPBC backend dispatches 256 / 512 lanes to the per-ISA kernel
+  // build (sw/kernel.hpp) on a CPU that has it, kBaseline otherwise.
+  // Informational like lane_width; scores never depend on it.
+  bitsim::Isa kernel_isa = bitsim::Isa::kBaseline;
 };
 
 /// One unit of backend work: score pairs (xs[k], ys[k]) for every k.

@@ -4,7 +4,8 @@
 // declared in backend.hpp). DNA is the epsilon = 2 alphabet, so all three
 // run one routine: a shape check, then W2B of both sides into plane-major
 // groups, SchemeBpbcAligner::score_groups (SWA + B2W) at the resolved lane
-// width.
+// width — kernel::run_batch (kernel.hpp), which runs the AVX2/AVX-512
+// build at 256/512 lanes when the CPU has it.
 #include "sw/bpbc.hpp"
 
 #include <string>
@@ -12,10 +13,9 @@
 #include <utility>
 #include <vector>
 
-#include "encoding/generic_batch.hpp"
 #include "sw/backend.hpp"
+#include "sw/kernel.hpp"
 #include "sw/scheme_aligner.hpp"
-#include "util/timer.hpp"
 
 namespace swbpbc::sw {
 
@@ -49,38 +49,6 @@ util::Status validate_batch(std::span<const Seq> xs,
   return {};
 }
 
-// W2B of one side: a DNA batch is the 2-plane instance.
-template <bitsim::LaneWord W, class Seq>
-encoding::PlanarGenericBatch<W> transpose(std::span<const Seq> seqs,
-                                          const ScoringScheme& scheme,
-                                          encoding::TransposeMethod method) {
-  if constexpr (std::is_same_v<Seq, encoding::Sequence>)
-    return encoding::transpose_strings<W>(seqs, method);
-  else
-    return encoding::transpose_generic_planar<W>(
-        seqs, scheme.alphabet_bits(), method);
-}
-
-template <bitsim::LaneWord W, class Seq>
-std::vector<std::uint32_t> run(std::span<const Seq> xs,
-                               std::span<const Seq> ys,
-                               const ScoringScheme& scheme, bulk::Mode mode,
-                               encoding::TransposeMethod method,
-                               PhaseTimings* timings) {
-  util::WallTimer timer;
-  const auto bx = transpose<W>(xs, scheme, method);
-  const auto by = transpose<W>(ys, scheme, method);
-  std::vector<encoding::PlanarGenericView<W>> xv, yv;
-  for (std::size_t g = 0; g < bx.groups.size(); ++g) {
-    xv.push_back(bx.groups[g].view());
-    yv.push_back(by.groups[g].view());
-  }
-  if (timings) timings->w2b_ms = timer.elapsed_ms();
-
-  const SchemeBpbcAligner<W> aligner(scheme, bx.length, by.length);
-  return aligner.score_groups(xv, yv, xs.size(), mode, timings);
-}
-
 // Scores a validated batch at `width` (resolved here).
 template <class Seq>
 std::vector<std::uint32_t> score_batch(std::span<const Seq> xs,
@@ -89,9 +57,9 @@ std::vector<std::uint32_t> score_batch(std::span<const Seq> xs,
                                        LaneWidth width, bulk::Mode mode,
                                        encoding::TransposeMethod method,
                                        PhaseTimings* timings) {
-  return with_lane_word(
+  return with_lane_word<LaneWords::kNative>(
       resolve_lane_width(width), [&]<class W>(std::type_identity<W>) {
-        return run<W>(xs, ys, scheme, mode, method, timings);
+        return kernel::run_batch<W>(xs, ys, scheme, mode, method, timings);
       });
 }
 
@@ -106,6 +74,7 @@ class HostBackend final : public Backend {
   [[nodiscard]] BackendCaps caps() const override {
     BackendCaps caps;
     caps.lane_width = width_;
+    caps.kernel_isa = kernel_isa(width_, host_cpu_features());
     return caps;
   }
 

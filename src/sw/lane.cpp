@@ -67,46 +67,57 @@ std::optional<LaneWidth> forced_lane_width() {
   return cached;
 }
 
-// kAuto policy: the widest width BOTH the CPU (cpuid at runtime) and the
-// compiled codegen (ISA macros at compile time) can execute natively.
-// The two gates matter independently: without -march flags GCC lowers a
-// 256/512-bit GNU vector to split SSE2 sequences — still ahead of uint64
-// on SWA throughput (1.3-1.6x per instance, EXPERIMENTS.md ablation), but
-// the native-register 128-bit word wins outright (~2.2-2.4x on the
-// AVX-512 CI host) because every bitwise op is one instruction and the
-// W2B limb decomposition stays cheap. So k256/k512 are only auto-picked
-// when __AVX2__/__AVX512F__ say the codegen actually targets those
-// registers; explicit widths and SWBPBC_FORCE_LANE_WIDTH still dispatch
-// any width on any host.
-LaneWidth auto_lane_width() {
-  static const LaneWidth cached = []() -> LaneWidth {
-    if constexpr (!bitsim::kWideSimdCompiled) return LaneWidth::k64;
+}  // namespace
+
+const CpuFeatures& host_cpu_features() {
+  static const CpuFeatures cached = [] {
+    CpuFeatures cpu;
 #if defined(__x86_64__) || defined(__i386__)
-#if defined(__AVX512F__)
-    if (__builtin_cpu_supports("avx512f")) return LaneWidth::k512;
-#endif
-#if defined(__AVX2__)
-    if (__builtin_cpu_supports("avx2")) return LaneWidth::k256;
-#endif
-    if (__builtin_cpu_supports("sse2")) return LaneWidth::k128;
-    return LaneWidth::k64;
+    cpu.sse2 = __builtin_cpu_supports("sse2") != 0;
+    cpu.avx2 = __builtin_cpu_supports("avx2") != 0;
+    cpu.avx512f = __builtin_cpu_supports("avx512f") != 0;
 #else
-    // Non-x86 with GNU vectors: 128-bit vectors are the safe, broadly
-    // profitable choice (NEON/AltiVec class registers).
-    return LaneWidth::k128;
+    cpu.sse2 = true;
 #endif
+    return cpu;
   }();
   return cached;
 }
 
-}  // namespace
+// Every wide width runs native registers where the CPU has them: k256
+// and k512 dispatch to the kernel TUs compiled for AVX2 and AVX-512, so
+// the widest ISA the CPU reports wins (EXPERIMENTS.md lane-width
+// ablation). A 128-bit GNU vector is one SSE2 register on any x86-64.
+LaneWidth auto_lane_width(const CpuFeatures& cpu) {
+  if constexpr (!bitsim::kWideSimdCompiled) return LaneWidth::k64;
+  if (cpu.avx512f) return LaneWidth::k512;
+  if (cpu.avx2) return LaneWidth::k256;
+  if (cpu.sse2) return LaneWidth::k128;
+  return LaneWidth::k64;
+}
+
+bitsim::Isa kernel_isa(LaneWidth width, const CpuFeatures& cpu) {
+  if (width == LaneWidth::k512 && cpu.avx512f) return bitsim::Isa::kAvx512;
+  if (width == LaneWidth::k256 && cpu.avx2) return bitsim::Isa::kAvx2;
+  return bitsim::Isa::kBaseline;
+}
+
+const char* isa_name(bitsim::Isa isa) {
+  switch (isa) {
+    case bitsim::Isa::kBaseline: return "baseline";
+    case bitsim::Isa::kAvx2: return "avx2";
+    case bitsim::Isa::kAvx512: return "avx512";
+  }
+  return "?";
+}
 
 LaneWidth resolve_lane_width(LaneWidth requested) {
   if (const std::optional<LaneWidth> forced = forced_lane_width()) {
-    return *forced == LaneWidth::kAuto ? auto_lane_width() : *forced;
+    return *forced == LaneWidth::kAuto ? auto_lane_width(host_cpu_features())
+                                       : *forced;
   }
   if (requested != LaneWidth::kAuto) return requested;
-  return auto_lane_width();
+  return auto_lane_width(host_cpu_features());
 }
 
 }  // namespace swbpbc::sw

@@ -99,17 +99,10 @@ class StopCondition {
   [[nodiscard]] bool triggered() const { return poll() != ErrorCode::kOk; }
 
   /// Non-ok status naming the trigger; `where` names the interrupted work.
-  [[nodiscard]] Status status(const std::string& where) const {
-    switch (poll()) {
-      case ErrorCode::kCancelled:
-        return Status::cancelled("cancellation requested during " + where);
-      case ErrorCode::kDeadlineExceeded:
-        return Status::deadline_exceeded("deadline expired during " + where);
-      default:
-        return Status::internal("StopCondition::status without a trigger (" +
-                                where + ")");
-    }
-  }
+  /// Out of line (cancel.cpp), like StatusError's constructor: the
+  /// per-ISA kernel TUs reach both through bulk::for_each_instance and
+  /// must not emit their own copies (DESIGN.md decision 25).
+  [[nodiscard]] Status status(const std::string& where) const;
 
  private:
   const CancellationToken* token_ = nullptr;

@@ -2,6 +2,11 @@
 
 namespace swbpbc::util {
 
+StatusError::StatusError(Status status)
+    : std::invalid_argument(status.to_string()), status_(std::move(status)) {}
+
+StatusError::~StatusError() = default;
+
 const char* error_code_name(ErrorCode code) {
   switch (code) {
     case ErrorCode::kOk:

@@ -113,9 +113,11 @@ class [[nodiscard]] Status {
 /// threw that type directly) need no changes.
 class StatusError : public std::invalid_argument {
  public:
-  explicit StatusError(Status status)
-      : std::invalid_argument(status.to_string()),
-        status_(std::move(status)) {}
+  // Out of line (status.cpp) so that translation units built for another
+  // ISA (sw/kernel_avx2.cpp, sw/kernel_avx512.cpp) throw through the
+  // baseline copy instead of emitting one of their own.
+  explicit StatusError(Status status);
+  ~StatusError() override;
 
   [[nodiscard]] const Status& status() const { return status_; }
 

@@ -1,7 +1,12 @@
 // SWBPBC_FORCE_LANE_WIDTH override parsing: every accepted spelling, the
 // no-override cases, and the ISSUE's negative case — an unknown value is
-// a typed kInvalidInput naming the variable, never a silent default.
+// a typed kInvalidInput naming the variable, never a silent default. Also
+// the kAuto policy and the per-ISA kernel choice as pure functions of the
+// CPU features, so every row runs whatever CPU the tests run on.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <type_traits>
 
 #include "sw/lane.hpp"
 #include "util/status.hpp"
@@ -51,6 +56,66 @@ TEST(ForcedLaneWidth, UnknownValueIsTypedInvalidInput) {
 
 TEST(ForcedLaneWidth, ThrowingAccessorSurfacesTypedError) {
   EXPECT_THROW(parse_forced_lane_width("banana").value(), util::StatusError);
+}
+
+TEST(AutoLaneWidth, WidestNativeRegistersWin) {
+  const struct {
+    CpuFeatures cpu;
+    LaneWidth want;
+  } rows[] = {
+      {{.avx512f = true}, LaneWidth::k512},
+      {{.avx2 = true}, LaneWidth::k256},
+      {{.sse2 = true}, LaneWidth::k128},
+      {{}, LaneWidth::k64},
+      {{.sse2 = true, .avx2 = true, .avx512f = true}, LaneWidth::k512},
+      {{.sse2 = true, .avx2 = true}, LaneWidth::k256},
+  };
+  for (const auto& r : rows) {
+    EXPECT_EQ(auto_lane_width(r.cpu), r.want)
+        << "sse2=" << r.cpu.sse2 << " avx2=" << r.cpu.avx2
+        << " avx512f=" << r.cpu.avx512f;
+  }
+}
+
+TEST(AutoLaneWidth, KernelIsaNeedsWidthAndCpu) {
+  const CpuFeatures all{.sse2 = true, .avx2 = true, .avx512f = true};
+  const CpuFeatures avx2{.sse2 = true, .avx2 = true};
+  const CpuFeatures sse2{.sse2 = true};
+  EXPECT_EQ(kernel_isa(LaneWidth::k512, all), bitsim::Isa::kAvx512);
+  EXPECT_EQ(kernel_isa(LaneWidth::k256, all), bitsim::Isa::kAvx2);
+  EXPECT_EQ(kernel_isa(LaneWidth::k256, avx2), bitsim::Isa::kAvx2);
+  // A forced wide width on a CPU without its ISA runs the baseline build.
+  EXPECT_EQ(kernel_isa(LaneWidth::k512, avx2), bitsim::Isa::kBaseline);
+  EXPECT_EQ(kernel_isa(LaneWidth::k256, sse2), bitsim::Isa::kBaseline);
+  EXPECT_EQ(kernel_isa(LaneWidth::k512, {}), bitsim::Isa::kBaseline);
+  // Every other width has one build.
+  for (LaneWidth w : {LaneWidth::k32, LaneWidth::k64, LaneWidth::k128,
+                      LaneWidth::kScalarWide}) {
+    EXPECT_EQ(kernel_isa(w, all), bitsim::Isa::kBaseline)
+        << lane_width_name(w);
+  }
+  EXPECT_STREQ(isa_name(bitsim::Isa::kBaseline), "baseline");
+  EXPECT_STREQ(isa_name(bitsim::Isa::kAvx2), "avx2");
+  EXPECT_STREQ(isa_name(bitsim::Isa::kAvx512), "avx512");
+}
+
+TEST(AutoLaneWidth, NativeDispatchFollowsKernelIsa) {
+  // with_lane_word hands out the tagged word exactly when kernel_isa
+  // names its ISA on this host, and never without kNative.
+  const CpuFeatures& host = host_cpu_features();
+  const auto native_is = [](LaneWidth w, auto tagged) {
+    return with_lane_word<LaneWords::kNative>(
+        w, [&]<class W>(std::type_identity<W>) {
+          return std::is_same_v<W, typename decltype(tagged)::type>;
+        });
+  };
+  EXPECT_EQ(native_is(LaneWidth::k256, std::type_identity<Avx2Word>{}),
+            kernel_isa(LaneWidth::k256, host) == bitsim::Isa::kAvx2);
+  EXPECT_EQ(native_is(LaneWidth::k512, std::type_identity<Avx512Word>{}),
+            kernel_isa(LaneWidth::k512, host) == bitsim::Isa::kAvx512);
+  EXPECT_TRUE(with_lane_word(LaneWidth::k512, []<class W>(std::type_identity<W>) {
+    return std::is_same_v<W, bitsim::simd_word<512>>;
+  }));
 }
 
 }  // namespace

@@ -3,23 +3,32 @@
 // a 256-lane run must reproduce four independent 64-lane runs bit for bit
 // — scores, threshold masks, survivor counts, and the transposed input
 // itself — and every dispatched width must agree with the scalar
-// reference and with each other.
+// reference and with each other. The AVX2 and AVX-512 kernel builds must
+// score bit-identically to the portable word of their width.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bitops/arith.hpp"
 #include "bitops/counting.hpp"
 #include "bitsim/wide_word.hpp"
+#include "db/builder.hpp"
+#include "db/reader.hpp"
 #include "device/engine.hpp"
 #include "device/fault.hpp"
 #include "device/sw_kernels.hpp"
 #include "encoding/batch.hpp"
 #include "encoding/random.hpp"
 #include "sw/bpbc.hpp"
+#include "sw/db_backend.hpp"
+#include "sw/kernel.hpp"
 #include "sw/lane.hpp"
 #include "sw/scalar.hpp"
 #include "sw/scheme_aligner.hpp"
@@ -228,6 +237,274 @@ TEST(WideLane, OverlappedWide256BitIdenticalToSerialUnderFaults) {
   };
 
   EXPECT_EQ(run_chunks(true), run_chunks(false));
+}
+
+// --- per-ISA kernel builds ----------------------------------------------
+// sw/kernel_avx2.cpp and sw/kernel_avx512.cpp compile the kernel.hpp
+// templates for Avx2Word / Avx512Word under -mavx2 / -mavx512f. Each
+// entry point must score bit-identically to the portable array-of-uint64
+// word of its width (and to scalar Gotoh); the checks skip where cpuid
+// says the build can never be dispatched.
+
+using encoding::GenericSequence;
+using encoding::Sequence;
+
+bool host_runs(bitsim::Isa isa) {
+  const LaneWidth w =
+      isa == bitsim::Isa::kAvx512 ? LaneWidth::k512 : LaneWidth::k256;
+  return kernel_isa(w, host_cpu_features()) == isa;
+}
+
+std::string skip_reason(bitsim::Isa isa) {
+  return std::string("this CPU lacks ") + isa_name(isa) +
+         ", so its kernel build is never dispatched here";
+}
+
+ScoringScheme isa_scheme(bool matrix, bool affine) {
+  ScoringScheme s;
+  if (matrix) {
+    s.matrix = blosum62();
+    s.gap_open = affine ? 11 : 4;
+  } else {
+    s.match = 3;  // odd, so some 2^s - 1 is a multiple of it
+    s.gap_open = affine ? 3 : 1;
+  }
+  s.gap_model = affine ? GapModel::kAffine : GapModel::kLinear;
+  s.gap_extend = 1;
+  return s;
+}
+
+std::vector<GenericSequence> random_codes(util::Xoshiro256& rng,
+                                          std::size_t count, std::size_t len,
+                                          std::size_t sigma) {
+  std::vector<GenericSequence> out(count, GenericSequence(len));
+  for (auto& seq : out)
+    for (auto& c : seq) c = static_cast<std::uint8_t>(rng.below(sigma));
+  return out;
+}
+
+// Tagged build, portable word and scalar Gotoh on one batch; uniform
+// schemes also run the DNA front end's Sequence instantiation.
+template <class Tagged, class Portable>
+void expect_isa_batch(const std::vector<GenericSequence>& xs,
+                      const std::vector<GenericSequence>& ys,
+                      const ScoringScheme& scheme, const std::string& where) {
+  using encoding::TransposeMethod;
+  const auto tagged = kernel::run_batch<Tagged, GenericSequence>(
+      xs, ys, scheme, bulk::Mode::kSerial, TransposeMethod::kPlanned,
+      nullptr);
+  const auto portable = kernel::run_batch<Portable, GenericSequence>(
+      xs, ys, scheme, bulk::Mode::kSerial, TransposeMethod::kPlanned,
+      nullptr);
+  ASSERT_EQ(tagged, portable) << where;
+  for (std::size_t k = 0; k < xs.size(); ++k)
+    ASSERT_EQ(tagged[k], scheme_max_score(xs[k], ys[k], scheme))
+        << where << " pair " << k;
+  if (scheme.matrix != nullptr) return;
+  const auto as_dna = [](const std::vector<GenericSequence>& codes) {
+    std::vector<Sequence> out(codes.size());
+    for (std::size_t k = 0; k < codes.size(); ++k)
+      for (std::uint8_t c : codes[k])
+        out[k].push_back(encoding::base_from_code(c));
+    return out;
+  };
+  const std::vector<Sequence> dx = as_dna(xs), dy = as_dna(ys);
+  EXPECT_EQ((kernel::run_batch<Tagged, Sequence>(
+                dx, dy, scheme, bulk::Mode::kSerial, TransposeMethod::kPlanned,
+                nullptr)),
+            tagged)
+      << where << " (DNA front end)";
+}
+
+// All four (matrix x affine) cells at pair counts {1, W-1, W, W+1}, at
+// m or n = 1, and with one pair scoring exactly 2^s - 1: identical
+// sequences of the symbol with the largest self-score p (odd in both
+// schemes), of a length L with p * L = 2^s - 1, so every slice of the
+// score is set.
+template <class Tagged, class Portable>
+void expect_isa_build_matches_portable(std::uint64_t seed) {
+  constexpr std::size_t kLanes = bitsim::word_bits_v<Tagged>;
+  util::Xoshiro256 rng(seed);
+  for (bool matrix : {false, true}) {
+    for (bool affine : {false, true}) {
+      const ScoringScheme scheme = isa_scheme(matrix, affine);
+      const std::size_t sigma = scheme.alphabet().size();
+      const std::string name = scheme_name(scheme);
+      for (std::size_t count : {std::size_t{1}, kLanes - 1, kLanes,
+                                kLanes + 1}) {
+        const auto xs = random_codes(rng, count, 6, sigma);
+        auto ys = random_codes(rng, count, 9, sigma);
+        std::copy_n(xs[0].begin(), 6, ys[0].begin());  // a high scorer
+        expect_isa_batch<Tagged, Portable>(
+            xs, ys, scheme, name + " count=" + std::to_string(count));
+      }
+      for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{1, 9},
+                                 std::pair<std::size_t, std::size_t>{9, 1}}) {
+        expect_isa_batch<Tagged, Portable>(
+            random_codes(rng, kLanes + 1, m, sigma),
+            random_codes(rng, kLanes + 1, n, sigma), scheme,
+            name + " m=" + std::to_string(m) + " n=" + std::to_string(n));
+      }
+
+      std::uint8_t best = 0;
+      for (std::size_t a = 0; a < sigma; ++a) {
+        const auto c = static_cast<std::uint8_t>(a);
+        if (scheme.substitution(c, c) > scheme.substitution(best, best))
+          best = c;
+      }
+      const std::uint32_t p = scheme.max_positive();
+      ASSERT_EQ(scheme.substitution(best, best), static_cast<int>(p));
+      std::uint32_t full = 1;  // 2^k - 1 = p * L for some L >= 8
+      while (full % p != 0 || full / p < 8) full = 2 * full + 1;
+      const std::size_t len = full / p;
+      const unsigned s = scheme_required_slices(scheme, len, len);
+      ASSERT_EQ(full, (std::uint32_t{1} << s) - 1) << name;
+      auto xs = random_codes(rng, 3, len, sigma);
+      auto ys = random_codes(rng, 3, len, sigma);
+      xs[0].assign(len, best);
+      ys[0].assign(len, best);
+      ASSERT_EQ(scheme_max_score(xs[0], ys[0], scheme), full) << name;
+      expect_isa_batch<Tagged, Portable>(xs, ys, scheme,
+                                         name + " 2^s-1 pair");
+    }
+  }
+}
+
+TEST(IsaKernel, Avx2BuildMatchesPortableWord) {
+  if (!host_runs(bitsim::Isa::kAvx2))
+    GTEST_SKIP() << skip_reason(bitsim::Isa::kAvx2);
+  expect_isa_build_matches_portable<Avx2Word, bitsim::wide_word<256, false>>(
+      201);
+}
+
+TEST(IsaKernel, Avx512BuildMatchesPortableWord) {
+  if (!host_runs(bitsim::Isa::kAvx512))
+    GTEST_SKIP() << skip_reason(bitsim::Isa::kAvx512);
+  expect_isa_build_matches_portable<Avx512Word,
+                                    bitsim::wide_word<512, false>>(202);
+}
+
+// The DNA store backend: run_db at the tagged and the portable word, each
+// on its own reader of a store whose shard 1 rotted on disk, so both
+// quarantine it and re-ingest it from the job's sequences.
+template <class Tagged, class Portable>
+void expect_isa_db_backend(const std::string& name) {
+  constexpr std::size_t kLanes = bitsim::word_bits_v<Tagged>;
+  util::Xoshiro256 rng(203);
+  const std::size_t count = kLanes + 70;  // two groups, a partial tail
+  const auto xs = encoding::random_sequences(rng, count, 9);
+  const auto ys = encoding::random_sequences(rng, count, 21);
+  const std::string path = testing::TempDir() + "swbpbc_isa_" + name;
+  ASSERT_TRUE(db::build_database(ys, path).ok());
+  ASSERT_TRUE(db::corrupt_shard_for_testing(path, 1, 5, 2).ok());
+
+  ChunkJob job;
+  job.xs = xs;
+  job.ys = ys;
+  job.first_pair = 0;
+  DbBackendOptions opts;
+  opts.width = kLanes == 512 ? LaneWidth::k512 : LaneWidth::k256;
+  const auto serve = [&]<class W>(std::type_identity<W>) {
+    auto reader = db::Reader::open(path);
+    EXPECT_TRUE(reader.has_value()) << reader.status().to_string();
+    kernel::DbBackend backend(*reader, opts);
+    return backend.run_db<W>(job);
+  };
+  const ChunkResult tagged = serve(std::type_identity<Tagged>{});
+  const ChunkResult portable = serve(std::type_identity<Portable>{});
+  EXPECT_EQ(tagged.scores, portable.scores);
+  EXPECT_EQ(tagged.db_shards_quarantined, 1u);
+  EXPECT_EQ(tagged.db_pairs_reingested, 64u);
+  EXPECT_EQ(portable.db_shards_quarantined, 1u);
+  for (std::size_t k = 0; k < count; ++k)
+    ASSERT_EQ(tagged.scores[k], max_score(xs[k], ys[k], kParams)) << k;
+
+  // The public backend dispatches the tagged build and says so.
+  auto reader = db::Reader::open(path);
+  ASSERT_TRUE(reader.has_value());
+  const auto backend = make_db_backend(*reader, opts);
+  EXPECT_EQ(backend->caps().kernel_isa, kernel_isa(opts.width,
+                                                   host_cpu_features()));
+  EXPECT_EQ(backend->run(job).scores, tagged.scores);
+  std::remove(path.c_str());
+}
+
+TEST(IsaKernel, Avx2DbBackendMatchesPortableWord) {
+  if (!host_runs(bitsim::Isa::kAvx2))
+    GTEST_SKIP() << skip_reason(bitsim::Isa::kAvx2);
+  expect_isa_db_backend<Avx2Word, bitsim::wide_word<256, false>>(
+      "avx2.swdb");
+}
+
+TEST(IsaKernel, Avx512DbBackendMatchesPortableWord) {
+  if (!host_runs(bitsim::Isa::kAvx512))
+    GTEST_SKIP() << skip_reason(bitsim::Isa::kAvx512);
+  expect_isa_db_backend<Avx512Word, bitsim::wide_word<512, false>>(
+      "avx512.swdb");
+}
+
+// The any-alphabet store screen (try_scheme_db_max_scores' body) over a
+// BLOSUM62 affine protein store with one rotted shard re-ingested from
+// the corpus.
+template <class Tagged, class Portable>
+void expect_isa_scheme_db(const std::string& name, LaneWidth width) {
+  constexpr std::size_t kLanes = bitsim::word_bits_v<Tagged>;
+  util::Xoshiro256 rng(204);
+  const ScoringScheme scheme = isa_scheme(true, true);
+  const auto query = random_codes(rng, 1, 12, 20).front();
+  const auto entries = random_codes(rng, kLanes + 40, 25, 20);
+  const std::string path = testing::TempDir() + "swbpbc_isa_" + name;
+  ASSERT_TRUE(db::build_generic_database(entries, 5, path).ok());
+  ASSERT_TRUE(db::corrupt_shard_for_testing(path, 2, 11, 6).ok());
+
+  const auto screen = [&]<class W>(std::type_identity<W>) {
+    auto reader = db::Reader::open(path);
+    EXPECT_TRUE(reader.has_value()) << reader.status().to_string();
+    SchemeDbStats stats;
+    auto scores = kernel::run_scheme_db<W>(query, *reader, scheme,
+                                           bulk::Mode::kSerial, entries,
+                                           &stats, nullptr);
+    EXPECT_TRUE(scores.has_value()) << scores.status().to_string();
+    EXPECT_EQ(stats.shards_quarantined, 1u);
+    EXPECT_EQ(stats.shards_reingested, 1u);
+    return scores.value();
+  };
+  const auto tagged = screen(std::type_identity<Tagged>{});
+  EXPECT_EQ(tagged, screen(std::type_identity<Portable>{}));
+  for (std::size_t k = 0; k < entries.size(); ++k)
+    ASSERT_EQ(tagged[k], scheme_max_score(query, entries[k], scheme)) << k;
+
+  auto reader = db::Reader::open(path);
+  ASSERT_TRUE(reader.has_value());
+  auto via_api = try_scheme_db_max_scores(query, *reader, scheme, width,
+                                          bulk::Mode::kSerial, entries);
+  ASSERT_TRUE(via_api.has_value()) << via_api.status().to_string();
+  EXPECT_EQ(*via_api, tagged);
+  std::remove(path.c_str());
+}
+
+TEST(IsaKernel, Avx2SchemeDbMatchesPortableWord) {
+  if (!host_runs(bitsim::Isa::kAvx2))
+    GTEST_SKIP() << skip_reason(bitsim::Isa::kAvx2);
+  expect_isa_scheme_db<Avx2Word, bitsim::wide_word<256, false>>(
+      "avx2_protein.swdb", LaneWidth::k256);
+}
+
+TEST(IsaKernel, Avx512SchemeDbMatchesPortableWord) {
+  if (!host_runs(bitsim::Isa::kAvx512))
+    GTEST_SKIP() << skip_reason(bitsim::Isa::kAvx512);
+  expect_isa_scheme_db<Avx512Word, bitsim::wide_word<512, false>>(
+      "avx512_protein.swdb", LaneWidth::k512);
+}
+
+TEST(IsaKernel, HostBackendReportsTheBuildItRuns) {
+  const CpuFeatures& host = host_cpu_features();
+  for (LaneWidth w : {LaneWidth::k64, LaneWidth::k128, LaneWidth::k256,
+                      LaneWidth::k512, LaneWidth::kScalarWide}) {
+    const auto backend = make_host_backend(kScheme, w, bulk::Mode::kSerial);
+    EXPECT_EQ(backend->caps().kernel_isa, kernel_isa(w, host))
+        << lane_width_name(w);
+  }
 }
 
 }  // namespace
