@@ -2,14 +2,9 @@
 //
 // Theorem 6 predicts 48s-18 word operations per cell, i.e. wall time
 // linear in s. s is controlled through the match reward (s =
-// bit_width(match * m)), holding m and n fixed. Also measures the
-// circuit-simulated cell (generic vs constant-baked netlist) to quantify
-// the constant-operand optimization the optimizer performs.
+// bit_width(match * m)), holding m and n fixed.
 #include <benchmark/benchmark.h>
 
-#include "circuit/evaluate.hpp"
-#include "circuit/optimize.hpp"
-#include "circuit/sw_circuit.hpp"
 #include "encoding/batch.hpp"
 #include "encoding/random.hpp"
 #include "sw/scheme_aligner.hpp"
@@ -45,37 +40,6 @@ void BM_BpbcSwaBySliceCount(benchmark::State& state) {
 }
 // match = 1, 3, 7, 15, 63 -> s = 6, 7, 8, 9, 11 for m = 32.
 BENCHMARK(BM_BpbcSwaBySliceCount)->Arg(1)->Arg(3)->Arg(7)->Arg(15)->Arg(63);
-
-void BM_CircuitCellGeneric(benchmark::State& state) {
-  const unsigned s = 9;
-  const circuit::Circuit cell = circuit::build_sw_cell(s);
-  util::Xoshiro256 rng(11);
-  std::vector<std::uint32_t> in(cell.input_count());
-  for (auto& w : in) w = static_cast<std::uint32_t>(rng.next());
-  std::vector<std::uint32_t> value, out;
-  for (auto _ : state) {
-    circuit::evaluate_into<std::uint32_t>(cell, in, value, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.counters["gates"] = static_cast<double>(cell.counts().logic());
-}
-BENCHMARK(BM_CircuitCellGeneric);
-
-void BM_CircuitCellConstBaked(benchmark::State& state) {
-  const unsigned s = 9;
-  const circuit::Circuit cell =
-      circuit::optimize(circuit::build_sw_cell_const(s, {2, 1, 1}));
-  util::Xoshiro256 rng(12);
-  std::vector<std::uint32_t> in(cell.input_count());
-  for (auto& w : in) w = static_cast<std::uint32_t>(rng.next());
-  std::vector<std::uint32_t> value, out;
-  for (auto _ : state) {
-    circuit::evaluate_into<std::uint32_t>(cell, in, value, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.counters["gates"] = static_cast<double>(cell.counts().logic());
-}
-BENCHMARK(BM_CircuitCellConstBaked);
 
 // Affine (Gotoh) vs linear gap cost per cell: the affine cell runs four
 // extra ssub/max stages, quantifying the price of the future-work

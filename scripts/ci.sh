@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI gate: the tier-1 build + full test suite under the release preset
-# (plus a ScoreParams fence and a lane-dispatch fence over src/, an ISA
+# (plus ScoreParams, lane-dispatch and orphan-header fences over src/, an ISA
 # containment fence over the AVX2/AVX-512 kernel objects and binaries, a
 # telemetry smoke: RunReport and span-trace artifacts validated by
 # scripts/check_run_report.py, the performance ledger's smoke test
@@ -44,14 +44,13 @@ header_check() {
 
 # The legacy ScoreParams triple is fenced in: it may appear only in the
 # scalar references, the wordwise baselines, the entry configs and their
-# boundary conversion, and the circuit netlist. Every engine below the
-# configs takes sw::ScoringScheme, so a new src/ file naming ScoreParams
-# fails tier 1.
+# boundary conversion. Every engine below the configs takes
+# sw::ScoringScheme, so a new src/ file naming ScoreParams fails tier 1.
 score_params_fence() {
   echo "== tier 1: ScoreParams fence (allow-listed src/ files only) =="
   local allowed='^src/(sw/(params|scoring|scalar|wordwise|dispatch|pipeline)'
   allowed+='\.[ch]pp|service/server\.hpp|device/sw_kernels\.[ch]pp'
-  allowed+='|device/sw_stage_kernels\.hpp|circuit/sw_circuit\.[ch]pp)$'
+  allowed+='|device/sw_stage_kernels\.hpp)$'
   local stray
   stray=$(grep -rl ScoreParams src | sort | grep -Ev "$allowed" || true)
   if [[ -n $stray ]]; then
@@ -77,6 +76,28 @@ lane_dispatch_fence() {
     exit 1
   fi
   echo "  only sw/lane.{hpp,cpp} switch on LaneWidth"
+}
+
+# No test-only library code: every src/**/*.hpp must be included by some
+# file under src/ (other than its own .cpp), bench/, examples/ or
+# perfbench/. A header that only its unit test includes is dead weight
+# the library carries, so it fails tier 1.
+orphan_header_fence() {
+  echo "== tier 1: orphan-header fence (no src/ header only tests include) =="
+  local hpp rel includers orphans=""
+  while IFS= read -r hpp; do
+    rel=${hpp#src/}
+    includers=$(grep -rlF --include='*.[ch]pp' "#include \"$rel\"" \
+                    src bench examples perfbench |
+                grep -vxF "${hpp%.hpp}.cpp" || true)
+    [[ -n $includers ]] || orphans+="$rel"$'\n'
+  done < <(find src -name '*.hpp' | sort)
+  if [[ -n $orphans ]]; then
+    echo "src/ headers included only by tests (or by nothing):" >&2
+    printf '%s' "$orphans" >&2
+    exit 1
+  fi
+  echo "  every src/ header has a library, bench or example includer"
 }
 
 # ISA containment (DESIGN.md decision 25): only sw/kernel_avx2.cpp and
@@ -125,6 +146,7 @@ if [[ $run_tier1 -eq 1 ]]; then
   header_check
   score_params_fence
   lane_dispatch_fence
+  orphan_header_fence
   echo "== tier 1: release build + full test suite =="
   cmake --preset default
   cmake --build --preset default -j"$(nproc)"

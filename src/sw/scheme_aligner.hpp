@@ -28,8 +28,8 @@
 // query/target epsilon planes: one-hot equality masks eq_x[a] (computed
 // once per DP row) AND per-column profiles row_or[a][l][j] (the OR of
 // eq_y[b] over all b whose entry w(a, b) has bit l set, computed once
-// per group), OR-reduced over the alphabet. circuit/sw_circuit.hpp
-// builds the same mux as a netlist for the op-count/verification tests.
+// per group), OR-reduced over the alphabet: 2 * sigma ops per magnitude
+// plane per cell, on top of the cell itself.
 //
 // The uniform substitution model runs the paper's matching_B, so a
 // uniform linear cell is exactly bitops::sw_cell plus the character
@@ -541,8 +541,8 @@ void SchemeBpbcAligner<W>::sweep(const encoding::PlanarGenericView<W>& x,
 
     for (std::size_t j = 1; j <= n; ++j) {
       if constexpr (kMatrix) {
-        // Per-bit mux: OR over the alphabet of (row selector AND column
-        // profile) — the runtime form of circuit build_matrix_mux.
+        // Per-bit mux: for each magnitude plane l, OR over the alphabet
+        // of (row selector eq_x[a] AND column profile leaf[a][l][j]).
         for (unsigned l = 0; l < mux_bits; ++l) {
           W acc = kZero;
           for (std::size_t a = 0; a < sigma; ++a)

@@ -464,6 +464,16 @@ util::Expected<std::vector<std::uint32_t>> try_striped_max_scores(
         " vs " + std::to_string(ys.size()) + ")");
   if (util::Status s = validate_scheme(scheme, "striped.scheme"); !s.ok())
     return s;
+  // Pairs may differ in length, but none may be empty: the BPBC front
+  // ends reject m or n = 0, and the dispatcher must not turn an error
+  // into a score of 0 by picking this engine.
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    if (xs[k].empty() || ys[k].empty())
+      return util::Status::invalid_input(
+          "striped: sequences must be non-empty: pair " + std::to_string(k) +
+          " has m = " + std::to_string(xs[k].size()) +
+          ", n = " + std::to_string(ys[k].size()));
+  }
 
   std::vector<std::uint32_t> scores(xs.size(), 0);
   if (xs.empty()) return scores;

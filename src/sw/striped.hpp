@@ -146,10 +146,11 @@ class StripedProfileCache {
 
 /// Bulk scoring of pairs (xs[k], ys[k]) — the striped mirror of
 /// try_scheme_max_scores. Validates the scheme and batch shape with
-/// typed kInvalidInput; profile construction lands in timings->w2b_ms
-/// (the input-prep phase) and the DP in timings->swa_ms. `cache`
-/// (optional) amortizes profiles across calls; without it a per-call
-/// cache still amortizes within the batch.
+/// typed kInvalidInput (pairs may differ in length, but an empty xs[k]
+/// or ys[k] is rejected, as the BPBC front ends reject it); profile
+/// construction lands in timings->w2b_ms (the input-prep phase) and the
+/// DP in timings->swa_ms. `cache` (optional) amortizes profiles across
+/// calls; without it a per-call cache still amortizes within the batch.
 util::Expected<std::vector<std::uint32_t>> try_striped_max_scores(
     std::span<const encoding::GenericSequence> xs,
     std::span<const encoding::GenericSequence> ys,

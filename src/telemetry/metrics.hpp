@@ -1,6 +1,6 @@
 // Named metrics for the screening stack: counters, gauges, and
-// fixed-bucket histograms with percentile summaries (util/stats.hpp
-// style), collected in a registry that the RunReport exporter snapshots.
+// fixed-bucket histograms with percentile summaries, collected in a
+// registry that the RunReport exporter snapshots.
 //
 // Counters and gauges are lock-free atomics; histograms take a short
 // mutex per observation (observations are per-chunk / per-callback, not

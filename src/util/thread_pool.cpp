@@ -235,10 +235,28 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     throw StatusError(stop->status("parallel_for"));
 }
 
+Expected<std::optional<std::size_t>> parse_thread_count(const char* value) {
+  if (value == nullptr || *value == '\0') return std::optional<std::size_t>{};
+  std::size_t n = 0;
+  for (const char* p = value; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') {
+      return Status::invalid_input(std::string("SWBPBC_THREADS: \"") + value +
+                                   "\" is not a thread count (digits only)");
+    }
+    n = n * 10 + static_cast<std::size_t>(*p - '0');
+    if (n > kMaxThreadCount) {
+      return Status::invalid_input(std::string("SWBPBC_THREADS: \"") + value +
+                                   "\" exceeds the limit of " +
+                                   std::to_string(kMaxThreadCount));
+    }
+  }
+  return std::optional<std::size_t>(n);
+}
+
 std::size_t ThreadPool::default_thread_count() {
-  if (const char* env = std::getenv("SWBPBC_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 0) return static_cast<std::size_t>(v);
+  if (const std::optional<std::size_t> n =
+          parse_thread_count(std::getenv("SWBPBC_THREADS")).value()) {
+    return *n;
   }
   const unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : hc;

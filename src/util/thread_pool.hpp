@@ -12,12 +12,14 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "util/cancel.hpp"
+#include "util/status.hpp"
 
 namespace swbpbc::util {
 
@@ -60,6 +62,18 @@ class PoolObserver {
                         unsigned worker) = 0;
 };
 
+/// Largest SWBPBC_THREADS value accepted: far above any core count this
+/// library targets, far below a thread count that exhausts the process.
+inline constexpr std::size_t kMaxThreadCount = 1024;
+
+/// Validates a SWBPBC_THREADS-style value without touching the process
+/// environment: nullptr/empty means "not set" (nullopt); decimal digits
+/// up to kMaxThreadCount are that thread count (0 is the serial pool);
+/// anything else (a sign, spaces, trailing junk, a larger value) is a
+/// typed kInvalidInput naming the variable and the value.
+[[nodiscard]] Expected<std::optional<std::size_t>> parse_thread_count(
+    const char* value);
+
 /// Fixed-size thread pool. `n_threads == 0` degrades every operation to
 /// serial execution on the calling thread (useful for deterministic tests).
 class ThreadPool {
@@ -95,7 +109,9 @@ class ThreadPool {
   /// hardware_concurrency).
   static ThreadPool& global();
 
-  /// Thread count the global pool would use (reads SWBPBC_THREADS).
+  /// Thread count the global pool would use: SWBPBC_THREADS as
+  /// parse_thread_count reads it, else hardware_concurrency. Throws
+  /// util::StatusError(kInvalidInput) if the variable is malformed.
   static std::size_t default_thread_count();
 
   /// Installs (or, with nullptr, removes) the process-wide execution

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "bulk/executor.hpp"
-#include "bulk/prefix.hpp"
-#include "util/rng.hpp"
 
 namespace swbpbc::bulk {
 namespace {
@@ -20,29 +20,6 @@ TEST(Executor, SerialAndParallelProduceSameResults) {
                          Mode::kParallel);
   EXPECT_EQ(serial, parallel);
   EXPECT_EQ(serial[10], 101);
-}
-
-TEST(Prefix, MatchesManualSums) {
-  std::vector<int> b{3, 1, 4, 1, 5};
-  prefix_sums(std::span<int>(b));
-  const std::vector<int> expect{3, 4, 8, 9, 14};
-  EXPECT_EQ(b, expect);
-}
-
-TEST(Prefix, BulkOverManyArrays) {
-  util::Xoshiro256 rng(1);
-  std::vector<std::vector<long>> arrays(20);
-  std::vector<std::vector<long>> reference(20);
-  for (std::size_t j = 0; j < arrays.size(); ++j) {
-    arrays[j].resize(50);
-    for (auto& v : arrays[j])
-      v = static_cast<long>(rng.below(1000)) - 500;
-    reference[j] = arrays[j];
-    std::partial_sum(reference[j].begin(), reference[j].end(),
-                     reference[j].begin());
-  }
-  bulk_prefix_sums(std::span<std::vector<long>>(arrays), Mode::kParallel);
-  EXPECT_EQ(arrays, reference);
 }
 
 }  // namespace

@@ -1,12 +1,8 @@
 // End-to-end cross-checks spanning every execution path in the library:
-// scalar CPU, wordwise bulk, BPBC CPU (32/64-lane, serial/parallel),
-// circuit simulation, and the simulated-GPU pipeline must all agree.
+// scalar CPU, wordwise bulk, BPBC CPU (32/64-lane, serial/parallel) and
+// the simulated-GPU pipeline must all agree.
 #include <gtest/gtest.h>
 
-#include "bitops/arith.hpp"
-#include "circuit/evaluate.hpp"
-#include "circuit/optimize.hpp"
-#include "circuit/sw_circuit.hpp"
 #include "device/sw_kernels.hpp"
 #include "encoding/random.hpp"
 #include "sw/bpbc.hpp"
@@ -48,66 +44,6 @@ TEST(Integration, AllExecutionPathsAgree) {
   EXPECT_EQ(scalar, bpbc64);
   EXPECT_EQ(scalar, gpu32.scores);
   EXPECT_EQ(scalar, gpu_word.scores);
-}
-
-TEST(Integration, CircuitSimulatedSwaMatchesBpbc) {
-  // Run an entire (small) BPBC DP where every cell is evaluated by the
-  // optimized constant-baked SW circuit instead of the inline arithmetic —
-  // the paper's "convert the computation into a circuit simulation"
-  // claim, end to end.
-  util::Xoshiro256 rng(424242);
-  const std::size_t m = 6, n = 14;
-  const sw::ScoreParams params{2, 1, 1};
-  const unsigned s = sw::scheme_required_slices(sw::ScoringScheme{}, m, n);
-  const auto xs = encoding::random_sequences(rng, 32, m);
-  const auto ys = encoding::random_sequences(rng, 32, n);
-  const auto bx = encoding::transpose_strings<std::uint32_t>(xs);
-  const auto by = encoding::transpose_strings<std::uint32_t>(ys);
-
-  const circuit::Circuit cell =
-      circuit::optimize(circuit::build_sw_cell_const(s, params));
-  ASSERT_EQ(cell.input_count(), 3 * s + 4);
-
-  // Row-major DP, every cell via circuit::evaluate_into (scratch reused
-  // across cells, the intended hot-loop usage).
-  std::vector<std::uint32_t> row((n + 1) * s, 0);
-  std::vector<std::uint32_t> best(s, 0);
-  std::vector<std::uint32_t> inputs(3 * s + 4);
-  std::vector<std::uint32_t> value, out;
-  for (std::size_t i = 0; i < m; ++i) {
-    std::vector<std::uint32_t> diag(s, 0);
-    for (std::size_t j = 1; j <= n; ++j) {
-      std::vector<std::uint32_t> old_up(row.begin() + static_cast<long>(j * s),
-                                        row.begin() +
-                                            static_cast<long>((j + 1) * s));
-      // Pack inputs: A=up, B=left, C=diag, x(L,H), y(L,H).
-      std::copy(old_up.begin(), old_up.end(), inputs.begin());
-      std::copy(row.begin() + static_cast<long>((j - 1) * s),
-                row.begin() + static_cast<long>(j * s),
-                inputs.begin() + static_cast<long>(s));
-      std::copy(diag.begin(), diag.end(),
-                inputs.begin() + static_cast<long>(2 * s));
-      inputs[3 * s + 0] = bx.groups[0].row(0)[i];
-      inputs[3 * s + 1] = bx.groups[0].row(1)[i];
-      inputs[3 * s + 2] = by.groups[0].row(0)[j - 1];
-      inputs[3 * s + 3] = by.groups[0].row(1)[j - 1];
-      circuit::evaluate_into<std::uint32_t>(cell, inputs, value, out);
-      std::copy(out.begin(), out.end(),
-                row.begin() + static_cast<long>(j * s));
-      bitops::max_b<std::uint32_t>(
-          std::span<const std::uint32_t>(best),
-          std::span<const std::uint32_t>(out),
-          std::span<std::uint32_t>(best));
-      diag = old_up;
-    }
-  }
-  const auto circuit_scores = encoding::untranspose_values<std::uint32_t>(
-      std::span<const std::uint32_t>(best), s);
-
-  for (std::size_t k = 0; k < 32; ++k) {
-    EXPECT_EQ(circuit_scores[k], sw::max_score(xs[k], ys[k], params))
-        << "instance " << k;
-  }
 }
 
 TEST(Integration, ScreeningAgreesWithExhaustiveScalarScan) {

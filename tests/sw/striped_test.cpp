@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "sw/backend.hpp"
+#include "sw/bpbc.hpp"
 #include "sw/pipeline.hpp"
 #include "sw/scalar.hpp"
+#include "sw/scheme_aligner.hpp"
 #include "sw/scoring.hpp"
 #include "sw/striped.hpp"
 #include "util/rng.hpp"
@@ -228,6 +230,39 @@ TEST(StripedBulkTest, ShapeAndSchemeValidation) {
   EXPECT_FALSE(try_striped_max_scores(one, two, s).has_value());
   ScoringScheme bad = dna_linear(0);
   EXPECT_FALSE(try_striped_max_scores(one, one, bad).has_value());
+}
+
+// m or n = 0 is the same typed error from every batch front end, so the
+// dispatcher's choice between BPBC and striped cannot change the outcome.
+TEST(StripedBulkTest, EmptySequenceIsTheSameErrorInEveryFrontEnd) {
+  const ScoringScheme s = dna_linear();
+  const std::vector<GenericSequence> full(2, GenericSequence{0, 1, 2});
+  const std::vector<GenericSequence> none(2);
+  const std::vector<Sequence> dna_full(
+      2, Sequence{encoding::Base::A, encoding::Base::C, encoding::Base::G});
+  const std::vector<Sequence> dna_none(2);
+  const struct {
+    const char* shape;
+    const std::vector<GenericSequence>& xs;
+    const std::vector<GenericSequence>& ys;
+    const std::vector<Sequence>& dna_xs;
+    const std::vector<Sequence>& dna_ys;
+  } cases[] = {{"m = 0", none, full, dna_none, dna_full},
+               {"n = 0", full, none, dna_full, dna_none}};
+  for (const auto& c : cases) {
+    const auto striped = try_striped_max_scores(c.xs, c.ys, s);
+    const auto scheme = try_scheme_max_scores(c.xs, c.ys, s);
+    const auto bpbc = try_bpbc_max_scores(c.dna_xs, c.dna_ys, s);
+    ASSERT_FALSE(striped.has_value()) << c.shape;
+    ASSERT_FALSE(scheme.has_value()) << c.shape;
+    ASSERT_FALSE(bpbc.has_value()) << c.shape;
+    EXPECT_EQ(striped.status().code(), util::ErrorCode::kInvalidInput)
+        << c.shape;
+    EXPECT_EQ(scheme.status().code(), striped.status().code()) << c.shape;
+    EXPECT_EQ(bpbc.status().code(), striped.status().code()) << c.shape;
+    EXPECT_NE(striped.status().message().find("non-empty"), std::string::npos)
+        << c.shape;
+  }
 }
 
 // The Backend registration: a chunked screen through make_striped_backend

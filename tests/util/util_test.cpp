@@ -9,7 +9,6 @@
 
 #include "util/options.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -102,6 +101,44 @@ TEST(ThreadPool, ReusableAcrossManyCalls) {
   }
 }
 
+// SWBPBC_THREADS parsing, pure: no pool is built from any value here.
+TEST(ThreadCount, UnsetAndEmptyMeanHardwareDefault) {
+  const auto unset = parse_thread_count(nullptr);
+  ASSERT_TRUE(unset.has_value());
+  EXPECT_FALSE(unset->has_value());
+  const auto empty = parse_thread_count("");
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_FALSE(empty->has_value());
+}
+
+TEST(ThreadCount, AcceptsDigitsUpToTheCap) {
+  const std::string cap = std::to_string(kMaxThreadCount);
+  const struct {
+    const char* value;
+    std::size_t threads;
+  } cases[] = {{"0", 0}, {"1", 1}, {"2", 2}, {"007", 7},
+               {cap.c_str(), kMaxThreadCount}};
+  for (const auto& c : cases) {
+    const auto parsed = parse_thread_count(c.value);
+    ASSERT_TRUE(parsed.has_value()) << c.value;
+    ASSERT_TRUE(parsed->has_value()) << c.value;
+    EXPECT_EQ(**parsed, c.threads) << c.value;
+  }
+}
+
+TEST(ThreadCount, JunkAndOversizeAreTypedInvalidInput) {
+  const std::string over = std::to_string(kMaxThreadCount + 1);
+  for (const char* bad : {"abc", "4x", " 4", "4 ", "-1", "+4", "0x10",
+                          over.c_str(), "100000", "99999999999999999999999"}) {
+    const auto parsed = parse_thread_count(bad);
+    ASSERT_FALSE(parsed.has_value()) << bad;
+    EXPECT_EQ(parsed.status().code(), ErrorCode::kInvalidInput) << bad;
+    EXPECT_NE(parsed.status().message().find("SWBPBC_THREADS"),
+              std::string::npos);
+    EXPECT_NE(parsed.status().message().find(bad), std::string::npos);
+  }
+}
+
 TEST(Rng, DeterministicFromSeed) {
   Xoshiro256 a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
@@ -124,22 +161,6 @@ TEST(Rng, BelowCoversRange) {
   std::vector<int> seen(8, 0);
   for (int i = 0; i < 1000; ++i) seen[rng.below(8)]++;
   for (int c : seen) EXPECT_GT(c, 0);
-}
-
-TEST(Stats, SummaryBasics) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  const Summary s = summarize(xs);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.median, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_EQ(s.count, 4u);
-}
-
-TEST(Stats, EmptyIsZero) {
-  const Summary s = summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
 }
 
 TEST(Table, RendersAlignedColumns) {
