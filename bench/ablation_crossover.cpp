@@ -108,10 +108,23 @@ int main(int argc, char** argv) {
   const sw::LaneWidth resolved = sw::resolve_lane_width(sw::LaneWidth::kAuto);
   const sw::CostModel& model = sw::CostModel::measured();
 
-  std::printf("BPBC x striped crossover sweep (%s lanes, best of %zu reps"
-              "%s)\n\n",
-              sw::lane_width_name(resolved), reps,
-              smoke ? ", --smoke sizes" : "");
+  // The striped build every region runs: 128-bit vectors, an 8-bit first
+  // pass where the scheme fits a byte, then 16- or 32-bit exact cells;
+  // each region's RunReport entry names the widths it ran.
+  const sw::StripedRepr striped_repr =
+      sw::striped_build(make_scheme(SchemeKind::kDnaLinear), 1).repr;
+  const auto lanes_of = [](unsigned bits) {
+    return std::to_string(sw::kStripedVectorBits / bits) + "xu" +
+           std::to_string(bits);
+  };
+  const std::string striped_desc =
+      std::string(sw::striped_repr_name(striped_repr)) + " " + lanes_of(8) +
+      " first pass, " + lanes_of(16) + " / " + lanes_of(32) + " exact";
+  std::printf("BPBC x striped crossover sweep (BPBC %s lanes, kernel %s; "
+              "striped %s; best of %zu reps%s)\n\n",
+              sw::lane_width_name(resolved),
+              sw::isa_name(sw::kernel_isa(resolved, sw::host_cpu_features())),
+              striped_desc.c_str(), reps, smoke ? ", --smoke sizes" : "");
 
   telemetry::RunReport rep;
   rep.tool = "ablation_crossover";
@@ -172,11 +185,13 @@ int main(int argc, char** argv) {
     }
 
     sw::StripedProfileCache cache;
+    sw::StripedStats stats;
     for (std::size_t r = 0; r < reps; ++r) {
       sw::PhaseTimings t;
       util::WallTimer timer;
       const auto scores = sw::try_striped_max_scores(
-          xs, ys, scheme, bulk::Mode::kSerial, r == 0 ? nullptr : &cache, &t);
+          xs, ys, scheme, bulk::Mode::kSerial, r == 0 ? nullptr : &cache, &t,
+          sw::StripedRepr::kAuto, r == 0 ? &stats : nullptr);
       const double ms = timer.elapsed_ms();
       if (!scores.has_value()) {
         std::fprintf(stderr, "%s: striped rejected: %s\n", region.name,
@@ -233,6 +248,10 @@ int main(int argc, char** argv) {
     rep.config[key + ".model"] = model_striped ? "striped" : "bpbc";
     rep.config[key + ".margin"] = util::TextTable::num(margin, 3);
     rep.config[key + ".scores_fnv"] = std::to_string(mrow.scores_fnv);
+    rep.config[key + ".striped_build"] = sw::striped_build(scheme, m).name();
+    rep.config[key + ".striped_escalations"] =
+        std::to_string(stats.escalations) + "/" +
+        std::to_string(stats.byte_pass_pairs);
     for (const char* engine : {"bpbc", "striped"}) {
       telemetry::RunReportRow row;
       row.impl = std::string(engine) + " " + region.name;

@@ -151,6 +151,7 @@ int main(int argc, char** argv) {
               sw::backend_choice_name(engine), backend_name.c_str());
 
   sw::PhaseTimings timings;
+  sw::StripedStats striped_stats;
   util::WallTimer timer;
   telemetry::Span screen_span(tr, "screen.scheme", "example");
   screen_span.arg("pairs", static_cast<std::int64_t>(count));
@@ -160,7 +161,8 @@ int main(int argc, char** argv) {
       engine == sw::BackendChoice::kStriped
           ? sw::try_striped_max_scores(queries, targets, scheme,
                                        bulk::Mode::kSerial, nullptr,
-                                       &timings)
+                                       &timings, sw::StripedRepr::kAuto,
+                                       &striped_stats)
           : sw::try_scheme_max_scores(
                 queries, targets, scheme, *width, bulk::Mode::kSerial,
                 encoding::TransposeMethod::kPlanned, &timings);
@@ -181,6 +183,16 @@ int main(int argc, char** argv) {
               "(W2B %.2f, SWA %.2f, B2W %.2f) — %.3f GCUPS\n",
               count, ms, timings.w2b_ms, timings.swa_ms, timings.b2w_ms,
               gcups);
+
+  // The striped build that ran, and how often its 8-bit pass saturated.
+  const sw::StripedBuild striped = sw::striped_build(scheme, m);
+  if (engine == sw::BackendChoice::kStriped)
+    std::printf("striped build: %s (%llu of %llu pairs rescored at u%u)\n",
+                striped.name().c_str(),
+                static_cast<unsigned long long>(striped_stats.escalations),
+                static_cast<unsigned long long>(
+                    striped_stats.byte_pass_pairs),
+                striped.exact_bits);
 
   // Spot-check the bitwise scores against the scalar Gotoh reference.
   for (std::size_t k = 0; k < count; k += 17) {
@@ -266,6 +278,13 @@ int main(int argc, char** argv) {
     rep.config["backend_resolved"] = sw::backend_choice_name(engine);
     rep.config["pairs"] = std::to_string(count);
     rep.config["hits"] = std::to_string(hits);
+    if (engine == sw::BackendChoice::kStriped) {
+      rep.config["striped_build"] = striped.name();
+      rep.metrics.counters["sw.striped.byte_pass_pairs"] =
+          striped_stats.byte_pass_pairs;
+      rep.metrics.counters["sw.striped.escalations"] =
+          striped_stats.escalations;
+    }
     rep.config["scores_fnv"] =
         std::to_string(util::fnv1a_span<std::uint32_t>(scores));
     if (!db_path.empty()) {

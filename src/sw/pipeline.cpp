@@ -351,6 +351,9 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
 
   ScreenReport report;
   report.scores.assign(count, 0);
+  // The striped backend's 8-bit pass counts, exported as telemetry
+  // counters at the end of the run.
+  std::uint64_t striped_byte_pairs = 0, striped_escalations = 0;
   report.chunks.resize(n_chunks);
   for (std::size_t c = 0; c < n_chunks; ++c) {
     report.chunks[c].begin = c * chunk_pairs;
@@ -571,6 +574,8 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
           report.reliability.db_shards_quarantined += r.db_shards_quarantined;
           report.reliability.db_pairs_reingested += r.db_pairs_reingested;
           report.reliability.db_pairs_fallback += r.db_pairs_fallback;
+          striped_byte_pairs += r.striped_byte_pairs;
+          striped_escalations += r.striped_escalations;
           for (StageFault f : r.faults) {
             f.chunk = c;
             report.reliability.stage_faults.push_back(f);
@@ -712,6 +717,8 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
     count_if("screen.db_shards_quarantined", rel.db_shards_quarantined);
     count_if("screen.db_pairs_reingested", rel.db_pairs_reingested);
     count_if("screen.db_pairs_fallback", rel.db_pairs_fallback);
+    count_if("sw.striped.byte_pass_pairs", striped_byte_pairs);
+    count_if("sw.striped.escalations", striped_escalations);
     switch (report.status.code()) {
       case util::ErrorCode::kCancelled:
         reg.counter("screen.cancelled").add(1);

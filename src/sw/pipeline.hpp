@@ -53,6 +53,10 @@ struct ChunkResult {
   std::uint64_t db_shards_quarantined = 0;  // failed checksum, re-ingested
   std::uint64_t db_pairs_reingested = 0;    // pairs scored from re-ingest
   std::uint64_t db_pairs_fallback = 0;      // whole-job in-memory fallback
+  // Striped backend (sw/striped.hpp): pairs its 8-bit first pass scored,
+  // and how many of them it rescored at the exact width; zero elsewhere.
+  std::uint64_t striped_byte_pairs = 0;
+  std::uint64_t striped_escalations = 0;
 };
 
 /// Per-chunk progress notification (invoked after a chunk completes, is

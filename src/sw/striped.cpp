@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -18,217 +20,226 @@ namespace swbpbc::sw {
 
 bool striped_vector_compiled() { return SWBPBC_WIDE_SIMD != 0; }
 
+const char* striped_repr_name(StripedRepr repr) {
+  switch (repr) {
+    case StripedRepr::kAuto: return "auto";
+    case StripedRepr::kVector: return "vector";
+    case StripedRepr::kScalar: return "scalar";
+  }
+  return "?";
+}
+
+std::string StripedBuild::name() const {
+  std::string out = striped_repr_name(repr);
+  const auto pass = [&](char sep, unsigned bits) {
+    out += sep;
+    out += std::to_string(kStripedVectorBits / bits);
+    out += "xu";
+    out += std::to_string(bits);
+  };
+  pass(' ', first_bits);
+  if (first_bits != exact_bits) pass('>', exact_bits);
+  return out;
+}
+
 namespace {
 
-// ---------------------------------------------------------------------
-// Element-width policy. Cells never wrap: H is bounded by max_positive *
-// min(m, n) <= max_positive * m (a local alignment gains at most one
-// max-entry per diagonal step), so bound + max_positive fitting the
-// element type makes add() exact and the saturating ops below the only
-// clamping anywhere — the same semantics as the scalar reference.
-// ---------------------------------------------------------------------
-
-std::uint64_t score_bound(const ScoringScheme& scheme, std::size_t m) {
-  return static_cast<std::uint64_t>(scheme.max_positive()) *
-             static_cast<std::uint64_t>(m) +
-         scheme.max_positive();
+StripedRepr resolve_repr(StripedRepr repr) {
+  if (!striped_vector_compiled()) return StripedRepr::kScalar;
+  return repr == StripedRepr::kAuto ? StripedRepr::kVector : repr;
 }
 
 // ---------------------------------------------------------------------
-// Kernel representations. One GNU-vector (128-bit, SSE2-width) and one
-// std::array fallback per element width, same arithmetic expression by
-// expression — the wide_word pattern, so the identity is auditable.
+// Kernel representations: 128-bit GNU vectors, and a portable fallback
+// at the same lane counts. Each op is written so GCC lowers it to the
+// target's unsigned max, saturating subtract and byte shift where it
+// has them, not to a compare-and-mask chain or a trip through the
+// stack.
 // ---------------------------------------------------------------------
 
+constexpr unsigned kVectorBytes = kStripedVectorBits / 8;
+
 #if SWBPBC_WIDE_SIMD
-typedef std::uint16_t v8u16 __attribute__((vector_size(16)));
-typedef std::uint32_t v4u32 __attribute__((vector_size(16)));
+template <class Elem>
+struct GnuVec {
+  using E = Elem;
+  typedef Elem V __attribute__((vector_size(kVectorBytes)));
+  static constexpr unsigned kLanes = kVectorBytes / sizeof(Elem);
 
-template <typename Elem>
-struct VectorOps;
-
-template <>
-struct VectorOps<std::uint16_t> {
-  using V = v8u16;
-  static constexpr unsigned kLanes = 8;
-};
-
-template <>
-struct VectorOps<std::uint32_t> {
-  using V = v4u32;
-  static constexpr unsigned kLanes = 4;
-};
-
-template <typename Elem>
-struct VectorRepr {
-  using Base = VectorOps<Elem>;
-  using V = typename Base::V;
-  static constexpr unsigned kLanes = Base::kLanes;
-
-  static V zero() { return V{}; }
-
-  static V splat(Elem v) {
-    V out;
-    for (unsigned k = 0; k < kLanes; ++k) out[k] = v;
-    return out;
+  static V splat(Elem v) { return V{} + v; }
+  static V load(const Elem* at) {
+    V v;
+    std::memcpy(&v, at, sizeof(V));
+    return v;
   }
-
   static V add(V a, V b) { return a + b; }
+  static V max(V a, V b) { return a > b ? a : b; }
+  // Unsigned saturating subtract, exact: max(a, b) - b is a - b where
+  // a > b and 0 elsewhere.
+  static V ssub(V a, V b) { return max(a, b) - b; }
 
-  // Unsigned saturating subtract: (a - b) masked to zero where a <= b.
-  // The comparison yields a same-width signed mask vector; the cast is a
-  // bit-pattern reinterpret (GNU vector semantics).
-  static V ssub(V a, V b) {
-    const V keep = reinterpret_cast<V>(a > b);
-    return (a - b) & keep;
-  }
-
-  static V max(V a, V b) {
-    const V take_a = reinterpret_cast<V>(a > b);
-    return (a & take_a) | (b & ~take_a);
-  }
-
-  // Element shift toward higher lanes: out[k] = k >= n ? v[k - n] : 0.
-  // Compiled to register shuffles for the fixed 16-byte width.
-  static V shift_up(V v, unsigned n) {
-    alignas(16) Elem in[kLanes];
-    alignas(16) Elem out[kLanes] = {};
-    std::memcpy(in, &v, sizeof(V));
-    for (unsigned k = n; k < kLanes; ++k) out[k] = in[k - n];
-    V r;
-    std::memcpy(&r, out, sizeof(V));
-    return r;
+  // Element shift toward higher lanes: out[k] = k >= N ? v[k - N] : 0.
+  // Index kLanes selects lane 0 of the zero operand.
+  template <unsigned N>
+  static V shift_up(V v) {
+    V mask;
+    for (unsigned k = 0; k < kLanes; ++k)
+      mask[k] = static_cast<Elem>(k >= N ? k - N : kLanes);
+    return __builtin_shuffle(v, V{}, mask);
   }
 
   static bool any(V v) {
-    std::uint64_t lo = 0, hi = 0;
-    std::memcpy(&lo, &v, sizeof(lo));
-    std::memcpy(&hi, reinterpret_cast<const char*>(&v) + sizeof(lo),
-                sizeof(hi));
-    return (lo | hi) != 0;
+    std::uint64_t w[2];
+    std::memcpy(w, &v, sizeof(V));
+    return (w[0] | w[1]) != 0;
   }
+  // Some lane of a exceeds the same lane of b.
+  static bool any_gt(V a, V b) { return any(ssub(a, b)); }
 
   static Elem hmax(V v) {
-    alignas(16) Elem e[kLanes];
-    std::memcpy(e, &v, sizeof(V));
     Elem best = 0;
-    for (unsigned k = 0; k < kLanes; ++k) best = std::max(best, e[k]);
+    for (unsigned k = 0; k < kLanes; ++k) best = v[k] > best ? v[k] : best;
     return best;
   }
 };
 #endif  // SWBPBC_WIDE_SIMD
 
-// Portable fallback: the same lane counts (so the striping — and thus
-// every intermediate value — is identical to the vector kernel), plain
-// element loops.
-template <typename Elem>
-struct ScalarRepr {
-  static constexpr unsigned kLanes = sizeof(Elem) == 2 ? 8 : 4;
+template <class Elem>
+struct ScalarVec {
+  using E = Elem;
+  static constexpr unsigned kLanes = kVectorBytes / sizeof(Elem);
   struct V {
     Elem e[kLanes];
   };
-
-  static V zero() { return V{}; }
 
   static V splat(Elem v) {
     V out;
     for (unsigned k = 0; k < kLanes; ++k) out.e[k] = v;
     return out;
   }
-
+  static V load(const Elem* at) {
+    V v;
+    std::memcpy(&v, at, sizeof(V));
+    return v;
+  }
   static V add(V a, V b) {
     V r;
     for (unsigned k = 0; k < kLanes; ++k)
       r.e[k] = static_cast<Elem>(a.e[k] + b.e[k]);
     return r;
   }
-
+  static V max(V a, V b) {
+    V r;
+    for (unsigned k = 0; k < kLanes; ++k)
+      r.e[k] = a.e[k] > b.e[k] ? a.e[k] : b.e[k];
+    return r;
+  }
   static V ssub(V a, V b) {
     V r;
     for (unsigned k = 0; k < kLanes; ++k)
       r.e[k] = a.e[k] > b.e[k] ? static_cast<Elem>(a.e[k] - b.e[k]) : Elem{0};
     return r;
   }
-
-  static V max(V a, V b) {
-    V r;
-    for (unsigned k = 0; k < kLanes; ++k) r.e[k] = std::max(a.e[k], b.e[k]);
-    return r;
-  }
-
-  static V shift_up(V v, unsigned n) {
+  template <unsigned N>
+  static V shift_up(V v) {
     V r = {};
-    for (unsigned k = n; k < kLanes; ++k) r.e[k] = v.e[k - n];
+    for (unsigned k = N; k < kLanes; ++k) r.e[k] = v.e[k - N];
     return r;
   }
-
   static bool any(V v) {
     for (unsigned k = 0; k < kLanes; ++k)
       if (v.e[k] != 0) return true;
     return false;
   }
-
+  static bool any_gt(V a, V b) {
+    for (unsigned k = 0; k < kLanes; ++k)
+      if (a.e[k] > b.e[k]) return true;
+    return false;
+  }
   static Elem hmax(V v) {
     Elem best = 0;
-    for (unsigned k = 0; k < kLanes; ++k) best = std::max(best, v.e[k]);
+    for (unsigned k = 0; k < kLanes; ++k)
+      best = v.e[k] > best ? v.e[k] : best;
     return best;
   }
 };
 
-// ---------------------------------------------------------------------
-// The column kernel, shared by every (element width, representation)
-// combination. Profiles are stored as flat element planes; the kernel
-// loads them lane-group by lane-group.
-// ---------------------------------------------------------------------
+// One element width's query profile, as the kernel reads it: per symbol
+// c, `segments` vectors of positive (p) and negative (n) substitution
+// magnitudes at [c][vector][lane].
+template <class Elem>
+struct Planes {
+  const Elem* p = nullptr;
+  const Elem* n = nullptr;
+  std::size_t segments = 0;
+};
 
-template <typename Repr, typename Elem>
-std::uint32_t striped_align(const Elem* prof_p, const Elem* prof_n,
-                            std::size_t segments, std::size_t alphabet_size,
-                            std::uint32_t open32, std::uint32_t extend32,
-                            std::span<const std::uint8_t> y) {
+// The decayed max-scan of the lazy-F carry (Snytsar & Mikkelsen): lane
+// k's carry becomes the max over lower lanes j of their carry minus the
+// decay of the whole segments in between, in log2(lanes) shift-and-max
+// steps. decay[t] is the splatted decay of 2^t segments.
+template <class Repr, unsigned kStep = 1>
+[[gnu::always_inline]] inline typename Repr::V scan_carry(
+    typename Repr::V v_f, const typename Repr::V* decay) {
+  if constexpr (kStep < Repr::kLanes) {
+    v_f = Repr::max(v_f, Repr::ssub(Repr::template shift_up<kStep>(v_f),
+                                    decay[0]));
+    return scan_carry<Repr, kStep * 2>(v_f, decay + 1);
+  } else {
+    return v_f;
+  }
+}
+
+// Max local-alignment score of the profiled query against the target
+// codes y[0..n) (every code < the profile's alphabet size), in Repr's
+// cells. Cells are exact as long as no add() wraps; the caller picks an
+// element width for which that holds, or (at 8 bits) reads a result at
+// or above 255 - max_positive as "rescore wider" (StripedProfile::score).
+// `scratch` holds 3 * segments vectors, aligned for V.
+template <class Repr>
+std::uint32_t align(const Planes<typename Repr::E>& planes,
+                    std::uint32_t open32, std::uint32_t extend32,
+                    const std::uint8_t* y, std::size_t n,
+                    typename Repr::V* scratch) {
   using V = typename Repr::V;
+  using Elem = typename Repr::E;
   constexpr unsigned kLanes = Repr::kLanes;
-  const Elem elem_max = static_cast<Elem>(~Elem{0});
-  const auto sat = [elem_max](std::uint64_t v) {
-    return v > elem_max ? elem_max : static_cast<Elem>(v);
-  };
+  constexpr unsigned kSteps = __builtin_ctz(kLanes);
+  constexpr std::uint64_t kElemMax = static_cast<Elem>(~Elem{0});
+  const std::size_t segments = planes.segments;
 
   const V v_open = Repr::splat(static_cast<Elem>(open32));
   const V v_extend = Repr::splat(static_cast<Elem>(extend32));
-  // Decay for one whole segment crossed: segments positions, extend each.
-  const std::uint64_t seg_decay =
-      static_cast<std::uint64_t>(segments) * extend32;
+  // Decay for 2^t whole segments crossed: that many positions, extend
+  // each, clamped to the element range (ssub by the clamp is still 0).
+  V decay[kSteps];
+  for (unsigned t = 0; t < kSteps; ++t) {
+    const std::uint64_t d =
+        (std::uint64_t{1} << t) * static_cast<std::uint64_t>(segments) *
+        extend32;
+    decay[t] = Repr::splat(static_cast<Elem>(d > kElemMax ? kElemMax : d));
+  }
 
-  std::vector<V> state(3 * segments, Repr::zero());
-  V* h_load = state.data();
-  V* h_store = state.data() + segments;
-  V* e = state.data() + 2 * segments;
-  V v_max = Repr::zero();
+  V* h_load = scratch;
+  V* h_store = h_load + segments;
+  V* e = h_load + 2 * segments;
+  for (std::size_t i = 0; i < 3 * segments; ++i) h_load[i] = V{};
+  V v_max = V{};
 
-  const auto load = [](const Elem* at) {
-    V v;
-    std::memcpy(&v, at, sizeof(V));
-    return v;
-  };
-
-  for (std::size_t j = 0; j < y.size(); ++j) {
-    const std::uint8_t c = y[j];
-    if (c >= alphabet_size)
-      throw std::out_of_range("striped: target code " + std::to_string(c) +
-                              " outside the scheme's alphabet");
-    const Elem* p = prof_p + c * segments * kLanes;
-    const Elem* np = prof_n + c * segments * kLanes;
+  for (std::size_t j = 0; j < n; ++j) {
+    const Elem* p = planes.p + y[j] * segments * kLanes;
+    const Elem* np = planes.n + y[j] * segments * kLanes;
 
     // Diagonal feed for vector 0: the previous column's last vector,
     // lanes shifted up one so lane k sees position k*segments - 1 (lane
     // 0 sees the zero boundary).
-    V v_h = Repr::shift_up(h_store[segments - 1], 1);
+    V v_h = Repr::template shift_up<1>(h_store[segments - 1]);
     std::swap(h_load, h_store);
-    V v_f = Repr::zero();
+    V v_f = V{};
 
     for (std::size_t i = 0; i < segments; ++i) {
-      v_h = Repr::ssub(Repr::add(v_h, load(p + i * kLanes)),
-                       load(np + i * kLanes));
+      v_h = Repr::ssub(Repr::add(v_h, Repr::load(p + i * kLanes)),
+                       Repr::load(np + i * kLanes));
       v_h = Repr::max(v_h, e[i]);
       v_h = Repr::max(v_h, v_f);
       v_max = Repr::max(v_max, v_h);
@@ -244,121 +255,211 @@ std::uint32_t striped_align(const Elem* prof_p, const Elem* prof_n,
     // incoming carry from the segment directly below. The decayed
     // max-scan closes the recurrence over all lower segments exactly
     // (open >= extend means an F-derived H cannot out-contribute the
-    // chain), then one bounded pass folds the carry into H and E.
-    v_f = Repr::shift_up(v_f, 1);
-    if (Repr::any(v_f)) {
-      for (unsigned step = 1; step < kLanes; step <<= 1) {
-        const V decayed = Repr::ssub(Repr::shift_up(v_f, step),
-                                     Repr::splat(sat(step * seg_decay)));
-        v_f = Repr::max(v_f, decayed);
-      }
-      for (std::size_t i = 0; i < segments && Repr::any(v_f); ++i) {
-        const V corrected = Repr::max(h_store[i], v_f);
-        h_store[i] = corrected;
-        v_max = Repr::max(v_max, corrected);
-        // The E recurrence reads this column's H; it must see the
-        // corrected value or the next column under-scores (the SSW
-        // shortcut this engine deliberately does not take).
-        e[i] = Repr::max(e[i], Repr::ssub(corrected, v_open));
-        v_f = Repr::ssub(v_f, v_extend);
-      }
+    // chain), then one pass folds the carry into H and E.
+    v_f = Repr::template shift_up<1>(v_f);
+    if (!Repr::any(v_f)) continue;
+    v_f = scan_carry<Repr>(v_f, decay);
+    for (std::size_t i = 0; i < segments; ++i) {
+      const V h = h_store[i];
+      // Farrar's exit: where the carry is at most ssub(H, open), the main
+      // pass's own F already dominates it from here to the segment's end
+      // (F(i+1) >= H(i) - open >= carry >= carry - extend), so nothing
+      // downstream can change.
+      if (!Repr::any_gt(v_f, Repr::ssub(h, v_open))) break;
+      const V corrected = Repr::max(h, v_f);
+      h_store[i] = corrected;
+      v_max = Repr::max(v_max, corrected);
+      // The E recurrence reads this column's H; it must see the
+      // corrected value or the next column under-scores (the SSW
+      // shortcut this engine deliberately does not take).
+      e[i] = Repr::max(e[i], Repr::ssub(corrected, v_open));
+      v_f = Repr::ssub(v_f, v_extend);
     }
   }
   return static_cast<std::uint32_t>(Repr::hmax(v_max));
 }
 
-StripedRepr resolve_repr(StripedRepr repr) {
-  if (repr == StripedRepr::kAuto)
-    return striped_vector_compiled() ? StripedRepr::kVector
-                                     : StripedRepr::kScalar;
-#if !SWBPBC_WIDE_SIMD
-  if (repr == StripedRepr::kVector) return StripedRepr::kScalar;
-#endif
-  return repr;
+// ---------------------------------------------------------------------
+// Element-width policy. The exact pass never wraps: H is bounded by
+// max_positive * min(m, n) <= max_positive * m (a local alignment gains
+// at most one max-entry per diagonal step), so bound + max_positive
+// fitting the element type makes add() exact and the saturating ops the
+// only clamping anywhere — the same semantics as the scalar reference.
+// Every other constant (gap costs, the largest penalty) must fit too, or
+// its splat would truncate. The 8-bit pass needs only the constants to
+// fit: its results are checked against byte_limit instead.
+// ---------------------------------------------------------------------
+
+std::uint64_t score_bound(const ScoringScheme& scheme, std::size_t m) {
+  return static_cast<std::uint64_t>(scheme.max_positive()) *
+             static_cast<std::uint64_t>(m) +
+         scheme.max_positive();
 }
 
+std::uint64_t largest_constant(const ScoringScheme& scheme) {
+  return std::max({scheme.max_positive(), scheme.max_negative(),
+                   scheme.gap_open,
+                   scheme.affine() ? scheme.gap_extend : 0u});
+}
+
+constexpr std::uint64_t kByteMax = 0xFF;
+
+// 8-bit results at or above this limit are rescored (see striped.hpp).
+std::uint32_t byte_limit(const ScoringScheme& scheme) {
+  return static_cast<std::uint32_t>(kByteMax) - scheme.max_positive();
+}
+
+bool byte_pass_fits(const ScoringScheme& scheme) {
+  return largest_constant(scheme) < kByteMax;
+}
+
+// Writes one element width's two planes, `stride` = segments * lanes
+// elements per symbol, at `plane_p` / `plane_n` (raw storage, written
+// with memcpy).
 template <typename Elem>
 void build_profile_planes(const ScoringScheme& scheme,
                           std::span<const std::uint8_t> query,
                           std::size_t alphabet_size, std::size_t segments,
-                          unsigned lanes, std::vector<Elem>& plane_p,
-                          std::vector<Elem>& plane_n) {
-  const Elem elem_max = static_cast<Elem>(~Elem{0});
+                          unsigned lanes, unsigned char* plane_p,
+                          unsigned char* plane_n) {
+  const auto put = [](unsigned char* plane, std::size_t at, Elem v) {
+    std::memcpy(plane + at * sizeof(Elem), &v, sizeof(Elem));
+  };
   const std::size_t stride = segments * lanes;
-  plane_p.assign(alphabet_size * stride, Elem{0});
-  // Pads default to (wp = 0, wn = max): their diagonal term saturates to
-  // zero, and the top-lane placement keeps whatever F/E leaks into them
-  // strictly below the true best score.
-  plane_n.assign(alphabet_size * stride, elem_max);
   for (std::size_t c = 0; c < alphabet_size; ++c) {
     for (std::size_t i = 0; i < segments; ++i) {
       for (unsigned k = 0; k < lanes; ++k) {
+        const std::size_t at = c * stride + i * lanes + k;
         const std::size_t p = k * segments + i;
-        if (p >= query.size()) continue;
+        if (p >= query.size()) {
+          // Pads score (wp = 0, wn = max): their diagonal term saturates
+          // to zero, and the top-lane placement keeps whatever F/E leaks
+          // into them strictly below the true best score.
+          put(plane_p, at, Elem{0});
+          put(plane_n, at, static_cast<Elem>(~Elem{0}));
+          continue;
+        }
         const int w =
             scheme.substitution(query[p], static_cast<std::uint8_t>(c));
-        const std::size_t at = c * stride + i * lanes + k;
-        plane_p[at] = static_cast<Elem>(w > 0 ? w : 0);
-        plane_n[at] = static_cast<Elem>(w < 0 ? -w : 0);
+        put(plane_p, at, static_cast<Elem>(w > 0 ? w : 0));
+        put(plane_n, at, static_cast<Elem>(w < 0 ? -w : 0));
       }
     }
   }
 }
 
+// Per-thread DP scratch up to this size is kept for the next score(), so
+// the common query allocates nothing per call; a longer query's scratch
+// lives for its one call, so it is not pinned in every pool thread.
+constexpr std::size_t kKeptScratchBytes = 64 * 1024;
+
+// Runs the kernel on `repr` (resolved) at element width Elem.
+template <typename Elem>
+std::uint32_t run_kernel(StripedRepr repr, const Planes<Elem>& planes,
+                         std::uint32_t open, std::uint32_t extend,
+                         std::span<const std::uint8_t> y) {
+  const auto go = [&]<class Repr>(std::type_identity<Repr>) {
+    using V = typename Repr::V;
+    const std::size_t count = 3 * planes.segments;
+    thread_local std::vector<V> kept;
+    std::vector<V> once;
+    std::vector<V>& scratch =
+        count * sizeof(V) <= kKeptScratchBytes ? kept : once;
+    if (scratch.size() < count) scratch.resize(count);
+    return align<Repr>(planes, open, extend, y.data(), y.size(),
+                       scratch.data());
+  };
+#if SWBPBC_WIDE_SIMD
+  if (repr == StripedRepr::kVector)
+    return go(std::type_identity<GnuVec<Elem>>{});
+#endif
+  (void)repr;
+  return go(std::type_identity<ScalarVec<Elem>>{});
+}
+
 }  // namespace
+
+StripedBuild striped_build(const ScoringScheme& scheme, std::size_t m,
+                           StripedRepr repr) {
+  const std::uint64_t bound =
+      std::max(score_bound(scheme, m), largest_constant(scheme));
+  if (bound > 0xFFFFFFFFull)
+    throw std::invalid_argument(
+        "striped: score bound " + std::to_string(bound) +
+        " exceeds 32-bit cells (query too long for this scheme)");
+  StripedBuild b;
+  b.repr = resolve_repr(repr);
+  b.exact_bits = bound > 0xFFFFull ? 32 : 16;
+  b.first_bits = byte_pass_fits(scheme) ? 8 : b.exact_bits;
+  return b;
+}
 
 StripedProfile::StripedProfile(const ScoringScheme& scheme,
                                std::span<const std::uint8_t> query,
                                StripedRepr repr)
     : m_(query.size()),
-      repr_(resolve_repr(repr)),
+      build_(striped_build(scheme, query.size(), repr)),
       alphabet_size_(scheme.alphabet().size()),
       gap_open_(scheme.gap_open),
-      gap_extend_(scheme.affine() ? scheme.gap_extend : scheme.gap_open) {
+      gap_extend_(scheme.affine() ? scheme.gap_extend : scheme.gap_open),
+      byte_limit_(byte_limit(scheme)) {
   for (const std::uint8_t code : query)
     if (code >= alphabet_size_)
       throw std::invalid_argument(
           "striped: query code " + std::to_string(code) +
           " outside the scheme's " + std::to_string(alphabet_size_) +
           "-symbol alphabet");
-  const std::uint64_t bound = score_bound(scheme, m_);
-  if (bound > 0xFFFFFFFFull)
-    throw std::invalid_argument(
-        "striped: score bound " + std::to_string(bound) +
-        " exceeds 32-bit cells (query too long for this scheme)");
-  wide_ = bound > 0xFFFFull;
-  lanes_ = wide_ ? 4 : 8;
-  segments_ = std::max<std::size_t>(1, (m_ + lanes_ - 1) / lanes_);
-  if (wide_)
-    build_profile_planes<std::uint32_t>(scheme, query, alphabet_size_,
-                                        segments_, lanes_, profile_p32_,
-                                        profile_n32_);
+  // Lay out each pass's two planes back to back in storage_: alphabet *
+  // segments vectors per plane, so every offset is a multiple of the
+  // vector size.
+  const auto layout = [&](unsigned elem_bytes, Pass& pass) {
+    const unsigned lanes = kVectorBytes / elem_bytes;
+    pass.segments = std::max<std::size_t>(1, (m_ + lanes - 1) / lanes);
+    const std::size_t plane = alphabet_size_ * pass.segments * kVectorBytes;
+    pass.p = storage_.size();
+    pass.n = pass.p + plane;
+    storage_.resize(pass.n + plane);
+  };
+  if (byte_pass()) layout(1, byte_);
+  layout(build_.exact_bits / 8, exact_);
+  const auto fill = [&]<class Elem>(const Pass& pass) {
+    build_profile_planes<Elem>(scheme, query, alphabet_size_, pass.segments,
+                               kVectorBytes / sizeof(Elem),
+                               storage_.data() + pass.p,
+                               storage_.data() + pass.n);
+  };
+  if (byte_pass()) fill.operator()<std::uint8_t>(byte_);
+  if (wide_cells())
+    fill.operator()<std::uint32_t>(exact_);
   else
-    build_profile_planes<std::uint16_t>(scheme, query, alphabet_size_,
-                                        segments_, lanes_, profile_p16_,
-                                        profile_n16_);
+    fill.operator()<std::uint16_t>(exact_);
 }
 
-std::uint32_t StripedProfile::score(std::span<const std::uint8_t> y) const {
+template <class Elem>
+std::uint32_t StripedProfile::run(const Pass& pass,
+                                  std::span<const std::uint8_t> y) const {
+  const auto* base = storage_.data();
+  const Planes<Elem> view{
+      reinterpret_cast<const Elem*>(base + pass.p),
+      reinterpret_cast<const Elem*>(base + pass.n), pass.segments};
+  return run_kernel<Elem>(build_.repr, view, gap_open_, gap_extend_, y);
+}
+
+std::uint32_t StripedProfile::score(std::span<const std::uint8_t> y,
+                                    bool* rescored) const {
+  if (rescored != nullptr) *rescored = false;
   if (m_ == 0 || y.empty()) return 0;
-#if SWBPBC_WIDE_SIMD
-  if (repr_ == StripedRepr::kVector) {
-    if (wide_)
-      return striped_align<VectorRepr<std::uint32_t>>(
-          profile_p32_.data(), profile_n32_.data(), segments_,
-          alphabet_size_, gap_open_, gap_extend_, y);
-    return striped_align<VectorRepr<std::uint16_t>>(
-        profile_p16_.data(), profile_n16_.data(), segments_, alphabet_size_,
-        gap_open_, gap_extend_, y);
+  for (const std::uint8_t c : y)
+    if (c >= alphabet_size_)
+      throw std::out_of_range("striped: target code " + std::to_string(c) +
+                              " outside the scheme's alphabet");
+  if (byte_pass()) {
+    const std::uint32_t s = run<std::uint8_t>(byte_, y);
+    if (s < byte_limit_) return s;
+    if (rescored != nullptr) *rescored = true;
   }
-#endif
-  if (wide_)
-    return striped_align<ScalarRepr<std::uint32_t>>(
-        profile_p32_.data(), profile_n32_.data(), segments_, alphabet_size_,
-        gap_open_, gap_extend_, y);
-  return striped_align<ScalarRepr<std::uint16_t>>(
-      profile_p16_.data(), profile_n16_.data(), segments_, alphabet_size_,
-      gap_open_, gap_extend_, y);
+  return wide_cells() ? run<std::uint32_t>(exact_, y)
+                      : run<std::uint16_t>(exact_, y);
 }
 
 // ---------------------------------------------------------------------
@@ -457,7 +558,7 @@ util::Expected<std::vector<std::uint32_t>> try_striped_max_scores(
     std::span<const encoding::GenericSequence> xs,
     std::span<const encoding::GenericSequence> ys,
     const ScoringScheme& scheme, bulk::Mode mode, StripedProfileCache* cache,
-    PhaseTimings* timings, StripedRepr repr) {
+    PhaseTimings* timings, StripedRepr repr, StripedStats* stats) {
   if (xs.size() != ys.size())
     return util::Status::invalid_input(
         "striped: pattern/text count mismatch (" + std::to_string(xs.size()) +
@@ -496,9 +597,12 @@ util::Expected<std::vector<std::uint32_t>> try_striped_max_scores(
   timer.reset();
   util::Status failed;
   std::mutex failed_mu;
+  std::vector<std::uint8_t> rescored(xs.size(), 0);
   bulk::for_each_instance(xs.size(), mode, [&](std::size_t k) {
     try {
-      scores[k] = per_pair[k]->score(ys[k]);
+      bool wider = false;
+      scores[k] = per_pair[k]->score(ys[k], &wider);
+      rescored[k] = wider ? 1 : 0;
     } catch (const std::out_of_range& e) {
       std::lock_guard<std::mutex> lock(failed_mu);
       if (failed.ok()) failed = util::Status::invalid_input(e.what());
@@ -506,6 +610,12 @@ util::Expected<std::vector<std::uint32_t>> try_striped_max_scores(
   });
   if (!failed.ok()) return failed;
   if (timings != nullptr) timings->swa_ms += timer.elapsed_ms();
+  if (stats != nullptr) {
+    for (std::size_t k = 0; k < xs.size(); ++k) {
+      if (per_pair[k]->byte_pass()) ++stats->byte_pass_pairs;
+      stats->escalations += rescored[k];
+    }
+  }
   return scores;
 }
 
@@ -524,9 +634,9 @@ class StripedBackend final : public Backend {
   [[nodiscard]] BackendCaps caps() const override {
     BackendCaps caps;
     caps.stop_polling = true;
-    // Informational only: the striped engine has no BPBC lane word; it
-    // reports the narrow default so callers log something sensible.
-    caps.lane_width = LaneWidth::k64;
+    // The striped engine has no BPBC lane word (lane_width keeps its
+    // default); its one build runs at the baseline ISA.
+    caps.kernel_isa = bitsim::Isa::kBaseline;
     return caps;
   }
 
@@ -550,8 +660,9 @@ class StripedBackend final : public Backend {
     PhaseTimings t;
     StripedProfileCache* cache =
         external_cache_ != nullptr ? external_cache_ : &own_cache_;
-    auto scores =
-        try_striped_max_scores(gx, gy, scheme_, mode_, cache, &t, repr_);
+    StripedStats stats;
+    auto scores = try_striped_max_scores(gx, gy, scheme_, mode_, cache, &t,
+                                         repr_, &stats);
     if (!scores.has_value()) throw util::StatusError(scores.status());
     if (job.stop != nullptr && job.stop->triggered())
       throw util::StatusError(
@@ -559,6 +670,8 @@ class StripedBackend final : public Backend {
     r.scores = std::move(scores).value();
     r.timings = t;
     r.has_phase_timings = true;
+    r.striped_byte_pairs = stats.byte_pass_pairs;
+    r.striped_escalations = stats.escalations;
     return r;
   }
 

@@ -18,21 +18,29 @@
 // gap_extend per whole segment crossed) compute every lane's incoming F
 // exactly, and one bounded second pass applies it — with the matching E
 // update, which SSW omits but bit-identity to the scalar Gotoh reference
-// requires. Both passes early-exit the moment the carry decays to zero.
+// requires. The pass stops on Farrar's condition: once no lane's carry
+// beats ssub(H, open), the column's own F dominates it to the end.
 //
 // Value semantics are exactly scalar.cpp's scheme_max_score(): unsigned
 // saturating cells, diagonal term ssub(add(H, wp), wn) = max(0, H + w).
-// Element width (16 vs 32 bits) is chosen deterministically from the
-// score bound max_positive * m, so no cell ever wraps and no SSW-style
-// overflow-and-rerun is needed; scores are bit-identical across element
-// widths and across the SIMD/scalar representations (the
-// bitsim::wide_word dispatch pattern: one GNU-vector kernel, one
-// std::array kernel, same arithmetic).
+// Element widths (SSW's scheme, made exact): every pair runs first in
+// 8-bit cells when the scheme's constants fit a byte; a result at or
+// above 255 - max_positive means some add() may have wrapped, and the
+// pair is rescored in the exact width — 16 bits, or 32 when the score
+// bound max_positive * m needs it. An 8-bit result below that limit is
+// exact: the first wrapping add needs an exact H >= 256 - max_positive,
+// and the running max would hold it. So scores are bit-identical across
+// element widths and reprs.
+//
+// Build: one column kernel over 128-bit GNU vectors (16 x u8, 8 x u16 or
+// 4 x u32 lanes), compiled with the build's flags, or over a portable
+// std::array fallback at the same lane counts.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bulk/executor.hpp"
@@ -46,23 +54,61 @@ namespace swbpbc::sw {
 
 class Backend;  // sw/backend.hpp
 
-/// Kernel representation: GNU vector extensions (SSE2-width, the
-/// compiler's native 128-bit ops) or the portable std::array fallback.
-/// kAuto picks the vector kernel when the build has it. Purely a
-/// throughput knob — scores are bit-identical (the test suite asserts
-/// the identity), mirroring bitsim::wide_word's Simd parameter.
+/// Kernel representation: 128-bit GNU vectors compiled with the build's
+/// flags (kVector) or the portable std::array fallback at the same lane
+/// counts (kScalar). kAuto picks the vector kernel when the build has
+/// it. Purely a throughput knob — scores are bit-identical (the test
+/// suite asserts the identity), mirroring bitsim::wide_word's Simd
+/// parameter.
 enum class StripedRepr : std::uint8_t { kAuto = 0, kVector = 1, kScalar = 2 };
 
 /// True when the build carries the GNU-vector striped kernel.
 [[nodiscard]] bool striped_vector_compiled();
 
+/// Stable display name: "vector", "scalar", "auto".
+[[nodiscard]] const char* striped_repr_name(StripedRepr repr);
+
+/// Register width of every striped build; lanes per vector are this over
+/// the element bits.
+inline constexpr unsigned kStripedVectorBits = 128;
+
+/// The build a striped query runs: its repr and the element width of its
+/// first pass (8 bits when the scheme's constants fit a byte) and of its
+/// exact pass (16 or 32).
+struct StripedBuild {
+  StripedRepr repr = StripedRepr::kVector;
+  unsigned first_bits = 16;
+  unsigned exact_bits = 16;
+
+  /// "vector 16xu8>8xu16": repr, first pass as lanes x element, and the
+  /// exact pass it escalates to (a single "8xu16" when there is no 8-bit
+  /// pass).
+  [[nodiscard]] std::string name() const;
+};
+
+/// The build StripedProfile(scheme, query of length m, repr) runs.
+/// Throws std::invalid_argument when the score bound overflows 32-bit
+/// cells, like the profile.
+[[nodiscard]] StripedBuild striped_build(
+    const ScoringScheme& scheme, std::size_t m,
+    StripedRepr repr = StripedRepr::kAuto);
+
+/// Counts of one striped batch: pairs the 8-bit first pass scored, and how
+/// many of them reached 255 - max_positive and were rescored at the exact
+/// width (the saturation rate is escalations / byte_pass_pairs).
+struct StripedStats {
+  std::uint64_t byte_pass_pairs = 0;
+  std::uint64_t escalations = 0;
+};
+
 /// The precomputed query profile: per alphabet symbol c, the striped
 /// positive/negative substitution magnitudes wp(q[p], c) / wn(q[p], c)
 /// for every query position p (pad positions score ssub(add(H, 0), max)
 /// = 0, and the striped layout keeps them in the top lanes where they
-/// can never feed a real cell). Construction costs |alphabet| * m work;
-/// score() amortizes it across every target — the striped analog of the
-/// one-off W2B transpose.
+/// can never feed a real cell): one set of planes for the 8-bit pass,
+/// one for the exact pass. Construction costs |alphabet| * m work per
+/// width; score() amortizes it across every target — the striped analog
+/// of the one-off W2B transpose.
 ///
 /// Throws std::invalid_argument when the score bound max_positive * m
 /// overflows 32-bit cells (the same budget style as scheme_required_slices) or
@@ -74,35 +120,56 @@ class StripedProfile {
                  StripedRepr repr = StripedRepr::kAuto);
 
   [[nodiscard]] std::size_t query_length() const { return m_; }
-  /// Vectors per column (Farrar's segLen): ceil(m / lanes()).
-  [[nodiscard]] std::size_t segments() const { return segments_; }
-  /// Elements per vector: 8 at 16-bit cells, 4 at 32-bit cells.
-  [[nodiscard]] unsigned lanes() const { return lanes_; }
+  /// Vectors per column of the exact pass (Farrar's segLen):
+  /// ceil(m / lanes()).
+  [[nodiscard]] std::size_t segments() const { return exact_.segments; }
+  /// Elements per vector of the exact pass: 8 at 16-bit cells, 4 at
+  /// 32-bit cells (wide_cells()).
+  [[nodiscard]] unsigned lanes() const {
+    return kStripedVectorBits / build_.exact_bits;
+  }
   /// True when the score bound forced 32-bit cells.
-  [[nodiscard]] bool wide_cells() const { return wide_; }
+  [[nodiscard]] bool wide_cells() const { return build_.exact_bits == 32; }
+  /// True when pairs run first in 8-bit cells.
+  [[nodiscard]] bool byte_pass() const { return build_.first_bits == 8; }
   /// The representation the kernel actually runs (kAuto resolved).
-  [[nodiscard]] StripedRepr repr() const { return repr_; }
+  [[nodiscard]] StripedRepr repr() const { return build_.repr; }
+  [[nodiscard]] const StripedBuild& build() const { return build_; }
 
   /// Max local-alignment score of the profiled query against `y`.
+  /// `rescored`, when non-null, is set to whether an 8-bit result was
+  /// thrown away and the pair rescored at the exact width.
   /// Throws std::out_of_range on target codes outside the alphabet.
-  [[nodiscard]] std::uint32_t score(std::span<const std::uint8_t> y) const;
+  [[nodiscard]] std::uint32_t score(std::span<const std::uint8_t> y,
+                                    bool* rescored = nullptr) const;
 
  private:
   friend class StripedProfileCache;
 
+  // One pass's planes in storage_: `segments` vectors per column, the
+  // positive plane at byte offset p and the negative one at n, each
+  // [symbol][vector][lane].
+  struct Pass {
+    std::size_t segments = 0;
+    std::size_t p = 0;
+    std::size_t n = 0;
+  };
+
+  template <class Elem>
+  std::uint32_t run(const Pass& pass, std::span<const std::uint8_t> y) const;
+
   std::size_t m_ = 0;
-  std::size_t segments_ = 0;
-  unsigned lanes_ = 0;
-  bool wide_ = false;
-  StripedRepr repr_ = StripedRepr::kAuto;
+  StripedBuild build_;
   std::size_t alphabet_size_ = 0;
   std::uint32_t gap_open_ = 0;
   std::uint32_t gap_extend_ = 0;
-  // [symbol][vector][lane], one plane of positive and one of negative
-  // substitution magnitudes; exactly one of profile_p16_/profile_p32_ is
-  // populated (by wide_).
-  std::vector<std::uint16_t> profile_p16_, profile_n16_;
-  std::vector<std::uint32_t> profile_p32_, profile_n32_;
+  // 8-bit results at or above this are rescored: 255 - max_positive.
+  std::uint32_t byte_limit_ = 0;
+  // Every plane in one allocation: the 8-bit pass's (byte_, when
+  // byte_pass()) and the exact pass's (exact_, 16- or 32-bit cells).
+  std::vector<unsigned char> storage_;
+  Pass byte_;
+  Pass exact_;
 };
 
 /// Keyed (scheme fingerprint, query, repr) LRU of shared profiles so a
@@ -151,18 +218,19 @@ class StripedProfileCache {
 /// construction lands in timings->w2b_ms (the input-prep phase) and the
 /// DP in timings->swa_ms. `cache` (optional) amortizes profiles across
 /// calls; without it a per-call cache still amortizes within the batch.
+/// `stats`, when non-null, accumulates the 8-bit pass's counts.
 util::Expected<std::vector<std::uint32_t>> try_striped_max_scores(
     std::span<const encoding::GenericSequence> xs,
     std::span<const encoding::GenericSequence> ys,
     const ScoringScheme& scheme, bulk::Mode mode = bulk::Mode::kSerial,
     StripedProfileCache* cache = nullptr, PhaseTimings* timings = nullptr,
-    StripedRepr repr = StripedRepr::kAuto);
+    StripedRepr repr = StripedRepr::kAuto, StripedStats* stats = nullptr);
 
 /// The striped engine as a first-class screening Backend (DNA batch
 /// boundary, any uniform scheme incl. affine). Polls ChunkJob::stop
-/// between pairs; reports profile/DP phase timings. Holds its own
-/// profile cache unless `cache` is supplied (not owned, must outlive the
-/// backend).
+/// between pairs; reports profile/DP phase timings and the 8-bit pass's
+/// counts (ChunkResult::striped_*). Holds its own profile cache unless
+/// `cache` is supplied (not owned, must outlive the backend).
 std::unique_ptr<Backend> make_striped_backend(
     const ScoringScheme& scheme, bulk::Mode mode = bulk::Mode::kSerial,
     StripedProfileCache* cache = nullptr,

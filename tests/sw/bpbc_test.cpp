@@ -2,6 +2,8 @@
 // the library's central correctness property.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "encoding/batch.hpp"
 #include "encoding/random.hpp"
 #include "sw/bpbc.hpp"
@@ -18,6 +20,16 @@ struct Case {
   ScoreParams params;
   std::uint64_t seed;
 };
+
+// Prints a case as p32_m8_n24_2_1_1_seed1 (pairs, pattern and text
+// lengths, match/mismatch/gap, seed): ctest names each instance after
+// its printed parameter, so the name must not depend on the struct's
+// padding bytes, which gtest's default byte dump includes.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "p" << c.count << "_m" << c.m << "_n" << c.n << "_"
+      << c.params.match << "_" << c.params.mismatch << "_" << c.params.gap
+      << "_seed" << c.seed;
+}
 
 class BpbcVsScalar : public ::testing::TestWithParam<Case> {};
 

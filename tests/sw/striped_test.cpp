@@ -1,11 +1,13 @@
 // Randomized cross-checks of the striped-SIMD (Farrar, lazy-F
 // deconstructed) engine against the scalar Gotoh reference: DNA and
 // protein alphabets, linear and affine gaps, query lengths chosen to
-// straddle segment boundaries (m % lanes != 0, m < lanes, m >> lanes),
-// both kernel representations (GNU vector and the std::array fallback),
-// both element widths (16-bit and the 32-bit escalation), the lazy-F
-// stress shapes (cheap gaps, rich matches — maximal cross-segment
-// carry), the degenerate inputs, the profile cache, and the v2 Backend
+// straddle the segment boundaries of every lane count (16/8/4 lanes and
+// their multiples), both kernel reprs (the std::array fallback and the
+// 128-bit GNU vectors, when the compiler has them), every element width
+// (the 8-bit first pass, its escalation to 16 bits at exactly
+// 255 - max_positive, and 32-bit cells), the lazy-F stress shapes (cheap
+// gaps, rich matches — maximal cross-segment carry), the degenerate
+// inputs, the per-thread scratch, the profile cache, and the Backend
 // registration through the chunked screening pipeline.
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include "sw/scheme_aligner.hpp"
 #include "sw/scoring.hpp"
 #include "sw/striped.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 
 namespace swbpbc::sw {
@@ -28,7 +31,13 @@ namespace {
 using encoding::GenericSequence;
 using encoding::Sequence;
 
-const StripedRepr kBothReprs[] = {StripedRepr::kVector, StripedRepr::kScalar};
+// The reprs this build runs: the vector kernel only when the compiler has
+// vector extensions.
+std::vector<StripedRepr> host_reprs() {
+  std::vector<StripedRepr> out{StripedRepr::kScalar};
+  if (striped_vector_compiled()) out.push_back(StripedRepr::kVector);
+  return out;
+}
 
 GenericSequence random_generic(util::Xoshiro256& rng, std::size_t len,
                                std::size_t sigma) {
@@ -64,39 +73,54 @@ ScoringScheme protein_blosum62(GapModel gaps = GapModel::kAffine) {
   return s;
 }
 
-void expect_pair_identity(const GenericSequence& x, const GenericSequence& y,
-                          const ScoringScheme& scheme,
-                          const std::string& label) {
+// Every repr this build runs must score (x, y) exactly as scalar Gotoh.
+// Returns the reference score.
+std::uint32_t expect_pair_identity(const GenericSequence& x,
+                                   const GenericSequence& y,
+                                   const ScoringScheme& scheme,
+                                   const std::string& label) {
   const std::uint32_t want = scheme_max_score(x, y, scheme);
-  for (const StripedRepr repr : kBothReprs) {
+  for (const StripedRepr repr : host_reprs()) {
     const std::uint32_t got = striped_max_score(x, y, scheme, repr);
-    EXPECT_EQ(got, want)
-        << label << " repr=" << static_cast<int>(repr) << " m=" << x.size()
-        << " n=" << y.size();
+    EXPECT_EQ(got, want) << label << " repr=" << striped_repr_name(repr)
+                         << " m=" << x.size() << " n=" << y.size();
   }
+  return want;
 }
 
 // The randomized matrix: every scheme kind x query lengths that straddle
-// the 8-lane and 4-lane segment boundaries (1, lanes-1, lanes, lanes+1,
-// several non-multiples, and a long tail) x assorted target lengths.
+// the segment boundaries of every lane count (16/8/4 lanes and their
+// multiples: 1, 2, and k-1 .. k+1 for k = 8, 16, 32, 64, 128) x assorted
+// target lengths, at every repr. The schemes drive every element width: small
+// scores stay in the 8-bit pass, "dna-rich" (max_positive 120) escalates
+// most pairs to 16 bits, "dna-wide-constant" (a penalty over 16 bits)
+// runs 32-bit cells with no 8-bit pass, and "dna-no-byte" (match 300)
+// runs 16-bit cells directly.
 TEST(StripedCross, RandomizedMatrixMatchesScalarGotoh) {
   struct Case {
     const char* name;
     ScoringScheme scheme;
     std::size_t sigma;
+    unsigned first_bits;  // the profile's first pass at m = 17
   };
   const Case cases[] = {
-      {"dna-linear", dna_linear(), 4},
-      {"dna-linear-steep", dna_linear(5, 4, 3), 4},
-      {"dna-affine", dna_affine(), 4},
-      {"blosum62-linear", protein_blosum62(GapModel::kLinear), 20},
-      {"blosum62-affine", protein_blosum62(), 20},
+      {"dna-linear", dna_linear(), 4, 8},
+      {"dna-linear-steep", dna_linear(5, 4, 3), 4, 8},
+      {"dna-affine", dna_affine(), 4, 8},
+      {"dna-rich", dna_linear(120, 60, 70), 4, 8},
+      {"dna-wide-constant", dna_linear(3, 70000, 2), 4, 32},
+      {"dna-no-byte", dna_linear(300, 100, 120), 4, 16},
+      {"blosum62-linear", protein_blosum62(GapModel::kLinear), 20, 8},
+      {"blosum62-affine", protein_blosum62(), 20, 8},
   };
-  const std::size_t query_lengths[] = {1, 2, 5, 7, 8, 9, 15, 16, 17,
-                                       23, 24, 31, 33, 50, 64, 100};
+  const std::size_t query_lengths[] = {1,  2,  7,  8,  9,  15,  16,  17,
+                                       31, 32, 33, 63, 64, 65, 127, 128,
+                                       129};
   const std::size_t target_lengths[] = {1, 3, 17, 64, 130};
   util::Xoshiro256 rng(20260809);
   for (const Case& c : cases) {
+    EXPECT_EQ(striped_build(c.scheme, 17).first_bits, c.first_bits)
+        << c.name;
     for (const std::size_t m : query_lengths) {
       for (const std::size_t n : target_lengths) {
         const GenericSequence x = random_generic(rng, m, c.sigma);
@@ -104,6 +128,118 @@ TEST(StripedCross, RandomizedMatrixMatchesScalarGotoh) {
         expect_pair_identity(x, y, c.scheme, c.name);
       }
     }
+  }
+}
+
+// The 8-bit pass hands a pair to the exact width iff its score reaches
+// 255 - max_positive: pairs scoring one below, exactly at, and one above
+// that limit, under a unit-match DNA scheme (limit 254) and BLOSUM62
+// (limit 244), at every repr. x = y, so the optimum is the diagonal.
+TEST(StripedCross, BytePassEscalatesExactlyAtTheLimit) {
+  const ScoringScheme unit = dna_linear(1, 3, 3);
+  const std::uint32_t unit_limit = 255 - unit.max_positive();
+  for (const std::uint32_t target :
+       {unit_limit - 1, unit_limit, unit_limit + 1}) {
+    const GenericSequence x(target, 1);  // every diagonal cell scores 1
+    const std::uint32_t got = expect_pair_identity(x, x, unit, "unit-limit");
+    EXPECT_EQ(got, target);
+    for (const StripedRepr repr : host_reprs()) {
+      const StripedProfile profile(unit, x, repr);
+      ASSERT_TRUE(profile.byte_pass());
+      bool rescored = false;
+      EXPECT_EQ(profile.score(x, &rescored), target);
+      EXPECT_EQ(rescored, target >= unit_limit)
+          << "score " << target << " repr=" << striped_repr_name(repr);
+    }
+  }
+
+  // BLOSUM62: 21 W (11 each) plus residues whose self-scores add up to
+  // the last 12-14 points: A-A is 4, R-R is 5, C-C is 9.
+  const ScoringScheme blosum = protein_blosum62();
+  const encoding::Alphabet& aa = blosum.alphabet();
+  const std::uint32_t blosum_limit = 255 - blosum.max_positive();
+  const struct {
+    const char* tail;
+    std::uint32_t score;
+  } cases[] = {{"AAA", blosum_limit - 1},  // 231 + 12 = 243
+               {"CA", blosum_limit},       // 231 + 13 = 244
+               {"CR", blosum_limit + 1}};  // 231 + 14 = 245
+  for (const auto& c : cases) {
+    GenericSequence x(21, aa.code('W'));
+    for (const char* t = c.tail; *t != '\0'; ++t) x.push_back(aa.code(*t));
+    const std::uint32_t got = expect_pair_identity(x, x, blosum, c.tail);
+    EXPECT_EQ(got, c.score) << c.tail;
+    for (const StripedRepr repr : host_reprs()) {
+      const StripedProfile profile(blosum, x, repr);
+      bool rescored = false;
+      EXPECT_EQ(profile.score(x, &rescored), got);
+      EXPECT_EQ(rescored, got >= blosum_limit)
+          << c.tail << " repr=" << striped_repr_name(repr);
+    }
+  }
+}
+
+// Optima made of gaps: pairs whose every alignment is negative score 0
+// (no diagonal cell survives), and optima that must bridge a gap — a
+// block split by junk in x and contiguous in y, under linear and affine
+// gaps, with the split straddling segment boundaries.
+TEST(StripedCross, GapOptimaMatchScalar) {
+  const ScoringScheme schemes[] = {dna_linear(2, 3, 1), dna_affine(3, 1),
+                                   protein_blosum62()};
+  for (const ScoringScheme& s : schemes) {
+    for (const std::size_t m : {16u, 33u, 65u}) {
+      const GenericSequence all_a(m, 0), all_c(m, 1);
+      if (!s.matrix) {
+        EXPECT_EQ(expect_pair_identity(all_a, all_c, s, "zero"), 0u);
+      }
+      // x = block + junk + block, y = block + block.
+      GenericSequence block(m / 2, 2), x = block, y = block;
+      x.insert(x.end(), 5, 3);
+      x.insert(x.end(), block.begin(), block.end());
+      y.insert(y.end(), block.begin(), block.end());
+      expect_pair_identity(x, y, s, "gap-bridge");
+      expect_pair_identity(y, x, s, "gap-bridge-transposed");
+    }
+  }
+}
+
+// The extreme BLOSUM62 entries: runs of the pair with the largest entry
+// (the W-W diagonal, 11) and of the pair with the most negative one (-4),
+// alone and interleaved, so the profile's positive and negative planes
+// hold their extreme values in every lane.
+TEST(StripedCross, ExtremeBlosumEntriesMatchScalar) {
+  const ScoringScheme s = protein_blosum62();
+  const std::size_t sigma = s.alphabet().size();
+  std::uint8_t hi_a = 0, hi_b = 0, lo_a = 0, lo_b = 0;
+  for (std::size_t a = 0; a < sigma; ++a) {
+    for (std::size_t b = 0; b < sigma; ++b) {
+      const auto ca = static_cast<std::uint8_t>(a);
+      const auto cb = static_cast<std::uint8_t>(b);
+      if (s.substitution(ca, cb) > s.substitution(hi_a, hi_b)) {
+        hi_a = ca;
+        hi_b = cb;
+      }
+      if (s.substitution(ca, cb) < s.substitution(lo_a, lo_b)) {
+        lo_a = ca;
+        lo_b = cb;
+      }
+    }
+  }
+  ASSERT_EQ(s.substitution(hi_a, hi_b),
+            static_cast<int>(s.max_positive()));
+  ASSERT_EQ(-s.substitution(lo_a, lo_b),
+            static_cast<int>(s.max_negative()));
+  util::Xoshiro256 rng(62);
+  for (const std::size_t m : {15u, 32u, 64u, 129u}) {
+    const GenericSequence hi_x(m, hi_a), hi_y(m + 7, hi_b);
+    const GenericSequence lo_x(m, lo_a), lo_y(m + 7, lo_b);
+    expect_pair_identity(hi_x, hi_y, s, "max-entry");
+    expect_pair_identity(lo_x, lo_y, s, "min-entry");
+    GenericSequence mix_x(m), mix_y(m + 7);
+    for (std::size_t i = 0; i < m; ++i) mix_x[i] = rng.below(2) ? hi_a : lo_a;
+    for (std::size_t i = 0; i < m + 7; ++i)
+      mix_y[i] = rng.below(2) ? hi_b : lo_b;
+    expect_pair_identity(mix_x, mix_y, s, "mixed-extremes");
   }
 }
 
@@ -155,20 +291,112 @@ TEST(StripedCross, EmptyAndSingleResidueInputs) {
 }
 
 // A large-magnitude scheme forces the 32-bit element escalation (score
-// bound over 16 bits); the wide kernel must stay bit-identical too.
+// bound over 16 bits); the wide kernel must stay bit-identical too. Every
+// repr runs 128-bit vectors: 4 lanes of 32-bit cells, 8 of 16-bit cells
+// and 16 of 8-bit cells.
 TEST(StripedCross, WideCellEscalationMatchesScalar) {
   ScoringScheme s = dna_linear(300, 100, 120);
   util::Xoshiro256 rng(7);
   const GenericSequence x = random_generic(rng, 300, 4);
   const GenericSequence y = random_generic(rng, 90, 4);
+  for (const StripedRepr repr : host_reprs()) {
+    const StripedProfile profile(s, x, repr);
+    EXPECT_TRUE(profile.wide_cells());
+    EXPECT_FALSE(profile.byte_pass());  // match 300 does not fit a byte
+    EXPECT_EQ(profile.lanes(), 4u) << striped_repr_name(repr);
+    EXPECT_EQ(profile.segments(), 75u);
+    // And the 16-bit cells are exercised by the small schemes.
+    const StripedProfile narrow(dna_linear(), x, repr);
+    EXPECT_FALSE(narrow.wide_cells());
+    EXPECT_TRUE(narrow.byte_pass());
+    EXPECT_EQ(narrow.lanes(), 8u) << striped_repr_name(repr);
+    EXPECT_EQ(narrow.build().name(),
+              std::string(striped_repr_name(repr)) + " 16xu8>8xu16");
+  }
+  expect_pair_identity(x, y, s, "wide-cells");
+
+  // 8-bit first pass escalating straight to 32-bit cells: the constants
+  // fit a byte, the bound 200 * 400 does not fit 16 bits.
+  const ScoringScheme rich = dna_linear(200, 50, 60);
+  const GenericSequence long_x = random_generic(rng, 400, 4);
+  GenericSequence long_y = random_generic(rng, 120, 4);
+  for (std::size_t i = 0; i < 60; ++i) long_y[30 + i] = long_x[100 + i];
+  for (const StripedRepr repr : host_reprs()) {
+    const StripedProfile profile(rich, long_x, repr);
+    EXPECT_TRUE(profile.byte_pass());
+    EXPECT_TRUE(profile.wide_cells());
+    bool rescored = false;
+    EXPECT_EQ(profile.score(long_y, &rescored),
+              scheme_max_score(long_x, long_y, rich))
+        << striped_repr_name(repr);
+    EXPECT_TRUE(rescored);
+  }
+}
+
+// A penalty too large for 16-bit cells must not be truncated into one: a
+// gap cost of 65537 splatted into 16 bits would cost 1, and the planted
+// gapped match below would then outscore the ungapped optimum.
+TEST(StripedCross, LargeConstantsPickWideCells) {
+  const ScoringScheme s = dna_linear(2, 65537, 65537);
+  GenericSequence x(20, 0), y(20, 0);
+  x[10] = 1;  // y matches x with one base deleted
+  y.resize(19);
   const StripedProfile profile(s, x);
   EXPECT_TRUE(profile.wide_cells());
-  EXPECT_EQ(profile.lanes(), 4u);
-  expect_pair_identity(x, y, s, "wide-cells");
-  // And the 16-bit path is actually exercised by the small schemes.
-  const StripedProfile narrow(dna_linear(), x);
-  EXPECT_FALSE(narrow.wide_cells());
-  EXPECT_EQ(narrow.lanes(), 8u);
+  EXPECT_FALSE(profile.byte_pass());
+  EXPECT_EQ(expect_pair_identity(x, y, s, "large-gap"), 20u);
+}
+
+// kAuto is the vector kernel when the build has one, and a build's name
+// gives its repr and each pass's lanes x element width.
+TEST(StripedBuildTest, NameGivesReprAndWidths) {
+  const StripedRepr host = striped_vector_compiled() ? StripedRepr::kVector
+                                                     : StripedRepr::kScalar;
+  EXPECT_EQ(striped_build(dna_linear(), 10).repr, host);
+  StripedBuild b;
+  b.repr = StripedRepr::kVector;
+  b.first_bits = 8;
+  b.exact_bits = 16;
+  EXPECT_EQ(b.name(), "vector 16xu8>8xu16");
+  b.first_bits = 16;
+  EXPECT_EQ(b.name(), "vector 8xu16");
+  b.repr = StripedRepr::kScalar;
+  b.first_bits = 8;
+  b.exact_bits = 32;
+  EXPECT_EQ(b.name(), "scalar 16xu8>4xu32");
+  EXPECT_EQ(striped_build(dna_linear(300, 100, 120), 300).name(),
+            std::string(striped_repr_name(host)) + " 4xu32");
+}
+
+// Each thread keeps its DP scratch for the next call only up to a fixed
+// size; a query past it scores with a scratch of its own. A long query
+// (past the kept size at both the 8- and the 16-bit pass) between short
+// ones must leave every score bit-identical, at every repr.
+TEST(StripedProfileTest, LongQueryBetweenShortOnesStaysExact) {
+  const ScoringScheme s = dna_linear();
+  util::Xoshiro256 rng(23);
+  const GenericSequence long_x = random_generic(rng, 24000, 4);
+  GenericSequence long_y = random_generic(rng, 300, 4);
+  for (std::size_t i = 0; i < 200; ++i) long_y[50 + i] = long_x[9000 + i];
+  std::vector<GenericSequence> short_xs, short_ys;
+  for (const std::size_t m : {17u, 64u, 129u}) {
+    short_xs.push_back(random_generic(rng, m, 4));
+    short_ys.push_back(short_xs.back());  // scores 2m: escalates at 129
+  }
+  for (const StripedRepr repr : host_reprs()) {
+    for (int round = 0; round < 2; ++round) {
+      for (std::size_t k = 0; k < short_xs.size(); ++k)
+        EXPECT_EQ(striped_max_score(short_xs[k], short_ys[k], s, repr),
+                  2 * short_xs[k].size())
+            << striped_repr_name(repr) << " m=" << short_xs[k].size();
+      const StripedProfile profile(s, long_x, repr);
+      bool rescored = false;
+      EXPECT_EQ(profile.score(long_y, &rescored),
+                scheme_max_score(long_x, long_y, s))
+          << striped_repr_name(repr);
+      EXPECT_TRUE(rescored);
+    }
+  }
 }
 
 TEST(StripedProfileTest, RejectsOutOfAlphabetCodes) {
@@ -221,6 +449,41 @@ TEST(StripedBulkTest, BatchMatchesScalarAndFillsTimings) {
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, xs.size() - 1);
   EXPECT_GE(timings.swa_ms, 0.0);
+}
+
+// StripedStats counts the 8-bit pass: every pair of a byte-sized scheme
+// runs it, and exactly the pairs scoring >= 255 - max_positive escalate.
+// The per-thread DP scratch makes parallel scoring identical to serial.
+TEST(StripedBulkTest, StatsCountEscalationsAndParallelMatchesSerial) {
+  const ScoringScheme s = dna_linear();  // limit 253
+  util::Xoshiro256 rng(17);
+  std::vector<GenericSequence> xs, ys;
+  for (std::size_t k = 0; k < 48; ++k) {
+    xs.push_back(random_generic(rng, 40 + k, 4));
+    ys.push_back(random_generic(rng, 90, 4));
+  }
+  xs.push_back(GenericSequence(200, 1));  // scores 400: escalates
+  ys.push_back(GenericSequence(210, 1));
+  std::uint64_t want_escalations = 0;
+  for (std::size_t k = 0; k < xs.size(); ++k)
+    if (scheme_max_score(xs[k], ys[k], s) >= 255 - s.max_positive())
+      ++want_escalations;
+  ASSERT_GE(want_escalations, 1u);
+  StripedStats serial_stats, parallel_stats;
+  const auto serial =
+      try_striped_max_scores(xs, ys, s, bulk::Mode::kSerial, nullptr,
+                             nullptr, StripedRepr::kAuto, &serial_stats);
+  const auto parallel =
+      try_striped_max_scores(xs, ys, s, bulk::Mode::kParallel, nullptr,
+                             nullptr, StripedRepr::kAuto, &parallel_stats);
+  ASSERT_TRUE(serial.has_value());
+  ASSERT_TRUE(parallel.has_value());
+  EXPECT_EQ(*serial, *parallel);
+  for (std::size_t k = 0; k < xs.size(); ++k)
+    EXPECT_EQ((*serial)[k], scheme_max_score(xs[k], ys[k], s)) << k;
+  EXPECT_EQ(serial_stats.byte_pass_pairs, xs.size());
+  EXPECT_EQ(serial_stats.escalations, want_escalations);
+  EXPECT_EQ(parallel_stats.escalations, want_escalations);
 }
 
 TEST(StripedBulkTest, ShapeAndSchemeValidation) {
@@ -300,6 +563,29 @@ TEST(StripedBackendTest, ChunkedScreenBitIdenticalToBpbc) {
     ASSERT_TRUE(got.has_value()) << got.status().to_string();
     EXPECT_EQ(got->scores, want->scores) << "affine=" << affine;
   }
+}
+
+// The striped backend names its build: caps().kernel_isa is the baseline
+// ISA its one build runs at, and a telemetry-enabled screen exports the
+// 8-bit pass's counts.
+TEST(StripedBackendTest, CapsAndCountersNameTheBuild) {
+  const ScoringScheme scheme = dna_linear();
+  auto backend = make_striped_backend(scheme);
+  EXPECT_EQ(backend->caps().kernel_isa, bitsim::Isa::kBaseline);
+
+  const Sequence same(140, encoding::Base::G);  // scores 280: escalates
+  std::vector<Sequence> xs(8, same), ys(8, same);
+  telemetry::Telemetry session({.enabled = true});
+  ScreenConfig cfg;
+  cfg.scheme = scheme;
+  cfg.traceback = false;
+  cfg.backend = backend.get();
+  cfg.telemetry = session.sink();
+  const auto got = try_screen(xs, ys, cfg);
+  ASSERT_TRUE(got.has_value()) << got.status().to_string();
+  const auto counters = session.snapshot().counters;
+  EXPECT_EQ(counters.at("sw.striped.byte_pass_pairs"), 8u);
+  EXPECT_EQ(counters.at("sw.striped.escalations"), 8u);
 }
 
 }  // namespace
