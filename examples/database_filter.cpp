@@ -6,7 +6,7 @@
 //
 //   ./database_filter [--entries=N] [--tau=T] [--gpu] [--fasta=path]
 //                     [--width=32|64|128|256|512|scalar-wide|auto]
-//                     [--backend=bpbc|striped|wordwise-naive|auto]
+//                     [--backend=bpbc|striped|auto]
 //                     [--json=path] [--db=path]
 //                     [--db-flip-shard=K] [--db-fault-seed=S]
 //
@@ -104,8 +104,7 @@ int main(int argc, char** argv) {
   const auto backend_choice = sw::parse_backend_choice(backend_name);
   if (!backend_choice) {
     std::fprintf(stderr,
-                 "unknown --backend=%s (expected "
-                 "bpbc|striped|wordwise-naive|auto)\n",
+                 "unknown --backend=%s (expected bpbc|striped|auto)\n",
                  backend_name.c_str());
     return 1;
   }

@@ -17,9 +17,7 @@
 //
 // --backend picks the host engine (default auto; SWBPBC_FORCE_BACKEND
 // overrides). The engines are bit-identical on every scheme, so the same
-// scores_fnv fingerprint gates the backend matrix in CI. wordwise-naive
-// is rejected here: the retired reference never grew substitution-matrix
-// support.
+// scores_fnv fingerprint gates the backend matrix in CI.
 //
 // Every run cross-checks a sample of the screened scores against the
 // scalar Gotoh reference, and --db additionally requires the store-served
@@ -138,13 +136,6 @@ int main(int argc, char** argv) {
     engine = sw::resolve_backend_choice(*backend, workload);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "backend resolution failed: %s\n", e.what());
-    return 1;
-  }
-  if (engine == sw::BackendChoice::kWordwiseNaive) {
-    std::fprintf(stderr,
-                 "--backend=wordwise-naive cannot score "
-                 "substitution-matrix schemes (the retired reference only "
-                 "speaks match/mismatch params)\n");
     return 1;
   }
   std::printf("backend: %s (requested %s)\n",

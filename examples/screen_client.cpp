@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
     if (!choice.has_value()) {
       std::fprintf(stderr,
                    "screen_client: unknown --backend=%s (expected "
-                   "bpbc|striped|wordwise-naive|auto)\n",
+                   "bpbc|striped|auto)\n",
                    backend_name.c_str());
       return 2;
     }

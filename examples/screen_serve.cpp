@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   if (!backend.has_value()) {
     std::fprintf(stderr,
                  "screen_serve: unknown --backend=%s (expected "
-                 "bpbc|striped|wordwise-naive|auto)\n",
+                 "bpbc|striped|auto)\n",
                  backend_name.c_str());
     return 2;
   }

@@ -48,7 +48,7 @@ header_check() {
 # sw::ScoringScheme, so a new src/ file naming ScoreParams fails tier 1.
 score_params_fence() {
   echo "== tier 1: ScoreParams fence (allow-listed src/ files only) =="
-  local allowed='^src/(sw/(params|scoring|scalar|wordwise|dispatch|pipeline)'
+  local allowed='^src/(sw/(params|scoring|scalar|wordwise|pipeline)'
   allowed+='\.[ch]pp|service/server\.hpp|device/sw_kernels\.[ch]pp'
   allowed+='|device/sw_stage_kernels\.hpp)$'
   local stray
@@ -290,17 +290,20 @@ EOF
 
   echo "== tier 1: forced-backend negative smoke (typed rejection) =="
   # An unparsable override must be a loud typed error naming the
-  # variable, never a silent fall-through to some default engine.
-  if SWBPBC_FORCE_BACKEND=banana ./build/examples/database_filter \
-      --entries=64 > "$smoke_dir/badbackend.out" 2>&1; then
-    echo "SWBPBC_FORCE_BACKEND=banana was silently accepted" >&2
-    exit 1
-  fi
-  grep -q "SWBPBC_FORCE_BACKEND" "$smoke_dir/badbackend.out" || {
-    echo "rejection does not name SWBPBC_FORCE_BACKEND" >&2
-    cat "$smoke_dir/badbackend.out" >&2
-    exit 1
-  }
+  # variable, never a silent fall-through to some default engine; the
+  # retired wordwise-naive engine name is no longer a backend either.
+  for bad in banana wordwise-naive; do
+    if SWBPBC_FORCE_BACKEND=$bad ./build/examples/database_filter \
+        --entries=64 > "$smoke_dir/badbackend.out" 2>&1; then
+      echo "SWBPBC_FORCE_BACKEND=$bad was silently accepted" >&2
+      exit 1
+    fi
+    grep -q "SWBPBC_FORCE_BACKEND" "$smoke_dir/badbackend.out" || {
+      echo "rejection of $bad does not name SWBPBC_FORCE_BACKEND" >&2
+      cat "$smoke_dir/badbackend.out" >&2
+      exit 1
+    }
+  done
 
   echo "== tier 1: crossover bench smoke (BPBC x striped bit-identity) =="
   # CI sizes: the per-region engine bit-identity and scalar spot-check

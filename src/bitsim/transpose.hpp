@@ -50,10 +50,4 @@ constexpr unsigned full_transpose_ops() {
   return steps * (word_bits_v<W> / 2) * 7;
 }
 
-// Convenience non-template entry points (defined in transpose.cpp).
-void transpose32(std::span<std::uint32_t> a);
-void transpose64(std::span<std::uint64_t> a);
-void untranspose32(std::span<std::uint32_t> a);
-void untranspose64(std::span<std::uint64_t> a);
-
 }  // namespace swbpbc::bitsim

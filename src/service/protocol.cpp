@@ -202,12 +202,13 @@ util::Expected<ScreenRequest> decode_request(
       std::uint64_t hint = 0;
       cur.take_u64(hint);
       // 1 + sw::BackendChoice; 0 never encodes (unhinted omits the tag).
+      // 4 named the retired wordwise-naive engine: it decodes as
+      // unhinted, so journals that recorded it still replay.
       if (hint == 0 || hint > 4)
         return util::Status::invalid_input(
             "request backend hint " + std::to_string(hint) +
-            " is outside [1, 4] (1 auto, 2 bpbc, 3 striped, "
-            "4 wordwise-naive)");
-      req.backend_hint = static_cast<std::uint8_t>(hint);
+            " is outside [1, 3] (1 auto, 2 bpbc, 3 striped)");
+      req.backend_hint = hint == 4 ? 0 : static_cast<std::uint8_t>(hint);
     } else if (!cur.skip(static_cast<std::size_t>(len))) {
       return util::Status::parse_error(
           "request payload carries trailing garbage");

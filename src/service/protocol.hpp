@@ -75,10 +75,10 @@ struct ScreenRequest {
   // Optional host-engine hint (trailer tag kRequestFieldBackendChoice):
   // 0 = unhinted (no entry emitted, bytes match a pre-hint client; the
   // daemon picks per its config), else 1 + sw::BackendChoice — 1 auto,
-  // 2 bpbc, 3 striped, 4 wordwise-naive. Advisory: the engines score
-  // bit-identically, so the hint steers throughput, never results (the
-  // journal and scheme fingerprint are unaffected). Out-of-range values
-  // are rejected kInvalidInput at decode.
+  // 2 bpbc, 3 striped. Advisory: the engines score bit-identically, so
+  // the hint steers throughput, never results (the journal and scheme
+  // fingerprint are unaffected). The retired value 4 decodes as 0;
+  // larger values are rejected kInvalidInput at decode.
   std::uint8_t backend_hint = 0;
 
   [[nodiscard]] std::size_t pair_count() const { return xs.size(); }

@@ -61,8 +61,8 @@ struct ServerConfig {
   std::optional<sw::ScoringScheme> scheme;
   sw::LaneWidth width = sw::LaneWidth::kAuto;
   // Host engine for batch compute when no persistent device engine is
-  // configured: BPBC, striped SIMD, the naive reference, or (default)
-  // the cost-model auto-dispatch (sw/dispatch.hpp). A batch whose traced
+  // configured: BPBC, striped SIMD, or (default) the cost-model
+  // auto-dispatch (sw/dispatch.hpp). A batch whose traced
   // requests agree on one nonzero backend hint follows the hint instead.
   // Purely a throughput knob — every engine scores bit-identically, so
   // journal replays and cached responses are unaffected.

@@ -94,11 +94,11 @@ std::unique_ptr<Backend> make_db_backend(db::Reader& reader,
           validate_scheme(options.scheme, "DbBackendOptions::scheme");
       !s.ok())
     throw util::StatusError(std::move(s));
-  if (!options.scheme.params_expressible())
+  if (!options.scheme.uniform())
     throw util::StatusError(util::Status::invalid_input(
-        "DbBackendOptions::scheme is not linear-uniform; the store backend "
-        "drives the linear DNA kernels — screen a store with an affine or "
-        "matrix scheme through sw::try_scheme_db_max_scores"));
+        "DbBackendOptions::scheme carries a substitution matrix; the store "
+        "backend serves DNA batches — screen a protein store through "
+        "sw::try_scheme_db_max_scores"));
   return std::make_unique<DbBackend>(reader, options);
 }
 

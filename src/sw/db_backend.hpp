@@ -31,10 +31,10 @@
 namespace swbpbc::sw {
 
 struct DbBackendOptions {
-  // Scoring model. The store backend scores linear DNA only, so
-  // make_db_backend rejects an invalid, affine or matrix scheme with a
-  // typed kInvalidInput StatusError — those screen a store through
-  // sw::try_scheme_db_max_scores instead.
+  // Scoring model: any uniform scheme, linear or affine, scored by the
+  // same SchemeBpbcAligner as the in-memory path. make_db_backend rejects
+  // an invalid or matrix scheme with a typed kInvalidInput StatusError —
+  // a protein store screens through sw::try_scheme_db_max_scores.
   ScoringScheme scheme;
   LaneWidth width = LaneWidth::k64;
   bulk::Mode mode = bulk::Mode::kSerial;

@@ -6,7 +6,6 @@
 
 #include "sw/backend.hpp"
 #include "sw/striped.hpp"
-#include "sw/wordwise.hpp"
 
 namespace swbpbc::sw {
 
@@ -15,22 +14,14 @@ const char* backend_choice_name(BackendChoice choice) {
     case BackendChoice::kAuto: return "auto";
     case BackendChoice::kBpbc: return "bpbc";
     case BackendChoice::kStriped: return "striped";
-    case BackendChoice::kWordwiseNaive: return "wordwise-naive";
   }
   return "?";
-}
-
-bool backend_choice_serves(BackendChoice choice,
-                           const ScoringScheme& scheme) {
-  return choice != BackendChoice::kWordwiseNaive ||
-         scheme.params_expressible();
 }
 
 std::optional<BackendChoice> parse_backend_choice(std::string_view s) {
   if (s == "auto") return BackendChoice::kAuto;
   if (s == "bpbc") return BackendChoice::kBpbc;
   if (s == "striped") return BackendChoice::kStriped;
-  if (s == "wordwise-naive") return BackendChoice::kWordwiseNaive;
   return std::nullopt;
 }
 
@@ -42,7 +33,7 @@ util::Expected<std::optional<BackendChoice>> parse_forced_backend(
   if (!parsed) {
     return util::Status::invalid_input(
         std::string("SWBPBC_FORCE_BACKEND: unknown backend \"") + value +
-        "\" (expected bpbc|striped|wordwise-naive|auto)");
+        "\" (expected bpbc|striped|auto)");
   }
   return std::optional<BackendChoice>(parsed);
 }
@@ -129,57 +120,15 @@ BackendChoice resolve_backend_choice(BackendChoice requested,
              : BackendChoice::kBpbc;
 }
 
-namespace {
-
-// The naive wordwise reference as a screening backend: no integrity
-// findings, no stop polling, no phase split (the screen loop books its
-// wall time on SWA).
-class WordwiseBackend final : public Backend {
- public:
-  WordwiseBackend(const ScoreParams& params, bulk::Mode mode)
-      : params_(params), mode_(mode) {}
-
-  [[nodiscard]] BackendCaps caps() const override { return {}; }
-
-  ChunkResult run(const ChunkJob& job) override {
-    ChunkResult r;
-    r.scores = wordwise_max_scores(job.xs, job.ys, params_, mode_);
-    return r;
-  }
-
- private:
-  ScoreParams params_;
-  bulk::Mode mode_;
-};
-
-}  // namespace
-
-util::Expected<DispatchedBackend> make_dispatch_backend(
-    const ScoringScheme& scheme, LaneWidth width, bulk::Mode mode,
-    BackendChoice requested, const DispatchWorkload& workload) {
+DispatchedBackend make_dispatch_backend(const ScoringScheme& scheme,
+                                        LaneWidth width, bulk::Mode mode,
+                                        BackendChoice requested,
+                                        const DispatchWorkload& workload) {
   DispatchedBackend out;
   out.choice = resolve_backend_choice(requested, workload);
-  switch (out.choice) {
-    case BackendChoice::kBpbc:
-      out.backend = make_host_backend(scheme, width, mode);
-      break;
-    case BackendChoice::kStriped:
-      out.backend = make_striped_backend(scheme, mode);
-      break;
-    case BackendChoice::kWordwiseNaive: {
-      const auto params = scheme.to_params();
-      if (!params)
-        return util::Status::invalid_input(
-            "backend wordwise-naive scores ScoreParams-expressible schemes "
-            "only (linear gaps, uniform substitution); use bpbc, striped, "
-            "or auto for this scheme");
-      out.backend = std::make_unique<WordwiseBackend>(*params, mode);
-      break;
-    }
-    case BackendChoice::kAuto:
-      return util::Status::internal(
-          "resolve_backend_choice returned kAuto");  // unreachable
-  }
+  out.backend = out.choice == BackendChoice::kStriped
+                    ? make_striped_backend(scheme, mode)
+                    : make_host_backend(scheme, width, mode);
   return out;
 }
 

@@ -1,6 +1,6 @@
 // Backend selection for the screening front ends: BPBC (the paper's
-// bitwise engine), striped SIMD (the honest wordwise rival), the naive
-// wordwise reference, or a measured cost-model auto-dispatch.
+// bitwise engine), striped SIMD (the honest wordwise rival), or a
+// measured cost-model auto-dispatch between the two.
 //
 // The two production engines are bit-identical on every scheme, so the
 // choice is purely a throughput decision — which is exactly why it can
@@ -15,7 +15,7 @@
 // wins small-s DNA at wide lanes, striped wins large-s / affine / matrix
 // schemes — the crossover surface in BENCH_crossover.json.
 //
-// SWBPBC_FORCE_BACKEND=bpbc|striped|wordwise-naive|auto outranks every
+// SWBPBC_FORCE_BACKEND=bpbc|striped|auto outranks every
 // config field (the lane-width override pattern: read and validated
 // once, a malformed value is a typed kInvalidInput). It selects among
 // the *host engines* only: an explicit Backend instance and the
@@ -38,21 +38,14 @@ namespace swbpbc::sw {
 class Backend;  // sw/backend.hpp
 
 enum class BackendChoice : std::uint8_t {
-  kAuto = 0,           // cost-model dispatch between bpbc and striped
-  kBpbc = 1,           // bitwise parallel bulk computation (the paper)
-  kStriped = 2,        // striped SIMD with lazy-F deconstruction
-  kWordwiseNaive = 3,  // the retired naive baseline (reference only)
+  kAuto = 0,     // cost-model dispatch between bpbc and striped
+  kBpbc = 1,     // bitwise parallel bulk computation (the paper)
+  kStriped = 2,  // striped SIMD with lazy-F deconstruction
 };
 
 [[nodiscard]] const char* backend_choice_name(BackendChoice choice);
 [[nodiscard]] std::optional<BackendChoice> parse_backend_choice(
     std::string_view s);
-
-/// Whether `choice` can score `scheme`: wordwise-naive runs on
-/// ScoreParams, so it needs a params-expressible scheme; every other
-/// choice scores any uniform scheme.
-[[nodiscard]] bool backend_choice_serves(BackendChoice choice,
-                                         const ScoringScheme& scheme);
 
 /// SWBPBC_FORCE_BACKEND policy as a pure function: nullopt when `value`
 /// is null/empty (not forced), the parsed choice, or a typed
@@ -117,10 +110,9 @@ struct CostModel {
   [[nodiscard]] static const CostModel& measured();
 };
 
-/// Resolves kAuto against the cost model (never returns kAuto; never
-/// auto-picks the naive reference). The environment override outranks
-/// `requested`. Deterministic: a pure function of (override, requested,
-/// workload, model).
+/// Resolves kAuto against the cost model (never returns kAuto). The
+/// environment override outranks `requested`. Deterministic: a pure
+/// function of (override, requested, workload, model).
 [[nodiscard]] BackendChoice resolve_backend_choice(
     BackendChoice requested, const DispatchWorkload& workload,
     const CostModel& model = CostModel::measured());
@@ -132,12 +124,11 @@ struct DispatchedBackend {
   std::unique_ptr<Backend> backend;
 };
 
-/// Builds the host engine `requested` resolves to for this workload.
-/// kBpbc routes through make_host_backend (lane-width dispatch intact);
-/// kStriped through make_striped_backend; kWordwiseNaive requires a
-/// params-expressible scheme (typed kInvalidInput otherwise — the
-/// reference path never grew affine or matrix support).
-[[nodiscard]] util::Expected<DispatchedBackend> make_dispatch_backend(
+/// Builds the host engine `requested` resolves to for this workload:
+/// kBpbc through make_host_backend (lane-width dispatch intact), kStriped
+/// through make_striped_backend. Both score every scheme try_screen
+/// accepts.
+[[nodiscard]] DispatchedBackend make_dispatch_backend(
     const ScoringScheme& scheme, LaneWidth width, bulk::Mode mode,
     BackendChoice requested, const DispatchWorkload& workload);
 

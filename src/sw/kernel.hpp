@@ -173,8 +173,18 @@ ChunkResult DbBackend::run_db(const ChunkJob& job) {
   // Only the query side is transposed — the point of the store.
   const auto bx = encoding::transpose_strings<W>(job.xs);
   const std::size_t n_groups = bx.groups.size();
+  // Two 32-lane groups read each shard: the second reuses the first's
+  // rows, so the shard is fetched and counted once per job.
+  std::size_t last_shard = SIZE_MAX;
+  const std::uint64_t* last_rows = nullptr;
   const auto rows_of = [&](std::size_t k) {
-    return rows_for_shard(job, first_shard + k, r);
+    if constexpr (bitsim::word_bits_v<W> < 64) {
+      if (k == last_shard) return last_rows;
+      last_shard = k;
+      return last_rows = rows_for_shard(job, first_shard + k, r);
+    } else {
+      return rows_for_shard(job, first_shard + k, r);
+    }
   };
   std::vector<encoding::PlanarGenericView<W>> xv, yv;
   std::vector<std::vector<W>> scratch(n_groups);

@@ -218,11 +218,6 @@ util::Expected<ScoringScheme> check_scheme(const ScreenConfig& config) {
         "try_screen's DNA pipeline cannot consume it — screen protein "
         "batches through try_scheme_max_scores or "
         "try_scheme_db_max_scores");
-  if (config.database != nullptr && !scheme->params_expressible())
-    return invalid(
-        "config.database serves the linear DNA kernels; an affine "
-        "config.scheme screens a store through try_scheme_db_max_scores "
-        "instead");
   return scheme;
 }
 
@@ -247,18 +242,12 @@ util::Expected<ScoringScheme> resolve_scheme(
 util::Status validate(const ScreenConfig& config) {
   const auto scheme = check_scheme(config);
   if (!scheme.has_value()) return scheme.status();
-  if (!backend_choice_serves(config.backend_choice, *scheme))
-    return invalid("config.backend_choice wordwise-naive scores "
-                   "ScoreParams-expressible schemes only (linear gaps, "
-                   "uniform substitution); pick bpbc, striped, or auto for "
-                   "this scheme");
   if (config.database != nullptr) {
-    if (config.backend_choice == BackendChoice::kStriped ||
-        config.backend_choice == BackendChoice::kWordwiseNaive)
+    if (config.backend_choice == BackendChoice::kStriped)
       return invalid("config.database serves chunks through the BPBC "
-                     "kernels; requesting the striped or wordwise-naive "
-                     "host engine conflicts — clear one (auto and bpbc "
-                     "defer to the store)");
+                     "kernels; requesting the striped host engine "
+                     "conflicts — clear one (auto and bpbc defer to the "
+                     "store)");
     if (config.backend != nullptr)
       return invalid("config.database is unused when an explicit backend "
                      "is set (backends outrank the store); clear one");
@@ -362,8 +351,8 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
 
   // Backend resolution: an explicit Backend wins; a configured database
   // store serves ys from disk; otherwise the host engine is picked by
-  // backend_choice (BPBC / striped / naive reference / the measured
-  // cost-model auto-dispatch). One interface runs every chunk from here
+  // backend_choice (BPBC / striped / the measured cost-model
+  // auto-dispatch). One interface runs every chunk from here
   // on, and the host selection is observable: a span arg plus a
   // backend_selected.<engine> counter.
   std::unique_ptr<Backend> owned_backend;
@@ -384,17 +373,15 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
       } catch (const std::invalid_argument& e) {
         return util::Status::invalid_input(e.what());
       }
-      auto dispatched =
+      DispatchedBackend dispatched =
           make_dispatch_backend(scheme, config.width, config.mode,
                                 config.backend_choice, workload);
-      if (!dispatched.has_value()) return dispatched.status();
-      owned_backend = std::move(dispatched->backend);
-      screen_span.arg("backend",
-                      static_cast<std::int64_t>(dispatched->choice));
+      owned_backend = std::move(dispatched.backend);
+      screen_span.arg("backend", static_cast<std::int64_t>(dispatched.choice));
       if (config.telemetry != nullptr)
         config.telemetry->registry()
             .counter(std::string("backend_selected.") +
-                     backend_choice_name(dispatched->choice))
+                     backend_choice_name(dispatched.choice))
             .add(1);
     }
     backend = owned_backend.get();

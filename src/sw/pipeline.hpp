@@ -87,9 +87,8 @@ struct ScreenConfig {
   bulk::Mode mode = bulk::Mode::kSerial;
   bool traceback = true;  // run the detailed CPU alignment on hits
   // Host engine selection when no explicit backend (and no database) is
-  // configured: BPBC, the striped-SIMD rival, the naive wordwise
-  // reference, or (default) the measured cost-model auto-dispatch — see
-  // sw/dispatch.hpp. Scores are bit-identical whichever engine runs;
+  // configured: BPBC, the striped-SIMD rival, or (default) the measured
+  // cost-model auto-dispatch — see sw/dispatch.hpp. Scores are bit-identical whichever engine runs;
   // SWBPBC_FORCE_BACKEND outranks this field.
   BackendChoice backend_choice = BackendChoice::kAuto;
   // Explicit scoring backend (sw/backend.hpp), e.g. the device
@@ -202,15 +201,15 @@ struct ScreenReport {
 
 /// Cross-field checks on `config`: kOk when the fields are coherent, a
 /// typed kInvalidInput naming the offending `config.` fields otherwise.
-/// Rejects an invalid or matrix scheme, an affine scheme or a striped /
-/// wordwise-naive / explicit backend with a database, wordwise-naive with
-/// a non-expressible scheme, a database with chunk_pairs not a multiple
-/// of 64, checkpoint / resume / salvage without chunking, overlap_depth
-/// outside [1, 8] or >= 2 without chunking or a backend, and a negative
-/// backoff. try_screen enforces only the scheme rules (same messages);
-/// the rest it tolerates, e.g. misaligned database chunks fall back to
-/// in-memory scoring. Callers assembling a config from user input run
-/// this first.
+/// Rejects an invalid or matrix scheme, a striped or explicit backend
+/// with a database, a database with chunk_pairs not a multiple of 64,
+/// checkpoint / resume / salvage without chunking, overlap_depth outside
+/// [1, 8] or >= 2 without chunking or a backend, and a negative backoff.
+/// Every engine and the database store score every uniform scheme,
+/// linear or affine. try_screen enforces only the scheme rules (same
+/// messages); the rest it tolerates, e.g. misaligned database chunks fall
+/// back to in-memory scoring. Callers assembling a config from user input
+/// run this first.
 [[nodiscard]] util::Status validate(const ScreenConfig& config);
 
 /// Screens pairs (xs[k], ys[k]) and re-aligns the hits. All xs must share

@@ -2,16 +2,13 @@
 // DP value occupies one machine word and instances are processed one per
 // bulk-execution slot (Table IV, "Wordwise 32-bits").
 //
-// Retired as a production engine: the striped-SIMD engine (sw/striped.hpp)
-// is the honest wordwise rival now — same one-word-per-cell model, but
+// Not a screening engine: the striped-SIMD engine (sw/striped.hpp) is the
+// wordwise rival the dispatcher picks — same one-word-per-cell model, but
 // Farrar-striped across SIMD lanes with lazy-F deconstruction, and it
-// covers affine gaps and substitution matrices. This path remains as the
-// `wordwise-naive` reference backend (sw/dispatch.hpp): a deliberately
-// plain cell-at-a-time loop (branchless, but unvectorized) that anchors
-// the ablation baseline in bench/ablation_crossover.cpp and the
-// EXPERIMENTS.md speedup tables. The auto-dispatcher never selects it;
-// request it explicitly via --backend wordwise-naive or
-// SWBPBC_FORCE_BACKEND=wordwise-naive.
+// covers affine gaps and substitution matrices. This deliberately plain
+// cell-at-a-time loop (branchless, but unvectorized) stays for two uses:
+// the self-check's independent fallback for linear schemes
+// (sw/pipeline.cpp) and the Table IV baseline rows in bench/harness.cpp.
 #pragma once
 
 #include <cstdint>

@@ -103,8 +103,8 @@ TEST(Transpose, RoundTrip) {
   std::vector<std::uint32_t> a(32);
   for (auto& w : a) w = static_cast<std::uint32_t>(rng());
   const auto orig = a;
-  transpose32(std::span<std::uint32_t>(a));
-  untranspose32(std::span<std::uint32_t>(a));
+  transpose_bits(std::span<std::uint32_t>(a));
+  untranspose_bits(std::span<std::uint32_t>(a));
   EXPECT_EQ(a, orig);
 }
 
@@ -114,8 +114,8 @@ TEST(Transpose, TransposeTwiceIsIdentity) {
   std::vector<std::uint64_t> a(64);
   for (auto& w : a) w = static_cast<std::uint32_t>(rng());
   const auto orig = a;
-  transpose64(std::span<std::uint64_t>(a));
-  transpose64(std::span<std::uint64_t>(a));
+  transpose_bits(std::span<std::uint64_t>(a));
+  transpose_bits(std::span<std::uint64_t>(a));
   EXPECT_EQ(a, orig);
 }
 

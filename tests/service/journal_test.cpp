@@ -166,6 +166,29 @@ TEST(Journal, RejectsUndecodableRecordPayload) {
   std::remove(path.c_str());
 }
 
+TEST(Journal, ReplaysRetiredBackendHintAsUnhinted) {
+  // A journal written while hint 4 (the retired wordwise-naive engine)
+  // was still valid must replay: the record decodes, hint read as 0.
+  const std::string path = temp_path("hint.journal");
+  std::remove(path.c_str());
+  ScreenRequest hinted = make_request("hinted");
+  hinted.backend_hint = 4;
+  {
+    auto journal = RequestJournal::open(path, kFp);
+    ASSERT_TRUE(journal.has_value());
+    ASSERT_TRUE(journal->record_admitted(hinted).ok());
+  }
+  auto journal = RequestJournal::open(path, kFp);
+  ASSERT_TRUE(journal.has_value()) << journal.status().to_string();
+  const auto pending = journal->take_pending();
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0].id, "hinted");
+  EXPECT_EQ(pending[0].backend_hint, 0u);
+  EXPECT_EQ(pending[0].xs, hinted.xs);
+  EXPECT_EQ(pending[0].ys, hinted.ys);
+  std::remove(path.c_str());
+}
+
 TEST(Journal, CompletedResponsesRoundTripExactly) {
   const std::string path = temp_path("bits.journal");
   std::remove(path.c_str());

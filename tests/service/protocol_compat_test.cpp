@@ -135,7 +135,7 @@ TEST(ProtocolCompat, UnhintedBackendAddsNoBytes) {
 }
 
 TEST(ProtocolCompat, BackendHintRoundTripsEveryEngine) {
-  for (std::uint8_t hint = 1; hint <= 4; ++hint) {
+  for (std::uint8_t hint = 1; hint <= 3; ++hint) {
     ScreenRequest req = sample_request(0x10u, 0x20u);
     req.scheme_fingerprint = 0x1ull;
     req.backend_hint = hint;
@@ -145,6 +145,26 @@ TEST(ProtocolCompat, BackendHintRoundTripsEveryEngine) {
     EXPECT_EQ(decoded->trace_id, 0x10u);  // coexists with the other tags
     EXPECT_EQ(decoded->scheme_fingerprint, 0x1ull);
   }
+}
+
+TEST(ProtocolCompat, RetiredBackendHintDecodesUnhinted) {
+  // Hint 4 named the retired wordwise-naive engine. Requests (and journal
+  // records) that carry it still decode, as unhinted; 5 was never valid.
+  auto payload = encode_request(sample_request(0x10u, 0x20u));
+  put_u64(payload, kRequestFieldBackendChoice);
+  put_u64(payload, 8);
+  put_u64(payload, 4);
+  auto decoded = decode_request(payload);
+  ASSERT_TRUE(decoded.has_value()) << decoded.status().to_string();
+  EXPECT_EQ(decoded->backend_hint, 0u);
+  EXPECT_EQ(decoded->trace_id, 0x10u);  // the other tags still land
+  EXPECT_EQ(decoded->pair_count(), 4u);
+
+  ScreenRequest five = sample_request();
+  five.backend_hint = 5;
+  const auto rejected = decode_request(encode_request(five));
+  ASSERT_FALSE(rejected.has_value());
+  EXPECT_EQ(rejected.status().code(), util::ErrorCode::kInvalidInput);
 }
 
 TEST(ProtocolCompat, OutOfRangeBackendHintIsInvalidInput) {

@@ -257,11 +257,11 @@ TEST(ServiceE2E, PinnedSchemeFingerprintIsEnforced) {
 }
 
 TEST(ServiceE2E, UnhonourableHintDoesNotFailACoBatchedTenant) {
-  // An affine daemon cannot run the wordwise-naive engine. Hints are
-  // advisory, so one tenant's wordwise-naive hint must count as unhinted
-  // rather than fail the whole batch — including the other tenant's
-  // request packed beside it. A two-request lane group with a linger
-  // that never expires forces both requests into one batch.
+  // Hint 4 named the retired wordwise-naive engine, which never scored
+  // affine schemes. Hints are advisory, so one tenant's retired hint must
+  // count as unhinted rather than fail the whole batch — including the
+  // other tenant's request packed beside it. A two-request lane group
+  // with a linger that never expires forces both requests into one batch.
   auto cfg = base_config("hintmix");
   sw::ScoringScheme affine;
   affine.gap_model = sw::GapModel::kAffine;
@@ -277,8 +277,7 @@ TEST(ServiceE2E, UnhonourableHintDoesNotFailACoBatchedTenant) {
 
   auto hinted = make_request("hint-naive", 2, 94);
   hinted.tenant = "tenant-hinted";
-  hinted.backend_hint = static_cast<std::uint8_t>(
-      1 + static_cast<unsigned>(sw::BackendChoice::kWordwiseNaive));
+  hinted.backend_hint = 4;  // the encoder writes it; the daemon retires it
   auto unhinted = make_request("hint-none", 2, 95);
   unhinted.tenant = "tenant-plain";
 

@@ -68,35 +68,16 @@ const Rule kRules[] = {
        c.scheme = protein;
      },
      "try_scheme_max_scores"},
-    {"RejectsDatabaseWithAffineScheme",
-     [](ScreenConfig& c) {
-       c.scheme = affine_scheme();
-       c.database = unopened_store();
-       c.chunk_pairs = 64;
-     },
-     "try_scheme_db_max_scores"},
     {"RejectsZeroMatchReward",
      [](ScreenConfig& c) { c.params = ScoreParams{0, 1, 1}; },
      "config.params.match"},
     {"RejectsZeroGapPenalty",
      [](ScreenConfig& c) { c.params = ScoreParams{2, 1, 0}; },
      "config.params.gap"},
-    {"NaiveBackendRejectsAffineSchemes",
-     [](ScreenConfig& c) {
-       c.scheme = affine_scheme();
-       c.backend_choice = BackendChoice::kWordwiseNaive;
-     },
-     "wordwise-naive"},
     {"DatabaseRejectsNonBpbcHostEngines",
      [](ScreenConfig& c) {
        c.database = unopened_store();
        c.backend_choice = BackendChoice::kStriped;
-     },
-     "config.database"},
-    {"RejectsDatabaseWithNaiveBackend",
-     [](ScreenConfig& c) {
-       c.database = unopened_store();
-       c.backend_choice = BackendChoice::kWordwiseNaive;
      },
      "config.database"},
     {"RejectsDatabaseCombinedWithExplicitBackend",
@@ -197,13 +178,18 @@ TEST(ScreenConfigValidation, AcceptsDatabaseWithShardAlignedChunks) {
   ScreenConfig config;
   config.database = unopened_store();
   config.chunk_pairs = 128;
-  // auto and bpbc defer to the store.
-  for (const BackendChoice choice : {BackendChoice::kAuto,
-                                     BackendChoice::kBpbc}) {
-    config.backend_choice = choice;
-    const util::Status status = validate(config);
-    EXPECT_TRUE(status.ok()) << backend_choice_name(choice) << ": "
-                             << status.to_string();
+  // auto and bpbc defer to the store, which serves linear and affine
+  // schemes alike.
+  for (const bool affine : {false, true}) {
+    if (affine) config.scheme = affine_scheme();
+    for (const BackendChoice choice :
+         {BackendChoice::kAuto, BackendChoice::kBpbc}) {
+      config.backend_choice = choice;
+      const util::Status status = validate(config);
+      EXPECT_TRUE(status.ok()) << backend_choice_name(choice)
+                               << " affine=" << affine << ": "
+                               << status.to_string();
+    }
   }
 }
 

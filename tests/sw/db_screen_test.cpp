@@ -16,6 +16,7 @@
 #include "encoding/random.hpp"
 #include "sw/db_backend.hpp"
 #include "sw/pipeline.hpp"
+#include "sw/scalar.hpp"
 #include "util/status.hpp"
 #include "fn_backend.hpp"
 
@@ -71,7 +72,81 @@ TEST(DbScreen, MatchesInMemoryAtEveryLaneWidth) {
     EXPECT_EQ(got.hits.size(), expect.hits.size());
     EXPECT_EQ(got.reliability.db_shards_quarantined, 0u);
     EXPECT_EQ(got.reliability.db_pairs_fallback, 0u);
-    EXPECT_GT(got.reliability.db_shards_served, 0u);
+    // 190 entries fill three 64-lane shards; each is served once, also
+    // at 32 lanes, where two lane groups read every shard.
+    EXPECT_EQ(got.reliability.db_shards_served, 3u)
+        << "width=" << lane_width_name(width);
+  }
+  std::remove(f.db_path.c_str());
+}
+
+// The store runs the same SchemeBpbcAligner as the in-memory path, so an
+// affine scheme screens from it bit-identically: whole-batch, in
+// shard-aligned and misaligned chunks, and with one shard corrupted.
+TEST(DbScreen, AffineSchemeMatchesInMemoryAtEveryLaneWidth) {
+  const Fixture f = make_fixture("affine.swdb", 190, 12, 48);
+  ScoringScheme affine;
+  affine.gap_model = GapModel::kAffine;
+  affine.gap_open = 3;
+  affine.gap_extend = 1;
+  struct Case {
+    const char* name;
+    std::size_t chunk_pairs;
+    bool flip_shard;
+    std::uint64_t served, quarantined, fallback;
+  };
+  const Case cases[] = {
+      {"whole-batch", 0, false, 3, 0, 0},
+      {"64-pair chunks", 64, false, 3, 0, 0},
+      // Only the chunk at pair 0 starts on a shard; 140 pairs fall back.
+      {"50-pair chunks", 50, false, 1, 0, 140},
+      {"flipped shard 1", 0, true, 2, 1, 0},
+  };
+  for (LaneWidth width :
+       {LaneWidth::k32, LaneWidth::k64, LaneWidth::k128, LaneWidth::k256,
+        LaneWidth::k512, LaneWidth::kScalarWide}) {
+    ScreenConfig plain = base_config(width);
+    plain.scheme = affine;
+    const ScreenReport expect = screen(f.xs, f.ys, plain);
+    for (std::size_t k = 0; k < f.xs.size(); k += 7)
+      ASSERT_EQ(expect.scores[k], scheme_max_score(f.xs[k], f.ys[k], affine))
+          << "pair " << k;
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(lane_width_name(width)) + " " + c.name);
+      db::FaultConfig fc;
+      fc.seed = 7;
+      fc.shard_flip_probability = c.flip_shard ? 1.0 : 0.0;
+      fc.target_shard = 1;
+      db::FaultInjector injector(fc);
+      auto reader = db::Reader::open(f.db_path, {.fault = &injector});
+      ASSERT_TRUE(reader.has_value()) << reader.status().to_string();
+      ScreenConfig cfg = plain;
+      cfg.database = &*reader;
+      cfg.chunk_pairs = c.chunk_pairs;
+      const ScreenReport got = screen(f.xs, f.ys, cfg);
+      EXPECT_EQ(got.scores, expect.scores);
+      EXPECT_EQ(got.hits.size(), expect.hits.size());
+      EXPECT_EQ(got.reliability.db_shards_served, c.served);
+      EXPECT_EQ(got.reliability.db_shards_quarantined, c.quarantined);
+      EXPECT_EQ(got.reliability.db_pairs_fallback, c.fallback);
+    }
+  }
+  std::remove(f.db_path.c_str());
+}
+
+TEST(DbScreen, MatrixSchemeIsRejectedByTheStoreBackend) {
+  const Fixture f = make_fixture("matrix.swdb", 64, 10, 32);
+  auto reader = db::Reader::open(f.db_path);
+  ASSERT_TRUE(reader.has_value());
+  DbBackendOptions opts;
+  opts.scheme.matrix = blosum62();
+  try {
+    (void)make_db_backend(*reader, opts);
+    ADD_FAILURE() << "a matrix scheme was accepted";
+  } catch (const util::StatusError& e) {
+    EXPECT_EQ(e.status().code(), util::ErrorCode::kInvalidInput);
+    EXPECT_NE(e.status().message().find("try_scheme_db_max_scores"),
+              std::string::npos);
   }
   std::remove(f.db_path.c_str());
 }

@@ -2,8 +2,8 @@
 // SWBPBC_FORCE_BACKEND policy function (every spelling, the no-override
 // cases, the typed negative naming the variable), auto-resolution
 // determinism (never kAuto, follows the cheaper engine for both cost
-// orderings), the naive-reference scheme gate, and end-to-end screen
-// bit-identity whichever host engine backend_choice selects.
+// orderings), and end-to-end screen bit-identity whichever host engine
+// backend_choice selects, linear or affine.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,8 +23,7 @@ using encoding::Sequence;
 
 TEST(BackendChoiceNames, ParseRoundTripsEveryName) {
   const BackendChoice all[] = {BackendChoice::kAuto, BackendChoice::kBpbc,
-                               BackendChoice::kStriped,
-                               BackendChoice::kWordwiseNaive};
+                               BackendChoice::kStriped};
   for (const BackendChoice c : all) {
     const auto parsed = parse_backend_choice(backend_choice_name(c));
     ASSERT_TRUE(parsed.has_value()) << backend_choice_name(c);
@@ -33,6 +32,7 @@ TEST(BackendChoiceNames, ParseRoundTripsEveryName) {
   EXPECT_FALSE(parse_backend_choice("BPBC").has_value());
   EXPECT_FALSE(parse_backend_choice("").has_value());
   EXPECT_FALSE(parse_backend_choice("striped ").has_value());
+  EXPECT_FALSE(parse_backend_choice("wordwise-naive").has_value());
 }
 
 TEST(ForcedBackend, UnsetAndEmptyMeanNoOverride) {
@@ -51,7 +51,6 @@ TEST(ForcedBackend, AcceptsEverySpelling) {
   } cases[] = {
       {"bpbc", BackendChoice::kBpbc},
       {"striped", BackendChoice::kStriped},
-      {"wordwise-naive", BackendChoice::kWordwiseNaive},
       {"auto", BackendChoice::kAuto},
   };
   for (const auto& c : cases) {
@@ -63,7 +62,8 @@ TEST(ForcedBackend, AcceptsEverySpelling) {
 }
 
 TEST(ForcedBackend, UnknownValueIsTypedInvalidInput) {
-  for (const char* bad : {"farrar", "STRIPED", "bpbc ", "0", "wordwise"}) {
+  for (const char* bad :
+       {"farrar", "STRIPED", "bpbc ", "0", "wordwise", "wordwise-naive"}) {
     const auto parsed = parse_forced_backend(bad);
     ASSERT_FALSE(parsed.has_value()) << bad;
     EXPECT_EQ(parsed.status().code(), util::ErrorCode::kInvalidInput) << bad;
@@ -120,12 +120,10 @@ TEST(ResolveBackend, ExplicitChoicePassesThrough) {
             BackendChoice::kBpbc);
   EXPECT_EQ(resolve_backend_choice(BackendChoice::kStriped, w),
             BackendChoice::kStriped);
-  EXPECT_EQ(resolve_backend_choice(BackendChoice::kWordwiseNaive, w),
-            BackendChoice::kWordwiseNaive);
 }
 
-// Auto follows the cheaper engine for both cost orderings, never returns
-// kAuto, and never auto-picks the retired naive reference.
+// Auto follows the cheaper engine for both cost orderings and never
+// returns kAuto.
 TEST(ResolveBackend, AutoFollowsTheCostModel) {
   const DispatchWorkload w = dna_workload();
   CostModel bpbc_wins;
@@ -144,7 +142,6 @@ TEST(ResolveBackend, AutoFollowsTheCostModel) {
   for (const CostModel& m : {bpbc_wins, striped_wins}) {
     const BackendChoice c = resolve_backend_choice(BackendChoice::kAuto, w, m);
     EXPECT_NE(c, BackendChoice::kAuto);
-    EXPECT_NE(c, BackendChoice::kWordwiseNaive);
     EXPECT_EQ(c == BackendChoice::kStriped,
               m.striped_cost_ns(w) < m.bpbc_cost_ns(w));
   }
@@ -217,42 +214,29 @@ TEST(CostModelTest, StripedChargesPerColumnOverhead) {
   EXPECT_GT(m.striped_cost_ns(short_q), m.striped_cost_ns(long_q));
 }
 
-TEST(MakeDispatchBackend, NaiveReferenceRequiresExpressibleScheme) {
+TEST(MakeDispatchBackend, BuildsEveryHostEngine) {
   ScoringScheme affine;
   affine.gap_model = GapModel::kAffine;
   affine.gap_open = 3;
   affine.gap_extend = 1;
-  const DispatchWorkload w =
-      DispatchWorkload::from(affine, 4, 16, 32, LaneWidth::k64);
-  const auto made =
-      make_dispatch_backend(affine, LaneWidth::k64, bulk::Mode::kSerial,
-                            BackendChoice::kWordwiseNaive, w);
-  ASSERT_FALSE(made.has_value());
-  EXPECT_EQ(made.status().code(), util::ErrorCode::kInvalidInput);
-  EXPECT_NE(made.status().message().find("wordwise-naive"),
-            std::string::npos);
-}
-
-TEST(MakeDispatchBackend, BuildsEveryHostEngine) {
-  ScoringScheme s;  // params-expressible default
-  const DispatchWorkload w =
-      DispatchWorkload::from(s, 4, 16, 32, LaneWidth::k64);
-  for (const BackendChoice c :
-       {BackendChoice::kAuto, BackendChoice::kBpbc, BackendChoice::kStriped,
-        BackendChoice::kWordwiseNaive}) {
-    const auto made =
-        make_dispatch_backend(s, LaneWidth::k64, bulk::Mode::kSerial, c, w);
-    ASSERT_TRUE(made.has_value()) << backend_choice_name(c);
-    EXPECT_NE(made->backend, nullptr);
-    EXPECT_NE(made->choice, BackendChoice::kAuto);
-    if (c != BackendChoice::kAuto) EXPECT_EQ(made->choice, c);
+  for (const ScoringScheme& s : {ScoringScheme{}, affine}) {
+    const DispatchWorkload w =
+        DispatchWorkload::from(s, 4, 16, 32, LaneWidth::k64);
+    for (const BackendChoice c : {BackendChoice::kAuto, BackendChoice::kBpbc,
+                                  BackendChoice::kStriped}) {
+      const DispatchedBackend made =
+          make_dispatch_backend(s, LaneWidth::k64, bulk::Mode::kSerial, c, w);
+      EXPECT_NE(made.backend, nullptr) << backend_choice_name(c);
+      EXPECT_NE(made.choice, BackendChoice::kAuto);
+      if (c != BackendChoice::kAuto) EXPECT_EQ(made.choice, c);
+    }
   }
 }
 
 // The property the whole PR rests on: whichever engine backend_choice
 // selects, the screen's scores are bit-identical. Runs the same batch
-// through all four choices (auto resolves to one of the first two) and a
-// chunked variant, linear and affine.
+// through every choice (auto resolves to bpbc or striped) and a chunked
+// variant, linear and affine.
 TEST(DispatchScreen, ScoresBitIdenticalAcrossEveryChoice) {
   util::Xoshiro256 rng(31);
   const auto random_dna = [&rng](std::size_t len) {
@@ -280,10 +264,8 @@ TEST(DispatchScreen, ScoresBitIdenticalAcrossEveryChoice) {
     const auto want = try_screen(xs, ys, base);
     ASSERT_TRUE(want.has_value()) << want.status().to_string();
 
-    std::vector<BackendChoice> choices = {BackendChoice::kStriped,
-                                          BackendChoice::kAuto};
-    if (!affine) choices.push_back(BackendChoice::kWordwiseNaive);
-    for (const BackendChoice c : choices) {
+    for (const BackendChoice c :
+         {BackendChoice::kStriped, BackendChoice::kAuto}) {
       ScreenConfig cfg = base;
       cfg.backend_choice = c;
       cfg.chunk_pairs = 16;
@@ -294,24 +276,6 @@ TEST(DispatchScreen, ScoresBitIdenticalAcrossEveryChoice) {
           << backend_choice_name(c) << " affine=" << affine;
     }
   }
-}
-
-// The naive reference is gated at screen level too: an affine scheme with
-// backend_choice=wordwise-naive is a typed error, not a wrong answer.
-TEST(DispatchScreen, NaiveChoiceWithAffineSchemeIsTypedError) {
-  ScoringScheme affine;
-  affine.gap_model = GapModel::kAffine;
-  affine.gap_open = 3;
-  affine.gap_extend = 1;
-  const std::vector<Sequence> xs(2, Sequence(8, encoding::Base::A));
-  const std::vector<Sequence> ys(2, Sequence(16, encoding::Base::C));
-  ScreenConfig cfg;
-  cfg.scheme = affine;
-  cfg.traceback = false;
-  cfg.backend_choice = BackendChoice::kWordwiseNaive;
-  const auto got = try_screen(xs, ys, cfg);
-  ASSERT_FALSE(got.has_value());
-  EXPECT_EQ(got.status().code(), util::ErrorCode::kInvalidInput);
 }
 
 }  // namespace
