@@ -111,15 +111,13 @@ int main(int argc, char** argv) {
   // The striped build every region runs: 128-bit vectors, an 8-bit first
   // pass where the scheme fits a byte, then 16- or 32-bit exact cells;
   // each region's RunReport entry names the widths it ran.
-  const sw::StripedRepr striped_repr =
-      sw::striped_build(make_scheme(SchemeKind::kDnaLinear), 1).repr;
   const auto lanes_of = [](unsigned bits) {
     return std::to_string(sw::kStripedVectorBits / bits) + "xu" +
            std::to_string(bits);
   };
   const std::string striped_desc =
-      std::string(sw::striped_repr_name(striped_repr)) + " " + lanes_of(8) +
-      " first pass, " + lanes_of(16) + " / " + lanes_of(32) + " exact";
+      lanes_of(8) + " first pass, " + lanes_of(16) + " / " + lanes_of(32) +
+      " exact";
   std::printf("BPBC x striped crossover sweep (BPBC %s lanes, kernel %s; "
               "striped %s; best of %zu reps%s)\n\n",
               sw::lane_width_name(resolved),
@@ -191,7 +189,7 @@ int main(int argc, char** argv) {
       util::WallTimer timer;
       const auto scores = sw::try_striped_max_scores(
           xs, ys, scheme, bulk::Mode::kSerial, r == 0 ? nullptr : &cache, &t,
-          sw::StripedRepr::kAuto, r == 0 ? &stats : nullptr);
+          r == 0 ? &stats : nullptr);
       const double ms = timer.elapsed_ms();
       if (!scores.has_value()) {
         std::fprintf(stderr, "%s: striped rejected: %s\n", region.name,

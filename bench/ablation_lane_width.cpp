@@ -1,14 +1,13 @@
 // Lane-width ablation: the wide-lane SIMD BPBC tentpole measured head to
 // head. One workload is screened at every dispatchable CPU lane width —
-// 32/64 builtin words, simd_word<128/256/512>, and the forced-scalar
-// 256-lane fallback — with full score-vector bit-identity checked against
-// the 64-bit baseline on every run. The table reports per-phase times,
-// SWA-phase GCUPS (per-instance throughput: wider words carry more lanes
-// per word-op, so the whole-batch SWA time should fall), and the SWA
-// speed-up vs the uint64 baseline; its "kernel" column names the build
-// each width ran (the 256/512 rows run the AVX2/AVX-512 kernel TUs when
-// the CPU has them, DESIGN.md decision 25). See EXPERIMENTS.md for
-// measured numbers.
+// 32/64 builtin words and simd_word<128/256/512> — with full score-vector
+// bit-identity checked against the 64-bit baseline on every run. The
+// table reports per-phase times, SWA-phase GCUPS (per-instance
+// throughput: wider words carry more lanes per word-op, so the
+// whole-batch SWA time should fall), and the SWA speed-up vs the uint64
+// baseline; its "kernel" column names the build each width ran (the
+// 256/512 rows run the AVX2/AVX-512 kernel TUs when the CPU has them,
+// DESIGN.md decision 25). See EXPERIMENTS.md for measured numbers.
 //
 //   ./ablation_lane_width [--pairs=N] [--m=M] [--n=N] [--reps=R]
 //                         [--json=path] [--affine]
@@ -84,7 +83,6 @@ int main(int argc, char** argv) {
       {Impl::kCpuBitwise128, sw::LaneWidth::k128},
       {Impl::kCpuBitwise256, sw::LaneWidth::k256},
       {Impl::kCpuBitwise512, sw::LaneWidth::k512},
-      {Impl::kCpuBitwiseScalarWide, sw::LaneWidth::kScalarWide},
   };
 
   telemetry::RunReport rep;

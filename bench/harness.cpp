@@ -37,8 +37,6 @@ std::string impl_name(Impl impl) {
       return "CPU bitwise-256";
     case Impl::kCpuBitwise512:
       return "CPU bitwise-512";
-    case Impl::kCpuBitwiseScalarWide:
-      return "CPU bitwise-scalar-wide";
     case Impl::kCpuWordwise:
       return "CPU wordwise-32";
     case Impl::kGpuBitwise32:
@@ -67,8 +65,6 @@ sw::LaneWidth bitwise_width(Impl impl) {
       return sw::LaneWidth::k256;
     case Impl::kCpuBitwise512:
       return sw::LaneWidth::k512;
-    case Impl::kCpuBitwiseScalarWide:
-      return sw::LaneWidth::kScalarWide;
     default:
       return sw::LaneWidth::k64;
   }
@@ -95,8 +91,7 @@ RowTimes run_impl(Impl impl, const Workload& w,
     case Impl::kCpuBitwise64:
     case Impl::kCpuBitwise128:
     case Impl::kCpuBitwise256:
-    case Impl::kCpuBitwise512:
-    case Impl::kCpuBitwiseScalarWide: {
+    case Impl::kCpuBitwise512: {
       const sw::LaneWidth width = bitwise_width(impl);
       sw::PhaseTimings t;
       const auto scores = sw::bpbc_max_scores(

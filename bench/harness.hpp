@@ -47,10 +47,9 @@ struct RowTimes {
 enum class Impl {
   kCpuBitwise32,
   kCpuBitwise64,
-  kCpuBitwise128,         // bitsim::simd_word<128>
-  kCpuBitwise256,         // bitsim::simd_word<256>
-  kCpuBitwise512,         // bitsim::simd_word<512>
-  kCpuBitwiseScalarWide,  // 256 lanes on the no-SIMD array fallback
+  kCpuBitwise128,  // bitsim::simd_word<128>
+  kCpuBitwise256,  // bitsim::simd_word<256>
+  kCpuBitwise512,  // bitsim::simd_word<512>
   kCpuWordwise,
   kGpuBitwise32,
   kGpuBitwise64,

@@ -86,8 +86,6 @@ BENCHMARK(BM_PayloadTranspose<std::uint64_t>)->Arg(9)->Arg(32);
 BENCHMARK(BM_PayloadTranspose<bitsim::simd_word<128>>)->Arg(9)->Arg(32);
 BENCHMARK(BM_PayloadTranspose<bitsim::simd_word<256>>)->Arg(9)->Arg(32);
 BENCHMARK(BM_PayloadTranspose<bitsim::simd_word<512>>)->Arg(9)->Arg(32);
-BENCHMARK(BM_PayloadTranspose<bitsim::wide_word<256, false>>)
-    ->Arg(9)->Arg(32);
 
 // End-to-end string batch W2B at each lane width: lanes-per-group grows
 // with the word, so per-instance cost is items_processed-normalized.

@@ -104,14 +104,13 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // CPU bitwise rows cover the full lane-width ladder (the wide rows
-  // dispatch simd_word<128/256/512> or the forced-scalar 256-lane
-  // fallback); the focused sweep lives in ablation_lane_width.
+  // dispatch simd_word<128/256/512>); the focused sweep lives in
+  // ablation_lane_width.
   const Impl impls[] = {Impl::kCpuBitwise32,  Impl::kCpuBitwise64,
                         Impl::kCpuBitwise128, Impl::kCpuBitwise256,
-                        Impl::kCpuBitwise512, Impl::kCpuBitwiseScalarWide,
-                        Impl::kCpuWordwise,   Impl::kGpuBitwise32,
-                        Impl::kGpuBitwise64,  Impl::kGpuBitwise256,
-                        Impl::kGpuWordwise};
+                        Impl::kCpuBitwise512, Impl::kCpuWordwise,
+                        Impl::kGpuBitwise32,  Impl::kGpuBitwise64,
+                        Impl::kGpuBitwise256, Impl::kGpuWordwise};
 
   std::vector<std::string> header = {"implementation", "n",   "H2G", "W2B",
                                      "SWA",            "B2W", "G2H"};

@@ -5,7 +5,7 @@
 // (paper §III).
 //
 //   ./database_filter [--entries=N] [--tau=T] [--gpu] [--fasta=path]
-//                     [--width=32|64|128|256|512|scalar-wide|auto]
+//                     [--width=32|64|128|256|512|auto]
 //                     [--backend=bpbc|striped|auto]
 //                     [--json=path] [--db=path]
 //                     [--db-flip-shard=K] [--db-fault-seed=S]
@@ -89,9 +89,9 @@ int main(int argc, char** argv) {
       opt.get_int("tau", static_cast<std::int64_t>(2 * m) * 3 / 4));
 
   const std::string width_name = opt.get("width", "auto");
-  const auto width = sw::parse_lane_width(width_name);
+  const auto width = sw::try_parse_lane_width(width_name, "--width");
   if (!width) {
-    std::fprintf(stderr, "unknown --width=%s\n", width_name.c_str());
+    std::fprintf(stderr, "%s\n", width.status().to_string().c_str());
     return 1;
   }
   const sw::LaneWidth resolved = sw::resolve_lane_width(*width);

@@ -4,7 +4,7 @@
 // word (64/128/256/512 lanes per word; SWBPBC_FORCE_LANE_WIDTH and
 // --width override).
 //
-//   ./protein_screen [--count=N] [--width=auto|64|128|256|512|scalar-wide]
+//   ./protein_screen [--count=N] [--width=auto|32|64|128|256|512]
 //   ./protein_screen --backend=striped     # Farrar striped SIMD instead
 //                                          # of BPBC (--backend=auto lets
 //                                          # the measured cost model pick)
@@ -49,9 +49,9 @@ int main(int argc, char** argv) {
   const std::size_t m = 24, n = 200;
 
   const std::string width_name = opt.get("width", "auto");
-  const auto width = sw::parse_lane_width(width_name);
+  const auto width = sw::try_parse_lane_width(width_name, "--width");
   if (!width.has_value()) {
-    std::fprintf(stderr, "unknown --width=%s\n", width_name.c_str());
+    std::fprintf(stderr, "%s\n", width.status().to_string().c_str());
     return 1;
   }
 
@@ -152,8 +152,7 @@ int main(int argc, char** argv) {
       engine == sw::BackendChoice::kStriped
           ? sw::try_striped_max_scores(queries, targets, scheme,
                                        bulk::Mode::kSerial, nullptr,
-                                       &timings, sw::StripedRepr::kAuto,
-                                       &striped_stats)
+                                       &timings, &striped_stats)
           : sw::try_scheme_max_scores(
                 queries, targets, scheme, *width, bulk::Mode::kSerial,
                 encoding::TransposeMethod::kPlanned, &timings);

@@ -40,10 +40,10 @@ int main(int argc, char** argv) {
   config.journal_path = opt.get("journal", "");
   config.params = {2, 1, 1};
   const std::string width_name = opt.get("width", "64");
-  const auto width = sw::parse_lane_width(width_name);
+  const auto width = sw::try_parse_lane_width(width_name, "--width");
   if (!width.has_value()) {
-    std::fprintf(stderr, "screen_serve: unknown --width=%s\n",
-                 width_name.c_str());
+    std::fprintf(stderr, "screen_serve: %s\n",
+                 width.status().to_string().c_str());
     return 2;
   }
   config.width = *width;

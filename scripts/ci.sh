@@ -195,12 +195,11 @@ EOF
 
   echo "== tier 1: lane-width dispatch matrix (score fingerprint gate) =="
   # SWBPBC_FORCE_LANE_WIDTH drives the whole dispatch through one binary:
-  # every lane word the kernel's cell runs at (32..512), scalar-wide (the
-  # no-SIMD wide fallback, dispatchable on any host), and auto (whatever
-  # this CPU probes widest). Scores are bit-identical across widths, so
-  # the RunReport fingerprints must match.
+  # every lane word the kernel's cell runs at (32..512), and auto
+  # (whatever this CPU probes widest). Scores are bit-identical across
+  # widths, so the RunReport fingerprints must match.
   ref_fnv=""
-  for lane_width in 32 64 128 256 512 scalar-wide auto; do
+  for lane_width in 32 64 128 256 512 auto; do
     SWBPBC_FORCE_LANE_WIDTH=$lane_width ./build/examples/database_filter \
         --entries=96 --json="$smoke_dir/filter_$lane_width.json" > /dev/null
     fnv=$(python3 - "$smoke_dir/filter_$lane_width.json" <<'EOF'
@@ -223,11 +222,10 @@ EOF
   # BLOSUM62 substitution + Gotoh affine gaps, served both in memory and
   # from the pre-transposed store (protein_screen exits nonzero unless the
   # store serve is bit-identical and a scalar-Gotoh spot check passes).
-  # Fingerprints must agree across every lane word (32..512), the
-  # forced-scalar wide fallback, and whatever auto probes widest on this
-  # host.
+  # Fingerprints must agree across every lane word (32..512) and
+  # whatever auto probes widest on this host.
   protein_ref=""
-  for lane_width in 32 64 128 256 512 scalar-wide auto; do
+  for lane_width in 32 64 128 256 512 auto; do
     SWBPBC_FORCE_LANE_WIDTH=$lane_width ./build/examples/protein_screen \
         --count=96 --db="$smoke_dir/protein_$lane_width.swdb" \
         --json="$smoke_dir/protein_$lane_width.json" > /dev/null
@@ -304,6 +302,35 @@ EOF
       exit 1
     }
   done
+
+  echo "== tier 1: retired lane-width negative smoke (typed rejection) =="
+  # The retired scalar-wide width is an unknown spelling: the override and
+  # the --width flag of every example that takes one must reject it as a
+  # typed INVALID_INPUT listing the widths that remain.
+  for example in database_filter protein_screen screen_serve; do
+    if ./build/examples/$example --width=scalar-wide \
+        > "$smoke_dir/retiredwidth.out" 2>&1; then
+      echo "$example --width=scalar-wide was silently accepted" >&2
+      exit 1
+    fi
+    grep "INVALID_INPUT" "$smoke_dir/retiredwidth.out" \
+        | grep -q "32|64|128|256|512|auto" || {
+      echo "$example --width=scalar-wide not rejected with INVALID_INPUT" >&2
+      cat "$smoke_dir/retiredwidth.out" >&2
+      exit 1
+    }
+  done
+  if SWBPBC_FORCE_LANE_WIDTH=scalar-wide ./build/examples/database_filter \
+      --entries=64 > "$smoke_dir/retiredwidth.out" 2>&1; then
+    echo "SWBPBC_FORCE_LANE_WIDTH=scalar-wide was silently accepted" >&2
+    exit 1
+  fi
+  grep "SWBPBC_FORCE_LANE_WIDTH" "$smoke_dir/retiredwidth.out" \
+      | grep -q "32|64|128|256|512|auto" || {
+    echo "SWBPBC_FORCE_LANE_WIDTH=scalar-wide not rejected by name" >&2
+    cat "$smoke_dir/retiredwidth.out" >&2
+    exit 1
+  }
 
   echo "== tier 1: crossover bench smoke (BPBC x striped bit-identity) =="
   # CI sizes: the per-region engine bit-identity and scalar spot-check

@@ -4,8 +4,8 @@
 // one bit of W independent alignments, so throughput scales linearly with
 // W (§IV). The builtin integers cap W at 64; `wide_word<Bits>` grows it to
 // 128/256/512 on top of GCC/Clang `__attribute__((vector_size))` vectors,
-// with a portable array-of-uint64 representation as the scalar fallback
-// (Simd = false, or any compiler without the vector extension).
+// the only representation: every compiler that builds this repository
+// has the vector extension.
 //
 // A wide_word behaves like an unsigned integer as far as the BPBC stack
 // needs: value-init is zero, construction from uint64_t zero-extends,
@@ -16,25 +16,17 @@
 // tests rely on.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
-namespace swbpbc::bitsim {
-
-#if defined(__GNUC__) || defined(__clang__)
-#define SWBPBC_WIDE_SIMD 1
-#else
-#define SWBPBC_WIDE_SIMD 0
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "bitsim::wide_word needs the GNU vector extension (GCC or Clang)"
 #endif
 
-/// True when the SIMD representation (GNU vector extensions) is compiled
-/// in; `simd_word` falls back to the scalar representation otherwise.
-inline constexpr bool kWideSimdCompiled = SWBPBC_WIDE_SIMD != 0;
+namespace swbpbc::bitsim {
 
 namespace detail {
 
-#if SWBPBC_WIDE_SIMD
 template <unsigned Bytes>
 struct vec_repr;  // explicit sizes only: vector_size wants a constant
 template <>
@@ -49,22 +41,6 @@ template <>
 struct vec_repr<64> {
   typedef std::uint64_t type __attribute__((vector_size(64)));
 };
-#endif
-
-// Representation selector: the scalar array unless Simd was requested and
-// the vector extension is available.
-template <unsigned Bits, bool Simd>
-struct wide_repr {
-  using type = std::array<std::uint64_t, Bits / 64>;
-  static constexpr bool kVector = false;
-};
-#if SWBPBC_WIDE_SIMD
-template <unsigned Bits>
-struct wide_repr<Bits, true> {
-  using type = typename vec_repr<Bits / 8>::type;
-  static constexpr bool kVector = true;
-};
-#endif
 
 }  // namespace detail
 
@@ -84,7 +60,7 @@ namespace detail {
 /// Word holds the representation `v_` — this base stays empty, because
 /// GCC copies a base-class subobject through a stack temporary, which
 /// made every wide-word store a store-forwarding stall.
-template <class Word, unsigned Bits, bool Simd>
+template <class Word, unsigned Bits>
 class wide_word_ops {
   static_assert(Bits >= 128 && (Bits & (Bits - 1)) == 0,
                 "wide_word: Bits must be a power of two >= 128");
@@ -92,8 +68,7 @@ class wide_word_ops {
  public:
   static constexpr unsigned kBits = Bits;
   static constexpr unsigned kLimbs = Bits / 64;
-  static constexpr bool kVectorRepr = wide_repr<Bits, Simd>::kVector;
-  using repr_type = typename wide_repr<Bits, Simd>::type;
+  using repr_type = typename vec_repr<Bits / 8>::type;
 
   /// Truncating view of limb 0 (the low 64 bits). Explicit: narrowing a
   /// wide word silently would hide lane loss.
@@ -104,38 +79,22 @@ class wide_word_ops {
 
   friend constexpr Word operator&(const Word& a, const Word& b) {
     Word r{};
-    if constexpr (kVectorRepr) {
-      v(r) = v(a) & v(b);
-    } else {
-      for (unsigned i = 0; i < kLimbs; ++i) v(r)[i] = v(a)[i] & v(b)[i];
-    }
+    v(r) = v(a) & v(b);
     return r;
   }
   friend constexpr Word operator|(const Word& a, const Word& b) {
     Word r{};
-    if constexpr (kVectorRepr) {
-      v(r) = v(a) | v(b);
-    } else {
-      for (unsigned i = 0; i < kLimbs; ++i) v(r)[i] = v(a)[i] | v(b)[i];
-    }
+    v(r) = v(a) | v(b);
     return r;
   }
   friend constexpr Word operator^(const Word& a, const Word& b) {
     Word r{};
-    if constexpr (kVectorRepr) {
-      v(r) = v(a) ^ v(b);
-    } else {
-      for (unsigned i = 0; i < kLimbs; ++i) v(r)[i] = v(a)[i] ^ v(b)[i];
-    }
+    v(r) = v(a) ^ v(b);
     return r;
   }
   friend constexpr Word operator~(const Word& a) {
     Word r{};
-    if constexpr (kVectorRepr) {
-      v(r) = ~v(a);
-    } else {
-      for (unsigned i = 0; i < kLimbs; ++i) v(r)[i] = ~v(a)[i];
-    }
+    v(r) = ~v(a);
     return r;
   }
 
@@ -190,11 +149,8 @@ class wide_word_ops {
 }  // namespace detail
 
 /// An unsigned-integer-like word of Bits lanes (Bits in {128, 256, 512}).
-/// Simd selects the representation; both have identical bit semantics, so
-/// results are bit-identical between them (asserted by tests).
-template <unsigned Bits, bool Simd = true>
-class wide_word
-    : public detail::wide_word_ops<wide_word<Bits, Simd>, Bits, Simd> {
+template <unsigned Bits>
+class wide_word : public detail::wide_word_ops<wide_word<Bits>, Bits> {
  public:
   // Not user-provided, so value-init (`W{}`, `W w{};`) zero-initializes —
   // which is what lets `constexpr W kZero = word_traits<W>::zero()` work.
@@ -206,34 +162,31 @@ class wide_word
   constexpr wide_word(std::uint64_t x) : v_{x} {}  // NOLINT(runtime/explicit)
 
  private:
-  friend detail::wide_word_ops<wide_word, Bits, Simd>;
-  typename detail::wide_repr<Bits, Simd>::type v_;
+  friend detail::wide_word_ops<wide_word, Bits>;
+  typename detail::vec_repr<Bits / 8>::type v_;
 };
 
 /// The SIMD wide word of a per-ISA kernel build: bit-identical to
 /// simd_word<Bits>, distinct in type (and so in every symbol) per Target.
 template <unsigned Bits, Isa Target>
-class isa_word
-    : public detail::wide_word_ops<isa_word<Bits, Target>, Bits, true> {
+class isa_word : public detail::wide_word_ops<isa_word<Bits, Target>, Bits> {
  public:
   isa_word() = default;
   constexpr isa_word(std::uint64_t x) : v_{x} {}  // NOLINT(runtime/explicit)
 
  private:
-  friend detail::wide_word_ops<isa_word, Bits, true>;
-  typename detail::wide_repr<Bits, true>::type v_;
+  friend detail::wide_word_ops<isa_word, Bits>;
+  typename detail::vec_repr<Bits / 8>::type v_;
 };
 
-/// The SIMD-backed wide word (scalar representation when the compiler has
-/// no vector extension; the type stays distinct from wide_word<Bits, false>
-/// either way, so explicit instantiations never collide).
+/// The wide word compiled with the build's own flags (the baseline ISA).
 template <unsigned Bits>
-using simd_word = wide_word<Bits, true>;
+using simd_word = wide_word<Bits>;
 
 template <class W>
 inline constexpr bool is_wide_word_v = false;
-template <unsigned Bits, bool Simd>
-inline constexpr bool is_wide_word_v<wide_word<Bits, Simd>> = true;
+template <unsigned Bits>
+inline constexpr bool is_wide_word_v<wide_word<Bits>> = true;
 template <unsigned Bits, Isa Target>
 inline constexpr bool is_wide_word_v<isa_word<Bits, Target>> = true;
 

@@ -13,12 +13,10 @@ namespace swbpbc::encoding {
   template std::vector<W> transpose_values<W>(                              \
       std::span<const std::uint32_t>, unsigned)
 
-using ScalarWide256 = bitsim::wide_word<256, false>;
 SWBPBC_INSTANTIATE_BATCH(std::uint32_t);
 SWBPBC_INSTANTIATE_BATCH(std::uint64_t);
 SWBPBC_INSTANTIATE_BATCH(bitsim::simd_word<128>);
 SWBPBC_INSTANTIATE_BATCH(bitsim::simd_word<256>);
 SWBPBC_INSTANTIATE_BATCH(bitsim::simd_word<512>);
-SWBPBC_INSTANTIATE_BATCH(ScalarWide256);
 #undef SWBPBC_INSTANTIATE_BATCH
 }  // namespace swbpbc::encoding

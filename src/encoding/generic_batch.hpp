@@ -208,7 +208,6 @@ SWBPBC_DECLARE_GENERIC_BATCH(std::uint64_t)
 SWBPBC_DECLARE_GENERIC_BATCH(bitsim::simd_word<128>)
 SWBPBC_DECLARE_GENERIC_BATCH(bitsim::simd_word<256>)
 SWBPBC_DECLARE_GENERIC_BATCH(bitsim::simd_word<512>)
-SWBPBC_DECLARE_GENERIC_BATCH(bitsim::wide_word<256, false>)
 #undef SWBPBC_DECLARE_GENERIC_BATCH
 
 }  // namespace swbpbc::encoding

@@ -53,11 +53,11 @@ struct TenantServe {
 }  // namespace
 
 struct ScreenServer::Impl {
-  explicit Impl(ServerConfig config)
-      : config(std::move(config)),
-        admission(this->config.admission),
-        faults(this->config.faults),
-        slo(this->config.slo),
+  explicit Impl(ServerConfig cfg)
+      : config(std::move(cfg)),
+        admission(config.admission),
+        faults(config.faults),
+        slo(config.slo),
         start(std::chrono::steady_clock::now()) {}
 
   ~Impl() {

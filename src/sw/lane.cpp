@@ -15,7 +15,6 @@ unsigned lane_width_bits(LaneWidth width) {
     case LaneWidth::k128: return 128;
     case LaneWidth::k256: return 256;
     case LaneWidth::k512: return 512;
-    case LaneWidth::kScalarWide: return 256;
     case LaneWidth::kAuto: return lane_width_bits(resolve_lane_width(width));
   }
   return 64;
@@ -28,7 +27,6 @@ const char* lane_width_name(LaneWidth width) {
     case LaneWidth::k128: return "128";
     case LaneWidth::k256: return "256";
     case LaneWidth::k512: return "512";
-    case LaneWidth::kScalarWide: return "scalar-wide";
     case LaneWidth::kAuto: return "auto";
   }
   return "?";
@@ -40,21 +38,26 @@ std::optional<LaneWidth> parse_lane_width(std::string_view s) {
   if (s == "128") return LaneWidth::k128;
   if (s == "256") return LaneWidth::k256;
   if (s == "512") return LaneWidth::k512;
-  if (s == "scalar-wide") return LaneWidth::kScalarWide;
   if (s == "auto") return LaneWidth::kAuto;
   return std::nullopt;
+}
+
+util::Expected<LaneWidth> try_parse_lane_width(std::string_view value,
+                                               std::string_view source) {
+  if (const std::optional<LaneWidth> parsed = parse_lane_width(value))
+    return *parsed;
+  return util::Status::invalid_input(
+      std::string(source) + ": unknown lane width \"" + std::string(value) +
+      "\" (expected 32|64|128|256|512|auto)");
 }
 
 util::Expected<std::optional<LaneWidth>> parse_forced_lane_width(
     const char* value) {
   if (value == nullptr || *value == '\0') return std::optional<LaneWidth>{};
-  const std::optional<LaneWidth> parsed = parse_lane_width(value);
-  if (!parsed) {
-    return util::Status::invalid_input(
-        std::string("SWBPBC_FORCE_LANE_WIDTH: unknown lane width \"") +
-        value + "\" (expected 32|64|128|256|512|scalar-wide|auto)");
-  }
-  return std::optional<LaneWidth>(parsed);
+  util::Expected<LaneWidth> parsed =
+      try_parse_lane_width(value, "SWBPBC_FORCE_LANE_WIDTH");
+  if (!parsed.has_value()) return parsed.status();
+  return std::optional<LaneWidth>(*parsed);
 }
 
 namespace {
@@ -89,7 +92,6 @@ const CpuFeatures& host_cpu_features() {
 // the widest ISA the CPU reports wins (EXPERIMENTS.md lane-width
 // ablation). A 128-bit GNU vector is one SSE2 register on any x86-64.
 LaneWidth auto_lane_width(const CpuFeatures& cpu) {
-  if constexpr (!bitsim::kWideSimdCompiled) return LaneWidth::k64;
   if (cpu.avx512f) return LaneWidth::k512;
   if (cpu.avx2) return LaneWidth::k256;
   if (cpu.sse2) return LaneWidth::k128;

@@ -7,9 +7,9 @@
 // a concrete width:
 //
 //   1. SWBPBC_FORCE_LANE_WIDTH (one of "32", "64", "128", "256", "512",
-//      "scalar-wide", "auto") overrides everything — including explicit
-//      widths — so CI can drive the whole matrix through unmodified
-//      binaries. Parsed once; an unparsable value throws kInvalidInput.
+//      "auto") overrides everything — including explicit widths — so CI
+//      can drive the whole matrix through unmodified binaries. Parsed
+//      once; an unparsable value throws kInvalidInput.
 //   2. An explicit width resolves to itself.
 //   3. kAuto probes the CPU (cpuid via __builtin_cpu_supports) and picks
 //      the widest width it has native registers for (auto_lane_width;
@@ -38,32 +38,41 @@
 namespace swbpbc::sw {
 
 /// Lane-word width selector for the non-template front ends.
+///
+/// The values are explicit because batch_fingerprint (sw/pipeline.cpp)
+/// hashes the requested width's value into every checkpoint stream:
+/// kAuto stays 6, where it sat after the retired 256-lane portable
+/// width (value 5), so streams written with width auto keep resuming.
 enum class LaneWidth {
-  k32,   // 32 instances per word (paper's GPU-preferred width)
-  k64,   // 64 instances per word (paper's CPU-preferred width)
-  k128,  // bitsim::simd_word<128> (SSE2-class registers)
-  k256,  // 256-bit wide word (AVX2-class registers)
-  k512,  // 512-bit wide word (AVX-512-class registers)
-  // 256 lanes on the portable array-of-uint64 representation — the no-SIMD
-  // fallback, kept dispatchable so it stays compiled, tested, and
-  // measurable on any host.
-  kScalarWide,
-  kAuto,  // resolve_lane_width picks the widest profitable width
+  k32 = 0,    // 32 instances per word (paper's GPU-preferred width)
+  k64 = 1,    // 64 instances per word (paper's CPU-preferred width)
+  k128 = 2,   // bitsim::simd_word<128> (SSE2-class registers)
+  k256 = 3,   // 256-bit wide word (AVX2-class registers)
+  k512 = 4,   // 512-bit wide word (AVX-512-class registers)
+  kAuto = 6,  // resolve_lane_width picks the widest profitable width
 };
+static_assert(static_cast<int>(LaneWidth::kAuto) == 6,
+              "checkpoint fingerprints hash LaneWidth::kAuto as 6");
 
 /// Lanes carried per word at `width` (kAuto resolves first).
 [[nodiscard]] unsigned lane_width_bits(LaneWidth width);
 
-/// Stable display/parse name: "32", ..., "512", "scalar-wide", "auto".
+/// Stable display/parse name: "32", ..., "512", "auto".
 [[nodiscard]] const char* lane_width_name(LaneWidth width);
 
 /// Inverse of lane_width_name; nullopt for anything else.
 [[nodiscard]] std::optional<LaneWidth> parse_lane_width(std::string_view s);
 
+/// parse_lane_width for a user-supplied value: a valid name is that
+/// width, anything else is a typed kInvalidInput naming `source` (the
+/// flag or variable the value came from), the value and the accepted
+/// spellings.
+[[nodiscard]] util::Expected<LaneWidth> try_parse_lane_width(
+    std::string_view value, std::string_view source);
+
 /// Validates a SWBPBC_FORCE_LANE_WIDTH-style override value without
 /// touching the process environment: nullptr/empty means "no override"
-/// (nullopt), a valid name is that width, anything else is a typed
-/// kInvalidInput naming the value and the accepted spellings. This is the
+/// (nullopt), anything else is try_parse_lane_width's result. This is the
 /// exact policy resolve_lane_width applies to the real variable — exposed
 /// pure so tests and tools can exercise it directly.
 [[nodiscard]] util::Expected<std::optional<LaneWidth>>
@@ -88,9 +97,8 @@ struct CpuFeatures {
 [[nodiscard]] const CpuFeatures& host_cpu_features();
 
 /// The kAuto policy, a pure function of the CPU: avx512f -> k512, avx2
-/// -> k256, sse2 -> k128, otherwise k64 (and k64 when the compiler has no
-/// vector extension). Each wide width runs a kernel compiled for its ISA
-/// (kernel_isa), so the widest native registers win.
+/// -> k256, sse2 -> k128, otherwise k64. Each wide width runs a kernel
+/// compiled for its ISA (kernel_isa), so the widest native registers win.
 [[nodiscard]] LaneWidth auto_lane_width(const CpuFeatures& cpu);
 
 /// The ISA the host kernel runs `width` with on `cpu`: kAvx512 for k512
@@ -140,8 +148,6 @@ decltype(auto) with_lane_word(LaneWidth width, F&& f) {
           return f(std::type_identity<Avx512Word>{});
       }
       return f(std::type_identity<bitsim::simd_word<512>>{});
-    case LaneWidth::kScalarWide:
-      return f(std::type_identity<bitsim::wide_word<256, false>>{});
     case LaneWidth::kAuto:
       break;
   }

@@ -12,7 +12,6 @@ SWBPBC_INSTANTIATE_SCHEME_ALIGNER(std::uint64_t)
 SWBPBC_INSTANTIATE_SCHEME_ALIGNER(bitsim::simd_word<128>)
 SWBPBC_INSTANTIATE_SCHEME_ALIGNER(bitsim::simd_word<256>)
 SWBPBC_INSTANTIATE_SCHEME_ALIGNER(bitsim::simd_word<512>)
-SWBPBC_INSTANTIATE_SCHEME_ALIGNER(bitsim::wide_word<256, false>)
 #undef SWBPBC_INSTANTIATE_SCHEME_ALIGNER
 
 }  // namespace swbpbc::sw

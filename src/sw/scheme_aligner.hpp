@@ -615,7 +615,7 @@ std::vector<std::uint32_t> SchemeBpbcAligner<W>::score_groups(
 }
 
 /// Scores all pairs (xs[k], ys[k]) under `scheme` with full lane-width
-/// dispatch (k32..k512, kScalarWide, kAuto + SWBPBC_FORCE_LANE_WIDTH).
+/// dispatch (k32..k512, kAuto + SWBPBC_FORCE_LANE_WIDTH).
 /// Character codes must be dense codes of scheme.alphabet(). Typed
 /// kInvalidInput on shape violations, out-of-alphabet codes, or an
 /// invalid scheme. Defined with the DNA front end in bpbc.cpp: both run
@@ -665,7 +665,6 @@ SWBPBC_DECLARE_SCHEME_ALIGNER(std::uint64_t)
 SWBPBC_DECLARE_SCHEME_ALIGNER(bitsim::simd_word<128>)
 SWBPBC_DECLARE_SCHEME_ALIGNER(bitsim::simd_word<256>)
 SWBPBC_DECLARE_SCHEME_ALIGNER(bitsim::simd_word<512>)
-SWBPBC_DECLARE_SCHEME_ALIGNER(bitsim::wide_word<256, false>)
 #undef SWBPBC_DECLARE_SCHEME_ALIGNER
 
 }  // namespace swbpbc::sw

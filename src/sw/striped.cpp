@@ -7,59 +7,39 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
-#include "bitsim/wide_word.hpp"  // SWBPBC_WIDE_SIMD
 #include "sw/backend.hpp"
 #include "util/checksum.hpp"
 #include "util/timer.hpp"
 
 namespace swbpbc::sw {
 
-bool striped_vector_compiled() { return SWBPBC_WIDE_SIMD != 0; }
-
-const char* striped_repr_name(StripedRepr repr) {
-  switch (repr) {
-    case StripedRepr::kAuto: return "auto";
-    case StripedRepr::kVector: return "vector";
-    case StripedRepr::kScalar: return "scalar";
-  }
-  return "?";
-}
-
 std::string StripedBuild::name() const {
-  std::string out = striped_repr_name(repr);
-  const auto pass = [&](char sep, unsigned bits) {
-    out += sep;
-    out += std::to_string(kStripedVectorBits / bits);
-    out += "xu";
-    out += std::to_string(bits);
+  const auto pass = [](unsigned bits) {
+    return std::to_string(kStripedVectorBits / bits) + "xu" +
+           std::to_string(bits);
   };
-  pass(' ', first_bits);
-  if (first_bits != exact_bits) pass('>', exact_bits);
+  std::string out = pass(first_bits);
+  if (first_bits != exact_bits) {
+    out += '>';
+    out += pass(exact_bits);
+  }
   return out;
 }
 
 namespace {
 
-StripedRepr resolve_repr(StripedRepr repr) {
-  if (!striped_vector_compiled()) return StripedRepr::kScalar;
-  return repr == StripedRepr::kAuto ? StripedRepr::kVector : repr;
-}
-
 // ---------------------------------------------------------------------
-// Kernel representations: 128-bit GNU vectors, and a portable fallback
-// at the same lane counts. Each op is written so GCC lowers it to the
-// target's unsigned max, saturating subtract and byte shift where it
-// has them, not to a compare-and-mask chain or a trip through the
-// stack.
+// The kernel's vector ops over 128-bit GNU vectors. Each op is written
+// so GCC lowers it to the target's unsigned max, saturating subtract and
+// byte shift where it has them, not to a compare-and-mask chain or a
+// trip through the stack.
 // ---------------------------------------------------------------------
 
 constexpr unsigned kVectorBytes = kStripedVectorBits / 8;
 
-#if SWBPBC_WIDE_SIMD
 template <class Elem>
 struct GnuVec {
   using E = Elem;
@@ -102,68 +82,6 @@ struct GnuVec {
     return best;
   }
 };
-#endif  // SWBPBC_WIDE_SIMD
-
-template <class Elem>
-struct ScalarVec {
-  using E = Elem;
-  static constexpr unsigned kLanes = kVectorBytes / sizeof(Elem);
-  struct V {
-    Elem e[kLanes];
-  };
-
-  static V splat(Elem v) {
-    V out;
-    for (unsigned k = 0; k < kLanes; ++k) out.e[k] = v;
-    return out;
-  }
-  static V load(const Elem* at) {
-    V v;
-    std::memcpy(&v, at, sizeof(V));
-    return v;
-  }
-  static V add(V a, V b) {
-    V r;
-    for (unsigned k = 0; k < kLanes; ++k)
-      r.e[k] = static_cast<Elem>(a.e[k] + b.e[k]);
-    return r;
-  }
-  static V max(V a, V b) {
-    V r;
-    for (unsigned k = 0; k < kLanes; ++k)
-      r.e[k] = a.e[k] > b.e[k] ? a.e[k] : b.e[k];
-    return r;
-  }
-  static V ssub(V a, V b) {
-    V r;
-    for (unsigned k = 0; k < kLanes; ++k)
-      r.e[k] = a.e[k] > b.e[k] ? static_cast<Elem>(a.e[k] - b.e[k]) : Elem{0};
-    return r;
-  }
-  template <unsigned N>
-  static V shift_up(V v) {
-    V r = {};
-    for (unsigned k = N; k < kLanes; ++k) r.e[k] = v.e[k - N];
-    return r;
-  }
-  static bool any(V v) {
-    for (unsigned k = 0; k < kLanes; ++k)
-      if (v.e[k] != 0) return true;
-    return false;
-  }
-  static bool any_gt(V a, V b) {
-    for (unsigned k = 0; k < kLanes; ++k)
-      if (a.e[k] > b.e[k]) return true;
-    return false;
-  }
-  static Elem hmax(V v) {
-    Elem best = 0;
-    for (unsigned k = 0; k < kLanes; ++k)
-      best = v.e[k] > best ? v.e[k] : best;
-    return best;
-  }
-};
-
 // One element width's query profile, as the kernel reads it: per symbol
 // c, `segments` vectors of positive (p) and negative (n) substitution
 // magnitudes at [c][vector][lane].
@@ -178,38 +96,38 @@ struct Planes {
 // k's carry becomes the max over lower lanes j of their carry minus the
 // decay of the whole segments in between, in log2(lanes) shift-and-max
 // steps. decay[t] is the splatted decay of 2^t segments.
-template <class Repr, unsigned kStep = 1>
-[[gnu::always_inline]] inline typename Repr::V scan_carry(
-    typename Repr::V v_f, const typename Repr::V* decay) {
-  if constexpr (kStep < Repr::kLanes) {
-    v_f = Repr::max(v_f, Repr::ssub(Repr::template shift_up<kStep>(v_f),
-                                    decay[0]));
-    return scan_carry<Repr, kStep * 2>(v_f, decay + 1);
+template <class Vec, unsigned kStep = 1>
+[[gnu::always_inline]] inline typename Vec::V scan_carry(
+    typename Vec::V v_f, const typename Vec::V* decay) {
+  if constexpr (kStep < Vec::kLanes) {
+    v_f = Vec::max(v_f,
+                   Vec::ssub(Vec::template shift_up<kStep>(v_f), decay[0]));
+    return scan_carry<Vec, kStep * 2>(v_f, decay + 1);
   } else {
     return v_f;
   }
 }
 
 // Max local-alignment score of the profiled query against the target
-// codes y[0..n) (every code < the profile's alphabet size), in Repr's
+// codes y[0..n) (every code < the profile's alphabet size), in Vec's
 // cells. Cells are exact as long as no add() wraps; the caller picks an
 // element width for which that holds, or (at 8 bits) reads a result at
 // or above 255 - max_positive as "rescore wider" (StripedProfile::score).
 // `scratch` holds 3 * segments vectors, aligned for V.
-template <class Repr>
-std::uint32_t align(const Planes<typename Repr::E>& planes,
+template <class Vec>
+std::uint32_t align(const Planes<typename Vec::E>& planes,
                     std::uint32_t open32, std::uint32_t extend32,
                     const std::uint8_t* y, std::size_t n,
-                    typename Repr::V* scratch) {
-  using V = typename Repr::V;
-  using Elem = typename Repr::E;
-  constexpr unsigned kLanes = Repr::kLanes;
+                    typename Vec::V* scratch) {
+  using V = typename Vec::V;
+  using Elem = typename Vec::E;
+  constexpr unsigned kLanes = Vec::kLanes;
   constexpr unsigned kSteps = __builtin_ctz(kLanes);
   constexpr std::uint64_t kElemMax = static_cast<Elem>(~Elem{0});
   const std::size_t segments = planes.segments;
 
-  const V v_open = Repr::splat(static_cast<Elem>(open32));
-  const V v_extend = Repr::splat(static_cast<Elem>(extend32));
+  const V v_open = Vec::splat(static_cast<Elem>(open32));
+  const V v_extend = Vec::splat(static_cast<Elem>(extend32));
   // Decay for 2^t whole segments crossed: that many positions, extend
   // each, clamped to the element range (ssub by the clamp is still 0).
   V decay[kSteps];
@@ -217,7 +135,7 @@ std::uint32_t align(const Planes<typename Repr::E>& planes,
     const std::uint64_t d =
         (std::uint64_t{1} << t) * static_cast<std::uint64_t>(segments) *
         extend32;
-    decay[t] = Repr::splat(static_cast<Elem>(d > kElemMax ? kElemMax : d));
+    decay[t] = Vec::splat(static_cast<Elem>(d > kElemMax ? kElemMax : d));
   }
 
   V* h_load = scratch;
@@ -233,20 +151,20 @@ std::uint32_t align(const Planes<typename Repr::E>& planes,
     // Diagonal feed for vector 0: the previous column's last vector,
     // lanes shifted up one so lane k sees position k*segments - 1 (lane
     // 0 sees the zero boundary).
-    V v_h = Repr::template shift_up<1>(h_store[segments - 1]);
+    V v_h = Vec::template shift_up<1>(h_store[segments - 1]);
     std::swap(h_load, h_store);
     V v_f = V{};
 
     for (std::size_t i = 0; i < segments; ++i) {
-      v_h = Repr::ssub(Repr::add(v_h, Repr::load(p + i * kLanes)),
-                       Repr::load(np + i * kLanes));
-      v_h = Repr::max(v_h, e[i]);
-      v_h = Repr::max(v_h, v_f);
-      v_max = Repr::max(v_max, v_h);
+      v_h = Vec::ssub(Vec::add(v_h, Vec::load(p + i * kLanes)),
+                      Vec::load(np + i * kLanes));
+      v_h = Vec::max(v_h, e[i]);
+      v_h = Vec::max(v_h, v_f);
+      v_max = Vec::max(v_max, v_h);
       h_store[i] = v_h;
-      const V v_gap = Repr::ssub(v_h, v_open);
-      e[i] = Repr::max(Repr::ssub(e[i], v_extend), v_gap);
-      v_f = Repr::max(Repr::ssub(v_f, v_extend), v_gap);
+      const V v_gap = Vec::ssub(v_h, v_open);
+      e[i] = Vec::max(Vec::ssub(e[i], v_extend), v_gap);
+      v_f = Vec::max(Vec::ssub(v_f, v_extend), v_gap);
       v_h = h_load[i];
     }
 
@@ -256,27 +174,27 @@ std::uint32_t align(const Planes<typename Repr::E>& planes,
     // max-scan closes the recurrence over all lower segments exactly
     // (open >= extend means an F-derived H cannot out-contribute the
     // chain), then one pass folds the carry into H and E.
-    v_f = Repr::template shift_up<1>(v_f);
-    if (!Repr::any(v_f)) continue;
-    v_f = scan_carry<Repr>(v_f, decay);
+    v_f = Vec::template shift_up<1>(v_f);
+    if (!Vec::any(v_f)) continue;
+    v_f = scan_carry<Vec>(v_f, decay);
     for (std::size_t i = 0; i < segments; ++i) {
       const V h = h_store[i];
       // Farrar's exit: where the carry is at most ssub(H, open), the main
       // pass's own F already dominates it from here to the segment's end
       // (F(i+1) >= H(i) - open >= carry >= carry - extend), so nothing
       // downstream can change.
-      if (!Repr::any_gt(v_f, Repr::ssub(h, v_open))) break;
-      const V corrected = Repr::max(h, v_f);
+      if (!Vec::any_gt(v_f, Vec::ssub(h, v_open))) break;
+      const V corrected = Vec::max(h, v_f);
       h_store[i] = corrected;
-      v_max = Repr::max(v_max, corrected);
+      v_max = Vec::max(v_max, corrected);
       // The E recurrence reads this column's H; it must see the
       // corrected value or the next column under-scores (the SSW
       // shortcut this engine deliberately does not take).
-      e[i] = Repr::max(e[i], Repr::ssub(corrected, v_open));
-      v_f = Repr::ssub(v_f, v_extend);
+      e[i] = Vec::max(e[i], Vec::ssub(corrected, v_open));
+      v_f = Vec::ssub(v_f, v_extend);
     }
   }
-  return static_cast<std::uint32_t>(Repr::hmax(v_max));
+  return static_cast<std::uint32_t>(Vec::hmax(v_max));
 }
 
 // ---------------------------------------------------------------------
@@ -353,34 +271,25 @@ void build_profile_planes(const ScoringScheme& scheme,
 // lives for its one call, so it is not pinned in every pool thread.
 constexpr std::size_t kKeptScratchBytes = 64 * 1024;
 
-// Runs the kernel on `repr` (resolved) at element width Elem.
+// Runs the kernel at element width Elem.
 template <typename Elem>
-std::uint32_t run_kernel(StripedRepr repr, const Planes<Elem>& planes,
-                         std::uint32_t open, std::uint32_t extend,
+std::uint32_t run_kernel(const Planes<Elem>& planes, std::uint32_t open,
+                         std::uint32_t extend,
                          std::span<const std::uint8_t> y) {
-  const auto go = [&]<class Repr>(std::type_identity<Repr>) {
-    using V = typename Repr::V;
-    const std::size_t count = 3 * planes.segments;
-    thread_local std::vector<V> kept;
-    std::vector<V> once;
-    std::vector<V>& scratch =
-        count * sizeof(V) <= kKeptScratchBytes ? kept : once;
-    if (scratch.size() < count) scratch.resize(count);
-    return align<Repr>(planes, open, extend, y.data(), y.size(),
-                       scratch.data());
-  };
-#if SWBPBC_WIDE_SIMD
-  if (repr == StripedRepr::kVector)
-    return go(std::type_identity<GnuVec<Elem>>{});
-#endif
-  (void)repr;
-  return go(std::type_identity<ScalarVec<Elem>>{});
+  using V = typename GnuVec<Elem>::V;
+  const std::size_t count = 3 * planes.segments;
+  thread_local std::vector<V> kept;
+  std::vector<V> once;
+  std::vector<V>& scratch =
+      count * sizeof(V) <= kKeptScratchBytes ? kept : once;
+  if (scratch.size() < count) scratch.resize(count);
+  return align<GnuVec<Elem>>(planes, open, extend, y.data(), y.size(),
+                             scratch.data());
 }
 
 }  // namespace
 
-StripedBuild striped_build(const ScoringScheme& scheme, std::size_t m,
-                           StripedRepr repr) {
+StripedBuild striped_build(const ScoringScheme& scheme, std::size_t m) {
   const std::uint64_t bound =
       std::max(score_bound(scheme, m), largest_constant(scheme));
   if (bound > 0xFFFFFFFFull)
@@ -388,17 +297,15 @@ StripedBuild striped_build(const ScoringScheme& scheme, std::size_t m,
         "striped: score bound " + std::to_string(bound) +
         " exceeds 32-bit cells (query too long for this scheme)");
   StripedBuild b;
-  b.repr = resolve_repr(repr);
   b.exact_bits = bound > 0xFFFFull ? 32 : 16;
   b.first_bits = byte_pass_fits(scheme) ? 8 : b.exact_bits;
   return b;
 }
 
 StripedProfile::StripedProfile(const ScoringScheme& scheme,
-                               std::span<const std::uint8_t> query,
-                               StripedRepr repr)
+                               std::span<const std::uint8_t> query)
     : m_(query.size()),
-      build_(striped_build(scheme, query.size(), repr)),
+      build_(striped_build(scheme, query.size())),
       alphabet_size_(scheme.alphabet().size()),
       gap_open_(scheme.gap_open),
       gap_extend_(scheme.affine() ? scheme.gap_extend : scheme.gap_open),
@@ -442,7 +349,7 @@ std::uint32_t StripedProfile::run(const Pass& pass,
   const Planes<Elem> view{
       reinterpret_cast<const Elem*>(base + pass.p),
       reinterpret_cast<const Elem*>(base + pass.n), pass.segments};
-  return run_kernel<Elem>(build_.repr, view, gap_open_, gap_extend_, y);
+  return run_kernel<Elem>(view, gap_open_, gap_extend_, y);
 }
 
 std::uint32_t StripedProfile::score(std::span<const std::uint8_t> y,
@@ -488,11 +395,8 @@ StripedProfileCache::StripedProfileCache(std::size_t capacity)
 StripedProfileCache::~StripedProfileCache() = default;
 
 std::shared_ptr<const StripedProfile> StripedProfileCache::get(
-    const ScoringScheme& scheme, std::span<const std::uint8_t> query,
-    StripedRepr repr) {
-  const StripedRepr resolved = resolve_repr(repr);
+    const ScoringScheme& scheme, std::span<const std::uint8_t> query) {
   std::uint64_t key = fingerprint_scheme(scheme);
-  key = util::fnv1a_bytes(&resolved, sizeof(resolved), key);
   key = util::fnv1a_bytes(query.data(), query.size(), key);
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
@@ -507,7 +411,7 @@ std::shared_ptr<const StripedProfile> StripedProfileCache::get(
   }
   // Build outside the lock — profile construction is the expensive part
   // and concurrent misses for different queries must not serialize.
-  auto profile = std::make_shared<const StripedProfile>(scheme, query, repr);
+  auto profile = std::make_shared<const StripedProfile>(scheme, query);
   std::lock_guard<std::mutex> lock(impl_->mu);
   ++impl_->stats.misses;
   if (const auto it = impl_->index.find(key); it != impl_->index.end()) {
@@ -536,29 +440,27 @@ StripedProfileCache::Stats StripedProfileCache::stats() const {
 
 std::uint32_t striped_max_score(const encoding::GenericSequence& x,
                                 const encoding::GenericSequence& y,
-                                const ScoringScheme& scheme,
-                                StripedRepr repr) {
+                                const ScoringScheme& scheme) {
   if (x.empty() || y.empty()) return 0;
-  return StripedProfile(scheme, x, repr).score(y);
+  return StripedProfile(scheme, x).score(y);
 }
 
 std::uint32_t striped_max_score(const encoding::Sequence& x,
                                 const encoding::Sequence& y,
-                                const ScoringScheme& scheme,
-                                StripedRepr repr) {
+                                const ScoringScheme& scheme) {
   encoding::GenericSequence gx(x.size()), gy(y.size());
   for (std::size_t i = 0; i < x.size(); ++i)
     gx[i] = static_cast<std::uint8_t>(x[i]);
   for (std::size_t i = 0; i < y.size(); ++i)
     gy[i] = static_cast<std::uint8_t>(y[i]);
-  return striped_max_score(gx, gy, scheme, repr);
+  return striped_max_score(gx, gy, scheme);
 }
 
 util::Expected<std::vector<std::uint32_t>> try_striped_max_scores(
     std::span<const encoding::GenericSequence> xs,
     std::span<const encoding::GenericSequence> ys,
     const ScoringScheme& scheme, bulk::Mode mode, StripedProfileCache* cache,
-    PhaseTimings* timings, StripedRepr repr, StripedStats* stats) {
+    PhaseTimings* timings, StripedStats* stats) {
   if (xs.size() != ys.size())
     return util::Status::invalid_input(
         "striped: pattern/text count mismatch (" + std::to_string(xs.size()) +
@@ -588,7 +490,7 @@ util::Expected<std::vector<std::uint32_t>> try_striped_max_scores(
   util::WallTimer timer;
   try {
     for (std::size_t k = 0; k < xs.size(); ++k)
-      per_pair[k] = profiles.get(scheme, xs[k], repr);
+      per_pair[k] = profiles.get(scheme, xs[k]);
   } catch (const std::invalid_argument& e) {
     return util::Status::invalid_input(e.what());
   }
@@ -628,8 +530,8 @@ namespace {
 class StripedBackend final : public Backend {
  public:
   StripedBackend(const ScoringScheme& scheme, bulk::Mode mode,
-                 StripedProfileCache* cache, StripedRepr repr)
-      : scheme_(scheme), mode_(mode), external_cache_(cache), repr_(repr) {}
+                 StripedProfileCache* cache)
+      : scheme_(scheme), mode_(mode), external_cache_(cache) {}
 
   [[nodiscard]] BackendCaps caps() const override {
     BackendCaps caps;
@@ -661,8 +563,8 @@ class StripedBackend final : public Backend {
     StripedProfileCache* cache =
         external_cache_ != nullptr ? external_cache_ : &own_cache_;
     StripedStats stats;
-    auto scores = try_striped_max_scores(gx, gy, scheme_, mode_, cache, &t,
-                                         repr_, &stats);
+    auto scores =
+        try_striped_max_scores(gx, gy, scheme_, mode_, cache, &t, &stats);
     if (!scores.has_value()) throw util::StatusError(scores.status());
     if (job.stop != nullptr && job.stop->triggered())
       throw util::StatusError(
@@ -680,16 +582,14 @@ class StripedBackend final : public Backend {
   bulk::Mode mode_;
   StripedProfileCache* external_cache_;
   StripedProfileCache own_cache_;
-  StripedRepr repr_;
 };
 
 }  // namespace
 
 std::unique_ptr<Backend> make_striped_backend(const ScoringScheme& scheme,
                                               bulk::Mode mode,
-                                              StripedProfileCache* cache,
-                                              StripedRepr repr) {
-  return std::make_unique<StripedBackend>(scheme, mode, cache, repr);
+                                              StripedProfileCache* cache) {
+  return std::make_unique<StripedBackend>(scheme, mode, cache);
 }
 
 }  // namespace swbpbc::sw

@@ -30,11 +30,10 @@
 // bound max_positive * m needs it. An 8-bit result below that limit is
 // exact: the first wrapping add needs an exact H >= 256 - max_positive,
 // and the running max would hold it. So scores are bit-identical across
-// element widths and reprs.
+// element widths.
 //
 // Build: one column kernel over 128-bit GNU vectors (16 x u8, 8 x u16 or
-// 4 x u32 lanes), compiled with the build's flags, or over a portable
-// std::array fallback at the same lane counts.
+// 4 x u32 lanes), compiled with the build's flags.
 #pragma once
 
 #include <cstdint>
@@ -54,44 +53,27 @@ namespace swbpbc::sw {
 
 class Backend;  // sw/backend.hpp
 
-/// Kernel representation: 128-bit GNU vectors compiled with the build's
-/// flags (kVector) or the portable std::array fallback at the same lane
-/// counts (kScalar). kAuto picks the vector kernel when the build has
-/// it. Purely a throughput knob — scores are bit-identical (the test
-/// suite asserts the identity), mirroring bitsim::wide_word's Simd
-/// parameter.
-enum class StripedRepr : std::uint8_t { kAuto = 0, kVector = 1, kScalar = 2 };
-
-/// True when the build carries the GNU-vector striped kernel.
-[[nodiscard]] bool striped_vector_compiled();
-
-/// Stable display name: "vector", "scalar", "auto".
-[[nodiscard]] const char* striped_repr_name(StripedRepr repr);
-
 /// Register width of every striped build; lanes per vector are this over
 /// the element bits.
 inline constexpr unsigned kStripedVectorBits = 128;
 
-/// The build a striped query runs: its repr and the element width of its
-/// first pass (8 bits when the scheme's constants fit a byte) and of its
-/// exact pass (16 or 32).
+/// The build a striped query runs: the element width of its first pass
+/// (8 bits when the scheme's constants fit a byte) and of its exact pass
+/// (16 or 32).
 struct StripedBuild {
-  StripedRepr repr = StripedRepr::kVector;
   unsigned first_bits = 16;
   unsigned exact_bits = 16;
 
-  /// "vector 16xu8>8xu16": repr, first pass as lanes x element, and the
-  /// exact pass it escalates to (a single "8xu16" when there is no 8-bit
-  /// pass).
+  /// "16xu8>8xu16": the first pass as lanes x element, and the exact pass
+  /// it escalates to (a single "8xu16" when there is no 8-bit pass).
   [[nodiscard]] std::string name() const;
 };
 
-/// The build StripedProfile(scheme, query of length m, repr) runs.
-/// Throws std::invalid_argument when the score bound overflows 32-bit
-/// cells, like the profile.
-[[nodiscard]] StripedBuild striped_build(
-    const ScoringScheme& scheme, std::size_t m,
-    StripedRepr repr = StripedRepr::kAuto);
+/// The build StripedProfile(scheme, query of length m) runs. Throws
+/// std::invalid_argument when the score bound overflows 32-bit cells,
+/// like the profile.
+[[nodiscard]] StripedBuild striped_build(const ScoringScheme& scheme,
+                                         std::size_t m);
 
 /// Counts of one striped batch: pairs the 8-bit first pass scored, and how
 /// many of them reached 255 - max_positive and were rescored at the exact
@@ -116,8 +98,7 @@ struct StripedStats {
 class StripedProfile {
  public:
   StripedProfile(const ScoringScheme& scheme,
-                 std::span<const std::uint8_t> query,
-                 StripedRepr repr = StripedRepr::kAuto);
+                 std::span<const std::uint8_t> query);
 
   [[nodiscard]] std::size_t query_length() const { return m_; }
   /// Vectors per column of the exact pass (Farrar's segLen):
@@ -132,8 +113,6 @@ class StripedProfile {
   [[nodiscard]] bool wide_cells() const { return build_.exact_bits == 32; }
   /// True when pairs run first in 8-bit cells.
   [[nodiscard]] bool byte_pass() const { return build_.first_bits == 8; }
-  /// The representation the kernel actually runs (kAuto resolved).
-  [[nodiscard]] StripedRepr repr() const { return build_.repr; }
   [[nodiscard]] const StripedBuild& build() const { return build_; }
 
   /// Max local-alignment score of the profiled query against `y`.
@@ -172,7 +151,7 @@ class StripedProfile {
   Pass exact_;
 };
 
-/// Keyed (scheme fingerprint, query, repr) LRU of shared profiles so a
+/// Keyed (scheme fingerprint, query) LRU of shared profiles so a
 /// database screen — the same query against every chunk — builds its
 /// profile once. Thread-safe; hits verify the stored query bytes, so a
 /// fingerprint collision can never serve the wrong profile.
@@ -185,8 +164,7 @@ class StripedProfileCache {
   StripedProfileCache& operator=(const StripedProfileCache&) = delete;
 
   std::shared_ptr<const StripedProfile> get(
-      const ScoringScheme& scheme, std::span<const std::uint8_t> query,
-      StripedRepr repr = StripedRepr::kAuto);
+      const ScoringScheme& scheme, std::span<const std::uint8_t> query);
 
   struct Stats {
     std::uint64_t hits = 0;
@@ -203,13 +181,13 @@ class StripedProfileCache {
 /// One pair, generic codes. Convenience over a throwaway StripedProfile.
 [[nodiscard]] std::uint32_t striped_max_score(
     const encoding::GenericSequence& x, const encoding::GenericSequence& y,
-    const ScoringScheme& scheme, StripedRepr repr = StripedRepr::kAuto);
+    const ScoringScheme& scheme);
 
 /// One pair, DNA. The bases are their dense codes; a uniform scheme
 /// scores them directly.
 [[nodiscard]] std::uint32_t striped_max_score(
     const encoding::Sequence& x, const encoding::Sequence& y,
-    const ScoringScheme& scheme, StripedRepr repr = StripedRepr::kAuto);
+    const ScoringScheme& scheme);
 
 /// Bulk scoring of pairs (xs[k], ys[k]) — the striped mirror of
 /// try_scheme_max_scores. Validates the scheme and batch shape with
@@ -224,7 +202,7 @@ util::Expected<std::vector<std::uint32_t>> try_striped_max_scores(
     std::span<const encoding::GenericSequence> ys,
     const ScoringScheme& scheme, bulk::Mode mode = bulk::Mode::kSerial,
     StripedProfileCache* cache = nullptr, PhaseTimings* timings = nullptr,
-    StripedRepr repr = StripedRepr::kAuto, StripedStats* stats = nullptr);
+    StripedStats* stats = nullptr);
 
 /// The striped engine as a first-class screening Backend (DNA batch
 /// boundary, any uniform scheme incl. affine). Polls ChunkJob::stop
@@ -233,7 +211,6 @@ util::Expected<std::vector<std::uint32_t>> try_striped_max_scores(
 /// `cache` is supplied (not owned, must outlive the backend).
 std::unique_ptr<Backend> make_striped_backend(
     const ScoringScheme& scheme, bulk::Mode mode = bulk::Mode::kSerial,
-    StripedProfileCache* cache = nullptr,
-    StripedRepr repr = StripedRepr::kAuto);
+    StripedProfileCache* cache = nullptr);
 
 }  // namespace swbpbc::sw

@@ -1,11 +1,8 @@
 // bitsim::wide_word semantics: limb layout, logic/shift arithmetic against
 // a per-limb uint64 reference, the generic popcount, and the wide payload
-// transposes. Every check runs for both the SIMD representation and the
-// forced-scalar (array) fallback, so the fallback stays exercised even on
-// hosts where the vector path is the one that dispatches.
+// transposes, at every wide width.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -23,9 +20,7 @@ template <typename W>
 class WideWord : public ::testing::Test {};
 
 using WideTypes =
-    ::testing::Types<simd_word<128>, simd_word<256>, simd_word<512>,
-                     wide_word<128, false>, wide_word<256, false>,
-                     wide_word<512, false>>;
+    ::testing::Types<simd_word<128>, simd_word<256>, simd_word<512>>;
 TYPED_TEST_SUITE(WideWord, WideTypes);
 
 template <typename W>
@@ -143,29 +138,6 @@ TYPED_TEST(WideWord, PayloadTransposeRoundTripsAndMatchesBitReference) {
     // Bits >= s of the inverse output are unspecified, like the plans.
     ASSERT_EQ(get_limb(block[k], 0) & ((1u << s) - 1), values[k])
         << "lane " << k;
-  }
-}
-
-TEST(WideWord, SimdAndScalarFallbackAgree) {
-  // Same bits in, same bits out: the two representations of one width are
-  // interchangeable (this is what makes kScalarWide a valid CI stand-in
-  // for the SIMD path on any host).
-  util::Xoshiro256 rng(4);
-  for (int trial = 0; trial < 16; ++trial) {
-    simd_word<256> a{}, b{};
-    wide_word<256, false> c{}, d{};
-    for (unsigned t = 0; t < 4; ++t) {
-      const std::uint64_t x = rng.next(), y = rng.next();
-      set_limb(a, t, x);
-      set_limb(c, t, x);
-      set_limb(b, t, y);
-      set_limb(d, t, y);
-    }
-    const auto e = (a & b) ^ (a | ~b) ^ (a << 37) ^ (b >> 129);
-    const auto f = (c & d) ^ (c | ~d) ^ (c << 37) ^ (d >> 129);
-    for (unsigned t = 0; t < 4; ++t) {
-      ASSERT_EQ(get_limb(e, t), get_limb(f, t)) << "limb " << t;
-    }
   }
 }
 

@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "device/launch.hpp"
 #include "device/memory.hpp"
 #include "device/sw_kernels.hpp"
 #include "encoding/random.hpp"
+#include "sw/lane.hpp"
 #include "sw/scalar.hpp"
+#include "sw/scoring.hpp"
+#include "sw/wordwise.hpp"
+#include "util/rng.hpp"
 
 namespace swbpbc::device {
 namespace {
@@ -138,9 +146,76 @@ TEST_P(GpuPipeline, MatchesScalarReference) {
   }
 }
 
+// The differential oracle's boundary shapes: pair counts {1, W-1, W,
+// W+1}, a one-residue pattern and a one-residue text, and a pair scoring
+// exactly 2^s - 1, the top of the slice budget. The device pipeline runs
+// a linear and an affine scheme; the linear one also runs the host and
+// device wordwise loops. Every score must equal scalar Gotoh.
+TEST_P(GpuPipeline, BoundaryShapesMatchScalarGotoh) {
+  const std::size_t lanes = sw::lane_width_bits(GetParam());
+  sw::ScoringScheme linear;
+  linear.match = 3;  // odd, so 2^6 - 1 = 3 * 21 is a reachable score
+  sw::ScoringScheme affine = linear;
+  affine.gap_model = sw::GapModel::kAffine;
+  affine.gap_open = 3;
+  affine.gap_extend = 1;
+  const sw::ScoreParams params = linear.to_params().value();
+  GpuRunOptions options;
+  options.mode = bulk::Mode::kSerial;
+
+  const auto check = [&](const std::vector<encoding::Sequence>& xs,
+                         const std::vector<encoding::Sequence>& ys,
+                         const std::string& shape) {
+    for (const sw::ScoringScheme& scheme : {linear, affine}) {
+      std::vector<std::uint32_t> want(xs.size());
+      for (std::size_t k = 0; k < xs.size(); ++k)
+        want[k] = sw::scheme_max_score(xs[k], ys[k], scheme);
+      const char* gaps = scheme.affine() ? " affine" : " linear";
+      EXPECT_EQ(gpu_bpbc_max_scores(xs, ys, scheme, GetParam(), options)
+                    .scores,
+                want)
+          << shape << gaps;
+      if (scheme.affine()) continue;
+      EXPECT_EQ(sw::wordwise_max_scores(xs, ys, params), want)
+          << shape << " host wordwise";
+      EXPECT_EQ(gpu_wordwise_max_scores(xs, ys, params, options).scores,
+                want)
+          << shape << " device wordwise";
+    }
+  };
+
+  util::Xoshiro256 rng(7003);
+  for (const std::size_t count : {std::size_t{1}, lanes - 1, lanes,
+                                  lanes + 1}) {
+    const auto xs = encoding::random_sequences(rng, count, 6);
+    auto ys = encoding::random_sequences(rng, count, 9);
+    std::copy(xs[0].begin(), xs[0].end(), ys[0].begin());  // a high scorer
+    check(xs, ys, "count=" + std::to_string(count));
+  }
+  check(encoding::random_sequences(rng, lanes + 1, 1),
+        encoding::random_sequences(rng, lanes + 1, 9), "m=1");
+  check(encoding::random_sequences(rng, lanes + 1, 9),
+        encoding::random_sequences(rng, lanes + 1, 1), "n=1");
+
+  const std::size_t len = 21;
+  const unsigned s = sw::scheme_required_slices(linear, len, len);
+  ASSERT_EQ(3 * len, (std::size_t{1} << s) - 1);
+  auto xs = encoding::random_sequences(rng, 3, len);
+  auto ys = encoding::random_sequences(rng, 3, len);
+  xs[0].assign(len, encoding::Base::A);
+  ys[0].assign(len, encoding::Base::A);
+  ASSERT_EQ(sw::scheme_max_score(xs[0], ys[0], affine), 3 * len);
+  check(xs, ys, "2^s-1 pair");
+}
+
 INSTANTIATE_TEST_SUITE_P(BothWidths, GpuPipeline,
                          ::testing::Values(sw::LaneWidth::k32,
                                            sw::LaneWidth::k64));
+// The wide lane words the device also accepts.
+INSTANTIATE_TEST_SUITE_P(WideWidths, GpuPipeline,
+                         ::testing::Values(sw::LaneWidth::k128,
+                                           sw::LaneWidth::k256,
+                                           sw::LaneWidth::k512));
 
 TEST(GpuPipelineMisc, WordwiseKernelMatchesScalar) {
   util::Xoshiro256 rng(7002);

@@ -141,10 +141,6 @@ TEST(Batch, TransposePlannedEqualsNaive512) {
   check_transpose_roundtrip<bitsim::simd_word<512>>(520, 5);
 }
 
-TEST(Batch, TransposePlannedEqualsNaiveScalarWide) {
-  check_transpose_roundtrip<bitsim::wide_word<256, false>>(257, 6);
-}
-
 TEST(Batch, TailGroupHandling) {
   // 70 instances with 32 lanes -> 3 groups, last one partially used.
   check_transpose_roundtrip<std::uint32_t>(70, 8);

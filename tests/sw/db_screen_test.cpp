@@ -57,7 +57,7 @@ TEST(DbScreen, MatchesInMemoryAtEveryLaneWidth) {
   const Fixture f = make_fixture("widths.swdb", 190, 12, 48);
   for (LaneWidth width :
        {LaneWidth::k32, LaneWidth::k64, LaneWidth::k128, LaneWidth::k256,
-        LaneWidth::k512, LaneWidth::kScalarWide}) {
+        LaneWidth::k512}) {
     ScreenConfig plain = base_config(width);
     const ScreenReport expect = screen(f.xs, f.ys, plain);
 
@@ -104,7 +104,7 @@ TEST(DbScreen, AffineSchemeMatchesInMemoryAtEveryLaneWidth) {
   };
   for (LaneWidth width :
        {LaneWidth::k32, LaneWidth::k64, LaneWidth::k128, LaneWidth::k256,
-        LaneWidth::k512, LaneWidth::kScalarWide}) {
+        LaneWidth::k512}) {
     ScreenConfig plain = base_config(width);
     plain.scheme = affine;
     const ScreenReport expect = screen(f.xs, f.ys, plain);

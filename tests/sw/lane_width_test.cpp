@@ -30,8 +30,7 @@ TEST(ForcedLaneWidth, AcceptsEverySpelling) {
   } cases[] = {
       {"32", LaneWidth::k32},   {"64", LaneWidth::k64},
       {"128", LaneWidth::k128}, {"256", LaneWidth::k256},
-      {"512", LaneWidth::k512}, {"scalar-wide", LaneWidth::kScalarWide},
-      {"auto", LaneWidth::kAuto},
+      {"512", LaneWidth::k512}, {"auto", LaneWidth::kAuto},
   };
   for (const auto& c : cases) {
     const auto parsed = parse_forced_lane_width(c.value);
@@ -52,6 +51,27 @@ TEST(ForcedLaneWidth, UnknownValueIsTypedInvalidInput) {
               std::string::npos);
     EXPECT_NE(parsed.status().message().find(bad), std::string::npos);
   }
+}
+
+// The retired 256-lane portable width ("scalar-wide") is an unknown
+// spelling like any other, from the variable and from a --width flag, and
+// the message lists the widths that remain.
+TEST(ForcedLaneWidth, RetiredScalarWideIsTypedInvalidInput) {
+  const auto forced = parse_forced_lane_width("scalar-wide");
+  ASSERT_FALSE(forced.has_value());
+  EXPECT_EQ(forced.status().code(), util::ErrorCode::kInvalidInput);
+  EXPECT_NE(forced.status().message().find("32|64|128|256|512|auto"),
+            std::string::npos)
+      << forced.status().message();
+  const auto flag = try_parse_lane_width("scalar-wide", "--width");
+  ASSERT_FALSE(flag.has_value());
+  EXPECT_EQ(flag.status().code(), util::ErrorCode::kInvalidInput);
+  EXPECT_EQ(flag.status().message(),
+            "--width: unknown lane width \"scalar-wide\" "
+            "(expected 32|64|128|256|512|auto)");
+  EXPECT_FALSE(parse_lane_width("scalar-wide").has_value());
+  ASSERT_TRUE(try_parse_lane_width("256", "--width").has_value());
+  EXPECT_EQ(*try_parse_lane_width("256", "--width"), LaneWidth::k256);
 }
 
 TEST(ForcedLaneWidth, ThrowingAccessorSurfacesTypedError) {
@@ -89,8 +109,7 @@ TEST(AutoLaneWidth, KernelIsaNeedsWidthAndCpu) {
   EXPECT_EQ(kernel_isa(LaneWidth::k256, sse2), bitsim::Isa::kBaseline);
   EXPECT_EQ(kernel_isa(LaneWidth::k512, {}), bitsim::Isa::kBaseline);
   // Every other width has one build.
-  for (LaneWidth w : {LaneWidth::k32, LaneWidth::k64, LaneWidth::k128,
-                      LaneWidth::kScalarWide}) {
+  for (LaneWidth w : {LaneWidth::k32, LaneWidth::k64, LaneWidth::k128}) {
     EXPECT_EQ(kernel_isa(w, all), bitsim::Isa::kBaseline)
         << lane_width_name(w);
   }

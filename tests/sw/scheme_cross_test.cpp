@@ -1,10 +1,10 @@
 // Randomized cross-checks of the bitwise ScoringScheme kernels against
 // the scalar Gotoh references: affine gaps and substitution-matrix lookup
-// over DNA and protein alphabets, at every lane width (32/64/128/256/512
-// and the forced-scalar wide representation) and on sequence lengths at
-// each width's lane-count boundaries, through the host backend, the
-// chunked screening pipeline, the database-store serve path (including
-// corruption quarantine + re-ingest), and the device wavefront engine.
+// over DNA and protein alphabets, at every lane width (32/64/128/256/512)
+// and on sequence lengths at each width's lane-count boundaries, through
+// the host backend, the chunked screening pipeline, the database-store
+// serve path (including corruption quarantine + re-ingest), and the
+// device wavefront engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,9 +32,9 @@ namespace {
 using encoding::GenericSequence;
 using encoding::Sequence;
 
-const LaneWidth kAllWidths[] = {LaneWidth::k32,  LaneWidth::k64,
+const LaneWidth kAllWidths[] = {LaneWidth::k32, LaneWidth::k64,
                                 LaneWidth::k128, LaneWidth::k256,
-                                LaneWidth::k512, LaneWidth::kScalarWide};
+                                LaneWidth::k512};
 
 GenericSequence random_generic(util::Xoshiro256& rng, std::size_t len,
                                std::size_t sigma) {

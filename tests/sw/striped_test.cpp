@@ -2,8 +2,7 @@
 // deconstructed) engine against the scalar Gotoh reference: DNA and
 // protein alphabets, linear and affine gaps, query lengths chosen to
 // straddle the segment boundaries of every lane count (16/8/4 lanes and
-// their multiples), both kernel reprs (the std::array fallback and the
-// 128-bit GNU vectors, when the compiler has them), every element width
+// their multiples), every element width
 // (the 8-bit first pass, its escalation to 16 bits at exactly
 // 255 - max_positive, and 32-bit cells), the lazy-F stress shapes (cheap
 // gaps, rich matches — maximal cross-segment carry), the degenerate
@@ -30,14 +29,6 @@ namespace {
 
 using encoding::GenericSequence;
 using encoding::Sequence;
-
-// The reprs this build runs: the vector kernel only when the compiler has
-// vector extensions.
-std::vector<StripedRepr> host_reprs() {
-  std::vector<StripedRepr> out{StripedRepr::kScalar};
-  if (striped_vector_compiled()) out.push_back(StripedRepr::kVector);
-  return out;
-}
 
 GenericSequence random_generic(util::Xoshiro256& rng, std::size_t len,
                                std::size_t sigma) {
@@ -73,26 +64,22 @@ ScoringScheme protein_blosum62(GapModel gaps = GapModel::kAffine) {
   return s;
 }
 
-// Every repr this build runs must score (x, y) exactly as scalar Gotoh.
-// Returns the reference score.
+// The striped kernel must score (x, y) exactly as scalar Gotoh. Returns
+// the reference score.
 std::uint32_t expect_pair_identity(const GenericSequence& x,
                                    const GenericSequence& y,
                                    const ScoringScheme& scheme,
                                    const std::string& label) {
   const std::uint32_t want = scheme_max_score(x, y, scheme);
-  for (const StripedRepr repr : host_reprs()) {
-    const std::uint32_t got = striped_max_score(x, y, scheme, repr);
-    EXPECT_EQ(got, want) << label << " repr=" << striped_repr_name(repr)
-                         << " m=" << x.size() << " n=" << y.size();
-  }
+  EXPECT_EQ(striped_max_score(x, y, scheme), want)
+      << label << " m=" << x.size() << " n=" << y.size();
   return want;
 }
 
 // The randomized matrix: every scheme kind x query lengths that straddle
 // the segment boundaries of every lane count (16/8/4 lanes and their
 // multiples: 1, 2, and k-1 .. k+1 for k = 8, 16, 32, 64, 128) x assorted
-// target lengths, at every repr. The schemes drive every element width: small
-// scores stay in the 8-bit pass, "dna-rich" (max_positive 120) escalates
+// target lengths. The schemes drive every element width: small scores stay in the 8-bit pass, "dna-rich" (max_positive 120) escalates
 // most pairs to 16 bits, "dna-wide-constant" (a penalty over 16 bits)
 // runs 32-bit cells with no 8-bit pass, and "dna-no-byte" (match 300)
 // runs 16-bit cells directly.
@@ -134,7 +121,7 @@ TEST(StripedCross, RandomizedMatrixMatchesScalarGotoh) {
 // The 8-bit pass hands a pair to the exact width iff its score reaches
 // 255 - max_positive: pairs scoring one below, exactly at, and one above
 // that limit, under a unit-match DNA scheme (limit 254) and BLOSUM62
-// (limit 244), at every repr. x = y, so the optimum is the diagonal.
+// (limit 244). x = y, so the optimum is the diagonal.
 TEST(StripedCross, BytePassEscalatesExactlyAtTheLimit) {
   const ScoringScheme unit = dna_linear(1, 3, 3);
   const std::uint32_t unit_limit = 255 - unit.max_positive();
@@ -143,14 +130,11 @@ TEST(StripedCross, BytePassEscalatesExactlyAtTheLimit) {
     const GenericSequence x(target, 1);  // every diagonal cell scores 1
     const std::uint32_t got = expect_pair_identity(x, x, unit, "unit-limit");
     EXPECT_EQ(got, target);
-    for (const StripedRepr repr : host_reprs()) {
-      const StripedProfile profile(unit, x, repr);
-      ASSERT_TRUE(profile.byte_pass());
-      bool rescored = false;
-      EXPECT_EQ(profile.score(x, &rescored), target);
-      EXPECT_EQ(rescored, target >= unit_limit)
-          << "score " << target << " repr=" << striped_repr_name(repr);
-    }
+    const StripedProfile profile(unit, x);
+    ASSERT_TRUE(profile.byte_pass());
+    bool rescored = false;
+    EXPECT_EQ(profile.score(x, &rescored), target);
+    EXPECT_EQ(rescored, target >= unit_limit) << "score " << target;
   }
 
   // BLOSUM62: 21 W (11 each) plus residues whose self-scores add up to
@@ -169,13 +153,10 @@ TEST(StripedCross, BytePassEscalatesExactlyAtTheLimit) {
     for (const char* t = c.tail; *t != '\0'; ++t) x.push_back(aa.code(*t));
     const std::uint32_t got = expect_pair_identity(x, x, blosum, c.tail);
     EXPECT_EQ(got, c.score) << c.tail;
-    for (const StripedRepr repr : host_reprs()) {
-      const StripedProfile profile(blosum, x, repr);
-      bool rescored = false;
-      EXPECT_EQ(profile.score(x, &rescored), got);
-      EXPECT_EQ(rescored, got >= blosum_limit)
-          << c.tail << " repr=" << striped_repr_name(repr);
-    }
+    const StripedProfile profile(blosum, x);
+    bool rescored = false;
+    EXPECT_EQ(profile.score(x, &rescored), got);
+    EXPECT_EQ(rescored, got >= blosum_limit) << c.tail;
   }
 }
 
@@ -291,28 +272,25 @@ TEST(StripedCross, EmptyAndSingleResidueInputs) {
 }
 
 // A large-magnitude scheme forces the 32-bit element escalation (score
-// bound over 16 bits); the wide kernel must stay bit-identical too. Every
-// repr runs 128-bit vectors: 4 lanes of 32-bit cells, 8 of 16-bit cells
+// bound over 16 bits); the wide kernel must stay bit-identical too. The
+// kernel runs 128-bit vectors: 4 lanes of 32-bit cells, 8 of 16-bit cells
 // and 16 of 8-bit cells.
 TEST(StripedCross, WideCellEscalationMatchesScalar) {
   ScoringScheme s = dna_linear(300, 100, 120);
   util::Xoshiro256 rng(7);
   const GenericSequence x = random_generic(rng, 300, 4);
   const GenericSequence y = random_generic(rng, 90, 4);
-  for (const StripedRepr repr : host_reprs()) {
-    const StripedProfile profile(s, x, repr);
-    EXPECT_TRUE(profile.wide_cells());
-    EXPECT_FALSE(profile.byte_pass());  // match 300 does not fit a byte
-    EXPECT_EQ(profile.lanes(), 4u) << striped_repr_name(repr);
-    EXPECT_EQ(profile.segments(), 75u);
-    // And the 16-bit cells are exercised by the small schemes.
-    const StripedProfile narrow(dna_linear(), x, repr);
-    EXPECT_FALSE(narrow.wide_cells());
-    EXPECT_TRUE(narrow.byte_pass());
-    EXPECT_EQ(narrow.lanes(), 8u) << striped_repr_name(repr);
-    EXPECT_EQ(narrow.build().name(),
-              std::string(striped_repr_name(repr)) + " 16xu8>8xu16");
-  }
+  const StripedProfile profile(s, x);
+  EXPECT_TRUE(profile.wide_cells());
+  EXPECT_FALSE(profile.byte_pass());  // match 300 does not fit a byte
+  EXPECT_EQ(profile.lanes(), 4u);
+  EXPECT_EQ(profile.segments(), 75u);
+  // And the 16-bit cells are exercised by the small schemes.
+  const StripedProfile narrow(dna_linear(), x);
+  EXPECT_FALSE(narrow.wide_cells());
+  EXPECT_TRUE(narrow.byte_pass());
+  EXPECT_EQ(narrow.lanes(), 8u);
+  EXPECT_EQ(narrow.build().name(), "16xu8>8xu16");
   expect_pair_identity(x, y, s, "wide-cells");
 
   // 8-bit first pass escalating straight to 32-bit cells: the constants
@@ -321,16 +299,13 @@ TEST(StripedCross, WideCellEscalationMatchesScalar) {
   const GenericSequence long_x = random_generic(rng, 400, 4);
   GenericSequence long_y = random_generic(rng, 120, 4);
   for (std::size_t i = 0; i < 60; ++i) long_y[30 + i] = long_x[100 + i];
-  for (const StripedRepr repr : host_reprs()) {
-    const StripedProfile profile(rich, long_x, repr);
-    EXPECT_TRUE(profile.byte_pass());
-    EXPECT_TRUE(profile.wide_cells());
-    bool rescored = false;
-    EXPECT_EQ(profile.score(long_y, &rescored),
-              scheme_max_score(long_x, long_y, rich))
-        << striped_repr_name(repr);
-    EXPECT_TRUE(rescored);
-  }
+  const StripedProfile escalating(rich, long_x);
+  EXPECT_TRUE(escalating.byte_pass());
+  EXPECT_TRUE(escalating.wide_cells());
+  bool rescored = false;
+  EXPECT_EQ(escalating.score(long_y, &rescored),
+            scheme_max_score(long_x, long_y, rich));
+  EXPECT_TRUE(rescored);
 }
 
 // A penalty too large for 16-bit cells must not be truncated into one: a
@@ -347,31 +322,25 @@ TEST(StripedCross, LargeConstantsPickWideCells) {
   EXPECT_EQ(expect_pair_identity(x, y, s, "large-gap"), 20u);
 }
 
-// kAuto is the vector kernel when the build has one, and a build's name
-// gives its repr and each pass's lanes x element width.
-TEST(StripedBuildTest, NameGivesReprAndWidths) {
-  const StripedRepr host = striped_vector_compiled() ? StripedRepr::kVector
-                                                     : StripedRepr::kScalar;
-  EXPECT_EQ(striped_build(dna_linear(), 10).repr, host);
+// A build's name gives each pass's lanes x element width.
+TEST(StripedBuildTest, NameGivesPassWidths) {
   StripedBuild b;
-  b.repr = StripedRepr::kVector;
   b.first_bits = 8;
   b.exact_bits = 16;
-  EXPECT_EQ(b.name(), "vector 16xu8>8xu16");
+  EXPECT_EQ(b.name(), "16xu8>8xu16");
   b.first_bits = 16;
-  EXPECT_EQ(b.name(), "vector 8xu16");
-  b.repr = StripedRepr::kScalar;
+  EXPECT_EQ(b.name(), "8xu16");
   b.first_bits = 8;
   b.exact_bits = 32;
-  EXPECT_EQ(b.name(), "scalar 16xu8>4xu32");
-  EXPECT_EQ(striped_build(dna_linear(300, 100, 120), 300).name(),
-            std::string(striped_repr_name(host)) + " 4xu32");
+  EXPECT_EQ(b.name(), "16xu8>4xu32");
+  EXPECT_EQ(striped_build(dna_linear(), 10).name(), "16xu8>8xu16");
+  EXPECT_EQ(striped_build(dna_linear(300, 100, 120), 300).name(), "4xu32");
 }
 
 // Each thread keeps its DP scratch for the next call only up to a fixed
 // size; a query past it scores with a scratch of its own. A long query
 // (past the kept size at both the 8- and the 16-bit pass) between short
-// ones must leave every score bit-identical, at every repr.
+// ones must leave every score bit-identical.
 TEST(StripedProfileTest, LongQueryBetweenShortOnesStaysExact) {
   const ScoringScheme s = dna_linear();
   util::Xoshiro256 rng(23);
@@ -383,19 +352,16 @@ TEST(StripedProfileTest, LongQueryBetweenShortOnesStaysExact) {
     short_xs.push_back(random_generic(rng, m, 4));
     short_ys.push_back(short_xs.back());  // scores 2m: escalates at 129
   }
-  for (const StripedRepr repr : host_reprs()) {
-    for (int round = 0; round < 2; ++round) {
-      for (std::size_t k = 0; k < short_xs.size(); ++k)
-        EXPECT_EQ(striped_max_score(short_xs[k], short_ys[k], s, repr),
-                  2 * short_xs[k].size())
-            << striped_repr_name(repr) << " m=" << short_xs[k].size();
-      const StripedProfile profile(s, long_x, repr);
-      bool rescored = false;
-      EXPECT_EQ(profile.score(long_y, &rescored),
-                scheme_max_score(long_x, long_y, s))
-          << striped_repr_name(repr);
-      EXPECT_TRUE(rescored);
-    }
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t k = 0; k < short_xs.size(); ++k)
+      EXPECT_EQ(striped_max_score(short_xs[k], short_ys[k], s),
+                2 * short_xs[k].size())
+          << "m=" << short_xs[k].size();
+    const StripedProfile profile(s, long_x);
+    bool rescored = false;
+    EXPECT_EQ(profile.score(long_y, &rescored),
+              scheme_max_score(long_x, long_y, s));
+    EXPECT_TRUE(rescored);
   }
 }
 
@@ -472,10 +438,10 @@ TEST(StripedBulkTest, StatsCountEscalationsAndParallelMatchesSerial) {
   StripedStats serial_stats, parallel_stats;
   const auto serial =
       try_striped_max_scores(xs, ys, s, bulk::Mode::kSerial, nullptr,
-                             nullptr, StripedRepr::kAuto, &serial_stats);
+                             nullptr, &serial_stats);
   const auto parallel =
       try_striped_max_scores(xs, ys, s, bulk::Mode::kParallel, nullptr,
-                             nullptr, StripedRepr::kAuto, &parallel_stats);
+                             nullptr, &parallel_stats);
   ASSERT_TRUE(serial.has_value());
   ASSERT_TRUE(parallel.has_value());
   EXPECT_EQ(*serial, *parallel);

@@ -4,7 +4,8 @@
 // — scores, threshold masks, survivor counts, and the transposed input
 // itself — and every dispatched width must agree with the scalar
 // reference and with each other. The AVX2 and AVX-512 kernel builds must
-// score bit-identically to the portable word of their width.
+// score bit-identically to the portable word of their width: the
+// simd_word compiled with the build's baseline flags.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -51,9 +52,8 @@ W threshold_mask(const std::vector<W>& score_slices, std::uint32_t tau) {
 }
 
 const std::vector<LaneWidth> kAllWidths = {
-    LaneWidth::k32,  LaneWidth::k64,         LaneWidth::k128,
-    LaneWidth::k256, LaneWidth::k512,        LaneWidth::kScalarWide,
-    LaneWidth::kAuto};
+    LaneWidth::k32,  LaneWidth::k64,  LaneWidth::k128,
+    LaneWidth::k256, LaneWidth::k512, LaneWidth::kAuto};
 
 TEST(WideLane, AllWidthsMatchScalarReference) {
   util::Xoshiro256 rng(100);
@@ -151,14 +151,6 @@ TEST(WideLane, Wide256RunDecomposesIntoFourUint64LaneGroups) {
   }
 }
 
-TEST(WideLane, ScalarWideFallbackMatchesSimd) {
-  util::Xoshiro256 rng(103);
-  const auto xs = encoding::random_sequences(rng, 130, 7);
-  const auto ys = encoding::random_sequences(rng, 130, 19);
-  EXPECT_EQ(bpbc_max_scores(xs, ys, kScheme, LaneWidth::kScalarWide),
-            bpbc_max_scores(xs, ys, kScheme, LaneWidth::k256));
-}
-
 TEST(WideLane, ResolveAndParse) {
   // kAuto resolves to a concrete width; concrete widths resolve to
   // themselves (absent the env override, which tests must not set).
@@ -166,9 +158,7 @@ TEST(WideLane, ResolveAndParse) {
   EXPECT_NE(resolved, LaneWidth::kAuto);
   EXPECT_EQ(resolve_lane_width(LaneWidth::k128), LaneWidth::k128);
   EXPECT_EQ(lane_width_bits(LaneWidth::k512), 512u);
-  EXPECT_EQ(lane_width_bits(LaneWidth::kScalarWide), 256u);
   EXPECT_EQ(parse_lane_width("256"), LaneWidth::k256);
-  EXPECT_EQ(parse_lane_width("scalar-wide"), LaneWidth::kScalarWide);
   EXPECT_EQ(parse_lane_width("auto"), LaneWidth::kAuto);
   EXPECT_FALSE(parse_lane_width("banana").has_value());
 }
@@ -242,9 +232,10 @@ TEST(WideLane, OverlappedWide256BitIdenticalToSerialUnderFaults) {
 // --- per-ISA kernel builds ----------------------------------------------
 // sw/kernel_avx2.cpp and sw/kernel_avx512.cpp compile the kernel.hpp
 // templates for Avx2Word / Avx512Word under -mavx2 / -mavx512f. Each
-// entry point must score bit-identically to the portable array-of-uint64
-// word of its width (and to scalar Gotoh); the checks skip where cpuid
-// says the build can never be dispatched.
+// entry point must score bit-identically to the portable word of its
+// width, simd_word<256> / simd_word<512> compiled with the baseline flags
+// (and to scalar Gotoh); the checks skip where cpuid says the build can
+// never be dispatched.
 
 using encoding::GenericSequence;
 using encoding::Sequence;
@@ -373,15 +364,13 @@ void expect_isa_build_matches_portable(std::uint64_t seed) {
 TEST(IsaKernel, Avx2BuildMatchesPortableWord) {
   if (!host_runs(bitsim::Isa::kAvx2))
     GTEST_SKIP() << skip_reason(bitsim::Isa::kAvx2);
-  expect_isa_build_matches_portable<Avx2Word, bitsim::wide_word<256, false>>(
-      201);
+  expect_isa_build_matches_portable<Avx2Word, bitsim::simd_word<256>>(201);
 }
 
 TEST(IsaKernel, Avx512BuildMatchesPortableWord) {
   if (!host_runs(bitsim::Isa::kAvx512))
     GTEST_SKIP() << skip_reason(bitsim::Isa::kAvx512);
-  expect_isa_build_matches_portable<Avx512Word,
-                                    bitsim::wide_word<512, false>>(202);
+  expect_isa_build_matches_portable<Avx512Word, bitsim::simd_word<512>>(202);
 }
 
 // The DNA store backend: run_db at the tagged and the portable word, each
@@ -432,15 +421,13 @@ void expect_isa_db_backend(const std::string& name) {
 TEST(IsaKernel, Avx2DbBackendMatchesPortableWord) {
   if (!host_runs(bitsim::Isa::kAvx2))
     GTEST_SKIP() << skip_reason(bitsim::Isa::kAvx2);
-  expect_isa_db_backend<Avx2Word, bitsim::wide_word<256, false>>(
-      "avx2.swdb");
+  expect_isa_db_backend<Avx2Word, bitsim::simd_word<256>>("avx2.swdb");
 }
 
 TEST(IsaKernel, Avx512DbBackendMatchesPortableWord) {
   if (!host_runs(bitsim::Isa::kAvx512))
     GTEST_SKIP() << skip_reason(bitsim::Isa::kAvx512);
-  expect_isa_db_backend<Avx512Word, bitsim::wide_word<512, false>>(
-      "avx512.swdb");
+  expect_isa_db_backend<Avx512Word, bitsim::simd_word<512>>("avx512.swdb");
 }
 
 // The any-alphabet store screen (try_scheme_db_max_scores' body) over a
@@ -486,21 +473,21 @@ void expect_isa_scheme_db(const std::string& name, LaneWidth width) {
 TEST(IsaKernel, Avx2SchemeDbMatchesPortableWord) {
   if (!host_runs(bitsim::Isa::kAvx2))
     GTEST_SKIP() << skip_reason(bitsim::Isa::kAvx2);
-  expect_isa_scheme_db<Avx2Word, bitsim::wide_word<256, false>>(
+  expect_isa_scheme_db<Avx2Word, bitsim::simd_word<256>>(
       "avx2_protein.swdb", LaneWidth::k256);
 }
 
 TEST(IsaKernel, Avx512SchemeDbMatchesPortableWord) {
   if (!host_runs(bitsim::Isa::kAvx512))
     GTEST_SKIP() << skip_reason(bitsim::Isa::kAvx512);
-  expect_isa_scheme_db<Avx512Word, bitsim::wide_word<512, false>>(
+  expect_isa_scheme_db<Avx512Word, bitsim::simd_word<512>>(
       "avx512_protein.swdb", LaneWidth::k512);
 }
 
 TEST(IsaKernel, HostBackendReportsTheBuildItRuns) {
   const CpuFeatures& host = host_cpu_features();
   for (LaneWidth w : {LaneWidth::k64, LaneWidth::k128, LaneWidth::k256,
-                      LaneWidth::k512, LaneWidth::kScalarWide}) {
+                      LaneWidth::k512}) {
     const auto backend = make_host_backend(kScheme, w, bulk::Mode::kSerial);
     EXPECT_EQ(backend->caps().kernel_isa, kernel_isa(w, host))
         << lane_width_name(w);
