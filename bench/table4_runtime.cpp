@@ -144,33 +144,27 @@ int main(int argc, char** argv) {
               "fraction of total on the device. Absolute GPU numbers are "
               "simulator-scale (see DESIGN.md substitutions).\n");
 
-  // --- overlapped chunk execution (--overlap) ----------------------------
-  // Compares the chunked screen three ways over one workload: the
-  // PipelineEngine run serially (depth 1: persistent arenas, cached
-  // transpose plans), the PipelineEngine overlapped across
-  // --overlap-depth stream slots, and the host default sw::screen path
-  // (no explicit backend). Scores must be bit-identical across all three.
-  // --overlap-trace=path exports the overlapped run's Chrome trace with
-  // the per-stream lanes (adjacent chunks' H2G/G2H under another's SWA).
-  const std::string overlap_trace = opt.get("overlap-trace", "");
-  if (opt.get_bool("overlap", false) || !overlap_trace.empty()) {
+  // --- engine vs host chunk loop (--engine-vs-host) ----------------------
+  // Runs one chunked screen twice: on the device PipelineEngine as the
+  // explicit backend (persistent arena, cached transpose plans) and on the
+  // host default sw::screen path (no explicit backend). Scores must be
+  // bit-identical; a disagreement exits 1.
+  if (opt.get_bool("engine-vs-host", false)) {
     const auto chunk_pairs = static_cast<std::size_t>(
         opt.get_int("chunk-pairs", static_cast<std::int64_t>(pairs) / 16));
-    const auto depth = static_cast<std::size_t>(opt.get_int(
-        "overlap-depth", 3));
     const auto n0 = static_cast<std::size_t>(n_list.front());
     const bench::Workload w = bench::make_workload(pairs, m, n0, 20260705);
-    std::printf("\nOverlapped chunk engine: %zu pairs, m = %zu, n = %zu, "
-                "chunk_pairs = %zu, depth = %zu\n",
-                pairs, m, n0, chunk_pairs, depth);
+    std::printf("\nChunked screen, engine vs host: %zu pairs, m = %zu, "
+                "n = %zu, chunk_pairs = %zu\n",
+                pairs, m, n0, chunk_pairs);
 
-    sw::ScreenConfig base;
-    base.scheme = scheme;
-    base.threshold = ~std::uint32_t{0};  // screen only; no traceback work
-    base.width = sw::LaneWidth::k32;
-    base.mode = bulk::Mode::kParallel;
-    base.traceback = false;
-    base.chunk_pairs = chunk_pairs;
+    sw::ScreenConfig host;
+    host.scheme = scheme;
+    host.threshold = ~std::uint32_t{0};  // screen only; no traceback work
+    host.width = sw::LaneWidth::k32;
+    host.mode = bulk::Mode::kParallel;
+    host.traceback = false;
+    host.chunk_pairs = chunk_pairs;
 
     const auto timed = [&](const sw::ScreenConfig& cfg) {
       util::WallTimer timer;
@@ -181,56 +175,26 @@ int main(int argc, char** argv) {
 
     device::EngineOptions eng;
     eng.scheme = scheme;
-    eng.width = base.width;
-    eng.overlap_depth = depth;
+    eng.width = host.width;
+    device::PipelineEngine engine(eng);
+    sw::ScreenConfig on_engine = host;
+    on_engine.backend = &engine;
+    const auto [engine_ms, engine_rpt] = timed(on_engine);
+    const auto [host_ms, host_rpt] = timed(host);
 
-    device::PipelineEngine serial_engine(eng);
-    sw::ScreenConfig serial = base;
-    serial.backend = &serial_engine;
-    serial.overlap_depth = 1;
-    const auto [serial_ms, serial_rpt] = timed(serial);
-
-    telemetry::TelemetryConfig otcfg;
-    otcfg.enabled = !overlap_trace.empty();
-    telemetry::Telemetry osession(otcfg);
-    eng.telemetry = osession.sink();
-    device::PipelineEngine overlap_engine(eng);
-    sw::ScreenConfig overlapped = base;
-    overlapped.backend = &overlap_engine;
-    overlapped.overlap_depth = depth;
-    overlapped.telemetry = osession.sink();
-    const auto [overlap_ms, overlap_rpt] = timed(overlapped);
-
-    const auto [host_ms, host_rpt] = timed(base);
-
-    if (serial_rpt.scores != overlap_rpt.scores ||
-        serial_rpt.scores != host_rpt.scores) {
-      std::fprintf(stderr, "FAIL: chunk execution modes disagree on "
+    if (engine_rpt.scores != host_rpt.scores) {
+      std::fprintf(stderr, "FAIL: engine and host screens disagree on "
                            "scores — bit-identity is broken\n");
       return 1;
     }
-    util::TextTable otable({"chunk loop", "wall ms", "speedup vs depth 1"});
-    const auto orow = [&](const char* name, double ms) {
-      otable.add_row({name, util::TextTable::num(ms, 2),
-                      util::TextTable::num(serial_ms / ms, 2)});
-    };
-    orow("engine, serial (depth 1)", serial_ms);
-    orow("engine, overlapped", overlap_ms);
-    orow("host default path (no device)", host_ms);
-    std::fputs(otable.render().c_str(), stdout);
-    std::printf("scores bit-identical across all three runs (%zu pairs)\n",
-                serial_rpt.scores.size());
-    if (!overlap_trace.empty()) {
-      if (util::Status s = osession.tracer()->write_chrome_trace(
-              overlap_trace);
-          !s.ok()) {
-        std::fprintf(stderr, "failed to write overlap trace: %s\n",
-                     s.to_string().c_str());
-        return 1;
-      }
-      std::printf("Overlap trace written to %s (stream.copy-in/compute/"
-                  "copy-out tracks)\n", overlap_trace.c_str());
-    }
+    util::TextTable etable({"chunk loop", "wall ms"});
+    etable.add_row(
+        {"device engine backend", util::TextTable::num(engine_ms, 2)});
+    etable.add_row({"host default path (no device)",
+                    util::TextTable::num(host_ms, 2)});
+    std::fputs(etable.render().c_str(), stdout);
+    std::printf("scores bit-identical across both runs (%zu pairs)\n",
+                host_rpt.scores.size());
   }
   if (!json_path.empty()) {
     rep.config_fingerprint = config_fingerprint(rep.config);

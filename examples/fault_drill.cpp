@@ -91,7 +91,6 @@ int main(int argc, char** argv) {
     eng.integrity.enabled = integrity;
     eng.integrity.sample_every = 1;
     eng.telemetry = session.sink();
-    eng.overlap_depth = 1;
     device::PipelineEngine engine(eng);
 
     sw::ScreenConfig cfg;

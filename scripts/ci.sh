@@ -164,11 +164,11 @@ if [[ $run_tier1 -eq 1 ]]; then
   python3 scripts/check_run_report.py \
       "$smoke_dir/table4.json" "$smoke_dir/drill.trace.json"
 
-  echo "== tier 1: overlapped chunk engine smoke (bit-identity gate) =="
-  # Engine at depth 1, engine overlapped, and the host default screen
-  # path must agree on every score (table4_runtime exits nonzero if not).
+  echo "== tier 1: engine-vs-host chunked screen smoke (bit-identity gate) =="
+  # The device engine backend and the host default screen path must agree
+  # on every score (table4_runtime exits nonzero if not).
   ./build/bench/table4_runtime --pairs=128 --m=16 --n=64 \
-      --overlap --chunk-pairs=16 --overlap-depth=3 > /dev/null
+      --engine-vs-host --chunk-pairs=16 > /dev/null
 
   echo "== tier 1: Table V traffic counters (committed-artifact gate) =="
   # The simulator's memory traffic is deterministic: at table5_gcups'

@@ -1,8 +1,6 @@
 #include "device/engine.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -12,7 +10,6 @@
 
 #include "bitsim/wide_transpose.hpp"
 #include "device/launch.hpp"
-#include "device/stream.hpp"
 #include "device/sw_stage_kernels.hpp"
 #include "util/checksum.hpp"
 #include "util/timer.hpp"
@@ -23,9 +20,9 @@ namespace {
 using encoding::Sequence;
 
 // Fault campaign of an engine job: a pure function of the (chunk, attempt)
-// tag, so the pattern a chunk observes is independent of how many other
-// chunks were in flight first. The high bit keeps the derived campaigns
-// clear of the injector's shared counter, which the one-shot
+// tag, so the pattern a chunk observes is independent of which chunks the
+// engine ran before it, or in what order. The high bit keeps the derived
+// campaigns clear of the injector's shared counter, which the one-shot
 // gpu_bpbc_max_scores draws from.
 std::uint64_t job_campaign(const sw::ChunkJob& job) {
   std::uint64_t h = util::fnv1a_value<std::uint64_t>(
@@ -35,9 +32,9 @@ std::uint64_t job_campaign(const sw::ChunkJob& job) {
   return h | (std::uint64_t{1} << 63);
 }
 
-/// Persistent device arena for one in-flight chunk: every buffer of the
-/// five-stage pipeline, allocated once and reused across chunks (resize on
-/// a warm vector is capacity reuse, not a fresh allocation).
+/// Persistent device arena: every buffer of the five-stage pipeline,
+/// allocated once and reused across chunks (resize on a warm vector is
+/// capacity reuse, not a fresh allocation).
 template <bitsim::LaneWord W>
 struct Arena {
   std::vector<std::uint32_t> host_x, host_y;  // staged wordwise input
@@ -46,7 +43,6 @@ struct Arena {
   std::vector<std::uint32_t> d_scores;
   std::vector<char> killed;
   std::vector<std::size_t> canary_src;  // source instance per canary lane
-  Event retire;  // completes when the previous occupant fully drained
 };
 
 template <bitsim::LaneWord W>
@@ -76,13 +72,10 @@ template <bitsim::LaneWord W>
 struct JobState {
   sw::ChunkJob job;
   std::uint64_t campaign = 0;
-  Arena<W>* arena = nullptr;
   std::size_t count = 0;
   std::size_t n_groups = 0;
   std::size_t padded_count = 0;
   GpuRunResult run;
-  Event done;
-  std::exception_ptr error;
 
   void note_fault(sw::PipelineStage stage, std::size_t block) {
     for (const sw::StageFault& f : run.integrity_faults)
@@ -116,12 +109,10 @@ sw::ChunkResult to_chunk_result(GpuRunResult&& run) {
 class CoreBase {
  public:
   virtual ~CoreBase() = default;
-  /// The synchronous five-stage pipeline for one validated, non-empty job
-  /// under an explicit fault campaign, on the dedicated arena.
+  /// The five-stage pipeline for one validated, non-empty job under an
+  /// explicit fault campaign.
   virtual GpuRunResult run_device(const sw::ChunkJob& job,
                                   std::uint64_t campaign) = 0;
-  virtual void submit(const sw::ChunkJob& job) = 0;
-  virtual sw::ChunkResult collect() = 0;
 
   sw::ChunkResult run(const sw::ChunkJob& job) {
     validate(job);
@@ -140,107 +131,35 @@ class Core final : public CoreBase {
  public:
   static constexpr unsigned kLanes = bitsim::word_bits_v<W>;
 
-  explicit Core(const EngineOptions& opts)
-      : opts_(opts),
-        depth_(std::clamp<std::size_t>(opts.overlap_depth, 1, 8)) {}
+  explicit Core(const EngineOptions& opts) : opts_(opts) {}
 
+  // H2G .. G2H in sequence on the one arena; a stage's error (stop,
+  // watchdog without an injector, ...) propagates from here.
   GpuRunResult run_device(const sw::ChunkJob& job,
                           std::uint64_t campaign) override {
     ensure_shape(job);
+    // Stamp the stage spans with the job's id, which may differ from the
+    // caller's current context, so they correlate with the request that
+    // owns them.
+    telemetry::ScopedTraceContext trace_ctx(job.trace_id);
     JobState<W> st;
-    init_job(st, job, campaign, &sync_arena_);
-    prep(&st, telemetry::kTrackDevice);
-    swa(&st, telemetry::kTrackDevice);
-    post(&st, telemetry::kTrackDevice);
-    if (st.error != nullptr) std::rethrow_exception(st.error);
+    st.job = job;
+    st.campaign = campaign;
+    st.count = job.xs.size();
+    st.n_groups = (st.count + kLanes - 1) / kLanes;
+    prep(st);
+    swa(st);
+    post(st);
     return std::move(st.run);
   }
 
-  void submit(const sw::ChunkJob& job) override {
-    validate(job);
-    if (job.xs.empty())
-      throw std::invalid_argument("empty chunk submitted to engine");
-    ensure_shape(job);
-    if (streams_ == nullptr) start_streams();
-    auto st = std::make_shared<JobState<W>>();
-    Arena<W>& arena = slots_[next_slot_];
-    next_slot_ = (next_slot_ + 1) % depth_;
-    init_job(*st, job, job_campaign(job), &arena);
-
-    // Chain the job's three stages across the streams. The copy-in stream
-    // first stalls until the arena's previous occupant has fully retired,
-    // which is what bounds the pipeline at `depth_` chunks in flight.
-    Streams& s = *streams_;
-    s.copy_in.wait(arena.retire);
-    s.copy_in.enqueue(
-        [this, st] { prep(st.get(), telemetry::kTrackStreamBase + 0); });
-    const Event prep_done = s.copy_in.record();
-    s.compute.wait(prep_done);
-    s.compute.enqueue(
-        [this, st] { swa(st.get(), telemetry::kTrackStreamBase + 1); });
-    const Event swa_done = s.compute.record();
-    s.copy_out.wait(swa_done);
-    s.copy_out.enqueue(
-        [this, st] { post(st.get(), telemetry::kTrackStreamBase + 2); });
-    st->done = s.copy_out.record();
-    arena.retire = st->done;
-    pending_.push_back(std::move(st));
-  }
-
-  sw::ChunkResult collect() override {
-    if (pending_.empty())
-      throw util::StatusError(util::Status::internal(
-          "PipelineEngine::collect with no submitted job"));
-    std::shared_ptr<JobState<W>> st = pending_.front();
-    // done completes only after all three stage closures ran (they are
-    // event-ordered), so popping here leaves no straggler touching shape
-    // caches or the arena.
-    st->done.wait();
-    pending_.pop_front();
-    if (st->error != nullptr) std::rethrow_exception(st->error);
-    return to_chunk_result(std::move(st->run));
-  }
-
  private:
-  // The arena ring and the three stream workers exist only once a job is
-  // submitted: synchronous use (run(), the one-shot driver) spawns no
-  // threads and names no stream tracks.
-  struct Streams {
-    Stream copy_in{"copy-in"};
-    Stream compute{"compute"};
-    Stream copy_out{"copy-out"};
-  };
-
-  void start_streams() {
-    slots_.resize(depth_);
-    streams_ = std::make_unique<Streams>();
-    if (telemetry::Tracer* tr = tracer(); tr != nullptr) {
-      tr->set_track_name(telemetry::kTrackStreamBase + 0, "stream.copy-in");
-      tr->set_track_name(telemetry::kTrackStreamBase + 1, "stream.compute");
-      tr->set_track_name(telemetry::kTrackStreamBase + 2, "stream.copy-out");
-    }
-  }
-
-  static void init_job(JobState<W>& st, const sw::ChunkJob& job,
-                       std::uint64_t campaign, Arena<W>* arena) {
-    st.job = job;
-    st.campaign = campaign;
-    st.arena = arena;
-    st.count = job.xs.size();
-    st.n_groups = (st.count + kLanes - 1) / kLanes;
-  }
-
-  // (Re)computes the shape-dependent caches: transpose plans, broadcast
-  // constant slices, slice count. Only legal with the pipeline empty —
-  // in-flight stages read these without locks, which is safe precisely
-  // because mutation is fenced behind "every submission collected".
+  // (Re)computes the shape-dependent caches when the batch shape changes:
+  // transpose plans, broadcast constant slices, slice count.
   void ensure_shape(const sw::ChunkJob& job) {
     const std::size_t m = job.xs.front().size();
     const std::size_t n = job.ys.front().size();
     if (shaped_ && m == m_ && n == n_) return;
-    if (!pending_.empty())
-      throw util::StatusError(util::Status::invalid_input(
-          "engine batch shape changed with chunks in flight"));
     m_ = m;
     n_ = n;
     const sw::ScoringScheme& scheme = opts_.scheme;
@@ -263,16 +182,12 @@ class Core final : public CoreBase {
 
   // Stage 1+2: H2G copy (staging, copy faults, checksum) and the W2B
   // launch with its sampled transpose round-trip check.
-  void prep(JobState<W>* st, std::uint32_t track) try {
-    // Stage closures run on the stream worker threads, which never see
-    // the submitter's thread_local trace context — re-install the job's
-    // id so the stage spans correlate with the request that owns them.
-    telemetry::ScopedTraceContext trace_ctx(st->job.trace_id);
-    Arena<W>& a = *st->arena;
-    const sw::ChunkJob& job = st->job;
-    const std::size_t count = st->count;
+  void prep(JobState<W>& st) {
+    Arena<W>& a = arena_;
+    const sw::ChunkJob& job = st.job;
+    const std::size_t count = st.count;
     const std::size_t m = m_, n = n_;
-    const std::size_t n_groups = st->n_groups;
+    const std::size_t n_groups = st.n_groups;
     const IntegrityConfig& integ = opts_.integrity;
     telemetry::Tracer* const tr = tracer();
     util::WallTimer timer, integ_timer;
@@ -280,7 +195,7 @@ class Core final : public CoreBase {
     BlockFaults h2g_faults;
     if (opts_.faults != nullptr)
       h2g_faults =
-          opts_.faults->block_faults_at(st->campaign, detail::kH2gFaultBlock);
+          opts_.faults->block_faults_at(st.campaign, detail::kH2gFaultBlock);
 
     detail::pack_wordwise_into(a.host_x, job.xs, m);
     detail::pack_wordwise_into(a.host_y, job.ys, n);
@@ -306,11 +221,11 @@ class Core final : public CoreBase {
       }
       padded_count = count + spare;
     }
-    st->padded_count = padded_count;
+    st.padded_count = padded_count;
 
     // H2G into the persistent device buffers.
     timer.reset();
-    telemetry::Span h2g_span(tr, "H2G", "device", track);
+    telemetry::Span h2g_span(tr, "H2G", "device", telemetry::kTrackDevice);
     h2g_span.arg("chunk", static_cast<std::int64_t>(job.chunk));
     a.d_x_words.assign(a.host_x.begin(), a.host_x.end());
     a.d_y_words.assign(a.host_y.begin(), a.host_y.end());
@@ -321,9 +236,9 @@ class Core final : public CoreBase {
     const std::uint64_t h2g_words = a.d_x_words.size() + a.d_y_words.size();
     h2g_span.arg("words", static_cast<std::int64_t>(h2g_words));
     h2g_span.finish();
-    st->run.timings.h2g_ms = timer.elapsed_ms();
+    st.run.timings.h2g_ms = timer.elapsed_ms();
     if (opts_.record_metrics) {
-      MetricTotals& t = st->run.stage_metrics[sw::PipelineStage::kH2G];
+      MetricTotals& t = st.run.stage_metrics[sw::PipelineStage::kH2G];
       t.global_writes += h2g_words;
       t.global_write_transactions +=
           (h2g_words * sizeof(std::uint32_t) + kSegmentBytes - 1) /
@@ -336,17 +251,18 @@ class Core final : public CoreBase {
           a.host_y, util::fnv1a_span<std::uint32_t>(a.host_x));
       const std::uint64_t landed = util::fnv1a_span<std::uint32_t>(
           a.d_y_words, util::fnv1a_span<std::uint32_t>(a.d_x_words));
-      ++st->run.integrity_checks;
+      ++st.run.integrity_checks;
       if (sent != landed)
-        st->note_fault(sw::PipelineStage::kH2G, sw::StageFault::kNoBlock);
-      st->run.integrity_ms += integ_timer.elapsed_ms();
+        st.note_fault(sw::PipelineStage::kH2G, sw::StageFault::kNoBlock);
+      st.run.integrity_ms += integ_timer.elapsed_ms();
     }
 
     // Size the kernel buffers for this chunk. Under fault injection they
     // are zero-filled so a dropped store or watchdog-killed block observes
     // the same launch-time contents a fresh allocation would — reuse must
     // not leak the previous chunk's data into fault outcomes (that would
-    // make results depend on slot assignment, i.e. on overlap depth).
+    // make a chunk's result depend on which chunk ran before it, not only
+    // on its (chunk, attempt) tag).
     if (opts_.faults != nullptr) {
       a.d_x_hi.assign(n_groups * m, 0);
       a.d_x_lo.assign(n_groups * m, 0);
@@ -371,12 +287,12 @@ class Core final : public CoreBase {
     w2b_cfg.mode = opts_.mode;
     w2b_cfg.faults = opts_.faults;
     w2b_cfg.stop = job.stop;
-    w2b_cfg.campaign = st->campaign;
+    w2b_cfg.campaign = st.campaign;
     timer.reset();
-    telemetry::Span w2b_span(tr, "W2B", "device", track);
+    telemetry::Span w2b_span(tr, "W2B", "device", telemetry::kTrackDevice);
     w2b_span.arg("chunk", static_cast<std::int64_t>(job.chunk));
     w2b_span.arg("blocks", static_cast<std::int64_t>(n_groups));
-    st->run.stage_metrics[sw::PipelineStage::kW2B] = launch(
+    st.run.stage_metrics[sw::PipelineStage::kW2B] = launch(
         w2b_cfg,
         [&](std::size_t g, BlockRecorder& rec) {
           return detail::W2bKernel<W>(g, rec, opts_.w2b_block_dim, char_plan_,
@@ -384,7 +300,7 @@ class Core final : public CoreBase {
                                       b.x_hi, b.x_lo, b.y_hi, b.y_lo);
         });
     w2b_span.finish();
-    st->run.timings.w2b_ms = timer.elapsed_ms();
+    st.run.timings.w2b_ms = timer.elapsed_ms();
 
     // Transpose round-trip after W2B: re-transpose sampled positions of
     // the device wordwise input on the host and compare with the device
@@ -412,33 +328,29 @@ class Core final : public CoreBase {
           char_plan_.apply(std::span<W>(scratch));
           const W lo = is_x ? a.d_x_lo[g * m + i] : a.d_y_lo[g * n + i];
           const W hi = is_x ? a.d_x_hi[g * m + i] : a.d_y_hi[g * n + i];
-          ++st->run.integrity_checks;
+          ++st.run.integrity_checks;
           if (scratch[0] != lo || scratch[1] != hi) bad = true;
         }
-        if (bad) st->note_fault(sw::PipelineStage::kW2B, g);
+        if (bad) st.note_fault(sw::PipelineStage::kW2B, g);
       }
-      st->run.integrity_ms += integ_timer.elapsed_ms();
+      st.run.integrity_ms += integ_timer.elapsed_ms();
     }
-  } catch (...) {
-    st->error = std::current_exception();
   }
 
   // Stage 3: the SWA wavefront launch with canary and watchdog checks.
-  void swa(JobState<W>* st, std::uint32_t track) try {
-    if (st->error != nullptr) return;
-    telemetry::ScopedTraceContext trace_ctx(st->job.trace_id);
-    Arena<W>& a = *st->arena;
-    const sw::ChunkJob& job = st->job;
+  void swa(JobState<W>& st) {
+    Arena<W>& a = arena_;
+    const sw::ChunkJob& job = st.job;
     const std::size_t m = m_, n = n_;
-    const std::size_t n_groups = st->n_groups;
+    const std::size_t n_groups = st.n_groups;
     const IntegrityConfig& integ = opts_.integrity;
     telemetry::Tracer* const tr = tracer();
     util::WallTimer timer, integ_timer;
 
     const ArenaBounds<W> b = bind_arena(a);
     // Kills are only possible with an injector attached (without one the
-    // launch throws kKernelTimeout instead); they are tracked per job so
-    // the status below never reads another in-flight job's trips.
+    // launch throws kKernelTimeout instead); the buffer is reset per job so
+    // the status below counts only this job's trips.
     a.killed.assign(opts_.faults != nullptr ? n_groups : 0, 0);
     LaunchConfig swa_cfg;
     swa_cfg.grid_dim = n_groups;
@@ -448,12 +360,12 @@ class Core final : public CoreBase {
     swa_cfg.watchdog_phases = opts_.watchdog_phases;
     swa_cfg.stop = job.stop;
     swa_cfg.killed = opts_.faults != nullptr ? &a.killed : nullptr;
-    swa_cfg.campaign = st->campaign;
+    swa_cfg.campaign = st.campaign;
     timer.reset();
-    telemetry::Span swa_span(tr, "SWA", "device", track);
+    telemetry::Span swa_span(tr, "SWA", "device", telemetry::kTrackDevice);
     swa_span.arg("chunk", static_cast<std::int64_t>(job.chunk));
     swa_span.arg("blocks", static_cast<std::int64_t>(n_groups));
-    st->run.stage_metrics[sw::PipelineStage::kSWA] = launch(
+    st.run.stage_metrics[sw::PipelineStage::kSWA] = launch(
         swa_cfg,
         [&](std::size_t g, BlockRecorder& rec) {
           return detail::SwWavefrontKernel<W>(g, rec, consts_, m, n, b.x_hi,
@@ -461,11 +373,11 @@ class Core final : public CoreBase {
                                               b.slices);
         });
     swa_span.finish();
-    st->run.timings.swa_ms = timer.elapsed_ms();
+    st.run.timings.swa_ms = timer.elapsed_ms();
     const auto kills = static_cast<std::size_t>(
         std::count(a.killed.begin(), a.killed.end(), char{1}));
     if (kills != 0)
-      st->run.status = util::Status::kernel_timeout(
+      st.run.status = util::Status::kernel_timeout(
           std::to_string(kills) + " block(s) killed by the watchdog");
 
     // Canary comparison on the bit-sliced scores: the lane bits of a
@@ -478,8 +390,8 @@ class Core final : public CoreBase {
         bool bad = false;
         for (std::size_t c = 0; c < a.canary_src.size(); ++c) {
           const std::size_t src_lane = a.canary_src[c] - g * kLanes;
-          const std::size_t can_lane = st->count - g * kLanes + c;
-          ++st->run.integrity_checks;
+          const std::size_t can_lane = st.count - g * kLanes + c;
+          ++st.run.integrity_checks;
           for (unsigned k = 0; k < s_; ++k) {
             const W word = a.d_slices[g * s_ + k];
             if (((word >> src_lane) & W{1}) != ((word >> can_lane) & W{1})) {
@@ -488,26 +400,22 @@ class Core final : public CoreBase {
             }
           }
         }
-        if (bad) st->note_fault(sw::PipelineStage::kSWA, g);
+        if (bad) st.note_fault(sw::PipelineStage::kSWA, g);
       }
       for (std::size_t g = 0; g < a.killed.size(); ++g)
-        if (a.killed[g] != 0) st->note_fault(sw::PipelineStage::kSWA, g);
-      st->run.integrity_ms += integ_timer.elapsed_ms();
+        if (a.killed[g] != 0) st.note_fault(sw::PipelineStage::kSWA, g);
+      st.run.integrity_ms += integ_timer.elapsed_ms();
     }
-  } catch (...) {
-    st->error = std::current_exception();
   }
 
   // Stage 4+5: the B2W launch with its untranspose round-trip check, then
   // the G2H copy (copy faults, checksum) and telemetry absorption.
-  void post(JobState<W>* st, std::uint32_t track) try {
-    if (st->error != nullptr) return;
-    telemetry::ScopedTraceContext trace_ctx(st->job.trace_id);
-    Arena<W>& a = *st->arena;
-    const sw::ChunkJob& job = st->job;
-    const std::size_t count = st->count;
-    const std::size_t padded_count = st->padded_count;
-    const std::size_t n_groups = st->n_groups;
+  void post(JobState<W>& st) {
+    Arena<W>& a = arena_;
+    const sw::ChunkJob& job = st.job;
+    const std::size_t count = st.count;
+    const std::size_t padded_count = st.padded_count;
+    const std::size_t n_groups = st.n_groups;
     const IntegrityConfig& integ = opts_.integrity;
     telemetry::Tracer* const tr = tracer();
     util::WallTimer timer, integ_timer;
@@ -515,7 +423,7 @@ class Core final : public CoreBase {
     BlockFaults g2h_faults;
     if (opts_.faults != nullptr)
       g2h_faults =
-          opts_.faults->block_faults_at(st->campaign, detail::kG2hFaultBlock);
+          opts_.faults->block_faults_at(st.campaign, detail::kG2hFaultBlock);
 
     const ArenaBounds<W> b = bind_arena(a);
     LaunchConfig b2w_cfg;
@@ -524,19 +432,19 @@ class Core final : public CoreBase {
     b2w_cfg.mode = opts_.mode;
     b2w_cfg.faults = opts_.faults;
     b2w_cfg.stop = job.stop;
-    b2w_cfg.campaign = st->campaign;
+    b2w_cfg.campaign = st.campaign;
     timer.reset();
-    telemetry::Span b2w_span(tr, "B2W", "device", track);
+    telemetry::Span b2w_span(tr, "B2W", "device", telemetry::kTrackDevice);
     b2w_span.arg("chunk", static_cast<std::int64_t>(job.chunk));
     b2w_span.arg("blocks", static_cast<std::int64_t>(n_groups));
-    st->run.stage_metrics[sw::PipelineStage::kB2W] = launch(
+    st.run.stage_metrics[sw::PipelineStage::kB2W] = launch(
         b2w_cfg,
         [&](std::size_t g, BlockRecorder& rec) {
           return detail::B2wKernel<W>(g, rec, score_plan_, s_, padded_count,
                                       b.slices, b.scores);
         });
     b2w_span.finish();
-    st->run.timings.b2w_ms = timer.elapsed_ms();
+    st.run.timings.b2w_ms = timer.elapsed_ms();
 
     // Untranspose round-trip after B2W: redo each group's untranspose on
     // the host from the device score slices and compare the wordwise
@@ -554,35 +462,35 @@ class Core final : public CoreBase {
             first < padded_count
                 ? std::min<std::size_t>(kLanes, padded_count - first)
                 : 0;
-        ++st->run.integrity_checks;
+        ++st.run.integrity_checks;
         for (std::size_t lane = 0; lane < lanes_used; ++lane) {
           const std::uint32_t want =
               static_cast<std::uint32_t>(bitsim::get_limb(scratch[lane], 0)) &
               mask;
           if (a.d_scores[first + lane] != want) {
-            st->note_fault(sw::PipelineStage::kB2W, g);
+            st.note_fault(sw::PipelineStage::kB2W, g);
             break;
           }
         }
       }
-      st->run.integrity_ms += integ_timer.elapsed_ms();
+      st.run.integrity_ms += integ_timer.elapsed_ms();
     }
 
     // G2H: canary lanes are dropped; only `count` scores come back.
     timer.reset();
-    telemetry::Span g2h_span(tr, "G2H", "device", track);
+    telemetry::Span g2h_span(tr, "G2H", "device", telemetry::kTrackDevice);
     g2h_span.arg("chunk", static_cast<std::int64_t>(job.chunk));
-    st->run.scores.assign(
+    st.run.scores.assign(
         a.d_scores.begin(),
         a.d_scores.begin() + static_cast<std::ptrdiff_t>(count));
     if (opts_.faults != nullptr) {
-      for (std::uint32_t& w : st->run.scores) w = g2h_faults.mutate_copy(w);
+      for (std::uint32_t& w : st.run.scores) w = g2h_faults.mutate_copy(w);
     }
     g2h_span.arg("words", static_cast<std::int64_t>(count));
     g2h_span.finish();
-    st->run.timings.g2h_ms = timer.elapsed_ms();
+    st.run.timings.g2h_ms = timer.elapsed_ms();
     if (opts_.record_metrics) {
-      MetricTotals& t = st->run.stage_metrics[sw::PipelineStage::kG2H];
+      MetricTotals& t = st.run.stage_metrics[sw::PipelineStage::kG2H];
       t.global_reads += count;
       t.global_read_transactions +=
           (count * sizeof(std::uint32_t) + kSegmentBytes - 1) / kSegmentBytes;
@@ -593,34 +501,24 @@ class Core final : public CoreBase {
       const std::uint64_t sent =
           util::fnv1a_bytes(a.d_scores.data(), count * sizeof(std::uint32_t));
       const std::uint64_t landed = util::fnv1a_span<std::uint32_t>(
-          std::span<const std::uint32_t>(st->run.scores));
-      ++st->run.integrity_checks;
+          std::span<const std::uint32_t>(st.run.scores));
+      ++st.run.integrity_checks;
       if (sent != landed)
-        st->note_fault(sw::PipelineStage::kG2H, sw::StageFault::kNoBlock);
-      st->run.integrity_ms += integ_timer.elapsed_ms();
+        st.note_fault(sw::PipelineStage::kG2H, sw::StageFault::kNoBlock);
+      st.run.integrity_ms += integ_timer.elapsed_ms();
     }
 
-    absorb_device_run(opts_.telemetry, st->run);
-  } catch (...) {
-    st->error = std::current_exception();
+    absorb_device_run(opts_.telemetry, st.run);
   }
 
   EngineOptions opts_;
-  std::size_t depth_;
-  // Shape caches, mutated only by ensure_shape (pipeline empty).
+  // Shape caches, mutated only by ensure_shape.
   std::size_t m_ = 0, n_ = 0;
   unsigned s_ = 0;
   bool shaped_ = false;
   bitsim::PayloadTranspose<W> char_plan_, score_plan_;
   detail::SwConstants<W> consts_;
-  std::vector<Arena<W>> slots_;
-  Arena<W> sync_arena_;  // run_device()'s arena, never shared with streams
-  std::deque<std::shared_ptr<JobState<W>>> pending_;
-  std::size_t next_slot_ = 0;
-  // Streams are declared last so they are destroyed first: their
-  // destructors drain every queued closure while the arenas and caches
-  // above are still alive.
-  std::unique_ptr<Streams> streams_;
+  Arena<W> arena_;
 };
 
 std::unique_ptr<CoreBase> make_core(sw::LaneWidth width,
@@ -670,7 +568,6 @@ sw::BackendCaps PipelineEngine::caps() const {
   sw::BackendCaps caps;
   caps.integrity = impl_->opts.integrity.enabled;
   caps.stop_polling = true;
-  caps.streams = true;
   caps.lane_width = impl_->opts.width;
   return caps;
 }
@@ -709,12 +606,6 @@ GpuRunResult gpu_bpbc_max_scores(std::span<const Sequence> xs,
 sw::ChunkResult PipelineEngine::run(const sw::ChunkJob& job) {
   return impl_->core->run(job);
 }
-
-void PipelineEngine::submit(const sw::ChunkJob& job) {
-  impl_->core->submit(job);
-}
-
-sw::ChunkResult PipelineEngine::collect() { return impl_->core->collect(); }
 
 const EngineOptions& PipelineEngine::options() const { return impl_->opts; }
 

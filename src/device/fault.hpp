@@ -146,12 +146,11 @@ class FaultInjector {
     return campaign_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// Fault state for one block of a named campaign. The overlapped
-  /// execution engine derives its campaign from (chunk, attempt) instead
-  /// of the shared counter, so the draw a block observes does not depend
-  /// on how many other chunks were in flight first — the property that
-  /// keeps overlapped and serial execution bit-identical under fault
-  /// injection.
+  /// Fault state for one block of a named campaign. The execution engine
+  /// derives its campaign from (chunk, attempt) instead of the shared
+  /// counter, so the draw a block observes does not depend on which
+  /// chunks ran before it — the property that keeps a chunk's retry and
+  /// its result reproducible under fault injection.
   [[nodiscard]] BlockFaults block_faults_at(std::uint64_t campaign,
                                             std::size_t block);
 

@@ -10,9 +10,9 @@
 //
 // The stage kernels live in sw_stage_kernels.hpp and the five steps are
 // sequenced in exactly one place, the PipelineEngine core (engine.cpp).
-// gpu_bpbc_max_scores below is that core's synchronous path for one batch;
-// PipelineEngine (engine.hpp) adds persistent arenas and overlapped
-// streams on top of it.
+// gpu_bpbc_max_scores below is that core's path for one batch on a fresh
+// core; PipelineEngine (engine.hpp) keeps one core, so its arena and
+// shape caches persist across chunks.
 //
 // A wordwise wavefront kernel (one block per pair, plain integer cells) is
 // provided as the GPU baseline of Table IV's "Wordwise 32-bits" rows.

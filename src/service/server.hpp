@@ -87,8 +87,8 @@ struct ServerConfig {
   telemetry::Telemetry* telemetry = nullptr;  // optional session sink
   // Score batches on a persistent device::PipelineEngine instead of the
   // host backend: per-batch stage spans (H2G..G2H) land in the trace on
-  // the engine's stream tracks, correlated by request trace id. Scores
-  // are bit-identical either way (the PR 4/5 identity gates).
+  // the device track, correlated by request trace id. Scores are
+  // bit-identical either way (the engine-vs-host identity gates).
   bool use_engine = false;
   // Per-tenant rolling-window SLO tracking (always on; this only tunes
   // windows and the slow-request threshold).

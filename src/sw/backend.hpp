@@ -1,17 +1,16 @@
 // The screening backend interface.
 //
 // A backend scores one ChunkJob (a pair range tagged with its chunk index
-// and retry attempt) into a ChunkResult, declares its capabilities, and
-// may accept overlapped submit()/collect() execution (the device engine
-// does; see device/engine.hpp). sw::try_screen runs every chunk — first
-// attempts, whole-chunk retries and quarantine rescores — through this one
-// interface, whichever engine it resolves: an explicit
-// ScreenConfig::backend, the database store, or the host engine picked by
-// backend_choice.
+// and retry attempt) synchronously into a ChunkResult and declares its
+// capabilities. sw::try_screen runs every chunk — first attempts,
+// whole-chunk retries and quarantine rescores — through run(), whichever
+// engine it resolves: an explicit ScreenConfig::backend (e.g. the device
+// engine, device/engine.hpp), the database store, or the host engine
+// picked by backend_choice.
 //
 // The (chunk, attempt) tag exists for determinism: a backend that injects
 // faults derives its fault campaign from the tag, never from call order,
-// so serial and overlapped execution of the same screen are bit-identical.
+// so a chunk's result does not depend on which chunks ran before it.
 #pragma once
 
 #include <memory>
@@ -30,9 +29,6 @@ struct BackendCaps {
   // Polls ChunkJob::stop mid-chunk (throws the stop's StatusError), so a
   // cancellation interrupts a chunk instead of waiting it out.
   bool stop_polling = false;
-  // Supports overlapped submit()/collect() execution on device streams;
-  // unlocks ScreenConfig::overlap_depth >= 2.
-  bool streams = false;
   // Concrete lane width the backend scores with (kAuto and the
   // SWBPBC_FORCE_LANE_WIDTH override already resolved). Informational:
   // scores are bit-identical across widths, so callers may log it but must
@@ -49,7 +45,7 @@ struct BackendCaps {
 /// `chunk` and `attempt` identify the work deterministically (fault
 /// campaigns, diagnostics); `attempt` counts whole-chunk retries and,
 /// above the retry limit, quarantine rescores. The spans must stay valid
-/// until the job's result has been returned (run) or collected (submit).
+/// until run() returns.
 struct ChunkJob {
   /// first_pair value meaning "this job is a synthesized subset" —
   /// quarantine rescores re-batch arbitrary lanes, so their position in
@@ -65,11 +61,10 @@ struct ChunkJob {
   // map the job onto their own layout; position-free backends ignore it.
   std::size_t first_pair = kUnknownPair;
   const util::StopCondition* stop = nullptr;
-  // Request-scoped correlation id (telemetry::current_trace_context() at
-  // submission). Backends that run stage work on their own threads — the
-  // overlapped PipelineEngine — re-install it around the job's spans so a
-  // served request's H2G..G2H stages correlate in the exported trace; 0
-  // means unscoped and costs nothing.
+  // Request-scoped correlation id (telemetry::current_trace_context() when
+  // the job is built). The PipelineEngine installs it around the job's
+  // stage spans so a served request's H2G..G2H stages correlate in the
+  // exported trace; 0 means unscoped and costs nothing.
   std::uint64_t trace_id = 0;
 };
 
@@ -84,13 +79,6 @@ class Backend {
 
   /// Scores one job synchronously.
   virtual ChunkResult run(const ChunkJob& job) = 0;
-
-  /// Overlapped execution: enqueue a job now, collect results strictly in
-  /// submission order later. Only backends that declare caps().streams
-  /// implement it (try_screen calls it on no other); the base versions
-  /// throw a typed kInternal StatusError.
-  virtual void submit(const ChunkJob& job);
-  virtual ChunkResult collect();
 };
 
 /// The host BPBC path as a Backend — what screen() runs when it picks the

@@ -267,19 +267,6 @@ util::Status validate(const ScreenConfig& config) {
       return invalid("config.resume_path requires chunk_pairs > 0 "
                      "(a resume stream is keyed by chunk geometry)");
   }
-  if (config.overlap_depth == 0)
-    return invalid("config.overlap_depth must be >= 1 (1 = serial)");
-  if (config.overlap_depth > 8)
-    return invalid("config.overlap_depth > 8 exceeds the engine's arena "
-                   "ring (device::EngineOptions clamps at 8)");
-  if (config.overlap_depth >= 2) {
-    if (config.chunk_pairs == 0)
-      return invalid("config.overlap_depth >= 2 requires chunk_pairs > 0 "
-                     "(overlap needs at least two chunks in flight)");
-    if (config.backend == nullptr)
-      return invalid("config.overlap_depth >= 2 requires a stream-capable "
-                     "config.backend (the host engines run serially)");
-  }
   if (config.check.enabled && config.check.backoff_base_ms < 0.0)
     return invalid("config.check.backoff_base_ms must be >= 0");
   return {};
@@ -388,9 +375,9 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
   }
 
   // Quarantine rescoring for the per-chunk self-check. Rescore jobs are
-  // tagged (chunk, attempt) past the whole-chunk retry budget so a
-  // deterministic backend draws reproducible campaigns regardless of
-  // overlap.
+  // tagged (chunk, attempt) past the whole-chunk retry budget, so a
+  // backend that derives fault campaigns from the tag draws a fresh,
+  // reproducible campaign for every rescore.
   std::size_t rescore_chunk = 0;
   unsigned rescore_calls = 0;
   const auto rescore = [&config, &rescore_chunk, &rescore_calls, backend,
@@ -431,56 +418,6 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
     writer.emplace(std::move(created).value());
   }
 
-  // Software pipeline over a stream-capable backend: keep up to `window`
-  // chunks submitted ahead of the one being settled, so chunk k+1's
-  // copy-in overlaps chunk k's compute and chunk k-1's copy-out. First
-  // attempts flow through submit()/collect() strictly in chunk order;
-  // retries and quarantine rescores stay synchronous (run()) — recovery is
-  // rare and order-sensitive, overlap buys it nothing.
-  const bool pipelined = backend->caps().streams && config.overlap_depth >= 2 &&
-                         config.chunk_pairs != 0 && n_chunks > 1;
-  const std::size_t window =
-      pipelined ? std::min<std::size_t>(config.overlap_depth, n_chunks) : 1;
-  std::size_t next_submit = 0;  // next chunk to consider submitting
-  std::size_t in_flight = 0;    // submitted, not yet collected
-  const auto pump = [&] {
-    if (!pipelined) return;
-    while (next_submit < n_chunks && in_flight < window) {
-      const std::size_t c = next_submit++;
-      // A resumed chunk is satisfied from the checkpoint; never scored.
-      if (have_resume && resume.find(c) != nullptr) continue;
-      ChunkJob job;
-      job.chunk = c;
-      job.attempt = 0;
-      job.xs = xs.subspan(report.chunks[c].begin,
-                          report.chunks[c].end - report.chunks[c].begin);
-      job.ys = ys.subspan(report.chunks[c].begin,
-                          report.chunks[c].end - report.chunks[c].begin);
-      job.first_pair = report.chunks[c].begin;
-      job.stop = stop_ptr;
-      job.trace_id = telemetry::current_trace_context();
-      backend->submit(job);
-      ++in_flight;
-    }
-  };
-  // Every exit path — stop, typed error return, a throwing backend —
-  // must first drain the in-flight tail: the jobs hold spans into this
-  // frame's batch. Their results (and errors) are discarded; the report
-  // already marks those chunks incomplete and their scores read zero.
-  struct Drainer {
-    Backend* backend;
-    std::size_t* in_flight;
-    ~Drainer() {
-      while (*in_flight > 0) {
-        --*in_flight;
-        try {
-          backend->collect();
-        } catch (...) {  // NOLINT(bugprone-empty-catch)
-        }
-      }
-    }
-  } drainer{backend, &in_flight};
-
   for (std::size_t c = 0; c < n_chunks; ++c) {
     ChunkOutcome& outcome = report.chunks[c];
     const std::size_t begin = outcome.begin;
@@ -490,7 +427,6 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
                                   std::to_string(c));
       break;
     }
-    pump();  // keep the overlap window full
 
     const std::span<const Sequence> cx = xs.subspan(begin, len);
     const std::span<const Sequence> cy = ys.subspan(begin, len);
@@ -522,24 +458,15 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
           backend_span.arg("chunk", static_cast<std::int64_t>(c));
           backend_span.arg("attempt",
                            static_cast<std::int64_t>(outcome.retries));
-          ChunkResult r;
-          if (pipelined && outcome.retries == 0) {
-            // This chunk is the oldest uncollected submission (pump keeps
-            // non-resumed chunks flowing in order), so collect() is its
-            // result; the wait is what's left after the overlap.
-            --in_flight;
-            r = backend->collect();
-          } else {
-            ChunkJob job;
-            job.chunk = c;
-            job.attempt = outcome.retries;
-            job.xs = cx;
-            job.ys = cy;
-            job.first_pair = begin;
-            job.stop = stop_ptr;
-            job.trace_id = telemetry::current_trace_context();
-            r = backend->run(job);
-          }
+          ChunkJob job;
+          job.chunk = c;
+          job.attempt = outcome.retries;
+          job.xs = cx;
+          job.ys = cy;
+          job.first_pair = begin;
+          job.stop = stop_ptr;
+          job.trace_id = telemetry::current_trace_context();
+          const ChunkResult r = backend->run(job);
           backend_span.finish();
           if (r.scores.size() != len)
             return util::Status::internal(

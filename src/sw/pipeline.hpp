@@ -93,8 +93,7 @@ struct ScreenConfig {
   BackendChoice backend_choice = BackendChoice::kAuto;
   // Explicit scoring backend (sw/backend.hpp), e.g. the device
   // PipelineEngine; outranks the database and backend_choice. Not owned —
-  // must outlive the screen call. A backend whose caps().streams is true
-  // unlocks the overlapped chunk pipeline (see overlap_depth).
+  // must outlive the screen call.
   Backend* backend = nullptr;
   SelfCheckConfig check;  // verify-quarantine-retry; disabled by default
 
@@ -117,12 +116,6 @@ struct ScreenConfig {
   // one FNV pass over ys. On by default — stale databases otherwise score
   // the wrong sequences bit-perfectly.
   bool db_verify_content = true;
-  // In-flight chunk window for stream-capable backends: while chunk k is
-  // computing, chunks k+1 .. k+overlap_depth-1 are already submitted, so
-  // their H2G/W2B overlaps k's SWA and k-1's B2W/G2H. 1 = serial; values
-  // >= 2 enable the software pipeline. Ignored unless `backend` is set,
-  // declares caps().streams, and chunking is on.
-  std::size_t overlap_depth = 1;
   // Invoked after every chunk settles; may call cancel->cancel(). A
   // throwing observer does not unwind out of screen(): the run stops and
   // the partial report carries a typed kCallbackError status (completed
@@ -203,8 +196,7 @@ struct ScreenReport {
 /// typed kInvalidInput naming the offending `config.` fields otherwise.
 /// Rejects an invalid or matrix scheme, a striped or explicit backend
 /// with a database, a database with chunk_pairs not a multiple of 64,
-/// checkpoint / resume / salvage without chunking, overlap_depth outside
-/// [1, 8] or >= 2 without chunking or a backend, and a negative backoff.
+/// checkpoint / resume / salvage without chunking, and a negative backoff.
 /// Every engine and the database store score every uniform scheme,
 /// linear or affine. try_screen enforces only the scheme rules (same
 /// messages); the rest it tolerates, e.g. misaligned database chunks fall

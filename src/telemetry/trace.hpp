@@ -33,10 +33,6 @@ namespace swbpbc::telemetry {
 /// on separate timeline rows.
 inline constexpr std::uint32_t kTrackScreen = 0;
 inline constexpr std::uint32_t kTrackDevice = 1;
-// Per-stream lanes of the overlapped execution engine (copy-in / compute /
-// copy-out), so adjacent chunks' H2G/G2H spans render on their own rows
-// and the overlap with SWA is visible in the exported trace.
-inline constexpr std::uint32_t kTrackStreamBase = 8;  // + stream index
 inline constexpr std::uint32_t kTrackPoolBase = 16;  // + worker index
 // Client-side spans of a screen_client run, so a merged client+server
 // export keeps the request round trip on its own row.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,17 @@
 #include "sw/scoring.hpp"
 #include "sw/wordwise.hpp"
 #include "util/rng.hpp"
+
+namespace swbpbc::sw {
+
+// ctest names each GpuPipeline instance after its printed parameter, so
+// print the width's name ("32", "256", ...) rather than gtest's default
+// dump of the enum's bytes. Found by ADL, hence in LaneWidth's namespace.
+void PrintTo(LaneWidth width, std::ostream* os) {
+  *os << lane_width_name(width);
+}
+
+}  // namespace swbpbc::sw
 
 namespace swbpbc::device {
 namespace {

@@ -1,8 +1,8 @@
-// device::PipelineEngine: the overlapped chunk execution engine. The
-// contract under test is bit-identity — overlapped execution (any depth,
-// any submission order, fault injection on or off) must produce exactly
-// the serial results — plus the per-stream trace structure and error
-// surfacing at collect().
+// device::PipelineEngine: the chunk execution engine. The contract under
+// test is bit-identity — a chunk scores exactly as the one-shot driver or
+// a fresh engine would, whatever chunks or batch shapes the engine ran
+// before it and in whatever order, fault injection on or off — plus error
+// surfacing from run().
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -92,129 +92,109 @@ TEST(PipelineEngine, RunMatchesOneShotDriver) {
   }
 }
 
-TEST(PipelineEngine, DeclaresStreamCaps) {
+TEST(PipelineEngine, DeclaresIntegrityAndStopPollingCaps) {
   EngineOptions opts;
   opts.scheme = kScheme;
   opts.integrity = full_integrity();
   const PipelineEngine engine(opts);
-  EXPECT_TRUE(engine.caps().streams);
   EXPECT_TRUE(engine.caps().stop_polling);
   EXPECT_TRUE(engine.caps().integrity);
 }
 
-TEST(PipelineEngine, SubmitCollectMatchesRunAcrossArenaReuse) {
-  // 6 chunks over 3 arena slots: every slot is reused at least once, and
-  // the FIFO results must equal fresh synchronous runs of the same jobs.
-  const Batch b = make_batch(2, 96, 8, 12);
+TEST(PipelineEngine, RunAcrossReshapingBatchesMatchesFreshEngine) {
+  // One engine alternates batch shapes, so its arena and shape caches are
+  // rebuilt and reused across calls; every result must equal a fresh
+  // engine's run of the same job and the one-shot driver's scores.
+  const Batch narrow = make_batch(2, 48, 8, 12);
+  const Batch wide = make_batch(8, 48, 8, 24);
+  const Batch tall = make_batch(10, 48, 12, 12);
   EngineOptions opts;
   opts.scheme = kScheme;
-  opts.overlap_depth = 3;
-  PipelineEngine overlapped(opts);
-  PipelineEngine serial(opts);
+  opts.integrity = full_integrity();
+  PipelineEngine reused(opts);
   const std::size_t chunk_pairs = 16;
-  for (std::size_t c = 0; c < 6; ++c)
-    overlapped.submit(make_job(b, c, c * chunk_pairs, chunk_pairs));
+  const Batch* order[] = {&narrow, &wide, &narrow, &tall, &wide, &tall};
   for (std::size_t c = 0; c < 6; ++c) {
-    const sw::ChunkResult got = overlapped.collect();
-    const sw::ChunkResult want =
-        serial.run(make_job(b, c, c * chunk_pairs, chunk_pairs));
-    expect_same_result(got, want, "chunk " + std::to_string(c));
+    const Batch& b = *order[c];
+    const std::size_t begin = (c / 2) * chunk_pairs;
+    const sw::ChunkJob job = make_job(b, c, begin, chunk_pairs);
+    const sw::ChunkResult got = reused.run(job);
+    PipelineEngine fresh(opts);
+    expect_same_result(got, fresh.run(job), "chunk " + std::to_string(c));
+    EXPECT_EQ(got.scores,
+              gpu_bpbc_max_scores(job.xs, job.ys, kScheme, opts.width).scores)
+        << "chunk " << c;
   }
 }
 
-TEST(PipelineEngine, OverlapDepthBitIdenticalUnderFaultInjection) {
-  // The acceptance property: depth-1 and depth-4 executions of the same
-  // faulty screen are bit-identical — scores, fault findings, and check
-  // counts — because campaigns derive from (chunk, attempt), not from
-  // execution order, and reused arenas are zero-filled per job.
+TEST(PipelineEngine, ArenaReuseBitIdenticalToFreshEngineUnderFaults) {
+  // Scores, fault findings and check counts of a chunk run on a reused
+  // arena equal a fresh engine's run of that chunk alone: campaigns derive
+  // from (chunk, attempt), and the arena is zero-filled per job under
+  // faults, so a watchdog-killed block leaves zeros, not the previous
+  // chunk's slices. A fault-free engine runs the same checks and finds
+  // nothing.
   const Batch b = make_batch(3, 128, 8, 12);
   const std::size_t chunk_pairs = 16, n_chunks = 8;
-  std::vector<sw::ChunkResult> results[2];
+  FaultConfig fc = noisy_faults();
+  fc.stall_probability = 0.2;
+  FaultInjector faults(fc);
+  EngineOptions opts;
+  opts.scheme = kScheme;
+  opts.faults = &faults;
+  opts.integrity = full_integrity();
+  opts.watchdog_phases = 8 + 12 + 16;  // SWA needs m+n-1; a stall adds 2^20
+  PipelineEngine reused(opts);
+  EngineOptions clean_opts = opts;
+  clean_opts.faults = nullptr;
+  PipelineEngine clean(clean_opts);
   std::uint64_t total_faults = 0;
-  int variant = 0;
-  for (const std::size_t depth : {std::size_t{1}, std::size_t{4}}) {
-    FaultInjector faults(noisy_faults());
-    EngineOptions opts;
-    opts.scheme = kScheme;
-    opts.faults = &faults;
-    opts.integrity = full_integrity();
-    opts.overlap_depth = depth;
-    PipelineEngine engine(opts);
-    for (std::size_t c = 0; c < n_chunks; ++c)
-      engine.submit(make_job(b, c, c * chunk_pairs, chunk_pairs));
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      results[variant].push_back(engine.collect());
-      total_faults += results[variant].back().faults.size();
-    }
-    ++variant;
+  for (std::size_t c = 0; c < n_chunks; ++c) {
+    const sw::ChunkJob job = make_job(b, c, c * chunk_pairs, chunk_pairs);
+    const sw::ChunkResult got = reused.run(job);
+    FaultInjector fresh_faults(fc);
+    EngineOptions fresh_opts = opts;
+    fresh_opts.faults = &fresh_faults;
+    PipelineEngine fresh(fresh_opts);
+    expect_same_result(got, fresh.run(job), "chunk " + std::to_string(c));
+
+    const sw::ChunkResult ref = clean.run(job);
+    EXPECT_TRUE(ref.faults.empty()) << "chunk " << c;
+    EXPECT_EQ(got.integrity_checks, ref.integrity_checks) << "chunk " << c;
+    total_faults += got.faults.size();
   }
   ASSERT_GT(total_faults, 0u) << "fault rates too low to exercise anything";
-  for (std::size_t c = 0; c < n_chunks; ++c)
-    expect_same_result(results[0][c], results[1][c],
-                       "chunk " + std::to_string(c));
+  EXPECT_GT(faults.log().watchdog_trips, 0u);
 }
 
 TEST(PipelineEngine, FaultCampaignIndependentOfSubmissionOrder) {
-  // Chunk 2 scored alone must equal chunk 2 scored third in a pipeline:
-  // its fault campaign is a function of its tag, not of injector history.
+  // Chunks run in reverse order must score exactly as in forward order:
+  // a chunk's fault campaign is a function of its tag, not of injector
+  // history or of the chunk that used the arena before it.
   const Batch b = make_batch(4, 64, 8, 12);
-  const std::size_t chunk_pairs = 16;
+  const std::size_t chunk_pairs = 16, n_chunks = 4;
   FaultInjector faults_a(noisy_faults());
   FaultInjector faults_b(noisy_faults());
   EngineOptions opts;
   opts.scheme = kScheme;
   opts.integrity = full_integrity();
-  opts.overlap_depth = 3;
 
   opts.faults = &faults_a;
-  PipelineEngine pipelined(opts);
-  for (std::size_t c = 0; c < 4; ++c)
-    pipelined.submit(make_job(b, c, c * chunk_pairs, chunk_pairs));
-  std::vector<sw::ChunkResult> piped;
-  for (std::size_t c = 0; c < 4; ++c) piped.push_back(pipelined.collect());
+  PipelineEngine forward(opts);
+  std::vector<sw::ChunkResult> in_order;
+  for (std::size_t c = 0; c < n_chunks; ++c)
+    in_order.push_back(
+        forward.run(make_job(b, c, c * chunk_pairs, chunk_pairs)));
 
   opts.faults = &faults_b;
-  PipelineEngine solo(opts);
-  const sw::ChunkResult alone =
-      solo.run(make_job(b, 2, 2 * chunk_pairs, chunk_pairs));
-  expect_same_result(piped[2], alone, "chunk 2");
+  PipelineEngine backward(opts);
+  for (std::size_t c = n_chunks; c-- > 0;)
+    expect_same_result(
+        backward.run(make_job(b, c, c * chunk_pairs, chunk_pairs)),
+        in_order[c], "chunk " + std::to_string(c));
 }
 
-TEST(PipelineEngine, TraceShowsStageSpansOnPerStreamTracks) {
-  telemetry::TelemetryConfig tcfg;
-  tcfg.enabled = true;
-  telemetry::Telemetry session(tcfg);
-  const Batch b = make_batch(5, 48, 8, 12);
-  EngineOptions opts;
-  opts.scheme = kScheme;
-  opts.telemetry = session.sink();
-  opts.overlap_depth = 3;
-  PipelineEngine engine(opts);
-  const std::size_t n_chunks = 3, chunk_pairs = 16;
-  for (std::size_t c = 0; c < n_chunks; ++c)
-    engine.submit(make_job(b, c, c * chunk_pairs, chunk_pairs));
-  for (std::size_t c = 0; c < n_chunks; ++c) engine.collect();
-
-  std::size_t copy_in = 0, compute = 0, copy_out = 0;
-  for (const telemetry::TraceEvent& e : session.tracer()->events()) {
-    const std::string name = e.name;
-    if (e.track == telemetry::kTrackStreamBase + 0) {
-      EXPECT_TRUE(name == "H2G" || name == "W2B") << name;
-      ++copy_in;
-    } else if (e.track == telemetry::kTrackStreamBase + 1) {
-      EXPECT_EQ(name, "SWA");
-      ++compute;
-    } else if (e.track == telemetry::kTrackStreamBase + 2) {
-      EXPECT_TRUE(name == "B2W" || name == "G2H") << name;
-      ++copy_out;
-    }
-  }
-  EXPECT_EQ(copy_in, 2 * n_chunks);   // H2G + W2B per chunk
-  EXPECT_EQ(compute, n_chunks);       // SWA per chunk
-  EXPECT_EQ(copy_out, 2 * n_chunks);  // B2W + G2H per chunk
-}
-
-TEST(PipelineEngine, StopErrorSurfacesAtCollect) {
+TEST(PipelineEngine, StopErrorSurfacesFromRun) {
   const Batch b = make_batch(6, 32, 8, 12);
   util::CancellationToken cancel;
   cancel.cancel();
@@ -224,10 +204,9 @@ TEST(PipelineEngine, StopErrorSurfacesAtCollect) {
   PipelineEngine engine(opts);
   sw::ChunkJob job = make_job(b, 0, 0, 16);
   job.stop = &stop;
-  engine.submit(job);
   try {
-    engine.collect();
-    FAIL() << "collect did not rethrow the stop";
+    engine.run(job);
+    FAIL() << "run did not throw the stop";
   } catch (const util::StatusError& e) {
     EXPECT_TRUE(util::is_stop_code(e.status().code())) << e.what();
   }
@@ -236,35 +215,9 @@ TEST(PipelineEngine, StopErrorSurfacesAtCollect) {
   EXPECT_EQ(r.scores.size(), 16u);
 }
 
-TEST(PipelineEngine, CollectWithoutSubmitThrows) {
-  EngineOptions opts;
-  opts.scheme = kScheme;
-  PipelineEngine engine(opts);
-  EXPECT_THROW(engine.collect(), util::StatusError);
-}
-
-TEST(PipelineEngine, ShapeChangeRequiresEmptyPipeline) {
-  const Batch small = make_batch(7, 32, 8, 12);
-  const Batch wide = make_batch(8, 32, 8, 24);
-  EngineOptions opts;
-  opts.scheme = kScheme;
-  opts.overlap_depth = 2;
-  PipelineEngine engine(opts);
-  engine.submit(make_job(small, 0, 0, 16));
-  EXPECT_THROW(engine.submit(make_job(wide, 1, 0, 16)), util::StatusError);
-  engine.collect();
-  // Pipeline drained: the new shape is accepted and scores correctly.
-  const sw::ChunkResult r = engine.run(make_job(wide, 1, 0, 16));
-  const GpuRunResult ref = gpu_bpbc_max_scores(
-      std::span<const Sequence>(wide.xs).subspan(0, 16),
-      std::span<const Sequence>(wide.ys).subspan(0, 16), kScheme,
-      sw::LaneWidth::k32);
-  EXPECT_EQ(r.scores, ref.scores);
-}
-
 // A job whose SWA blocks the watchdog killed is a watchdog run in the
-// telemetry registry, synchronous or streamed alike; the count comes from
-// each job's own killed blocks, and a clean run adds nothing.
+// telemetry registry; the count comes from each job's own killed blocks,
+// and a clean run adds nothing.
 TEST(PipelineEngine, WatchdogKillsCountAsWatchdogRuns) {
   const Batch b = make_batch(9, 64, 8, 16);
   telemetry::TelemetryConfig tcfg;
@@ -280,11 +233,9 @@ TEST(PipelineEngine, WatchdogKillsCountAsWatchdogRuns) {
   opts.faults = &injector;
   opts.watchdog_phases = 8 + 16 + 8;  // SWA needs m+n-1; a stall adds 2^20
   opts.telemetry = session.sink();
-  opts.overlap_depth = 2;
   PipelineEngine stalled(opts);
   stalled.run(make_job(b, 0, 0, 32));
-  stalled.submit(make_job(b, 1, 32, 32));
-  stalled.collect();
+  stalled.run(make_job(b, 1, 32, 32));
   EXPECT_EQ(injector.log().watchdog_trips, 2u);
 
   EngineOptions clean_opts = opts;

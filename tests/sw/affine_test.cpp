@@ -3,6 +3,8 @@
 // property open == extend == linear gap.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "encoding/random.hpp"
 #include "sw/backend.hpp"
 #include "sw/bpbc.hpp"
@@ -91,6 +93,16 @@ struct AffineCase {
   AffineCosts params;
   std::uint64_t seed;
 };
+
+// Prints a case as p32_m8_n24_2_1_3_1_seed1 (pairs, pattern and text
+// lengths, match/mismatch/open/extend, seed): ctest names each instance
+// after its printed parameter, which must not be gtest's byte dump.
+void PrintTo(const AffineCase& c, std::ostream* os) {
+  *os << "p" << c.count << "_m" << c.m << "_n" << c.n << "_"
+      << c.params.match << "_" << c.params.mismatch << "_"
+      << c.params.gap_open << "_" << c.params.gap_extend << "_seed"
+      << c.seed;
+}
 
 class AffineBpbcVsScalar : public ::testing::TestWithParam<AffineCase> {};
 

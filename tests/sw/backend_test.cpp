@@ -1,9 +1,8 @@
-// sw::Backend — the one screening backend interface: opaque and host
-// backends against the default path, the base-class submit/collect
-// contract, and the overlapped screen loop: an engine-backed try_screen at
-// overlap_depth >= 2 must be bit-identical to its serial execution,
-// including under fault injection with the full self-check/quarantine
-// machinery enabled.
+// sw::Backend — the one screening backend interface: opaque, host and
+// device-engine backends against the default host path. An engine-backed
+// screen must match the host screen bit for bit, and under fault injection
+// with the full self-check/quarantine machinery enabled it must still
+// recover the fault-free scores.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -56,24 +55,6 @@ void expect_same_report(const ScreenReport& a, const ScreenReport& b,
     EXPECT_EQ(a.chunks[c].completed, b.chunks[c].completed) << what;
     EXPECT_EQ(a.chunks[c].resumed, b.chunks[c].resumed) << what;
     EXPECT_EQ(a.chunks[c].retries, b.chunks[c].retries) << what;
-  }
-}
-
-void expect_same_reliability(const ReliabilityReport& a,
-                             const ReliabilityReport& b,
-                             const std::string& what) {
-  EXPECT_EQ(a.lanes_verified, b.lanes_verified) << what;
-  EXPECT_EQ(a.mismatches_detected, b.mismatches_detected) << what;
-  EXPECT_EQ(a.lanes_recovered, b.lanes_recovered) << what;
-  EXPECT_EQ(a.lanes_fell_back, b.lanes_fell_back) << what;
-  EXPECT_EQ(a.integrity_checks, b.integrity_checks) << what;
-  EXPECT_EQ(a.integrity_faults, b.integrity_faults) << what;
-  EXPECT_EQ(a.chunk_retries, b.chunk_retries) << what;
-  ASSERT_EQ(a.stage_faults.size(), b.stage_faults.size()) << what;
-  for (std::size_t i = 0; i < a.stage_faults.size(); ++i) {
-    EXPECT_EQ(a.stage_faults[i].chunk, b.stage_faults[i].chunk) << what;
-    EXPECT_EQ(a.stage_faults[i].stage, b.stage_faults[i].stage) << what;
-    EXPECT_EQ(a.stage_faults[i].block, b.stage_faults[i].block) << what;
   }
 }
 
@@ -139,12 +120,12 @@ TEST(BackendV2, HostBackendMatchesDefaultPath) {
 }
 
 TEST(BackendV2, CancellationThroughSerialEngine) {
-  // A depth-1 engine stopped after chunk 1: the settled chunks carry the
-  // full run's scores, the rest read zero.
+  // An engine-backed screen stopped after chunk 1: the settled chunks
+  // carry the full run's scores, the rest read zero, and the engine runs a
+  // fresh complete screen afterwards.
   const Batch b = make_batch(24, 64, 8, 12);
   device::EngineOptions eopts;
   eopts.scheme = kScheme;
-  eopts.overlap_depth = 1;
   device::PipelineEngine engine(eopts);
   ScreenConfig cfg;
   cfg.params = kParams;
@@ -167,121 +148,72 @@ TEST(BackendV2, CancellationThroughSerialEngine) {
       EXPECT_EQ(report.scores[k], outcome.completed ? full.scores[k] : 0u)
           << "pair " << k;
   }
+
+  cfg.cancel = nullptr;
+  cfg.progress = nullptr;
+  const ScreenReport again = screen(b.xs, b.ys, cfg);
+  EXPECT_TRUE(again.complete());
+  EXPECT_TRUE(again.status.ok());
+  EXPECT_EQ(again.scores, full.scores);
 }
 
-// --- base-class submit/collect -------------------------------------------
+// --- engine-backed screens ----------------------------------------------
 
-TEST(BackendV2, BaseSubmitCollectThrowInternal) {
-  // Only stream-capable backends overlap; the screen loop never calls
-  // submit/collect on any other, and a direct call is a typed error.
-  const Batch b = make_batch(25, 16, 8, 12);
-  const std::unique_ptr<Backend> host = make_host_backend(
-      kScheme, LaneWidth::k32, bulk::Mode::kSerial);
-  EXPECT_FALSE(host->caps().streams);
-  ChunkJob job;
-  job.xs = b.xs;
-  job.ys = b.ys;
-  try {
-    host->submit(job);
-    FAIL() << "expected StatusError from submit";
-  } catch (const util::StatusError& e) {
-    EXPECT_EQ(e.status().code(), util::ErrorCode::kInternal);
-  }
-  try {
-    (void)host->collect();
-    FAIL() << "expected StatusError from collect";
-  } catch (const util::StatusError& e) {
-    EXPECT_EQ(e.status().code(), util::ErrorCode::kInternal);
-  }
-}
-
-// --- the overlapped screen loop ------------------------------------------
-
-ScreenReport engine_screen(const Batch& b, std::size_t overlap_depth,
-                           device::FaultInjector* faults, bool check) {
-  device::EngineOptions eopts;
-  eopts.scheme = kScheme;
-  eopts.width = LaneWidth::k32;
-  eopts.faults = faults;
-  if (faults != nullptr) eopts.integrity = full_integrity();
-  eopts.overlap_depth = overlap_depth;
-  device::PipelineEngine engine(eopts);
-
+ScreenConfig chunked_config() {
   ScreenConfig cfg;
   cfg.params = kParams;
   cfg.threshold = 12;
   cfg.width = LaneWidth::k32;
   cfg.chunk_pairs = 16;
   cfg.chunk_retry_limit = 2;
+  return cfg;
+}
+
+ScreenReport engine_screen(const Batch& b, device::FaultInjector* faults) {
+  device::EngineOptions eopts;
+  eopts.scheme = kScheme;
+  eopts.width = LaneWidth::k32;
+  eopts.faults = faults;
+  if (faults != nullptr) eopts.integrity = full_integrity();
+  device::PipelineEngine engine(eopts);
+
+  ScreenConfig cfg = chunked_config();
   cfg.backend = &engine;
-  cfg.overlap_depth = overlap_depth;
-  if (check) {
+  if (faults != nullptr) {
     cfg.check.enabled = true;
-    cfg.check.sample_every = 3;
+    cfg.check.sample_every = 1;  // verify every lane: total detection
   }
   return screen(b.xs, b.ys, cfg);
 }
 
-TEST(OverlappedScreen, BitIdenticalToSerialExecution) {
+TEST(EngineScreen, MatchesHostScreen) {
   const Batch b = make_batch(26, 112, 8, 12);
-  const ScreenReport serial = engine_screen(b, 1, nullptr, false);
-  const ScreenReport overlapped = engine_screen(b, 3, nullptr, false);
-  expect_same_report(overlapped, serial, "fault-free overlap");
-  EXPECT_TRUE(serial.complete());
+  const ScreenReport host = screen(b.xs, b.ys, chunked_config());
+  const ScreenReport engine = engine_screen(b, nullptr);
+  expect_same_report(engine, host, "fault-free engine");
+  EXPECT_TRUE(engine.complete());
 }
 
-TEST(OverlappedScreen, BitIdenticalToSerialUnderFaultsWithSelfCheck) {
+TEST(EngineScreen, FaultyScreenWithSelfCheckRecoversFaultFreeScores) {
   // The full stack: fault injection, in-band integrity, chunk retries,
-  // self-check quarantine/rescore — overlapped vs serial must agree on
-  // everything the report states.
+  // self-check quarantine/rescore — the report must state the fault-free
+  // scores and hits.
   const Batch b = make_batch(27, 112, 8, 12);
-  device::FaultInjector faults_serial(noisy_faults());
-  device::FaultInjector faults_overlap(noisy_faults());
-  const ScreenReport serial = engine_screen(b, 1, &faults_serial, true);
-  const ScreenReport overlapped = engine_screen(b, 4, &faults_overlap, true);
-  expect_same_report(overlapped, serial, "faulty overlap");
-  expect_same_reliability(overlapped.reliability, serial.reliability,
-                          "faulty overlap");
-  EXPECT_GT(serial.reliability.integrity_checks, 0u);
-}
-
-TEST(OverlappedScreen, CancellationLeavesWellFormedPartialReport) {
-  const Batch b = make_batch(28, 96, 8, 12);
-  device::EngineOptions eopts;
-  eopts.scheme = kScheme;
-  eopts.overlap_depth = 3;
-  device::PipelineEngine engine(eopts);
-  util::CancellationToken cancel;
-  ScreenConfig cfg;
-  cfg.params = kParams;
-  cfg.threshold = 10;
-  cfg.chunk_pairs = 16;
-  cfg.backend = &engine;
-  cfg.overlap_depth = 3;
-  cfg.cancel = &cancel;
-  cfg.progress = [&cancel](const ChunkProgress& p) {
-    if (p.chunk == 1) cancel.cancel();
-  };
-  const ScreenReport report = screen(b.xs, b.ys, cfg);
-  EXPECT_EQ(report.status.code(), util::ErrorCode::kCancelled);
-  EXPECT_FALSE(report.complete());
-  // Chunks 0 and 1 settled; every later chunk is untouched and zero —
-  // even though the overlap window had already submitted some of them.
-  for (std::size_t c = 0; c < report.chunks.size(); ++c) {
-    const ChunkOutcome& outcome = report.chunks[c];
-    EXPECT_EQ(outcome.completed, c <= 1) << "chunk " << c;
-    if (!outcome.completed) {
-      for (std::size_t k = outcome.begin; k < outcome.end; ++k)
-        EXPECT_EQ(report.scores[k], 0u) << "pair " << k;
-    }
+  device::FaultInjector faults(noisy_faults());
+  const ScreenReport faulty = engine_screen(b, &faults);
+  const ScreenReport clean = engine_screen(b, nullptr);
+  EXPECT_TRUE(faulty.complete());
+  EXPECT_EQ(faulty.scores, clean.scores);
+  ASSERT_EQ(faulty.hits.size(), clean.hits.size());
+  for (std::size_t i = 0; i < faulty.hits.size(); ++i) {
+    EXPECT_EQ(faulty.hits[i].index, clean.hits[i].index);
+    EXPECT_EQ(faulty.hits[i].bpbc_score, clean.hits[i].bpbc_score);
   }
-  // The same engine survives the drained tail and runs a fresh complete
-  // screen afterwards.
-  cfg.cancel = nullptr;
-  cfg.progress = nullptr;
-  const ScreenReport again = screen(b.xs, b.ys, cfg);
-  EXPECT_TRUE(again.complete());
-  EXPECT_TRUE(again.status.ok());
+  const ReliabilityReport& rel = faulty.reliability;
+  EXPECT_GT(rel.integrity_checks, 0u);
+  EXPECT_GT(rel.integrity_faults + rel.mismatches_detected, 0u)
+      << "fault rates too low to exercise anything";
+  EXPECT_TRUE(rel.balanced()) << rel.summary();
 }
 
 }  // namespace

@@ -104,28 +104,6 @@ const Rule kRules[] = {
     {"RejectsResumePathWithoutChunking",
      [](ScreenConfig& c) { c.resume_path = "resume.bin"; },
      "config.resume_path"},
-    {"RejectsZeroOverlapDepth",
-     [](ScreenConfig& c) { c.overlap_depth = 0; },
-     "config.overlap_depth"},
-    {"RejectsOverlapBeyondTheArenaRing",
-     [](ScreenConfig& c) {
-       c.backend = opaque_backend();
-       c.chunk_pairs = 64;
-       c.overlap_depth = 9;
-     },
-     "config.overlap_depth"},
-    {"RejectsOverlapWithoutChunking",
-     [](ScreenConfig& c) {
-       c.backend = opaque_backend();
-       c.overlap_depth = 2;  // chunk_pairs left 0
-     },
-     "chunk_pairs"},
-    {"RejectsOverlapWithoutStreamBackend",
-     [](ScreenConfig& c) {
-       c.chunk_pairs = 64;
-       c.overlap_depth = 2;
-     },
-     "config.backend"},
     {"RejectsNegativeBackoff",
      [](ScreenConfig& c) {
        c.check.enabled = true;
@@ -193,14 +171,13 @@ TEST(ScreenConfigValidation, AcceptsDatabaseWithShardAlignedChunks) {
   }
 }
 
-TEST(ScreenConfigValidation, ValidatedOverlappedEngineScreenRuns) {
+TEST(ScreenConfigValidation, ValidatedEngineScreenRuns) {
   util::Xoshiro256 rng(31);
   const std::vector<Sequence> xs = encoding::random_sequences(rng, 48, 8);
   const std::vector<Sequence> ys = encoding::random_sequences(rng, 48, 12);
   device::EngineOptions eopts;
   eopts.scheme = kScheme;
   eopts.width = LaneWidth::k32;
-  eopts.overlap_depth = 3;
   device::PipelineEngine engine(eopts);
   ScreenConfig config;
   config.params = kParams;
@@ -208,18 +185,17 @@ TEST(ScreenConfigValidation, ValidatedOverlappedEngineScreenRuns) {
   config.width = LaneWidth::k32;
   config.backend = &engine;
   config.chunk_pairs = 16;
-  config.overlap_depth = 3;
   ASSERT_TRUE(validate(config).ok()) << validate(config).to_string();
   const util::Expected<ScreenReport> report = try_screen(xs, ys, config);
   ASSERT_TRUE(report.has_value()) << report.status().to_string();
   EXPECT_TRUE(report->complete());
 
-  ScreenConfig serial;
-  serial.params = kParams;
-  serial.threshold = 12;
-  serial.width = LaneWidth::k32;
-  serial.chunk_pairs = 16;
-  EXPECT_EQ(report->scores, screen(xs, ys, serial).scores);
+  ScreenConfig host;
+  host.params = kParams;
+  host.threshold = 12;
+  host.width = LaneWidth::k32;
+  host.chunk_pairs = 16;
+  EXPECT_EQ(report->scores, screen(xs, ys, host).scores);
 }
 
 TEST(ScreenConfigValidation, TryScreenSharesTheSchemeMessage) {

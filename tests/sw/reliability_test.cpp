@@ -244,7 +244,6 @@ TEST(FaultDrill, HundredSeededCampaignsFullyRecovered) {
     eopts.mode = bulk::Mode::kSerial;
     eopts.faults = &injector;
     eopts.watchdog_phases = kM + kN + 16;
-    eopts.overlap_depth = 1;
     device::PipelineEngine engine(eopts);
 
     ScreenConfig cfg;

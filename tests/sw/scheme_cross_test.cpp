@@ -447,7 +447,7 @@ TEST(SchemeEngine, AffineWavefrontMatchesScalarGotoh) {
         << "pair " << k;
 }
 
-TEST(SchemeEngine, OverlappedAffineIsBitIdenticalUnderFaults) {
+TEST(SchemeEngine, ChunkedAffineUnderFaultsMatchesScalarGotoh) {
   util::Xoshiro256 rng(222);
   const auto xs = encoding::random_sequences(rng, 256, 8);
   const auto ys = encoding::random_sequences(rng, 256, 20);
@@ -464,41 +464,33 @@ TEST(SchemeEngine, OverlappedAffineIsBitIdenticalUnderFaults) {
   integ.canary_lanes = true;
   integ.checksum_copies = true;
 
-  auto run_screen = [&](std::size_t depth) {
-    device::EngineOptions options;
-    options.scheme = scheme;
-    options.width = LaneWidth::k64;
-    options.faults = &faults;
-    options.integrity = integ;
-    options.overlap_depth = depth;
-    device::PipelineEngine engine(options);
-    ScreenConfig cfg;
-    cfg.scheme = scheme;
-    cfg.backend = &engine;
-    cfg.chunk_pairs = 64;
-    cfg.overlap_depth = depth;
-    cfg.traceback = false;
-    cfg.threshold = ~std::uint32_t{0};
-    // A 64-pair chunk fills the k64 lane group exactly, so no spare lanes
-    // exist for canaries and an in-kernel flip can slip past the engine's
-    // own checks — the scheme-aware host self-check is the last line.
-    cfg.check.enabled = true;
-    cfg.check.sample_every = 1;
-    cfg.check.max_retries = 8;
-    cfg.check.backoff_base_ms = 0.0;
-    return try_screen(xs, ys, cfg);
-  };
+  device::EngineOptions options;
+  options.scheme = scheme;
+  options.width = LaneWidth::k64;
+  options.faults = &faults;
+  options.integrity = integ;
+  device::PipelineEngine engine(options);
+  ScreenConfig cfg;
+  cfg.scheme = scheme;
+  cfg.backend = &engine;
+  cfg.chunk_pairs = 64;
+  cfg.traceback = false;
+  cfg.threshold = ~std::uint32_t{0};
+  // A 64-pair chunk fills the k64 lane group exactly, so no spare lanes
+  // exist for canaries and an in-kernel flip can slip past the engine's
+  // own checks — the scheme-aware host self-check is the last line.
+  cfg.check.enabled = true;
+  cfg.check.sample_every = 1;
+  cfg.check.max_retries = 8;
+  cfg.check.backoff_base_ms = 0.0;
 
-  auto serial = run_screen(1);
-  auto overlapped = run_screen(3);
-  ASSERT_TRUE(serial.has_value()) << serial.status().to_string();
-  ASSERT_TRUE(overlapped.has_value()) << overlapped.status().to_string();
-  // The fault campaign derives from (chunk, attempt), so the overlapped
-  // affine run retries identically and lands on the same scores — which
-  // are the scalar Gotoh scores, faults notwithstanding.
-  EXPECT_EQ(serial->scores, overlapped->scores);
+  const auto report = try_screen(xs, ys, cfg);
+  ASSERT_TRUE(report.has_value()) << report.status().to_string();
+  EXPECT_GT(faults.log().total(), 0u) << "no fault was injected";
+  // Retries and rescores draw (chunk, attempt) campaigns and land on the
+  // scalar Gotoh scores, faults notwithstanding.
   for (std::size_t k = 0; k < xs.size(); ++k)
-    EXPECT_EQ(serial->scores[k], scheme_max_score(xs[k], ys[k], scheme))
+    EXPECT_EQ(report->scores[k], scheme_max_score(xs[k], ys[k], scheme))
         << "pair " << k;
 }
 

@@ -158,7 +158,6 @@ TEST(ScreenCancel, CancelBetweenDevicePhasesYieldsPartialReport) {
   eopts.scheme = kScheme;
   eopts.width = LaneWidth::k32;
   eopts.mode = bulk::Mode::kSerial;
-  eopts.overlap_depth = 1;
   device::PipelineEngine engine(eopts);
   auto chunks_run = std::make_shared<int>(0);
   test_support::FnBackend backend(
@@ -505,7 +504,6 @@ TEST(FaultDrill, ChunkedIntegrityCampaignsRecoverAndAttribute) {
     eopts.watchdog_phases = kM + kN + 16;
     eopts.integrity.enabled = true;
     eopts.integrity.sample_every = 1;
-    eopts.overlap_depth = 1;
     device::PipelineEngine engine(eopts);
 
     ScreenConfig cfg;
@@ -569,7 +567,6 @@ TEST(Integrity, CleanDeviceRunDetectsNothing) {
   eopts.mode = bulk::Mode::kSerial;
   eopts.integrity.enabled = true;
   eopts.integrity.sample_every = 1;
-  eopts.overlap_depth = 1;
   device::PipelineEngine engine(eopts);
 
   ScreenConfig cfg;

@@ -31,6 +31,7 @@
 #include "sw/db_backend.hpp"
 #include "sw/kernel.hpp"
 #include "sw/lane.hpp"
+#include "sw/pipeline.hpp"
 #include "sw/scalar.hpp"
 #include "sw/scheme_aligner.hpp"
 #include "util/status.hpp"
@@ -164,9 +165,8 @@ TEST(WideLane, ResolveAndParse) {
 }
 
 // Device pipeline at wide widths: one-shot driver and engine agree with
-// the host path, and overlapped execution stays bit-identical to serial
-// under fault injection (the engine's determinism contract, now at 256
-// lanes).
+// the host path, and a chunked engine screen under fault injection still
+// lands on the scalar scores (the recovery contract, now at 256 lanes).
 TEST(WideLane, DevicePipelineWide256MatchesHost) {
   util::Xoshiro256 rng(104);
   const auto xs = encoding::random_sequences(rng, 300, 8);
@@ -187,7 +187,7 @@ TEST(WideLane, DevicePipelineWide256MatchesHost) {
   EXPECT_EQ(engine.run(job).scores, host);
 }
 
-TEST(WideLane, OverlappedWide256BitIdenticalToSerialUnderFaults) {
+TEST(WideLane, Wide256EngineScreenUnderFaultsMatchesScalar) {
   util::Xoshiro256 rng(105);
   const auto xs = encoding::random_sequences(rng, 96, 8);
   const auto ys = encoding::random_sequences(rng, 96, 12);
@@ -196,37 +196,31 @@ TEST(WideLane, OverlappedWide256BitIdenticalToSerialUnderFaults) {
   fc.seed = 77;
   fc.flip_probability = 0.01;
   fc.copy_flip_probability = 0.005;
+  device::FaultInjector faults(fc);
+  device::EngineOptions opts;
+  opts.scheme = kScheme;
+  opts.width = LaneWidth::k256;
+  opts.faults = &faults;
+  opts.integrity.enabled = true;
+  opts.integrity.canary_lanes = true;
+  opts.integrity.checksum_copies = true;
+  device::PipelineEngine engine(opts);
 
-  const auto run_chunks = [&](bool overlapped) {
-    device::FaultInjector faults(fc);
-    device::EngineOptions opts;
-    opts.scheme = kScheme;
-    opts.width = LaneWidth::k256;
-    opts.faults = &faults;
-    opts.integrity.enabled = true;
-    opts.integrity.canary_lanes = true;
-    opts.integrity.checksum_copies = true;
-    opts.overlap_depth = overlapped ? 3 : 1;
-    device::PipelineEngine engine(opts);
-    std::vector<std::vector<std::uint32_t>> out;
-    for (std::size_t c = 0; c < 4; ++c) {
-      ChunkJob job;
-      job.chunk = c;
-      job.xs = std::span<const encoding::Sequence>(xs).subspan(24 * c, 24);
-      job.ys = std::span<const encoding::Sequence>(ys).subspan(24 * c, 24);
-      if (overlapped) {
-        engine.submit(job);
-      } else {
-        out.push_back(engine.run(job).scores);
-      }
-    }
-    if (overlapped)
-      for (std::size_t c = 0; c < 4; ++c)
-        out.push_back(engine.collect().scores);
-    return out;
-  };
-
-  EXPECT_EQ(run_chunks(true), run_chunks(false));
+  ScreenConfig cfg;
+  cfg.params = kParams;
+  cfg.width = LaneWidth::k256;
+  cfg.backend = &engine;
+  cfg.chunk_pairs = 24;
+  cfg.traceback = false;
+  cfg.check.enabled = true;
+  cfg.check.sample_every = 1;  // verify every lane: total detection
+  cfg.check.backoff_base_ms = 0.0;
+  const auto report = try_screen(xs, ys, cfg);
+  ASSERT_TRUE(report.has_value()) << report.status().to_string();
+  EXPECT_GT(faults.log().total(), 0u) << "no fault was injected";
+  for (std::size_t k = 0; k < xs.size(); ++k)
+    EXPECT_EQ(report->scores[k], max_score(xs[k], ys[k], kParams))
+        << "pair " << k;
 }
 
 // --- per-ISA kernel builds ----------------------------------------------

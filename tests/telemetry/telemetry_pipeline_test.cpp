@@ -126,7 +126,6 @@ device::EngineOptions fault_engine(device::FaultInjector& injector,
   eopts.faults = &injector;
   eopts.watchdog_phases = m + n + 16;
   eopts.telemetry = sink;
-  eopts.overlap_depth = 1;
   return eopts;
 }
 
