@@ -121,8 +121,7 @@ TEST(BackendV2, HostBackendMatchesDefaultPath) {
 
 TEST(BackendV2, CancellationThroughSerialEngine) {
   // An engine-backed screen stopped after chunk 1: the settled chunks
-  // carry the full run's scores, the rest read zero, and the engine runs a
-  // fresh complete screen afterwards.
+  // carry the full run's scores, the rest read zero.
   const Batch b = make_batch(24, 64, 8, 12);
   device::EngineOptions eopts;
   eopts.scheme = kScheme;
@@ -148,13 +147,6 @@ TEST(BackendV2, CancellationThroughSerialEngine) {
       EXPECT_EQ(report.scores[k], outcome.completed ? full.scores[k] : 0u)
           << "pair " << k;
   }
-
-  cfg.cancel = nullptr;
-  cfg.progress = nullptr;
-  const ScreenReport again = screen(b.xs, b.ys, cfg);
-  EXPECT_TRUE(again.complete());
-  EXPECT_TRUE(again.status.ok());
-  EXPECT_EQ(again.scores, full.scores);
 }
 
 // --- engine-backed screens ----------------------------------------------
@@ -214,6 +206,47 @@ TEST(EngineScreen, FaultyScreenWithSelfCheckRecoversFaultFreeScores) {
   EXPECT_GT(rel.integrity_faults + rel.mismatches_detected, 0u)
       << "fault rates too low to exercise anything";
   EXPECT_TRUE(rel.balanced()) << rel.summary();
+}
+
+// The suite name dates from the overlapped chunk pipeline; the screen now
+// runs every chunk synchronously on the engine, and the report it leaves on
+// cancellation must still be well formed.
+TEST(OverlappedScreen, CancellationLeavesWellFormedPartialReport) {
+  const Batch b = make_batch(28, 96, 8, 12);
+  device::EngineOptions eopts;
+  eopts.scheme = kScheme;
+  device::PipelineEngine engine(eopts);
+  util::CancellationToken cancel;
+  ScreenConfig cfg;
+  cfg.params = kParams;
+  cfg.threshold = 10;
+  cfg.chunk_pairs = 16;
+  cfg.backend = &engine;
+  const ScreenReport full = screen(b.xs, b.ys, cfg);
+
+  cfg.cancel = &cancel;
+  cfg.progress = [&cancel](const ChunkProgress& p) {
+    if (p.chunk == 1) cancel.cancel();
+  };
+  const ScreenReport report = screen(b.xs, b.ys, cfg);
+  EXPECT_EQ(report.status.code(), util::ErrorCode::kCancelled);
+  EXPECT_FALSE(report.complete());
+  // Chunks 0 and 1 settled; every later chunk is untouched and zero.
+  for (std::size_t c = 0; c < report.chunks.size(); ++c) {
+    const ChunkOutcome& outcome = report.chunks[c];
+    EXPECT_EQ(outcome.completed, c <= 1) << "chunk " << c;
+    if (!outcome.completed) {
+      for (std::size_t k = outcome.begin; k < outcome.end; ++k)
+        EXPECT_EQ(report.scores[k], 0u) << "pair " << k;
+    }
+  }
+  // The same engine runs a fresh complete screen afterwards.
+  cfg.cancel = nullptr;
+  cfg.progress = nullptr;
+  const ScreenReport again = screen(b.xs, b.ys, cfg);
+  EXPECT_TRUE(again.complete());
+  EXPECT_TRUE(again.status.ok());
+  EXPECT_EQ(again.scores, full.scores);
 }
 
 }  // namespace
