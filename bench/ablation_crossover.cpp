@@ -5,13 +5,17 @@
 // gated bit-identical between the engines (and spot-checked against the
 // scalar Gotoh reference), so the table measures throughput only.
 //
-// The regions are chosen to straddle the crossover surface: small-s DNA
-// at wide lanes is BPBC territory (one gate layer per slice, amortized
-// over every lane), while affine + substitution-matrix protein schemes
-// and 32-bit-cell queries are striped territory (per-cell cost flat in
-// s). The committed BENCH_crossover.json records a full run on the
-// dispatch host; CostModel::measured()'s coefficients were fitted from
-// it (regenerate with --emit-model).
+// The regions are chosen to straddle the crossover surface: short-query
+// DNA at full lanes is BPBC territory (every gate op amortized over
+// every lane), while long queries, affine + substitution-matrix protein
+// schemes and thin batches are striped territory (per-cell cost flat in
+// s, no padded lanes). The last three regions are protein-search's
+// target bins (128 x 96, 48 x 224 and 16 x 448 residues) at a short, a
+// mid and a long query. They are appended, never inserted: the regions
+// draw from one RNG, so appending keeps every earlier region's data and
+// scores_fnv. The committed BENCH_crossover.json records a full run on
+// the dispatch host; CostModel::measured()'s coefficients were fitted
+// from such runs (regenerate with --emit-model).
 //
 //   ./ablation_crossover [--reps=R] [--json=BENCH_crossover.json]
 //                        [--smoke] [--emit-model]
@@ -21,9 +25,11 @@
 // regions are all noise). At full size, any *decisive* region (>= 25%
 // margin between the engines) where the cost model picks the slower
 // engine fails the run — the model is only allowed to be wrong where it
-// barely matters. --emit-model prints a fitted CostModel initializer
-// from this run's measurements (and records the fit in the JSON config).
+// barely matters. --emit-model prints a CostModel initializer
+// least-squares fitted to this run's phase times (and records the fit
+// in the JSON config).
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -58,7 +64,8 @@ struct Region {
 };
 
 // The sweep: (m, n, pairs) per scheme family; s follows from the shape.
-// Ordered from BPBC-friendly (top) to striped-friendly (bottom).
+// The first six run from BPBC-friendly to striped-friendly; the
+// protein-search bins follow.
 constexpr Region kRegions[] = {
     {"dna-linear m24", SchemeKind::kDnaLinear, 512, 24, 256},
     {"dna-linear m512", SchemeKind::kDnaLinear, 64, 512, 512},
@@ -66,6 +73,9 @@ constexpr Region kRegions[] = {
     {"dna-affine m128", SchemeKind::kDnaAffine, 64, 128, 512},
     {"blosum62 m24", SchemeKind::kBlosumAffine, 256, 24, 200},
     {"blosum62 m6000 wide", SchemeKind::kBlosumAffine, 4, 6000, 96},
+    {"blosum62 bin0 m30", SchemeKind::kBlosumAffine, 128, 30, 96},
+    {"blosum62 bin1 m134", SchemeKind::kBlosumAffine, 48, 134, 224},
+    {"blosum62 bin2 m600", SchemeKind::kBlosumAffine, 16, 600, 448},
 };
 
 sw::ScoringScheme make_scheme(SchemeKind kind) {
@@ -91,17 +101,86 @@ sw::ScoringScheme make_scheme(SchemeKind kind) {
 
 struct Measured {
   double bpbc_ms = 0.0;     // best-of-reps wall time, auto lane width
+  double bpbc_w2b_ms = 0.0;     // W2B of that rep
+  double bpbc_swa_ms = 0.0;     // SWA of that rep
   double striped_ms = 0.0;  // best-of-reps wall time
   double striped_swa_ms = 0.0;  // DP only (profile build excluded)
-  double striped_w2b_ms = 0.0;  // profile build
+  double striped_profile_ms = 0.0;  // best profile build (uncached reps)
   std::uint64_t scores_fnv = 0;
   sw::DispatchWorkload workload;
 };
 
+// Least squares in relative error: the coefficients c >= 0 minimizing
+// sum_r ((x[r] . c - y[r]) / y[r])^2 over the rows with y[r] > 0, so a
+// 200 ms region weighs no more than a 1 ms one. Non-negativity by
+// exhaustive active sets: every subset of the few coefficients is solved
+// by its normal equations, and the best feasible solution wins.
+std::vector<double> fit_nonneg(const std::vector<std::vector<double>>& x,
+                               const std::vector<double>& y) {
+  const std::size_t k = x.empty() ? 0 : x.front().size();
+  std::vector<double> best(k, 0.0);
+  double best_err = -1.0;
+  for (unsigned mask = 1; mask < (1u << k); ++mask) {
+    std::vector<std::size_t> cols;
+    for (std::size_t j = 0; j < k; ++j)
+      if ((mask >> j) & 1u) cols.push_back(j);
+    const std::size_t q = cols.size();
+    // Normal equations A c = b over the chosen columns, rows scaled by
+    // 1 / y, solved by Gaussian elimination with partial pivoting.
+    std::vector<std::vector<double>> a(q, std::vector<double>(q + 1, 0.0));
+    for (std::size_t r = 0; r < y.size(); ++r) {
+      if (y[r] <= 0.0) continue;
+      for (std::size_t i = 0; i < q; ++i) {
+        const double xi = x[r][cols[i]] / y[r];
+        for (std::size_t j = 0; j < q; ++j)
+          a[i][j] += xi * x[r][cols[j]] / y[r];
+        a[i][q] += xi;
+      }
+    }
+    bool singular = false;
+    for (std::size_t i = 0; i < q && !singular; ++i) {
+      std::size_t pivot = i;
+      for (std::size_t r = i + 1; r < q; ++r)
+        if (std::abs(a[r][i]) > std::abs(a[pivot][i])) pivot = r;
+      std::swap(a[i], a[pivot]);
+      if (std::abs(a[i][i]) < 1e-300) {
+        singular = true;
+        break;
+      }
+      for (std::size_t r = 0; r < q; ++r) {
+        if (r == i) continue;
+        const double f = a[r][i] / a[i][i];
+        for (std::size_t j = i; j <= q; ++j) a[r][j] -= f * a[i][j];
+      }
+    }
+    if (singular) continue;
+    std::vector<double> c(k, 0.0);
+    bool feasible = true;
+    for (std::size_t i = 0; i < q; ++i) {
+      c[cols[i]] = a[i][q] / a[i][i];
+      feasible = feasible && c[cols[i]] >= 0.0;
+    }
+    if (!feasible) continue;
+    double err = 0.0;
+    for (std::size_t r = 0; r < y.size(); ++r) {
+      if (y[r] <= 0.0) continue;
+      double pred = 0.0;
+      for (std::size_t j = 0; j < k; ++j) pred += x[r][j] * c[j];
+      err += (pred / y[r] - 1.0) * (pred / y[r] - 1.0);
+    }
+    if (best_err < 0.0 || err < best_err) {
+      best_err = err;
+      best = c;
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Options opt(argc, argv);
+  const util::Options opt = util::Options::parse_or_exit(
+      argc, argv, {"emit-model", "json", "reps", "smoke"});
   const bool smoke = opt.has("smoke");
   const auto reps =
       static_cast<std::size_t>(opt.get_int("reps", smoke ? 1 : 3));
@@ -164,21 +243,22 @@ int main(int argc, char** argv) {
 
     std::vector<std::uint32_t> bpbc_scores;
     for (std::size_t r = 0; r < reps; ++r) {
+      sw::PhaseTimings t;
       util::WallTimer timer;
       const auto scores = sw::try_scheme_max_scores(
           xs, ys, scheme, sw::LaneWidth::kAuto, bulk::Mode::kSerial,
-          encoding::TransposeMethod::kPlanned);
+          encoding::TransposeMethod::kPlanned, &t);
       const double ms = timer.elapsed_ms();
       if (!scores.has_value()) {
         std::fprintf(stderr, "%s: bpbc rejected: %s\n", region.name,
                      scores.status().to_string().c_str());
         return 1;
       }
-      if (r == 0) {
-        bpbc_scores = *scores;
+      if (r == 0) bpbc_scores = *scores;
+      if (r == 0 || ms < mrow.bpbc_ms) {
         mrow.bpbc_ms = ms;
-      } else {
-        mrow.bpbc_ms = std::min(mrow.bpbc_ms, ms);
+        mrow.bpbc_w2b_ms = t.w2b_ms;
+        mrow.bpbc_swa_ms = t.swa_ms;
       }
     }
 
@@ -207,8 +287,10 @@ int main(int argc, char** argv) {
       if (r == 0 || ms < mrow.striped_ms) {
         mrow.striped_ms = ms;
         mrow.striped_swa_ms = t.swa_ms;
-        mrow.striped_w2b_ms = t.w2b_ms;
       }
+      // Reps 0 (no cache) and 1 (a cache miss) build the query profile.
+      if (r == 0 || (r == 1 && t.w2b_ms < mrow.striped_profile_ms))
+        mrow.striped_profile_ms = t.w2b_ms;
     }
     // Spot-check both against the scalar Gotoh reference.
     for (std::size_t k = 0; k < pairs; k += std::max<std::size_t>(1, pairs / 3))
@@ -266,97 +348,76 @@ int main(int argc, char** argv) {
   std::fputs(table.render().c_str(), stdout);
   std::printf("\nscores bit-identical between the engines in every region\n");
 
-  // --emit-model: fit CostModel coefficients from this run. The BPBC fit
-  // normalizes to 64 lanes over *padded* pairs (the model prices
-  // ceil(pairs / lanes) full words); the two linear-DNA regions with
-  // distinct slice counts pin (base, slice), the affine and matrix
-  // regions then pin their terms. The striped DP time is modelled as
-  // cells * cell_ns + columns * column_ns, so the same two linear
-  // regions (short vs long query) separate the per-cell cost from the
-  // fixed per-column lazy-F / loop overhead.
+  // --emit-model: least-squares fit of every CostModel coefficient over
+  // every region, each engine phase against the coefficients that price
+  // it: BPBC SWA (cell and mux word ops), BPBC W2B (lane slots), striped
+  // DP (cells and text columns) and the striped profile build (a fixed
+  // cost plus one entry per symbol and query position, fitted over query
+  // lengths from 24 to 6000, so the fixed cost is not smeared into the
+  // per-entry term). The model is linear in its coefficients, so the
+  // term one multiplies is the model's own price with that coefficient
+  // at 1 and every other at 0.
   if (opt.has("emit-model")) {
-    const auto per_cell64 = [&](const Measured& r) {
-      const std::size_t lanes = r.workload.lane_bits;
-      const double padded =
-          static_cast<double>((r.workload.pairs + lanes - 1) / lanes) *
-          static_cast<double>(lanes);
-      const double cells = padded * static_cast<double>(r.workload.m) *
-                           static_cast<double>(r.workload.n);
-      return r.bpbc_ms * 1e6 / cells * static_cast<double>(lanes) / 64.0;
+    using Coefficient = double sw::CostModel::*;
+    struct Term {
+      const char* name;
+      Coefficient coefficient;
     };
-    // Striped DP nanoseconds per cell (profile build excluded).
-    const auto striped_cell = [&](const Measured& r) {
-      const double cells = static_cast<double>(r.workload.pairs) *
-                           static_cast<double>(r.workload.m) *
-                           static_cast<double>(r.workload.n);
-      return r.striped_swa_ms * 1e6 / cells;
+    struct Phase {
+      double Measured::*ms;
+      std::vector<Term> terms;
+    };
+    const Phase phases[] = {
+        {&Measured::bpbc_swa_ms,
+         {{"bpbc_op_ns", &sw::CostModel::bpbc_op_ns},
+          {"bpbc_mux_op_ns", &sw::CostModel::bpbc_mux_op_ns}}},
+        {&Measured::bpbc_w2b_ms,
+         {{"bpbc_w2b_ns", &sw::CostModel::bpbc_w2b_ns}}},
+        {&Measured::striped_swa_ms,
+         {{"striped_cell_ns", &sw::CostModel::striped_cell_ns},
+          {"striped_column_ns", &sw::CostModel::striped_column_ns}}},
+        {&Measured::striped_profile_ms,
+         {{"striped_profile_ns", &sw::CostModel::striped_profile_ns},
+          {"striped_profile_base_ns",
+           &sw::CostModel::striped_profile_base_ns}}},
+    };
+    const auto unit_price = [](Coefficient c, const sw::DispatchWorkload& w) {
+      sw::CostModel unit{0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+      unit.*c = 1.0;
+      return unit.bpbc_cost_ns(w) + unit.striped_cost_ns(w);
     };
     sw::CostModel fit;
-    const Measured& a = measured[0];  // dna-linear m24
-    const Measured& b = measured[1];  // dna-linear m512
-    const Measured& c = measured[3];  // dna-affine
-    const Measured& d = measured[4];  // blosum62 m24
-    const Measured& e = measured[5];  // blosum62 wide
-    if (b.workload.slices != a.workload.slices) {
-      fit.bpbc_slice_ns = (per_cell64(b) - per_cell64(a)) /
-                          (b.workload.slices - a.workload.slices);
-      fit.bpbc_base_ns = per_cell64(a) - fit.bpbc_slice_ns * a.workload.slices;
-      if (fit.bpbc_base_ns < 0.0) fit.bpbc_base_ns = 0.0;
-      if (fit.bpbc_slice_ns < 0.0) fit.bpbc_slice_ns = 0.0;
+    std::printf("\nfitted CostModel (paste into sw/dispatch.hpp):\n");
+    for (const Phase& phase : phases) {
+      std::vector<std::vector<double>> x;
+      std::vector<double> y;
+      for (const Measured& r : measured) {
+        std::vector<double> row;
+        for (const Term& t : phase.terms)
+          row.push_back(unit_price(t.coefficient, r.workload));
+        x.push_back(std::move(row));
+        y.push_back(r.*phase.ms * 1e6);
+      }
+      const std::vector<double> c = fit_nonneg(x, y);
+      for (std::size_t i = 0; i < phase.terms.size(); ++i) {
+        fit.*phase.terms[i].coefficient = c[i];
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%.4g", c[i]);
+        std::printf("  double %s = %s;\n", phase.terms[i].name, buf);
+        rep.config[std::string("model.") + phase.terms[i].name] = buf;
+      }
     }
-    const double linear_at_c =
-        fit.bpbc_base_ns + fit.bpbc_slice_ns * c.workload.slices;
-    if (linear_at_c > 0.0)
-      fit.bpbc_affine_mul = std::max(1.0, per_cell64(c) / linear_at_c);
-    const double matrix_excess =
-        per_cell64(d) - (fit.bpbc_base_ns +
-                         fit.bpbc_slice_ns * d.workload.slices) *
-                            fit.bpbc_affine_mul;
-    fit.bpbc_matrix_ns =
-        std::max(0.0, matrix_excess /
-                          static_cast<double>(1u << d.workload.alphabet_bits));
-    // cell + col/m_a = sc(a); cell + col/m_b = sc(b) -> solve.
-    const double inv_ma = 1.0 / static_cast<double>(a.workload.m);
-    const double inv_mb = 1.0 / static_cast<double>(b.workload.m);
-    fit.striped_column_ns =
-        std::max(0.0, (striped_cell(a) - striped_cell(b)) / (inv_ma - inv_mb));
-    fit.striped_cell_ns = std::max(
-        0.05, striped_cell(b) - fit.striped_column_ns * inv_mb);
-    fit.striped_wide_mul = std::max(
-        1.0, (striped_cell(e) -
-              fit.striped_column_ns / static_cast<double>(e.workload.m)) /
-                 fit.striped_cell_ns);
-    fit.striped_profile_ns = std::max(
-        0.01, d.striped_w2b_ms * 1e6 /
-                  (static_cast<double>(1u << d.workload.alphabet_bits) *
-                   static_cast<double>(d.workload.m)));
-
-    std::printf("\nfitted CostModel (paste into sw/dispatch.hpp):\n"
-                "  double bpbc_base_ns = %.2f;\n"
-                "  double bpbc_slice_ns = %.2f;\n"
-                "  double bpbc_affine_mul = %.2f;\n"
-                "  double bpbc_matrix_ns = %.2f;\n"
-                "  double striped_cell_ns = %.2f;\n"
-                "  double striped_column_ns = %.2f;\n"
-                "  double striped_wide_mul = %.2f;\n"
-                "  double striped_profile_ns = %.2f;\n",
-                fit.bpbc_base_ns, fit.bpbc_slice_ns, fit.bpbc_affine_mul,
-                fit.bpbc_matrix_ns, fit.striped_cell_ns,
-                fit.striped_column_ns, fit.striped_wide_mul,
-                fit.striped_profile_ns);
-    const auto put = [&](const char* k, double v) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%.2f", v);
-      rep.config[std::string("model.") + k] = buf;
-    };
-    put("bpbc_base_ns", fit.bpbc_base_ns);
-    put("bpbc_slice_ns", fit.bpbc_slice_ns);
-    put("bpbc_affine_mul", fit.bpbc_affine_mul);
-    put("bpbc_matrix_ns", fit.bpbc_matrix_ns);
-    put("striped_cell_ns", fit.striped_cell_ns);
-    put("striped_column_ns", fit.striped_column_ns);
-    put("striped_wide_mul", fit.striped_wide_mul);
-    put("striped_profile_ns", fit.striped_profile_ns);
+    // How well the fitted model prices each region's measured total.
+    std::printf("\nfitted model / measured (per region): ");
+    for (std::size_t i = 0; i < measured.size(); ++i) {
+      const Measured& r = measured[i];
+      std::printf("%s%s bpbc %.2f striped %.2f", i == 0 ? "" : "; ",
+                  kRegions[i].name,
+                  fit.bpbc_cost_ns(r.workload) / (r.bpbc_ms * 1e6),
+                  fit.striped_cost_ns(r.workload) /
+                      ((r.striped_swa_ms + r.striped_profile_ms) * 1e6));
+    }
+    std::printf("\n");
   }
 
   const std::string json_path = opt.get("json", "");

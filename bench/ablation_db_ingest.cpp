@@ -45,7 +45,8 @@ std::uint64_t config_fingerprint(
 int main(int argc, char** argv) {
   using namespace swbpbc;
 
-  util::Options opt(argc, argv);
+  const util::Options opt = util::Options::parse_or_exit(
+      argc, argv, {"db-path", "json", "m", "n", "pairs", "reps"});
   const auto pairs = static_cast<std::size_t>(opt.get_int("pairs", 1024));
   const auto m = static_cast<std::size_t>(opt.get_int("m", 64));
   const auto n = static_cast<std::size_t>(opt.get_int("n", 1024));

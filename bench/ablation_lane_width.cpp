@@ -52,7 +52,8 @@ int main(int argc, char** argv) {
   using namespace swbpbc;
   using bench::Impl;
 
-  util::Options opt(argc, argv);
+  const util::Options opt = util::Options::parse_or_exit(
+      argc, argv, {"affine", "json", "m", "n", "pairs", "reps"});
   const auto pairs =
       static_cast<std::size_t>(opt.get_int("pairs", 1024));
   const auto m = static_cast<std::size_t>(opt.get_int("m", 64));

@@ -42,7 +42,10 @@ int main(int argc, char** argv) {
   using namespace swbpbc;
   using bench::Impl;
 
-  util::Options opt(argc, argv);
+  const util::Options opt = util::Options::parse_or_exit(
+      argc, argv,
+      {"chunk-pairs", "engine-vs-host", "full", "gap", "integrity",
+       "integrity-sample", "json", "m", "match", "mismatch", "n", "pairs"});
   const bool full = opt.get_bool("full", false);
   const auto pairs = static_cast<std::size_t>(
       opt.get_int("pairs", full ? 32768 : 512));

@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
   using namespace swbpbc;
   using bench::Impl;
 
-  util::Options opt(argc, argv);
+  const util::Options opt = util::Options::parse_or_exit(
+      argc, argv, {"full", "json", "m", "n", "pairs"});
   const bool full = opt.get_bool("full", false);
   const auto pairs = static_cast<std::size_t>(
       opt.get_int("pairs", full ? 32768 : 512));

@@ -25,7 +25,9 @@
 int main(int argc, char** argv) {
   using namespace swbpbc;
 
-  util::Options opt(argc, argv);
+  const util::Options opt = util::Options::parse_or_exit(
+      argc, argv,
+      {"corrupt-bit", "corrupt-shard", "entries", "fasta", "json", "out"});
   const std::string out = opt.get("out", "");
   if (out.empty()) {
     std::fprintf(stderr, "usage: database_build --out=path "

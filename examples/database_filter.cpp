@@ -50,7 +50,10 @@
 int main(int argc, char** argv) {
   using namespace swbpbc;
 
-  util::Options opt(argc, argv);
+  const util::Options opt = util::Options::parse_or_exit(
+      argc, argv,
+      {"backend", "db", "db-fault-seed", "db-flip-shard", "entries", "fasta",
+       "gpu", "json", "tau", "width"});
   const auto entries =
       static_cast<std::size_t>(opt.get_int("entries", 256));
   const std::size_t m = 32, n = 512;

@@ -31,7 +31,10 @@
 using namespace swbpbc;
 
 int main(int argc, char** argv) {
-  util::Options opt(argc, argv);
+  const util::Options opt = util::Options::parse_or_exit(
+      argc, argv,
+      {"campaigns", "chunk", "copy-flip", "count", "drop-sync", "flip",
+       "integrity", "m", "n", "seed", "stall", "trace"});
   const auto campaigns = static_cast<std::size_t>(opt.get_int("campaigns", 100));
   const auto count = static_cast<std::size_t>(opt.get_int("count", 64));
   const auto m = static_cast<std::size_t>(opt.get_int("m", 8));

@@ -44,7 +44,9 @@
 int main(int argc, char** argv) {
   using namespace swbpbc;
 
-  util::Options opt(argc, argv);
+  const util::Options opt = util::Options::parse_or_exit(
+      argc, argv,
+      {"backend", "count", "db", "json", "linear", "trace", "width"});
   const auto count = static_cast<std::size_t>(opt.get_int("count", 256));
   const std::size_t m = 24, n = 200;
 
@@ -130,16 +132,14 @@ int main(int argc, char** argv) {
   // Resolve the host engine (auto = measured cost model; the environment
   // override outranks the flag, same as the lane width).
   sw::BackendChoice engine;
+  sw::DispatchWorkload workload;
   try {
-    const auto workload =
-        sw::DispatchWorkload::from(scheme, count, m, n, resolved);
+    workload = sw::DispatchWorkload::from(scheme, count, m, n, resolved);
     engine = sw::resolve_backend_choice(*backend, workload);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "backend resolution failed: %s\n", e.what());
     return 1;
   }
-  std::printf("backend: %s (requested %s)\n",
-              sw::backend_choice_name(engine), backend_name.c_str());
 
   sw::PhaseTimings timings;
   sw::StripedStats striped_stats;
@@ -164,6 +164,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::vector<std::uint32_t>& scores = *screened;
+  // The dispatcher explains itself: both engines' predicted cost beside
+  // the time the chosen one took.
+  const sw::CostModel& model = sw::CostModel::measured();
+  std::printf("backend: %s (requested %s; predicted bpbc %.3f ms, "
+              "striped %.3f ms; measured %.3f ms)\n",
+              sw::backend_choice_name(engine), backend_name.c_str(),
+              model.bpbc_cost_ns(workload) * 1e-6,
+              model.striped_cost_ns(workload) * 1e-6, ms);
 
   // Per-instance GCUPS: every lane computes its own m*n DP cells.
   const double cells = static_cast<double>(count) *

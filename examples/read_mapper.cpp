@@ -14,7 +14,8 @@
 int main(int argc, char** argv) {
   using namespace swbpbc;
 
-  util::Options opt(argc, argv);
+  const util::Options opt = util::Options::parse_or_exit(
+      argc, argv, {"error-rate", "read-len", "reads"});
   const auto n_reads = static_cast<std::size_t>(opt.get_int("reads", 128));
   const auto read_len =
       static_cast<std::size_t>(opt.get_int("read-len", 48));

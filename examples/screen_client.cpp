@@ -127,7 +127,11 @@ struct Tally {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Options opt(argc, argv);
+  const util::Options opt = util::Options::parse_or_exit(
+      argc, argv,
+      {"backend", "deadline-budget-ms", "flood", "id-prefix", "m", "n", "pairs",
+       "requests", "retry-initial-ms", "retry-max-attempts", "retry-max-ms",
+       "seed", "socket", "stats-out", "tenant", "trace", "verify"});
   const std::string socket_path = opt.get("socket", "screen_serve.sock");
   const std::string tenant = opt.get("tenant", "default");
   const std::string prefix = opt.get("id-prefix", tenant);
@@ -315,7 +319,8 @@ int main(int argc, char** argv) {
         ev.dur_us = e.dur_us;
         ev.track = e.track;
         ev.trace_id = e.trace_id;
-        for (std::size_t i = 0; i < e.args.size() && i < 2; ++i) {
+        for (std::size_t i = 0;
+             i < e.args.size() && i < telemetry::kSpanArgSlots; ++i) {
           ev.arg_names[i] = e.args[i].first.c_str();
           ev.arg_values[i] = e.args[i].second;
         }

@@ -34,7 +34,9 @@ std::size_t completed_chunks(const sw::ScreenReport& report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Options opt(argc, argv);
+  const util::Options opt = util::Options::parse_or_exit(
+      argc, argv,
+      {"chunk", "count", "deadline-ms", "kill-after-chunks", "m", "n", "seed"});
   const auto count = static_cast<std::size_t>(opt.get_int("count", 2048));
   const auto m = static_cast<std::size_t>(opt.get_int("m", 16));
   const auto n = static_cast<std::size_t>(opt.get_int("n", 48));

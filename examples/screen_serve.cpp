@@ -34,7 +34,14 @@
 using namespace swbpbc;
 
 int main(int argc, char** argv) {
-  util::Options opt(argc, argv);
+  const util::Options opt = util::Options::parse_or_exit(
+      argc, argv,
+      {"abort-after-batches", "backend", "crash-after-batches",
+       "disconnect-prob", "engine", "fault-seed", "flight-capacity",
+       "flight-recorder", "flip-prob", "journal", "lane-group", "linger-ms",
+       "max-queued-pairs", "max-queued-requests", "report", "retry-hint-ms",
+       "slow-ms", "socket", "stall-ms", "stall-prob", "stats-dump", "tear-prob",
+       "telemetry", "tenant-quota-pairs", "trace", "width"});
   service::ServerConfig config;
   config.socket_path = opt.get("socket", "screen_serve.sock");
   config.journal_path = opt.get("journal", "");

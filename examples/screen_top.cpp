@@ -103,7 +103,8 @@ void render(const telemetry::RunReport& report, std::uint64_t frame) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::Options opt(argc, argv);
+  const util::Options opt = util::Options::parse_or_exit(
+      argc, argv, {"interval-ms", "once", "socket"});
   const bool once = opt.get_bool("once", false);
   const double interval_ms = opt.get_double("interval-ms", 1000.0);
 

@@ -338,6 +338,28 @@ EOF
   # skipped (--smoke regions are all noise).
   ./build/bench/ablation_crossover --smoke > /dev/null
 
+  echo "== tier 1: crossover dispatcher-agreement gate (full-size sweep) =="
+  # The full-size regions with the agreement gate armed: the run fails if
+  # the committed CostModel picks the slower engine on any region the
+  # faster one wins by >= 25% (best of 5 reps per engine, about 2 s).
+  ./build/bench/ablation_crossover --reps=5 > /dev/null
+
+  echo "== tier 1: undeclared-flag negative smoke (typed rejection) =="
+  # Every bench and example declares the flags it accepts; a misspelt or
+  # retired one (the deleted overlap's --overlap-depth here) must fail
+  # with a typed INVALID_INPUT naming it, not run as if it were absent.
+  if ./build/bench/table4_runtime --pairs=64 --m=16 --n=64 \
+      --overlap-depth=3 > "$smoke_dir/badflag.out" 2>&1; then
+    echo "table4_runtime --overlap-depth=3 was silently accepted" >&2
+    exit 1
+  fi
+  grep "INVALID_INPUT" "$smoke_dir/badflag.out" \
+      | grep -q -- "--overlap-depth" || {
+    echo "--overlap-depth not rejected with INVALID_INPUT naming it" >&2
+    cat "$smoke_dir/badflag.out" >&2
+    exit 1
+  }
+
   echo "== tier 1: performance ledger smoke (build, metrics, score gate) =="
   # perfbench/ builds its own copy of the libraries from src/, so a
   # library change that breaks the ledger's build, drops a metric, or

@@ -180,4 +180,29 @@ constexpr std::uint64_t ops_sw_cell_bound(std::uint64_t s) {
   return 48 * s - 18;
 }
 
+/// Exact count of the production kernel's fused DP cell (sw::scheme_cell)
+/// per lane word: the diagonal term (matching_B under a uniform scheme;
+/// Add_B then SSub_B of the sign-split entry under a matrix scheme), the
+/// gap recurrence (linear: max_B, SSub_B, max_B; Gotoh: four SSub_B and
+/// four max_B over the E and F chains and H = max(T, E, F)) and one max_B
+/// into the running maximum. Uniform linear is ops_sw_cell(s, eps) +
+/// ops_max(s); a matrix cell is 51s - 18 (linear) or 96s - 34 (affine),
+/// before the mux that selects its entry (ops_matrix_mux).
+constexpr std::uint64_t ops_scheme_cell(std::uint64_t s, std::uint64_t eps,
+                                        bool matrix, bool affine) {
+  const std::uint64_t diag =
+      matrix ? ops_add(s) + ops_ssub(s) : ops_matching(s, eps);
+  const std::uint64_t gaps = affine ? 4 * ops_ssub(s) + 4 * ops_max(s)
+                                    : ops_ssub(s) + 2 * ops_max(s);
+  return diag + gaps + ops_max(s);
+}
+
+/// The matrix mux per cell: for each of `planes` sign-split magnitude
+/// planes, an OR over the `sigma` symbols of (row selector AND column
+/// profile word).
+constexpr std::uint64_t ops_matrix_mux(std::uint64_t sigma,
+                                       std::uint64_t planes) {
+  return 2 * sigma * planes;
+}
+
 }  // namespace swbpbc::bitops

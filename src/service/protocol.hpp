@@ -112,8 +112,9 @@ struct TraceDump {
     std::uint64_t dur_us = 0;
     std::uint32_t track = 0;
     std::uint64_t trace_id = 0;
-    // Flattened TraceEvent args (up to 2 on the sender today; the wire
-    // format carries an explicit count so that may grow).
+    // Flattened TraceEvent args (up to telemetry::kSpanArgSlots on the
+    // sender today; the wire format carries an explicit count, capped at
+    // 16, so that may grow).
     std::vector<std::pair<std::string, std::int64_t>> args;
   };
 

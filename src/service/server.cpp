@@ -901,7 +901,7 @@ TraceDump ScreenServer::Impl::build_trace_dump() const {
     out.dur_us = e.dur_us;
     out.track = e.track;
     out.trace_id = e.trace_id;
-    for (std::size_t i = 0; i < 2; ++i)
+    for (std::size_t i = 0; i < telemetry::kSpanArgSlots; ++i)
       if (e.arg_names[i] != nullptr)
         out.args.emplace_back(e.arg_names[i], e.arg_values[i]);
     dump.events.push_back(std::move(out));

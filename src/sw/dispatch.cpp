@@ -1,9 +1,11 @@
 #include "sw/dispatch.hpp"
 
+#include <bit>
 #include <cstdlib>
 #include <memory>
 #include <string>
 
+#include "bitops/arith.hpp"
 #include "sw/backend.hpp"
 #include "sw/striped.hpp"
 
@@ -56,57 +58,50 @@ DispatchWorkload DispatchWorkload::from(const ScoringScheme& scheme,
   w.n = n;
   w.slices = scheme_required_slices(scheme, m, n);
   w.alphabet_bits = scheme.alphabet_bits();
+  w.symbols = static_cast<unsigned>(scheme.alphabet().size());
   w.lane_bits = lane_width_bits(resolved_width);
   w.affine = scheme.affine();
   w.matrix = !scheme.uniform();
-  const std::uint64_t bound =
-      static_cast<std::uint64_t>(scheme.max_positive()) * m +
-      scheme.max_positive();
-  w.wide_cells = bound > 0xFFFFull;
+  if (w.matrix)
+    w.mux_planes =
+        static_cast<unsigned>(std::bit_width(scheme.matrix->max_positive()) +
+                              std::bit_width(scheme.matrix->max_negative()));
   return w;
 }
 
 double CostModel::bpbc_cost_ns(const DispatchWorkload& w) const {
-  // The batch is packed one instance per lane, so the word ops cost the
-  // same whether a word's lanes are full or mostly padding: price
-  // ceil(pairs / lane_bits) full words. This under-fill term dominates
-  // the crossover for small batches.
   const std::size_t lanes = w.lane_bits > 0 ? w.lane_bits : 64;
-  const double padded_pairs =
-      static_cast<double>((w.pairs + lanes - 1) / lanes) *
-      static_cast<double>(lanes);
-  const double cells =
-      padded_pairs * static_cast<double>(w.m) * static_cast<double>(w.n);
-  double per_cell = bpbc_base_ns + bpbc_slice_ns * w.slices;
-  if (w.affine) per_cell *= bpbc_affine_mul;
-  if (w.matrix)
-    per_cell += bpbc_matrix_ns * static_cast<double>(1u << w.alphabet_bits);
-  // Lanes share every gate op; the wide words are not perfectly linear
-  // in width (limb decomposition, memory), but the bench-fitted base
-  // coefficient absorbs that at 64 and the ratio is close enough above.
-  return cells * per_cell * 64.0 / static_cast<double>(lanes);
+  const double words = static_cast<double>((w.pairs + lanes - 1) / lanes);
+  const double word_cells =
+      words * static_cast<double>(w.m) * static_cast<double>(w.n);
+  const double cell_ops = static_cast<double>(
+      bitops::ops_scheme_cell(w.slices, w.alphabet_bits, w.matrix, w.affine));
+  const double mux_ops =
+      w.matrix ? static_cast<double>(
+                     bitops::ops_matrix_mux(w.symbols, w.mux_planes))
+               : 0.0;
+  const double lane_slots = words * static_cast<double>(lanes) *
+                            static_cast<double>(w.m + w.n);
+  return word_cells * (cell_ops * bpbc_op_ns + mux_ops * bpbc_mux_op_ns) +
+         lane_slots * bpbc_w2b_ns;
 }
 
 double CostModel::striped_cost_ns(const DispatchWorkload& w) const {
   const double cells = static_cast<double>(w.pairs) *
                        static_cast<double>(w.m) * static_cast<double>(w.n);
-  const double per_cell =
-      striped_cell_ns * (w.wide_cells ? striped_wide_mul : 1.0);
-  // Each text column pays a fixed lazy-F / loop overhead regardless of
-  // the segment count — the term that prices short queries out.
   const double columns =
       static_cast<double>(w.pairs) * static_cast<double>(w.n);
   // One profile per distinct query; the screen front ends broadcast one
-  // query across the batch, so charge a single build (the cache makes
-  // repeats free anyway).
+  // query across the batch, so charge a single build.
   const double profile =
-      striped_profile_ns * static_cast<double>(1u << w.alphabet_bits) *
-      static_cast<double>(w.m);
-  return cells * per_cell + columns * striped_column_ns + profile;
+      striped_profile_base_ns +
+      striped_profile_ns * static_cast<double>(w.symbols) *
+          static_cast<double>(w.m);
+  return cells * striped_cell_ns + columns * striped_column_ns + profile;
 }
 
 const CostModel& CostModel::measured() {
-  static const CostModel model;  // bench-fitted defaults (see dispatch.hpp)
+  static const CostModel model;  // the fitted defaults (see dispatch.hpp)
   return model;
 }
 
@@ -124,8 +119,11 @@ DispatchedBackend make_dispatch_backend(const ScoringScheme& scheme,
                                         LaneWidth width, bulk::Mode mode,
                                         BackendChoice requested,
                                         const DispatchWorkload& workload) {
+  const CostModel& model = CostModel::measured();
   DispatchedBackend out;
-  out.choice = resolve_backend_choice(requested, workload);
+  out.choice = resolve_backend_choice(requested, workload, model);
+  out.bpbc_cost_ns = model.bpbc_cost_ns(workload);
+  out.striped_cost_ns = model.striped_cost_ns(workload);
   out.backend = out.choice == BackendChoice::kStriped
                     ? make_striped_backend(scheme, mode)
                     : make_host_backend(scheme, width, mode);

@@ -4,16 +4,20 @@
 //
 // The two production engines are bit-identical on every scheme, so the
 // choice is purely a throughput decision — which is exactly why it can
-// be automated: resolve_backend_choice() evaluates a small per-cell cost
-// model (coefficients measured by bench/ablation_crossover.cpp on the
-// same workloads BENCH_crossover.json records) over the workload shape
-// (s bit slices, m, n, pairs, alphabet bits, resolved lane width, gap
-// model, matrix vs uniform) and picks the cheaper engine. BPBC's
-// per-cell cost grows with the slice count and the scheme's circuit
-// depth but is divided across the lane width; striped's per-cell cost is
-// nearly flat (8 or 4 cells per vector op, independent of s). So BPBC
-// wins small-s DNA at wide lanes, striped wins large-s / affine / matrix
-// schemes — the crossover surface in BENCH_crossover.json.
+// be automated: resolve_backend_choice() prices the workload shape (s
+// bit slices, m, n, pairs, alphabet, resolved lane width, gap model,
+// matrix vs uniform) on both engines and picks the cheaper one. BPBC is
+// priced from its kernel's exact per-cell op count (bitops::
+// ops_scheme_cell, the paper's Theorem 6 generalized, plus the matrix
+// mux) times the lane words the batch occupies, plus its word-to-bit
+// transpose; striped from its cells, text columns and query profile.
+// The few coefficients are nanoseconds per physical unit, fitted by
+// bench/ablation_crossover.cpp --emit-model on this build (DESIGN.md
+// decision 30). BPBC's cost grows with s and the scheme's circuit but
+// is shared by every lane of a word; striped's is flat in s. So BPBC
+// wins short-query DNA at full lanes, striped wins long queries, affine
+// and matrix schemes and thin batches — the crossover surface in
+// BENCH_crossover.json.
 //
 // SWBPBC_FORCE_BACKEND=bpbc|striped|auto outranks every
 // config field (the lane-width override pattern: read and validated
@@ -65,10 +69,11 @@ struct DispatchWorkload {
   std::size_t n = 0;          // target length
   unsigned slices = 8;        // s: BPBC bit slices for (scheme, m, n)
   unsigned alphabet_bits = 2; // epsilon
+  unsigned symbols = 4;       // sigma: alphabet size
   unsigned lane_bits = 64;    // resolved BPBC lane width
   bool affine = false;        // three carry chains instead of one
-  bool matrix = false;        // substitution mux tree instead of XOR
-  bool wide_cells = false;    // striped needs 32-bit cells (4 lanes)
+  bool matrix = false;        // substitution mux instead of XOR compare
+  unsigned mux_planes = 0;    // matrix: sign-split magnitude planes
 
   [[nodiscard]] static DispatchWorkload from(const ScoringScheme& scheme,
                                              std::size_t pairs, std::size_t m,
@@ -76,32 +81,35 @@ struct DispatchWorkload {
                                              LaneWidth resolved_width);
 };
 
-/// Per-cell nanosecond coefficients, measured on the dispatch host by
-/// bench/ablation_crossover.cpp (regenerate with --emit-model; the
-/// committed BENCH_crossover.json records the run the builtin table came
-/// from). The absolute scale cancels in the comparison — only the ratios
-/// place the crossover.
+/// Nanosecond coefficients per physical unit, fitted on the dispatch host
+/// by bench/ablation_crossover.cpp --emit-model (a least-squares fit over
+/// every region of the sweep; the committed values are the medians of
+/// the per-sweep fits recorded in EXPERIMENTS.md, and
+/// BENCH_crossover.json records one such sweep). Only the ratio of the
+/// two engines' prices places the crossover.
 struct CostModel {
-  // BPBC: per cell per instance at 64 lanes. Cost scales with the slice
-  // count (ripple-carry chains are s gate layers deep), multiplies for
-  // affine (H/E/F chains), pays a per-plane mux tree for matrix lookup,
-  // and divides across lane_bits/64 — but the batch pays for *padded*
-  // lanes: ceil(pairs / lane_bits) full words, so a 4-pair batch at 128
-  // lanes costs the same word ops as a 128-pair batch. That lane
-  // under-fill term is what hands small batches to striped.
-  double bpbc_base_ns = 0.77;
-  double bpbc_slice_ns = 0.08;
-  double bpbc_affine_mul = 1.41;
-  double bpbc_matrix_ns = 0.07;  // per matrix-mux leaf (2^alphabet_bits)
-  // Striped: per cell at 16-bit elements (8 lanes/vector); 32-bit cells
-  // halve the lanes (measured: the memory system hides it — the fit
-  // clamps the multiplier at 1). Each text column also pays a fixed
-  // lazy-F / loop overhead, which is why short queries (small m) lean
-  // BPBC. Profile build is charged per (symbol, position).
-  double striped_cell_ns = 1.35;
-  double striped_column_ns = 64.21;
-  double striped_wide_mul = 1.0;
-  double striped_profile_ns = 196.27;
+  // BPBC: the batch is packed one instance per lane, so it pays for
+  // ceil(pairs / lane_bits) whole lane words however few lanes are real.
+  // Every word runs m * n kernel cells of bitops::ops_scheme_cell word
+  // ops (about 0.16 ns each at every width from 32 to 512 lanes on the
+  // fit host: a wide word op is one vector instruction), and a matrix
+  // scheme adds bitops::ops_matrix_mux ops per cell. Each mux op reads a
+  // profile word from a sigma * planes * n-word table, so it has its own
+  // price (about 5x a cell op). W2B transposes every lane slot of every
+  // word, real or padding, at each of the m + n positions.
+  double bpbc_op_ns = 0.163;     // per lane-word op of the fused cell
+  double bpbc_mux_op_ns = 0.80;  // per lane-word op of the matrix mux
+  double bpbc_w2b_ns = 2.37;     // per transposed lane slot and position
+  // Striped: per cell of the 128-bit kernel. Its 8-bit first pass does
+  // the work whatever the exact cell width, so 32-bit cells cost no more
+  // (the fit put them below 16-bit ones). Each text column pays a fixed
+  // lazy-F / loop overhead, which is what prices short queries out.
+  // Each call builds one query profile: a fixed cost plus one entry per
+  // (symbol, query position).
+  double striped_cell_ns = 0.204;
+  double striped_column_ns = 10.3;
+  double striped_profile_ns = 6.02;
+  double striped_profile_base_ns = 19050.0;
 
   [[nodiscard]] double bpbc_cost_ns(const DispatchWorkload& w) const;
   [[nodiscard]] double striped_cost_ns(const DispatchWorkload& w) const;
@@ -118,10 +126,13 @@ struct CostModel {
     const CostModel& model = CostModel::measured());
 
 /// A resolved host engine for the DNA screen loop: the choice actually
-/// selected plus the Backend that implements it.
+/// selected, the Backend that implements it, and both engines' predicted
+/// cost (CostModel::measured()), so a trace can show why.
 struct DispatchedBackend {
   BackendChoice choice = BackendChoice::kBpbc;
   std::unique_ptr<Backend> backend;
+  double bpbc_cost_ns = 0.0;
+  double striped_cost_ns = 0.0;
 };
 
 /// Builds the host engine `requested` resolves to for this workload:

@@ -340,7 +340,8 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
   // store serves ys from disk; otherwise the host engine is picked by
   // backend_choice (BPBC / striped / the measured cost-model
   // auto-dispatch). One interface runs every chunk from here
-  // on, and the host selection is observable: a span arg plus a
+  // on, and the host selection is observable: span args naming the
+  // engine and both engines' predicted cost, plus a
   // backend_selected.<engine> counter.
   std::unique_ptr<Backend> owned_backend;
   Backend* backend = config.backend;
@@ -365,6 +366,10 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
                                 config.backend_choice, workload);
       owned_backend = std::move(dispatched.backend);
       screen_span.arg("backend", static_cast<std::int64_t>(dispatched.choice));
+      screen_span.arg("bpbc_cost_ns",
+                      static_cast<std::int64_t>(dispatched.bpbc_cost_ns));
+      screen_span.arg("striped_cost_ns",
+                      static_cast<std::int64_t>(dispatched.striped_cost_ns));
       if (config.telemetry != nullptr)
         config.telemetry->registry()
             .counter(std::string("backend_selected.") +

@@ -129,8 +129,7 @@ std::string Tracer::chrome_trace_json() const {
     out += std::to_string(e.ts_us);
     out += ",\"dur\":";
     out += std::to_string(e.dur_us);
-    if (e.arg_names[0] != nullptr || e.arg_names[1] != nullptr ||
-        e.trace_id != 0) {
+    if (e.arg_names[0] != nullptr || e.trace_id != 0) {
       out += ",\"args\":{";
       bool first_arg = true;
       if (e.trace_id != 0) {
@@ -144,8 +143,8 @@ std::string Tracer::chrome_trace_json() const {
         out += '"';
         first_arg = false;
       }
-      for (std::size_t i = 0; i < 2; ++i) {
-        if (e.arg_names[i] == nullptr) continue;
+      for (std::size_t i = 0; i < kSpanArgSlots; ++i) {
+        if (e.arg_names[i] == nullptr) break;
         if (!first_arg) out += ',';
         first_arg = false;
         out += '"';

@@ -61,6 +61,11 @@ class ScopedTraceContext {
   std::uint64_t saved_;
 };
 
+/// Numeric argument slots per span: enough for the screen span's batch
+/// shape (pairs, chunks), the engine it dispatched to and both engines'
+/// predicted cost.
+inline constexpr std::size_t kSpanArgSlots = 5;
+
 /// One completed span. `name`/`cat`/arg keys must be string literals (or
 /// otherwise outlive the tracer): the ring stores the pointers, not
 /// copies, to keep recording allocation-free.
@@ -71,10 +76,11 @@ struct TraceEvent {
   std::uint64_t dur_us = 0;
   std::uint32_t track = 0;   // rendered as the Chrome "tid"
   // Request correlation id; 0 means "not request-scoped". Exported as a
-  // "trace_id" hex-string arg without consuming the two numeric slots.
+  // "trace_id" hex-string arg without consuming a numeric slot.
   std::uint64_t trace_id = 0;
-  const char* arg_names[2] = {nullptr, nullptr};
-  std::int64_t arg_values[2] = {0, 0};
+  // Filled in order; the first null name ends the list.
+  const char* arg_names[kSpanArgSlots] = {};
+  std::int64_t arg_values[kSpanArgSlots] = {};
 };
 
 class FlightRecorder;
@@ -148,16 +154,15 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Attaches a numeric argument (first two calls stick; `key` must be a
-  /// string literal).
+  /// Attaches a numeric argument (the first kSpanArgSlots calls stick;
+  /// `key` must be a string literal).
   void arg(const char* key, std::int64_t value) {
     if (tracer_ == nullptr) return;
-    if (event_.arg_names[0] == nullptr) {
-      event_.arg_names[0] = key;
-      event_.arg_values[0] = value;
-    } else if (event_.arg_names[1] == nullptr) {
-      event_.arg_names[1] = key;
-      event_.arg_values[1] = value;
+    for (std::size_t i = 0; i < kSpanArgSlots; ++i) {
+      if (event_.arg_names[i] != nullptr) continue;
+      event_.arg_names[i] = key;
+      event_.arg_values[i] = value;
+      return;
     }
   }
 

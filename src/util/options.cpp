@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 namespace swbpbc::util {
@@ -34,6 +35,32 @@ Options::Options(int argc, char** argv) {
       values_[arg] = "";  // bare flag (use --key=value to pass a value)
     }
   }
+}
+
+Expected<Options> Options::parse(
+    int argc, char** argv, std::initializer_list<std::string_view> known) {
+  Options opt(argc, argv);
+  for (const auto& [name, value] : opt.values_) {
+    if (std::find(known.begin(), known.end(), name) != known.end()) continue;
+    std::string accepted;
+    for (const std::string_view k : known) {
+      accepted += accepted.empty() ? "--" : ", --";
+      accepted += k;
+    }
+    return Status::invalid_input("unknown option --" + name +
+                                 " (accepted: " + accepted + ")");
+  }
+  return opt;
+}
+
+Options Options::parse_or_exit(
+    int argc, char** argv, std::initializer_list<std::string_view> known) {
+  Expected<Options> opt = parse(argc, argv, known);
+  if (!opt.has_value()) {
+    std::fprintf(stderr, "%s\n", opt.status().to_string().c_str());
+    std::exit(2);
+  }
+  return std::move(opt).value();
 }
 
 std::string Options::raw(const std::string& name, bool& found) const {

@@ -2,19 +2,36 @@
 //
 // Supports `--key=value` and bare `--flag` (boolean true), with
 // environment-variable fallbacks (SWBPBC_<KEY>) so the harnesses can be
-// reconfigured even when launched with no arguments.
+// reconfigured even when launched with no arguments. A program declares
+// the flags it accepts through parse() / parse_or_exit(), so a misspelt
+// or retired flag is an error rather than silently ignored.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "util/status.hpp"
 
 namespace swbpbc::util {
 
 class Options {
  public:
+  /// Accepts every --name (no declared flag list).
   Options(int argc, char** argv);
+
+  /// Parses argv and rejects any --name not in `known`: a typed
+  /// kInvalidInput naming an unknown flag and the accepted ones.
+  [[nodiscard]] static Expected<Options> parse(
+      int argc, char** argv, std::initializer_list<std::string_view> known);
+
+  /// parse() for a program's main: on an unknown flag, prints the status
+  /// to stderr and exits with status 2.
+  [[nodiscard]] static Options parse_or_exit(
+      int argc, char** argv, std::initializer_list<std::string_view> known);
 
   /// True if --name was given (with or without a value).
   [[nodiscard]] bool has(const std::string& name) const;

@@ -300,6 +300,23 @@ TEST_P(OpCount, KernelMatrixCellCost) {
   EXPECT_EQ(aff.fused, aff.composed);
 }
 
+TEST_P(OpCount, KernelCellCostIsOpsSchemeCell) {
+  // The cost model (sw/dispatch.cpp) prices a BPBC cell at
+  // ops_scheme_cell: it must be the fused cell's exact count under every
+  // (substitution, gap) model, and match the matrix pins' closed forms.
+  const unsigned s = GetParam();
+  for (const bool matrix : {false, true}) {
+    for (const bool affine : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "matrix=" << matrix << " affine=" << affine);
+      EXPECT_EQ(cell_ops(s, matrix, affine).fused,
+                ops_scheme_cell(s, 2, matrix, affine));
+    }
+  }
+  EXPECT_EQ(ops_scheme_cell(s, 2, true, false), 51u * s - 18u);
+  EXPECT_EQ(ops_scheme_cell(s, 2, true, true), 96u * s - 34u);
+}
+
 TEST_P(OpCount, KernelCellMatchesComposedPrimitives) {
   const unsigned s = GetParam();
   for (const bool matrix : {false, true}) {

@@ -2,17 +2,23 @@
 // SWBPBC_FORCE_BACKEND policy function (every spelling, the no-override
 // cases, the typed negative naming the variable), auto-resolution
 // determinism (never kAuto, follows the cheaper engine for both cost
-// orderings), and end-to-end screen bit-identity whichever host engine
-// backend_choice selects, linear or affine.
+// orderings), the committed model's decisions on the shapes it was
+// fitted for, the screen span that records them, and end-to-end screen
+// bit-identity whichever host engine backend_choice selects, linear or
+// affine.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "sw/backend.hpp"
 #include "sw/dispatch.hpp"
 #include "sw/pipeline.hpp"
 #include "sw/scoring.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 
@@ -97,7 +103,8 @@ TEST(DispatchWorkloadTest, FromCapturesSchemeShape) {
   EXPECT_EQ(w.lane_bits, 512u);
   EXPECT_TRUE(w.affine);
   EXPECT_FALSE(w.matrix);
-  EXPECT_FALSE(w.wide_cells);
+  EXPECT_EQ(w.symbols, 4u);
+  EXPECT_EQ(w.mux_planes, 0u);
   EXPECT_GT(w.slices, 0u);
 
   ScoringScheme protein;
@@ -109,7 +116,9 @@ TEST(DispatchWorkloadTest, FromCapturesSchemeShape) {
       DispatchWorkload::from(protein, 1, 8000, 100, LaneWidth::k64);
   EXPECT_TRUE(p.matrix);
   EXPECT_EQ(p.alphabet_bits, 5u);
-  EXPECT_TRUE(p.wide_cells);  // 11 * 8000 blows the 16-bit bound
+  EXPECT_EQ(p.symbols, 20u);
+  // Sign-split magnitudes: bit_width(11) positive + bit_width(4) negative.
+  EXPECT_EQ(p.mux_planes, 7u);
 }
 
 // Explicit requests pass straight through — the model never overrides a
@@ -127,15 +136,16 @@ TEST(ResolveBackend, ExplicitChoicePassesThrough) {
 TEST(ResolveBackend, AutoFollowsTheCostModel) {
   const DispatchWorkload w = dna_workload();
   CostModel bpbc_wins;
-  bpbc_wins.bpbc_base_ns = 0.01;
-  bpbc_wins.bpbc_slice_ns = 0.0;
+  bpbc_wins.bpbc_op_ns = 1e-4;
+  bpbc_wins.bpbc_w2b_ns = 0.0;
   bpbc_wins.striped_cell_ns = 100.0;
   EXPECT_EQ(resolve_backend_choice(BackendChoice::kAuto, w, bpbc_wins),
             BackendChoice::kBpbc);
   CostModel striped_wins;
-  striped_wins.bpbc_base_ns = 100.0;
+  striped_wins.bpbc_op_ns = 100.0;
   striped_wins.striped_cell_ns = 0.01;
   striped_wins.striped_profile_ns = 0.0;
+  striped_wins.striped_profile_base_ns = 0.0;
   EXPECT_EQ(resolve_backend_choice(BackendChoice::kAuto, w, striped_wins),
             BackendChoice::kStriped);
   // The agreement property the dispatcher rests on, stated directly.
@@ -155,10 +165,11 @@ TEST(ResolveBackend, AutoIsDeterministic) {
   EXPECT_NE(first, BackendChoice::kAuto);
 }
 
-// The cost model's measured shape: BPBC's per-cell price rises with the
-// slice count and falls with lane width; striped's is flat in both. The
-// crossover surface in BENCH_crossover.json depends on these monotonic
-// directions, not the absolute coefficients.
+// The cost model's measured shape: BPBC's price rises with the slice
+// count, the Gotoh chains and the matrix mux (each adds word ops to the
+// cell) and falls with lane width; striped's is flat in s and width.
+// The crossover surface in BENCH_crossover.json depends on these
+// monotonic directions, not the absolute coefficients.
 TEST(CostModelTest, MonotoneInSlicesAndLaneWidth) {
   const CostModel& m = CostModel::measured();
   DispatchWorkload w = dna_workload();
@@ -171,16 +182,15 @@ TEST(CostModelTest, MonotoneInSlicesAndLaneWidth) {
   EXPECT_LT(m.bpbc_cost_ns(wider), base);
   EXPECT_EQ(m.striped_cost_ns(more_slices), m.striped_cost_ns(w));
   EXPECT_EQ(m.striped_cost_ns(wider), m.striped_cost_ns(w));
-  // GE, not GT: the measured table's wide-cell multiplier is clamped at
-  // 1 (the memory system hid the halved vector occupancy on the bench
-  // host); the model just must never price wide cells *cheaper*.
-  DispatchWorkload wide_cells = w;
-  wide_cells.wide_cells = true;
-  EXPECT_GE(m.striped_cost_ns(wide_cells), m.striped_cost_ns(w));
-  CostModel penalized;
-  penalized.striped_wide_mul = 2.0;
-  EXPECT_GT(penalized.striped_cost_ns(wide_cells),
-            penalized.striped_cost_ns(w));
+  DispatchWorkload affine = w;
+  affine.affine = true;
+  EXPECT_GT(m.bpbc_cost_ns(affine), base);
+  DispatchWorkload matrix = w;
+  matrix.matrix = true;
+  matrix.symbols = 20;
+  DispatchWorkload muxed = matrix;
+  muxed.mux_planes = 7;
+  EXPECT_GT(m.bpbc_cost_ns(muxed), m.bpbc_cost_ns(matrix));
 }
 
 // BPBC pays for padded lanes: a batch smaller than the lane count costs
@@ -214,6 +224,48 @@ TEST(CostModelTest, StripedChargesPerColumnOverhead) {
   EXPECT_GT(m.striped_cost_ns(short_q), m.striped_cost_ns(long_q));
 }
 
+ScoringScheme blosum62_affine() {
+  ScoringScheme s;
+  s.matrix = blosum62();
+  s.gap_model = GapModel::kAffine;
+  s.gap_open = 11;
+  s.gap_extend = 1;
+  return s;
+}
+
+// The committed model on the protein-search workload's shapes: 48
+// log-spaced query lengths from 30 to 600 residues against each of its
+// three target bins (128 x 96, 48 x 224, 16 x 448 residues), BLOSUM62
+// affine 11/1 at 512 lanes. Striped is faster on every one (measured:
+// 4.8x on the closest, the 128-target bin at m = 30), so auto must
+// never pick BPBC there.
+TEST(CommittedModel, SendsEveryProteinSearchShapeToStriped) {
+  const CostModel& model = CostModel::measured();
+  const ScoringScheme scheme = blosum62_affine();
+  const struct {
+    std::size_t pairs, n;
+  } bins[] = {{128, 96}, {48, 224}, {16, 448}};
+  for (int i = 0; i < 48; ++i) {
+    const auto m = static_cast<std::size_t>(
+        std::lround(30.0 * std::pow(600.0 / 30.0, i / 47.0)));
+    for (const auto& bin : bins) {
+      const DispatchWorkload w =
+          DispatchWorkload::from(scheme, bin.pairs, m, bin.n, LaneWidth::k512);
+      EXPECT_LT(model.striped_cost_ns(w), model.bpbc_cost_ns(w))
+          << "m=" << m << " bin " << bin.pairs << "x" << bin.n;
+    }
+  }
+}
+
+// ...and BPBC keeps the region it wins by 1.5-2.3x at full lane fill:
+// one short DNA query against 512 targets, linear +2/-1/-1 at 512 lanes.
+TEST(CommittedModel, SendsFullLaneShortDnaToBpbc) {
+  const CostModel& model = CostModel::measured();
+  const DispatchWorkload w = DispatchWorkload::from(
+      ScoringScheme::from_params({2, 1, 1}), 512, 24, 256, LaneWidth::k512);
+  EXPECT_LT(model.bpbc_cost_ns(w), model.striped_cost_ns(w));
+}
+
 TEST(MakeDispatchBackend, BuildsEveryHostEngine) {
   ScoringScheme affine;
   affine.gap_model = GapModel::kAffine;
@@ -233,23 +285,29 @@ TEST(MakeDispatchBackend, BuildsEveryHostEngine) {
   }
 }
 
+// `pairs` random DNA pairs of lengths m and n.
+void random_dna_batch(util::Xoshiro256& rng, std::size_t pairs, std::size_t m,
+                      std::size_t n, std::vector<Sequence>& xs,
+                      std::vector<Sequence>& ys) {
+  const auto random_dna = [&rng](std::size_t len) {
+    Sequence s(len);
+    for (auto& b : s) b = static_cast<encoding::Base>(rng.below(4));
+    return s;
+  };
+  for (std::size_t k = 0; k < pairs; ++k) {
+    xs.push_back(random_dna(m));
+    ys.push_back(random_dna(n));
+  }
+}
+
 // The property the whole PR rests on: whichever engine backend_choice
 // selects, the screen's scores are bit-identical. Runs the same batch
 // through every choice (auto resolves to bpbc or striped) and a chunked
 // variant, linear and affine.
 TEST(DispatchScreen, ScoresBitIdenticalAcrossEveryChoice) {
   util::Xoshiro256 rng(31);
-  const auto random_dna = [&rng](std::size_t len) {
-    Sequence s(len);
-    for (auto& b : s) b = static_cast<encoding::Base>(rng.below(4));
-    return s;
-  };
-  const std::size_t pairs = 48, m = 20, n = 96;
   std::vector<Sequence> xs, ys;
-  for (std::size_t k = 0; k < pairs; ++k) {
-    xs.push_back(random_dna(m));
-    ys.push_back(random_dna(n));
-  }
+  random_dna_batch(rng, 48, 20, 96, xs, ys);
   for (const bool affine : {false, true}) {
     ScoringScheme scheme;
     if (affine) {
@@ -276,6 +334,52 @@ TEST(DispatchScreen, ScoresBitIdenticalAcrossEveryChoice) {
           << backend_choice_name(c) << " affine=" << affine;
     }
   }
+}
+
+// A dispatched screen explains itself: its screen span names the engine
+// and carries both engines' predicted cost, and recording that changes
+// no score.
+TEST(DispatchScreen, ScreenSpanCarriesBothPredictions) {
+  util::Xoshiro256 rng(47);
+  std::vector<Sequence> xs, ys;
+  random_dna_batch(rng, 40, 24, 128, xs, ys);
+  ScreenConfig off;
+  off.traceback = false;
+  off.backend_choice = BackendChoice::kAuto;
+  const auto want = try_screen(xs, ys, off);
+  ASSERT_TRUE(want.has_value()) << want.status().to_string();
+
+  telemetry::TelemetryConfig tcfg;
+  tcfg.enabled = true;
+  telemetry::Telemetry session(tcfg);
+  ScreenConfig on = off;
+  on.telemetry = &session;
+  const auto got = try_screen(xs, ys, on);
+  ASSERT_TRUE(got.has_value()) << got.status().to_string();
+  EXPECT_EQ(got->scores, want->scores);
+
+  std::map<std::string, std::int64_t> args;
+  for (const telemetry::TraceEvent& e : session.tracer()->events()) {
+    if (std::string(e.name) != "screen") continue;
+    for (std::size_t i = 0; i < telemetry::kSpanArgSlots; ++i)
+      if (e.arg_names[i] != nullptr) args[e.arg_names[i]] = e.arg_values[i];
+  }
+  ASSERT_EQ(args.count("backend"), 1u);
+  ASSERT_EQ(args.count("bpbc_cost_ns"), 1u);
+  ASSERT_EQ(args.count("striped_cost_ns"), 1u);
+  EXPECT_EQ(args.count("pairs"), 1u);
+  EXPECT_GT(args["bpbc_cost_ns"], 0);
+  EXPECT_GT(args["striped_cost_ns"], 0);
+  const DispatchWorkload w =
+      DispatchWorkload::from(ScoringScheme::from_params(off.params),
+                             xs.size(), 24, 128, resolve_lane_width(off.width));
+  const CostModel& model = CostModel::measured();
+  EXPECT_EQ(args["bpbc_cost_ns"],
+            static_cast<std::int64_t>(model.bpbc_cost_ns(w)));
+  EXPECT_EQ(args["striped_cost_ns"],
+            static_cast<std::int64_t>(model.striped_cost_ns(w)));
+  EXPECT_EQ(args["backend"], static_cast<std::int64_t>(resolve_backend_choice(
+                                 BackendChoice::kAuto, w)));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -160,20 +161,22 @@ TEST(Tracer, NullTracerSpanIsANoOp) {
   s.finish();
 }
 
-TEST(Tracer, SpanArgKeepsOnlyFirstTwoArguments) {
+TEST(Tracer, SpanArgKeepsOnlyTheFirstSlotsOfArguments) {
+  static const char* const kKeys[] = {"a", "b", "c", "d", "e", "f"};
+  static_assert(std::size(kKeys) == kSpanArgSlots + 1);
   Tracer tracer(4);
   {
     Span s(&tracer, "argful", "test");
-    s.arg("a", 1);
-    s.arg("b", 2);
-    s.arg("c", 3);  // no third slot: silently ignored
+    // One more argument than there are slots: the last is ignored.
+    for (std::size_t i = 0; i < std::size(kKeys); ++i)
+      s.arg(kKeys[i], static_cast<std::int64_t>(i + 1));
   }
   const std::vector<TraceEvent> events = tracer.events();
   ASSERT_EQ(events.size(), 1u);
-  ASSERT_STREQ(events[0].arg_names[0], "a");
-  ASSERT_STREQ(events[0].arg_names[1], "b");
-  EXPECT_EQ(events[0].arg_values[0], 1);
-  EXPECT_EQ(events[0].arg_values[1], 2);
+  for (std::size_t i = 0; i < kSpanArgSlots; ++i) {
+    ASSERT_STREQ(events[0].arg_names[i], kKeys[i]);
+    EXPECT_EQ(events[0].arg_values[i], static_cast<std::int64_t>(i + 1));
+  }
 }
 
 TEST(Tracer, RingOverflowDropsOldestAndCountsTheLoss) {

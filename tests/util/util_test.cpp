@@ -209,6 +209,33 @@ TEST(Options, FallbacksWhenAbsent) {
   EXPECT_EQ(v[0], 9);
 }
 
+// A program that declares its flags rejects any other --name as a typed
+// kInvalidInput naming it, bare or with a value; declared flags parse as
+// before.
+TEST(Options, UndeclaredFlagIsTypedInvalidInput) {
+  const char* good[] = {"prog", "--pairs=64", "--full", "positional"};
+  const auto parsed =
+      Options::parse(4, const_cast<char**>(good), {"pairs", "full", "m"});
+  ASSERT_TRUE(parsed.has_value()) << parsed.status().to_string();
+  EXPECT_EQ(parsed->get_int("pairs", 0), 64);
+  EXPECT_TRUE(parsed->get_bool("full", false));
+  EXPECT_EQ(parsed->positional().size(), 1u);
+
+  for (const char* flag : {"--overlap-depth=3", "--overlap", "--emit-modle"}) {
+    const char* argv[] = {"prog", "--pairs=64", flag};
+    const auto rejected =
+        Options::parse(3, const_cast<char**>(argv), {"pairs", "full"});
+    ASSERT_FALSE(rejected.has_value()) << flag;
+    EXPECT_EQ(rejected.status().code(), ErrorCode::kInvalidInput) << flag;
+    const std::string arg = flag;
+    const std::string name = arg.substr(0, arg.find('='));
+    EXPECT_NE(rejected.status().message().find(name), std::string::npos)
+        << rejected.status().message();
+    EXPECT_NE(rejected.status().message().find("--pairs"), std::string::npos)
+        << rejected.status().message();
+  }
+}
+
 TEST(Timer, MeasuresNonNegative) {
   WallTimer t;
   EXPECT_GE(t.elapsed_ms(), 0.0);
