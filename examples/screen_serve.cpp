@@ -5,7 +5,7 @@
 //   ./screen_serve --socket=/tmp/sw.sock --journal=/tmp/sw.journal
 //   ./screen_serve --socket=... --tear-prob=0.2 --flip-prob=0.2
 //   ./screen_serve --socket=... --crash-after-batches=2   # CI crash drill
-//   ./screen_serve --socket=... --telemetry --engine \
+//   ./screen_serve --socket=... --telemetry --engine
 //       --stats-dump=stats.prom --flight-recorder=crash.fr
 //
 // Observability: --telemetry enables the span tracer + metrics registry

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: the tier-1 build + full test suite under the release preset
-# (plus ScoreParams, lane-dispatch and orphan-header fences over src/, an ISA
-# containment fence over the AVX2/AVX-512 kernel objects and binaries, a
+# (plus ScoreParams, lane-dispatch and orphan-header fences over src/, a
+# warning fence over a clean build's log, an ISA containment fence over
+# the AVX2/AVX-512 kernel objects and binaries, a
 # telemetry smoke: RunReport and span-trace artifacts validated by
 # scripts/check_run_report.py, the performance ledger's smoke test
 # (perfbench/tests/smoke_test.py), and a live observability drill: stats
@@ -142,6 +143,26 @@ isa_containment_fence() {
   echo "  AVX2/AVX-512 code only in ISA-tagged functions"
 }
 
+# Warning-free build: a clean build's log ($1) may hold no compiler
+# warning located in the repo's own sources (src/, tests/, bench/,
+# examples/). Reports located in system headers — GCC 12's -Wrestrict
+# false positive in <bits/char_traits.h> — are not the repo's and pass.
+build_warning_fence() {
+  echo "== tier 1: warning fence (no warnings in the repo's own sources) =="
+  local stray
+  stray=$(awk -v root="$(pwd -P)/" '/: warning:/ {
+      line = $0
+      if (index(line, root) == 1) line = substr(line, length(root) + 1)
+      if (line ~ /^(src|tests|bench|examples)\//) print line
+    }' "$1" | sort -u)
+  if [[ -n $stray ]]; then
+    echo "the build warns in the repo's own sources:" >&2
+    echo "$stray" >&2
+    exit 1
+  fi
+  echo "  no warnings in src/, tests/, bench/ or examples/"
+}
+
 if [[ $run_tier1 -eq 1 ]]; then
   header_check
   score_params_fence
@@ -149,7 +170,11 @@ if [[ $run_tier1 -eq 1 ]]; then
   orphan_header_fence
   echo "== tier 1: release build + full test suite =="
   cmake --preset default
-  cmake --build --preset default -j"$(nproc)"
+  build_log=$(mktemp)
+  cmake --build --preset default -j"$(nproc)" --clean-first 2>&1 |
+      tee "$build_log"
+  build_warning_fence "$build_log"
+  rm -f "$build_log"
   ctest --preset default
   isa_containment_fence
 
@@ -223,7 +248,8 @@ EOF
   # from the pre-transposed store (protein_screen exits nonzero unless the
   # store serve is bit-identical and a scalar-Gotoh spot check passes).
   # Fingerprints must agree across every lane word (32..512) and
-  # whatever auto probes widest on this host.
+  # whatever auto probes widest on this host, and the store must serve
+  # at the width the screen resolved (32 lanes included: half shards).
   protein_ref=""
   for lane_width in 32 64 128 256 512 auto; do
     SWBPBC_FORCE_LANE_WIDTH=$lane_width ./build/examples/protein_screen \
@@ -233,6 +259,8 @@ EOF
 import json, sys
 cfg = json.load(open(sys.argv[1]))["config"]
 assert cfg["scheme"] == "affine/blosum62", cfg["scheme"]
+assert cfg["db_width"] == cfg["width_resolved"], (cfg["db_width"],
+                                                  cfg["width_resolved"])
 print(cfg["scores_fnv"], cfg["hits"])
 EOF
 )

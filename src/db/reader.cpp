@@ -94,7 +94,9 @@ util::Expected<Reader> Reader::open(const std::string& path,
   if (!got.has_value() || *got != bytes)
     return corrupt(path, "cannot be read into memory");
 #endif
-  fd->close().ok();  // mapping/heap image outlives the descriptor
+  // The mapping/heap image outlives the descriptor, and a failed close of
+  // a read-only descriptor cannot damage it, so the result is discarded.
+  (void)fd->close();
 
   auto* image = const_cast<std::uint8_t*>(r.base());
 

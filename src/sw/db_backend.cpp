@@ -1,9 +1,8 @@
 // The store-served front ends of the bit-sliced kernel: the DNA screening
 // backend (make_db_backend) and the any-alphabet one-query screen
-// (try_scheme_db_max_scores, declared in scheme_aligner.hpp). Both turn
-// 64-lane shard rows into lane groups through one routine,
-// shard_group_view; their lane-word bodies (DbBackend::run_db,
-// run_scheme_db) live in kernel.hpp with it.
+// (try_scheme_db_max_scores, declared in scheme_aligner.hpp). Both run
+// one lane-word body, kernel::run_store (kernel.hpp), and map its shard
+// counts onto their own report.
 #include "sw/db_backend.hpp"
 
 #include <algorithm>
@@ -13,80 +12,128 @@
 #include <utility>
 #include <vector>
 
-#include "db/builder.hpp"
 #include "sw/kernel.hpp"
 #include "sw/scheme_aligner.hpp"
 
 namespace swbpbc::sw {
 
-using kernel::DbBackend;
+namespace kernel {
 
-DbBackend::DbBackend(db::Reader& reader, const DbBackendOptions& options)
-    : reader_(reader),
-      scheme_(options.scheme),
-      width_(resolve_lane_width(options.width)),
-      mode_(options.mode) {}
-
-BackendCaps DbBackend::caps() const {
-  BackendCaps caps;
-  caps.stop_polling = true;
-  caps.lane_width = width_;
-  caps.kernel_isa = kernel_isa(width_, host_cpu_features());
-  return caps;
-}
-
-ChunkResult DbBackend::run(const ChunkJob& job) {
-  if (job.xs.empty()) return {};
-  if (!servable(job)) return run_fallback(job);
-  return with_lane_word<LaneWords::kNative>(
-      width_,
-      [&]<class W>(std::type_identity<W>) { return run_db<W>(job); });
-}
-
-bool DbBackend::servable(const ChunkJob& job) const {
-  return job.first_pair != ChunkJob::kUnknownPair &&
-         job.first_pair % db::kDbLanesPerShard == 0 &&
-         job.first_pair + job.xs.size() <= reader_.entry_count() &&
-         reader_.plane_bits() == encoding::kBitsPerBase &&
-         job.ys.front().size() == reader_.entry_length();
-}
-
-ChunkResult DbBackend::run_fallback(const ChunkJob& job) {
-  ChunkResult r;
-  PhaseTimings t;
-  r.scores = bpbc_max_scores(job.xs, job.ys, scheme_, width_, mode_,
-                             encoding::TransposeMethod::kPlanned, &t);
-  r.timings = t;
-  r.has_phase_timings = true;
-  r.db_pairs_fallback = job.xs.size();
-  return r;
-}
-
-const std::uint64_t* DbBackend::rows_for_shard(const ChunkJob& job,
-                                               std::size_t shard,
-                                               ChunkResult& r) {
-  if (auto it = reingested_.find(shard); it != reingested_.end())
+template <class Seq>
+const std::uint64_t* store_shard_rows(const StoreJob<Seq>& job,
+                                      db::Reader& reader, std::size_t shard,
+                                      const ScoringScheme& scheme,
+                                      ReingestCache& cache,
+                                      StoreReport& report) {
+  if (auto it = cache.find(shard); it != cache.end())
     return it->second.data();
-  if (auto view = reader_.shard(shard); view.has_value()) {
-    ++r.db_shards_served;
+  auto view = reader.shard(shard);
+  if (view.has_value()) {
+    ++report.served;
     return view->data;
   }
-  // Quarantined: rebuild this shard's 64-lane group from the raw
-  // sequences with the same in-memory transpose the no-database path
-  // runs, so scores stay bit-identical; its planar rows are the shard
-  // payload. Cached for later chunks/jobs (cache hits repeat neither the
-  // work nor the counters — the totals count distinct quarantined
-  // shards).
+  ++report.quarantined;
+  if (job.ys.empty()) {
+    report.error = view.status();
+    return nullptr;
+  }
+  // Rebuild the shard's 64-lane group from the raw sequences with the
+  // same in-memory transpose the no-store path runs, so scores stay
+  // bit-identical; its planar rows are the shard payload.
   const std::size_t local = shard * db::kDbLanesPerShard - job.first_pair;
   const std::size_t used =
       std::min<std::size_t>(db::kDbLanesPerShard, job.ys.size() - local);
-  auto batch =
-      encoding::transpose_strings<std::uint64_t>(job.ys.subspan(local, used));
-  ++r.db_shards_quarantined;
-  r.db_pairs_reingested += used;
-  return reingested_.emplace(shard, std::move(batch.groups.front().rows))
+  auto batch = transpose<std::uint64_t>(job.ys.subspan(local, used), scheme,
+                                        encoding::TransposeMethod::kPlanned);
+  report.pairs_reingested += used;
+  return cache.emplace(shard, std::move(batch.groups.front().rows))
       .first->second.data();
 }
+
+template const std::uint64_t* store_shard_rows(
+    const StoreJob<encoding::Sequence>&, db::Reader&, std::size_t,
+    const ScoringScheme&, ReingestCache&, StoreReport&);
+template const std::uint64_t* store_shard_rows(
+    const StoreJob<encoding::GenericSequence>&, db::Reader&, std::size_t,
+    const ScoringScheme&, ReingestCache&, StoreReport&);
+
+}  // namespace kernel
+
+namespace {
+
+class DbBackend final : public Backend {
+ public:
+  DbBackend(db::Reader& reader, const DbBackendOptions& options)
+      : reader_(reader),
+        scheme_(options.scheme),
+        width_(resolve_lane_width(options.width)),
+        mode_(options.mode),
+        host_(make_host_backend(scheme_, width_, mode_)) {}
+
+  [[nodiscard]] BackendCaps caps() const override {
+    BackendCaps caps;
+    caps.stop_polling = true;
+    caps.lane_width = width_;
+    caps.kernel_isa = kernel_isa(width_, host_cpu_features());
+    return caps;
+  }
+
+  ChunkResult run(const ChunkJob& job) override;
+
+ private:
+  // A job maps onto the store when its origin is known, shard-aligned,
+  // and inside the database, and the shapes agree. Synthesized subsets
+  // (quarantine rescores) carry kUnknownPair and land in the fallback.
+  [[nodiscard]] bool servable(const ChunkJob& job) const {
+    return job.first_pair != ChunkJob::kUnknownPair &&
+           job.first_pair % db::kDbLanesPerShard == 0 &&
+           job.first_pair + job.xs.size() <= reader_.entry_count() &&
+           reader_.plane_bits() == encoding::kBitsPerBase &&
+           job.ys.front().size() == reader_.entry_length();
+  }
+
+  db::Reader& reader_;
+  ScoringScheme scheme_;
+  LaneWidth width_;
+  bulk::Mode mode_;
+  std::unique_ptr<Backend> host_;  // scores the jobs the store cannot
+  // Kept across jobs: a quarantined shard is re-ingested once per backend.
+  kernel::ReingestCache reingested_;
+};
+
+ChunkResult DbBackend::run(const ChunkJob& job) {
+  if (job.xs.empty()) return {};
+  if (!servable(job)) {
+    ChunkResult r = host_->run(job);
+    r.db_pairs_fallback = job.xs.size();
+    return r;
+  }
+  ChunkResult r;
+  kernel::StoreReport report;
+  const kernel::StoreJob<encoding::Sequence> store_job{
+      job.xs, job.ys, job.first_pair, job.xs.size(), job.stop};
+  const db::ReaderStats before = reader_.stats();
+  // job.ys re-ingests every quarantined shard, so the serve cannot fail.
+  r.scores = with_lane_word<LaneWords::kNative>(
+      width_, [&]<class W>(std::type_identity<W>) {
+        return kernel::run_store<W>(store_job, reader_, scheme_, mode_,
+                                    reingested_, report, &r.timings);
+      });
+  r.has_phase_timings = true;
+  r.db_shards_served = report.served;
+  r.db_shards_quarantined = report.quarantined;
+  r.db_pairs_reingested = report.pairs_reingested;
+
+  // First-touch shard verification folds into the screen's integrity
+  // accounting (checks evaluated + time spent).
+  const db::ReaderStats after = reader_.stats();
+  r.integrity_checks += (after.shards_verified + after.shards_corrupt) -
+                        (before.shards_verified + before.shards_corrupt);
+  r.integrity_ms += after.verify_ms - before.verify_ms;
+  return r;
+}
+
+}  // namespace
 
 std::unique_ptr<Backend> make_db_backend(db::Reader& reader,
                                          const DbBackendOptions& options) {
@@ -112,40 +159,42 @@ util::Expected<std::vector<std::uint32_t>> try_scheme_db_max_scores(
     return util::Status::invalid_input("query must be non-empty");
   if (util::Status s = validate_codes({&query, 1}, scheme, "query"); !s.ok())
     return s;
-  if (reader.plane_bits() != scheme.alphabet_bits())
-    return util::Status::db_mismatch(
-        "database stores " + std::to_string(reader.plane_bits()) +
-        "-bit planes but the scheme's alphabet needs " +
-        std::to_string(scheme.alphabet_bits()) +
-        " (was the store built for a different alphabet?)");
-  if (reader.entry_count() == 0) return std::vector<std::uint32_t>{};
-  if (reader.entry_length() == 0)
-    return util::Status::db_mismatch("database entries are empty");
+  // A quarantined shard re-ingests from the corpus, so the corpus must be
+  // the one the store was built from, indexed like the store.
   if (!corpus.empty() && corpus.size() != reader.entry_count())
     return util::Status::invalid_input(
         "re-ingest corpus has " + std::to_string(corpus.size()) +
         " sequences but the database stores " +
         std::to_string(reader.entry_count()));
-  // A quarantined shard re-ingests from the corpus, so the corpus must be
-  // the one the store was built from.
-  if (!corpus.empty() &&
-      db::content_fingerprint(corpus) != reader.content_fingerprint())
-    return util::Status::db_mismatch(
-        "database '" + reader.path() +
-        "' content fingerprint disagrees with the re-ingest corpus (stale "
-        "or reordered corpus; pass the sequences the store was built from)");
+  if (util::Status s =
+          check_store_matches(reader, corpus, scheme.alphabet_bits(), true);
+      !s.ok())
+    return s;
+  if (reader.entry_count() == 0) return std::vector<std::uint32_t>{};
+  if (reader.entry_length() == 0)
+    return util::Status::db_mismatch("database entries are empty");
   if (util::Status s = validate_codes(corpus, scheme, "corpus"); !s.ok())
     return s;
 
-  // The store's shard layout is 64-lane; serve at k64 or wider.
-  LaneWidth resolved = resolve_lane_width(width);
-  if (resolved == LaneWidth::k32) resolved = LaneWidth::k64;
+  const LaneWidth resolved = resolve_lane_width(width);
   if (stats) stats->lane_width = resolved;
-  return with_lane_word<LaneWords::kNative>(
+  kernel::ReingestCache cache;
+  kernel::StoreReport report;
+  const kernel::StoreJob<encoding::GenericSequence> job{
+      {&query, 1}, corpus, 0, reader.entry_count(), nullptr};
+  auto scores = with_lane_word<LaneWords::kNative>(
       resolved, [&]<class W>(std::type_identity<W>) {
-        return kernel::run_scheme_db<W>(query, reader, scheme, mode, corpus,
-                                        stats, timings);
+        return kernel::run_store<W>(job, reader, scheme, mode, cache, report,
+                                    timings);
       });
+  if (stats) {
+    stats->shards_served = report.served;
+    stats->shards_quarantined = report.quarantined;
+    // Every quarantined shard re-ingests when there is a corpus to do so.
+    stats->shards_reingested = corpus.empty() ? 0 : report.quarantined;
+  }
+  if (!report.error.ok()) return report.error;
+  return scores;
 }
 
 }  // namespace swbpbc::sw

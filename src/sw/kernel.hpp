@@ -1,9 +1,9 @@
 // The lane-word-templated batch bodies of the host bit-sliced kernel:
 // W2B, SWA and B2W of an in-memory batch (run_batch, behind bpbc.cpp's
-// front ends and host backend), of the DNA store backend (DbBackend::
-// run_db) and of the any-alphabet store screen (run_scheme_db, behind
-// try_scheme_db_max_scores), plus the one shard-to-lane routine the two
-// store paths share (shard_group_view).
+// front ends and host backend) and of a database store serve (run_store,
+// behind both store front ends in db_backend.cpp: the DNA store backend
+// and the any-alphabet try_scheme_db_max_scores), plus the shard-to-lane
+// routine the store body runs (shard_group_view).
 //
 // These templates are compiled up to three times (DESIGN.md decision 25):
 // bpbc.cpp and db_backend.cpp instantiate them for the baseline lane
@@ -17,7 +17,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -32,9 +31,7 @@
 #include "db/reader.hpp"
 #include "encoding/batch.hpp"
 #include "encoding/generic_batch.hpp"
-#include "sw/backend.hpp"
 #include "sw/bpbc.hpp"
-#include "sw/db_backend.hpp"
 #include "sw/lane.hpp"
 #include "sw/scheme_aligner.hpp"
 #include "util/status.hpp"
@@ -125,95 +122,11 @@ std::optional<encoding::PlanarGenericView<W>> shard_group_view(
   return v;
 }
 
-/// The DNA store backend behind make_db_backend (db_backend.hpp). Its
-/// non-template members live in db_backend.cpp.
-class DbBackend final : public Backend {
- public:
-  DbBackend(db::Reader& reader, const DbBackendOptions& options);
-
-  [[nodiscard]] BackendCaps caps() const override;
-  ChunkResult run(const ChunkJob& job) override;
-
-  /// Serves a servable job at lane word W: W2B of the query side only,
-  /// store rows through shard_group_view, then SWA + B2W.
-  template <bitsim::LaneWord W>
-  ChunkResult run_db(const ChunkJob& job);
-
- private:
-  // A job maps onto the store when its origin is known, shard-aligned,
-  // and inside the database, and the shapes agree. Synthesized subsets
-  // (quarantine rescores) carry kUnknownPair and land in the fallback.
-  [[nodiscard]] bool servable(const ChunkJob& job) const;
-  ChunkResult run_fallback(const ChunkJob& job);
-  // Planar rows of one shard from the mapping when the shard verifies,
-  // from the re-ingest cache otherwise.
-  const std::uint64_t* rows_for_shard(const ChunkJob& job, std::size_t shard,
-                                      ChunkResult& r);
-
-  db::Reader& reader_;
-  ScoringScheme scheme_;
-  LaneWidth width_;
-  bulk::Mode mode_;
-  // Re-ingested 64-lane planar rows, keyed by shard index. unordered_map
-  // keeps element addresses stable, so served views stay valid for the
-  // cache's lifetime.
-  std::unordered_map<std::size_t, std::vector<std::uint64_t>> reingested_;
-};
-
-template <bitsim::LaneWord W>
-ChunkResult DbBackend::run_db(const ChunkJob& job) {
-  ChunkResult r;
-  const std::size_t count = job.xs.size();
-  const std::size_t m = job.xs.front().size();
-  const std::size_t n = job.ys.front().size();
-  const std::size_t first_shard = job.first_pair / db::kDbLanesPerShard;
-  const db::ReaderStats before = reader_.stats();
-
-  util::WallTimer timer;
-  // Only the query side is transposed — the point of the store.
-  const auto bx = encoding::transpose_strings<W>(job.xs);
-  const std::size_t n_groups = bx.groups.size();
-  // Two 32-lane groups read each shard: the second reuses the first's
-  // rows, so the shard is fetched and counted once per job.
-  std::size_t last_shard = SIZE_MAX;
-  const std::uint64_t* last_rows = nullptr;
-  const auto rows_of = [&](std::size_t k) {
-    if constexpr (bitsim::word_bits_v<W> < 64) {
-      if (k == last_shard) return last_rows;
-      last_shard = k;
-      return last_rows = rows_for_shard(job, first_shard + k, r);
-    } else {
-      return rows_for_shard(job, first_shard + k, r);
-    }
-  };
-  std::vector<encoding::PlanarGenericView<W>> xv, yv;
-  std::vector<std::vector<W>> scratch(n_groups);
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    xv.push_back(bx.groups[g].view());
-    yv.push_back(*shard_group_view<W>(g, count, n, encoding::kBitsPerBase,
-                                      rows_of, scratch[g]));
-  }
-  r.timings.w2b_ms = timer.elapsed_ms();
-
-  const SchemeBpbcAligner<W> aligner(scheme_, m, n);
-  r.scores =
-      aligner.score_groups(xv, yv, count, mode_, &r.timings, job.stop);
-  r.has_phase_timings = true;
-
-  // First-touch shard verification folds into the screen's integrity
-  // accounting (checks evaluated + time spent).
-  const db::ReaderStats after = reader_.stats();
-  r.integrity_checks += (after.shards_verified + after.shards_corrupt) -
-                        (before.shards_verified + before.shards_corrupt);
-  r.integrity_ms += after.verify_ms - before.verify_ms;
-  return r;
-}
-
 /// Broadcast query: plane p row i is all-ones where bit p of query[i] is
-/// set — every lane holds the query, with no W2B at all.
-template <bitsim::LaneWord W>
-encoding::PlanarGeneric<W> broadcast_query(
-    const encoding::GenericSequence& query, unsigned eps) {
+/// set — every lane holds the query's codes, as the transpose of copies
+/// of the query does in its used lanes, with no W2B at all.
+template <bitsim::LaneWord W, class Seq>
+encoding::PlanarGeneric<W> broadcast_query(const Seq& query, unsigned eps) {
   constexpr W kZero = bitops::word_traits<W>::zero();
   constexpr W kOnes = bitops::word_traits<W>::ones();
   encoding::PlanarGeneric<W> out;
@@ -222,88 +135,110 @@ encoding::PlanarGeneric<W> broadcast_query(
   out.rows.assign(static_cast<std::size_t>(eps) * query.size(), kZero);
   for (unsigned p = 0; p < eps; ++p) {
     for (std::size_t i = 0; i < query.size(); ++i) {
-      if ((unsigned{query[i]} >> p) & 1u)
+      if ((static_cast<unsigned>(query[i]) >> p) & 1u)
         out.rows[static_cast<std::size_t>(p) * query.size() + i] = kOnes;
     }
   }
   return out;
 }
 
-/// Screens one validated query against every store entry at lane word W
-/// (try_scheme_db_max_scores' body): quarantined shards re-ingest from
-/// `corpus` when it is non-empty and surface their status otherwise.
-template <bitsim::LaneWord W>
-util::Expected<std::vector<std::uint32_t>> run_scheme_db(
-    const encoding::GenericSequence& query, db::Reader& reader,
-    const ScoringScheme& scheme, bulk::Mode mode,
-    std::span<const encoding::GenericSequence> corpus, SchemeDbStats* stats,
-    PhaseTimings* timings) {
+/// One store serve: entries [first_pair, first_pair + count) of the store
+/// (first_pair shard-aligned) against `queries` — one per entry, or a
+/// single query for all of them. `ys` holds the same entries' sequences,
+/// to re-ingest a quarantined shard from; when it is empty, a quarantined
+/// shard surfaces its kDbCorrupt instead.
+template <class Seq>
+struct StoreJob {
+  std::span<const Seq> queries;
+  std::span<const Seq> ys;
+  std::size_t first_pair = 0;
+  std::size_t count = 0;
+  const util::StopCondition* stop = nullptr;
+};
+
+/// What a store serve reports: its shard counts, and the status of a
+/// quarantined shard it could not re-ingest (the serve then returns no
+/// scores).
+struct StoreReport {
+  std::uint64_t served = 0;       // verified shards read from the mapping
+  std::uint64_t quarantined = 0;  // shards that failed verification
+  std::uint64_t pairs_reingested = 0;  // entries rebuilt from ys
+  util::Status error;
+};
+
+/// Re-ingested 64-lane planar rows by shard index; unordered_map keeps
+/// their addresses stable, so served views stay valid.
+using ReingestCache =
+    std::unordered_map<std::size_t, std::vector<std::uint64_t>>;
+
+/// Planar rows of store shard `shard`: the cached re-ingest, else the
+/// mapping when the shard verifies, else the shard rebuilt from job.ys by
+/// the in-memory transpose and cached. nullptr, with the shard's status
+/// in report.error, when job.ys is empty. It carries no lane word, so it
+/// is defined in db_backend.cpp, outside the ISA-compiled files.
+template <class Seq>
+const std::uint64_t* store_shard_rows(const StoreJob<Seq>& job,
+                                      db::Reader& reader, std::size_t shard,
+                                      const ScoringScheme& scheme,
+                                      ReingestCache& cache,
+                                      StoreReport& report);
+
+/// The store body behind both store front ends (db_backend.cpp), at lane
+/// word W. Query lanes: one broadcast view shared by every group when all
+/// queries are equal, the in-memory transpose otherwise. Store lanes:
+/// shard_group_view over store_shard_rows. Then score_groups (SWA + B2W,
+/// polling job.stop). Returns no scores when report.error is set: an
+/// Expected return would compile its untagged constructor for the ISA.
+template <bitsim::LaneWord W, class Seq>
+std::vector<std::uint32_t> run_store(const StoreJob<Seq>& job,
+                                     db::Reader& reader,
+                                     const ScoringScheme& scheme,
+                                     bulk::Mode mode, ReingestCache& cache,
+                                     StoreReport& report,
+                                     PhaseTimings* timings) {
   constexpr unsigned kLanes = bitsim::word_bits_v<W>;
   const unsigned eps = scheme.alphabet_bits();
-  const std::size_t entries = reader.entry_count();
   const std::size_t n = reader.entry_length();
-  const std::size_t n_groups = (entries + kLanes - 1) / kLanes;
+  const std::size_t n_groups = (job.count + kLanes - 1) / kLanes;
 
   util::WallTimer timer;
-  const encoding::PlanarGeneric<W> xq = broadcast_query<W>(query, eps);
-  const SchemeBpbcAligner<W> aligner(scheme, query.size(), n);
+  encoding::PlanarGeneric<W> broadcast;
+  encoding::PlanarGenericBatch<W> bx;
+  std::vector<encoding::PlanarGenericView<W>> xv, yv;
+  const Seq& query = job.queries.front();
+  if (std::all_of(job.queries.begin(), job.queries.end(),
+                  [&](const Seq& q) { return q == query; })) {
+    broadcast = broadcast_query<W>(query, eps);
+    xv.assign(n_groups, broadcast.view());
+  } else {
+    bx = transpose<W>(job.queries, scheme, encoding::TransposeMethod::kPlanned);
+    for (const auto& group : bx.groups) xv.push_back(group.view());
+  }
+
+  // Two 32-lane groups read each shard: the second reuses the first's
+  // rows, so the shard is fetched and counted once.
+  const std::size_t first_shard = job.first_pair / db::kDbLanesPerShard;
+  std::size_t last_shard = SIZE_MAX;
+  const std::uint64_t* last_rows = nullptr;
+  const auto rows_of = [&](std::size_t k) {
+    if (first_shard + k != last_shard) {
+      last_shard = first_shard + k;
+      last_rows =
+          store_shard_rows(job, reader, last_shard, scheme, cache, report);
+    }
+    return last_rows;
+  };
+  std::vector<std::vector<W>> scratch(n_groups);
+  for (std::size_t g = 0; g < n_groups; ++g) {
+    const auto view =
+        shard_group_view<W>(g, job.count, n, eps, rows_of, scratch[g]);
+    if (!view) return {};
+    yv.push_back(*view);
+  }
   if (timings) timings->w2b_ms = timer.elapsed_ms();
 
-  std::vector<std::uint32_t> scores(entries, 0);
-  std::vector<util::Status> group_status(n_groups);
-  std::atomic<std::uint64_t> served{0}, quarantined{0}, reingested{0};
-
-  timer.reset();
-  bulk::for_each_instance(n_groups, mode, [&](std::size_t g) {
-    // Shards come from the mapping when healthy and from an in-memory
-    // re-ingest of the corpus slice when quarantined; the group's view
-    // reads `reingest` (at 64 lanes) until it is scored.
-    std::vector<std::uint64_t> reingest;
-    const auto rows_of = [&](std::size_t shard_idx) -> const std::uint64_t* {
-      auto shard = reader.shard(shard_idx);
-      if (shard.has_value()) {
-        served.fetch_add(1, std::memory_order_relaxed);
-        return shard->data;
-      }
-      quarantined.fetch_add(1, std::memory_order_relaxed);
-      if (corpus.empty()) {
-        group_status[g] = shard.status();
-        return nullptr;
-      }
-      const std::size_t first = shard_idx * db::kDbLanesPerShard;
-      const std::size_t lanes =
-          std::min<std::size_t>(db::kDbLanesPerShard, corpus.size() - first);
-      reingest = std::move(encoding::transpose_generic_planar<std::uint64_t>(
-                               corpus.subspan(first, lanes), eps)
-                               .groups.front()
-                               .rows);
-      reingested.fetch_add(1, std::memory_order_relaxed);
-      return reingest.data();
-    };
-    std::vector<W> scratch;
-    const auto yv = shard_group_view<W>(g, entries, n, eps, rows_of, scratch);
-    if (!yv) return;
-
-    const auto lane_scores = aligner.max_scores(xq.view(), *yv);
-    const std::size_t base = g * kLanes;
-    const std::size_t used = std::min<std::size_t>(kLanes, entries - base);
-    std::copy_n(lane_scores.begin(), used,
-                scores.begin() + static_cast<std::ptrdiff_t>(base));
-  });
-  if (timings) {
-    timings->swa_ms = timer.elapsed_ms();
-    timings->b2w_ms = 0.0;
-  }
-
-  if (stats) {
-    stats->shards_served = served.load();
-    stats->shards_quarantined = quarantined.load();
-    stats->shards_reingested = reingested.load();
-  }
-  for (const util::Status& st : group_status) {
-    if (!st.ok()) return st;
-  }
-  return scores;
+  const SchemeBpbcAligner<W> aligner(scheme, query.size(), n);
+  return aligner.score_groups(xv, yv, job.count, mode, timings, job.stop);
 }
 
 // The entry points kernel_avx2.cpp and kernel_avx512.cpp instantiate for
@@ -317,11 +252,13 @@ util::Expected<std::vector<std::uint32_t>> run_scheme_db(
       std::span<const encoding::GenericSequence>,                            \
       std::span<const encoding::GenericSequence>, const ScoringScheme&,      \
       bulk::Mode, encoding::TransposeMethod, PhaseTimings*);                 \
-  prefix ChunkResult DbBackend::run_db<W>(const ChunkJob&);                  \
-  prefix util::Expected<std::vector<std::uint32_t>> run_scheme_db<W>(        \
-      const encoding::GenericSequence&, db::Reader&, const ScoringScheme&,   \
-      bulk::Mode, std::span<const encoding::GenericSequence>,                \
-      SchemeDbStats*, PhaseTimings*);
+  prefix std::vector<std::uint32_t> run_store<W, encoding::Sequence>(       \
+      const StoreJob<encoding::Sequence>&, db::Reader&, const ScoringScheme&, \
+      bulk::Mode, ReingestCache&, StoreReport&, PhaseTimings*);              \
+  prefix std::vector<std::uint32_t> run_store<W, encoding::GenericSequence>( \
+      const StoreJob<encoding::GenericSequence>&, db::Reader&,               \
+      const ScoringScheme&, bulk::Mode, ReingestCache&, StoreReport&,        \
+      PhaseTimings*);
 
 SWBPBC_KERNEL_ENTRY_POINTS(extern template, Avx2Word)
 SWBPBC_KERNEL_ENTRY_POINTS(extern template, Avx512Word)

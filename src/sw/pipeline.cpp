@@ -9,7 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "db/builder.hpp"
 #include "db/reader.hpp"
 #include "sw/backend.hpp"
 #include "sw/db_backend.hpp"
@@ -285,28 +284,14 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
   if (!resolved.has_value()) return resolved.status();
   const ScoringScheme& scheme = *resolved;
 
-  // A configured database must actually describe this batch: shape
-  // disagreement or (unless disabled) a content-fingerprint mismatch is a
-  // typed error before any chunk runs — a stale store would otherwise
-  // score the wrong sequences bit-perfectly.
+  // A configured database must actually describe this batch (shape and,
+  // unless disabled, content) before any chunk runs.
   if (config.database != nullptr) {
-    const db::Reader& rd = *config.database;
-    if (rd.entry_count() != ys.size() ||
-        rd.entry_length() != ys.front().size() ||
-        rd.plane_bits() != encoding::kBitsPerBase)
-      return util::Status::db_mismatch(
-          "database '" + rd.path() + "' holds " +
-          std::to_string(rd.entry_count()) + " entries of length " +
-          std::to_string(rd.entry_length()) + " at " +
-          std::to_string(rd.plane_bits()) + " planes; the batch screens " +
-          std::to_string(ys.size()) + " texts of length " +
-          std::to_string(ys.front().size()));
-    if (config.db_verify_content &&
-        db::content_fingerprint(ys) != rd.content_fingerprint())
-      return util::Status::db_mismatch(
-          "database '" + rd.path() +
-          "' content fingerprint disagrees with the ys batch (stale or "
-          "reordered database; rebuild it from these sequences)");
+    if (util::Status s =
+            check_store_matches(*config.database, ys, encoding::kBitsPerBase,
+                                config.db_verify_content);
+        !s.ok())
+      return s;
   }
 
   const std::size_t count = xs.size();

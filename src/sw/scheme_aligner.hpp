@@ -320,11 +320,6 @@ class SchemeBpbcAligner {
                         const encoding::PlanarGenericView<W>& y,
                         std::span<W> out_slices) const;
 
-  /// Word-wise per-lane maxima (B2W of the slice result).
-  [[nodiscard]] std::vector<std::uint32_t> max_scores(
-      const encoding::PlanarGenericView<W>& x,
-      const encoding::PlanarGenericView<W>& y) const;
-
   /// The SWA and B2W phases of a batch: group g pairs xs[g] with ys[g],
   /// groups run on `mode` (polling `stop` between them), and the first
   /// `count` lane scores come back in group-major order. Fills
@@ -566,15 +561,6 @@ void SchemeBpbcAligner<W>::sweep(const encoding::PlanarGenericView<W>& x,
 }
 
 template <bitsim::LaneWord W>
-std::vector<std::uint32_t> SchemeBpbcAligner<W>::max_scores(
-    const encoding::PlanarGenericView<W>& x,
-    const encoding::PlanarGenericView<W>& y) const {
-  std::vector<W> slices(s_);
-  max_score_slices(x, y, std::span<W>(slices));
-  return encoding::untranspose_values<W>(std::span<const W>(slices), s_);
-}
-
-template <bitsim::LaneWord W>
 std::vector<std::uint32_t> SchemeBpbcAligner<W>::score_groups(
     std::span<const encoding::PlanarGenericView<W>> xs,
     std::span<const encoding::PlanarGenericView<W>> ys, std::size_t count,
@@ -637,15 +623,15 @@ struct SchemeDbStats {
 };
 
 /// Screens one query against every entry of a pre-transposed database
-/// store under `scheme`: the query is broadcast across all lanes (no
-/// query-side W2B), shard plane rows are served zero-copy at 64-bit
-/// lanes and limb-gathered into wide lane words otherwise, by the same
-/// shard-to-lane routine as the DNA db backend (both in db_backend.cpp).
-/// A 32-bit lane request is served at 64. Returns one score per database
-/// entry.
+/// store under `scheme`, through the same store body as the DNA db
+/// backend (kernel::run_store, sw/kernel.hpp): the query is broadcast
+/// across all lanes (no query-side W2B), and shard plane rows are served
+/// zero-copy at 64-bit lanes, as half shards at 32 and limb-gathered into
+/// wide lane words otherwise. Every width serves at that width
+/// (stats->lane_width). Returns one score per database entry.
 ///
-/// The store's plane_bits must equal scheme.alphabet_bits() and its
-/// entry_length the batch length. A shard that fails its first-touch
+/// The store's plane_bits must equal scheme.alphabet_bits() (a typed
+/// kDbMismatch otherwise). A shard that fails its first-touch
 /// checksum is quarantined: if `corpus` (the original sequences, indexed
 /// like the store) is non-empty, that 64-entry slice is re-ingested in
 /// memory and rescored bit-identically; otherwise the shard's kDbCorrupt

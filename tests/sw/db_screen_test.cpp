@@ -80,6 +80,71 @@ TEST(DbScreen, MatchesInMemoryAtEveryLaneWidth) {
   std::remove(f.db_path.c_str());
 }
 
+const LaneWidth kAllWidths[] = {LaneWidth::k32,  LaneWidth::k64,
+                                LaneWidth::k128, LaneWidth::k256,
+                                LaneWidth::k512, LaneWidth::kAuto};
+
+// The paper's screen — one query against every store entry — takes the
+// store body's broadcast query lanes, and must score exactly like the
+// in-memory screen, which transposes every copy of the query: on a
+// healthy store, and with one shard rotted on disk and re-ingested.
+TEST(DbScreen, OneQueryScreenMatchesInMemoryAtEveryWidth) {
+  Fixture f = make_fixture("broadcast.swdb", 190, 12, 48);
+  f.xs.assign(f.xs.size(), f.xs.front());
+  for (const bool rotted : {false, true}) {
+    if (rotted) {
+      ASSERT_TRUE(db::corrupt_shard_for_testing(f.db_path, 1, 9, 4).ok());
+    }
+    for (LaneWidth width : kAllWidths) {
+      SCOPED_TRACE(std::string(lane_width_name(width)) +
+                   (rotted ? " rotted shard 1" : " healthy"));
+      const ScreenReport expect = screen(f.xs, f.ys, base_config(width));
+      auto reader = db::Reader::open(f.db_path);
+      ASSERT_TRUE(reader.has_value()) << reader.status().to_string();
+      ScreenConfig cfg = base_config(width);
+      cfg.database = &*reader;
+      const ScreenReport got = screen(f.xs, f.ys, cfg);
+      EXPECT_EQ(got.scores, expect.scores);
+      EXPECT_EQ(got.hits.size(), expect.hits.size());
+      EXPECT_EQ(got.reliability.db_shards_served, rotted ? 2u : 3u);
+      EXPECT_EQ(got.reliability.db_shards_quarantined, rotted ? 1u : 0u);
+      EXPECT_EQ(got.reliability.db_pairs_reingested, rotted ? 64u : 0u);
+      EXPECT_EQ(got.reliability.db_pairs_fallback, 0u);
+    }
+  }
+  for (std::size_t k = 0; k < f.xs.size(); k += 11)
+    ASSERT_EQ(screen(f.xs, f.ys, base_config()).scores[k],
+              max_score(f.xs[k], f.ys[k], kParams))
+        << "pair " << k;
+  std::remove(f.db_path.c_str());
+}
+
+// Broadcast is taken only when every query is equal: a batch whose last
+// query alone differs is transposed, so its last pair keeps its own
+// score. Scoring that pair with the first query would give another.
+TEST(DbScreen, BatchWhoseLastQueryDiffersIsNotBroadcast) {
+  Fixture f = make_fixture("lastdiffers.swdb", 130, 12, 48);
+  const Sequence last = f.xs.back();
+  f.xs.assign(f.xs.size(), f.xs.front());
+  f.xs.back() = last;
+  const std::uint32_t want = max_score(last, f.ys.back(), kParams);
+  ASSERT_NE(max_score(f.xs.front(), f.ys.back(), kParams), want);
+  for (LaneWidth width : kAllWidths) {
+    SCOPED_TRACE(lane_width_name(width));
+    const ScreenReport expect = screen(f.xs, f.ys, base_config(width));
+    auto reader = db::Reader::open(f.db_path);
+    ASSERT_TRUE(reader.has_value()) << reader.status().to_string();
+    ScreenConfig cfg = base_config(width);
+    cfg.database = &*reader;
+    const ScreenReport got = screen(f.xs, f.ys, cfg);
+    EXPECT_EQ(got.scores, expect.scores);
+    EXPECT_EQ(got.scores.back(), want);
+    EXPECT_EQ(got.reliability.db_shards_served, 3u);
+    EXPECT_EQ(got.reliability.db_pairs_fallback, 0u);
+  }
+  std::remove(f.db_path.c_str());
+}
+
 // The store runs the same SchemeBpbcAligner as the in-memory path, so an
 // affine scheme screens from it bit-identically: whole-batch, in
 // shard-aligned and misaligned chunks, and with one shard corrupted.

@@ -280,7 +280,9 @@ TEST(MakeDispatchBackend, BuildsEveryHostEngine) {
           make_dispatch_backend(s, LaneWidth::k64, bulk::Mode::kSerial, c, w);
       EXPECT_NE(made.backend, nullptr) << backend_choice_name(c);
       EXPECT_NE(made.choice, BackendChoice::kAuto);
-      if (c != BackendChoice::kAuto) EXPECT_EQ(made.choice, c);
+      if (c != BackendChoice::kAuto) {
+        EXPECT_EQ(made.choice, c);
+      }
     }
   }
 }

@@ -347,6 +347,9 @@ TEST(SchemeDb, ServesProteinStoreBitIdenticallyAtEveryWidth) {
     ASSERT_TRUE(got.has_value())
         << lane_width_name(width) << ": " << got.status().to_string();
     EXPECT_EQ(*got, want) << lane_width_name(width);
+    // Every width serves at itself: 32 lanes read half shards.
+    EXPECT_EQ(stats.lane_width, resolve_lane_width(width))
+        << lane_width_name(width);
     EXPECT_GT(stats.shards_served, 0u);
     EXPECT_EQ(stats.shards_quarantined, 0u);
   }

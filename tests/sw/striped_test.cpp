@@ -233,7 +233,7 @@ TEST(StripedCross, LazyFCarryHeavyShapes) {
   ScoringScheme rich = dna_linear(16, 1, 1);
   ScoringScheme cheap_affine = dna_affine(1, 1);  // open == extend == 1
   util::Xoshiro256 rng(99);
-  for (const std::size_t m : {17, 33, 64}) {
+  for (const std::size_t m : {17u, 33u, 64u}) {
     // Homopolymer query, matching-run target.
     GenericSequence poly_x(m, 0);
     GenericSequence poly_y(3 * m, 0);

@@ -102,7 +102,8 @@ TEST(WideLane, Wide256RunDecomposesIntoFourUint64LaneGroups) {
   const auto wy = wide_y.groups[0].view();
   std::vector<W256> wide_slices(wide.slices());
   wide.max_score_slices(wx, wy, std::span<W256>(wide_slices));
-  const auto wide_scores = wide.max_scores(wx, wy);
+  const auto wide_scores = encoding::untranspose_values<W256>(
+      std::span<const W256>(wide_slices), wide.slices());
 
   const SchemeBpbcAligner<std::uint64_t> narrow(kScheme, m, n);
   for (unsigned t = 0; t < 4; ++t) {
@@ -129,7 +130,8 @@ TEST(WideLane, Wide256RunDecomposesIntoFourUint64LaneGroups) {
           << "slice " << l << " limb " << t;
     }
 
-    const auto narrow_scores = narrow.max_scores(nxv, nyv);
+    const auto narrow_scores = encoding::untranspose_values<std::uint64_t>(
+        std::span<const std::uint64_t>(narrow_slices), narrow.slices());
     for (unsigned lane = 0; lane < 64; ++lane) {
       ASSERT_EQ(wide_scores[64 * t + lane], narrow_scores[lane]);
     }
@@ -367,48 +369,58 @@ TEST(IsaKernel, Avx512BuildMatchesPortableWord) {
   expect_isa_build_matches_portable<Avx512Word, bitsim::simd_word<512>>(202);
 }
 
-// The DNA store backend: run_db at the tagged and the portable word, each
-// on its own reader of a store whose shard 1 rotted on disk, so both
-// quarantine it and re-ingest it from the job's sequences.
+// The DNA store body: run_store at the tagged and the portable word,
+// each on its own reader of a store whose shard 1 rotted on disk, so both
+// quarantine it and re-ingest it from the job's sequences — once with a
+// query per entry (transposed query lanes) and once with one repeated
+// query (broadcast query lanes).
 template <class Tagged, class Portable>
 void expect_isa_db_backend(const std::string& name) {
   constexpr std::size_t kLanes = bitsim::word_bits_v<Tagged>;
   util::Xoshiro256 rng(203);
   const std::size_t count = kLanes + 70;  // two groups, a partial tail
-  const auto xs = encoding::random_sequences(rng, count, 9);
+  const auto distinct = encoding::random_sequences(rng, count, 9);
   const auto ys = encoding::random_sequences(rng, count, 21);
+  const std::vector<Sequence> repeated(count, distinct.front());
   const std::string path = testing::TempDir() + "swbpbc_isa_" + name;
   ASSERT_TRUE(db::build_database(ys, path).ok());
   ASSERT_TRUE(db::corrupt_shard_for_testing(path, 1, 5, 2).ok());
 
-  ChunkJob job;
-  job.xs = xs;
-  job.ys = ys;
-  job.first_pair = 0;
   DbBackendOptions opts;
   opts.width = kLanes == 512 ? LaneWidth::k512 : LaneWidth::k256;
-  const auto serve = [&]<class W>(std::type_identity<W>) {
-    auto reader = db::Reader::open(path);
-    EXPECT_TRUE(reader.has_value()) << reader.status().to_string();
-    kernel::DbBackend backend(*reader, opts);
-    return backend.run_db<W>(job);
-  };
-  const ChunkResult tagged = serve(std::type_identity<Tagged>{});
-  const ChunkResult portable = serve(std::type_identity<Portable>{});
-  EXPECT_EQ(tagged.scores, portable.scores);
-  EXPECT_EQ(tagged.db_shards_quarantined, 1u);
-  EXPECT_EQ(tagged.db_pairs_reingested, 64u);
-  EXPECT_EQ(portable.db_shards_quarantined, 1u);
-  for (std::size_t k = 0; k < count; ++k)
-    ASSERT_EQ(tagged.scores[k], max_score(xs[k], ys[k], kParams)) << k;
+  for (const std::vector<Sequence>* xs : {&distinct, &repeated}) {
+    SCOPED_TRACE(xs == &repeated ? "repeated query" : "query per entry");
+    const kernel::StoreJob<Sequence> job{*xs, ys, 0, count, nullptr};
+    const auto serve = [&]<class W>(std::type_identity<W>) {
+      auto reader = db::Reader::open(path);
+      EXPECT_TRUE(reader.has_value()) << reader.status().to_string();
+      kernel::ReingestCache cache;
+      kernel::StoreReport report;
+      auto scores = kernel::run_store<W>(job, *reader, kScheme,
+                                         bulk::Mode::kSerial, cache, report,
+                                         nullptr);
+      EXPECT_TRUE(report.error.ok()) << report.error.to_string();
+      EXPECT_EQ(report.quarantined, 1u);
+      EXPECT_EQ(report.pairs_reingested, 64u);
+      return scores;
+    };
+    const auto tagged = serve(std::type_identity<Tagged>{});
+    EXPECT_EQ(tagged, serve(std::type_identity<Portable>{}));
+    for (std::size_t k = 0; k < count; ++k)
+      ASSERT_EQ(tagged[k], max_score((*xs)[k], ys[k], kParams)) << k;
 
-  // The public backend dispatches the tagged build and says so.
-  auto reader = db::Reader::open(path);
-  ASSERT_TRUE(reader.has_value());
-  const auto backend = make_db_backend(*reader, opts);
-  EXPECT_EQ(backend->caps().kernel_isa, kernel_isa(opts.width,
-                                                   host_cpu_features()));
-  EXPECT_EQ(backend->run(job).scores, tagged.scores);
+    // The public backend dispatches the tagged build and says so.
+    auto reader = db::Reader::open(path);
+    ASSERT_TRUE(reader.has_value());
+    const auto backend = make_db_backend(*reader, opts);
+    EXPECT_EQ(backend->caps().kernel_isa,
+              kernel_isa(opts.width, host_cpu_features()));
+    ChunkJob chunk;
+    chunk.xs = *xs;
+    chunk.ys = ys;
+    chunk.first_pair = 0;
+    EXPECT_EQ(backend->run(chunk).scores, tagged);
+  }
   std::remove(path.c_str());
 }
 
@@ -424,9 +436,9 @@ TEST(IsaKernel, Avx512DbBackendMatchesPortableWord) {
   expect_isa_db_backend<Avx512Word, bitsim::simd_word<512>>("avx512.swdb");
 }
 
-// The any-alphabet store screen (try_scheme_db_max_scores' body) over a
-// BLOSUM62 affine protein store with one rotted shard re-ingested from
-// the corpus.
+// The same store body serving the any-alphabet screen
+// (try_scheme_db_max_scores) over a BLOSUM62 affine protein store with
+// one rotted shard re-ingested from the corpus.
 template <class Tagged, class Portable>
 void expect_isa_scheme_db(const std::string& name, LaneWidth width) {
   constexpr std::size_t kLanes = bitsim::word_bits_v<Tagged>;
@@ -441,14 +453,17 @@ void expect_isa_scheme_db(const std::string& name, LaneWidth width) {
   const auto screen = [&]<class W>(std::type_identity<W>) {
     auto reader = db::Reader::open(path);
     EXPECT_TRUE(reader.has_value()) << reader.status().to_string();
-    SchemeDbStats stats;
-    auto scores = kernel::run_scheme_db<W>(query, *reader, scheme,
-                                           bulk::Mode::kSerial, entries,
-                                           &stats, nullptr);
-    EXPECT_TRUE(scores.has_value()) << scores.status().to_string();
-    EXPECT_EQ(stats.shards_quarantined, 1u);
-    EXPECT_EQ(stats.shards_reingested, 1u);
-    return scores.value();
+    kernel::ReingestCache cache;
+    kernel::StoreReport report;
+    const kernel::StoreJob<GenericSequence> job{
+        {&query, 1}, entries, 0, entries.size(), nullptr};
+    auto scores = kernel::run_store<W>(job, *reader, scheme,
+                                       bulk::Mode::kSerial, cache, report,
+                                       nullptr);
+    EXPECT_TRUE(report.error.ok()) << report.error.to_string();
+    EXPECT_EQ(report.quarantined, 1u);
+    EXPECT_EQ(report.pairs_reingested, 64u);
+    return scores;
   };
   const auto tagged = screen(std::type_identity<Tagged>{});
   EXPECT_EQ(tagged, screen(std::type_identity<Portable>{}));
