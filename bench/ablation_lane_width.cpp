@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "harness.hpp"
-#include "sw/bpbc.hpp"
 #include "sw/lane.hpp"
 #include "sw/scheme_aligner.hpp"
 #include "sw/scoring.hpp"
@@ -110,9 +109,11 @@ int main(int argc, char** argv) {
     bench::RowTimes best;
     for (std::size_t r = 0; r < reps; ++r) {
       sw::PhaseTimings t;
-      const auto scores = sw::bpbc_max_scores(
-          w.xs, w.ys, linear, row.width, bulk::Mode::kSerial,
-          encoding::TransposeMethod::kPlanned, &t);
+      const auto scores =
+          sw::try_scheme_max_scores(w.xs, w.ys, linear, row.width,
+                                    bulk::Mode::kSerial,
+                                    encoding::TransposeMethod::kPlanned, &t)
+              .value();
       if (row.width == sw::LaneWidth::k64 && baseline_scores.empty()) {
         baseline_scores = scores;
       } else if (!baseline_scores.empty() && scores != baseline_scores) {
@@ -161,18 +162,6 @@ int main(int argc, char** argv) {
     scheme.gap_model = sw::GapModel::kAffine;
     scheme.gap_open = 3;
     scheme.gap_extend = 1;
-    std::vector<encoding::GenericSequence> gx, gy;
-    gx.reserve(pairs);
-    gy.reserve(pairs);
-    const auto as_generic = [](const encoding::Sequence& seq) {
-      encoding::GenericSequence out;
-      out.reserve(seq.size());
-      for (encoding::Base b : seq)
-        out.push_back(static_cast<std::uint8_t>(b));
-      return out;
-    };
-    for (const auto& x : w.xs) gx.push_back(as_generic(x));
-    for (const auto& y : w.ys) gy.push_back(as_generic(y));
 
     double affine_baseline_swa = 0.0;
     util::TextTable affine_table({"lane word (affine)", "kernel", "W2B",
@@ -186,7 +175,7 @@ int main(int argc, char** argv) {
       for (std::size_t r = 0; r < reps; ++r) {
         sw::PhaseTimings t;
         const auto scores = sw::try_scheme_max_scores(
-            gx, gy, scheme, row.width, bulk::Mode::kSerial,
+            w.xs, w.ys, scheme, row.width, bulk::Mode::kSerial,
             encoding::TransposeMethod::kPlanned, &t);
         if (!scores.has_value()) {
           std::fprintf(stderr, "affine width %s rejected: %s\n",

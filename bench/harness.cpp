@@ -6,7 +6,7 @@
 
 #include "device/sw_kernels.hpp"
 #include "encoding/random.hpp"
-#include "sw/bpbc.hpp"
+#include "sw/scheme_aligner.hpp"
 #include "sw/scalar.hpp"
 #include "sw/wordwise.hpp"
 #include "util/timer.hpp"
@@ -94,9 +94,11 @@ RowTimes run_impl(Impl impl, const Workload& w,
     case Impl::kCpuBitwise512: {
       const sw::LaneWidth width = bitwise_width(impl);
       sw::PhaseTimings t;
-      const auto scores = sw::bpbc_max_scores(
-          w.xs, w.ys, scheme, width, bulk::Mode::kSerial,
-          encoding::TransposeMethod::kPlanned, &t);
+      const auto scores =
+          sw::try_scheme_max_scores(w.xs, w.ys, scheme, width,
+                                    bulk::Mode::kSerial,
+                                    encoding::TransposeMethod::kPlanned, &t)
+              .value();
       verify_prefix(w, scheme, scores);
       row.w2b = t.w2b_ms;
       row.swa = t.swa_ms;

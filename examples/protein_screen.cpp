@@ -2,7 +2,8 @@
 // as bulk bitwise computation over the 20-symbol amino-acid alphabet
 // (epsilon = 5 bit planes), dispatched to the widest profitable lane
 // word (64/128/256/512 lanes per word; SWBPBC_FORCE_LANE_WIDTH and
-// --width override).
+// --width override). The screen runs through sw::try_screen, the same
+// entry DNA screens use.
 //
 //   ./protein_screen [--count=N] [--width=auto|32|64|128|256|512]
 //   ./protein_screen --backend=striped     # Farrar striped SIMD instead
@@ -19,8 +20,9 @@
 // overrides). The engines are bit-identical on every scheme, so the same
 // scores_fnv fingerprint gates the backend matrix in CI.
 //
-// Every run cross-checks a sample of the screened scores against the
-// scalar Gotoh reference, and --db additionally requires the store-served
+// The in-memory screen runs with the self-check on: every hit and every
+// 17th pair is re-scored against the scalar Gotoh reference, and any
+// mismatch fails the run. --db additionally requires the store-served
 // scores to be bit-identical to the in-memory batch.
 #include <cstdio>
 #include <cstdlib>
@@ -30,9 +32,8 @@
 #include "encoding/alphabet.hpp"
 #include "sw/dispatch.hpp"
 #include "sw/lane.hpp"
-#include "sw/scalar.hpp"
+#include "sw/pipeline.hpp"
 #include "sw/striped.hpp"
-#include "sw/scheme_aligner.hpp"
 #include "sw/scoring.hpp"
 #include "telemetry/run_report.hpp"
 #include "telemetry/telemetry.hpp"
@@ -80,13 +81,14 @@ int main(int argc, char** argv) {
     scheme.gap_extend = 1;
   }
 
+  // The session is always on: the screen's counters (the striped 8-bit
+  // pass among them) feed the report; spans are written only on --trace.
   const std::string trace_path = opt.get("trace", "");
   telemetry::TelemetryConfig tcfg;
-  tcfg.enabled = !trace_path.empty();
-  tcfg.pool_spans = true;
+  tcfg.enabled = true;
+  tcfg.pool_spans = !trace_path.empty();
   telemetry::Telemetry session(tcfg);
-  telemetry::Tracer* const tr =
-      session.enabled() ? session.tracer() : nullptr;
+  telemetry::Tracer* const tr = session.tracer();
 
   const encoding::Alphabet& aa = scheme.alphabet();
   util::Xoshiro256 rng(314);
@@ -141,21 +143,27 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  sw::PhaseTimings timings;
-  sw::StripedStats striped_stats;
+  const std::uint32_t tau = static_cast<std::uint32_t>(m);  // ~1 bit/aa
+  sw::ScreenConfig config;
+  config.scheme = scheme;
+  config.threshold = tau;
+  config.width = *width;
+  config.backend_choice = engine;
+  config.traceback = false;
+  config.check.enabled = true;
+  config.check.sample_every = 17;
+  config.telemetry = session.sink();
+  if (util::Status s = sw::validate(config); !s.ok()) {
+    std::fprintf(stderr, "bad screen config: %s\n", s.to_string().c_str());
+    return 1;
+  }
+
   util::WallTimer timer;
   telemetry::Span screen_span(tr, "screen.scheme", "example");
   screen_span.arg("pairs", static_cast<std::int64_t>(count));
   screen_span.arg("planes", static_cast<std::int64_t>(aa.bits()));
   screen_span.arg("backend", static_cast<std::int64_t>(engine));
-  const auto screened =
-      engine == sw::BackendChoice::kStriped
-          ? sw::try_striped_max_scores(queries, targets, scheme,
-                                       bulk::Mode::kSerial, nullptr,
-                                       &timings, &striped_stats)
-          : sw::try_scheme_max_scores(
-                queries, targets, scheme, *width, bulk::Mode::kSerial,
-                encoding::TransposeMethod::kPlanned, &timings);
+  const auto screened = sw::try_screen(queries, targets, config);
   screen_span.finish();
   const double ms = timer.elapsed_ms();
   if (!screened.has_value()) {
@@ -163,7 +171,9 @@ int main(int argc, char** argv) {
                  screened.status().to_string().c_str());
     return 1;
   }
-  const std::vector<std::uint32_t>& scores = *screened;
+  const std::vector<std::uint32_t>& scores = screened->scores;
+  const sw::PhaseTimings& timings = screened->bpbc;
+  const sw::ReliabilityReport& check = screened->reliability;
   // The dispatcher explains itself: both engines' predicted cost beside
   // the time the chosen one took.
   const sw::CostModel& model = sw::CostModel::measured();
@@ -184,31 +194,31 @@ int main(int argc, char** argv) {
 
   // The striped build that ran, and how often its 8-bit pass saturated.
   const sw::StripedBuild striped = sw::striped_build(scheme, m);
+  telemetry::MetricsRegistry& reg = session.registry();
+  const std::uint64_t byte_pass_pairs =
+      reg.counter("sw.striped.byte_pass_pairs").value();
+  const std::uint64_t escalations =
+      reg.counter("sw.striped.escalations").value();
   if (engine == sw::BackendChoice::kStriped)
     std::printf("striped build: %s (%llu of %llu pairs rescored at u%u)\n",
                 striped.name().c_str(),
-                static_cast<unsigned long long>(striped_stats.escalations),
-                static_cast<unsigned long long>(
-                    striped_stats.byte_pass_pairs),
+                static_cast<unsigned long long>(escalations),
+                static_cast<unsigned long long>(byte_pass_pairs),
                 striped.exact_bits);
 
-  // Spot-check the bitwise scores against the scalar Gotoh reference.
-  for (std::size_t k = 0; k < count; k += 17) {
-    const std::uint32_t want =
-        sw::scheme_max_score(queries[k], targets[k], scheme);
-    if (scores[k] != want) {
-      std::fprintf(stderr,
-                   "pair %zu: %s %u != scalar Gotoh %u — MISMATCH\n", k,
-                   sw::backend_choice_name(engine), scores[k], want);
-      return 1;
-    }
+  // The self-check re-scored every hit and every 17th pair against the
+  // scalar Gotoh reference; a mismatch is an engine bug, not noise.
+  std::printf("self-check: %llu lanes verified against scalar Gotoh, "
+              "%llu mismatches\n",
+              static_cast<unsigned long long>(check.lanes_verified),
+              static_cast<unsigned long long>(check.mismatches_detected));
+  if (check.mismatches_detected != 0) {
+    std::fprintf(stderr, "%s disagrees with scalar Gotoh — MISMATCH\n",
+                 sw::backend_choice_name(engine));
+    return 1;
   }
 
-  const std::uint32_t tau = static_cast<std::uint32_t>(m);  // ~1 bit/aa
-  std::size_t hits = 0;
-  for (std::size_t k = 0; k < count; ++k) {
-    if (scores[k] >= tau) ++hits;
-  }
+  const std::size_t hits = screened->hits.size();
   std::printf("query (%zu aa): %s\n", m, aa.decode(query).c_str());
   std::printf("%zu targets reach tau = %u (%zu were planted)\n", hits, tau,
               planted);
@@ -216,7 +226,7 @@ int main(int argc, char** argv) {
   // --db: serve the same screen from the pre-transposed store — query
   // broadcast across lanes, shard planes zero-copy at 64 lanes and
   // limb-gathered into wide words beyond.
-  sw::SchemeDbStats db_stats;
+  sw::ScreenReport db_report;
   double db_ms = 0.0;
   const std::string db_path = opt.get("db", "");
   if (!db_path.empty()) {
@@ -232,11 +242,17 @@ int main(int argc, char** argv) {
                    reader.status().to_string().c_str());
       return 1;
     }
+    sw::ScreenConfig db_config = config;
+    db_config.database = &*reader;
+    db_config.backend_choice = sw::BackendChoice::kAuto;  // the store serves
+    db_config.check.enabled = false;
+    if (util::Status s = sw::validate(db_config); !s.ok()) {
+      std::fprintf(stderr, "bad store config: %s\n", s.to_string().c_str());
+      return 1;
+    }
     telemetry::Span db_span(tr, "screen.db", "example");
     timer.reset();
-    const auto served = sw::try_scheme_db_max_scores(
-        query, *reader, scheme, *width, bulk::Mode::kSerial, targets,
-        &db_stats);
+    auto served = sw::try_screen(queries, targets, db_config);
     db_ms = timer.elapsed_ms();
     db_span.finish();
     if (!served.has_value()) {
@@ -244,16 +260,18 @@ int main(int argc, char** argv) {
                    served.status().to_string().c_str());
       return 1;
     }
-    const bool identical = *served == scores;
+    db_report = std::move(served).value();
+    const sw::ReliabilityReport& rel = db_report.reliability;
+    const bool identical = db_report.scores == scores;
     const double db_gcups = db_ms > 0.0 ? cells / (db_ms * 1e6) : 0.0;
     std::printf("store serve (%s, %llu shards zero-copy, %llu "
-                "quarantined, %llu re-ingested) at %s: %.2f ms, "
+                "quarantined, %llu pairs re-ingested) at %s: %.2f ms, "
                 "%.3f GCUPS — %s\n",
                 db_path.c_str(),
-                static_cast<unsigned long long>(db_stats.shards_served),
-                static_cast<unsigned long long>(db_stats.shards_quarantined),
-                static_cast<unsigned long long>(db_stats.shards_reingested),
-                sw::lane_width_name(db_stats.lane_width), db_ms, db_gcups,
+                static_cast<unsigned long long>(rel.db_shards_served),
+                static_cast<unsigned long long>(rel.db_shards_quarantined),
+                static_cast<unsigned long long>(rel.db_pairs_reingested),
+                sw::lane_width_name(db_report.lane_width), db_ms, db_gcups,
                 identical ? "bit-identical to the in-memory batch"
                           : "MISMATCH");
     if (!identical) return 1;
@@ -276,22 +294,24 @@ int main(int argc, char** argv) {
     rep.config["backend_resolved"] = sw::backend_choice_name(engine);
     rep.config["pairs"] = std::to_string(count);
     rep.config["hits"] = std::to_string(hits);
+    rep.config["check_lanes_verified"] =
+        std::to_string(check.lanes_verified);
+    rep.config["check_mismatches"] =
+        std::to_string(check.mismatches_detected);
     if (engine == sw::BackendChoice::kStriped) {
       rep.config["striped_build"] = striped.name();
-      rep.metrics.counters["sw.striped.byte_pass_pairs"] =
-          striped_stats.byte_pass_pairs;
-      rep.metrics.counters["sw.striped.escalations"] =
-          striped_stats.escalations;
+      rep.metrics.counters["sw.striped.byte_pass_pairs"] = byte_pass_pairs;
+      rep.metrics.counters["sw.striped.escalations"] = escalations;
     }
     rep.config["scores_fnv"] =
         std::to_string(util::fnv1a_span<std::uint32_t>(scores));
     if (!db_path.empty()) {
       rep.config["db"] = db_path;
-      rep.config["db_width"] = sw::lane_width_name(db_stats.lane_width);
+      rep.config["db_width"] = sw::lane_width_name(db_report.lane_width);
       rep.config["db_shards_served"] =
-          std::to_string(db_stats.shards_served);
+          std::to_string(db_report.reliability.db_shards_served);
       rep.config["db_shards_quarantined"] =
-          std::to_string(db_stats.shards_quarantined);
+          std::to_string(db_report.reliability.db_shards_quarantined);
     }
     telemetry::RunReportRow row;
     row.impl = engine == sw::BackendChoice::kStriped
@@ -309,7 +329,7 @@ int main(int argc, char** argv) {
     if (!db_path.empty()) {
       telemetry::RunReportRow db_row;
       db_row.impl = std::string("CPU bitwise-db-") +
-                    sw::lane_width_name(db_stats.lane_width);
+                    sw::lane_width_name(db_report.lane_width);
       db_row.pairs = count;
       db_row.m = m;
       db_row.n = n;
@@ -325,7 +345,7 @@ int main(int argc, char** argv) {
     std::printf("Run report written to %s\n", json_path.c_str());
   }
 
-  if (session.enabled()) {
+  if (!trace_path.empty()) {
     if (util::Status s = session.tracer()->write_chrome_trace(trace_path);
         !s.ok()) {
       std::printf("trace write failed: %s\n", s.to_string().c_str());

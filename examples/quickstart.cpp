@@ -5,13 +5,13 @@
 //
 // Walks through the three core API layers:
 //   1. encoding::  — strings and the bit-transpose batch format,
-//   2. sw::bpbc_max_scores — the bulk BPBC screening pass,
+//   2. sw::try_scheme_max_scores — the bulk BPBC screening pass,
 //   3. sw::align_scheme — the detailed scalar alignment for interesting
 //      pairs.
 #include <cstdio>
 
 #include "encoding/random.hpp"
-#include "sw/bpbc.hpp"
+#include "sw/scheme_aligner.hpp"
 #include "sw/scalar.hpp"
 
 int main() {
@@ -30,7 +30,8 @@ int main() {
   // 64-bit-lane group (use LaneWidth::k32 for two 32-lane groups).
   const sw::ScoringScheme scheme;  // +2 match, -1 mismatch, -1 linear gap
   const auto scores =
-      sw::bpbc_max_scores(patterns, texts, scheme, sw::LaneWidth::k64);
+      sw::try_scheme_max_scores(patterns, texts, scheme, sw::LaneWidth::k64)
+          .value();
 
   std::size_t best = 0;
   for (std::size_t k = 1; k < scores.size(); ++k) {

@@ -246,10 +246,12 @@ EOF
   # The same forced-width sweep over the full ScoringScheme path:
   # BLOSUM62 substitution + Gotoh affine gaps, served both in memory and
   # from the pre-transposed store (protein_screen exits nonzero unless the
-  # store serve is bit-identical and a scalar-Gotoh spot check passes).
-  # Fingerprints must agree across every lane word (32..512) and
-  # whatever auto probes widest on this host, and the store must serve
-  # at the width the screen resolved (32 lanes included: half shards).
+  # store serve is bit-identical and the try_screen self-check finds no
+  # mismatch against scalar Gotoh). Fingerprints must agree across every
+  # lane word (32..512) and whatever auto probes widest on this host, the
+  # self-check must have verified lanes with 0 mismatches, and the store
+  # must serve at the width the screen resolved (32 lanes included: half
+  # shards).
   protein_ref=""
   for lane_width in 32 64 128 256 512 auto; do
     SWBPBC_FORCE_LANE_WIDTH=$lane_width ./build/examples/protein_screen \
@@ -261,6 +263,8 @@ cfg = json.load(open(sys.argv[1]))["config"]
 assert cfg["scheme"] == "affine/blosum62", cfg["scheme"]
 assert cfg["db_width"] == cfg["width_resolved"], (cfg["db_width"],
                                                   cfg["width_resolved"])
+assert int(cfg["check_lanes_verified"]) > 0, cfg["check_lanes_verified"]
+assert int(cfg["check_mismatches"]) == 0, cfg["check_mismatches"]
 print(cfg["scores_fnv"], cfg["hits"])
 EOF
 )
@@ -303,6 +307,8 @@ EOF
     fnv=$(python3 - "$smoke_dir/protein_backend_$backend.json" <<'EOF'
 import json, sys
 cfg = json.load(open(sys.argv[1]))["config"]
+assert int(cfg["check_lanes_verified"]) > 0, cfg["check_lanes_verified"]
+assert int(cfg["check_mismatches"]) == 0, cfg["check_mismatches"]
 print(cfg["scores_fnv"], cfg["hits"])
 EOF
 )

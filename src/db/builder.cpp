@@ -28,15 +28,6 @@ std::uint64_t content_fingerprint(
   return h;
 }
 
-std::uint64_t content_fingerprint(std::span<const encoding::Sequence> seqs) {
-  // encoding::Base values ARE the 2-bit codes, so hashing the Base bytes
-  // matches the generic-code hash of the converted batch bit-for-bit.
-  std::uint64_t h = util::kFnvOffset;
-  for (const encoding::Sequence& s : seqs)
-    h = util::fnv1a_bytes(s.data(), s.size(), h);
-  return h;
-}
-
 util::Status build_generic_database(
     std::span<const encoding::GenericSequence> seqs, unsigned plane_bits,
     const std::string& path) {
@@ -55,14 +46,13 @@ util::Status build_generic_database(
           "non-uniform database: seqs[" + std::to_string(k) +
           "] has length " + std::to_string(seqs[k].size()) +
           ", batch requires " + std::to_string(length));
-    for (std::uint8_t c : seqs[k]) {
-      if ((c >> plane_bits) != 0)
-        return util::Status::invalid_input(
-            "seqs[" + std::to_string(k) + "] holds code " +
-            std::to_string(c) + ", which does not fit in " +
-            std::to_string(plane_bits) + " bit planes");
-    }
   }
+  if (const auto bad =
+          encoding::find_code_at_least(seqs, std::size_t{1} << plane_bits))
+    return util::Status::invalid_input(
+        "seqs[" + std::to_string(bad->seq) + "] holds code " +
+        std::to_string(bad->code) + ", which does not fit in " +
+        std::to_string(plane_bits) + " bit planes");
 
   // The same W2B the in-memory path runs, at the 64-lane limb block
   // granularity every lane width decomposes into.
@@ -132,14 +122,7 @@ util::Status build_generic_database(
 
 util::Status build_database(std::span<const encoding::Sequence> seqs,
                             const std::string& path) {
-  std::vector<encoding::GenericSequence> generic;
-  generic.reserve(seqs.size());
-  for (const encoding::Sequence& s : seqs) {
-    encoding::GenericSequence g(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) g[i] = encoding::code(s[i]);
-    generic.push_back(std::move(g));
-  }
-  return build_generic_database(generic, encoding::kBitsPerBase, path);
+  return build_generic_database(seqs, encoding::kBitsPerBase, path);
 }
 
 util::Status corrupt_shard_for_testing(const std::string& path,

@@ -28,8 +28,6 @@ namespace swbpbc::db {
 /// against the in-memory batch.
 [[nodiscard]] std::uint64_t content_fingerprint(
     std::span<const encoding::GenericSequence> seqs);
-[[nodiscard]] std::uint64_t content_fingerprint(
-    std::span<const encoding::Sequence> seqs);
 
 /// Builds a database of epsilon-bit sequences at `path` (atomically; see
 /// file comment). All sequences must share one length and every code must
@@ -39,7 +37,7 @@ util::Status build_generic_database(
     std::span<const encoding::GenericSequence> seqs, unsigned plane_bits,
     const std::string& path);
 
-/// DNA front end: 2 bit planes, codes from encoding::code().
+/// DNA front end: build_generic_database at 2 bit planes.
 util::Status build_database(std::span<const encoding::Sequence> seqs,
                             const std::string& path);
 

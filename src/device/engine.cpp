@@ -115,14 +115,18 @@ class CoreBase {
                                   std::uint64_t campaign) = 0;
 
   sw::ChunkResult run(const sw::ChunkJob& job) {
-    validate(job);
     if (job.xs.empty()) return {};
     return to_chunk_result(run_device(job, job_campaign(job)));
   }
 
-  static void validate(const sw::ChunkJob& job) {
-    if (job.xs.size() != job.ys.size())
-      throw std::invalid_argument("pattern/text count mismatch");
+  // The batch shape check every front end runs, and the codes against
+  // the scheme's 2-bit DNA alphabet: a typed kInvalidInput StatusError.
+  static void validate(const sw::ChunkJob& job,
+                       const sw::ScoringScheme& scheme) {
+    util::Status s = sw::validate_batch(job.xs, job.ys);
+    if (s.ok()) s = sw::validate_codes(job.xs, scheme, "xs");
+    if (s.ok()) s = sw::validate_codes(job.ys, scheme, "ys");
+    if (!s.ok()) throw util::StatusError(std::move(s));
   }
 };
 
@@ -539,7 +543,7 @@ void validate_engine_scheme(const sw::ScoringScheme& scheme) {
     throw util::StatusError(util::Status::invalid_input(
         "EngineOptions::scheme.matrix scores an epsilon-bit protein "
         "alphabet; the device pipeline packs 2-bit DNA characters — "
-        "screen such batches through sw::try_scheme_max_scores"));
+        "screen such batches through sw::try_screen"));
 }
 
 }  // namespace
@@ -581,7 +585,7 @@ GpuRunResult gpu_bpbc_max_scores(std::span<const Sequence> xs,
   sw::ChunkJob job;
   job.xs = xs;
   job.ys = ys;
-  CoreBase::validate(job);
+  CoreBase::validate(job, scheme);
   if (xs.empty()) return {};
   job.stop = options.stop;
   job.trace_id = telemetry::current_trace_context();
@@ -604,6 +608,7 @@ GpuRunResult gpu_bpbc_max_scores(std::span<const Sequence> xs,
 }
 
 sw::ChunkResult PipelineEngine::run(const sw::ChunkJob& job) {
+  CoreBase::validate(job, impl_->opts.scheme);
   return impl_->core->run(job);
 }
 

@@ -33,8 +33,10 @@ struct EngineOptions {
   // uniform schemes only: a linear scheme runs the Theorem 6 cell, an
   // affine one the Gotoh three-state cell, and a matrix or otherwise
   // invalid scheme is rejected with a typed kInvalidInput at
-  // construction (protein batches screen through
-  // sw::try_scheme_max_scores).
+  // construction (protein batches screen through sw::try_screen on a
+  // host engine). Jobs are checked like every front end's batch
+  // (sw::validate_batch), and a code outside the 2-bit DNA alphabet is
+  // a typed kInvalidInput, never scored.
   sw::ScoringScheme scheme;
   // Lane width of the BPBC core: any concrete width or kAuto. Resolved
   // once at engine construction (kAuto probe + SWBPBC_FORCE_LANE_WIDTH

@@ -140,9 +140,10 @@ void absorb_device_run(telemetry::Telemetry* telemetry,
 
 /// Full BPBC pipeline on the simulated device: one synchronous run of the
 /// PipelineEngine core on a fresh arena. All xs share one length m, all ys
-/// one length n (the bit-transpose batch requirement). `scheme` follows
-/// EngineOptions::scheme's rules (uniform, linear or affine; anything else
-/// throws a kInvalidInput StatusError). With an injector in
+/// one length n (the bit-transpose batch requirement), and every code is
+/// a DNA code; `scheme` follows EngineOptions::scheme's rules (uniform,
+/// linear or affine). Anything else throws a kInvalidInput StatusError.
+/// With an injector in
 /// `options.faults`, each call draws one fault campaign in call order
 /// (FaultInjector::begin_run), so a retry observes a fresh pattern.
 GpuRunResult gpu_bpbc_max_scores(std::span<const encoding::Sequence> xs,

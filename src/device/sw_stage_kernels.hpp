@@ -39,7 +39,7 @@ inline void pack_wordwise_into(std::vector<std::uint32_t>& out,
   for (const encoding::Sequence& s : seqs) {
     if (s.size() != length)
       throw std::invalid_argument("sequences must have equal length");
-    for (encoding::Base b : s) out.push_back(encoding::code(b));
+    out.insert(out.end(), s.begin(), s.end());
   }
 }
 

@@ -1,5 +1,6 @@
 #include "encoding/alphabet.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -48,6 +49,21 @@ std::string Alphabet::decode(const GenericSequence& seq) const {
   out.reserve(seq.size());
   for (std::uint8_t c : seq) out.push_back(symbol(c));
   return out;
+}
+
+std::optional<CodeAt> find_code_at_least(
+    std::span<const GenericSequence> seqs, std::size_t limit) {
+  if (limit > 0xFF) return std::nullopt;
+  for (std::size_t k = 0; k < seqs.size(); ++k) {
+    std::uint8_t top = 0;
+    for (const std::uint8_t c : seqs[k]) top = std::max(top, c);
+    if (top < limit) continue;
+    const auto it =
+        std::find_if(seqs[k].begin(), seqs[k].end(),
+                     [limit](std::uint8_t c) { return c >= limit; });
+    return CodeAt{k, static_cast<std::size_t>(it - seqs[k].begin()), *it};
+  }
+  return std::nullopt;
 }
 
 const Alphabet& dna_alphabet() {

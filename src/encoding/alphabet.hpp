@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,6 +44,20 @@ class Alphabet {
   unsigned bits_ = 1;
   std::int16_t code_of_[256];  // -1 = not in alphabet
 };
+
+/// A code at or above some limit, located in a batch of sequences.
+struct CodeAt {
+  std::size_t seq = 0;    // index of the sequence in the batch
+  std::size_t index = 0;  // position inside that sequence
+  std::uint8_t code = 0;
+};
+
+/// The first code of `seqs` that is >= `limit` (an alphabet size or a
+/// plane-width bound), or nullopt when every code is below it. Each
+/// sequence is screened by a branch-free max reduction; only a failing
+/// sequence is scanned for the offending position.
+[[nodiscard]] std::optional<CodeAt> find_code_at_least(
+    std::span<const GenericSequence> seqs, std::size_t limit);
 
 /// The DNA alphabet with the paper's §II code assignment
 /// (A=00, T=01, G=10, C=11).

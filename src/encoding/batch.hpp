@@ -5,9 +5,9 @@
 // DNA is the epsilon = 2 alphabet: a DNA batch is a 2-plane
 // PlanarGenericBatch (generic_batch.hpp) — plane 0 holds the low bit and
 // plane 1 the high bit of each base's 2-bit code — built by the same
-// per-group transpose as transpose_generic_planar, reading the Base codes
-// in place. The conversions run the liveness-specialized transpose plans
-// of src/bitsim (paper Table I), or naively bit-by-bit for cross-checking.
+// per-group transpose as transpose_generic_planar. The conversions run the
+// liveness-specialized transpose plans of src/bitsim (paper Table I), or
+// naively bit-by-bit for cross-checking.
 #pragma once
 
 #include <array>
@@ -28,8 +28,8 @@ namespace swbpbc::encoding {
 
 /// Converts equal-length DNA strings to bit-transpose format (the paper's
 /// "W2B" step): a batch with planes == kBitsPerBase whose rows equal
-/// transpose_generic_planar<W>(codes, 2). Returns kInvalidInput, naming
-/// the offending index, if lengths differ.
+/// transpose_generic_planar<W>(seqs, 2). Returns kInvalidInput, naming
+/// the offending index, if lengths differ or a code is not a DNA code.
 template <bitsim::LaneWord W>
 util::Expected<PlanarGenericBatch<W>> try_transpose_strings(
     std::span<const Sequence> seqs,
@@ -43,6 +43,12 @@ util::Expected<PlanarGenericBatch<W>> try_transpose_strings(
           std::to_string(seqs[k].size()) + ", batch requires " +
           std::to_string(length));
   }
+  if (const auto bad =
+          find_code_at_least(seqs, std::size_t{1} << kBitsPerBase))
+    return util::Status::invalid_input(
+        "transpose_strings: seqs[" + std::to_string(bad->seq) + "][" +
+        std::to_string(bad->index) + "] code " + std::to_string(bad->code) +
+        " is not a DNA code");
   return detail::transpose_batch<W>(seqs, kBitsPerBase, method);
 }
 

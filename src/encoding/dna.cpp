@@ -49,14 +49,14 @@ char to_char(Base b) {
 Sequence sequence_from_string(std::string_view text) {
   Sequence seq;
   seq.reserve(text.size());
-  for (char ch : text) seq.push_back(base_from_char(ch));
+  for (char ch : text) seq.push_back(code(base_from_char(ch)));
   return seq;
 }
 
 std::string to_string(const Sequence& seq) {
   std::string out;
   out.reserve(seq.size());
-  for (Base b : seq) out.push_back(to_char(b));
+  for (std::uint8_t c : seq) out.push_back(to_char(Base{c}));
   return out;
 }
 

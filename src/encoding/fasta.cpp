@@ -44,7 +44,7 @@ util::Expected<std::vector<FastaRecord>> try_read_fasta(std::istream& in) {
         return parse_error_at(
             line_no, "column " + std::to_string(col + 1) +
                          ": invalid character '" + line[col] + "'");
-      seq.push_back(b);
+      seq.push_back(code(b));
     }
   }
   if (!records.empty() && records.back().sequence.empty())
@@ -73,7 +73,8 @@ void write_fasta(std::ostream& out, const std::vector<FastaRecord>& records,
     out << '>' << rec.name << '\n';
     for (std::size_t i = 0; i < rec.sequence.size(); i += width) {
       const std::size_t hi = std::min(i + width, rec.sequence.size());
-      for (std::size_t j = i; j < hi; ++j) out << to_char(rec.sequence[j]);
+      for (std::size_t j = i; j < hi; ++j)
+        out << to_char(Base{rec.sequence[j]});
       out << '\n';
     }
   }

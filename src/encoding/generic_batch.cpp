@@ -1,8 +1,7 @@
 // W2B for every alphabet: generic epsilon-bit batches and DNA batches
 // (the epsilon = 2 instance, declared in batch.hpp) run one per-group
-// transpose (generic_batch.hpp), templated on the sequence element type
-// so Base codes are read in place. This file holds its batch check and
-// the baseline lane words' instantiations.
+// transpose (generic_batch.hpp). This file holds its batch check and the
+// baseline lane words' instantiations.
 #include "encoding/generic_batch.hpp"
 
 #include <stdexcept>
@@ -15,17 +14,13 @@ void detail::check_batch(std::span<const GenericSequence> seqs,
                          unsigned bits, std::size_t length) {
   if (bits == 0 || bits > kMaxAlphabetPlanes)
     throw std::invalid_argument("character width must be in [1, 8] bits");
-  const auto max_code =
-      static_cast<std::uint8_t>(bits >= 8 ? 0xFFu : (1u << bits) - 1);
   for (const auto& s : seqs) {
     if (s.size() != length)
       throw std::invalid_argument(
           "transpose_generic_planar requires equal-length sequences");
-    for (std::uint8_t c : s) {
-      if (c > max_code)
-        throw std::invalid_argument("character code exceeds plane width");
-    }
   }
+  if (find_code_at_least(seqs, std::size_t{1} << bits))
+    throw std::invalid_argument("character code exceeds plane width");
 }
 
 // Explicit instantiations for every lane width the library dispatches:

@@ -93,16 +93,12 @@ namespace detail {
 void check_batch(std::span<const GenericSequence> seqs, unsigned bits,
                  std::size_t length);
 
-// Character code of one sequence element: a Base is its 2-bit code.
-inline std::uint8_t code_of(std::uint8_t c) { return c; }
-inline std::uint8_t code_of(Base b) { return code(b); }
-
 // Transposes one group's characters position by position: gathers one
 // epsilon-bit code per lane into a W-word scratch block, runs the Table I
 // payload transpose `pt` (64-bit limb decomposition for the wide words),
 // and stores the epsilon plane words of position i into the group's rows.
-template <bitsim::LaneWord W, class Seq>
-void transpose_group(std::span<const Seq> seqs, std::size_t first,
+template <bitsim::LaneWord W>
+void transpose_group(std::span<const GenericSequence> seqs, std::size_t first,
                      unsigned bits, TransposeMethod method,
                      const bitsim::PayloadTranspose<W>& pt,
                      PlanarGeneric<W>& group) {
@@ -120,7 +116,7 @@ void transpose_group(std::span<const Seq> seqs, std::size_t first,
     for (std::size_t i = 0; i < length; ++i) {
       scratch.fill(0);
       for (std::size_t lane = 0; lane < lanes_used; ++lane) {
-        const std::uint8_t c = code_of(seqs[first + lane][i]);
+        const std::uint8_t c = seqs[first + lane][i];
         for (unsigned p = 0; p < bits; ++p) {
           if ((c >> p) & 1u) {
             W& w = scratch[p];
@@ -139,17 +135,17 @@ void transpose_group(std::span<const Seq> seqs, std::size_t first,
   for (std::size_t i = 0; i < length; ++i) {
     scratch.fill(0);
     for (std::size_t lane = 0; lane < lanes_used; ++lane) {
-      scratch[lane] = static_cast<W>(code_of(seqs[first + lane][i]));
+      scratch[lane] = static_cast<W>(seqs[first + lane][i]);
     }
     pt.apply(std::span<W>(scratch));
     emit(i, std::span<const W>(scratch.data(), bits));
   }
 }
 
-// The batch W2B behind the generic and DNA front ends; `seqs` must share
-// one length and every code must fit in `bits`.
-template <bitsim::LaneWord W, class Seq>
-PlanarGenericBatch<W> transpose_batch(std::span<const Seq> seqs,
+// The batch W2B behind every front end, unchecked; `seqs` must share one
+// length and every code must fit in `bits`.
+template <bitsim::LaneWord W>
+PlanarGenericBatch<W> transpose_batch(std::span<const GenericSequence> seqs,
                                       unsigned bits, TransposeMethod method) {
   constexpr unsigned kLanes = bitsim::word_bits_v<W>;
   PlanarGenericBatch<W> batch;

@@ -15,7 +15,7 @@ Sequence random_sequence(util::Xoshiro256& rng, std::size_t length) {
       pool = rng.next();
       left = 32;
     }
-    seq.push_back(base_from_code(static_cast<std::uint8_t>(pool & 0b11)));
+    seq.push_back(static_cast<std::uint8_t>(pool & 0b11));
     pool >>= 2;
     --left;
   }
@@ -42,11 +42,11 @@ Sequence mutate(const Sequence& seq, double rate, util::Xoshiro256& rng) {
   const auto threshold = always ? std::uint64_t{0}
                                 : static_cast<std::uint64_t>(
                                       rate * 18446744073709551616.0);
-  for (auto& b : out) {
+  for (std::uint8_t& c : out) {
     if (always || rng.next() < threshold) {
-      // Shift by 1..3 to guarantee a *different* base.
+      // Shift by 1..3 (mod 4) to guarantee a *different* base.
       const auto delta = static_cast<std::uint8_t>(1 + rng.below(3));
-      b = base_from_code(static_cast<std::uint8_t>(code(b) + delta));
+      c = static_cast<std::uint8_t>((c + delta) & 0b11);
     }
   }
   return out;

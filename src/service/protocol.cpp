@@ -84,23 +84,22 @@ util::Status truncated(const char* what) {
 void put_side(std::vector<std::uint8_t>& out,
               const std::vector<encoding::Sequence>& side) {
   for (const encoding::Sequence& seq : side)
-    for (const encoding::Base b : seq) out.push_back(encoding::code(b));
+    out.insert(out.end(), seq.begin(), seq.end());
 }
 
-// Reads `count` sequences of `length` code bytes, validating each code.
+// Reads `count` sequences of `length` code bytes, validating each code:
+// the wire carries DNA only.
 util::Status take_side(Cursor& cur, std::size_t count, std::size_t length,
                        const char* side_name,
                        std::vector<encoding::Sequence>& side) {
   side.assign(count, encoding::Sequence(length));
-  std::vector<std::uint8_t> row(length);
   for (std::size_t k = 0; k < count; ++k) {
-    if (!cur.take_bytes(row.data(), length)) return truncated(side_name);
-    for (std::size_t i = 0; i < length; ++i) {
-      if (row[i] > 0b11)
+    if (!cur.take_bytes(side[k].data(), length)) return truncated(side_name);
+    for (const std::uint8_t c : side[k]) {
+      if (c > 0b11)
         return util::Status::invalid_input(
             std::string(side_name) + "[" + std::to_string(k) +
-            "] carries a non-DNA code " + std::to_string(row[i]));
-      side[k][i] = encoding::base_from_code(row[i]);
+            "] carries a non-DNA code " + std::to_string(c));
     }
   }
   return {};

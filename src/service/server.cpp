@@ -171,7 +171,7 @@ util::Status ScreenServer::Impl::setup() {
     return util::Status::invalid_input(
         "config.scheme.matrix scores an epsilon-bit protein alphabet; the "
         "daemon's wire codec transports 2-bit DNA — screen protein "
-        "batches in-process through sw::try_scheme_max_scores");
+        "batches in-process through sw::try_screen");
   scheme_fp = sw::fingerprint_scheme(scheme);
 
   if (config.use_engine) {

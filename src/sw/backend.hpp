@@ -82,12 +82,11 @@ class Backend {
 };
 
 /// The host BPBC path as a Backend — what screen() runs when it picks the
-/// bpbc engine: the bit-sliced kernel (SchemeBpbcAligner) over DNA groups
-/// at the resolved lane width, reporting per-phase timings. Linear or
-/// affine gaps, uniform substitution: the scheme must be uniform over DNA
-/// — matrix schemes screen protein batches through try_scheme_max_scores,
-/// not the DNA pipeline — and should have passed validate_scheme().
-/// Defined with the batch front ends in bpbc.cpp.
+/// bpbc engine: the bit-sliced kernel (SchemeBpbcAligner) over groups of
+/// scheme.alphabet_bits() planes at the resolved lane width, reporting
+/// per-phase timings. Any valid scheme, DNA or protein; the jobs' codes
+/// must belong to scheme.alphabet() (try_screen checks them at entry).
+/// Defined with the batch front end in bpbc.cpp.
 std::unique_ptr<Backend> make_host_backend(const ScoringScheme& scheme,
                                            LaneWidth width, bulk::Mode mode);
 

@@ -1,11 +1,11 @@
-// The host batch front ends of the bit-sliced kernel: try_bpbc_max_scores
-// (DNA), try_scheme_max_scores (any alphabet; declared in
-// scheme_aligner.hpp) and the host screening backend (make_host_backend,
-// declared in backend.hpp). DNA is the epsilon = 2 alphabet, so all three
-// run one routine: a shape check, then W2B of both sides into plane-major
-// groups, SchemeBpbcAligner::score_groups (SWA + B2W) at the resolved lane
-// width — kernel::run_batch (kernel.hpp), which runs the AVX2/AVX-512
-// build at 256/512 lanes when the CPU has it.
+// The host batch front end of the bit-sliced kernel,
+// try_scheme_max_scores (declared in scheme_aligner.hpp), and the host
+// screening backend (make_host_backend, declared in backend.hpp). Both
+// run one routine for every alphabet: a shape check, then W2B of both
+// sides into plane-major groups, SchemeBpbcAligner::score_groups (SWA +
+// B2W) at the resolved lane width — kernel::run_batch (kernel.hpp),
+// which runs the AVX2/AVX-512 build at 256/512 lanes when the CPU has
+// it.
 #include "sw/bpbc.hpp"
 
 #include <string>
@@ -21,38 +21,9 @@ namespace swbpbc::sw {
 
 namespace {
 
-// Typed shape check: equal counts, one non-zero length per side.
-template <class Seq>
-util::Status validate_batch(std::span<const Seq> xs,
-                            std::span<const Seq> ys) {
-  if (xs.size() != ys.size())
-    return util::Status::invalid_input(
-        "pattern/text count mismatch: " + std::to_string(xs.size()) +
-        " patterns vs " + std::to_string(ys.size()) + " texts");
-  if (xs.empty()) return {};
-  const std::size_t m = xs.front().size();
-  const std::size_t n = ys.front().size();
-  if (m == 0 || n == 0)
-    return util::Status::invalid_input("sequences must be non-empty");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    if (xs[k].size() != m)
-      return util::Status::invalid_input(
-          "non-uniform batch: xs[" + std::to_string(k) + "] has length " +
-          std::to_string(xs[k].size()) + ", batch requires " +
-          std::to_string(m));
-    if (ys[k].size() != n)
-      return util::Status::invalid_input(
-          "non-uniform batch: ys[" + std::to_string(k) + "] has length " +
-          std::to_string(ys[k].size()) + ", batch requires " +
-          std::to_string(n));
-  }
-  return {};
-}
-
 // Scores a validated batch at `width` (resolved here).
-template <class Seq>
-std::vector<std::uint32_t> score_batch(std::span<const Seq> xs,
-                                       std::span<const Seq> ys,
+std::vector<std::uint32_t> score_batch(std::span<const encoding::Sequence> xs,
+                                       std::span<const encoding::Sequence> ys,
                                        const ScoringScheme& scheme,
                                        LaneWidth width, bulk::Mode mode,
                                        encoding::TransposeMethod method,
@@ -96,34 +67,35 @@ class HostBackend final : public Backend {
 
 }  // namespace
 
-util::Expected<std::vector<std::uint32_t>> try_bpbc_max_scores(
-    std::span<const encoding::Sequence> xs,
-    std::span<const encoding::Sequence> ys, const ScoringScheme& scheme,
-    LaneWidth width, bulk::Mode mode, encoding::TransposeMethod method,
-    PhaseTimings* timings) {
-  if (util::Status s = validate_scheme(scheme); !s.ok()) return s;
-  if (scheme.matrix != nullptr)
+util::Status validate_batch(std::span<const encoding::Sequence> xs,
+                            std::span<const encoding::Sequence> ys) {
+  if (xs.size() != ys.size())
     return util::Status::invalid_input(
-        "scoring.scheme.matrix scores an epsilon-bit protein alphabet; the "
-        "DNA front end packs 2-bit characters — score protein batches "
-        "through try_scheme_max_scores");
-  if (util::Status s = validate_batch(xs, ys); !s.ok()) return s;
-  if (xs.empty()) return std::vector<std::uint32_t>{};
-  return score_batch(xs, ys, scheme, width, mode, method, timings);
-}
-
-std::vector<std::uint32_t> bpbc_max_scores(
-    std::span<const encoding::Sequence> xs,
-    std::span<const encoding::Sequence> ys, const ScoringScheme& scheme,
-    LaneWidth width, bulk::Mode mode, encoding::TransposeMethod method,
-    PhaseTimings* timings) {
-  return try_bpbc_max_scores(xs, ys, scheme, width, mode, method, timings)
-      .value();
+        "pattern/text count mismatch: " + std::to_string(xs.size()) +
+        " patterns vs " + std::to_string(ys.size()) + " texts");
+  if (xs.empty()) return {};
+  const std::size_t m = xs.front().size();
+  const std::size_t n = ys.front().size();
+  if (m == 0 || n == 0)
+    return util::Status::invalid_input("sequences must be non-empty");
+  for (std::size_t k = 0; k < xs.size(); ++k) {
+    if (xs[k].size() != m)
+      return util::Status::invalid_input(
+          "non-uniform batch: xs[" + std::to_string(k) + "] has length " +
+          std::to_string(xs[k].size()) + ", batch requires " +
+          std::to_string(m));
+    if (ys[k].size() != n)
+      return util::Status::invalid_input(
+          "non-uniform batch: ys[" + std::to_string(k) + "] has length " +
+          std::to_string(ys[k].size()) + ", batch requires " +
+          std::to_string(n));
+  }
+  return {};
 }
 
 util::Expected<std::vector<std::uint32_t>> try_scheme_max_scores(
-    std::span<const encoding::GenericSequence> xs,
-    std::span<const encoding::GenericSequence> ys,
+    std::span<const encoding::Sequence> xs,
+    std::span<const encoding::Sequence> ys,
     const ScoringScheme& scheme, LaneWidth width, bulk::Mode mode,
     encoding::TransposeMethod method, PhaseTimings* timings) {
   if (util::Status s = validate_scheme(scheme); !s.ok()) return s;

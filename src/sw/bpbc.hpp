@@ -1,13 +1,14 @@
-// The BPBC Smith-Waterman batch front end for DNA (paper §IV.B) — the
-// library's core contribution.
+// The BPBC Smith-Waterman batch boundary (paper §IV.B): the phase
+// timings every front end reports and the one batch shape check they
+// all run.
 //
-// `bpbc_max_scores` performs W2B (bit transpose of both sides), the bulk
-// DP over all groups (serially or on the thread pool) with the one
-// bit-sliced kernel, SchemeBpbcAligner (scheme_aligner.hpp), and B2W (bit
+// try_scheme_max_scores (scheme_aligner.hpp) performs W2B (bit transpose
+// of both sides), the bulk DP over all groups (serially or on the thread
+// pool) with the one bit-sliced kernel, SchemeBpbcAligner, and B2W (bit
 // untranspose) — the exact Step 2/3/4 structure of the paper's GPU
 // pipeline, with per-phase timings for the Table IV harness. DNA is the
 // epsilon = 2 alphabet: its batches transpose into 2-plane groups and run
-// the same routine as the generic try_scheme_max_scores (bpbc.cpp).
+// the same routine as protein (bpbc.cpp).
 #pragma once
 
 #include <cstdint>
@@ -31,26 +32,12 @@ struct PhaseTimings {
   [[nodiscard]] double total_ms() const { return w2b_ms + swa_ms + b2w_ms; }
 };
 
-/// Scores all pairs (xs[k], ys[k]) with the BPBC technique under a
-/// uniform (linear or affine) DNA scheme. All xs must share one length m
-/// and all ys one length n; violations, an invalid scheme and a matrix
-/// scheme (protein batches score through try_scheme_max_scores) are
-/// reported as kInvalidInput instead of failing mid-batch.
-/// An empty batch scores to an empty vector. `timings`, when non-null,
-/// receives per-phase wall times.
-util::Expected<std::vector<std::uint32_t>> try_bpbc_max_scores(
+/// Typed kInvalidInput unless the pair batch (xs[k], ys[k]) has equal
+/// counts, one non-zero length m for every xs and one n for every ys
+/// (the BPBC batch requirement). An empty batch passes; callers that
+/// need pairs reject it themselves.
+[[nodiscard]] util::Status validate_batch(
     std::span<const encoding::Sequence> xs,
-    std::span<const encoding::Sequence> ys, const ScoringScheme& scheme,
-    LaneWidth width = LaneWidth::k64, bulk::Mode mode = bulk::Mode::kSerial,
-    encoding::TransposeMethod method = encoding::TransposeMethod::kPlanned,
-    PhaseTimings* timings = nullptr);
-
-/// Throwing convenience wrapper around try_bpbc_max_scores (StatusError).
-std::vector<std::uint32_t> bpbc_max_scores(
-    std::span<const encoding::Sequence> xs,
-    std::span<const encoding::Sequence> ys, const ScoringScheme& scheme,
-    LaneWidth width = LaneWidth::k64, bulk::Mode mode = bulk::Mode::kSerial,
-    encoding::TransposeMethod method = encoding::TransposeMethod::kPlanned,
-    PhaseTimings* timings = nullptr);
+    std::span<const encoding::Sequence> ys);
 
 }  // namespace swbpbc::sw

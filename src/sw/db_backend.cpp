@@ -1,8 +1,6 @@
-// The store-served front ends of the bit-sliced kernel: the DNA screening
-// backend (make_db_backend) and the any-alphabet one-query screen
-// (try_scheme_db_max_scores, declared in scheme_aligner.hpp). Both run
-// one lane-word body, kernel::run_store (kernel.hpp), and map its shard
-// counts onto their own report.
+// The store-served screening backend (make_db_backend): any alphabet's
+// store, served through one lane-word body, kernel::run_store
+// (kernel.hpp), with its shard counts mapped onto the ChunkResult.
 #include "sw/db_backend.hpp"
 
 #include <algorithm>
@@ -12,15 +10,14 @@
 #include <utility>
 #include <vector>
 
+#include "db/builder.hpp"
 #include "sw/kernel.hpp"
-#include "sw/scheme_aligner.hpp"
 
 namespace swbpbc::sw {
 
 namespace kernel {
 
-template <class Seq>
-const std::uint64_t* store_shard_rows(const StoreJob<Seq>& job,
+const std::uint64_t* store_shard_rows(const StoreJob& job,
                                       db::Reader& reader, std::size_t shard,
                                       const ScoringScheme& scheme,
                                       ReingestCache& cache,
@@ -33,10 +30,6 @@ const std::uint64_t* store_shard_rows(const StoreJob<Seq>& job,
     return view->data;
   }
   ++report.quarantined;
-  if (job.ys.empty()) {
-    report.error = view.status();
-    return nullptr;
-  }
   // Rebuild the shard's 64-lane group from the raw sequences with the
   // same in-memory transpose the no-store path runs, so scores stay
   // bit-identical; its planar rows are the shard payload.
@@ -49,13 +42,6 @@ const std::uint64_t* store_shard_rows(const StoreJob<Seq>& job,
   return cache.emplace(shard, std::move(batch.groups.front().rows))
       .first->second.data();
 }
-
-template const std::uint64_t* store_shard_rows(
-    const StoreJob<encoding::Sequence>&, db::Reader&, std::size_t,
-    const ScoringScheme&, ReingestCache&, StoreReport&);
-template const std::uint64_t* store_shard_rows(
-    const StoreJob<encoding::GenericSequence>&, db::Reader&, std::size_t,
-    const ScoringScheme&, ReingestCache&, StoreReport&);
 
 }  // namespace kernel
 
@@ -88,7 +74,7 @@ class DbBackend final : public Backend {
     return job.first_pair != ChunkJob::kUnknownPair &&
            job.first_pair % db::kDbLanesPerShard == 0 &&
            job.first_pair + job.xs.size() <= reader_.entry_count() &&
-           reader_.plane_bits() == encoding::kBitsPerBase &&
+           reader_.plane_bits() == scheme_.alphabet_bits() &&
            job.ys.front().size() == reader_.entry_length();
   }
 
@@ -110,7 +96,7 @@ ChunkResult DbBackend::run(const ChunkJob& job) {
   }
   ChunkResult r;
   kernel::StoreReport report;
-  const kernel::StoreJob<encoding::Sequence> store_job{
+  const kernel::StoreJob store_job{
       job.xs, job.ys, job.first_pair, job.xs.size(), job.stop};
   const db::ReaderStats before = reader_.stats();
   // job.ys re-ingests every quarantined shard, so the serve cannot fail.
@@ -141,60 +127,34 @@ std::unique_ptr<Backend> make_db_backend(db::Reader& reader,
           validate_scheme(options.scheme, "DbBackendOptions::scheme");
       !s.ok())
     throw util::StatusError(std::move(s));
-  if (!options.scheme.uniform())
-    throw util::StatusError(util::Status::invalid_input(
-        "DbBackendOptions::scheme carries a substitution matrix; the store "
-        "backend serves DNA batches — screen a protein store through "
-        "sw::try_scheme_db_max_scores"));
   return std::make_unique<DbBackend>(reader, options);
 }
 
-util::Expected<std::vector<std::uint32_t>> try_scheme_db_max_scores(
-    const encoding::GenericSequence& query, db::Reader& reader,
-    const ScoringScheme& scheme, LaneWidth width, bulk::Mode mode,
-    std::span<const encoding::GenericSequence> corpus, SchemeDbStats* stats,
-    PhaseTimings* timings) {
-  if (util::Status s = validate_scheme(scheme); !s.ok()) return s;
-  if (query.empty())
-    return util::Status::invalid_input("query must be non-empty");
-  if (util::Status s = validate_codes({&query, 1}, scheme, "query"); !s.ok())
-    return s;
-  // A quarantined shard re-ingests from the corpus, so the corpus must be
-  // the one the store was built from, indexed like the store.
-  if (!corpus.empty() && corpus.size() != reader.entry_count())
-    return util::Status::invalid_input(
-        "re-ingest corpus has " + std::to_string(corpus.size()) +
-        " sequences but the database stores " +
-        std::to_string(reader.entry_count()));
-  if (util::Status s =
-          check_store_matches(reader, corpus, scheme.alphabet_bits(), true);
-      !s.ok())
-    return s;
-  if (reader.entry_count() == 0) return std::vector<std::uint32_t>{};
-  if (reader.entry_length() == 0)
-    return util::Status::db_mismatch("database entries are empty");
-  if (util::Status s = validate_codes(corpus, scheme, "corpus"); !s.ok())
-    return s;
-
-  const LaneWidth resolved = resolve_lane_width(width);
-  if (stats) stats->lane_width = resolved;
-  kernel::ReingestCache cache;
-  kernel::StoreReport report;
-  const kernel::StoreJob<encoding::GenericSequence> job{
-      {&query, 1}, corpus, 0, reader.entry_count(), nullptr};
-  auto scores = with_lane_word<LaneWords::kNative>(
-      resolved, [&]<class W>(std::type_identity<W>) {
-        return kernel::run_store<W>(job, reader, scheme, mode, cache, report,
-                                    timings);
-      });
-  if (stats) {
-    stats->shards_served = report.served;
-    stats->shards_quarantined = report.quarantined;
-    // Every quarantined shard re-ingests when there is a corpus to do so.
-    stats->shards_reingested = corpus.empty() ? 0 : report.quarantined;
-  }
-  if (!report.error.ok()) return report.error;
-  return scores;
+util::Status check_store_matches(const db::Reader& reader,
+                                 std::span<const encoding::Sequence> ys,
+                                 unsigned planes, bool verify_content) {
+  const std::string store = "database '" + reader.path() + "'";
+  if (reader.plane_bits() != planes)
+    return util::Status::db_mismatch(
+        store + " stores " + std::to_string(reader.plane_bits()) +
+        "-bit planes but the scheme's alphabet needs " +
+        std::to_string(planes) +
+        " (was the store built for a different alphabet?)");
+  if (reader.entry_count() != ys.size() ||
+      reader.entry_length() != ys.front().size())
+    return util::Status::db_mismatch(
+        store + " holds " + std::to_string(reader.entry_count()) +
+        " entries of length " + std::to_string(reader.entry_length()) +
+        "; the batch screens " + std::to_string(ys.size()) +
+        " sequences of length " + std::to_string(ys.front().size()));
+  if (verify_content &&
+      db::content_fingerprint(ys) != reader.content_fingerprint())
+    return util::Status::db_mismatch(
+        store +
+        " content fingerprint disagrees with the given sequences (stale or "
+        "reordered store or sequences; screen the sequences it was built "
+        "from, or rebuild it)");
+  return {};
 }
 
 }  // namespace swbpbc::sw

@@ -1,9 +1,10 @@
 // The lane-word-templated batch bodies of the host bit-sliced kernel:
 // W2B, SWA and B2W of an in-memory batch (run_batch, behind bpbc.cpp's
-// front ends and host backend) and of a database store serve (run_store,
-// behind both store front ends in db_backend.cpp: the DNA store backend
-// and the any-alphabet try_scheme_db_max_scores), plus the shard-to-lane
-// routine the store body runs (shard_group_view).
+// front end and host backend) and of a database store serve (run_store,
+// behind the store backend in db_backend.cpp), plus the shard-to-lane
+// routine the store body runs (shard_group_view). Every alphabet runs
+// them: a batch transposes into scheme.alphabet_bits() planes (DNA is
+// the epsilon = 2 instance).
 //
 // These templates are compiled up to three times (DESIGN.md decision 25):
 // bpbc.cpp and db_backend.cpp instantiate them for the baseline lane
@@ -18,7 +19,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <type_traits>
 #include <unordered_map>
@@ -39,24 +39,21 @@
 
 namespace swbpbc::sw::kernel {
 
-// W2B of one side: a DNA batch is the 2-plane instance.
-template <bitsim::LaneWord W, class Seq>
-encoding::PlanarGenericBatch<W> transpose(std::span<const Seq> seqs,
-                                          const ScoringScheme& scheme,
-                                          encoding::TransposeMethod method) {
-  if constexpr (std::is_same_v<Seq, encoding::Sequence>)
-    return encoding::transpose_strings<W>(seqs, method);
-  else
-    return encoding::transpose_generic_planar<W>(
-        seqs, scheme.alphabet_bits(), method);
+// W2B of one validated side at the scheme's epsilon planes.
+template <bitsim::LaneWord W>
+encoding::PlanarGenericBatch<W> transpose(
+    std::span<const encoding::Sequence> seqs, const ScoringScheme& scheme,
+    encoding::TransposeMethod method) {
+  return encoding::detail::transpose_batch<W>(seqs, scheme.alphabet_bits(),
+                                              method);
 }
 
 /// Scores a validated in-memory batch at lane word W: W2B of both sides
 /// into plane-major groups, then SchemeBpbcAligner::score_groups (SWA +
-/// B2W). Seq is encoding::Sequence (DNA) or encoding::GenericSequence.
-template <bitsim::LaneWord W, class Seq>
-std::vector<std::uint32_t> run_batch(std::span<const Seq> xs,
-                                     std::span<const Seq> ys,
+/// B2W).
+template <bitsim::LaneWord W>
+std::vector<std::uint32_t> run_batch(std::span<const encoding::Sequence> xs,
+                                     std::span<const encoding::Sequence> ys,
                                      const ScoringScheme& scheme,
                                      bulk::Mode mode,
                                      encoding::TransposeMethod method,
@@ -82,10 +79,9 @@ std::vector<std::uint32_t> run_batch(std::span<const Seq> xs,
 // shard per 64-bit limb (bit k of a wide word is bit k%64 of limb k/64 —
 // the bitsim contract), and limbs past `count` stay zero: code-0 lanes,
 // matching the in-memory transpose. `rows_of(k)` returns the rows of the
-// run's k-th shard, or nullptr when it cannot be served (the view is
-// then nullopt). `scratch` backs copied rows and must outlive the view.
+// run's k-th shard. `scratch` backs copied rows and must outlive the view.
 template <bitsim::LaneWord W, class RowsOf>
-std::optional<encoding::PlanarGenericView<W>> shard_group_view(
+encoding::PlanarGenericView<W> shard_group_view(
     std::size_t g, std::size_t count, std::size_t n, unsigned planes,
     RowsOf&& rows_of, std::vector<W>& scratch) {
   constexpr unsigned kLanes = bitsim::word_bits_v<W>;
@@ -93,10 +89,8 @@ std::optional<encoding::PlanarGenericView<W>> shard_group_view(
   const W* rows = nullptr;
   if constexpr (kLanes == 64) {
     rows = rows_of(g);
-    if (rows == nullptr) return std::nullopt;
   } else if constexpr (kLanes < 64) {
     const std::uint64_t* shard = rows_of(g / 2);
-    if (shard == nullptr) return std::nullopt;
     const unsigned shift = kLanes * (g % 2);
     scratch.resize(size);
     for (std::size_t i = 0; i < size; ++i)
@@ -108,7 +102,6 @@ std::optional<encoding::PlanarGenericView<W>> shard_group_view(
     for (unsigned t = 0; t < kLimbs && g * kLanes + t * std::size_t{64} < count;
          ++t) {
       const std::uint64_t* shard = rows_of(g * kLimbs + t);
-      if (shard == nullptr) return std::nullopt;
       for (std::size_t i = 0; i < size; ++i)
         bitsim::set_limb(scratch[i], t, shard[i]);
     }
@@ -125,8 +118,9 @@ std::optional<encoding::PlanarGenericView<W>> shard_group_view(
 /// Broadcast query: plane p row i is all-ones where bit p of query[i] is
 /// set — every lane holds the query's codes, as the transpose of copies
 /// of the query does in its used lanes, with no W2B at all.
-template <bitsim::LaneWord W, class Seq>
-encoding::PlanarGeneric<W> broadcast_query(const Seq& query, unsigned eps) {
+template <bitsim::LaneWord W>
+encoding::PlanarGeneric<W> broadcast_query(const encoding::Sequence& query,
+                                           unsigned eps) {
   constexpr W kZero = bitops::word_traits<W>::zero();
   constexpr W kOnes = bitops::word_traits<W>::ones();
   encoding::PlanarGeneric<W> out;
@@ -144,26 +138,21 @@ encoding::PlanarGeneric<W> broadcast_query(const Seq& query, unsigned eps) {
 
 /// One store serve: entries [first_pair, first_pair + count) of the store
 /// (first_pair shard-aligned) against `queries` — one per entry, or a
-/// single query for all of them. `ys` holds the same entries' sequences,
-/// to re-ingest a quarantined shard from; when it is empty, a quarantined
-/// shard surfaces its kDbCorrupt instead.
-template <class Seq>
+/// single query for all of them. `ys` holds the same entries'
+/// sequences, to re-ingest a quarantined shard from.
 struct StoreJob {
-  std::span<const Seq> queries;
-  std::span<const Seq> ys;
+  std::span<const encoding::Sequence> queries;
+  std::span<const encoding::Sequence> ys;
   std::size_t first_pair = 0;
   std::size_t count = 0;
   const util::StopCondition* stop = nullptr;
 };
 
-/// What a store serve reports: its shard counts, and the status of a
-/// quarantined shard it could not re-ingest (the serve then returns no
-/// scores).
+/// What a store serve reports: its shard counts.
 struct StoreReport {
   std::uint64_t served = 0;       // verified shards read from the mapping
   std::uint64_t quarantined = 0;  // shards that failed verification
   std::uint64_t pairs_reingested = 0;  // entries rebuilt from ys
-  util::Status error;
 };
 
 /// Re-ingested 64-lane planar rows by shard index; unordered_map keeps
@@ -173,24 +162,21 @@ using ReingestCache =
 
 /// Planar rows of store shard `shard`: the cached re-ingest, else the
 /// mapping when the shard verifies, else the shard rebuilt from job.ys by
-/// the in-memory transpose and cached. nullptr, with the shard's status
-/// in report.error, when job.ys is empty. It carries no lane word, so it
-/// is defined in db_backend.cpp, outside the ISA-compiled files.
-template <class Seq>
-const std::uint64_t* store_shard_rows(const StoreJob<Seq>& job,
+/// the in-memory transpose and cached. It carries no lane word, so it is
+/// defined in db_backend.cpp, outside the ISA-compiled files.
+const std::uint64_t* store_shard_rows(const StoreJob& job,
                                       db::Reader& reader, std::size_t shard,
                                       const ScoringScheme& scheme,
                                       ReingestCache& cache,
                                       StoreReport& report);
 
-/// The store body behind both store front ends (db_backend.cpp), at lane
+/// The store body behind the store backend (db_backend.cpp), at lane
 /// word W. Query lanes: one broadcast view shared by every group when all
 /// queries are equal, the in-memory transpose otherwise. Store lanes:
 /// shard_group_view over store_shard_rows. Then score_groups (SWA + B2W,
-/// polling job.stop). Returns no scores when report.error is set: an
-/// Expected return would compile its untagged constructor for the ISA.
-template <bitsim::LaneWord W, class Seq>
-std::vector<std::uint32_t> run_store(const StoreJob<Seq>& job,
+/// polling job.stop).
+template <bitsim::LaneWord W>
+std::vector<std::uint32_t> run_store(const StoreJob& job,
                                      db::Reader& reader,
                                      const ScoringScheme& scheme,
                                      bulk::Mode mode, ReingestCache& cache,
@@ -205,9 +191,9 @@ std::vector<std::uint32_t> run_store(const StoreJob<Seq>& job,
   encoding::PlanarGeneric<W> broadcast;
   encoding::PlanarGenericBatch<W> bx;
   std::vector<encoding::PlanarGenericView<W>> xv, yv;
-  const Seq& query = job.queries.front();
+  const encoding::Sequence& query = job.queries.front();
   if (std::all_of(job.queries.begin(), job.queries.end(),
-                  [&](const Seq& q) { return q == query; })) {
+                  [&](const encoding::Sequence& q) { return q == query; })) {
     broadcast = broadcast_query<W>(query, eps);
     xv.assign(n_groups, broadcast.view());
   } else {
@@ -229,12 +215,9 @@ std::vector<std::uint32_t> run_store(const StoreJob<Seq>& job,
     return last_rows;
   };
   std::vector<std::vector<W>> scratch(n_groups);
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    const auto view =
-        shard_group_view<W>(g, job.count, n, eps, rows_of, scratch[g]);
-    if (!view) return {};
-    yv.push_back(*view);
-  }
+  for (std::size_t g = 0; g < n_groups; ++g)
+    yv.push_back(
+        shard_group_view<W>(g, job.count, n, eps, rows_of, scratch[g]));
   if (timings) timings->w2b_ms = timer.elapsed_ms();
 
   const SchemeBpbcAligner<W> aligner(scheme, query.size(), n);
@@ -243,22 +226,14 @@ std::vector<std::uint32_t> run_store(const StoreJob<Seq>& job,
 
 // The entry points kernel_avx2.cpp and kernel_avx512.cpp instantiate for
 // their tagged word; `prefix` is `template` there, `extern template` here.
-#define SWBPBC_KERNEL_ENTRY_POINTS(prefix, W)                                \
-  prefix std::vector<std::uint32_t> run_batch<W, encoding::Sequence>(        \
-      std::span<const encoding::Sequence>,                                   \
+#define SWBPBC_KERNEL_ENTRY_POINTS(prefix, W)                               \
+  prefix std::vector<std::uint32_t> run_batch<W>(                           \
+      std::span<const encoding::Sequence>,                                  \
       std::span<const encoding::Sequence>, const ScoringScheme&, bulk::Mode, \
-      encoding::TransposeMethod, PhaseTimings*);                             \
-  prefix std::vector<std::uint32_t> run_batch<W, encoding::GenericSequence>( \
-      std::span<const encoding::GenericSequence>,                            \
-      std::span<const encoding::GenericSequence>, const ScoringScheme&,      \
-      bulk::Mode, encoding::TransposeMethod, PhaseTimings*);                 \
-  prefix std::vector<std::uint32_t> run_store<W, encoding::Sequence>(       \
-      const StoreJob<encoding::Sequence>&, db::Reader&, const ScoringScheme&, \
-      bulk::Mode, ReingestCache&, StoreReport&, PhaseTimings*);              \
-  prefix std::vector<std::uint32_t> run_store<W, encoding::GenericSequence>( \
-      const StoreJob<encoding::GenericSequence>&, db::Reader&,               \
-      const ScoringScheme&, bulk::Mode, ReingestCache&, StoreReport&,        \
-      PhaseTimings*);
+      encoding::TransposeMethod, PhaseTimings*);                            \
+  prefix std::vector<std::uint32_t> run_store<W>(                           \
+      const StoreJob&, db::Reader&, const ScoringScheme&, bulk::Mode,       \
+      ReingestCache&, StoreReport&, PhaseTimings*);
 
 SWBPBC_KERNEL_ENTRY_POINTS(extern template, Avx2Word)
 SWBPBC_KERNEL_ENTRY_POINTS(extern template, Avx512Word)

@@ -2,9 +2,9 @@
 //
 // The BPBC bulk factor is the lane-word width: 32/64 instances per builtin
 // word, 128/256/512 per bitsim::wide_word. LaneWidth names the width for
-// the non-template front ends (bpbc_max_scores, the device pipeline, the
-// engine, the screening configs); resolve_lane_width turns a request into
-// a concrete width:
+// the non-template front ends (try_scheme_max_scores, the device
+// pipeline, the engine, the screening configs); resolve_lane_width turns
+// a request into a concrete width:
 //
 //   1. SWBPBC_FORCE_LANE_WIDTH (one of "32", "64", "128", "256", "512",
 //      "auto") overrides everything — including explicit widths — so CI

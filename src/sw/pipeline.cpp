@@ -23,33 +23,6 @@ namespace {
 
 using encoding::Sequence;
 
-util::Status validate_batch(std::span<const Sequence> xs,
-                            std::span<const Sequence> ys) {
-  if (xs.size() != ys.size())
-    return util::Status::invalid_input(
-        "pattern/text count mismatch: " + std::to_string(xs.size()) +
-        " patterns vs " + std::to_string(ys.size()) + " texts");
-  if (xs.empty())
-    return util::Status::invalid_input("empty batch: no pairs to screen");
-  const std::size_t m = xs.front().size();
-  const std::size_t n = ys.front().size();
-  if (m == 0 || n == 0)
-    return util::Status::invalid_input("sequences must be non-empty");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    if (xs[k].size() != m)
-      return util::Status::invalid_input(
-          "non-uniform batch: xs[" + std::to_string(k) + "] has length " +
-          std::to_string(xs[k].size()) + ", batch requires " +
-          std::to_string(m));
-    if (ys[k].size() != n)
-      return util::Status::invalid_input(
-          "non-uniform batch: ys[" + std::to_string(k) + "] has length " +
-          std::to_string(ys[k].size()) + ", batch requires " +
-          std::to_string(n));
-  }
-  return {};
-}
-
 // Identifies (batch, config) for checkpoint streams: a resume against a
 // different batch, chunking, lane width, or scoring parameters is rejected
 // as kCheckpointMismatch before any chunk is skipped. Hash covers the
@@ -205,21 +178,6 @@ util::Status invalid(std::string what) {
   return util::Status::invalid_input(std::move(what));
 }
 
-// The scheme rules: the one part of validate() that try_screen enforces
-// itself, so both report the same message. Returns the scheme the screen
-// scores with.
-util::Expected<ScoringScheme> check_scheme(const ScreenConfig& config) {
-  auto scheme = resolve_scheme(config.params, config.scheme);
-  if (!scheme.has_value()) return scheme;
-  if (scheme->matrix != nullptr)
-    return invalid(
-        "config.scheme.matrix scores an epsilon-bit protein alphabet; "
-        "try_screen's DNA pipeline cannot consume it — screen protein "
-        "batches through try_scheme_max_scores or "
-        "try_scheme_db_max_scores");
-  return scheme;
-}
-
 }  // namespace
 
 util::Expected<ScoringScheme> resolve_scheme(
@@ -239,7 +197,7 @@ util::Expected<ScoringScheme> resolve_scheme(
 }
 
 util::Status validate(const ScreenConfig& config) {
-  const auto scheme = check_scheme(config);
+  const auto scheme = resolve_scheme(config.params, config.scheme);
   if (!scheme.has_value()) return scheme.status();
   if (config.database != nullptr) {
     if (config.backend_choice == BackendChoice::kStriped)
@@ -275,20 +233,23 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
                                         std::span<const Sequence> ys,
                                         const ScreenConfig& config) {
   if (util::Status s = validate_batch(xs, ys); !s.ok()) return s;
+  if (xs.empty())
+    return util::Status::invalid_input("empty batch: no pairs to screen");
 
   // Resolve the scoring model once, at the boundary: an explicit scheme
   // outranks params (lifted losslessly otherwise). Every layer below takes
-  // only this scheme; matrix schemes are typed errors here and screen
-  // through the scheme front ends.
-  const auto resolved = check_scheme(config);
+  // only this scheme, and every code must belong to its alphabet.
+  const auto resolved = resolve_scheme(config.params, config.scheme);
   if (!resolved.has_value()) return resolved.status();
   const ScoringScheme& scheme = *resolved;
+  if (util::Status s = validate_codes(xs, scheme, "xs"); !s.ok()) return s;
+  if (util::Status s = validate_codes(ys, scheme, "ys"); !s.ok()) return s;
 
-  // A configured database must actually describe this batch (shape and,
-  // unless disabled, content) before any chunk runs.
+  // A configured database must actually describe this batch (alphabet,
+  // shape and, unless disabled, content) before any chunk runs.
   if (config.database != nullptr) {
     if (util::Status s =
-            check_store_matches(*config.database, ys, encoding::kBitsPerBase,
+            check_store_matches(*config.database, ys, scheme.alphabet_bits(),
                                 config.db_verify_content);
         !s.ok())
       return s;
@@ -363,6 +324,7 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
     }
     backend = owned_backend.get();
   }
+  report.lane_width = backend->caps().lane_width;
 
   // Quarantine rescoring for the per-chunk self-check. Rescore jobs are
   // tagged (chunk, attempt) past the whole-chunk retry budget, so a

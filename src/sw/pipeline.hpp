@@ -75,12 +75,11 @@ struct ScreenConfig {
   ScoreParams params;
   // Full scoring model; outranks `params` when set. try_screen resolves
   // the two into one ScoringScheme at entry (resolve_scheme) and passes
-  // only that scheme below. The DNA screening pipeline accepts uniform
-  // schemes (linear or affine); matrix schemes score protein batches
-  // through try_scheme_max_scores / try_scheme_db_max_scores and are
-  // rejected here with a typed error. A params-expressible scheme screens
-  // bit-identically to setting `params` (same kernels, same checkpoint
-  // fingerprint).
+  // only that scheme below. Any valid scheme screens: uniform DNA schemes
+  // (linear or affine) and matrix schemes over their own alphabet (e.g.
+  // BLOSUM62 protein), with every code checked against scheme.alphabet().
+  // A params-expressible scheme screens bit-identically to setting
+  // `params` (same kernels, same checkpoint fingerprint).
   std::optional<ScoringScheme> scheme;
   std::uint32_t threshold = 0;  // tau: select pairs with max score >= tau
   LaneWidth width = LaneWidth::k64;
@@ -108,8 +107,9 @@ struct ScreenConfig {
   // Pre-transposed database store holding the ys side (sw/db_backend.hpp
   // serves it; only the query side pays W2B at serve time). Not owned —
   // must outlive the screen call. Used when no explicit backend is set;
-  // the batch's ys must be exactly the database's entries in order
-  // (verified via content fingerprint unless db_verify_content is off).
+  // the batch's ys must be exactly the database's entries in order, and
+  // its planes the scheme's alphabet width (verified via content
+  // fingerprint unless db_verify_content is off).
   db::Reader* database = nullptr;
   // Cross-check the database's content fingerprint against the ys batch
   // before the first chunk; a disagreement is a typed kDbMismatch. Costs
@@ -175,6 +175,8 @@ struct ScreenReport {
   // stopped cooperatively — scores/hits then cover completed chunks only.
   util::Status status;
   std::vector<ChunkOutcome> chunks;
+  // caps().lane_width of the backend that ran (sw/backend.hpp).
+  LaneWidth lane_width = LaneWidth::k64;
 
   [[nodiscard]] bool complete() const {
     for (const ChunkOutcome& c : chunks)
@@ -194,21 +196,22 @@ struct ScreenReport {
 
 /// Cross-field checks on `config`: kOk when the fields are coherent, a
 /// typed kInvalidInput naming the offending `config.` fields otherwise.
-/// Rejects an invalid or matrix scheme, a striped or explicit backend
-/// with a database, a database with chunk_pairs not a multiple of 64,
+/// Rejects an invalid scheme, a striped or explicit backend with a
+/// database, a database with chunk_pairs not a multiple of 64,
 /// checkpoint / resume / salvage without chunking, and a negative backoff.
-/// Every engine and the database store score every uniform scheme,
-/// linear or affine. try_screen enforces only the scheme rules (same
-/// messages); the rest it tolerates, e.g. misaligned database chunks fall
-/// back to in-memory scoring. Callers assembling a config from user input
-/// run this first.
+/// Every host engine and the database store score every valid scheme.
+/// try_screen enforces only the scheme rules (same messages); the rest it
+/// tolerates, e.g. misaligned database chunks fall back to in-memory
+/// scoring. Callers assembling a config from user input run this first.
 [[nodiscard]] util::Status validate(const ScreenConfig& config);
 
-/// Screens pairs (xs[k], ys[k]) and re-aligns the hits. All xs must share
-/// one length and all ys one length (the BPBC batch requirement).
-/// Returns kInvalidInput for empty batches, mismatched xs/ys counts,
-/// empty sequences, or non-uniform lengths; kLaneCorrupt if recovery
-/// cannot reconcile a lane with the scalar reference.
+/// Screens pairs (xs[k], ys[k]) and re-aligns the hits: the one screen
+/// entry for every alphabet (DNA strands and protein sequences are both
+/// alphabet-code vectors). All xs must share one length and all ys one
+/// length (the BPBC batch requirement). Returns kInvalidInput for empty
+/// batches, mismatched xs/ys counts, empty sequences, non-uniform
+/// lengths, or a code outside the scheme's alphabet; kLaneCorrupt if
+/// recovery cannot reconcile a lane with the scalar reference.
 util::Expected<ScreenReport> try_screen(
     std::span<const encoding::Sequence> xs,
     std::span<const encoding::Sequence> ys, const ScreenConfig& config);

@@ -5,8 +5,7 @@
 namespace swbpbc::sw {
 namespace {
 
-std::int64_t w_cost(encoding::Base a, encoding::Base b,
-                    const ScoreParams& p) {
+std::int64_t w_cost(std::uint8_t a, std::uint8_t b, const ScoreParams& p) {
   return a == b ? static_cast<std::int64_t>(p.match)
                 : -static_cast<std::int64_t>(p.mismatch);
 }
@@ -97,21 +96,21 @@ Alignment align(const encoding::Sequence& x, const encoding::Sequence& y,
     const std::int64_t up = static_cast<std::int64_t>(d.at(i - 1, j)) -
                             static_cast<std::int64_t>(params.gap);
     if (diag == static_cast<std::int64_t>(here)) {
-      const char cx = encoding::to_char(x[i - 1]);
-      const char cy = encoding::to_char(y[j - 1]);
+      const char cx = encoding::to_char(encoding::Base{x[i - 1]});
+      const char cy = encoding::to_char(encoding::Base{y[j - 1]});
       xr.push_back(cx);
       yr.push_back(cy);
       mr.push_back(cx == cy ? '|' : '.');
       --i;
       --j;
     } else if (up == static_cast<std::int64_t>(here)) {
-      xr.push_back(encoding::to_char(x[i - 1]));
+      xr.push_back(encoding::to_char(encoding::Base{x[i - 1]}));
       yr.push_back('-');
       mr.push_back(' ');
       --i;
     } else {
       xr.push_back('-');
-      yr.push_back(encoding::to_char(y[j - 1]));
+      yr.push_back(encoding::to_char(encoding::Base{y[j - 1]}));
       mr.push_back(' ');
       --j;
     }
@@ -141,16 +140,10 @@ std::uint32_t diag_term(std::uint32_t h, int w) {
   return ssub32(h, static_cast<std::uint32_t>(-w));
 }
 
-encoding::GenericSequence dna_codes(const encoding::Sequence& s) {
-  encoding::GenericSequence out(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) out[i] = encoding::code(s[i]);
-  return out;
-}
-
 }  // namespace
 
-std::uint32_t scheme_max_score(const encoding::GenericSequence& x,
-                               const encoding::GenericSequence& y,
+std::uint32_t scheme_max_score(const encoding::Sequence& x,
+                               const encoding::Sequence& y,
                                const ScoringScheme& scheme) {
   const std::size_t m = x.size();
   const std::size_t n = y.size();
@@ -182,15 +175,10 @@ std::uint32_t scheme_max_score(const encoding::GenericSequence& x,
   return best;
 }
 
-std::uint32_t scheme_max_score(const encoding::Sequence& x,
-                               const encoding::Sequence& y,
-                               const ScoringScheme& scheme) {
-  return scheme_max_score(dna_codes(x), dna_codes(y), scheme);
-}
-
-Alignment align_scheme(const encoding::GenericSequence& x,
-                       const encoding::GenericSequence& y,
+Alignment align_scheme(const encoding::Sequence& x,
+                       const encoding::Sequence& y,
                        const ScoringScheme& scheme) {
+  if (const auto params = scheme.to_params()) return align(x, y, *params);
   Alignment out;
   const std::size_t m = x.size();
   const std::size_t n = y.size();
@@ -286,14 +274,6 @@ Alignment align_scheme(const encoding::GenericSequence& x,
   out.mid_row = std::move(mr);
   out.y_row = std::move(yr);
   return out;
-}
-
-Alignment align_scheme(const encoding::Sequence& x,
-                       const encoding::Sequence& y,
-                       const ScoringScheme& scheme) {
-  if (const auto params = scheme.to_params())
-    return align(x, y, *params);
-  return align_scheme(dna_codes(x), dna_codes(y), scheme);
 }
 
 }  // namespace swbpbc::sw

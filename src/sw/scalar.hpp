@@ -77,26 +77,18 @@ Alignment align(const encoding::Sequence& x, const encoding::Sequence& y,
 // exactly like max_score()/align() above.
 
 /// Maximum scoring-matrix value under `scheme` over dense alphabet codes
-/// (one byte per character, drawn from scheme.alphabet()).
-std::uint32_t scheme_max_score(const encoding::GenericSequence& x,
-                               const encoding::GenericSequence& y,
-                               const ScoringScheme& scheme);
-
-/// DNA convenience overload (codes via encoding::code()).
+/// (one byte per character, drawn from scheme.alphabet(); DNA strands
+/// are the dna_alphabet() codes).
 std::uint32_t scheme_max_score(const encoding::Sequence& x,
                                const encoding::Sequence& y,
                                const ScoringScheme& scheme);
 
-/// Full local alignment with traceback under `scheme`; affine schemes
-/// trace through the Gotoh H/E/F state machine (gap-open/extend aware).
-/// Ties prefer diagonal, then up (gap in y), then left, and gaps close
-/// as early as possible. Row characters come from scheme.alphabet().
-Alignment align_scheme(const encoding::GenericSequence& x,
-                       const encoding::GenericSequence& y,
-                       const ScoringScheme& scheme);
-
-/// DNA convenience overload; a ScoreParams-expressible scheme delegates
-/// to align() (identical output to the v1 path).
+/// Full local alignment with traceback under `scheme`. A
+/// ScoreParams-expressible scheme delegates to align() (identical output
+/// to the v1 path); otherwise the alignment traces through the Gotoh
+/// H/E/F state machine (gap-open/extend aware). Ties prefer diagonal,
+/// then up (gap in y), then left, and gaps close as early as possible.
+/// Row characters come from scheme.alphabet().
 Alignment align_scheme(const encoding::Sequence& x,
                        const encoding::Sequence& y,
                        const ScoringScheme& scheme);

@@ -601,48 +601,19 @@ std::vector<std::uint32_t> SchemeBpbcAligner<W>::score_groups(
 }
 
 /// Scores all pairs (xs[k], ys[k]) under `scheme` with full lane-width
-/// dispatch (k32..k512, kAuto + SWBPBC_FORCE_LANE_WIDTH).
-/// Character codes must be dense codes of scheme.alphabet(). Typed
-/// kInvalidInput on shape violations, out-of-alphabet codes, or an
-/// invalid scheme. Defined with the DNA front end in bpbc.cpp: both run
+/// dispatch (k32..k512, kAuto + SWBPBC_FORCE_LANE_WIDTH) — the one-shot
+/// batch front end for every alphabet (DNA strands are the dna_alphabet()
+/// codes). Character codes must be dense codes of scheme.alphabet().
+/// Typed kInvalidInput on shape violations (validate_batch),
+/// out-of-alphabet codes, or an invalid scheme. An empty batch scores to
+/// an empty vector. Defined with the host backend in bpbc.cpp: both run
 /// one batch routine.
 util::Expected<std::vector<std::uint32_t>> try_scheme_max_scores(
-    std::span<const encoding::GenericSequence> xs,
-    std::span<const encoding::GenericSequence> ys,
-    const ScoringScheme& scheme, LaneWidth width = LaneWidth::kAuto,
-    bulk::Mode mode = bulk::Mode::kSerial,
+    std::span<const encoding::Sequence> xs,
+    std::span<const encoding::Sequence> ys, const ScoringScheme& scheme,
+    LaneWidth width = LaneWidth::kAuto, bulk::Mode mode = bulk::Mode::kSerial,
     encoding::TransposeMethod method = encoding::TransposeMethod::kPlanned,
     PhaseTimings* timings = nullptr);
-
-/// Counters of one database-served scheme screen.
-struct SchemeDbStats {
-  std::uint64_t shards_served = 0;       // zero-copy / limb-gathered
-  std::uint64_t shards_quarantined = 0;  // failed first-touch verification
-  std::uint64_t shards_reingested = 0;   // rescored from the corpus
-  LaneWidth lane_width = LaneWidth::k64;  // resolved serve width
-};
-
-/// Screens one query against every entry of a pre-transposed database
-/// store under `scheme`, through the same store body as the DNA db
-/// backend (kernel::run_store, sw/kernel.hpp): the query is broadcast
-/// across all lanes (no query-side W2B), and shard plane rows are served
-/// zero-copy at 64-bit lanes, as half shards at 32 and limb-gathered into
-/// wide lane words otherwise. Every width serves at that width
-/// (stats->lane_width). Returns one score per database entry.
-///
-/// The store's plane_bits must equal scheme.alphabet_bits() (a typed
-/// kDbMismatch otherwise). A shard that fails its first-touch
-/// checksum is quarantined: if `corpus` (the original sequences, indexed
-/// like the store) is non-empty, that 64-entry slice is re-ingested in
-/// memory and rescored bit-identically; otherwise the shard's kDbCorrupt
-/// surfaces. A non-empty corpus whose content fingerprint disagrees with
-/// the store's is a typed kDbMismatch up front.
-util::Expected<std::vector<std::uint32_t>> try_scheme_db_max_scores(
-    const encoding::GenericSequence& query, db::Reader& reader,
-    const ScoringScheme& scheme, LaneWidth width = LaneWidth::kAuto,
-    bulk::Mode mode = bulk::Mode::kSerial,
-    std::span<const encoding::GenericSequence> corpus = {},
-    SchemeDbStats* stats = nullptr, PhaseTimings* timings = nullptr);
 
 #define SWBPBC_DECLARE_SCHEME_ALIGNER(...) \
   extern template class SchemeBpbcAligner<__VA_ARGS__>;

@@ -172,17 +172,13 @@ util::Status validate_scheme(const ScoringScheme& scheme,
 util::Status validate_codes(std::span<const encoding::GenericSequence> seqs,
                             const ScoringScheme& scheme, const char* side) {
   const std::size_t sigma = scheme.alphabet().size();
-  for (std::size_t k = 0; k < seqs.size(); ++k) {
-    for (std::size_t i = 0; i < seqs[k].size(); ++i) {
-      if (seqs[k][i] >= sigma)
-        return util::Status::invalid_input(
-            std::string(side) + "[" + std::to_string(k) + "][" +
-            std::to_string(i) + "] code " + std::to_string(seqs[k][i]) +
-            " is outside the scheme's alphabet (" + std::to_string(sigma) +
-            " symbols)");
-    }
-  }
-  return {};
+  const auto bad = encoding::find_code_at_least(seqs, sigma);
+  if (!bad) return {};
+  return util::Status::invalid_input(
+      std::string(side) + "[" + std::to_string(bad->seq) + "][" +
+      std::to_string(bad->index) + "] code " + std::to_string(bad->code) +
+      " is outside the scheme's alphabet (" + std::to_string(sigma) +
+      " symbols)");
 }
 
 unsigned scheme_required_slices(const ScoringScheme& scheme, std::size_t m,

@@ -171,8 +171,9 @@ struct ScoringScheme {
     const ScoringScheme& scheme, std::string_view field = "scoring.scheme");
 
 /// Typed kInvalidInput naming `side`[k][i] when a code of `seqs` falls
-/// outside scheme.alphabet() — what the generic-alphabet front ends check
-/// before W2B.
+/// outside scheme.alphabet() — what every front end checks before W2B. A
+/// branch-free max reduction per sequence (encoding::find_code_at_least);
+/// only a failing sequence is scanned for the position.
 [[nodiscard]] util::Status validate_codes(
     std::span<const encoding::GenericSequence> seqs,
     const ScoringScheme& scheme, const char* side);

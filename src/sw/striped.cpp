@@ -395,9 +395,10 @@ StripedProfileCache::StripedProfileCache(std::size_t capacity)
 StripedProfileCache::~StripedProfileCache() = default;
 
 std::shared_ptr<const StripedProfile> StripedProfileCache::get(
-    const ScoringScheme& scheme, std::span<const std::uint8_t> query) {
-  std::uint64_t key = fingerprint_scheme(scheme);
-  key = util::fnv1a_bytes(query.data(), query.size(), key);
+    const ScoringScheme& scheme, std::uint64_t scheme_key,
+    std::span<const std::uint8_t> query) {
+  const std::uint64_t key =
+      util::fnv1a_bytes(query.data(), query.size(), scheme_key);
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
     const auto it = impl_->index.find(key);
@@ -438,27 +439,16 @@ StripedProfileCache::Stats StripedProfileCache::stats() const {
 // Front doors.
 // ---------------------------------------------------------------------
 
-std::uint32_t striped_max_score(const encoding::GenericSequence& x,
-                                const encoding::GenericSequence& y,
+std::uint32_t striped_max_score(const encoding::Sequence& x,
+                                const encoding::Sequence& y,
                                 const ScoringScheme& scheme) {
   if (x.empty() || y.empty()) return 0;
   return StripedProfile(scheme, x).score(y);
 }
 
-std::uint32_t striped_max_score(const encoding::Sequence& x,
-                                const encoding::Sequence& y,
-                                const ScoringScheme& scheme) {
-  encoding::GenericSequence gx(x.size()), gy(y.size());
-  for (std::size_t i = 0; i < x.size(); ++i)
-    gx[i] = static_cast<std::uint8_t>(x[i]);
-  for (std::size_t i = 0; i < y.size(); ++i)
-    gy[i] = static_cast<std::uint8_t>(y[i]);
-  return striped_max_score(gx, gy, scheme);
-}
-
 util::Expected<std::vector<std::uint32_t>> try_striped_max_scores(
-    std::span<const encoding::GenericSequence> xs,
-    std::span<const encoding::GenericSequence> ys,
+    std::span<const encoding::Sequence> xs,
+    std::span<const encoding::Sequence> ys,
     const ScoringScheme& scheme, bulk::Mode mode, StripedProfileCache* cache,
     PhaseTimings* timings, StripedStats* stats) {
   if (xs.size() != ys.size())
@@ -488,9 +478,10 @@ util::Expected<std::vector<std::uint32_t>> try_striped_max_scores(
   StripedProfileCache& profiles = cache != nullptr ? *cache : local;
   std::vector<std::shared_ptr<const StripedProfile>> per_pair(xs.size());
   util::WallTimer timer;
+  const std::uint64_t scheme_key = fingerprint_scheme(scheme);
   try {
     for (std::size_t k = 0; k < xs.size(); ++k)
-      per_pair[k] = profiles.get(scheme, xs[k]);
+      per_pair[k] = profiles.get(scheme, scheme_key, xs[k]);
   } catch (const std::invalid_argument& e) {
     return util::Status::invalid_input(e.what());
   }
@@ -522,7 +513,7 @@ util::Expected<std::vector<std::uint32_t>> try_striped_max_scores(
 }
 
 // ---------------------------------------------------------------------
-// The screening Backend adapter (DNA batch boundary).
+// The screening Backend adapter.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -544,18 +535,6 @@ class StripedBackend final : public Backend {
 
   ChunkResult run(const ChunkJob& job) override {
     ChunkResult r;
-    std::vector<encoding::GenericSequence> gx(job.xs.size()),
-        gy(job.ys.size());
-    for (std::size_t k = 0; k < job.xs.size(); ++k) {
-      gx[k].reserve(job.xs[k].size());
-      for (const encoding::Base b : job.xs[k])
-        gx[k].push_back(static_cast<std::uint8_t>(b));
-    }
-    for (std::size_t k = 0; k < job.ys.size(); ++k) {
-      gy[k].reserve(job.ys[k].size());
-      for (const encoding::Base b : job.ys[k])
-        gy[k].push_back(static_cast<std::uint8_t>(b));
-    }
     if (job.stop != nullptr && job.stop->triggered())
       throw util::StatusError(
           job.stop->status("striped chunk " + std::to_string(job.chunk)));
@@ -564,7 +543,8 @@ class StripedBackend final : public Backend {
         external_cache_ != nullptr ? external_cache_ : &own_cache_;
     StripedStats stats;
     auto scores =
-        try_striped_max_scores(gx, gy, scheme_, mode_, cache, &t, &stats);
+        try_striped_max_scores(job.xs, job.ys, scheme_, mode_, cache, &t,
+                               &stats);
     if (!scores.has_value()) throw util::StatusError(scores.status());
     if (job.stop != nullptr && job.stop->triggered())
       throw util::StatusError(

@@ -164,7 +164,15 @@ class StripedProfileCache {
   StripedProfileCache& operator=(const StripedProfileCache&) = delete;
 
   std::shared_ptr<const StripedProfile> get(
-      const ScoringScheme& scheme, std::span<const std::uint8_t> query);
+      const ScoringScheme& scheme, std::span<const std::uint8_t> query) {
+    return get(scheme, fingerprint_scheme(scheme), query);
+  }
+
+  /// The same lookup with the scheme's fingerprint_scheme() precomputed:
+  /// a batch hashes its scheme once, not once per pair.
+  std::shared_ptr<const StripedProfile> get(
+      const ScoringScheme& scheme, std::uint64_t scheme_key,
+      std::span<const std::uint8_t> query);
 
   struct Stats {
     std::uint64_t hits = 0;
@@ -178,16 +186,11 @@ class StripedProfileCache {
   std::unique_ptr<Impl> impl_;
 };
 
-/// One pair, generic codes. Convenience over a throwaway StripedProfile.
-[[nodiscard]] std::uint32_t striped_max_score(
-    const encoding::GenericSequence& x, const encoding::GenericSequence& y,
-    const ScoringScheme& scheme);
-
-/// One pair, DNA. The bases are their dense codes; a uniform scheme
-/// scores them directly.
-[[nodiscard]] std::uint32_t striped_max_score(
-    const encoding::Sequence& x, const encoding::Sequence& y,
-    const ScoringScheme& scheme);
+/// One pair of alphabet codes (DNA included). Convenience over a
+/// throwaway StripedProfile.
+[[nodiscard]] std::uint32_t striped_max_score(const encoding::Sequence& x,
+                                              const encoding::Sequence& y,
+                                              const ScoringScheme& scheme);
 
 /// Bulk scoring of pairs (xs[k], ys[k]) — the striped mirror of
 /// try_scheme_max_scores. Validates the scheme and batch shape with
@@ -198,14 +201,14 @@ class StripedProfileCache {
 /// calls; without it a per-call cache still amortizes within the batch.
 /// `stats`, when non-null, accumulates the 8-bit pass's counts.
 util::Expected<std::vector<std::uint32_t>> try_striped_max_scores(
-    std::span<const encoding::GenericSequence> xs,
-    std::span<const encoding::GenericSequence> ys,
+    std::span<const encoding::Sequence> xs,
+    std::span<const encoding::Sequence> ys,
     const ScoringScheme& scheme, bulk::Mode mode = bulk::Mode::kSerial,
     StripedProfileCache* cache = nullptr, PhaseTimings* timings = nullptr,
     StripedStats* stats = nullptr);
 
-/// The striped engine as a first-class screening Backend (DNA batch
-/// boundary, any uniform scheme incl. affine). Polls ChunkJob::stop
+/// The striped engine as a first-class screening Backend (any valid
+/// scheme, DNA or protein). Polls ChunkJob::stop
 /// between pairs; reports profile/DP phase timings and the 8-bit pass's
 /// counts (ChunkResult::striped_*). Holds its own profile cache unless
 /// `cache` is supplied (not owned, must outlive the backend).

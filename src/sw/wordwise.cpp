@@ -22,7 +22,7 @@ std::uint32_t wordwise_max_score(const encoding::Sequence& x,
   std::vector<std::uint32_t> row(n + 1, 0);
   std::uint32_t best = 0;
   for (std::size_t i = 1; i <= m; ++i) {
-    const encoding::Base xi = x[i - 1];
+    const std::uint8_t xi = x[i - 1];
     std::uint32_t diag_prev = row[0];
     for (std::size_t j = 1; j <= n; ++j) {
       const std::uint32_t up = row[j];

@@ -214,8 +214,8 @@ TEST_P(GpuPipeline, BoundaryShapesMatchScalarGotoh) {
   ASSERT_EQ(3 * len, (std::size_t{1} << s) - 1);
   auto xs = encoding::random_sequences(rng, 3, len);
   auto ys = encoding::random_sequences(rng, 3, len);
-  xs[0].assign(len, encoding::Base::A);
-  ys[0].assign(len, encoding::Base::A);
+  xs[0].assign(len, encoding::code(encoding::Base::A));
+  ys[0].assign(len, encoding::code(encoding::Base::A));
   ASSERT_EQ(sw::scheme_max_score(xs[0], ys[0], affine), 3 * len);
   check(xs, ys, "2^s-1 pair");
 }

@@ -45,7 +45,7 @@ TEST(Random, DeterministicAndUniformish) {
   const Sequence s = random_sequence(rng, 4000);
   ASSERT_EQ(s.size(), 4000u);
   int counts[4] = {0, 0, 0, 0};
-  for (Base b : s) counts[code(b)]++;
+  for (std::uint8_t c : s) counts[c]++;
   for (int c : counts) EXPECT_GT(c, 800);  // roughly uniform
 
   util::Xoshiro256 rng2(42);
@@ -92,14 +92,8 @@ void check_transpose_roundtrip(std::size_t count, std::size_t length) {
   const auto planned = transpose_strings<W>(seqs, TransposeMethod::kPlanned);
   const auto naive = transpose_strings<W>(seqs, TransposeMethod::kNaive);
   // DNA is the epsilon = 2 alphabet: the batch equals the generic
-  // 2-plane transpose of the base codes.
-  std::vector<GenericSequence> codes;
-  for (const Sequence& seq : seqs) {
-    GenericSequence c;
-    for (Base b : seq) c.push_back(code(b));
-    codes.push_back(std::move(c));
-  }
-  const auto generic = transpose_generic_planar<W>(codes, kBitsPerBase);
+  // 2-plane transpose of the same codes.
+  const auto generic = transpose_generic_planar<W>(seqs, kBitsPerBase);
   EXPECT_EQ(planned.planes, kBitsPerBase);
   ASSERT_EQ(planned.groups.size(), naive.groups.size());
   ASSERT_EQ(planned.groups.size(), generic.groups.size());

@@ -5,9 +5,9 @@
 
 #include "device/sw_kernels.hpp"
 #include "encoding/random.hpp"
-#include "sw/bpbc.hpp"
 #include "sw/pipeline.hpp"
 #include "sw/scalar.hpp"
+#include "sw/scheme_aligner.hpp"
 #include "sw/wordwise.hpp"
 
 namespace swbpbc {
@@ -28,10 +28,11 @@ TEST(Integration, AllExecutionPathsAgree) {
 
   const auto scalar = sw::wordwise_max_scores(xs, ys, params);
   const auto bpbc32 =
-      sw::bpbc_max_scores(xs, ys, scheme, sw::LaneWidth::k32);
+      sw::try_scheme_max_scores(xs, ys, scheme, sw::LaneWidth::k32).value();
   const auto bpbc64 =
-      sw::bpbc_max_scores(xs, ys, scheme, sw::LaneWidth::k64,
-                          bulk::Mode::kParallel);
+      sw::try_scheme_max_scores(xs, ys, scheme, sw::LaneWidth::k64,
+                                bulk::Mode::kParallel)
+          .value();
   device::GpuRunOptions options;
   options.mode = bulk::Mode::kSerial;
   const auto gpu32 =

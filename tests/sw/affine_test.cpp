@@ -7,8 +7,8 @@
 
 #include "encoding/random.hpp"
 #include "sw/backend.hpp"
-#include "sw/bpbc.hpp"
 #include "sw/scalar.hpp"
+#include "sw/scheme_aligner.hpp"
 #include "sw/scoring.hpp"
 
 namespace swbpbc::sw {
@@ -146,7 +146,7 @@ TEST(AffineBpbc, AgreesWithLinearPathWhenDegenerate) {
   const auto xs = encoding::random_sequences(rng, 32, 9);
   const auto ys = encoding::random_sequences(rng, 32, 30);
   EXPECT_EQ(affine_bpbc_scores(xs, ys, {2, 1, 1, 1}),
-            bpbc_max_scores(xs, ys, ScoringScheme{}));
+            try_scheme_max_scores(xs, ys, ScoringScheme{}).value());
 }
 
 TEST(AffineBpbc, SliceSizing) {

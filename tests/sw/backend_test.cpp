@@ -15,8 +15,8 @@
 #include "device/fault.hpp"
 #include "encoding/random.hpp"
 #include "sw/backend.hpp"
-#include "sw/bpbc.hpp"
 #include "sw/pipeline.hpp"
+#include "sw/scheme_aligner.hpp"
 #include "util/cancel.hpp"
 #include "util/status.hpp"
 #include "fn_backend.hpp"
@@ -90,7 +90,7 @@ TEST(BackendV2, OpaqueBackendMatchesDefaultPath) {
 
   auto opaque = test_support::scores_backend(
       [](std::span<const Sequence> xs, std::span<const Sequence> ys) {
-        return bpbc_max_scores(xs, ys, kScheme, LaneWidth::k32);
+        return try_scheme_max_scores(xs, ys, kScheme, LaneWidth::k32).value();
       });
   ScreenConfig cfg = host;
   cfg.backend = &opaque;

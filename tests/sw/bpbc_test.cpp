@@ -38,8 +38,10 @@ TEST_P(BpbcVsScalar, Lane32MatchesScalar) {
   util::Xoshiro256 rng(c.seed);
   const auto xs = encoding::random_sequences(rng, c.count, c.m);
   const auto ys = encoding::random_sequences(rng, c.count, c.n);
-  const auto scores = bpbc_max_scores(
-      xs, ys, ScoringScheme::from_params(c.params), LaneWidth::k32);
+  const auto scores =
+      try_scheme_max_scores(xs, ys, ScoringScheme::from_params(c.params),
+                            LaneWidth::k32)
+          .value();
   ASSERT_EQ(scores.size(), c.count);
   for (std::size_t k = 0; k < c.count; ++k) {
     EXPECT_EQ(scores[k], max_score(xs[k], ys[k], c.params))
@@ -52,8 +54,10 @@ TEST_P(BpbcVsScalar, Lane64MatchesScalar) {
   util::Xoshiro256 rng(c.seed + 1);
   const auto xs = encoding::random_sequences(rng, c.count, c.m);
   const auto ys = encoding::random_sequences(rng, c.count, c.n);
-  const auto scores = bpbc_max_scores(
-      xs, ys, ScoringScheme::from_params(c.params), LaneWidth::k64);
+  const auto scores =
+      try_scheme_max_scores(xs, ys, ScoringScheme::from_params(c.params),
+                            LaneWidth::k64)
+          .value();
   ASSERT_EQ(scores.size(), c.count);
   for (std::size_t k = 0; k < c.count; ++k) {
     EXPECT_EQ(scores[k], max_score(xs[k], ys[k], c.params))
@@ -81,9 +85,11 @@ TEST(Bpbc, ParallelModeMatchesSerial) {
   const auto ys = encoding::random_sequences(rng, 96, 30);
   const ScoringScheme scheme;  // 2/1/1 linear
   const auto serial =
-      bpbc_max_scores(xs, ys, scheme, LaneWidth::k32, bulk::Mode::kSerial);
-  const auto parallel =
-      bpbc_max_scores(xs, ys, scheme, LaneWidth::k32, bulk::Mode::kParallel);
+      try_scheme_max_scores(xs, ys, scheme, LaneWidth::k32, bulk::Mode::kSerial)
+          .value();
+  const auto parallel = try_scheme_max_scores(xs, ys, scheme, LaneWidth::k32,
+                                              bulk::Mode::kParallel)
+                            .value();
   EXPECT_EQ(serial, parallel);
 }
 
@@ -93,11 +99,13 @@ TEST(Bpbc, NaiveTransposeGivesSameScores) {
   const auto ys = encoding::random_sequences(rng, 40, 20);
   const ScoringScheme scheme;  // 2/1/1 linear
   const auto planned =
-      bpbc_max_scores(xs, ys, scheme, LaneWidth::k32, bulk::Mode::kSerial,
-                      encoding::TransposeMethod::kPlanned);
+      try_scheme_max_scores(xs, ys, scheme, LaneWidth::k32, bulk::Mode::kSerial,
+                            encoding::TransposeMethod::kPlanned)
+          .value();
   const auto naive =
-      bpbc_max_scores(xs, ys, scheme, LaneWidth::k32, bulk::Mode::kSerial,
-                      encoding::TransposeMethod::kNaive);
+      try_scheme_max_scores(xs, ys, scheme, LaneWidth::k32, bulk::Mode::kSerial,
+                            encoding::TransposeMethod::kNaive)
+          .value();
   EXPECT_EQ(planned, naive);
 }
 
@@ -112,7 +120,7 @@ TEST(Bpbc, IdenticalStringsSaturateToFullScore) {
     ys.push_back(std::move(y));
   }
   const ScoringScheme scheme;  // 2/1/1 linear
-  const auto scores = bpbc_max_scores(xs, ys, scheme);
+  const auto scores = try_scheme_max_scores(xs, ys, scheme).value();
   for (auto sc : scores) EXPECT_GE(sc, 32u);  // full 16-char match
 }
 
@@ -162,7 +170,7 @@ TEST(Bpbc, ScoreGroupsValidatesShapes) {
   EXPECT_THROW(score(0, 0, 1), std::invalid_argument);
   EXPECT_TRUE(score(0, 0, 0).empty());
 
-  const auto want = bpbc_max_scores(xs, ys, ScoringScheme{});
+  const auto want = try_scheme_max_scores(xs, ys, ScoringScheme{}).value();
   for (const std::size_t count : {std::size_t{33}, std::size_t{64}}) {
     const auto got = score(2, 2, count);
     EXPECT_EQ(got, std::vector<std::uint32_t>(
@@ -175,27 +183,35 @@ TEST(Bpbc, MismatchedBatchSizesRejected) {
   util::Xoshiro256 rng(51);
   const auto xs = encoding::random_sequences(rng, 4, 8);
   const auto ys = encoding::random_sequences(rng, 5, 16);
-  EXPECT_THROW(bpbc_max_scores(xs, ys, ScoringScheme{}), std::invalid_argument);
+  EXPECT_THROW(try_scheme_max_scores(xs, ys, ScoringScheme{}).value(),
+               std::invalid_argument);
 }
 
-TEST(Bpbc, InvalidOrMatrixSchemeIsATypedError) {
+TEST(Bpbc, InvalidSchemeOrOutOfAlphabetCodeIsATypedError) {
   util::Xoshiro256 rng(54);
-  const auto xs = encoding::random_sequences(rng, 4, 8);
-  const auto ys = encoding::random_sequences(rng, 4, 16);
+  auto xs = encoding::random_sequences(rng, 4, 8);
+  auto ys = encoding::random_sequences(rng, 4, 16);
   ScoringScheme zero_gap;
   zero_gap.gap_open = 0;
-  ScoringScheme protein;
-  protein.matrix = blosum62();
-  for (const ScoringScheme& bad : {zero_gap, protein}) {
-    const auto got = try_bpbc_max_scores(xs, ys, bad);
-    ASSERT_FALSE(got.has_value());
-    EXPECT_EQ(got.status().code(), util::ErrorCode::kInvalidInput);
-  }
+  const auto invalid = try_scheme_max_scores(xs, ys, zero_gap);
+  ASSERT_FALSE(invalid.has_value());
+  EXPECT_EQ(invalid.status().code(), util::ErrorCode::kInvalidInput);
+
+  // A DNA strand holds dna_alphabet() codes: 4 is not one, and the front
+  // end names where it sits instead of scoring it.
+  ys[2][5] = 4;
+  const auto code = try_scheme_max_scores(xs, ys, ScoringScheme{});
+  ASSERT_FALSE(code.has_value());
+  EXPECT_EQ(code.status().code(), util::ErrorCode::kInvalidInput);
+  EXPECT_NE(code.status().message().find("ys[2][5] code 4"),
+            std::string::npos)
+      << code.status().message();
 }
 
 TEST(Bpbc, EmptyBatchGivesEmptyScores) {
   const std::vector<encoding::Sequence> none;
-  EXPECT_TRUE(bpbc_max_scores(none, none, ScoringScheme{}).empty());
+  EXPECT_TRUE(
+      try_scheme_max_scores(none, none, ScoringScheme{}).value().empty());
 }
 
 TEST(Bpbc, TimingsArePopulated) {
@@ -203,9 +219,10 @@ TEST(Bpbc, TimingsArePopulated) {
   const auto xs = encoding::random_sequences(rng, 32, 8);
   const auto ys = encoding::random_sequences(rng, 32, 64);
   PhaseTimings t;
-  (void)bpbc_max_scores(xs, ys, ScoringScheme{}, LaneWidth::k32,
-                        bulk::Mode::kSerial,
-                        encoding::TransposeMethod::kPlanned, &t);
+  (void)try_scheme_max_scores(xs, ys, ScoringScheme{}, LaneWidth::k32,
+                              bulk::Mode::kSerial,
+                              encoding::TransposeMethod::kPlanned, &t)
+      .value();
   EXPECT_GT(t.swa_ms, 0.0);
   EXPECT_GE(t.total_ms(), t.swa_ms);
 }
@@ -218,7 +235,7 @@ TEST(Bpbc, ScoreNeverExceedsSliceCapacity) {
   const unsigned s = scheme_required_slices(scheme, m, 64);
   const auto xs = encoding::random_sequences(rng, 32, m);
   const auto ys = encoding::random_sequences(rng, 32, 64);
-  const auto scores = bpbc_max_scores(xs, ys, scheme);
+  const auto scores = try_scheme_max_scores(xs, ys, scheme).value();
   for (auto sc : scores) EXPECT_LT(sc, 1u << s);
 }
 

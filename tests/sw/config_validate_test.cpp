@@ -61,13 +61,6 @@ const Rule kRules[] = {
        c.scheme = bad;
      },
      "config.scheme.gap_extend"},
-    {"RejectsMatrixSchemeWithRedirect",
-     [](ScreenConfig& c) {
-       ScoringScheme protein;
-       protein.matrix = blosum62();
-       c.scheme = protein;
-     },
-     "try_scheme_max_scores"},
     {"RejectsZeroMatchReward",
      [](ScreenConfig& c) { c.params = ScoreParams{0, 1, 1}; },
      "config.params.match"},
@@ -152,6 +145,18 @@ TEST(ScreenConfigValidation, AcceptsExpressibleAndAffineSchemes) {
   EXPECT_TRUE(validate(config).ok());
 }
 
+TEST(ScreenConfigValidation, AcceptsMatrixScheme) {
+  // try_screen screens every alphabet: a BLOSUM62 scheme is a valid
+  // config, in memory and against a store.
+  ScreenConfig config;
+  ScoringScheme protein;
+  protein.matrix = blosum62();
+  config.scheme = protein;
+  EXPECT_TRUE(validate(config).ok());
+  config.database = unopened_store();
+  EXPECT_TRUE(validate(config).ok());
+}
+
 TEST(ScreenConfigValidation, AcceptsDatabaseWithShardAlignedChunks) {
   ScreenConfig config;
   config.database = unopened_store();
@@ -206,8 +211,10 @@ TEST(ScreenConfigValidation, TryScreenSharesTheSchemeMessage) {
   bad.gap_open = 2;
   bad.gap_extend = 5;
   config.scheme = bad;
-  const std::vector<Sequence> xs(2, Sequence(8, encoding::Base::A));
-  const std::vector<Sequence> ys(2, Sequence(16, encoding::Base::C));
+  const std::vector<Sequence> xs(
+      2, Sequence(8, encoding::code(encoding::Base::A)));
+  const std::vector<Sequence> ys(
+      2, Sequence(16, encoding::code(encoding::Base::C)));
   const util::Status validated = validate(config);
   const auto screened = try_screen(xs, ys, config);
   ASSERT_FALSE(validated.ok());

@@ -199,23 +199,6 @@ TEST(DbScreen, AffineSchemeMatchesInMemoryAtEveryLaneWidth) {
   std::remove(f.db_path.c_str());
 }
 
-TEST(DbScreen, MatrixSchemeIsRejectedByTheStoreBackend) {
-  const Fixture f = make_fixture("matrix.swdb", 64, 10, 32);
-  auto reader = db::Reader::open(f.db_path);
-  ASSERT_TRUE(reader.has_value());
-  DbBackendOptions opts;
-  opts.scheme.matrix = blosum62();
-  try {
-    (void)make_db_backend(*reader, opts);
-    ADD_FAILURE() << "a matrix scheme was accepted";
-  } catch (const util::StatusError& e) {
-    EXPECT_EQ(e.status().code(), util::ErrorCode::kInvalidInput);
-    EXPECT_NE(e.status().message().find("try_scheme_db_max_scores"),
-              std::string::npos);
-  }
-  std::remove(f.db_path.c_str());
-}
-
 TEST(DbScreen, ChunkedServingMatchesWholeBatch) {
   const Fixture f = make_fixture("chunked.swdb", 256, 10, 40);
   const ScreenReport expect = screen(f.xs, f.ys, base_config());
@@ -375,8 +358,7 @@ TEST(DbScreen, StaleContentIsTypedRejection) {
 
   // Same shape, different residues: only the content fingerprint can tell
   // — and it must, or the store would score the wrong sequences.
-  f.ys[17][3] = static_cast<encoding::Base>(
-      (static_cast<int>(f.ys[17][3]) + 1) % 4);
+  f.ys[17][3] = static_cast<std::uint8_t>((f.ys[17][3] + 1) % 4);
   ScreenConfig cfg = base_config();
   cfg.database = &*reader;
   const auto stale = try_screen(f.xs, f.ys, cfg);

@@ -293,7 +293,7 @@ void random_dna_batch(util::Xoshiro256& rng, std::size_t pairs, std::size_t m,
                       std::vector<Sequence>& ys) {
   const auto random_dna = [&rng](std::size_t len) {
     Sequence s(len);
-    for (auto& b : s) b = static_cast<encoding::Base>(rng.below(4));
+    for (auto& c : s) c = static_cast<std::uint8_t>(rng.below(4));
     return s;
   };
   for (std::size_t k = 0; k < pairs; ++k) {

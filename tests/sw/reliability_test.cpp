@@ -11,6 +11,7 @@
 #include "encoding/random.hpp"
 #include "sw/pipeline.hpp"
 #include "sw/scalar.hpp"
+#include "sw/scheme_aligner.hpp"
 #include "util/status.hpp"
 #include "fn_backend.hpp"
 
@@ -92,7 +93,7 @@ TEST(TryBpbc, NonUniformTextsAreTypedError) {
   Batch b = make_batch(4, 5, 8, 12);
   util::Xoshiro256 rng(5);
   b.ys[2] = encoding::random_sequence(rng, 7);
-  const auto result = try_bpbc_max_scores(b.xs, b.ys, kScheme);
+  const auto result = try_scheme_max_scores(b.xs, b.ys, kScheme);
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.status().code(), util::ErrorCode::kInvalidInput);
   EXPECT_NE(result.status().message().find("[2]"), std::string::npos);

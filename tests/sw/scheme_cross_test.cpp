@@ -93,18 +93,11 @@ void expect_cross_width_identity(const std::vector<GenericSequence>& xs,
   }
 }
 
-encoding::Sequence as_dna(const GenericSequence& seq) {
-  encoding::Sequence out;
-  out.reserve(seq.size());
-  for (std::uint8_t c : seq) out.push_back(encoding::base_from_code(c));
-  return out;
-}
-
 // Every width on lengths at its own lane-count boundaries: m or n in
 // {1, lanes - 1, lanes, lanes + 1} against a short other side. Pair 0
 // carries a planted diagonal so high scores (long carry chains) occur.
-// A ScoreParams-expressible scheme also runs the DNA batch front end
-// against the linear scalar reference.
+// A ScoreParams-expressible scheme also checks against the linear scalar
+// reference.
 void expect_boundary_shapes(const ScoringScheme& scheme, std::size_t sigma,
                             std::uint64_t seed, const std::string& what) {
   util::Xoshiro256 rng(seed);
@@ -125,15 +118,9 @@ void expect_boundary_shapes(const ScoringScheme& scheme, std::size_t sigma,
                                      << got.status().to_string();
         EXPECT_EQ(*got, scalar_reference(xs, ys, scheme)) << where;
         if (!params) continue;
-        std::vector<Sequence> dx, dy;
-        for (std::size_t k = 0; k < xs.size(); ++k) {
-          dx.push_back(as_dna(xs[k]));
-          dy.push_back(as_dna(ys[k]));
-        }
-        const auto dna = bpbc_max_scores(dx, dy, scheme, width);
-        for (std::size_t k = 0; k < dx.size(); ++k)
-          EXPECT_EQ(dna[k], max_score(dx[k], dy[k], *params))
-              << where << " (DNA front end) pair " << k;
+        for (std::size_t k = 0; k < xs.size(); ++k)
+          EXPECT_EQ((*got)[k], max_score(xs[k], ys[k], *params))
+              << where << " (linear reference) pair " << k;
       }
     }
   }
@@ -167,26 +154,16 @@ TEST(SchemeCross, ProteinBlosum62MatchesScalarAtEveryWidth) {
 TEST(SchemeCross, ExpressibleSchemeIsBitIdenticalToLegacyKernels) {
   util::Xoshiro256 rng(303);
   const std::size_t count = 70;
-  const auto xs_dna = encoding::random_sequences(rng, count, 10);
-  const auto ys_dna = encoding::random_sequences(rng, count, 40);
-  const auto as_generic = [](const encoding::Sequence& seq) {
-    GenericSequence out;
-    out.reserve(seq.size());
-    for (encoding::Base b : seq)
-      out.push_back(static_cast<std::uint8_t>(b));
-    return out;
-  };
-  std::vector<GenericSequence> xs, ys;
-  for (std::size_t k = 0; k < count; ++k) {
-    xs.push_back(as_generic(xs_dna[k]));
-    ys.push_back(as_generic(ys_dna[k]));
-  }
+  const auto xs = encoding::random_sequences(rng, count, 10);
+  const auto ys = encoding::random_sequences(rng, count, 40);
   const ScoringScheme scheme;  // 2/1/1 linear
+  const auto params = scheme.to_params().value();
   for (LaneWidth width : kAllWidths) {
     auto got = try_scheme_max_scores(xs, ys, scheme, width);
     ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, bpbc_max_scores(xs_dna, ys_dna, scheme, width))
-        << lane_width_name(width);
+    for (std::size_t k = 0; k < count; ++k)
+      EXPECT_EQ((*got)[k], max_score(xs[k], ys[k], params))
+          << lane_width_name(width) << " pair " << k;
   }
   expect_boundary_shapes(scheme, 4, 304, "dna linear 2/1/1");
 
@@ -196,12 +173,8 @@ TEST(SchemeCross, ExpressibleSchemeIsBitIdenticalToLegacyKernels) {
   top.match = 3;
   ASSERT_EQ(scheme_required_slices(top, 21, 21), 6u);
   const std::vector<Sequence> same(3, encoding::random_sequence(rng, 21));
-  const std::vector<GenericSequence> same_generic(3, as_generic(same[0]));
   for (LaneWidth width : kAllWidths) {
-    EXPECT_EQ(bpbc_max_scores(same, same, top, width),
-              std::vector<std::uint32_t>(3, 63u))
-        << lane_width_name(width);
-    auto got = try_scheme_max_scores(same_generic, same_generic, top, width);
+    auto got = try_scheme_max_scores(same, same, top, width);
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, std::vector<std::uint32_t>(3, 63u))
         << lane_width_name(width);
@@ -298,17 +271,22 @@ TEST(SchemeCross, ScreenPipelineRunsAffineSchemeChunked) {
   EXPECT_GT(verified->reliability.lanes_verified, 0u);
 }
 
-TEST(SchemeCross, ScreenRejectsMatrixSchemeTyped) {
+TEST(SchemeCross, ScreenScoresMatrixSchemeLikeScalarGotoh) {
+  // try_screen is the screen entry for every alphabet: a BLOSUM62 batch
+  // scores like scalar Gotoh, and its hits carry the matrix traceback.
   util::Xoshiro256 rng(606);
-  const auto xs = encoding::random_sequences(rng, 4, 6);
-  const auto ys = encoding::random_sequences(rng, 4, 12);
+  const auto xs = random_batch(rng, 40, 6, 20);
+  const auto ys = random_batch(rng, 40, 12, 20);
   ScreenConfig cfg;
   cfg.scheme = protein_blosum62();
+  cfg.threshold = 8;
   auto r = try_screen(xs, ys, cfg);
-  ASSERT_FALSE(r.has_value());
-  EXPECT_EQ(r.status().code(), util::ErrorCode::kInvalidInput);
-  EXPECT_NE(r.status().message().find("try_scheme_max_scores"),
-            std::string::npos);
+  ASSERT_TRUE(r.has_value()) << r.status().to_string();
+  EXPECT_EQ(r->scores, scalar_reference(xs, ys, *cfg.scheme));
+  for (const ScreenHit& hit : r->hits) {
+    EXPECT_TRUE(hit.detailed);
+    EXPECT_EQ(hit.detail.score, r->scores[hit.index]);
+  }
 }
 
 // --- database-store serve path -----------------------------------------
@@ -331,6 +309,17 @@ DbFixture make_protein_db(const std::string& name, std::size_t count,
   return f;
 }
 
+// A one-query screen of a protein store through try_screen.
+ScreenConfig store_config(const ScoringScheme& scheme, db::Reader& reader,
+                          LaneWidth width) {
+  ScreenConfig cfg;
+  cfg.scheme = scheme;
+  cfg.database = &reader;
+  cfg.width = width;
+  cfg.traceback = false;
+  return cfg;
+}
+
 TEST(SchemeDb, ServesProteinStoreBitIdenticallyAtEveryWidth) {
   const DbFixture f = make_protein_db("widths.swdb", 190, 11, 28);
   const ScoringScheme scheme = protein_blosum62();
@@ -341,17 +330,16 @@ TEST(SchemeDb, ServesProteinStoreBitIdenticallyAtEveryWidth) {
   for (LaneWidth width : kAllWidths) {
     auto reader = db::Reader::open(f.path);
     ASSERT_TRUE(reader.has_value()) << reader.status().to_string();
-    SchemeDbStats stats;
-    auto got = try_scheme_db_max_scores(f.query, *reader, scheme, width,
-                                        bulk::Mode::kSerial, {}, &stats);
+    auto got = try_screen(xs, f.entries, store_config(scheme, *reader, width));
     ASSERT_TRUE(got.has_value())
         << lane_width_name(width) << ": " << got.status().to_string();
-    EXPECT_EQ(*got, want) << lane_width_name(width);
+    EXPECT_EQ(got->scores, want) << lane_width_name(width);
     // Every width serves at itself: 32 lanes read half shards.
-    EXPECT_EQ(stats.lane_width, resolve_lane_width(width))
+    EXPECT_EQ(got->lane_width, resolve_lane_width(width))
         << lane_width_name(width);
-    EXPECT_GT(stats.shards_served, 0u);
-    EXPECT_EQ(stats.shards_quarantined, 0u);
+    EXPECT_GT(got->reliability.db_shards_served, 0u);
+    EXPECT_EQ(got->reliability.db_shards_quarantined, 0u);
+    EXPECT_EQ(got->reliability.db_pairs_fallback, 0u);
   }
   std::remove(f.path.c_str());
 }
@@ -363,38 +351,24 @@ TEST(SchemeDb, QuarantinesCorruptShardAndReingestsFromCorpus) {
   const std::vector<std::uint32_t> want =
       scalar_reference(xs, f.entries, scheme);
 
-  // On-disk rot inside shard 1's payload.
+  // On-disk rot inside shard 1's payload: the damaged 64-entry slice
+  // re-ingests from the screened sequences and the run stays
+  // bit-identical.
   ASSERT_TRUE(db::corrupt_shard_for_testing(f.path, 1, 7, 3).ok());
-
-  // With the corpus on hand the damaged 64-entry slice re-ingests in
-  // memory and the run stays bit-identical.
-  {
-    auto reader = db::Reader::open(f.path);
-    ASSERT_TRUE(reader.has_value());
-    SchemeDbStats stats;
-    auto got = try_scheme_db_max_scores(f.query, *reader, scheme,
-                                        LaneWidth::k64, bulk::Mode::kSerial,
-                                        f.entries, &stats);
-    ASSERT_TRUE(got.has_value()) << got.status().to_string();
-    EXPECT_EQ(*got, want);
-    EXPECT_EQ(stats.shards_quarantined, 1u);
-    EXPECT_EQ(stats.shards_reingested, 1u);
-  }
-  // Without a corpus the damage is a typed kDbCorrupt, not wrong scores.
-  {
-    auto reader = db::Reader::open(f.path);
-    ASSERT_TRUE(reader.has_value());
-    auto got = try_scheme_db_max_scores(f.query, *reader, scheme,
-                                        LaneWidth::k64);
-    ASSERT_FALSE(got.has_value());
-    EXPECT_EQ(got.status().code(), util::ErrorCode::kDbCorrupt);
-  }
+  auto reader = db::Reader::open(f.path);
+  ASSERT_TRUE(reader.has_value());
+  auto got =
+      try_screen(xs, f.entries, store_config(scheme, *reader, LaneWidth::k64));
+  ASSERT_TRUE(got.has_value()) << got.status().to_string();
+  EXPECT_EQ(got->scores, want);
+  EXPECT_EQ(got->reliability.db_shards_quarantined, 1u);
+  EXPECT_EQ(got->reliability.db_pairs_reingested, 64u);
   std::remove(f.path.c_str());
 }
 
 TEST(SchemeDb, StaleCorpusIsTypedRejection) {
-  // A quarantined shard re-ingests from the corpus, so a corpus that is
-  // not the store's content must not be rescored silently.
+  // A quarantined shard re-ingests from the screened sequences, so
+  // sequences that are not the store's content must not be scored.
   const DbFixture f = make_protein_db("stale.swdb", 130, 10, 30);
   ASSERT_TRUE(db::corrupt_shard_for_testing(f.path, 0, 5, 2).ok());
   std::vector<GenericSequence> stale = f.entries;
@@ -402,26 +376,26 @@ TEST(SchemeDb, StaleCorpusIsTypedRejection) {
 
   auto reader = db::Reader::open(f.path);
   ASSERT_TRUE(reader.has_value());
-  SchemeDbStats stats;
-  auto got = try_scheme_db_max_scores(f.query, *reader, protein_blosum62(),
-                                      LaneWidth::k64, bulk::Mode::kSerial,
-                                      stale, &stats);
+  const std::vector<GenericSequence> xs(stale.size(), f.query);
+  auto got = try_screen(
+      xs, stale, store_config(protein_blosum62(), *reader, LaneWidth::k64));
   ASSERT_FALSE(got.has_value());
   EXPECT_EQ(got.status().code(), util::ErrorCode::kDbMismatch);
-  EXPECT_EQ(stats.shards_reingested, 0u);
   std::remove(f.path.c_str());
 }
 
 TEST(SchemeDb, RejectsPlaneCountMismatchTyped) {
-  // A 2-plane DNA store cannot serve a 5-plane protein scheme.
+  // A 2-plane DNA store cannot serve a 5-plane protein scheme, even
+  // though every DNA code is also a protein code.
   util::Xoshiro256 rng(909);
   const auto dna = encoding::random_sequences(rng, 64, 20);
   const std::string path = testing::TempDir() + "swbpbc_scheme_planes.swdb";
   ASSERT_TRUE(db::build_database(dna, path).ok());
   auto reader = db::Reader::open(path);
   ASSERT_TRUE(reader.has_value());
-  const GenericSequence query = random_generic(rng, 8, 20);
-  auto got = try_scheme_db_max_scores(query, *reader, protein_blosum62());
+  const std::vector<GenericSequence> xs(dna.size(), random_generic(rng, 8, 20));
+  auto got = try_screen(
+      xs, dna, store_config(protein_blosum62(), *reader, LaneWidth::kAuto));
   ASSERT_FALSE(got.has_value());
   EXPECT_EQ(got.status().code(), util::ErrorCode::kDbMismatch);
   std::remove(path.c_str());
@@ -539,8 +513,7 @@ TEST(SchemeEngine, RejectsMatrixSchemeTyped) {
     FAIL() << "matrix scheme must not construct a device engine";
   } catch (const util::StatusError& e) {
     EXPECT_EQ(e.status().code(), util::ErrorCode::kInvalidInput);
-    EXPECT_NE(e.status().message().find("try_scheme_max_scores"),
-              std::string::npos);
+    EXPECT_NE(e.status().message().find("try_screen"), std::string::npos);
   }
 }
 

@@ -465,30 +465,26 @@ TEST(StripedBulkTest, ShapeAndSchemeValidation) {
 // dispatcher's choice between BPBC and striped cannot change the outcome.
 TEST(StripedBulkTest, EmptySequenceIsTheSameErrorInEveryFrontEnd) {
   const ScoringScheme s = dna_linear();
-  const std::vector<GenericSequence> full(2, GenericSequence{0, 1, 2});
-  const std::vector<GenericSequence> none(2);
-  const std::vector<Sequence> dna_full(
-      2, Sequence{encoding::Base::A, encoding::Base::C, encoding::Base::G});
-  const std::vector<Sequence> dna_none(2);
+  const std::vector<Sequence> full(2, Sequence{0, 1, 2});
+  const std::vector<Sequence> none(2);
   const struct {
     const char* shape;
-    const std::vector<GenericSequence>& xs;
-    const std::vector<GenericSequence>& ys;
-    const std::vector<Sequence>& dna_xs;
-    const std::vector<Sequence>& dna_ys;
-  } cases[] = {{"m = 0", none, full, dna_none, dna_full},
-               {"n = 0", full, none, dna_full, dna_none}};
+    const std::vector<Sequence>& xs;
+    const std::vector<Sequence>& ys;
+  } cases[] = {{"m = 0", none, full}, {"n = 0", full, none}};
+  ScreenConfig cfg;
+  cfg.scheme = s;
   for (const auto& c : cases) {
     const auto striped = try_striped_max_scores(c.xs, c.ys, s);
-    const auto scheme = try_scheme_max_scores(c.xs, c.ys, s);
-    const auto bpbc = try_bpbc_max_scores(c.dna_xs, c.dna_ys, s);
+    const auto bpbc = try_scheme_max_scores(c.xs, c.ys, s);
+    const auto screen = try_screen(c.xs, c.ys, cfg);
     ASSERT_FALSE(striped.has_value()) << c.shape;
-    ASSERT_FALSE(scheme.has_value()) << c.shape;
     ASSERT_FALSE(bpbc.has_value()) << c.shape;
+    ASSERT_FALSE(screen.has_value()) << c.shape;
     EXPECT_EQ(striped.status().code(), util::ErrorCode::kInvalidInput)
         << c.shape;
-    EXPECT_EQ(scheme.status().code(), striped.status().code()) << c.shape;
     EXPECT_EQ(bpbc.status().code(), striped.status().code()) << c.shape;
+    EXPECT_EQ(screen.status().code(), striped.status().code()) << c.shape;
     EXPECT_NE(striped.status().message().find("non-empty"), std::string::npos)
         << c.shape;
   }
@@ -501,8 +497,7 @@ TEST(StripedBackendTest, ChunkedScreenBitIdenticalToBpbc) {
   util::Xoshiro256 rng(21);
   const auto random_dna = [&rng](std::size_t len) {
     Sequence s(len);
-    for (auto& b : s)
-      b = static_cast<encoding::Base>(rng.below(4));
+    for (auto& c : s) c = static_cast<std::uint8_t>(rng.below(4));
     return s;
   };
   const std::size_t pairs = 96, m = 24, n = 120;
@@ -539,7 +534,7 @@ TEST(StripedBackendTest, CapsAndCountersNameTheBuild) {
   auto backend = make_striped_backend(scheme);
   EXPECT_EQ(backend->caps().kernel_isa, bitsim::Isa::kBaseline);
 
-  const Sequence same(140, encoding::Base::G);  // scores 280: escalates
+  const Sequence same(140, encoding::code(encoding::Base::G));  // 280
   std::vector<Sequence> xs(8, same), ys(8, same);
   telemetry::Telemetry session({.enabled = true});
   ScreenConfig cfg;

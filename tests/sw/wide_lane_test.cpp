@@ -62,7 +62,7 @@ TEST(WideLane, AllWidthsMatchScalarReference) {
   const auto xs = encoding::random_sequences(rng, count, 9);
   const auto ys = encoding::random_sequences(rng, count, 27);
   for (const LaneWidth width : kAllWidths) {
-    const auto scores = bpbc_max_scores(xs, ys, kScheme, width);
+    const auto scores = try_scheme_max_scores(xs, ys, kScheme, width).value();
     ASSERT_EQ(scores.size(), count) << lane_width_name(width);
     for (std::size_t k = 0; k < count; ++k) {
       ASSERT_EQ(scores[k], max_score(xs[k], ys[k], kParams))
@@ -77,9 +77,10 @@ TEST(WideLane, AllWidthsProduceIdenticalScoreVectors) {
   // masking at every width.
   const auto fxs = encoding::random_sequences(rng, 517, 12);
   const auto fys = encoding::random_sequences(rng, 517, 31);
-  const auto base = bpbc_max_scores(fxs, fys, kScheme, LaneWidth::k64);
+  const auto base =
+      try_scheme_max_scores(fxs, fys, kScheme, LaneWidth::k64).value();
   for (const LaneWidth width : kAllWidths) {
-    EXPECT_EQ(bpbc_max_scores(fxs, fys, kScheme, width), base)
+    EXPECT_EQ(try_scheme_max_scores(fxs, fys, kScheme, width).value(), base)
         << lane_width_name(width);
   }
 }
@@ -173,7 +174,8 @@ TEST(WideLane, DevicePipelineWide256MatchesHost) {
   util::Xoshiro256 rng(104);
   const auto xs = encoding::random_sequences(rng, 300, 8);
   const auto ys = encoding::random_sequences(rng, 300, 16);
-  const auto host = bpbc_max_scores(xs, ys, kScheme, LaneWidth::k256);
+  const auto host =
+      try_scheme_max_scores(xs, ys, kScheme, LaneWidth::k256).value();
   const auto gpu =
       device::gpu_bpbc_max_scores(xs, ys, kScheme, LaneWidth::k256);
   EXPECT_EQ(gpu.scores, host);
@@ -270,37 +272,22 @@ std::vector<GenericSequence> random_codes(util::Xoshiro256& rng,
   return out;
 }
 
-// Tagged build, portable word and scalar Gotoh on one batch; uniform
-// schemes also run the DNA front end's Sequence instantiation.
+// Tagged build, portable word and scalar Gotoh on one batch.
 template <class Tagged, class Portable>
 void expect_isa_batch(const std::vector<GenericSequence>& xs,
                       const std::vector<GenericSequence>& ys,
                       const ScoringScheme& scheme, const std::string& where) {
   using encoding::TransposeMethod;
-  const auto tagged = kernel::run_batch<Tagged, GenericSequence>(
+  const auto tagged = kernel::run_batch<Tagged>(
       xs, ys, scheme, bulk::Mode::kSerial, TransposeMethod::kPlanned,
       nullptr);
-  const auto portable = kernel::run_batch<Portable, GenericSequence>(
+  const auto portable = kernel::run_batch<Portable>(
       xs, ys, scheme, bulk::Mode::kSerial, TransposeMethod::kPlanned,
       nullptr);
   ASSERT_EQ(tagged, portable) << where;
   for (std::size_t k = 0; k < xs.size(); ++k)
     ASSERT_EQ(tagged[k], scheme_max_score(xs[k], ys[k], scheme))
         << where << " pair " << k;
-  if (scheme.matrix != nullptr) return;
-  const auto as_dna = [](const std::vector<GenericSequence>& codes) {
-    std::vector<Sequence> out(codes.size());
-    for (std::size_t k = 0; k < codes.size(); ++k)
-      for (std::uint8_t c : codes[k])
-        out[k].push_back(encoding::base_from_code(c));
-    return out;
-  };
-  const std::vector<Sequence> dx = as_dna(xs), dy = as_dna(ys);
-  EXPECT_EQ((kernel::run_batch<Tagged, Sequence>(
-                dx, dy, scheme, bulk::Mode::kSerial, TransposeMethod::kPlanned,
-                nullptr)),
-            tagged)
-      << where << " (DNA front end)";
 }
 
 // All four (matrix x affine) cells at pair counts {1, W-1, W, W+1}, at
@@ -390,7 +377,7 @@ void expect_isa_db_backend(const std::string& name) {
   opts.width = kLanes == 512 ? LaneWidth::k512 : LaneWidth::k256;
   for (const std::vector<Sequence>* xs : {&distinct, &repeated}) {
     SCOPED_TRACE(xs == &repeated ? "repeated query" : "query per entry");
-    const kernel::StoreJob<Sequence> job{*xs, ys, 0, count, nullptr};
+    const kernel::StoreJob job{*xs, ys, 0, count, nullptr};
     const auto serve = [&]<class W>(std::type_identity<W>) {
       auto reader = db::Reader::open(path);
       EXPECT_TRUE(reader.has_value()) << reader.status().to_string();
@@ -399,7 +386,6 @@ void expect_isa_db_backend(const std::string& name) {
       auto scores = kernel::run_store<W>(job, *reader, kScheme,
                                          bulk::Mode::kSerial, cache, report,
                                          nullptr);
-      EXPECT_TRUE(report.error.ok()) << report.error.to_string();
       EXPECT_EQ(report.quarantined, 1u);
       EXPECT_EQ(report.pairs_reingested, 64u);
       return scores;
@@ -436,9 +422,9 @@ TEST(IsaKernel, Avx512DbBackendMatchesPortableWord) {
   expect_isa_db_backend<Avx512Word, bitsim::simd_word<512>>("avx512.swdb");
 }
 
-// The same store body serving the any-alphabet screen
-// (try_scheme_db_max_scores) over a BLOSUM62 affine protein store with
-// one rotted shard re-ingested from the corpus.
+// The same store body serving a one-query try_screen over a BLOSUM62
+// affine protein store with one rotted shard re-ingested from the
+// screened sequences.
 template <class Tagged, class Portable>
 void expect_isa_scheme_db(const std::string& name, LaneWidth width) {
   constexpr std::size_t kLanes = bitsim::word_bits_v<Tagged>;
@@ -455,12 +441,11 @@ void expect_isa_scheme_db(const std::string& name, LaneWidth width) {
     EXPECT_TRUE(reader.has_value()) << reader.status().to_string();
     kernel::ReingestCache cache;
     kernel::StoreReport report;
-    const kernel::StoreJob<GenericSequence> job{
-        {&query, 1}, entries, 0, entries.size(), nullptr};
+    const kernel::StoreJob job{{&query, 1}, entries, 0, entries.size(),
+                               nullptr};
     auto scores = kernel::run_store<W>(job, *reader, scheme,
                                        bulk::Mode::kSerial, cache, report,
                                        nullptr);
-    EXPECT_TRUE(report.error.ok()) << report.error.to_string();
     EXPECT_EQ(report.quarantined, 1u);
     EXPECT_EQ(report.pairs_reingested, 64u);
     return scores;
@@ -472,10 +457,16 @@ void expect_isa_scheme_db(const std::string& name, LaneWidth width) {
 
   auto reader = db::Reader::open(path);
   ASSERT_TRUE(reader.has_value());
-  auto via_api = try_scheme_db_max_scores(query, *reader, scheme, width,
-                                          bulk::Mode::kSerial, entries);
+  ScreenConfig cfg;
+  cfg.scheme = scheme;
+  cfg.database = &*reader;
+  cfg.width = width;
+  cfg.traceback = false;
+  const std::vector<GenericSequence> xs(entries.size(), query);
+  auto via_api = try_screen(xs, entries, cfg);
   ASSERT_TRUE(via_api.has_value()) << via_api.status().to_string();
-  EXPECT_EQ(*via_api, tagged);
+  EXPECT_EQ(via_api->scores, tagged);
+  EXPECT_EQ(via_api->reliability.db_shards_quarantined, 1u);
   std::remove(path.c_str());
 }
 
