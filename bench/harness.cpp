@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "device/sw_kernels.hpp"
+#include "device/engine.hpp"
 #include "encoding/random.hpp"
 #include "sw/scheme_aligner.hpp"
 #include "sw/scalar.hpp"
@@ -81,6 +81,30 @@ void verify_prefix(const Workload& w, const sw::ScoringScheme& scheme,
   }
 }
 
+// The simulated device at `width` (the wordwise row ignores it), and the
+// whole workload as one job under the caller's trace context.
+device::PipelineEngine device_engine(const sw::ScoringScheme& scheme,
+                                     sw::LaneWidth width,
+                                     const RunOptions& run) {
+  device::EngineOptions options;
+  options.scheme = scheme;
+  options.width = width;
+  options.mode = bulk::Mode::kParallel;
+  options.integrity.enabled = run.integrity;
+  options.integrity.sample_every = run.integrity_sample_every;
+  options.record_metrics = run.record_metrics;
+  options.telemetry = run.telemetry;
+  return device::PipelineEngine(options);
+}
+
+sw::ChunkJob whole_workload(const Workload& w) {
+  sw::ChunkJob job;
+  job.xs = w.xs;
+  job.ys = w.ys;
+  job.trace_id = telemetry::current_trace_context();
+  return job;
+}
+
 }  // namespace
 
 RowTimes run_impl(Impl impl, const Workload& w,
@@ -118,15 +142,8 @@ RowTimes run_impl(Impl impl, const Workload& w,
     case Impl::kGpuBitwise32:
     case Impl::kGpuBitwise64:
     case Impl::kGpuBitwise256: {
-      const sw::LaneWidth width = bitwise_width(impl);
-      device::GpuRunOptions options;
-      options.mode = bulk::Mode::kParallel;
-      options.integrity.enabled = run.integrity;
-      options.integrity.sample_every = run.integrity_sample_every;
-      options.record_metrics = run.record_metrics;
-      options.telemetry = run.telemetry;
-      const auto result =
-          device::gpu_bpbc_max_scores(w.xs, w.ys, scheme, width, options);
+      const auto result = device_engine(scheme, bitwise_width(impl), run)
+                              .run_stages(whole_workload(w));
       verify_prefix(w, scheme, result.scores);
       row.h2g = result.timings.h2g_ms;
       row.w2b = result.timings.w2b_ms;
@@ -145,12 +162,8 @@ RowTimes run_impl(Impl impl, const Workload& w,
       return row;
     }
     case Impl::kGpuWordwise: {
-      device::GpuRunOptions options;
-      options.mode = bulk::Mode::kParallel;
-      options.record_metrics = run.record_metrics;
-      options.telemetry = run.telemetry;
-      const auto result = device::gpu_wordwise_max_scores(
-          w.xs, w.ys, scheme.to_params().value(), options);
+      const auto result = device_engine(scheme, sw::LaneWidth::k32, run)
+                              .run_wordwise(whole_workload(w));
       verify_prefix(w, scheme, result.scores);
       row.h2g = result.timings.h2g_ms;
       row.swa = result.timings.swa_ms;

@@ -39,7 +39,7 @@
 
 #include "db/fault.hpp"
 #include "db/reader.hpp"
-#include "device/sw_kernels.hpp"
+#include "device/engine.hpp"
 #include "encoding/fasta.hpp"
 #include "encoding/random.hpp"
 #include "sw/pipeline.hpp"
@@ -114,8 +114,13 @@ int main(int argc, char** argv) {
 
   if (opt.get_bool("gpu", false)) {
     // Same screening pass through the simulated-GPU pipeline (§V).
-    const auto result = device::gpu_bpbc_max_scores(
-        queries, database, sw::ScoringScheme{}, *width);
+    device::EngineOptions eopts;
+    eopts.width = *width;
+    device::PipelineEngine engine(eopts);
+    sw::ChunkJob job;
+    job.xs = queries;
+    job.ys = database;
+    const auto result = engine.run_stages(job);
     std::size_t hits = 0;
     for (auto sc : result.scores) hits += sc >= tau ? 1 : 0;
     std::printf("[device] H2G %.2fms W2B %.2fms SWA %.2fms B2W %.2fms "

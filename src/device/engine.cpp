@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -17,13 +16,14 @@
 namespace swbpbc::device {
 namespace {
 
-using encoding::Sequence;
+// Threads per block of the W2B kernel: the launch shape the Table V
+// counters were recorded at.
+constexpr unsigned kW2bBlockDim = 256;
 
-// Fault campaign of an engine job: a pure function of the (chunk, attempt)
-// tag, so the pattern a chunk observes is independent of which chunks the
-// engine ran before it, or in what order. The high bit keeps the derived
-// campaigns clear of the injector's shared counter, which the one-shot
-// gpu_bpbc_max_scores draws from.
+// Fault campaign of a device run: a pure function of the job's (chunk,
+// attempt) tag, so the pattern a chunk observes is independent of which
+// chunks the engine ran before it, or in what order. The high bit is part
+// of the derivation every recorded fault pattern was drawn under.
 std::uint64_t job_campaign(const sw::ChunkJob& job) {
   std::uint64_t h = util::fnv1a_value<std::uint64_t>(
       static_cast<std::uint64_t>(job.chunk));
@@ -68,6 +68,32 @@ ArenaBounds<W> bind_arena(Arena<W>& a) {
   return b;
 }
 
+void note_fault(GpuRunResult& run, sw::PipelineStage stage,
+                std::size_t block) {
+  for (const sw::StageFault& f : run.integrity_faults)
+    if (f.stage == stage && f.block == block) return;
+  sw::StageFault fault;
+  fault.stage = stage;
+  fault.block = block;
+  run.integrity_faults.push_back(fault);
+}
+
+// A watchdog-killed SWA block left its launch-time outputs in place: the
+// run's status counts the kills, and each killed block is a kSWA finding
+// whether or not the integrity checks run, so the screen layer retries
+// the chunk instead of taking the stale scores.
+void note_kills(GpuRunResult& run, const std::vector<char>& killed) {
+  std::size_t kills = 0;
+  for (std::size_t b = 0; b < killed.size(); ++b) {
+    if (killed[b] == 0) continue;
+    ++kills;
+    note_fault(run, sw::PipelineStage::kSWA, b);
+  }
+  if (kills != 0)
+    run.status = util::Status::kernel_timeout(
+        std::to_string(kills) + " block(s) killed by the watchdog");
+}
+
 template <bitsim::LaneWord W>
 struct JobState {
   sw::ChunkJob job;
@@ -76,15 +102,6 @@ struct JobState {
   std::size_t n_groups = 0;
   std::size_t padded_count = 0;
   GpuRunResult run;
-
-  void note_fault(sw::PipelineStage stage, std::size_t block) {
-    for (const sw::StageFault& f : run.integrity_faults)
-      if (f.stage == stage && f.block == block) return;
-    sw::StageFault fault;
-    fault.stage = stage;
-    fault.block = block;
-    run.integrity_faults.push_back(fault);
-  }
 };
 
 sw::ChunkResult to_chunk_result(GpuRunResult&& run) {
@@ -102,32 +119,23 @@ sw::ChunkResult to_chunk_result(GpuRunResult&& run) {
   return out;
 }
 
-// Width-erased interface over Core<W>: PipelineEngine and the one-shot
-// gpu_bpbc_max_scores each hold one CoreBase built for the resolved lane
-// width, so adding a width is one factory case instead of another
-// member/forwarder pair.
+// The batch shape check every front end runs, and the codes against the
+// scheme's 2-bit DNA alphabet: a typed kInvalidInput StatusError.
+void validate_job(const sw::ChunkJob& job, const sw::ScoringScheme& scheme) {
+  util::Status s = sw::validate_batch(job.xs, job.ys);
+  if (s.ok()) s = sw::validate_codes(job.xs, scheme, "xs");
+  if (s.ok()) s = sw::validate_codes(job.ys, scheme, "ys");
+  if (!s.ok()) throw util::StatusError(std::move(s));
+}
+
+// Width-erased interface over Core<W>: the engine holds one CoreBase built
+// for the resolved lane width, so adding a width is one factory case
+// instead of another member/forwarder pair.
 class CoreBase {
  public:
   virtual ~CoreBase() = default;
-  /// The five-stage pipeline for one validated, non-empty job under an
-  /// explicit fault campaign.
-  virtual GpuRunResult run_device(const sw::ChunkJob& job,
-                                  std::uint64_t campaign) = 0;
-
-  sw::ChunkResult run(const sw::ChunkJob& job) {
-    if (job.xs.empty()) return {};
-    return to_chunk_result(run_device(job, job_campaign(job)));
-  }
-
-  // The batch shape check every front end runs, and the codes against
-  // the scheme's 2-bit DNA alphabet: a typed kInvalidInput StatusError.
-  static void validate(const sw::ChunkJob& job,
-                       const sw::ScoringScheme& scheme) {
-    util::Status s = sw::validate_batch(job.xs, job.ys);
-    if (s.ok()) s = sw::validate_codes(job.xs, scheme, "xs");
-    if (s.ok()) s = sw::validate_codes(job.ys, scheme, "ys");
-    if (!s.ok()) throw util::StatusError(std::move(s));
-  }
+  /// The five-stage pipeline for one validated, non-empty job.
+  virtual GpuRunResult run_stages(const sw::ChunkJob& job) = 0;
 };
 
 template <bitsim::LaneWord W>
@@ -139,8 +147,7 @@ class Core final : public CoreBase {
 
   // H2G .. G2H in sequence on the one arena; a stage's error (stop,
   // watchdog without an injector, ...) propagates from here.
-  GpuRunResult run_device(const sw::ChunkJob& job,
-                          std::uint64_t campaign) override {
+  GpuRunResult run_stages(const sw::ChunkJob& job) override {
     ensure_shape(job);
     // Stamp the stage spans with the job's id, which may differ from the
     // caller's current context, so they correlate with the request that
@@ -148,7 +155,7 @@ class Core final : public CoreBase {
     telemetry::ScopedTraceContext trace_ctx(job.trace_id);
     JobState<W> st;
     st.job = job;
-    st.campaign = campaign;
+    st.campaign = job_campaign(job);
     st.count = job.xs.size();
     st.n_groups = (st.count + kLanes - 1) / kLanes;
     prep(st);
@@ -205,10 +212,10 @@ class Core final : public CoreBase {
     detail::pack_wordwise_into(a.host_y, job.ys, n);
 
     // Canary lanes: replicate instances of the last group into its spare
-    // lanes (see sw_kernels.hpp).
+    // lanes (see IntegrityConfig).
     a.canary_src.clear();
     std::size_t padded_count = count;
-    if (integ.enabled && integ.canary_lanes) {
+    if (integ.enabled) {
       const std::size_t last_first = (n_groups - 1) * kLanes;
       const std::size_t lanes_used = count - last_first;
       const std::size_t spare = kLanes - lanes_used;
@@ -249,7 +256,7 @@ class Core final : public CoreBase {
           kSegmentBytes;
     }
 
-    if (integ.enabled && integ.checksum_copies) {
+    if (integ.enabled) {
       integ_timer.reset();
       const std::uint64_t sent = util::fnv1a_span<std::uint32_t>(
           a.host_y, util::fnv1a_span<std::uint32_t>(a.host_x));
@@ -257,7 +264,7 @@ class Core final : public CoreBase {
           a.d_y_words, util::fnv1a_span<std::uint32_t>(a.d_x_words));
       ++st.run.integrity_checks;
       if (sent != landed)
-        st.note_fault(sw::PipelineStage::kH2G, sw::StageFault::kNoBlock);
+        note_fault(st.run, sw::PipelineStage::kH2G, sw::StageFault::kNoBlock);
       st.run.integrity_ms += integ_timer.elapsed_ms();
     }
 
@@ -299,7 +306,7 @@ class Core final : public CoreBase {
     st.run.stage_metrics[sw::PipelineStage::kW2B] = launch(
         w2b_cfg,
         [&](std::size_t g, BlockRecorder& rec) {
-          return detail::W2bKernel<W>(g, rec, opts_.w2b_block_dim, char_plan_,
+          return detail::W2bKernel<W>(g, rec, kW2bBlockDim, char_plan_,
                                       padded_count, m, n, b.x_words, b.y_words,
                                       b.x_hi, b.x_lo, b.y_hi, b.y_lo);
         });
@@ -335,7 +342,7 @@ class Core final : public CoreBase {
           ++st.run.integrity_checks;
           if (scratch[0] != lo || scratch[1] != hi) bad = true;
         }
-        if (bad) st.note_fault(sw::PipelineStage::kW2B, g);
+        if (bad) note_fault(st.run, sw::PipelineStage::kW2B, g);
       }
       st.run.integrity_ms += integ_timer.elapsed_ms();
     }
@@ -354,7 +361,7 @@ class Core final : public CoreBase {
     const ArenaBounds<W> b = bind_arena(a);
     // Kills are only possible with an injector attached (without one the
     // launch throws kKernelTimeout instead); the buffer is reset per job so
-    // the status below counts only this job's trips.
+    // note_kills counts only this job's trips.
     a.killed.assign(opts_.faults != nullptr ? n_groups : 0, 0);
     LaunchConfig swa_cfg;
     swa_cfg.grid_dim = n_groups;
@@ -378,11 +385,6 @@ class Core final : public CoreBase {
         });
     swa_span.finish();
     st.run.timings.swa_ms = timer.elapsed_ms();
-    const auto kills = static_cast<std::size_t>(
-        std::count(a.killed.begin(), a.killed.end(), char{1}));
-    if (kills != 0)
-      st.run.status = util::Status::kernel_timeout(
-          std::to_string(kills) + " block(s) killed by the watchdog");
 
     // Canary comparison on the bit-sliced scores: the lane bits of a
     // canary must equal its source lane's in every slice word. Checked
@@ -404,12 +406,11 @@ class Core final : public CoreBase {
             }
           }
         }
-        if (bad) st.note_fault(sw::PipelineStage::kSWA, g);
+        if (bad) note_fault(st.run, sw::PipelineStage::kSWA, g);
       }
-      for (std::size_t g = 0; g < a.killed.size(); ++g)
-        if (a.killed[g] != 0) st.note_fault(sw::PipelineStage::kSWA, g);
       st.run.integrity_ms += integ_timer.elapsed_ms();
     }
+    note_kills(st.run, a.killed);
   }
 
   // Stage 4+5: the B2W launch with its untranspose round-trip check, then
@@ -472,7 +473,7 @@ class Core final : public CoreBase {
               static_cast<std::uint32_t>(bitsim::get_limb(scratch[lane], 0)) &
               mask;
           if (a.d_scores[first + lane] != want) {
-            st.note_fault(sw::PipelineStage::kB2W, g);
+            note_fault(st.run, sw::PipelineStage::kB2W, g);
             break;
           }
         }
@@ -500,7 +501,7 @@ class Core final : public CoreBase {
           (count * sizeof(std::uint32_t) + kSegmentBytes - 1) / kSegmentBytes;
     }
 
-    if (integ.enabled && integ.checksum_copies) {
+    if (integ.enabled) {
       integ_timer.reset();
       const std::uint64_t sent =
           util::fnv1a_bytes(a.d_scores.data(), count * sizeof(std::uint32_t));
@@ -508,7 +509,7 @@ class Core final : public CoreBase {
           std::span<const std::uint32_t>(st.run.scores));
       ++st.run.integrity_checks;
       if (sent != landed)
-        st.note_fault(sw::PipelineStage::kG2H, sw::StageFault::kNoBlock);
+        note_fault(st.run, sw::PipelineStage::kG2H, sw::StageFault::kNoBlock);
       st.run.integrity_ms += integ_timer.elapsed_ms();
     }
 
@@ -533,8 +534,7 @@ std::unique_ptr<CoreBase> make_core(sw::LaneWidth width,
       });
 }
 
-// The engine's scheme rules, shared by the engine and the one-shot
-// gpu_bpbc_max_scores: a valid scheme over the 2-bit DNA alphabet.
+// The engine's scheme rules: a valid scheme over the 2-bit DNA alphabet.
 void validate_engine_scheme(const sw::ScoringScheme& scheme) {
   if (util::Status s = sw::validate_scheme(scheme, "EngineOptions::scheme");
       !s.ok())
@@ -544,6 +544,70 @@ void validate_engine_scheme(const sw::ScoringScheme& scheme) {
         "EngineOptions::scheme.matrix scores an epsilon-bit protein "
         "alphabet; the device pipeline packs 2-bit DNA characters — "
         "screen such batches through sw::try_screen"));
+}
+
+// Table IV's wordwise device row for one validated, non-empty job under a
+// params-expressible scheme: H2G, one SWA block per pair over plain
+// integer cells, G2H, on fresh buffers.
+GpuRunResult wordwise_stages(const sw::ChunkJob& job,
+                             const EngineOptions& opts) {
+  const auto params = opts.scheme.to_params().value();
+  GpuRunResult result;
+  const std::size_t count = job.xs.size();
+  const std::size_t m = job.xs.front().size();
+  const std::size_t n = job.ys.front().size();
+  const std::uint64_t campaign = job_campaign(job);
+  telemetry::ScopedTraceContext trace_ctx(job.trace_id);
+  telemetry::Tracer* const tr =
+      opts.telemetry != nullptr ? opts.telemetry->tracer() : nullptr;
+  util::WallTimer timer;
+  const std::vector<std::uint32_t> host_x = detail::pack_wordwise(job.xs, m);
+  const std::vector<std::uint32_t> host_y = detail::pack_wordwise(job.ys, n);
+
+  timer.reset();
+  telemetry::Span h2g_span(tr, "H2G", "device", telemetry::kTrackDevice);
+  std::vector<std::uint32_t> d_x(host_x);
+  std::vector<std::uint32_t> d_y(host_y);
+  h2g_span.finish();
+  result.timings.h2g_ms = timer.elapsed_ms();
+
+  std::vector<std::uint32_t> d_scores(count, 0);
+  detail::Allocator alloc;
+  const detail::Bound<std::uint32_t> b_x = alloc.alloc(d_x);
+  const detail::Bound<std::uint32_t> b_y = alloc.alloc(d_y);
+  const detail::Bound<std::uint32_t> b_scores = alloc.alloc(d_scores);
+
+  std::vector<char> killed(opts.faults != nullptr ? count : 0, 0);
+  LaunchConfig swa_cfg;
+  swa_cfg.grid_dim = count;
+  swa_cfg.record_metrics = opts.record_metrics;
+  swa_cfg.mode = opts.mode;
+  swa_cfg.faults = opts.faults;
+  swa_cfg.watchdog_phases = opts.watchdog_phases;
+  swa_cfg.stop = job.stop;
+  swa_cfg.killed = opts.faults != nullptr ? &killed : nullptr;
+  swa_cfg.campaign = campaign;
+  timer.reset();
+  telemetry::Span swa_span(tr, "SWA", "device", telemetry::kTrackDevice);
+  swa_span.arg("blocks", static_cast<std::int64_t>(count));
+  result.stage_metrics[sw::PipelineStage::kSWA] = launch(
+      swa_cfg,
+      [&](std::size_t pair, BlockRecorder& rec) {
+        return detail::WordwiseKernel(pair, rec, params, m, n, b_x, b_y,
+                                      b_scores);
+      });
+  swa_span.finish();
+  result.timings.swa_ms = timer.elapsed_ms();
+
+  timer.reset();
+  telemetry::Span g2h_span(tr, "G2H", "device", telemetry::kTrackDevice);
+  result.scores = d_scores;
+  g2h_span.finish();
+  result.timings.g2h_ms = timer.elapsed_ms();
+
+  note_kills(result, killed);
+  absorb_device_run(opts.telemetry, result);
+  return result;
 }
 
 }  // namespace
@@ -570,46 +634,28 @@ PipelineEngine::~PipelineEngine() = default;
 
 sw::BackendCaps PipelineEngine::caps() const {
   sw::BackendCaps caps;
-  caps.integrity = impl_->opts.integrity.enabled;
-  caps.stop_polling = true;
   caps.lane_width = impl_->opts.width;
   return caps;
 }
 
-GpuRunResult gpu_bpbc_max_scores(std::span<const Sequence> xs,
-                                 std::span<const Sequence> ys,
-                                 const sw::ScoringScheme& scheme,
-                                 sw::LaneWidth width,
-                                 const GpuRunOptions& options) {
-  validate_engine_scheme(scheme);
-  sw::ChunkJob job;
-  job.xs = xs;
-  job.ys = ys;
-  CoreBase::validate(job, scheme);
-  if (xs.empty()) return {};
-  job.stop = options.stop;
-  job.trace_id = telemetry::current_trace_context();
-
-  EngineOptions eopts;
-  eopts.scheme = scheme;
-  eopts.width = sw::resolve_lane_width(width);
-  eopts.record_metrics = options.record_metrics;
-  eopts.mode = options.mode;
-  eopts.w2b_block_dim = options.w2b_block_dim;
-  eopts.faults = options.faults;
-  eopts.watchdog_phases = options.watchdog_phases;
-  eopts.integrity = options.integrity;
-  eopts.telemetry = options.telemetry;
-  // One fault campaign per call, in call order: a retry of the same batch
-  // observes a fresh (still seed-deterministic) fault pattern.
-  const std::uint64_t campaign =
-      options.faults != nullptr ? options.faults->begin_run() : 0;
-  return make_core(eopts.width, eopts)->run_device(job, campaign);
+sw::ChunkResult PipelineEngine::run(const sw::ChunkJob& job) {
+  return to_chunk_result(run_stages(job));
 }
 
-sw::ChunkResult PipelineEngine::run(const sw::ChunkJob& job) {
-  CoreBase::validate(job, impl_->opts.scheme);
-  return impl_->core->run(job);
+GpuRunResult PipelineEngine::run_stages(const sw::ChunkJob& job) {
+  validate_job(job, impl_->opts.scheme);
+  if (job.xs.empty()) return {};
+  return impl_->core->run_stages(job);
+}
+
+GpuRunResult PipelineEngine::run_wordwise(const sw::ChunkJob& job) {
+  if (!impl_->opts.scheme.params_expressible())
+    throw util::StatusError(util::Status::invalid_input(
+        "EngineOptions::scheme is " + sw::scheme_name(impl_->opts.scheme) +
+        "; the wordwise device row scores linear uniform schemes only"));
+  validate_job(job, impl_->opts.scheme);
+  if (job.xs.empty()) return {};
+  return wordwise_stages(job, impl_->opts);
 }
 
 const EngineOptions& PipelineEngine::options() const { return impl_->opts; }

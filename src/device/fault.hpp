@@ -12,9 +12,9 @@
 // device::launch derives one BlockFaults per block and attaches it to the
 // block's BlockRecorder; GlobalSpan/SharedArray consult it on every
 // access. Every retry draws a fresh campaign — the property the
-// verify-quarantine-retry loop in sw::screen relies on: one-shot runs take
-// the next begin_run() number, engine jobs derive theirs from (chunk,
-// attempt).
+// verify-quarantine-retry loop in sw::screen relies on: the engine derives
+// each run's campaign from the job's (chunk, attempt) tag, and a retry is
+// a new attempt.
 #pragma once
 
 #include <atomic>
@@ -139,18 +139,11 @@ class FaultInjector {
 
   [[nodiscard]] const FaultConfig& config() const { return config_; }
 
-  /// Advances the campaign counter and returns the new campaign number:
-  /// the one-shot device drivers draw one fresh, deterministic campaign
-  /// per run from it.
-  std::uint64_t begin_run() {
-    return campaign_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
   /// Fault state for one block of a named campaign. The execution engine
-  /// derives its campaign from (chunk, attempt) instead of the shared
-  /// counter, so the draw a block observes does not depend on which
-  /// chunks ran before it — the property that keeps a chunk's retry and
-  /// its result reproducible under fault injection.
+  /// derives its campaign from (chunk, attempt), never from call order, so
+  /// the draw a block observes does not depend on which chunks ran before
+  /// it — the property that keeps a chunk's retry and its result
+  /// reproducible under fault injection.
   [[nodiscard]] BlockFaults block_faults_at(std::uint64_t campaign,
                                             std::size_t block);
 
@@ -165,7 +158,6 @@ class FaultInjector {
   friend class BlockFaults;
 
   FaultConfig config_;
-  std::atomic<std::uint64_t> campaign_{0};
   std::atomic<std::uint64_t> bit_flips_{0};
   std::atomic<std::uint64_t> syncs_dropped_{0};
   std::atomic<std::uint64_t> watchdog_trips_{0};

@@ -51,9 +51,9 @@ struct LaunchConfig {
   // flag so the caller can attribute the stale outputs to a block.
   std::vector<char>* killed = nullptr;
   // Fault campaign of this launch: block fault streams are drawn from
-  // block_faults_at(campaign, block). The caller names it — the one-shot
-  // driver from the injector's counter, the engine from (chunk, attempt) —
-  // so the pattern never depends on how launches interleave.
+  // block_faults_at(campaign, block). The caller names it — the engine
+  // from the job's (chunk, attempt) tag — so the pattern never depends on
+  // how launches interleave.
   std::uint64_t campaign = 0;
 };
 

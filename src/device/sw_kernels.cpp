@@ -1,16 +1,8 @@
 #include "device/sw_kernels.hpp"
 
-#include <algorithm>
-#include <stdexcept>
 #include <string>
 
-#include "device/launch.hpp"
-#include "device/sw_stage_kernels.hpp"
-#include "util/timer.hpp"
-
 namespace swbpbc::device {
-
-using encoding::Sequence;
 
 void absorb_device_run(telemetry::Telemetry* telemetry,
                        const GpuRunResult& run) {
@@ -77,77 +69,6 @@ void absorb_device_run(telemetry::Telemetry* telemetry,
   if (!run.integrity_faults.empty())
     reg.counter("device.integrity.faults").add(run.integrity_faults.size());
   if (!run.status.ok()) reg.counter("device.watchdog_runs").add(1);
-}
-
-GpuRunResult gpu_wordwise_max_scores(std::span<const Sequence> xs,
-                                     std::span<const Sequence> ys,
-                                     const sw::ScoreParams& params,
-                                     const GpuRunOptions& options) {
-  if (xs.size() != ys.size())
-    throw std::invalid_argument("pattern/text count mismatch");
-  GpuRunResult result;
-  if (xs.empty()) return result;
-  const std::size_t count = xs.size();
-  const std::size_t m = xs.front().size();
-  const std::size_t n = ys.front().size();
-
-  const std::uint64_t campaign =
-      options.faults != nullptr ? options.faults->begin_run() : 0;
-
-  util::WallTimer timer;
-  telemetry::Tracer* const tr =
-      options.telemetry != nullptr ? options.telemetry->tracer() : nullptr;
-  const std::vector<std::uint32_t> host_x = detail::pack_wordwise(xs, m);
-  const std::vector<std::uint32_t> host_y = detail::pack_wordwise(ys, n);
-
-  timer.reset();
-  telemetry::Span h2g_span(tr, "H2G", "device", telemetry::kTrackDevice);
-  std::vector<std::uint32_t> d_x(host_x);
-  std::vector<std::uint32_t> d_y(host_y);
-  h2g_span.finish();
-  result.timings.h2g_ms = timer.elapsed_ms();
-
-  std::vector<std::uint32_t> d_scores(count, 0);
-  detail::Allocator alloc;
-  const detail::Bound<std::uint32_t> b_x = alloc.alloc(d_x);
-  const detail::Bound<std::uint32_t> b_y = alloc.alloc(d_y);
-  const detail::Bound<std::uint32_t> b_scores = alloc.alloc(d_scores);
-
-  std::vector<char> killed(options.faults != nullptr ? count : 0, 0);
-  LaunchConfig swa_cfg;
-  swa_cfg.grid_dim = count;
-  swa_cfg.record_metrics = options.record_metrics;
-  swa_cfg.mode = options.mode;
-  swa_cfg.faults = options.faults;
-  swa_cfg.watchdog_phases = options.watchdog_phases;
-  swa_cfg.stop = options.stop;
-  swa_cfg.killed = options.faults != nullptr ? &killed : nullptr;
-  swa_cfg.campaign = campaign;
-  timer.reset();
-  telemetry::Span swa_span(tr, "SWA", "device", telemetry::kTrackDevice);
-  swa_span.arg("blocks", static_cast<std::int64_t>(count));
-  result.stage_metrics[sw::PipelineStage::kSWA] = launch(
-      swa_cfg,
-      [&](std::size_t pair, BlockRecorder& rec) {
-        return detail::WordwiseKernel(pair, rec, params, m, n, b_x, b_y,
-                                      b_scores);
-      });
-  swa_span.finish();
-  result.timings.swa_ms = timer.elapsed_ms();
-
-  timer.reset();
-  telemetry::Span g2h_span(tr, "G2H", "device", telemetry::kTrackDevice);
-  result.scores = d_scores;
-  g2h_span.finish();
-  result.timings.g2h_ms = timer.elapsed_ms();
-
-  const auto kills = static_cast<std::size_t>(
-      std::count(killed.begin(), killed.end(), char{1}));
-  if (kills != 0)
-    result.status = util::Status::kernel_timeout(
-        std::to_string(kills) + " block(s) killed by the watchdog");
-  absorb_device_run(options.telemetry, result);
-  return result;
 }
 
 }  // namespace swbpbc::device

@@ -10,27 +10,19 @@
 //
 // The stage kernels live in sw_stage_kernels.hpp and the five steps are
 // sequenced in exactly one place, the PipelineEngine core (engine.cpp).
-// gpu_bpbc_max_scores below is that core's path for one batch on a fresh
-// core; PipelineEngine (engine.hpp) keeps one core, so its arena and
-// shape caches persist across chunks.
-//
-// A wordwise wavefront kernel (one block per pair, plain integer cells) is
-// provided as the GPU baseline of Table IV's "Wordwise 32-bits" rows.
+// This header holds what a device run reports: GpuRunResult, returned by
+// PipelineEngine::run_stages (the BPBC rows of Table IV) and
+// PipelineEngine::run_wordwise (the "Wordwise 32-bits" GPU baseline: one
+// block per pair, plain integer cells), and the integrity checks that
+// fill it.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "bulk/executor.hpp"
-#include "device/fault.hpp"
 #include "device/metrics.hpp"
-#include "encoding/dna.hpp"
-#include "sw/lane.hpp"
-#include "sw/params.hpp"
 #include "sw/reliability.hpp"
-#include "sw/scoring.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/status.hpp"
 
@@ -57,15 +49,14 @@ struct GpuTimings {
 ///     device score slices);
 ///   - duplicated canary lanes: instances of the last group are replicated
 ///     into its spare lanes and their bit-sliced scores compared after SWA
-///     — a disagreement means the SWA kernel corrupted the group;
-///   - watchdog-killed SWA blocks reported as kSWA faults.
+///     — a disagreement means the SWA kernel corrupted the group.
+/// Watchdog-killed SWA blocks are kSWA faults whether or not the checks
+/// are enabled: the kill itself is the finding.
 struct IntegrityConfig {
   bool enabled = false;
   // Sample every k-th string position in the W2B round-trip check (1 =
   // every position). The B2W check is per group and always full.
   std::size_t sample_every = 16;
-  bool canary_lanes = true;
-  bool checksum_copies = true;
 };
 
 /// Memory-traffic totals keyed by pipeline stage. The kernel stages
@@ -90,39 +81,17 @@ struct StageMetrics {
   }
 };
 
-struct GpuRunOptions {
-  bool record_metrics = false;  // trace coalescing / bank conflicts
-  bulk::Mode mode = bulk::Mode::kParallel;  // blocks across the host pool
-  unsigned w2b_block_dim = 256;  // threads per block for the W2B kernel
-  // Optional fault model (device/fault.hpp): attached to every kernel
-  // launch of the run; each run advances the injector's campaign.
-  FaultInjector* faults = nullptr;
-  // Watchdog deadline (phases) applied to the SWA wavefront launch; 0
-  // disables it. With an injector, stalled blocks are killed and logged;
-  // without one, exceeding the deadline throws kKernelTimeout.
-  std::size_t watchdog_phases = 0;
-  // In-band stage integrity (off by default: the fault-free hot path pays
-  // nothing for it).
-  IntegrityConfig integrity;
-  // Cooperative stop, polled at phase boundaries of every launch. A
-  // triggered stop aborts the run with a typed StatusError.
-  const util::StopCondition* stop = nullptr;
-  // Telemetry sink (Telemetry::sink(); nullptr = disabled). Each pipeline
-  // stage is recorded as a span on the device track, and the run's stage
-  // timings/traffic are folded into the session's metrics registry.
-  telemetry::Telemetry* telemetry = nullptr;
-};
-
 struct GpuRunResult {
   std::vector<std::uint32_t> scores;
   GpuTimings timings;
-  // Per-stage traffic (populated when options.record_metrics).
+  // Per-stage traffic (populated when EngineOptions::record_metrics).
   StageMetrics stage_metrics;
   // Ok unless the watchdog killed blocks this run (kKernelTimeout); the
   // scores of killed blocks are whatever the launch-time buffers held.
   util::Status status;
-  // Stage-integrity findings (populated when options.integrity.enabled).
-  // StageFault::chunk is 0 here — the chunked screen layer fills it in.
+  // Stage-integrity findings: the watchdog's kills always, the checks'
+  // findings when EngineOptions::integrity.enabled. StageFault::chunk is
+  // 0 here — the chunked screen layer fills it in.
   std::vector<sw::StageFault> integrity_faults;
   std::uint64_t integrity_checks = 0;  // comparisons evaluated
   double integrity_ms = 0.0;           // host time spent checking
@@ -133,30 +102,9 @@ struct GpuRunResult {
 /// Folds one device run into a telemetry registry: per-stage duration
 /// histograms ("device.<stage>.ms"), per-stage traffic counters
 /// ("device.<stage>.global_read_transactions", ...), and the integrity
-/// check/fault totals. No-op when `telemetry` is null. Called by the run
-/// drivers themselves when GpuRunOptions::telemetry is set.
+/// check/fault totals. No-op when `telemetry` is null. PipelineEngine
+/// calls it once per run when EngineOptions::telemetry is set.
 void absorb_device_run(telemetry::Telemetry* telemetry,
                        const GpuRunResult& run);
-
-/// Full BPBC pipeline on the simulated device: one synchronous run of the
-/// PipelineEngine core on a fresh arena. All xs share one length m, all ys
-/// one length n (the bit-transpose batch requirement), and every code is
-/// a DNA code; `scheme` follows EngineOptions::scheme's rules (uniform,
-/// linear or affine). Anything else throws a kInvalidInput StatusError.
-/// With an injector in
-/// `options.faults`, each call draws one fault campaign in call order
-/// (FaultInjector::begin_run), so a retry observes a fresh pattern.
-GpuRunResult gpu_bpbc_max_scores(std::span<const encoding::Sequence> xs,
-                                 std::span<const encoding::Sequence> ys,
-                                 const sw::ScoringScheme& scheme,
-                                 sw::LaneWidth width,
-                                 const GpuRunOptions& options = {});
-
-/// Wordwise wavefront baseline on the simulated device (no W2B/B2W; one
-/// block per pair, integer cells handed off through shared memory).
-GpuRunResult gpu_wordwise_max_scores(std::span<const encoding::Sequence> xs,
-                                     std::span<const encoding::Sequence> ys,
-                                     const sw::ScoreParams& params,
-                                     const GpuRunOptions& options = {});
 
 }  // namespace swbpbc::device

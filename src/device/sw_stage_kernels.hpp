@@ -1,9 +1,9 @@
 // Stage kernels of the paper's §V pipeline, sequenced by the engine core
 // (engine.cpp), plus the wordwise baseline kernel run by
-// gpu_wordwise_max_scores (sw_kernels.cpp). Everything here is an
-// internal building block — the kernels are duck-typed launch() factories
-// over bound device buffers — and lives in device::detail; the public
-// entry points stay in sw_kernels.hpp / engine.hpp. The BPBC wavefront
+// PipelineEngine::run_wordwise. Everything here is an internal building
+// block — the kernels are duck-typed launch() factories over bound device
+// buffers — and lives in device::detail; the public entry point is
+// engine.hpp. The BPBC wavefront
 // kernel's cell arithmetic is the host kernel's cell, sw::scheme_cell
 // (sw/scheme_aligner.hpp), for both gap models; it runs on per-thread
 // registers, so only the relay, character and score traffic around it

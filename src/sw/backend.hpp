@@ -21,24 +21,15 @@
 
 namespace swbpbc::sw {
 
-/// What a backend can do; the screen loop adapts its behaviour to these.
+/// What a backend reports about itself; the screen loop records it in the
+/// ScreenReport.
 struct BackendCaps {
-  // Reports in-band integrity findings (ChunkResult::faults); the loop
-  // runs its quarantine/retry policy on them.
-  bool integrity = false;
-  // Polls ChunkJob::stop mid-chunk (throws the stop's StatusError), so a
-  // cancellation interrupts a chunk instead of waiting it out.
-  bool stop_polling = false;
   // Concrete lane width the backend scores with (kAuto and the
   // SWBPBC_FORCE_LANE_WIDTH override already resolved). Informational:
   // scores are bit-identical across widths, so callers may log it but must
-  // not branch on it for correctness.
+  // not branch on it for correctness. The kernel build that runs it is
+  // sw::kernel_isa(lane_width, sw::host_cpu_features()).
   LaneWidth lane_width = LaneWidth::k64;
-  // Instruction set the kernel runs lane_width with: kAvx2 / kAvx512 when
-  // a host BPBC backend dispatches 256 / 512 lanes to the per-ISA kernel
-  // build (sw/kernel.hpp) on a CPU that has it, kBaseline otherwise.
-  // Informational like lane_width; scores never depend on it.
-  bitsim::Isa kernel_isa = bitsim::Isa::kBaseline;
 };
 
 /// One unit of backend work: score pairs (xs[k], ys[k]) for every k.

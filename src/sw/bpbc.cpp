@@ -45,7 +45,6 @@ class HostBackend final : public Backend {
   [[nodiscard]] BackendCaps caps() const override {
     BackendCaps caps;
     caps.lane_width = width_;
-    caps.kernel_isa = kernel_isa(width_, host_cpu_features());
     return caps;
   }
 

@@ -58,9 +58,7 @@ class DbBackend final : public Backend {
 
   [[nodiscard]] BackendCaps caps() const override {
     BackendCaps caps;
-    caps.stop_polling = true;
     caps.lane_width = width_;
-    caps.kernel_isa = kernel_isa(width_, host_cpu_features());
     return caps;
   }
 
@@ -132,7 +130,7 @@ std::unique_ptr<Backend> make_db_backend(db::Reader& reader,
 
 util::Status check_store_matches(const db::Reader& reader,
                                  std::span<const encoding::Sequence> ys,
-                                 unsigned planes, bool verify_content) {
+                                 unsigned planes) {
   const std::string store = "database '" + reader.path() + "'";
   if (reader.plane_bits() != planes)
     return util::Status::db_mismatch(
@@ -147,8 +145,7 @@ util::Status check_store_matches(const db::Reader& reader,
         " entries of length " + std::to_string(reader.entry_length()) +
         "; the batch screens " + std::to_string(ys.size()) +
         " sequences of length " + std::to_string(ys.front().size()));
-  if (verify_content &&
-      db::content_fingerprint(ys) != reader.content_fingerprint())
+  if (db::content_fingerprint(ys) != reader.content_fingerprint())
     return util::Status::db_mismatch(
         store +
         " content fingerprint disagrees with the given sequences (stale or "

@@ -51,11 +51,11 @@ std::unique_ptr<Backend> make_db_backend(db::Reader& reader,
                                          const DbBackendOptions& options);
 
 /// Whether `reader` describes the non-empty batch `ys`: `planes`-bit
-/// planes, ys.size() entries of ys' length and (when `verify_content`)
-/// ys' content fingerprint — a stale store would otherwise score the
-/// wrong sequences bit-perfectly. Typed kDbMismatch.
+/// planes, ys.size() entries of ys' length and ys' content fingerprint —
+/// a stale store would otherwise score the wrong sequences bit-perfectly.
+/// Typed kDbMismatch.
 util::Status check_store_matches(const db::Reader& reader,
                                  std::span<const encoding::Sequence> ys,
-                                 unsigned planes, bool verify_content);
+                                 unsigned planes);
 
 }  // namespace swbpbc::sw

@@ -1,12 +1,10 @@
 #include "sw/pipeline.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "db/reader.hpp"
@@ -113,12 +111,6 @@ util::Status self_check(std::span<const Sequence> xs,
   for (unsigned attempt = 1;
        !quarantined.empty() && attempt <= config.check.max_retries;
        ++attempt) {
-    if (config.check.backoff_base_ms > 0.0) {
-      const double wait_ms =
-          config.check.backoff_base_ms * static_cast<double>(1u << (attempt - 1));
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(wait_ms));
-      rel.backoff_ms += wait_ms;
-    }
     ++rel.retry_attempts;
     telemetry::Span retry_span(tr, "quarantine.retry", "screen");
     retry_span.arg("attempt", static_cast<std::int64_t>(attempt));
@@ -224,8 +216,6 @@ util::Status validate(const ScreenConfig& config) {
       return invalid("config.resume_path requires chunk_pairs > 0 "
                      "(a resume stream is keyed by chunk geometry)");
   }
-  if (config.check.enabled && config.check.backoff_base_ms < 0.0)
-    return invalid("config.check.backoff_base_ms must be >= 0");
   return {};
 }
 
@@ -246,11 +236,10 @@ util::Expected<ScreenReport> try_screen(std::span<const Sequence> xs,
   if (util::Status s = validate_codes(ys, scheme, "ys"); !s.ok()) return s;
 
   // A configured database must actually describe this batch (alphabet,
-  // shape and, unless disabled, content) before any chunk runs.
+  // shape and content) before any chunk runs.
   if (config.database != nullptr) {
     if (util::Status s =
-            check_store_matches(*config.database, ys, scheme.alphabet_bits(),
-                                config.db_verify_content);
+            check_store_matches(*config.database, ys, scheme.alphabet_bits());
         !s.ok())
       return s;
   }

@@ -108,14 +108,11 @@ struct ScreenConfig {
   // serves it; only the query side pays W2B at serve time). Not owned —
   // must outlive the screen call. Used when no explicit backend is set;
   // the batch's ys must be exactly the database's entries in order, and
-  // its planes the scheme's alphabet width (verified via content
-  // fingerprint unless db_verify_content is off).
+  // its planes the scheme's alphabet width. Both are checked before the
+  // first chunk, the entries by content fingerprint (one FNV pass over
+  // ys): a disagreement is a typed kDbMismatch, since a stale database
+  // would otherwise score the wrong sequences bit-perfectly.
   db::Reader* database = nullptr;
-  // Cross-check the database's content fingerprint against the ys batch
-  // before the first chunk; a disagreement is a typed kDbMismatch. Costs
-  // one FNV pass over ys. On by default — stale databases otherwise score
-  // the wrong sequences bit-perfectly.
-  bool db_verify_content = true;
   // Invoked after every chunk settles; may call cancel->cancel(). A
   // throwing observer does not unwind out of screen(): the run stops and
   // the partial report carries a typed kCallbackError status (completed

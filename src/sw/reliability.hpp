@@ -4,10 +4,10 @@
 // drops or fabricates a hit defeats its purpose. When SelfCheckConfig is
 // enabled, sw::screen re-scores a configurable sample of lanes (plus every
 // hit) against the scalar reference, quarantines mismatching lanes,
-// retries them through the same backend with exponential backoff, and
-// finally falls back to the wordwise CPU path; ReliabilityReport accounts
-// for every action so an operator can reconcile detected corruption with
-// injected faults (see device/fault.hpp).
+// retries them through the same backend, and finally falls back to the
+// wordwise CPU path; ReliabilityReport accounts for every action so an
+// operator can reconcile detected corruption with injected faults (see
+// device/fault.hpp).
 #pragma once
 
 #include <cstddef>
@@ -53,9 +53,6 @@ struct SelfCheckConfig {
   // Quarantined lanes are re-run through the backend up to this many
   // times before falling back to the wordwise CPU path.
   unsigned max_retries = 3;
-  // Exponential backoff before retry r sleeps base * 2^(r-1) milliseconds
-  // (0 disables sleeping; deterministic tests want that).
-  double backoff_base_ms = 0.0;
 };
 
 struct ReliabilityReport {
@@ -67,7 +64,6 @@ struct ReliabilityReport {
   std::uint64_t lanes_fell_back = 0;     // fixed by the wordwise CPU path
   double verify_ms = 0.0;
   double retry_ms = 0.0;
-  double backoff_ms = 0.0;  // total time slept in exponential backoff
 
   // In-band stage integrity (chunked screening): checks evaluated by the
   // backend, detections attributed to (chunk, stage, block), and the

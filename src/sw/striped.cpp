@@ -524,14 +524,9 @@ class StripedBackend final : public Backend {
                  StripedProfileCache* cache)
       : scheme_(scheme), mode_(mode), external_cache_(cache) {}
 
-  [[nodiscard]] BackendCaps caps() const override {
-    BackendCaps caps;
-    caps.stop_polling = true;
-    // The striped engine has no BPBC lane word (lane_width keeps its
-    // default); its one build runs at the baseline ISA.
-    caps.kernel_isa = bitsim::Isa::kBaseline;
-    return caps;
-  }
+  // The striped engine has no BPBC lane word: lane_width keeps its
+  // default.
+  [[nodiscard]] BackendCaps caps() const override { return {}; }
 
   ChunkResult run(const ChunkJob& job) override {
     ChunkResult r;

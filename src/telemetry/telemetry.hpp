@@ -3,7 +3,7 @@
 //
 // Ownership model: the caller owns a Telemetry session for the duration
 // of a run and hands `session.sink()` — `this` when enabled, nullptr when
-// disabled — to ScreenConfig / GpuRunOptions / bench::RunOptions. Every
+// disabled — to ScreenConfig / EngineOptions / bench::RunOptions. Every
 // instrumented layer holds a `Telemetry*` and tests that single pointer
 // on its paths (the BlockRecorder::sink() idiom), so a disabled session
 // costs a branch and allocates nothing anywhere in the stack.

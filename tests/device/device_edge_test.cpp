@@ -1,12 +1,16 @@
 // Edge-case coverage for the GPU simulator pipelines.
 #include <gtest/gtest.h>
 
-#include "device/sw_kernels.hpp"
+#include "device/engine.hpp"
 #include "encoding/random.hpp"
+#include "engine_run.hpp"
 #include "sw/scalar.hpp"
 
 namespace swbpbc::device {
 namespace {
+
+using testing::engine_options;
+using testing::run_stages;
 
 TEST(DeviceEdge, SingleRowPattern) {
   // m = 1: one thread per block; the pipelined max reduction reduces to
@@ -15,8 +19,8 @@ TEST(DeviceEdge, SingleRowPattern) {
   const auto xs = encoding::random_sequences(rng, 33, 1);
   const auto ys = encoding::random_sequences(rng, 33, 17);
   const sw::ScoringScheme scheme;  // 2/1/1 linear
-  const auto result = gpu_bpbc_max_scores(xs, ys, scheme,
-                                          sw::LaneWidth::k32);
+  const auto result =
+      run_stages(xs, ys, engine_options(scheme, sw::LaneWidth::k32));
   for (std::size_t k = 0; k < xs.size(); ++k) {
     EXPECT_EQ(result.scores[k], sw::scheme_max_score(xs[k], ys[k], scheme));
   }
@@ -27,8 +31,8 @@ TEST(DeviceEdge, SingleColumnText) {
   const auto xs = encoding::random_sequences(rng, 32, 9);
   const auto ys = encoding::random_sequences(rng, 32, 1);
   const sw::ScoringScheme scheme;  // 2/1/1 linear
-  const auto result = gpu_bpbc_max_scores(xs, ys, scheme,
-                                          sw::LaneWidth::k64);
+  const auto result =
+      run_stages(xs, ys, engine_options(scheme, sw::LaneWidth::k64));
   for (std::size_t k = 0; k < xs.size(); ++k) {
     EXPECT_EQ(result.scores[k], sw::scheme_max_score(xs[k], ys[k], scheme));
   }
@@ -41,8 +45,8 @@ TEST(DeviceEdge, SquareProblem) {
   sw::ScoringScheme scheme;
   scheme.match = 3;
   scheme.mismatch = 2;
-  const auto result = gpu_bpbc_max_scores(xs, ys, scheme,
-                                          sw::LaneWidth::k32);
+  const auto result =
+      run_stages(xs, ys, engine_options(scheme, sw::LaneWidth::k32));
   for (std::size_t k = 0; k < xs.size(); ++k) {
     EXPECT_EQ(result.scores[k], sw::scheme_max_score(xs[k], ys[k], scheme));
   }
@@ -53,7 +57,10 @@ TEST(DeviceEdge, WordwiseKernelSingleRow) {
   const auto xs = encoding::random_sequences(rng, 5, 1);
   const auto ys = encoding::random_sequences(rng, 5, 9);
   const sw::ScoreParams params{2, 1, 1};
-  const auto result = gpu_wordwise_max_scores(xs, ys, params);
+  const auto result = testing::run_wordwise(
+      xs, ys,
+      engine_options(sw::ScoringScheme::from_params(params),
+                     sw::LaneWidth::k32));
   for (std::size_t k = 0; k < xs.size(); ++k) {
     EXPECT_EQ(result.scores[k], sw::max_score(xs[k], ys[k], params));
   }
@@ -65,23 +72,20 @@ TEST(DeviceEdge, IdenticalPairsSaturate) {
   const std::vector<encoding::Sequence> xs(64, x);
   const std::vector<encoding::Sequence> ys(64, x);
   const sw::ScoringScheme scheme;  // 2/1/1 linear
-  const auto result = gpu_bpbc_max_scores(xs, ys, scheme,
-                                          sw::LaneWidth::k64);
+  const auto result =
+      run_stages(xs, ys, engine_options(scheme, sw::LaneWidth::k64));
   for (auto sc : result.scores) EXPECT_EQ(sc, 24u);
 }
 
 TEST(DeviceEdge, SmallW2bBlockDim) {
-  // Block dim smaller than the position count exercises the grid-stride
-  // loop of the W2B kernel.
+  // m + n = 272 positions exceed the W2B kernel's 256 threads per block,
+  // which exercises its grid-stride loop.
   util::Xoshiro256 rng(6);
   const auto xs = encoding::random_sequences(rng, 32, 8);
-  const auto ys = encoding::random_sequences(rng, 32, 24);
+  const auto ys = encoding::random_sequences(rng, 32, 264);
   const sw::ScoringScheme scheme;  // 2/1/1 linear
-  GpuRunOptions options;
-  options.w2b_block_dim = 4;
-  options.mode = bulk::Mode::kSerial;
-  const auto result =
-      gpu_bpbc_max_scores(xs, ys, scheme, sw::LaneWidth::k32, options);
+  const auto result = run_stages(
+      xs, ys, engine_options(scheme, sw::LaneWidth::k32, bulk::Mode::kSerial));
   for (std::size_t k = 0; k < xs.size(); ++k) {
     EXPECT_EQ(result.scores[k], sw::scheme_max_score(xs[k], ys[k], scheme));
   }

@@ -7,8 +7,9 @@
 
 #include "device/launch.hpp"
 #include "device/memory.hpp"
-#include "device/sw_kernels.hpp"
+#include "device/engine.hpp"
 #include "encoding/random.hpp"
+#include "engine_run.hpp"
 #include "sw/lane.hpp"
 #include "sw/scalar.hpp"
 #include "sw/scoring.hpp"
@@ -28,6 +29,10 @@ void PrintTo(LaneWidth width, std::ostream* os) {
 
 namespace swbpbc::device {
 namespace {
+
+using testing::engine_options;
+using testing::run_stages;
+using testing::run_wordwise;
 
 // --- launch machinery -------------------------------------------------------
 
@@ -147,10 +152,8 @@ TEST_P(GpuPipeline, MatchesScalarReference) {
   const auto xs = encoding::random_sequences(rng, count, m);
   const auto ys = encoding::random_sequences(rng, count, n);
   const sw::ScoringScheme scheme;  // 2/1/1 linear
-  GpuRunOptions options;
-  options.mode = bulk::Mode::kSerial;
-  const GpuRunResult result =
-      gpu_bpbc_max_scores(xs, ys, scheme, GetParam(), options);
+  const GpuRunResult result = run_stages(
+      xs, ys, engine_options(scheme, GetParam(), bulk::Mode::kSerial));
   ASSERT_EQ(result.scores.size(), count);
   for (std::size_t k = 0; k < count; ++k) {
     EXPECT_EQ(result.scores[k], sw::scheme_max_score(xs[k], ys[k], scheme))
@@ -172,8 +175,6 @@ TEST_P(GpuPipeline, BoundaryShapesMatchScalarGotoh) {
   affine.gap_open = 3;
   affine.gap_extend = 1;
   const sw::ScoreParams params = linear.to_params().value();
-  GpuRunOptions options;
-  options.mode = bulk::Mode::kSerial;
 
   const auto check = [&](const std::vector<encoding::Sequence>& xs,
                          const std::vector<encoding::Sequence>& ys,
@@ -183,15 +184,13 @@ TEST_P(GpuPipeline, BoundaryShapesMatchScalarGotoh) {
       for (std::size_t k = 0; k < xs.size(); ++k)
         want[k] = sw::scheme_max_score(xs[k], ys[k], scheme);
       const char* gaps = scheme.affine() ? " affine" : " linear";
-      EXPECT_EQ(gpu_bpbc_max_scores(xs, ys, scheme, GetParam(), options)
-                    .scores,
-                want)
-          << shape << gaps;
+      const EngineOptions options =
+          engine_options(scheme, GetParam(), bulk::Mode::kSerial);
+      EXPECT_EQ(run_stages(xs, ys, options).scores, want) << shape << gaps;
       if (scheme.affine()) continue;
       EXPECT_EQ(sw::wordwise_max_scores(xs, ys, params), want)
           << shape << " host wordwise";
-      EXPECT_EQ(gpu_wordwise_max_scores(xs, ys, params, options).scores,
-                want)
+      EXPECT_EQ(run_wordwise(xs, ys, options).scores, want)
           << shape << " device wordwise";
     }
   };
@@ -235,10 +234,10 @@ TEST(GpuPipelineMisc, WordwiseKernelMatchesScalar) {
   const auto xs = encoding::random_sequences(rng, count, m);
   const auto ys = encoding::random_sequences(rng, count, n);
   const sw::ScoreParams params{2, 1, 1};
-  GpuRunOptions options;
-  options.mode = bulk::Mode::kSerial;
   const GpuRunResult result =
-      gpu_wordwise_max_scores(xs, ys, params, options);
+      run_wordwise(xs, ys,
+                   engine_options(sw::ScoringScheme::from_params(params),
+                                  sw::LaneWidth::k32, bulk::Mode::kSerial));
   for (std::size_t k = 0; k < count; ++k) {
     EXPECT_EQ(result.scores[k], sw::max_score(xs[k], ys[k], params))
         << "instance " << k;
@@ -251,14 +250,11 @@ TEST(GpuPipelineMisc, ParallelBlocksMatchSerial) {
   const auto xs = encoding::random_sequences(rng, count, m);
   const auto ys = encoding::random_sequences(rng, count, n);
   const sw::ScoringScheme scheme;  // 2/1/1 linear
-  GpuRunOptions serial;
-  serial.mode = bulk::Mode::kSerial;
-  GpuRunOptions parallel;
-  parallel.mode = bulk::Mode::kParallel;
-  const auto a =
-      gpu_bpbc_max_scores(xs, ys, scheme, sw::LaneWidth::k32, serial);
-  const auto b =
-      gpu_bpbc_max_scores(xs, ys, scheme, sw::LaneWidth::k32, parallel);
+  const auto a = run_stages(
+      xs, ys, engine_options(scheme, sw::LaneWidth::k32, bulk::Mode::kSerial));
+  const auto b = run_stages(xs, ys,
+                            engine_options(scheme, sw::LaneWidth::k32,
+                                           bulk::Mode::kParallel));
   EXPECT_EQ(a.scores, b.scores);
 }
 
@@ -268,11 +264,10 @@ TEST(GpuPipelineMisc, MetricsShowStridedW2bReads) {
   const auto xs = encoding::random_sequences(rng, count, m);
   const auto ys = encoding::random_sequences(rng, count, n);
   const sw::ScoringScheme scheme;  // 2/1/1 linear
-  GpuRunOptions options;
+  EngineOptions options =
+      engine_options(scheme, sw::LaneWidth::k32, bulk::Mode::kSerial);
   options.record_metrics = true;
-  options.mode = bulk::Mode::kSerial;
-  const GpuRunResult result =
-      gpu_bpbc_max_scores(xs, ys, scheme, sw::LaneWidth::k32, options);
+  const GpuRunResult result = run_stages(xs, ys, options);
 
   const MetricTotals& w2b = result.stage_metrics[sw::PipelineStage::kW2B];
   const MetricTotals& swa = result.stage_metrics[sw::PipelineStage::kSWA];
@@ -303,8 +298,8 @@ TEST(GpuPipelineMisc, TimingsArePopulated) {
   util::Xoshiro256 rng(7005);
   const auto xs = encoding::random_sequences(rng, 32, 8);
   const auto ys = encoding::random_sequences(rng, 32, 32);
-  const auto result = gpu_bpbc_max_scores(xs, ys, sw::ScoringScheme{},
-                                          sw::LaneWidth::k32);
+  const auto result = run_stages(
+      xs, ys, engine_options(sw::ScoringScheme{}, sw::LaneWidth::k32));
   EXPECT_GT(result.timings.swa_ms, 0.0);
   EXPECT_GE(result.timings.total_ms(), result.timings.swa_ms);
 }
@@ -314,14 +309,15 @@ TEST(GpuPipelineMisc, RejectsMismatchedBatches) {
   const auto xs = encoding::random_sequences(rng, 3, 8);
   const auto ys = encoding::random_sequences(rng, 4, 16);
   EXPECT_THROW(
-      gpu_bpbc_max_scores(xs, ys, sw::ScoringScheme{}, sw::LaneWidth::k32),
+      run_stages(xs, ys,
+                 engine_options(sw::ScoringScheme{}, sw::LaneWidth::k32)),
       std::invalid_argument);
 }
 
 TEST(GpuPipelineMisc, EmptyBatch) {
   const std::vector<encoding::Sequence> none;
-  const auto result =
-      gpu_bpbc_max_scores(none, none, sw::ScoringScheme{}, sw::LaneWidth::k32);
+  const auto result = run_stages(
+      none, none, engine_options(sw::ScoringScheme{}, sw::LaneWidth::k32));
   EXPECT_TRUE(result.scores.empty());
 }
 

@@ -1,8 +1,9 @@
-// device::PipelineEngine: the chunk execution engine. The contract under
-// test is bit-identity — a chunk scores exactly as the one-shot driver or
-// a fresh engine would, whatever chunks or batch shapes the engine ran
-// before it and in whatever order, fault injection on or off — plus error
-// surfacing from run().
+// device::PipelineEngine: the simulator's one driver. The contract under
+// test is bit-identity — a chunk scores exactly as a fresh engine would,
+// whatever chunks or batch shapes the engine ran before it and in
+// whatever order, fault injection on or off — plus error surfacing from
+// run(), watchdog kills reaching the screen layer, and the wordwise row's
+// scheme rule.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,9 +13,9 @@
 
 #include "device/engine.hpp"
 #include "device/fault.hpp"
-#include "device/sw_kernels.hpp"
 #include "encoding/random.hpp"
 #include "sw/backend.hpp"
+#include "sw/scalar.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/cancel.hpp"
 #include "util/status.hpp"
@@ -61,8 +62,6 @@ IntegrityConfig full_integrity() {
   IntegrityConfig ic;
   ic.enabled = true;
   ic.sample_every = 4;
-  ic.canary_lanes = true;
-  ic.checksum_copies = true;
   return ic;
 }
 
@@ -77,6 +76,8 @@ void expect_same_result(const sw::ChunkResult& a, const sw::ChunkResult& b,
   EXPECT_EQ(a.integrity_checks, b.integrity_checks) << what;
 }
 
+// run() is run_stages() folded into a ChunkResult: a warm engine's run()
+// scores as a one-shot run_stages() on a fresh engine.
 TEST(PipelineEngine, RunMatchesOneShotDriver) {
   const Batch b = make_batch(1, 37, 8, 16);
   for (const sw::LaneWidth width : {sw::LaneWidth::k32, sw::LaneWidth::k64}) {
@@ -86,25 +87,16 @@ TEST(PipelineEngine, RunMatchesOneShotDriver) {
     PipelineEngine engine(opts);
     const sw::ChunkResult r = engine.run(make_job(b, 0, 0, b.xs.size()));
     const GpuRunResult ref =
-        gpu_bpbc_max_scores(b.xs, b.ys, kScheme, width);
+        PipelineEngine(opts).run_stages(make_job(b, 0, 0, b.xs.size()));
     EXPECT_EQ(r.scores, ref.scores);
     EXPECT_TRUE(r.has_phase_timings);
   }
 }
 
-TEST(PipelineEngine, DeclaresIntegrityAndStopPollingCaps) {
-  EngineOptions opts;
-  opts.scheme = kScheme;
-  opts.integrity = full_integrity();
-  const PipelineEngine engine(opts);
-  EXPECT_TRUE(engine.caps().stop_polling);
-  EXPECT_TRUE(engine.caps().integrity);
-}
-
 TEST(PipelineEngine, RunAcrossReshapingBatchesMatchesFreshEngine) {
   // One engine alternates batch shapes, so its arena and shape caches are
   // rebuilt and reused across calls; every result must equal a fresh
-  // engine's run of the same job and the one-shot driver's scores.
+  // engine's run of the same job and the scalar scores.
   const Batch narrow = make_batch(2, 48, 8, 12);
   const Batch wide = make_batch(8, 48, 8, 24);
   const Batch tall = make_batch(10, 48, 12, 12);
@@ -121,9 +113,10 @@ TEST(PipelineEngine, RunAcrossReshapingBatchesMatchesFreshEngine) {
     const sw::ChunkResult got = reused.run(job);
     PipelineEngine fresh(opts);
     expect_same_result(got, fresh.run(job), "chunk " + std::to_string(c));
-    EXPECT_EQ(got.scores,
-              gpu_bpbc_max_scores(job.xs, job.ys, kScheme, opts.width).scores)
-        << "chunk " << c;
+    for (std::size_t k = 0; k < job.xs.size(); ++k)
+      EXPECT_EQ(got.scores[k],
+                sw::scheme_max_score(job.xs[k], job.ys[k], kScheme))
+          << "chunk " << c << " pair " << k;
   }
 }
 
@@ -247,6 +240,61 @@ TEST(PipelineEngine, WatchdogKillsCountAsWatchdogRuns) {
       session.registry().snapshot();
   EXPECT_EQ(s.counters.at("device.runs"), 3u);
   EXPECT_EQ(s.counters.at("device.watchdog_runs"), 2u);
+}
+
+// A watchdog-killed block is a stage fault even with the integrity checks
+// and the self-check off: the screen layer retries its chunk instead of
+// reporting the killed block's zeros as scores.
+TEST(PipelineEngine, WatchdogKillsReachTheScreenWithoutIntegrity) {
+  const Batch b = make_batch(1234, 256, 8, 16);
+  FaultConfig fc;
+  fc.seed = 31;
+  fc.stall_probability = 0.3;
+  FaultInjector injector(fc);
+  EngineOptions opts;
+  opts.scheme = kScheme;
+  opts.faults = &injector;
+  opts.watchdog_phases = 8 + 16 + 8;  // SWA needs m+n-1; a stall adds 2^20
+  PipelineEngine engine(opts);
+
+  sw::ScreenConfig cfg;
+  cfg.scheme = kScheme;
+  cfg.width = sw::LaneWidth::k32;
+  cfg.backend = &engine;
+  cfg.chunk_pairs = 32;
+  cfg.traceback = false;
+  const auto report = sw::try_screen(b.xs, b.ys, cfg);
+  ASSERT_TRUE(report.has_value()) << report.status().to_string();
+  ASSERT_TRUE(report->complete());
+  const std::uint64_t trips = injector.log().watchdog_trips;
+  ASSERT_GT(trips, 0u) << "no block stalled";
+  EXPECT_EQ(report->reliability.integrity_faults, trips);
+  EXPECT_GT(report->reliability.chunk_retries, 0u);
+  for (std::size_t k = 0; k < b.xs.size(); ++k)
+    EXPECT_EQ(report->scores[k],
+              sw::scheme_max_score(b.xs[k], b.ys[k], kScheme))
+        << "pair " << k;
+}
+
+// The wordwise device row scores the paper's linear triple; an engine on
+// any other scheme refuses it with a typed error instead of scoring
+// something else.
+TEST(PipelineEngine, WordwiseRowRejectsAffineSchemeTyped) {
+  const Batch b = make_batch(11, 8, 8, 12);
+  EngineOptions opts;
+  opts.scheme.gap_model = sw::GapModel::kAffine;
+  opts.scheme.gap_open = 3;
+  opts.scheme.gap_extend = 1;
+  PipelineEngine engine(opts);
+  try {
+    engine.run_wordwise(make_job(b, 0, 0, b.xs.size()));
+    FAIL() << "an affine engine ran the wordwise row";
+  } catch (const util::StatusError& e) {
+    EXPECT_EQ(e.status().code(), util::ErrorCode::kInvalidInput) << e.what();
+  }
+  // The BPBC stages still run the affine scheme.
+  EXPECT_EQ(engine.run_stages(make_job(b, 0, 0, b.xs.size())).scores.size(),
+            b.xs.size());
 }
 
 }  // namespace

@@ -6,8 +6,9 @@
 #include "device/fault.hpp"
 #include "device/launch.hpp"
 #include "device/metrics.hpp"
-#include "device/sw_kernels.hpp"
+#include "device/engine.hpp"
 #include "encoding/random.hpp"
+#include "engine_run.hpp"
 #include "sw/wordwise.hpp"
 #include "util/status.hpp"
 #include "util/thread_pool.hpp"
@@ -30,23 +31,21 @@ Batch make_batch(std::uint64_t seed, std::size_t count, std::size_t m,
           encoding::random_sequences(rng, count, n)};
 }
 
-GpuRunOptions serial_options() {
-  GpuRunOptions opt;
-  opt.mode = bulk::Mode::kSerial;
-  return opt;
+EngineOptions serial_options() {
+  return testing::engine_options(kScheme, sw::LaneWidth::k32,
+                                 bulk::Mode::kSerial);
 }
+
+using testing::run_stages;
 
 TEST(FaultInjector, ZeroConfigMatchesCleanRun) {
   const Batch b = make_batch(1, 40, 8, 20);
-  const auto clean =
-      gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32,
-                          serial_options());
+  const auto clean = run_stages(b.xs, b.ys, serial_options());
 
   FaultInjector injector{FaultConfig{}};  // all probabilities zero
-  GpuRunOptions opt = serial_options();
+  EngineOptions opt = serial_options();
   opt.faults = &injector;
-  const auto faulty =
-      gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32, opt);
+  const auto faulty = run_stages(b.xs, b.ys, opt);
 
   EXPECT_EQ(clean.scores, faulty.scores);
   EXPECT_TRUE(faulty.status.ok());
@@ -64,11 +63,9 @@ TEST(FaultInjector, SameSeedSameFaultsSameScores) {
   FaultLog logs[2];
   for (int run = 0; run < 2; ++run) {
     FaultInjector injector(config);
-    GpuRunOptions opt = serial_options();
+    EngineOptions opt = serial_options();
     opt.faults = &injector;
-    scores[run] =
-        gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32, opt)
-            .scores;
+    scores[run] = run_stages(b.xs, b.ys, opt).scores;
     logs[run] = injector.log();
   }
   EXPECT_EQ(scores[0], scores[1]);
@@ -79,22 +76,19 @@ TEST(FaultInjector, SameSeedSameFaultsSameScores) {
 
 TEST(FaultInjector, RetryCampaignsDiffer) {
   // The same injector must not replay identical faults on a retry: the
-  // campaign counter advances per run, giving recovery a fresh draw.
+  // attempt tag advances, and the campaign derives from it, giving
+  // recovery a fresh draw.
   const Batch b = make_batch(3, 32, 8, 16);
   FaultConfig config;
   config.seed = 7;
   config.flip_probability = 0.02;
   FaultInjector injector(config);
-  GpuRunOptions opt = serial_options();
+  EngineOptions opt = serial_options();
   opt.faults = &injector;
 
-  const auto first =
-      gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32, opt)
-          .scores;
+  const auto first = run_stages(b.xs, b.ys, opt, /*attempt=*/0).scores;
   const std::uint64_t flips_first = injector.log().bit_flips;
-  const auto second =
-      gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32, opt)
-          .scores;
+  const auto second = run_stages(b.xs, b.ys, opt, /*attempt=*/1).scores;
   const std::uint64_t flips_second =
       injector.log().bit_flips - flips_first;
   // Both runs saw flips, but not the same fault pattern (different scores
@@ -106,18 +100,15 @@ TEST(FaultInjector, RetryCampaignsDiffer) {
 
 TEST(FaultInjector, BitFlipsCorruptScoresAndAreLogged) {
   const Batch b = make_batch(4, 64, 10, 24);
-  const auto clean =
-      gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32,
-                          serial_options());
+  const auto clean = run_stages(b.xs, b.ys, serial_options());
 
   FaultConfig config;
   config.seed = 11;
   config.flip_probability = 0.02;
   FaultInjector injector(config);
-  GpuRunOptions opt = serial_options();
+  EngineOptions opt = serial_options();
   opt.faults = &injector;
-  const auto faulty =
-      gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32, opt);
+  const auto faulty = run_stages(b.xs, b.ys, opt);
 
   EXPECT_GT(injector.log().bit_flips, 0u);
   EXPECT_NE(clean.scores, faulty.scores);
@@ -129,9 +120,9 @@ TEST(FaultInjector, DroppedSyncIsLoggedOncePerBlock) {
   config.seed = 13;
   config.drop_sync_probability = 1.0;
   FaultInjector injector(config);
-  GpuRunOptions opt = serial_options();
+  EngineOptions opt = serial_options();
   opt.faults = &injector;
-  gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32, opt);
+  run_stages(b.xs, b.ys, opt);
   // Only the SWA kernel issues shared-memory stores; with p = 1 each of
   // its blocks loses exactly one phase's stores, counted once per block.
   const std::size_t n_groups = (64 + 31) / 32;
@@ -145,25 +136,26 @@ TEST(FaultInjector, WatchdogKillsStalledBlocks) {
   config.seed = 17;
   config.stall_probability = 1.0;
   FaultInjector injector(config);
-  GpuRunOptions opt = serial_options();
+  EngineOptions opt = serial_options();
   opt.faults = &injector;
   opt.watchdog_phases = m + n + 8;  // SWA needs m+n-1; stall adds 2^20
-  const auto result =
-      gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32, opt);
+  const auto result = run_stages(b.xs, b.ys, opt);
 
   const std::size_t n_groups = (count + 31) / 32;
   EXPECT_EQ(injector.log().watchdog_trips, n_groups);
   EXPECT_EQ(result.status.code(), util::ErrorCode::kKernelTimeout);
+  // Each kill is a kSWA finding, integrity checks off or on.
+  EXPECT_EQ(result.integrity_faults.size(), n_groups);
   // Killed blocks never wrote their score slices: every lane reads zero.
   for (std::uint32_t s : result.scores) EXPECT_EQ(s, 0u);
 }
 
 TEST(FaultInjector, WatchdogWithoutInjectorThrowsTyped) {
   const Batch b = make_batch(7, 8, 8, 16);
-  GpuRunOptions opt = serial_options();
+  EngineOptions opt = serial_options();
   opt.watchdog_phases = 2;  // SWA legitimately needs m+n-1 = 23 phases
   try {
-    gpu_bpbc_max_scores(b.xs, b.ys, kScheme, sw::LaneWidth::k32, opt);
+    run_stages(b.xs, b.ys, opt);
     FAIL() << "expected StatusError";
   } catch (const util::StatusError& e) {
     EXPECT_EQ(e.status().code(), util::ErrorCode::kKernelTimeout);
@@ -209,9 +201,9 @@ TEST(FaultInjector, WordwiseBaselineAlsoInjectable) {
   config.seed = 23;
   config.flip_probability = 0.05;
   FaultInjector injector(config);
-  GpuRunOptions opt = serial_options();
+  EngineOptions opt = serial_options();
   opt.faults = &injector;
-  const auto faulty = gpu_wordwise_max_scores(b.xs, b.ys, kParams, opt);
+  const auto faulty = testing::run_wordwise(b.xs, b.ys, opt);
   const auto clean =
       sw::wordwise_max_scores(b.xs, b.ys, kParams, bulk::Mode::kSerial);
   EXPECT_GT(injector.log().bit_flips, 0u);

@@ -1,9 +1,9 @@
 // Pins the device simulator's memory traffic and scores for one seeded
-// batch: every per-stage MetricTotals field of gpu_bpbc_max_scores, plus an
-// FNV-1a fingerprint of the scores, at 32- and 64-bit lanes. The constants
-// were recorded from the one-shot driver that sequenced H2G..G2H itself,
-// before that path became a call into the PipelineEngine core, so any
-// drift in the stage kernels, buffer layout or copy accounting shows here.
+// batch: every per-stage MetricTotals field of PipelineEngine::run_stages,
+// plus an FNV-1a fingerprint of the scores, at 32- and 64-bit lanes. The
+// constants were recorded from the driver that sequenced H2G..G2H itself,
+// before that path became the PipelineEngine core, so any drift in the
+// stage kernels, buffer layout or copy accounting shows here.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,8 +12,9 @@
 #include <utility>
 #include <vector>
 
-#include "device/sw_kernels.hpp"
+#include "device/engine.hpp"
 #include "encoding/random.hpp"
+#include "engine_run.hpp"
 #include "util/checksum.hpp"
 #include "util/status.hpp"
 
@@ -48,11 +49,10 @@ void expect_pinned(const Pinned& want) {
       encoding::random_sequences(rng, kCount, kM);
   const std::vector<encoding::Sequence> ys =
       encoding::random_sequences(rng, kCount, kN);
-  GpuRunOptions opt;
+  EngineOptions opt =
+      testing::engine_options(kScheme, want.width, bulk::Mode::kSerial);
   opt.record_metrics = true;
-  opt.mode = bulk::Mode::kSerial;
-  const GpuRunResult run =
-      gpu_bpbc_max_scores(xs, ys, kScheme, want.width, opt);
+  const GpuRunResult run = testing::run_stages(xs, ys, opt);
 
   ASSERT_EQ(run.scores.size(), kCount);
   EXPECT_TRUE(run.status.ok());
@@ -84,10 +84,13 @@ TEST(TrafficPin, Lanes64) {
                  1060763920316967637ULL});
 }
 
-// The one-shot driver draws one fault campaign per call from the
-// injector's counter. Two back-to-back faulty runs with full integrity
-// checking pin that call-order contract: the scores, the findings and the
-// injector's log of both campaigns.
+// A device run draws its fault campaign from the job's (chunk, attempt)
+// tag, whatever the call order. Two faulty runs of one engine with full
+// integrity checking, called at tags (0, 0) then (0, 1), pin that
+// contract: the scores, the findings, the watchdog status and the
+// injector's cumulative log of both campaigns. The constants were
+// recorded from PipelineEngine::run before the engine became the only
+// device driver.
 TEST(TrafficPin, CallOrderFaultCampaigns) {
   util::Xoshiro256 rng(0x7AFF1C);
   const std::vector<encoding::Sequence> xs =
@@ -101,8 +104,8 @@ TEST(TrafficPin, CallOrderFaultCampaigns) {
   fc.stall_probability = 0.3;
   fc.copy_flip_probability = 0.005;
   FaultInjector injector(fc);
-  GpuRunOptions opt;
-  opt.mode = bulk::Mode::kSerial;
+  EngineOptions opt = testing::engine_options(kScheme, sw::LaneWidth::k32,
+                                              bulk::Mode::kSerial);
   opt.faults = &injector;
   opt.watchdog_phases = kM + kN + 8;
   opt.integrity.enabled = true;
@@ -116,22 +119,29 @@ TEST(TrafficPin, CallOrderFaultCampaigns) {
     FaultLog log;  // cumulative after the run
   };
   const Campaign want[2] = {
-      {17450565883635514334ULL,
+      {16490669332095065024ULL,
        {{sw::PipelineStage::kH2G, kNoBlock},
-        {sw::PipelineStage::kW2B, 2},
-        {sw::PipelineStage::kSWA, 3}},
-       {177, 0, 1}},
-      {14384645714397508906ULL,
-       {{sw::PipelineStage::kH2G, kNoBlock},
+        {sw::PipelineStage::kW2B, 1},
+        {sw::PipelineStage::kW2B, 3},
         {sw::PipelineStage::kSWA, 3},
         {sw::PipelineStage::kSWA, 0},
-        {sw::PipelineStage::kSWA, 1},
-        {sw::PipelineStage::kSWA, 2}},
-       {321, 0, 4}},
+        {sw::PipelineStage::kSWA, 1}},
+       {149, 0, 2}},
+      {10574625836284807463ULL,
+       {{sw::PipelineStage::kH2G, kNoBlock},
+        {sw::PipelineStage::kW2B, 0},
+        {sw::PipelineStage::kW2B, 1},
+        {sw::PipelineStage::kSWA, 3},
+        {sw::PipelineStage::kSWA, 2},
+        {sw::PipelineStage::kB2W, 0},
+        {sw::PipelineStage::kG2H, kNoBlock}},
+       {346, 1, 3}},
   };
-  for (const Campaign& c : want) {
+  PipelineEngine engine(opt);
+  for (unsigned attempt = 0; attempt < 2; ++attempt) {
+    const Campaign& c = want[attempt];
     const GpuRunResult r =
-        gpu_bpbc_max_scores(xs, ys, kScheme, sw::LaneWidth::k32, opt);
+        engine.run_stages(testing::batch_job(xs, ys, attempt));
     EXPECT_EQ(util::fnv1a_span<std::uint32_t>(r.scores), c.scores_fnv);
     EXPECT_EQ(r.status.code(), util::ErrorCode::kKernelTimeout);
     EXPECT_EQ(r.integrity_checks, 86u);

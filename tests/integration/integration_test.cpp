@@ -3,7 +3,7 @@
 // the simulated-GPU pipeline must all agree.
 #include <gtest/gtest.h>
 
-#include "device/sw_kernels.hpp"
+#include "device/engine.hpp"
 #include "encoding/random.hpp"
 #include "sw/pipeline.hpp"
 #include "sw/scalar.hpp"
@@ -33,13 +33,16 @@ TEST(Integration, AllExecutionPathsAgree) {
       sw::try_scheme_max_scores(xs, ys, scheme, sw::LaneWidth::k64,
                                 bulk::Mode::kParallel)
           .value();
-  device::GpuRunOptions options;
+  device::EngineOptions options;
+  options.scheme = scheme;
+  options.width = sw::LaneWidth::k32;
   options.mode = bulk::Mode::kSerial;
-  const auto gpu32 =
-      device::gpu_bpbc_max_scores(xs, ys, scheme, sw::LaneWidth::k32,
-                                  options);
-  const auto gpu_word = device::gpu_wordwise_max_scores(xs, ys, params,
-                                                        options);
+  device::PipelineEngine gpu(options);
+  sw::ChunkJob job;
+  job.xs = xs;
+  job.ys = ys;
+  const auto gpu32 = gpu.run_stages(job);
+  const auto gpu_word = gpu.run_wordwise(job);
 
   EXPECT_EQ(scalar, bpbc32);
   EXPECT_EQ(scalar, bpbc64);

@@ -71,8 +71,6 @@ device::IntegrityConfig full_integrity() {
   device::IntegrityConfig ic;
   ic.enabled = true;
   ic.sample_every = 4;
-  ic.canary_lanes = true;
-  ic.checksum_copies = true;
   return ic;
 }
 

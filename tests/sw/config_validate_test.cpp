@@ -97,12 +97,6 @@ const Rule kRules[] = {
     {"RejectsResumePathWithoutChunking",
      [](ScreenConfig& c) { c.resume_path = "resume.bin"; },
      "config.resume_path"},
-    {"RejectsNegativeBackoff",
-     [](ScreenConfig& c) {
-       c.check.enabled = true;
-       c.check.backoff_base_ms = -1.0;
-     },
-     "config.check.backoff_base_ms"},
 };
 
 class RejectsWithFieldName : public testing::Test {

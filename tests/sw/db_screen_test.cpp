@@ -365,11 +365,6 @@ TEST(DbScreen, StaleContentIsTypedRejection) {
   ASSERT_FALSE(stale.has_value());
   EXPECT_EQ(stale.status().code(), util::ErrorCode::kDbMismatch);
   EXPECT_NE(stale.status().message().find("stale"), std::string::npos);
-
-  // Verification is opt-out for callers that track freshness themselves.
-  cfg.db_verify_content = false;
-  const auto unchecked = try_screen(f.xs, f.ys, cfg);
-  EXPECT_TRUE(unchecked.has_value()) << unchecked.status().to_string();
   std::remove(f.db_path.c_str());
 }
 

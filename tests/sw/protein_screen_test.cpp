@@ -16,7 +16,6 @@
 #include "db/builder.hpp"
 #include "db/reader.hpp"
 #include "device/engine.hpp"
-#include "device/sw_kernels.hpp"
 #include "encoding/random.hpp"
 #include "sw/backend.hpp"
 #include "sw/pipeline.hpp"
@@ -294,12 +293,6 @@ TEST(ProteinScreen, OutOfAlphabetCodeIsTypedAtTheDeviceEngine) {
     }
     return util::Status{};
   };
-  expect_code_rejected(status_of([&] {
-                         (void)device::gpu_bpbc_max_scores(
-                             xs, ys, ScoringScheme{}, LaneWidth::k32);
-                       }),
-                       "ys[4][15] code 4", "gpu_bpbc_max_scores");
-
   device::EngineOptions options;
   options.width = LaneWidth::k32;
   device::PipelineEngine engine(options);
@@ -307,7 +300,11 @@ TEST(ProteinScreen, OutOfAlphabetCodeIsTypedAtTheDeviceEngine) {
   job.xs = xs;
   job.ys = ys;
   expect_code_rejected(status_of([&] { (void)engine.run(job); }),
-                       "ys[4][15] code 4", "PipelineEngine");
+                       "ys[4][15] code 4", "PipelineEngine::run");
+  expect_code_rejected(status_of([&] { (void)engine.run_stages(job); }),
+                       "ys[4][15] code 4", "PipelineEngine::run_stages");
+  expect_code_rejected(status_of([&] { (void)engine.run_wordwise(job); }),
+                       "ys[4][15] code 4", "PipelineEngine::run_wordwise");
 }
 
 TEST(ProteinScreen, OutOfAlphabetCodeIsTypedAtBuildDatabase) {

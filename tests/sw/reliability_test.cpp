@@ -256,7 +256,6 @@ TEST(FaultDrill, HundredSeededCampaignsFullyRecovered) {
     cfg.check.enabled = true;
     cfg.check.sample_every = 1;  // verify every lane: total detection
     cfg.check.max_retries = 4;
-    cfg.check.backoff_base_ms = 0.0;
 
     const ScreenReport report = screen(b.xs, b.ys, cfg);
     const auto& rel = report.reliability;

@@ -438,8 +438,6 @@ TEST(SchemeEngine, ChunkedAffineUnderFaultsMatchesScalarGotoh) {
   device::IntegrityConfig integ;
   integ.enabled = true;
   integ.sample_every = 4;
-  integ.canary_lanes = true;
-  integ.checksum_copies = true;
 
   device::EngineOptions options;
   options.scheme = scheme;
@@ -459,7 +457,6 @@ TEST(SchemeEngine, ChunkedAffineUnderFaultsMatchesScalarGotoh) {
   cfg.check.enabled = true;
   cfg.check.sample_every = 1;
   cfg.check.max_retries = 8;
-  cfg.check.backoff_base_ms = 0.0;
 
   const auto report = try_screen(xs, ys, cfg);
   ASSERT_TRUE(report.has_value()) << report.status().to_string();
@@ -472,8 +469,8 @@ TEST(SchemeEngine, ChunkedAffineUnderFaultsMatchesScalarGotoh) {
 }
 
 TEST(SchemeEngine, LinearSchemeMatchesWordwiseBaseline) {
-  // The engine's linear cell under a scheme and the device wordwise
-  // baseline under the paper's (c1, c2, gap) triple score alike.
+  // The engine's linear BPBC cell and its wordwise row, which runs the
+  // scheme as the paper's (c1, c2, gap) triple, score alike.
   util::Xoshiro256 rng(333);
   const auto xs = encoding::random_sequences(rng, 70, 8);
   const auto ys = encoding::random_sequences(rng, 70, 20);
@@ -486,9 +483,7 @@ TEST(SchemeEngine, LinearSchemeMatchesWordwiseBaseline) {
   sw::ChunkJob job;
   job.xs = xs;
   job.ys = ys;
-  EXPECT_EQ(engine.run(job).scores,
-            device::gpu_wordwise_max_scores(xs, ys, ScoreParams{3, 2, 1})
-                .scores);
+  EXPECT_EQ(engine.run(job).scores, engine.run_wordwise(job).scores);
 }
 
 TEST(SchemeEngine, RejectsZeroGapSchemeTyped) {

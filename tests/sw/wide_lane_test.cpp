@@ -24,7 +24,6 @@
 #include "db/reader.hpp"
 #include "device/engine.hpp"
 #include "device/fault.hpp"
-#include "device/sw_kernels.hpp"
 #include "encoding/batch.hpp"
 #include "encoding/random.hpp"
 #include "sw/bpbc.hpp"
@@ -167,19 +166,16 @@ TEST(WideLane, ResolveAndParse) {
   EXPECT_FALSE(parse_lane_width("banana").has_value());
 }
 
-// Device pipeline at wide widths: one-shot driver and engine agree with
-// the host path, and a chunked engine screen under fault injection still
-// lands on the scalar scores (the recovery contract, now at 256 lanes).
+// Device pipeline at wide widths: a fresh engine's five stages and a
+// warm engine's run() agree with the host path, and a chunked engine
+// screen under fault injection still lands on the scalar scores (the
+// recovery contract, now at 256 lanes).
 TEST(WideLane, DevicePipelineWide256MatchesHost) {
   util::Xoshiro256 rng(104);
   const auto xs = encoding::random_sequences(rng, 300, 8);
   const auto ys = encoding::random_sequences(rng, 300, 16);
   const auto host =
       try_scheme_max_scores(xs, ys, kScheme, LaneWidth::k256).value();
-  const auto gpu =
-      device::gpu_bpbc_max_scores(xs, ys, kScheme, LaneWidth::k256);
-  EXPECT_EQ(gpu.scores, host);
-
   device::EngineOptions opts;
   opts.scheme = kScheme;
   opts.width = LaneWidth::k256;
@@ -188,6 +184,7 @@ TEST(WideLane, DevicePipelineWide256MatchesHost) {
   ChunkJob job;
   job.xs = xs;
   job.ys = ys;
+  EXPECT_EQ(device::PipelineEngine(opts).run_stages(job).scores, host);
   EXPECT_EQ(engine.run(job).scores, host);
 }
 
@@ -206,8 +203,6 @@ TEST(WideLane, Wide256EngineScreenUnderFaultsMatchesScalar) {
   opts.width = LaneWidth::k256;
   opts.faults = &faults;
   opts.integrity.enabled = true;
-  opts.integrity.canary_lanes = true;
-  opts.integrity.checksum_copies = true;
   device::PipelineEngine engine(opts);
 
   ScreenConfig cfg;
@@ -218,7 +213,6 @@ TEST(WideLane, Wide256EngineScreenUnderFaultsMatchesScalar) {
   cfg.traceback = false;
   cfg.check.enabled = true;
   cfg.check.sample_every = 1;  // verify every lane: total detection
-  cfg.check.backoff_base_ms = 0.0;
   const auto report = try_screen(xs, ys, cfg);
   ASSERT_TRUE(report.has_value()) << report.status().to_string();
   EXPECT_GT(faults.log().total(), 0u) << "no fault was injected";
@@ -395,12 +389,10 @@ void expect_isa_db_backend(const std::string& name) {
     for (std::size_t k = 0; k < count; ++k)
       ASSERT_EQ(tagged[k], max_score((*xs)[k], ys[k], kParams)) << k;
 
-    // The public backend dispatches the tagged build and says so.
+    // The public backend dispatches the tagged build.
     auto reader = db::Reader::open(path);
     ASSERT_TRUE(reader.has_value());
     const auto backend = make_db_backend(*reader, opts);
-    EXPECT_EQ(backend->caps().kernel_isa,
-              kernel_isa(opts.width, host_cpu_features()));
     ChunkJob chunk;
     chunk.xs = *xs;
     chunk.ys = ys;
@@ -482,16 +474,6 @@ TEST(IsaKernel, Avx512SchemeDbMatchesPortableWord) {
     GTEST_SKIP() << skip_reason(bitsim::Isa::kAvx512);
   expect_isa_scheme_db<Avx512Word, bitsim::simd_word<512>>(
       "avx512_protein.swdb", LaneWidth::k512);
-}
-
-TEST(IsaKernel, HostBackendReportsTheBuildItRuns) {
-  const CpuFeatures& host = host_cpu_features();
-  for (LaneWidth w : {LaneWidth::k64, LaneWidth::k128, LaneWidth::k256,
-                      LaneWidth::k512}) {
-    const auto backend = make_host_backend(kScheme, w, bulk::Mode::kSerial);
-    EXPECT_EQ(backend->caps().kernel_isa, kernel_isa(w, host))
-        << lane_width_name(w);
-  }
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 
 #include "device/engine.hpp"
 #include "device/fault.hpp"
-#include "device/sw_kernels.hpp"
 #include "encoding/random.hpp"
 #include "sw/pipeline.hpp"
 #include "sw/scalar.hpp"
@@ -315,11 +314,16 @@ TEST(TelemetryPipeline, DeviceRunFeedsStageKeyedMetricsIntoRegistry) {
   tcfg.enabled = true;
   telemetry::Telemetry session(tcfg);
 
-  device::GpuRunOptions options;
+  device::EngineOptions options;
+  options.scheme = kScheme;
+  options.width = sw::LaneWidth::k32;
   options.record_metrics = true;
   options.telemetry = session.sink();
-  const device::GpuRunResult result = device::gpu_bpbc_max_scores(
-      b.xs, b.ys, kScheme, sw::LaneWidth::k32, options);
+  device::PipelineEngine engine(options);
+  sw::ChunkJob job;
+  job.xs = b.xs;
+  job.ys = b.ys;
+  const device::GpuRunResult result = engine.run_stages(job);
   EXPECT_EQ(result.scores, scalar_refs(b));
 
   // Every stage carries traffic, kernels and copies alike.
