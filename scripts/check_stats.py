@@ -14,8 +14,9 @@ daemon's kStatRequest endpoint) and checks:
   in every later one;
 * the last scrape reconciles: per-tenant SLO completions sum to the
   daemon-wide completion counter, admissions are conserved
-  (admitted = completed + shed + still queued), and the trace ring
-  dropped nothing;
+  (admitted = completed + shed + still queued), a journaled daemon's
+  replay counters agree (records, bytes, replay time), and the trace
+  ring dropped nothing;
 * with --prom FILE, the Prometheus text dump written at drain is
   well-formed (every sample belongs to a TYPE'd family, histogram
   buckets are cumulative and end in +Inf) and its counters dominate the
@@ -30,6 +31,7 @@ import re
 import sys
 
 PROM_PREFIX = "swbpbc"
+MIN_JOURNAL_FRAME = 24 + 1 + 8
 REQUIRED_COUNTERS = (
     "service.requests",
     "service.admitted",
@@ -105,6 +107,25 @@ def check_reconciliation(path, doc):
         status |= fail(path,
                        f"admitted+recovered={entered} but "
                        f"completed+shed+queued={accounted}")
+
+    # Journal replay (a journaled daemon only): every replayed record
+    # is at least a minimal frame (24-byte head, 1 kind byte, 8-byte
+    # checksum), no bytes means no records, and the set-up time the
+    # replay took is exported beside them.
+    if "service.journal.replayed" in counters:
+        replayed = counters["service.journal.replayed"]
+        replayed_bytes = counters.get("service.journal.replayed_bytes")
+        replay_ms = gauges.get("service.journal.replay_ms")
+        if replayed_bytes is None or replay_ms is None:
+            status |= fail(path, "service.journal.replayed is exported "
+                                 "without replayed_bytes and replay_ms")
+        elif (replayed_bytes < MIN_JOURNAL_FRAME * replayed
+              or (replayed == 0) != (replayed_bytes == 0)):
+            status |= fail(path,
+                           f"journal replayed {replayed} records in "
+                           f"{replayed_bytes} bytes")
+        elif replay_ms < 0:
+            status |= fail(path, f"journal replay took {replay_ms} ms")
 
     # The trace ring must not be silently losing spans under load.
     dropped = counters.get("telemetry.trace.dropped", 0)

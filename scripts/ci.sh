@@ -657,10 +657,13 @@ EOF
   # traced client run produces a single merged Perfetto export (client +
   # server spans correlated by one trace id); two live scrapes straddle a
   # second workload so the counters must move, and only forward; the
-  # drain's Prometheus dump must reconcile with the scrapes.
+  # drain's Prometheus dump must reconcile with the scrapes. The daemon
+  # journals, so the scrapes carry the journal replay counters too.
   prom="$smoke_dir/daemon.prom"
   merged="$smoke_dir/merged.trace.json"
+  rm -f "$smoke_dir/obs.journal"
   ./build/examples/screen_serve --socket="$sock" --telemetry --engine \
+      --journal="$smoke_dir/obs.journal" \
       --lane-group=8 --linger-ms=1 --stats-dump="$prom" \
       > "$smoke_dir/serve_obs.log" 2>&1 &
   serve_pid=$!

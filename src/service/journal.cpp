@@ -1,7 +1,10 @@
 #include "service/journal.hpp"
 
 #include <algorithm>
+#include <span>
+#include <unordered_map>
 #include <utility>
+#include <variant>
 
 namespace swbpbc::service {
 
@@ -20,51 +23,124 @@ std::vector<std::uint8_t> with_kind(std::uint8_t kind,
   return payload;
 }
 
+// A validated admitted record: its request's id and wire body. The
+// decoded request is dropped on the worker that validated it, so the
+// replay thread frees one buffer per completed request, not the ~15 of a
+// decoded one; only the requests still pending at the end decode again.
+struct Admitted {
+  std::string id;
+  std::vector<std::uint8_t> body;
+};
+
+// One record, decoded: the request or response it carries, or why it
+// cannot be replayed.
+using Decoded = std::variant<util::Status, Admitted, ScreenResponse>;
+
+Decoded decode_record(std::span<const std::uint8_t> payload,
+                      const std::string& path) {
+  if (payload.empty())
+    return util::Status::checkpoint_corrupt("journal '" + path +
+                                            "' holds an empty record");
+  const std::uint8_t kind = payload.front();
+  const std::span<const std::uint8_t> body = payload.subspan(1);
+  if (kind == kAdmitted) {
+    auto request = decode_request(body);
+    if (!request.has_value())
+      return util::Status::checkpoint_corrupt(
+          "journal '" + path + "' holds an undecodable admitted record: " +
+          request.status().message());
+    return Admitted{std::move(request->id),
+                    std::vector<std::uint8_t>(body.begin(), body.end())};
+  }
+  if (kind == kCompleted) {
+    auto response = decode_response(body);
+    if (!response.has_value())
+      return util::Status::checkpoint_corrupt(
+          "journal '" + path + "' holds an undecodable completed record: " +
+          response.status().message());
+    return std::move(response).value();
+  }
+  return util::Status::checkpoint_corrupt(
+      "journal '" + path + "' holds a record of unknown kind " +
+      std::to_string(kind));
+}
+
+// Streams the journal: each window's records decode on the pool, then
+// apply here in journal order. Admitted enters pending, completed moves
+// the id out of pending into the response cache. Pending requests are
+// keyed by record index (journal order) and indexed by id, so a
+// completion costs O(log n), not a pass over everything pending.
+class Replay final : public util::CheckpointVisitor {
+ public:
+  explicit Replay(const std::string& path) : path_(path) {}
+
+  void begin_window(std::size_t records) override {
+    decoded_.assign(records, Decoded{});
+  }
+
+  void decode(std::size_t slot,
+              const util::CheckpointRecordView& record) override {
+    decoded_[slot] = decode_record(record.payload, path_);
+  }
+
+  util::Status apply(
+      std::span<const util::CheckpointRecordView> records) override {
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      next_sequence = std::max(next_sequence, records[i].chunk_index + 1);
+      Decoded& d = decoded_[i];
+      if (auto* failed = std::get_if<util::Status>(&d)) return *failed;
+      if (auto* admitted = std::get_if<Admitted>(&d)) {
+        pending_ids_.emplace(std::move(admitted->id), records[i].index);
+        pending_.emplace(records[i].index, std::move(admitted->body));
+      } else {
+        auto& response = std::get<ScreenResponse>(d);
+        const auto [first, last] = pending_ids_.equal_range(response.id);
+        for (auto it = first; it != last; ++it) pending_.erase(it->second);
+        pending_ids_.erase(first, last);
+        completed[response.id] = std::move(response);
+      }
+      ++replayed;
+    }
+    decoded_.clear();
+    return {};
+  }
+
+  /// The requests still pending, in journal order.
+  std::vector<ScreenRequest> take_pending() {
+    std::vector<ScreenRequest> out;
+    out.reserve(pending_.size());
+    for (const auto& [index, body] : pending_)
+      out.push_back(decode_request(body).value());  // validated at decode()
+    return out;
+  }
+
+  std::uint64_t next_sequence = 0;
+  std::uint64_t replayed = 0;
+  std::map<std::string, ScreenResponse> completed;
+
+ private:
+  const std::string& path_;
+  std::vector<Decoded> decoded_;  // the window in flight, by slot
+  std::map<std::uint64_t, std::vector<std::uint8_t>> pending_;  // bodies
+  std::unordered_multimap<std::string, std::uint64_t> pending_ids_;
+};
+
 }  // namespace
 
 util::Expected<RequestJournal> RequestJournal::open(
-    const std::string& path, std::uint64_t fingerprint) {
-  util::CheckpointData replayed;
-  auto writer =
-      util::CheckpointWriter::try_append(path, fingerprint, &replayed);
+    const std::string& path, std::uint64_t fingerprint,
+    util::ThreadPool& pool) {
+  Replay replay(path);
+  std::uint64_t replayed_bytes = 0;
+  auto writer = util::CheckpointWriter::try_append(path, fingerprint, replay,
+                                                   pool, &replayed_bytes);
   if (!writer.has_value()) return writer.status();
   RequestJournal journal(std::move(writer).value());
-
-  // Replay in journal order: admitted enters pending, completed moves
-  // the id out of pending into the response cache.
-  for (const util::CheckpointRecord& record : replayed.records) {
-    journal.next_sequence_ =
-        std::max(journal.next_sequence_, record.chunk_index + 1);
-    if (record.payload.empty())
-      return util::Status::checkpoint_corrupt(
-          "journal '" + path + "' holds an empty record");
-    const std::uint8_t kind = record.payload.front();
-    const std::span<const std::uint8_t> body(record.payload.data() + 1,
-                                             record.payload.size() - 1);
-    if (kind == kAdmitted) {
-      auto request = decode_request(body);
-      if (!request.has_value())
-        return util::Status::checkpoint_corrupt(
-            "journal '" + path + "' holds an undecodable admitted record: " +
-            request.status().message());
-      journal.pending_.push_back(std::move(request).value());
-    } else if (kind == kCompleted) {
-      auto response = decode_response(body);
-      if (!response.has_value())
-        return util::Status::checkpoint_corrupt(
-            "journal '" + path + "' holds an undecodable completed record: " +
-            response.status().message());
-      const std::string id = response->id;
-      journal.completed_[id] = std::move(response).value();
-      std::erase_if(journal.pending_,
-                    [&id](const ScreenRequest& r) { return r.id == id; });
-    } else {
-      return util::Status::checkpoint_corrupt(
-          "journal '" + path + "' holds a record of unknown kind " +
-          std::to_string(kind));
-    }
-    ++journal.replayed_;
-  }
+  journal.next_sequence_ = replay.next_sequence;
+  journal.replayed_ = replay.replayed;
+  journal.replayed_bytes_ = replayed_bytes;
+  journal.pending_ = replay.take_pending();
+  journal.completed_ = std::move(replay.completed);
   return journal;
 }
 

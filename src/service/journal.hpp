@@ -4,7 +4,8 @@
 // journal inherits the checkpoint format's magic/version/fingerprint
 // header, per-record checksums, and torn-tail salvage):
 //   * admitted  — the full ScreenRequest payload, written BEFORE the
-//     request is queued for compute;
+//     request is queued for compute (one unbuffered write, not fsync'd:
+//     it survives the daemon's death, not a power loss);
 //   * completed — the final ScreenResponse (id, code, scores), written
 //     AFTER compute, before the response frame goes out.
 //
@@ -17,6 +18,10 @@
 // a restart with different parameters refuses the journal (typed
 // kCheckpointMismatch) instead of serving scores computed under other
 // rules.
+//
+// Records are independent until they are applied, so a restart replays
+// the stream window by window: checksums and decoding run across a thread
+// pool, and the records are applied in journal order on one thread.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +31,7 @@
 
 #include "service/protocol.hpp"
 #include "util/checkpoint.hpp"
+#include "util/thread_pool.hpp"
 
 namespace swbpbc::service {
 
@@ -36,14 +42,18 @@ class RequestJournal {
   /// (sw::fingerprint_scheme + lane width); a journal written under a
   /// different fingerprint is rejected kCheckpointMismatch. A torn tail
   /// record (crash mid-append) is dropped and physically truncated.
-  static util::Expected<RequestJournal> open(const std::string& path,
-                                             std::uint64_t fingerprint);
+  /// Records are checksummed and decoded on `pool`; the result does not
+  /// depend on its size.
+  static util::Expected<RequestJournal> open(
+      const std::string& path, std::uint64_t fingerprint,
+      util::ThreadPool& pool = util::ThreadPool::global());
 
   RequestJournal(RequestJournal&&) noexcept = default;
   RequestJournal& operator=(RequestJournal&&) noexcept = default;
 
-  /// Journals a request at admission (fsync'd single write). Must succeed
-  /// before the request may enter the compute queue.
+  /// Journals a request at admission (one unbuffered write: it survives
+  /// the daemon's death, not a power loss). Must succeed before the
+  /// request may enter the compute queue.
   util::Status record_admitted(const ScreenRequest& request);
 
   /// Journals a terminal response for an id. Must succeed before the
@@ -62,6 +72,10 @@ class RequestJournal {
   [[nodiscard]] std::uint64_t appended() const { return appended_; }
   /// Records recovered from disk at open.
   [[nodiscard]] std::uint64_t replayed() const { return replayed_; }
+  /// Frame bytes of the records recovered at open.
+  [[nodiscard]] std::uint64_t replayed_bytes() const {
+    return replayed_bytes_;
+  }
 
  private:
   explicit RequestJournal(util::CheckpointWriter writer)
@@ -71,6 +85,7 @@ class RequestJournal {
   std::uint64_t next_sequence_ = 0;
   std::uint64_t appended_ = 0;
   std::uint64_t replayed_ = 0;
+  std::uint64_t replayed_bytes_ = 0;
   std::vector<ScreenRequest> pending_;
   std::map<std::string, ScreenResponse> completed_;
 };

@@ -127,6 +127,7 @@ struct ScreenServer::Impl {
   std::optional<RequestJournal> journal;
   std::unique_ptr<device::PipelineEngine> engine;
   std::uint64_t journal_fingerprint = 0;
+  double journal_replay_ms = 0.0;  // RequestJournal::open at setup()
   sw::ScoringScheme scheme;     // the serving scheme, resolved at setup()
   std::uint64_t scheme_fp = 0;  // fingerprint_scheme of the serving scheme
   std::uint64_t campaign = 0;
@@ -197,10 +198,18 @@ util::Status ScreenServer::Impl::setup() {
           sw::lane_width_bits(sw::resolve_lane_width(config.width))),
       scheme_fp);
   if (!config.journal_path.empty()) {
+    telemetry::Span replay_span(tracer(), "journal.replay", "service");
+    const util::WallTimer replay_timer;
     auto opened = RequestJournal::open(config.journal_path,
                                        journal_fingerprint);
     if (!opened.has_value()) return opened.status();
+    journal_replay_ms = replay_timer.elapsed_ms();
     journal.emplace(std::move(opened).value());
+    replay_span.arg("records",
+                    static_cast<std::int64_t>(journal->replayed()));
+    replay_span.arg("bytes",
+                    static_cast<std::int64_t>(journal->replayed_bytes()));
+    replay_span.finish();
     completed = journal->take_completed();
     stats.recovered_completed = completed.size();
     for (ScreenRequest& request : journal->take_pending()) {
@@ -828,6 +837,9 @@ telemetry::RunReport ScreenServer::Impl::build_report() const {
   if (journal.has_value()) {
     registry.counter("service.journal.appended").add(journal->appended());
     registry.counter("service.journal.replayed").add(journal->replayed());
+    registry.counter("service.journal.replayed_bytes")
+        .add(journal->replayed_bytes());
+    registry.gauge("service.journal.replay_ms").set(journal_replay_ms);
   }
   const FaultLog log = faults.log();
   registry.counter("service.faults.tears").add(log.tears);

@@ -9,7 +9,7 @@
 //
 //   frame in -> decode -> cache hit? serve journaled response
 //                      -> admission (kOverloaded / kQuotaExceeded shed)
-//                      -> journal `admitted` (fsync'd)  -> queue
+//                      -> journal `admitted` (one write) -> queue
 //   queue -> plan_batch (lane-group packing, deadline shedding)
 //         -> sw::try_screen (one call per batch, scores sliced per
 //            request)

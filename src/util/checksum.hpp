@@ -24,6 +24,27 @@ inline std::uint64_t fnv1a_bytes(const void* data, std::size_t size,
   return h;
 }
 
+/// FNV-1a over `Lanes` independent ranges of one common length, in
+/// lock-step: the byte-serial multiply chains of different ranges overlap
+/// in the pipeline, so several ranges hash in about the time of one. Each
+/// h[l] ends as fnv1a_bytes(data[l], size, h[l]) would leave it.
+template <std::size_t Lanes>
+void fnv1a_lockstep(const std::uint8_t* const (&data)[Lanes],
+                    std::size_t size, std::uint64_t (&h)[Lanes]) {
+  // Local copies: the byte loads may alias `h`, which would otherwise
+  // pin the chains to memory.
+  const std::uint8_t* p[Lanes];
+  std::uint64_t acc[Lanes];
+  for (std::size_t l = 0; l < Lanes; ++l) {
+    p[l] = data[l];
+    acc[l] = h[l];
+  }
+  for (std::size_t i = 0; i < size; ++i)
+    for (std::size_t l = 0; l < Lanes; ++l)
+      acc[l] = (acc[l] ^ p[l][i]) * kFnvPrime;
+  for (std::size_t l = 0; l < Lanes; ++l) h[l] = acc[l];
+}
+
 /// FNV-1a over the object representation of a span of trivially copyable
 /// elements (byte order is the host's; checkpoints are host-local files).
 template <typename T>

@@ -250,6 +250,42 @@ TEST(Protocol, RejectsNonDnaCode) {
   EXPECT_EQ(decoded.status().code(), util::ErrorCode::kInvalidInput);
 }
 
+TEST(Protocol, SideDefectsNameTheFirstBadSequenceInWireOrder) {
+  // xs then ys, sequence by sequence: a sequence's codes are checked
+  // before the next one is read, and the first bad code is named.
+  ScreenRequest req = make_request(3, 8, 24);
+  req.ys[1][2] = 7;
+  req.ys[1][5] = 200;
+  req.ys[2][0] = 9;
+  auto decoded = decode_request(encode_request(req));
+  ASSERT_FALSE(decoded.has_value());
+  EXPECT_EQ(decoded.status().code(), util::ErrorCode::kInvalidInput);
+  EXPECT_EQ(decoded.status().message(), "ys[1] carries a non-DNA code 7");
+
+  req.xs[2][7] = 4;  // an earlier side wins
+  decoded = decode_request(encode_request(req));
+  ASSERT_FALSE(decoded.has_value());
+  EXPECT_EQ(decoded.status().message(), "xs[2] carries a non-DNA code 4");
+
+  // A bad code in ys[1] is found before ys[2] turns out truncated...
+  req = make_request(3, 8, 24);
+  req.ys[1][0] = 5;
+  auto payload = encode_request(req);
+  payload.resize(payload.size() - 10);
+  decoded = decode_request(payload);
+  ASSERT_FALSE(decoded.has_value());
+  EXPECT_EQ(decoded.status().message(), "ys[1] carries a non-DNA code 5");
+
+  // ...and without it the truncation names the side.
+  payload = encode_request(make_request(3, 8, 24));
+  payload.resize(payload.size() - 10);
+  decoded = decode_request(payload);
+  ASSERT_FALSE(decoded.has_value());
+  EXPECT_EQ(decoded.status().code(), util::ErrorCode::kParseError);
+  EXPECT_EQ(decoded.status().message(),
+            "request/response payload ends inside ys");
+}
+
 TEST(Protocol, RejectsNegativeAndNaNDeadline) {
   ScreenRequest req = make_request();
   req.deadline_budget_ms = -1.0;

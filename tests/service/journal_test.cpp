@@ -7,8 +7,12 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "encoding/random.hpp"
@@ -17,6 +21,7 @@
 #include "util/checkpoint.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
+#include "util/thread_pool.hpp"
 
 namespace swbpbc::service {
 namespace {
@@ -209,6 +214,210 @@ TEST(Journal, CompletedResponsesRoundTripExactly) {
   // Bit-identical: the retrying client receives exactly the bytes the
   // crashed daemon would have sent.
   EXPECT_EQ(encode_response(completed.at("bits")), encode_response(resp));
+  std::remove(path.c_str());
+}
+
+// --- streamed replay -----------------------------------------------------
+
+// About 9 KB encoded: a few hundred of these span several read windows.
+ScreenRequest big_request(const std::string& id, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  ScreenRequest req;
+  req.id = id;
+  req.tenant = "bulk";
+  req.xs = encoding::random_sequences(rng, 16, 64);
+  req.ys = encoding::random_sequences(rng, 16, 512);
+  return req;
+}
+
+// The replay a serial reader performs: admitted appends to pending,
+// completed caches the response and drops every pending entry of its id.
+struct SerialModel {
+  std::vector<ScreenRequest> pending;
+  std::map<std::string, ScreenResponse> completed;
+
+  void admit(const ScreenRequest& r) { pending.push_back(r); }
+  void complete(const ScreenResponse& r) {
+    completed[r.id] = r;
+    std::erase_if(pending,
+                  [&r](const ScreenRequest& p) { return p.id == r.id; });
+  }
+};
+
+// Writes a journal of `n` large admitted requests, completing them in
+// reverse order (all but every fifth), re-admitting a completed id and
+// admitting one id twice; returns the serial replay of what it wrote.
+SerialModel write_bulk_journal(const std::string& path, std::size_t n) {
+  std::remove(path.c_str());
+  SerialModel model;
+  auto journal = RequestJournal::open(path, kFp);
+  EXPECT_TRUE(journal.has_value()) << journal.status().to_string();
+  const auto admit = [&](const ScreenRequest& r) {
+    EXPECT_TRUE(journal->record_admitted(r).ok());
+    model.admit(r);
+  };
+  const auto complete = [&](const ScreenResponse& r) {
+    EXPECT_TRUE(journal->record_completed(r).ok());
+    model.complete(r);
+  };
+  for (std::size_t i = 0; i < n; ++i)
+    admit(big_request("b" + std::to_string(i), i));
+  admit(big_request("b3", 1000));  // a duplicate admission of one id
+  for (std::size_t i = n; i-- > 0;)
+    if (i % 5 != 0) complete(make_response("b" + std::to_string(i)));
+  admit(big_request("b7", 1001));  // re-admitted after its completion
+  return model;
+}
+
+void expect_replay_matches(RequestJournal& journal, const SerialModel& model) {
+  const auto pending = journal.take_pending();
+  ASSERT_EQ(pending.size(), model.pending.size());
+  for (std::size_t i = 0; i < pending.size(); ++i)
+    EXPECT_EQ(encode_request(pending[i]), encode_request(model.pending[i]))
+        << "pending[" << i << "]";
+  const auto completed = journal.take_completed();
+  ASSERT_EQ(completed.size(), model.completed.size());
+  for (const auto& [id, response] : model.completed) {
+    ASSERT_TRUE(completed.contains(id)) << id;
+    EXPECT_EQ(encode_response(completed.at(id)), encode_response(response));
+  }
+}
+
+TEST(Journal, ReplayAcrossWindowsMatchesASerialReplay) {
+  const std::string path = temp_path("windows.journal");
+  const SerialModel model = write_bulk_journal(path, 400);
+  const auto file_bytes = std::filesystem::file_size(path);
+  ASSERT_GT(file_bytes, 3 * util::kCheckpointWindowBytes);
+  auto journal = RequestJournal::open(path, kFp);
+  ASSERT_TRUE(journal.has_value()) << journal.status().to_string();
+  EXPECT_EQ(journal->replayed(), 400u + 1 + 320 + 1);
+  EXPECT_EQ(journal->replayed_bytes(), file_bytes - 24);  // all but header
+  expect_replay_matches(*journal, model);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, ZeroWorkerPoolReplaysLikeTheGlobalPool) {
+  const std::string path = temp_path("serial_pool.journal");
+  const SerialModel model = write_bulk_journal(path, 300);
+  util::ThreadPool serial(0);
+  auto on_serial = RequestJournal::open(path, kFp, serial);
+  ASSERT_TRUE(on_serial.has_value()) << on_serial.status().to_string();
+  auto on_global = RequestJournal::open(path, kFp);
+  ASSERT_TRUE(on_global.has_value()) << on_global.status().to_string();
+  EXPECT_EQ(on_serial->replayed(), on_global->replayed());
+  EXPECT_EQ(on_serial->replayed_bytes(), on_global->replayed_bytes());
+  expect_replay_matches(*on_serial, model);
+  expect_replay_matches(*on_global, model);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, CompletionsInReverseAdmissionOrderLeaveTheRestPending) {
+  const std::string path = temp_path("reverse.journal");
+  std::remove(path.c_str());
+  {
+    auto journal = RequestJournal::open(path, kFp);
+    ASSERT_TRUE(journal.has_value());
+    for (int i = 0; i < 2000; ++i)
+      ASSERT_TRUE(
+          journal->record_admitted(make_request("r" + std::to_string(i)))
+              .ok());
+    for (int i = 1999; i >= 0; --i) {
+      if (i % 7 == 0) continue;
+      ASSERT_TRUE(
+          journal->record_completed(make_response("r" + std::to_string(i)))
+              .ok());
+    }
+  }
+  auto journal = RequestJournal::open(path, kFp);
+  ASSERT_TRUE(journal.has_value()) << journal.status().to_string();
+  const auto pending = journal->take_pending();
+  ASSERT_EQ(pending.size(), 286u);  // 0, 7, ..., 1995
+  for (std::size_t k = 0; k < pending.size(); ++k)
+    EXPECT_EQ(pending[k].id, "r" + std::to_string(7 * k));
+  EXPECT_EQ(journal->take_completed().size(), 2000u - 286u);
+  std::remove(path.c_str());
+}
+
+// Writes raw journal records through the checkpoint layer; returns each
+// record's byte offset in the file.
+std::vector<std::size_t> write_raw(
+    const std::string& path,
+    const std::vector<std::vector<std::uint8_t>>& payloads) {
+  std::remove(path.c_str());
+  auto writer = util::CheckpointWriter::try_create(path, kFp);
+  EXPECT_TRUE(writer.has_value());
+  std::vector<std::size_t> offsets;
+  std::size_t at = 24;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    EXPECT_TRUE(writer->append(i, payloads[i]).ok());
+    offsets.push_back(at);
+    at += 24 + payloads[i].size() + 8;
+  }
+  return offsets;
+}
+
+std::vector<std::uint8_t> admitted_payload(const ScreenRequest& r) {
+  std::vector<std::uint8_t> payload = {1};  // the admitted kind
+  const auto body = encode_request(r);
+  payload.insert(payload.end(), body.begin(), body.end());
+  return payload;
+}
+
+TEST(Journal, UndecodableRecordThenLaterChecksumDefectReportsTheChecksum) {
+  // A stream defect anywhere wins over a record the journal cannot
+  // decode: the serial reader validated the whole stream before it
+  // decoded anything.
+  const std::string path = temp_path("precedence.journal");
+  std::vector<std::vector<std::uint8_t>> payloads;
+  payloads.push_back(admitted_payload(big_request("ok", 1)));
+  payloads.push_back({1, 0x00});  // admitted, but no request body
+  for (std::uint64_t i = 0; i < 300; ++i)
+    payloads.push_back(
+        admitted_payload(big_request("p" + std::to_string(i), 2 + i)));
+  const auto offsets = write_raw(path, payloads);
+
+  auto undecodable = RequestJournal::open(path, kFp);
+  ASSERT_FALSE(undecodable.has_value());
+  EXPECT_EQ(undecodable.status().code(), util::ErrorCode::kCheckpointCorrupt);
+  EXPECT_NE(undecodable.status().message().find(
+                "holds an undecodable admitted record"),
+            std::string::npos)
+      << undecodable.status().to_string();
+
+  // Rot in record 250, windows past the undecodable record 1.
+  std::vector<char> data;
+  {
+    std::ifstream in(path, std::ios::binary);
+    data.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(offsets[250], 2 * util::kCheckpointWindowBytes);
+  char& rot = data[offsets[250] + 24 + 40];
+  rot = static_cast<char>(rot ^ 0x01);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(data.data(), static_cast<std::streamsize>(data.size()));
+  }
+  auto rotten = RequestJournal::open(path, kFp);
+  ASSERT_FALSE(rotten.has_value());
+  EXPECT_EQ(rotten.status().code(), util::ErrorCode::kCheckpointCorrupt);
+  EXPECT_EQ(rotten.status().message(),
+            "checkpoint '" + path +
+                "' record 250 (chunk 250) fails its checksum");
+  std::remove(path.c_str());
+}
+
+TEST(Journal, LowestIndexUndecodableRecordWins) {
+  const std::string path = temp_path("first_bad.journal");
+  write_raw(path, {admitted_payload(make_request("a")),
+                   {9, 1, 2, 3},  // unknown kind
+                   admitted_payload(make_request("b")),
+                   {}});  // empty record
+  auto journal = RequestJournal::open(path, kFp);
+  ASSERT_FALSE(journal.has_value());
+  EXPECT_EQ(journal.status().code(), util::ErrorCode::kCheckpointCorrupt);
+  EXPECT_EQ(journal.status().message(),
+            "journal '" + path + "' holds a record of unknown kind 9");
   std::remove(path.c_str());
 }
 

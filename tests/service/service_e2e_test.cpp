@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <sys/un.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -379,6 +380,31 @@ TEST(ServiceE2E, RestartRecoversCompletedResponsesFromTheJournal) {
   EXPECT_GE(harness.stats().recovered_completed, 1u);
   EXPECT_GE(harness.stats().cache_hits, 1u);
   EXPECT_EQ(harness.stats().completed, 0u);  // nothing recomputed
+}
+
+TEST(ServiceE2E, ReadinessProbeIsAnsweredOnItsFirstAttempt) {
+  // create() binds and listens before it returns, so a probe that
+  // connects before run() starts waits in the listen backlog and is
+  // answered as soon as run() polls: wait_ready() never backs off, and
+  // the restart-to-ready time it measures is not quantized by backoff.
+  auto cfg = base_config("ready");
+  util::CancellationToken stop;
+  cfg.stop = &stop;
+  auto server = ScreenServer::create(cfg);
+  ASSERT_TRUE(server.has_value()) << server.status().to_string();
+  util::Status run_status;
+  std::thread serving([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    run_status = server->run();
+  });
+  ScreenClient probe(client_config(cfg));
+  const util::Status ready = probe.wait_ready();
+  stop.cancel();
+  serving.join();
+  EXPECT_TRUE(ready.ok()) << ready.to_string();
+  EXPECT_TRUE(run_status.ok()) << run_status.to_string();
+  EXPECT_EQ(probe.counters().attempts, 1u);
+  EXPECT_EQ(probe.counters().backoff_sleeps, 0u);
 }
 
 TEST(ServiceE2E, RestartRefusesAJournalFromOtherScoringRules) {

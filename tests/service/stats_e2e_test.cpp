@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <string>
@@ -273,6 +274,50 @@ TEST(TelemetryOff, ScoresBitIdenticalAndTraceDumpEmpty) {
   EXPECT_EQ(report->metrics.counters.count("telemetry.trace.dropped"), 0u);
 
   ASSERT_TRUE(server.stop().ok());
+}
+
+TEST(JournalReplay, SpanAndMetricsReportWhatWasReplayed) {
+  ServerConfig cfg = base_config("replay");
+  cfg.journal_path = temp_path("replay.journal");
+  std::remove(cfg.journal_path.c_str());
+  {
+    ServerHarness server(cfg);
+    ASSERT_TRUE(server.started()) << server.create_status().to_string();
+    ScreenClient client(client_config(cfg));
+    ASSERT_TRUE(client.wait_ready().ok());
+    for (std::uint64_t k = 0; k < 2; ++k)
+      ASSERT_TRUE(
+          client.screen(make_request("replay-" + std::to_string(k), 4, 7 + k))
+              .has_value());
+    ASSERT_TRUE(server.stop().ok());
+  }
+  // Two admitted and two completed records follow the 24-byte header.
+  const auto journal_bytes = static_cast<std::int64_t>(
+      std::filesystem::file_size(cfg.journal_path) - 24);
+
+  telemetry::Telemetry session({.enabled = true});
+  cfg.telemetry = session.sink();
+  auto restarted = ScreenServer::create(cfg);
+  ASSERT_TRUE(restarted.has_value()) << restarted.status().to_string();
+  std::map<std::string, std::int64_t> args;
+  std::size_t spans = 0;
+  for (const auto& e : session.tracer()->events()) {
+    if (std::string(e.name) != "journal.replay") continue;
+    ++spans;
+    for (std::size_t i = 0; i < telemetry::kSpanArgSlots; ++i)
+      if (e.arg_names[i] != nullptr) args[e.arg_names[i]] = e.arg_values[i];
+  }
+  EXPECT_EQ(spans, 1u);
+  EXPECT_EQ(args["records"], 4);
+  EXPECT_EQ(args["bytes"], journal_bytes);
+
+  const telemetry::RunReport report = restarted->report();
+  EXPECT_EQ(report.metrics.counters.at("service.journal.replayed"), 4u);
+  EXPECT_EQ(report.metrics.counters.at("service.journal.replayed_bytes"),
+            static_cast<std::uint64_t>(journal_bytes));
+  ASSERT_TRUE(report.metrics.gauges.contains("service.journal.replay_ms"));
+  EXPECT_GE(report.metrics.gauges.at("service.journal.replay_ms"), 0.0);
+  std::remove(cfg.journal_path.c_str());
 }
 
 TEST(EngineBackend, ScoresMatchHostPathBitForBit) {

@@ -321,5 +321,150 @@ TEST(CheckpointAppend, RejectsForeignFingerprintAndRot) {
   std::remove(path.c_str());
 }
 
+// --- the streamed reader: windows, parallel checksums, defect order ------
+
+// A stream spanning several read windows: records of mixed sizes, one of
+// them larger than a whole window.
+struct BigStream {
+  std::vector<std::vector<std::uint8_t>> payloads;
+
+  // Byte offset of record `k`'s head (the header is 24 bytes, a record
+  // adds 24 bytes of head and 8 of checksum to its payload).
+  [[nodiscard]] std::size_t offset(std::size_t k) const {
+    std::size_t at = 24;
+    for (std::size_t i = 0; i < k; ++i) at += 24 + payloads[i].size() + 8;
+    return at;
+  }
+};
+
+BigStream write_big_stream(const std::string& path, std::uint64_t fp) {
+  BigStream stream;
+  const std::size_t sizes[] = {40, 600, 3000, 35000};
+  for (std::size_t i = 0; i < 240; ++i) {
+    const std::size_t size =
+        i == 100 ? kCheckpointWindowBytes + 4321 : sizes[i % 4];
+    std::vector<std::uint8_t> payload(size);
+    for (std::size_t j = 0; j < size; ++j)
+      payload[j] = static_cast<std::uint8_t>(i * 31 + j);
+    stream.payloads.push_back(std::move(payload));
+  }
+  auto writer = CheckpointWriter::try_create(path, fp);
+  EXPECT_TRUE(writer.has_value()) << writer.status().to_string();
+  for (std::size_t i = 0; i < stream.payloads.size(); ++i)
+    EXPECT_TRUE(writer->append(i, stream.payloads[i]).ok());
+  return stream;
+}
+
+void flip(std::vector<char>& data, std::size_t at) {
+  data[at] = static_cast<char>(data[at] ^ 0x10);
+}
+
+TEST(CheckpointStream, SpansSeveralWindowsAndRoundTrips) {
+  const std::string path = temp_path("stream_roundtrip.bin");
+  const BigStream stream = write_big_stream(path, 42);
+  ASSERT_GT(stream.offset(stream.payloads.size()),
+            3 * kCheckpointWindowBytes);
+  const auto loaded = read_checkpoint(path, 42);
+  ASSERT_TRUE(loaded.has_value()) << loaded.status().to_string();
+  ASSERT_EQ(loaded->records.size(), stream.payloads.size());
+  for (std::size_t i = 0; i < stream.payloads.size(); ++i) {
+    EXPECT_EQ(loaded->records[i].chunk_index, i);
+    EXPECT_EQ(loaded->records[i].payload, stream.payloads[i]) << "record " << i;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointStream, FlippedMiddleRecordFailsItsChecksumByIndex) {
+  const std::string path = temp_path("stream_flip.bin");
+  const BigStream stream = write_big_stream(path, 42);
+  std::vector<char> data = slurp(path);
+  flip(data, stream.offset(150) + 24 + 7);  // a payload byte
+  dump(path, data);
+  const std::string expected =
+      "checkpoint '" + path + "' record 150 (chunk 150) fails its checksum";
+  for (const auto& loaded :
+       {read_checkpoint(path, 42), read_checkpoint_salvage(path, 42)}) {
+    ASSERT_FALSE(loaded.has_value());
+    EXPECT_EQ(loaded.status().code(), ErrorCode::kCheckpointCorrupt);
+    EXPECT_EQ(loaded.status().message(), expected);
+  }
+  const auto appended = CheckpointWriter::try_append(path, 42, nullptr);
+  ASSERT_FALSE(appended.has_value());
+  EXPECT_EQ(appended.status().message(), expected);
+  EXPECT_EQ(slurp(path).size(), data.size());  // rot is never truncated
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointStream, TornTailKeepsItsMessagesAndSalvageOffset) {
+  const std::string path = temp_path("stream_torn.bin");
+  const BigStream stream = write_big_stream(path, 42);
+  const std::size_t last = stream.payloads.size() - 1;
+  const std::size_t tail = stream.offset(last);
+  const std::vector<char> whole = slurp(path);
+  struct Cut {
+    std::size_t keep;  // bytes of the last record left on disk
+    std::string what;
+  };
+  const std::vector<Cut> cuts = {
+      {7, "truncated inside record 239's header"},
+      {24 + 100, "truncated inside record 239's payload"},
+      {24 + stream.payloads[last].size() + 3,
+       "truncated before record 239's checksum"}};
+  for (const Cut& cut : cuts) {
+    std::vector<char> data(whole.begin(),
+                           whole.begin() + static_cast<long>(tail + cut.keep));
+    dump(path, data);
+    const auto strict = read_checkpoint(path, 42);
+    ASSERT_FALSE(strict.has_value());
+    EXPECT_EQ(strict.status().code(), ErrorCode::kCheckpointCorrupt);
+    EXPECT_EQ(strict.status().message(),
+              "checkpoint '" + path + "' " + cut.what);
+
+    const auto salvaged = read_checkpoint_salvage(path, 42);
+    ASSERT_TRUE(salvaged.has_value()) << salvaged.status().to_string();
+    ASSERT_EQ(salvaged->records.size(), last);
+    EXPECT_EQ(salvaged->records.back().payload, stream.payloads[last - 1]);
+
+    // The append mode cuts the file back to exactly the last whole record.
+    CheckpointData replayed;
+    ASSERT_TRUE(CheckpointWriter::try_append(path, 42, &replayed).has_value());
+    EXPECT_EQ(replayed.records.size(), last);
+    EXPECT_EQ(slurp(path).size(), tail);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointStream, LowestIndexDefectWins) {
+  const std::string path = temp_path("stream_order.bin");
+  const BigStream stream = write_big_stream(path, 42);
+  const std::vector<char> whole = slurp(path);
+
+  // A checksum failure sits before a bad marker in a later window...
+  std::vector<char> data = whole;
+  flip(data, stream.offset(20) + 24 + 1);
+  flip(data, stream.offset(200));  // record 200's marker
+  dump(path, data);
+  EXPECT_EQ(read_checkpoint(path, 42).status().message(),
+            "checkpoint '" + path +
+                "' record 20 (chunk 20) fails its checksum");
+
+  // ...the bad marker alone is reported as itself...
+  data = whole;
+  flip(data, stream.offset(200));
+  dump(path, data);
+  EXPECT_EQ(read_checkpoint(path, 42).status().message(),
+            "checkpoint '" + path + "' record 200 has a corrupt marker");
+
+  // ...and of two checksum failures in one window, the earlier one wins
+  // whichever worker verified it first.
+  data = whole;
+  flip(data, stream.offset(9) + 24 + 2);
+  flip(data, stream.offset(5) + 24 + 2);
+  dump(path, data);
+  EXPECT_EQ(read_checkpoint_salvage(path, 42).status().message(),
+            "checkpoint '" + path + "' record 5 (chunk 5) fails its checksum");
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace swbpbc::util
